@@ -745,7 +745,7 @@ def quotient_factorization(family, omega0, n, section=SectionConfig()):
 
     f2 = unstable_manifold_points(fp, 2)[1]
     v_prev = ch_n.vs[-2]
-    image = apply_DT(f2.embed(), ch_n.omegas[-2],
+    image = apply_DT(f2, ch_n.omegas[-2],
                      v_prev * (1.0 / sup_norm(v_prev)))
     norm_reference = sup_norm(image)
     norm_gap = abs(factor_norm - norm_reference) / norm_reference

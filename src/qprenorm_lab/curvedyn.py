@@ -509,7 +509,7 @@ def slope_chain(family, omega0, n, mode="exact-orbit",
                 base = stars[j - 1]
         try:
             u = AnalyticFn(dr_matrix(base) @ np.real(u.coeffs), dom)
-            v = apply_DT(base.embed(), om, v)
+            v = apply_DT(base, om, v)
         except (DegenerateScalingError, DomainError) as e:
             raise type(e)(f"chain stage k={k}: {e}")
         v = _tgamma_or_skip(v, section)

@@ -38,6 +38,7 @@ from .renorm1d import (TOL_A, UnimodalMap, dr_matrix, l1_matrix, l2_matrix)
 
 SCALE_BITS = 128
 SCALE = 1 << SCALE_BITS
+MAX_DEPTH = SCALE_BITS - 53      # doublings float(omega) survives intact
 
 TOL_PI1 = 1e-12
 TOL_SPEC = 1e-8
@@ -84,9 +85,17 @@ class RotationNumber:
         return self.value
 
     def double(self):
-        """2 omega mod 1, exact on the fixed-point fraction."""
-        if self.depth + 1 > 100:
-            raise PrecisionExhaustedError("more than 100 doublings requested")
+        """2 omega mod 1, exact on the fixed-point fraction.
+
+        Each doubling shifts one known bit out of the fraction, so after
+        d doublings only SCALE_BITS - d bits are known; float(omega) keeps
+        its 53-bit accuracy through depth SCALE_BITS - 53 = 75.
+        """
+        if self.depth + 1 > MAX_DEPTH:
+            raise PrecisionExhaustedError(
+                f"more than {MAX_DEPTH} doublings requested: a "
+                f"{SCALE_BITS}-bit fraction keeps float(omega) exact only "
+                f"through {SCALE_BITS} - 53 = {MAX_DEPTH}")
         return RotationNumber(
             (self.num << 1) % SCALE,
             dio_gamma=self.dio_gamma / 2 ** self.dio_tau,
@@ -185,12 +194,16 @@ def apply_DT(base, omega, v):
     """Derivative of T_omega at a theta-independent base, mode by mode.
 
     Mode 0 gets the one-dimensional derivative DR(psi); mode k gets
-    L1 c_k + e^(2 pi i k omega) L2 c_k.
+    L1 c_k + e^(2 pi i k omega) L2 c_k. The base is a UnimodalMap, whose
+    operator data is reused across calls, or a theta-independent QPFn.
     """
-    if not base.is_theta_independent():
+    if isinstance(base, UnimodalMap):
+        psi = base
+    elif base.is_theta_independent():
+        psi = UnimodalMap(project_p0(base))
+    else:
         raise UnsupportedBaseError(
             "DT is only assembled at theta-independent bases")
-    psi = UnimodalMap(project_p0(base))
     if abs(psi.a) < TOL_A:
         raise DegenerateScalingError("degenerate scaling at the base map")
     L1 = l1_matrix(psi)

@@ -15,7 +15,7 @@ in the tests as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,9 +30,20 @@ from .funcspace import (AnalyticFn, DomainConfig, QPFn, cheb_nodes,
 TOL_A = 1e-8
 
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass
 class UnimodalMap:
-    """Even analytic map with psi(0) = 1; a = psi(1) is cached."""
+    """Even analytic map with psi(0) = 1; a = psi(1) is cached.
+
+    The operator data at the map (L1, L2, DR and R(psi)) is built on first
+    use and kept on the object as read-only arrays, so it lives exactly as
+    long as the map does; l1_matrix, l2_matrix, dr_matrix and
+    renormalize_1d read it. A map is therefore not to be changed in place.
+    """
 
     psi: AnalyticFn
     a: float = None
@@ -80,6 +91,55 @@ class UnimodalMap:
     def embed(self):
         return QPFn.from_analytic(self.psi)
 
+    # ------------------------------------------ operator data, built once
+
+    @cached_property
+    def _inner(self):
+        """psi(a x) at the Chebyshev nodes, shared by L1, L2 and R(psi)."""
+        return np.real(self.psi(self.a * cheb_nodes(self.domain)))
+
+    @cached_property
+    def _renormalized(self):
+        vals = np.real(self.psi(self._inner)) / self.a
+        rpsi = AnalyticFn.from_values(self.domain, vals)
+        _read_only(rpsi.coeffs)
+        return UnimodalMap(rpsi)
+
+    @cached_property
+    def _l1(self):
+        dom = self.domain
+        n = dom.n_cheb
+        _, _, A = _cheb_machinery(n)
+        E = _cheb.chebvander(self.a * cheb_nodes(dom) / dom.half_width,
+                             n - 1)                      # T_j(a x_i)
+        w = np.real(self.psi.deriv()(self._inner)) / self.a
+        return _read_only(A @ (w[:, None] * E))
+
+    @cached_property
+    def _l2(self):
+        dom = self.domain
+        n = dom.n_cheb
+        _, _, A = _cheb_machinery(n)
+        E = _cheb.chebvander(self._inner / dom.half_width, n - 1)
+        return _read_only(A @ (E / self.a))
+
+    @cached_property
+    def _dr(self):
+        a = self.a
+        if abs(a) < TOL_A:
+            raise DegenerateScalingError("derivative assembly at degenerate a")
+        dom = self.domain
+        n = dom.n_cheb
+        x = cheb_nodes(dom)
+        _, _, A = _cheb_machinery(n)
+        rpsi = self._renormalized.psi
+        w_vals = (x * np.real(rpsi.deriv()(x)) - np.real(rpsi(x))) / a
+        w_coeffs = A @ w_vals
+        eval_at_1 = _cheb.chebvander(np.array([1.0 / dom.half_width]),
+                                     n - 1)[0]
+        return _read_only(self._l1 + self._l2
+                          + np.outer(w_coeffs, eval_at_1))
+
 
 @dataclass
 class FixedPointData:
@@ -90,6 +150,9 @@ class FixedPointData:
     newton_residual: float
     eig_moduli: np.ndarray = None
     spectral_gap: float = None
+    # f*_j by j, filled by unstable_manifold_points
+    _unstable: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
 
 @dataclass
@@ -184,7 +247,11 @@ class DomainCheck:
 
 
 def renormalize_1d(psi, check_domain=True):
-    """R(psi) = psi o psi(a x) / a, re-expanded on the Chebyshev grid."""
+    """R(psi) = psi o psi(a x) / a, re-expanded on the Chebyshev grid.
+
+    The scaling and domain checks run on every call; the expansion is built
+    once per map and returned as the same read-only map afterwards.
+    """
     a = psi.a
     if abs(a) < TOL_A:
         raise DegenerateScalingError(f"a = psi(1) = {a:.3e} too small")
@@ -192,35 +259,17 @@ def renormalize_1d(psi, check_domain=True):
         chk = in_domain_R(psi)
         if not chk:
             raise DomainError(f"psi outside the operator domain: {chk.failing}")
-    x = cheb_nodes(psi.domain)
-    vals = np.real(psi.psi(np.real(psi.psi(a * x)))) / a
-    return UnimodalMap(AnalyticFn.from_values(psi.domain, vals))
+    return psi._renormalized
 
 
 def l1_matrix(psi):
     """Matrix of g -> psi'(psi(a x)) g(a x) / a on Chebyshev coefficients."""
-    dom = psi.domain
-    a = psi.a
-    n = dom.n_cheb
-    x = cheb_nodes(dom)
-    L = dom.half_width
-    _, _, A = _cheb_machinery(n)
-    E = _cheb.chebvander(a * x / L, n - 1)           # T_j(a x_i)
-    w = np.real(psi.psi.deriv()(np.real(psi.psi(a * x)))) / a
-    return A @ (w[:, None] * E)
+    return psi._l1
 
 
 def l2_matrix(psi):
     """Matrix of g -> g(psi(a x)) / a on Chebyshev coefficients."""
-    dom = psi.domain
-    a = psi.a
-    n = dom.n_cheb
-    x = cheb_nodes(dom)
-    L = dom.half_width
-    _, _, A = _cheb_machinery(n)
-    inner = np.real(psi.psi(a * x))
-    E = _cheb.chebvander(inner / L, n - 1)
-    return A @ (E / a)
+    return psi._l2
 
 
 def dr_matrix(psi):
@@ -230,20 +279,7 @@ def dr_matrix(psi):
     w(x) = (x (R psi)'(x) - (R psi)(x)) / a; the last term tracks the
     variation of the rescaling constant a = psi(1).
     """
-    dom = psi.domain
-    a = psi.a
-    if abs(a) < TOL_A:
-        raise DegenerateScalingError("derivative assembly at degenerate a")
-    n = dom.n_cheb
-    x = cheb_nodes(dom)
-    L = dom.half_width
-    _, _, A = _cheb_machinery(n)
-
-    rpsi = renormalize_1d(psi, check_domain=False)
-    w_vals = (x * np.real(rpsi.psi.deriv()(x)) - np.real(rpsi.psi(x))) / a
-    w_coeffs = A @ w_vals
-    eval_at_1 = _cheb.chebvander(np.array([1.0 / L]), n - 1)[0]
-    return l1_matrix(psi) + l2_matrix(psi) + np.outer(w_coeffs, eval_at_1)
+    return psi._dr
 
 
 # ------------------------------------------------------------- fixed point
@@ -537,12 +573,25 @@ def _crit_orbit_residual(psi, j):
 
 
 def unstable_manifold_points(fp, j_max):
-    """f*_j: unstable-manifold maps whose critical orbit is 2^j-superstable.
+    """f*_j for j = 1..j_max: unstable-manifold maps whose critical orbit is
+    2^j-superstable.
 
-    The manifold is seeded to first order as Phi + t e and grown by
-    renormalizing; for each j the crossing of psi^(2^j)(0) = 0 is located
-    in the (iteration count, mesh parameter) ladder and refined by brentq.
-    f*_1 satisfies psi(1) = 0.
+    Each f*_j is computed independently of the others and kept on fp, so a
+    later call computes only the j it has not seen; the list is fresh on
+    every call.
+    """
+    for j in range(1, j_max + 1):
+        if j not in fp._unstable:
+            fp._unstable[j] = _unstable_point(fp, j)
+    return [fp._unstable[j] for j in range(1, j_max + 1)]
+
+
+def _unstable_point(fp, j):
+    """f*_j, seeded to first order as Phi + t e and grown by renormalizing.
+
+    The crossing of psi^(2^j)(0) = 0 is located in the (iteration count,
+    mesh parameter) ladder and refined by brentq; f*_1 satisfies
+    psi(1) = 0.
 
     The seed size shrinks with j: f*_j sits at manifold distance about
     3.6 delta^(1-j) from Phi, and keeping the growth to a few doubling
@@ -554,40 +603,30 @@ def unstable_manifold_points(fp, j_max):
     dom = phi.domain
     delta = fp.delta_feig
     taus = np.geomspace(1.0, delta, 17)
+    s_est = 3.6 * delta ** (1 - j)
+    t0 = float(np.clip(s_est / delta ** 4, 1e-12, 1e-5))
 
-    def map_at(tau, k, t0):
-        m = UnimodalMap(AnalyticFn(
+    def seed(tau):
+        return UnimodalMap(AnalyticFn(
             np.real(phi.psi.coeffs) + tau * t0 * np.real(e.coeffs), dom))
+
+    def map_at(tau, k):
+        m = seed(tau)
         for _ in range(k):
             m = renormalize_1d(m, check_domain=False)
         return m
 
-    out = []
-    for j in range(1, j_max + 1):
-        s_est = 3.6 * delta ** (1 - j)
-        t0 = float(np.clip(s_est / delta ** 4, 1e-12, 1e-5))
-        located = None
-        for k in range(0, 14):
-            vals = np.array(
-                [_crit_orbit_residual(map_at(t, k, t0), j) for t in taus])
-            for i in range(len(taus) - 1):
-                if not (np.isfinite(vals[i]) and np.isfinite(vals[i + 1])):
-                    continue
-                if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-                    located = (k, taus[i], taus[i + 1])
-                    break
-            if located:
-                break
-        if not located:
-            raise MeshError(f"no Sigma_{j} crossing within the growth budget")
-        k, t_lo, t_hi = located
-        tau_star = brentq(lambda t: _crit_orbit_residual(map_at(t, k, t0), j),
-                          t_lo, t_hi, xtol=1e-15, rtol=8.9e-16)
-        out.append(map_at(tau_star, k, t0))
-    return out
-
-
-@lru_cache(maxsize=8)
-def unstable_points_cached(domain, j_max):
-    fp = feigenbaum_fixed_point(domain)
-    return tuple(unstable_manifold_points(fp, j_max))
+    maps = [seed(t) for t in taus]
+    for k in range(0, 14):
+        if k:
+            maps = [renormalize_1d(m, check_domain=False) for m in maps]
+        vals = np.array([_crit_orbit_residual(m, j) for m in maps])
+        for i in range(len(taus) - 1):
+            if not (np.isfinite(vals[i]) and np.isfinite(vals[i + 1])):
+                continue
+            if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
+                tau_star = brentq(
+                    lambda t: _crit_orbit_residual(map_at(t, k), j),
+                    taus[i], taus[i + 1], xtol=1e-15, rtol=8.9e-16)
+                return map_at(tau_star, k)
+    raise MeshError(f"no Sigma_{j} crossing within the growth budget")

@@ -72,6 +72,17 @@ def test_doubling_depth_is_bounded(golden):
             w = w.double()
 
 
+def test_doubling_stays_exact_through_its_depth_limit(golden):
+    w = golden
+    for _ in range(75):
+        w = w.double()
+    scale = 1 << 256
+    num = (math.isqrt(5 << 512) - scale) // 2     # 256-bit golden fraction
+    assert float(w) == ((num << 75) % scale) / scale
+    with pytest.raises(PrecisionExhaustedError):
+        w.double()
+
+
 def test_diophantine_certificates():
     require_diophantine(RotationNumber.golden())
     with pytest.raises(DiophantineError):

@@ -15,15 +15,21 @@ import numpy as np
 import pytest
 
 from qprenorm_lab import (
+    AnalyticFn,
     DomainConfig,
+    DomainError,
     UnimodalMap,
     check_H0,
     dr_matrix,
     feigenbaum_fixed_point,
     in_domain_R,
+    l1_matrix,
+    l2_matrix,
     renormalize_1d,
+    solve_fixed_point,
     stable_manifold_param,
     superstable_params,
+    unstable_manifold_points,
 )
 
 DELTA = 4.6692016091
@@ -53,6 +59,40 @@ def test_quadratic_feigenbaum_parameter_contracts_toward_phi(fp, domain):
     d2 = _dist(r2, fp.phi)
     assert d1 < d0
     assert d2 < d1
+
+
+def _copy(m):
+    """A freshly constructed map with the same coefficients."""
+    return UnimodalMap(AnalyticFn(np.array(m.psi.coeffs), m.domain))
+
+
+def _operator_data(m):
+    return [l1_matrix(m), l2_matrix(m), dr_matrix(m),
+            renormalize_1d(m).psi.coeffs]
+
+
+def test_operator_data_matches_a_fresh_copy(fp, domain):
+    quad = UnimodalMap.from_callable(domain, lambda x: 1.0 - MU_FEIG * x ** 2)
+    for m in (fp.phi, quad):
+        for _ in range(2):          # the second pass reads the kept data
+            for got, want in zip(_operator_data(m),
+                                 _operator_data(_copy(m))):
+                assert got.tobytes() == want.tobytes()
+
+
+def test_operator_data_is_read_only(fp):
+    for arr in _operator_data(_copy(fp.phi)):
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
+
+
+def test_domain_check_runs_on_every_call(domain):
+    psi = UnimodalMap.from_callable(
+        domain, lambda x: 1.0 - 0.5 * x ** 2, validate=False)
+    renormalize_1d(psi, check_domain=False)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            renormalize_1d(psi)
 
 
 # ------------------------------------------------------------- domain check
@@ -194,6 +234,22 @@ def test_renormalization_steps_down_the_ladder(stars):
     for j in range(len(stars) - 1):
         stepped = renormalize_1d(stars[j + 1])
         assert _dist(stepped, stars[j]) <= 1e-8
+
+
+def test_manifold_points_are_memoized_on_the_fixed_point(fp):
+    # two unmemoized fixed points, one reached in two calls
+    fp1, fp2 = solve_fixed_point(fp.phi), solve_fixed_point(fp.phi)
+    first = unstable_manifold_points(fp1, 2)
+    grown = unstable_manifold_points(fp1, 5)
+    single = unstable_manifold_points(fp2, 5)
+    assert all(a is b for a, b in zip(grown, first))
+    for a, b in zip(grown, single):
+        assert a.psi.coeffs.tobytes() == b.psi.coeffs.tobytes()
+    grown.clear()
+    first[0] = None
+    again = unstable_manifold_points(fp1, 5)
+    assert [a.psi.coeffs.tobytes() for a in again] == [
+        b.psi.coeffs.tobytes() for b in single]
 
 
 def test_manifold_points_approach_phi_geometrically(fp, stars):
