@@ -28,10 +28,10 @@ from .renorm1d import (UnimodalMap, FixedPointData, FamilySpec, renormalize_1d,
                        solve_fixed_point, feigenbaum_fixed_point, check_H0,
                        superstable_params, stable_manifold_param,
                        unstable_manifold_points)
-from .qprenorm import (RotationNumber, SectionConfig, double_mod1,
-                       require_diophantine, apply_T, apply_DT, LOmegaOperator,
-                       build_L_omega, rotation_matrix, SpectrumReport,
-                       spectrum_L_omega, gamma_normalize, apply_L_prime)
+from .qprenorm import (RotationNumber, SectionConfig, require_diophantine,
+                       apply_T, apply_DT, LOmegaOperator, build_L_omega,
+                       rotation_matrix, SpectrumReport, spectrum_L_omega,
+                       gamma_normalize, apply_L_prime)
 from .curvedyn import (InvariantCurve, DerivativeProduct, iterate_fiber,
                        solve_invariant_curve, fiber_product, G1, G1_hat,
                        DG1_hat, DG1, functional_K, functional_L,

@@ -32,7 +32,8 @@ from .errors import (BasinError, ConsistencyError, DegeneratePointError,
                      DegenerateScalingError, DomainError, EscapeError,
                      ExistenceError, FormulaMismatchError, NoConvergenceError,
                      SearchError)
-from .funcspace import AnalyticFn, DomainConfig, PairFn, QPFn, project_p0, project_pik
+from .funcspace import (AnalyticFn, DomainConfig, PairFn, QPFn, eval_batch,
+                        project_p0, project_pik)
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, gamma_normalize)
 from .renorm1d import (FamilySpec, UnimodalMap, dr_matrix,
                        feigenbaum_fixed_point, renormalize_1d,
@@ -58,22 +59,20 @@ def iterate_fiber(f, omega, n, theta, x):
     return x
 
 
-def _orbit_grid(f, omega, steps, thetas, X):
-    """Vectorized f^steps over the grid; returns final X and the derivative
-    product and per-step log-derivative sum (with the superstable floor)."""
+def _orbit_grid(f, fx, omega, steps, thetas, X):
+    """Vectorized f^steps over the grid, with fx = f.dx(); returns final X
+    and the derivative product and per-step log-derivative sum (with the
+    superstable floor). Each step evaluates f and fx in one kernel call."""
     L = f.domain.half_width
     w = float(omega)
-    fx = f.dx()
     X = np.array(X, dtype=float)
     logs = np.zeros_like(X)
     prod = np.ones_like(X)
     for j in range(steps):
-        th = thetas + j * w
-        d = fx.eval(th, X)
+        X, d = eval_batch((f, fx), thetas + j * w, X)
         prod = prod * d
         with np.errstate(divide="ignore"):
             logs = logs + np.maximum(np.log(np.abs(d)), LOG_FLOOR)
-        X = f.eval(th, X)
         if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > L * (1 + 1e-13):
             raise EscapeError(f"grid orbit left the interval at step {j + 1}",
                               j + 1)
@@ -141,9 +140,13 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
     """
     steps = 2 ** n
     thetas = np.arange(M) / M
-    s_exact = RotationNumber((omega.num << n) % (1 << 128)) if isinstance(
-        omega, RotationNumber) else None
-    s = float(s_exact) if s_exact is not None else (2 ** n * float(omega)) % 1.0
+    if isinstance(omega, RotationNumber):
+        s_exact = omega
+        for _ in range(n):
+            s_exact = s_exact.double()
+        s = float(s_exact)
+    else:
+        s = (2 ** n * float(omega)) % 1.0
 
     if guess is None:
         psi = project_p0(f)
@@ -156,8 +159,10 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
         guess = np.full(M, x)
     X = np.array(guess, dtype=float)
 
+    fx = f.dx()
+
     def forward(X):
-        return _orbit_grid(f, omega, steps, thetas, X)
+        return _orbit_grid(f, fx, omega, steps, thetas, X)
 
     residual = np.inf
     try:
@@ -195,7 +200,7 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
 
 def fiber_product(f, omega, curve):
     """Product of the 2^n fiber derivatives along the curve, per theta."""
-    _, prod, _ = _orbit_grid(f, omega, 2 ** curve.period_log2,
+    _, prod, _ = _orbit_grid(f, f.dx(), omega, 2 ** curve.period_log2,
                              curve.thetas, curve.samples)
     return prod
 

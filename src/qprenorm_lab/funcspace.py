@@ -14,6 +14,10 @@ Conventions
   + v(x) sin(2 pi k theta) with u = 2 Re c_k and v = -2 Im c_k.
 * the sup norm is a fixed real-grid proxy: 4(2K+1) uniform theta points
   times 4 n_cheb Chebyshev-clustered x points (endpoints included).
+* evaluation folds the modes onto k = 0..K (h_0 = c_0, h_k = c_k +
+  conj(c_{-k})), which is exact for any mode array since Re(c_k z^k +
+  c_{-k} z^-k) = Re(h_k z^k), and sums Re (V h_k) z^k with one Chebyshev
+  Vandermonde V per point set.
 """
 
 from __future__ import annotations
@@ -89,6 +93,15 @@ def _cheb_machinery(n):
     return t, V, A
 
 
+@lru_cache(maxsize=64)
+def _diff_matrix(n):
+    """D with D @ c = chebder(c) padded to length n (derivative on [-1, 1])."""
+    D = np.zeros((n, n))
+    D[: n - 1] = _cheb.chebder(np.eye(n), axis=0)
+    D.flags.writeable = False
+    return D
+
+
 def cheb_nodes(domain):
     """Physical collocation nodes on the inflated interval."""
     t, _, _ = _cheb_machinery(domain.n_cheb)
@@ -135,13 +148,6 @@ class AnalyticFn:
         out = np.zeros(self.domain.n_cheb, dtype=d.dtype)
         out[: d.size] = d
         return AnalyticFn(out, self.domain)
-
-    def tail_ratio(self):
-        """Truncation diagnostic: |last coefficient| / max |coefficient|."""
-        m = np.max(np.abs(self.coeffs))
-        if m == 0:
-            return 0.0
-        return float(np.abs(self.coeffs[-1]) / m)
 
     def values_at_nodes(self):
         _, V, _ = _cheb_machinery(self.domain.n_cheb)
@@ -266,25 +272,14 @@ class QPFn:
 
     def eval(self, theta, x):
         """Pointwise value, broadcasting theta and x together."""
-        theta = np.asarray(theta, dtype=float)
-        x = np.asarray(x, dtype=float)
-        t = x / self.domain.half_width
-        mv = _cheb.chebval(t, self.modes.T)        # (2K+1,) + shape
-        k = np.arange(-self.K, self.K + 1)
-        ph = np.exp(2j * np.pi * np.multiply.outer(k, theta))
-        out = np.real(np.einsum("k...,k...->...", mv, ph))
+        (out,) = eval_batch((self,), theta, x)
         if out.ndim == 0:
             return float(out)
         return out
 
     def dx(self):
-        K = self.K
-        n = self.domain.n_cheb
-        out = np.zeros((2 * K + 1, n), dtype=complex)
-        for r in range(2 * K + 1):
-            d = _cheb.chebder(self.modes[r]) / self.domain.half_width
-            out[r, : d.size] = d
-        return QPFn(out, self.domain)
+        D = _diff_matrix(self.domain.n_cheb)
+        return QPFn(self.modes @ D.T / self.domain.half_width, self.domain)
 
     def dtheta(self):
         k = np.arange(-self.K, self.K + 1)
@@ -360,8 +355,9 @@ class PairFn:
 
     def sup_norm(self):
         """max over (theta, x) of the represented function, exact in theta."""
-        x = _sup_x_grid(self.domain)
-        return float(np.max(np.hypot(np.real(self.u(x)), np.real(self.v(x)))))
+        V, _ = _sup_tables(self.domain)
+        uv = np.real(V @ np.stack([self.u.coeffs, self.v.coeffs], axis=1))
+        return float(np.max(np.hypot(uv[:, 0], uv[:, 1])))
 
     def coeff_norm(self):
         return float(np.linalg.norm(self.coeff_vector()))
@@ -396,30 +392,19 @@ def compose_fiber(g, shift, inner, scale):
     dom = g.domain
     if inner.domain != dom:
         raise ConsistencyError("composition operands on different domains")
-    shift = float(shift)
-    K = dom.n_fourier
-    M = 2 * K + 1
+    M = 2 * dom.n_fourier + 1
     thetas = np.arange(M) / M
     x = cheb_nodes(dom)
     L = dom.half_width
 
-    inner_vals = np.empty((M, x.size))
-    for j, th in enumerate(thetas):
-        inner_vals[j] = inner.eval(th, scale * x)
+    inner_vals = inner.eval(thetas[:, None], scale * x)      # (M, n_cheb)
     bad = np.abs(inner_vals) > L * (1 + 1e-13)
     if np.any(bad):
         j, i = np.argwhere(bad)[0]
         raise CompositionDomainError(
             f"inner value {inner_vals[j, i]:.6g} leaves [-{L}, {L}]",
             where=(thetas[j], x[i]))
-
-    out_vals = np.empty((M, x.size))
-    t = inner_vals / L
-    k = np.arange(-K, K + 1)
-    for j, th in enumerate(thetas):
-        mv = _cheb.chebval(t[j], g.modes.T)            # (2K+1, n_cheb)
-        ph = np.exp(2j * np.pi * k * (th + shift))
-        out_vals[j] = np.real(ph @ mv)
+    out_vals = g.eval(thetas[:, None] + float(shift), inner_vals)
     return QPFn._from_grid_values(dom, out_vals)
 
 
@@ -447,32 +432,72 @@ def shift_tgamma(f, gamma):
     return QPFn(f.modes * ph[:, None], f.domain)
 
 
-@lru_cache(maxsize=64)
-def _sup_grid(domain):
-    K = domain.n_fourier
-    n_t = 4 * (2 * K + 1)
-    thetas = np.arange(n_t) / n_t
-    return thetas, _sup_x_grid(domain)
+def _half_spectrum(f):
+    """Folded modes h_0 = c_0, h_k = c_k + conj(c_{-k}), k = 1..K."""
+    K = f.K
+    h = f.modes[K:].copy()
+    h[1:] += np.conj(f.modes[K - 1::-1])
+    return h
+
+
+def _phases(theta, K):
+    """exp(2 pi i k theta) for k = 0..K, one row per theta: powers of
+    exp(2 pi i theta) with theta reduced mod 1 first."""
+    z = np.exp(2j * np.pi * (np.ravel(theta) % 1.0))
+    ph = np.empty((z.size, K + 1), dtype=complex)
+    ph[:, 0] = 1.0
+    np.cumprod(np.broadcast_to(z[:, None], (z.size, K)), axis=1,
+               out=ph[:, 1:])
+    return ph
+
+
+def eval_batch(fns, theta, x):
+    """Values of several QPFn on one domain at the broadcast (theta, x).
+
+    Returns shape (len(fns),) + broadcast shape. One Chebyshev Vandermonde
+    of the points and one phase table exp(2 pi i k theta), k = 0..K, serve
+    every function; the folded half spectra of all of them go through a
+    single matrix product.
+    """
+    dom = fns[0].domain
+    if any(f.domain != dom for f in fns):
+        raise ConsistencyError("evaluation operands on different domains")
+    K, n = dom.n_fourier, dom.n_cheb
+    theta, x = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                   np.asarray(x, dtype=float))
+    V = _cheb.chebvander(x.ravel() / dom.half_width, n - 1)        # (P, n)
+    H = np.empty((n, len(fns), K + 1), dtype=complex)
+    for i, f in enumerate(fns):
+        H[:, i, :] = _half_spectrum(f).T
+    # real V against interleaved (re, im) columns: one real matmul
+    A = (V @ H.reshape(n, -1).view(float)).view(complex)          # (P, F(K+1))
+    A = A.reshape(-1, len(fns), K + 1)
+    vals = np.einsum("pfk,pk->fp", A, _phases(theta, K)).real
+    return vals.reshape((len(fns),) + x.shape)
 
 
 @lru_cache(maxsize=64)
-def _sup_x_grid(domain):
+def _sup_tables(domain):
+    """Chebyshev Vandermonde of the sup x grid (4 n_cheb points clustered
+    like Chebyshev extrema, so the interval endpoints are on grid) and the
+    phase table exp(2 pi i k theta), k = 0..K, of the 4(2K+1) theta points."""
     n_x = 4 * domain.n_cheb
-    # clustered like Chebyshev extrema so the interval endpoints are on grid
-    return domain.half_width * np.cos(np.pi * np.arange(n_x) / (n_x - 1))
+    t = np.cos(np.pi * np.arange(n_x) / (n_x - 1))
+    V = _cheb.chebvander(t, domain.n_cheb - 1)
+    n_t = 4 * (2 * domain.n_fourier + 1)
+    E = _phases(np.arange(n_t) / n_t, domain.n_fourier)
+    V.flags.writeable = False
+    E.flags.writeable = False
+    return V, E
 
 
 def sup_norm(f):
     """Grid proxy for the supremum norm (deterministic fixed grid)."""
+    V, E = _sup_tables(f.domain)
     if isinstance(f, AnalyticFn):
-        return float(np.max(np.abs(np.real(f(_sup_x_grid(f.domain))))))
-    thetas, x = _sup_grid(f.domain)
-    t = x / f.domain.half_width
-    mv = _cheb.chebval(t, f.modes.T)                   # (2K+1, n_x)
-    k = np.arange(-f.K, f.K + 1)
-    ph = np.exp(2j * np.pi * np.outer(thetas, k))      # (n_t, 2K+1)
-    vals = np.real(ph @ mv)
-    return float(np.max(np.abs(vals)))
+        return float(np.max(np.abs(np.real(V @ f.coeffs))))
+    A = V @ _half_spectrum(f).T                        # (n_x, K+1)
+    return float(np.max(np.abs(np.real(E @ A.T))))
 
 
 def eval_qpfn(f, theta, x):
@@ -513,19 +538,3 @@ def qpfn_from_json(s, domain=None):
         rows[m["k"]] = np.array(m["re"]) + 1j * np.array(m["im"])
     return QPFn.from_mode_rows(domain, rows)
 
-
-def analytic_to_json(fn):
-    return json.dumps({"delta_dom": fn.domain.delta_dom,
-                       "n_cheb": fn.domain.n_cheb,
-                       "modes": [{"k": 0,
-                                  "re": [float(z) for z in np.real(fn.coeffs)],
-                                  "im": [float(z) for z in np.imag(fn.coeffs)]}]},
-                      sort_keys=True)
-
-
-def analytic_from_json(s, domain=None):
-    d = json.loads(s)
-    if domain is None:
-        domain = DomainConfig(delta_dom=d["delta_dom"], n_cheb=d["n_cheb"])
-    (m,) = d["modes"]
-    return AnalyticFn(np.array(m["re"], dtype=float), domain)

@@ -54,7 +54,8 @@ class RotationNumber:
     0 < q <= q_max at construction (q_max = 0 skips it, which is how the
     rational test values 0, 1/4, 1/3 are represented). Doubling divides
     dio_gamma by 2^dio_tau and halves q_max, both exact consequences of the
-    bound.
+    bound, so a doubled number carries its parent's certificate without
+    re-checking it.
     """
 
     num: int
@@ -96,12 +97,22 @@ class RotationNumber:
                 f"more than {MAX_DEPTH} doublings requested: a "
                 f"{SCALE_BITS}-bit fraction keeps float(omega) exact only "
                 f"through {SCALE_BITS} - 53 = {MAX_DEPTH}")
-        return RotationNumber(
-            (self.num << 1) % SCALE,
+        # q (2 omega) = (2q) omega for q <= q_max // 2 was checked on self
+        return RotationNumber._derived(
+            num=(self.num << 1) % SCALE,
             dio_gamma=self.dio_gamma / 2 ** self.dio_tau,
             dio_tau=self.dio_tau,
             q_max=self.q_max // 2,
             depth=self.depth + 1)
+
+    @classmethod
+    def _derived(cls, **fields):
+        """Build a number whose certificate follows from a verified one,
+        skipping the Diophantine loop that __post_init__ runs."""
+        out = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(out, name, value)
+        return out
 
     def times_mod1(self, k):
         """k omega mod 1 for a positive integer k, exact."""
@@ -148,10 +159,6 @@ class RotationNumber:
             x = Fraction(1, c + x)
         return cls.from_fraction(x.numerator, x.denominator,
                                  dio_gamma, dio_tau, q_max)
-
-
-def double_mod1(omega):
-    return omega.double()
 
 
 def require_diophantine(omega, dio_gamma=None, dio_tau=None, q_max=1000):

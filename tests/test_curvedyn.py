@@ -32,7 +32,7 @@ from qprenorm_lab import (
     solve_invariant_curve,
     superstable_params,
 )
-from qprenorm_lab.errors import EscapeError
+from qprenorm_lab.errors import EscapeError, PrecisionExhaustedError
 
 TWO_PI = 2.0 * np.pi
 ALPHA = 3.1
@@ -113,6 +113,15 @@ def test_weak_forcing_stays_near_unforced_cycle(domain, golden):
     curve = solve_invariant_curve(f, golden, 1,
                                   guess=np.full(512, X_LO + 0.02))
     assert np.max(np.abs(curve.samples - X_LO)) <= 10.0 * eps
+
+
+def test_curve_shift_keeps_the_doubling_depth_limit(domain, golden):
+    # the 2^n omega shift doubles omega n times, so depth 74 + 3 > 75 raises
+    w = golden
+    for _ in range(74):
+        w = w.double()
+    with pytest.raises(PrecisionExhaustedError):
+        solve_invariant_curve(_logistic(domain), w, 3, M=32)
 
 
 # ------------------------------------------------- derivative products / G1

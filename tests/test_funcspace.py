@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as cheb
 
 from qprenorm_lab import (
     DomainConfig,
@@ -23,6 +26,7 @@ from qprenorm_lab import (
     shift_tgamma,
     sup_norm,
 )
+from qprenorm_lab.funcspace import cheb_nodes
 from qprenorm_lab.errors import (
     CompositionDomainError,
     DomainError,
@@ -102,11 +106,14 @@ def test_compose_symbolic_shift_and_scale(domain):
 
 def test_compose_range_violation_raises(domain):
     # scale 2 sends the identity inner out of the interval; the contract
-    # promises a composition-domain error carrying the offending sample
+    # promises a composition-domain error carrying the offending sample,
+    # here the first grid point: theta = 0 and the largest Chebyshev node
     g = _mk(domain, lambda th, x: x + np.cos(TWO_PI * th))
     ident = _mk(domain, lambda th, x: x)
-    with pytest.raises(CompositionDomainError):
+    with pytest.raises(CompositionDomainError) as err:
         compose_fiber(g, 0.5, ident, 2.0)
+    assert err.value.where == (0.0, cheb_nodes(domain)[0])
+    assert abs(2.0 * err.value.where[1]) > domain.half_width
 
 
 def test_compose_offgrid_roundtrip(domain):
@@ -122,6 +129,85 @@ def test_compose_offgrid_roundtrip(domain):
         x = float(rng.uniform(-1.0, 1.0))
         want = eval_qpfn(g, th + shift, eval_qpfn(f, th, scale * x))
         assert eval_qpfn(h, th, x) == pytest.approx(want, abs=1e-11)
+
+
+# ------------------------------------------------- the evaluation kernel
+
+def _reference_eval(f, theta, x):
+    """Re sum_k chebval(x / L, c_k) exp(2 pi i k theta) over all 2K+1 modes."""
+    t = np.asarray(x, dtype=float) / f.domain.half_width
+    th = np.asarray(theta, dtype=float)
+    total = 0.0
+    for k in range(-f.K, f.K + 1):
+        total = total + cheb.chebval(t, f.modes[f.K + k]) * np.exp(
+            2j * np.pi * k * th)
+    return np.real(total)
+
+
+@st.composite
+def _mode_stacks(draw):
+    """A QPFn on a small domain; modes are conjugate symmetric or not."""
+    dom = DomainConfig(n_cheb=draw(st.integers(8, 24)),
+                       n_fourier=draw(st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (2 * dom.n_fourier + 1, dom.n_cheb)
+    modes = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+             ) * 10.0 ** rng.uniform(-3, 3)
+    if draw(st.booleans()):
+        modes = 0.5 * (modes + np.conj(modes[::-1]))
+    return QPFn(modes, dom), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mode_stacks())
+def test_eval_matches_reference_in_every_shape(case):
+    f, rng = case
+    L = f.domain.half_width
+    tol = 1e-13 * np.sum(np.abs(f.modes))
+    th0, x0 = float(rng.uniform(-2.0, 3.0)), float(rng.uniform(-L, L))
+    scalar = f.eval(th0, x0)
+    assert isinstance(scalar, float)
+    assert abs(scalar - _reference_eval(f, th0, x0)) <= tol
+    th = rng.uniform(-2.0, 3.0, size=17)
+    x = rng.uniform(-L, L, size=17)
+    line = f.eval(th, x)
+    assert line.shape == (17,)
+    assert np.max(np.abs(line - _reference_eval(f, th, x))) <= tol
+    grid = f.eval(th[:5, None], x[None, :])
+    assert grid.shape == (5, 17)
+    assert np.max(np.abs(
+        grid - _reference_eval(f, th[:5, None], x[None, :]))) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mode_stacks())
+def test_dx_matches_chebder_row_by_row(case):
+    f, _ = case
+    n, L = f.domain.n_cheb, f.domain.half_width
+    d = f.dx()
+    for r in range(2 * f.K + 1):
+        want = cheb.chebder(f.modes[r]) / L
+        tol = 1e-15 * n * n * np.sum(np.abs(f.modes[r]))
+        assert np.max(np.abs(d.modes[r, : n - 1] - want)) <= tol
+        assert d.modes[r, n - 1] == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(_mode_stacks(), st.floats(0.0, 1.0), st.floats(0.1, 1.0))
+def test_compose_matches_pointwise_on_the_spectral_grid(case, shift, scale):
+    g, rng = case
+    dom = g.domain
+    shape = g.modes.shape
+    # |inner| <= sum |c| = 1 keeps every inner value inside [-L, L]
+    modes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    inner = QPFn(modes / np.sum(np.abs(modes)), dom)
+    h = compose_fiber(g, shift, inner, scale)
+    M = 2 * dom.n_fourier + 1
+    th = (np.arange(M) / M)[:, None]
+    x = cheb_nodes(dom)[None, :]
+    want = g.eval(th + shift, inner.eval(th, scale * x))
+    tol = 1e-14 * dom.n_cheb * np.sum(np.abs(g.modes))
+    assert np.max(np.abs(h.eval(th, x) - want)) <= tol
 
 
 # ------------------------------------------------------------ projections

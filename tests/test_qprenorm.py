@@ -83,6 +83,35 @@ def test_doubling_stays_exact_through_its_depth_limit(golden):
         w.double()
 
 
+NOBLE = RotationNumber.from_continued_fraction(
+    [2, 1, 3] + [1] * 60, dio_gamma=0.18, dio_tau=1.0, q_max=4000)
+
+
+@pytest.mark.parametrize("omega", [RotationNumber.golden(q_max=4000), NOBLE],
+                         ids=["golden", "noble"])
+def test_doubled_certificate_matches_a_fresh_verification(omega):
+    w = omega
+    for d in range(1, 9):
+        w = w.double()
+        # construction from raw fields runs the Diophantine loop
+        fresh = RotationNumber((omega.num << d) % (1 << 128),
+                               dio_gamma=omega.dio_gamma / 2 ** d,
+                               dio_tau=omega.dio_tau,
+                               q_max=omega.q_max >> d)
+        assert (w.num, w.dio_gamma, w.dio_tau, w.q_max, w.depth) == (
+            fresh.num, fresh.dio_gamma, fresh.dio_tau, fresh.q_max, d)
+
+
+def test_double_does_not_rerun_the_diophantine_loop(golden, monkeypatch):
+    def fail(self):
+        raise AssertionError("doubling re-verified the certificate")
+    monkeypatch.setattr(RotationNumber, "_verify", fail)
+    w = golden.double().double()
+    assert w.q_max == golden.q_max // 4
+    with pytest.raises(AssertionError):
+        RotationNumber(golden.num, dio_gamma=0.38, q_max=10)
+
+
 def test_diophantine_certificates():
     require_diophantine(RotationNumber.golden())
     with pytest.raises(DiophantineError):
