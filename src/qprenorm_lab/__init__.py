@@ -34,7 +34,7 @@ from .qprenorm import (RotationNumber, SectionConfig, require_diophantine,
                        gamma_normalize, apply_L_prime)
 from .curvedyn import (InvariantCurve, DerivativeProduct, iterate_fiber,
                        solve_invariant_curve, fiber_product, G1, G1_hat,
-                       DG1_hat, DG1, functional_K, functional_L,
+                       DG1_hat, DG1, functional_K,
                        ExtremumResult, extremum_m, extremum_M, ChainResult,
                        slope_chain, slope_formula, locate_reducibility_loss,
                        direct_slope, flm_family)

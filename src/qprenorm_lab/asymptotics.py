@@ -42,7 +42,7 @@ from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_L_prime,
 from .renorm1d import (FamilySpec, feigenbaum_fixed_point,
                        stable_manifold_param, superstable_params,
                        unstable_manifold_points)
-from .curvedyn import (flm_family, functional_K, functional_L, slope_chain,
+from .curvedyn import (DG1_hat, flm_family, functional_K, slope_chain,
                        slope_formula)
 
 
@@ -545,12 +545,6 @@ def _dominant_direction(psi, omega, section=SectionConfig()):
     return p * (1.0 / p.coeff_norm())
 
 
-def _pair_from_vector(vec, domain):
-    half = vec.size // 2
-    return PairFn(AnalyticFn(vec[:half].astype(complex), domain),
-                  AnalyticFn(vec[half:].astype(complex), domain))
-
-
 @dataclass
 class H4Report:
     max_ratio_l2: float
@@ -597,7 +591,7 @@ def check_H4(psi=None, omega_grid=None, n_pairs=100, radius=0.5, seed=7,
         cand /= np.linalg.norm(cand)
         try:
             _, normalized = gamma_normalize(
-                _pair_from_vector(cand, psi.domain).embed(1), section)
+                PairFn.from_coeff_vector(psi.domain, cand).embed(1), section)
         except (NoSectionError, DegeneratePointError):
             continue
         p = project_pik(normalized, 1)
@@ -725,8 +719,8 @@ def quotient_factorization(family, omega0, n, section=SectionConfig()):
     ch_m = slope_chain(family, omega0, n - 1, mode="fixed-point",
                        section=section)
 
-    L_n = functional_L(ch_n.psi_end, ch_n.us[-1])
-    L_m = functional_L(ch_m.psi_end, ch_m.us[-1])
+    L_n = DG1_hat(ch_n.psi_end, ch_n.us[-1])
+    L_m = DG1_hat(ch_m.psi_end, ch_m.us[-1])
     nv_n, nv_m = sup_norm(ch_n.vs[-1]), sup_norm(ch_m.vs[-1])
     K_n = functional_K(ch_n.omega_end, ch_n.psi_end,
                        ch_n.vs[-1] * (1.0 / nv_n))

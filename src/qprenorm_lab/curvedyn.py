@@ -313,11 +313,6 @@ def functional_K(omega, psi, v, M=M_GRID):
     return extremum_m(DG1(psi, omega, v, M=M, cross_check=False)).value
 
 
-def functional_L(psi, u):
-    """L(f, u) = DG1_hat(f) u."""
-    return DG1_hat(psi, u)
-
-
 # ------------------------------------------------------------------ extrema
 
 @dataclass

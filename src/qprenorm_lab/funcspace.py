@@ -102,6 +102,16 @@ def _diff_matrix(n):
     return D
 
 
+def _clenshaw_scalar(c, t):
+    """chebval(t, c) for a float t and a list of len(c) >= 2 floats, in
+    plain-float arithmetic with chebval's operation order (bit-equal)."""
+    x2 = 2 * t
+    c0, c1 = c[-2], c[-1]
+    for ci in c[-3::-1]:
+        c0, c1 = ci - c1, c0 + c1 * x2
+    return np.float64(c0 + c1 * t)
+
+
 def cheb_nodes(domain):
     """Physical collocation nodes on the inflated interval."""
     t, _, _ = _cheb_machinery(domain.n_cheb)
@@ -140,8 +150,10 @@ class AnalyticFn:
         return cls(np.zeros(domain.n_cheb), domain)
 
     def __call__(self, x):
-        t = np.asarray(x) / self.domain.half_width
-        return _cheb.chebval(t, self.coeffs)
+        c, L = self.coeffs, self.domain.half_width
+        if isinstance(x, (float, int, np.integer)) and c.dtype == np.float64:
+            return _clenshaw_scalar(c.tolist(), float(x) / L)
+        return _cheb.chebval(np.asarray(x) / L, c)
 
     def deriv(self):
         d = _cheb.chebder(self.coeffs) / self.domain.half_width
@@ -235,14 +247,17 @@ class QPFn:
 
     @classmethod
     def from_callable(cls, domain, fn):
-        """Sample fn(theta, x) on (2K+1) uniform theta x Chebyshev nodes."""
-        K = domain.n_fourier
-        M = 2 * K + 1
+        """Sample fn(theta, x) on (2K+1) uniform theta x Chebyshev nodes.
+
+        fn is called once, with theta as the (2K+1, 1) column j / (2K+1)
+        and x as the node vector; its result must broadcast to
+        (2K+1, n_cheb), so a theta column, an x row or a constant will do.
+        """
+        M = 2 * domain.n_fourier + 1
         thetas = np.arange(M) / M
-        x = cheb_nodes(domain)
-        vals = np.empty((M, x.size))
-        for j, th in enumerate(thetas):
-            vals[j] = fn(th, x)
+        vals = fn(thetas[:, None], cheb_nodes(domain))
+        vals = np.broadcast_to(np.asarray(vals, dtype=float),
+                               (M, domain.n_cheb))
         return cls._from_grid_values(domain, vals)
 
     @classmethod
@@ -251,15 +266,17 @@ class QPFn:
         K = domain.n_fourier
         M = 2 * K + 1
         _, _, A = _cheb_machinery(domain.n_cheb)
+        A = A.astype(complex)   # cast once, not in each product below
         ft = np.fft.fft(vals, axis=0) / M      # index j -> frequency k mod M
         modes = np.empty((M, domain.n_cheb), dtype=complex)
+        # one product per row: a single matmul over all rows rounds the
+        # sums differently
         for k in range(-K, K + 1):
             modes[K + k] = A @ ft[k % M]
         # exact conjugate symmetry (kills FFT rounding asymmetry)
-        for k in range(1, K + 1):
-            avg = 0.5 * (modes[K + k] + np.conj(modes[K - k]))
-            modes[K + k] = avg
-            modes[K - k] = np.conj(avg)
+        avg = 0.5 * (modes[K + 1:] + np.conj(modes[K - 1::-1]))
+        modes[K + 1:] = avg
+        modes[K - 1::-1] = np.conj(avg)
         modes[K] = modes[K].real + 0j
         return cls(modes, domain)
 

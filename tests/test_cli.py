@@ -200,6 +200,16 @@ def test_curve_run(tmp_path):
     assert len(lines) == 1 + rep["grid"]
 
 
+def test_curve_runs_at_the_default_config(tmp_path):
+    # nmax 6, alpha = s_6 and the default eps: the curve must attract
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "curve"]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["period_log2"] == 6 and rep["eps"] == RunConfig().eps
+    assert rep["residual"] <= 1e-10
+    assert rep["lyapunov"] < 0.0
+
+
 def test_slopes_run_beta_mirrors_alpha(tmp_path):
     out = tmp_path / "out"
     assert main(["--out", str(out), "--nmax", "2", "slopes"]) == 0

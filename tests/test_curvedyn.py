@@ -22,7 +22,6 @@ from qprenorm_lab import (
     fiber_product,
     fit_geometric_decay,
     functional_K,
-    functional_L,
     iterate_fiber,
     locate_reducibility_loss,
     project_p0,
@@ -155,8 +154,6 @@ def test_dg1_theta_independent_reduces_to_hat(domain, golden, stars):
     assert np.max(out) - np.min(out) <= 1e-12
     want = DG1_hat(psi, project_p0(v))
     assert out[0] == pytest.approx(want, abs=1e-12)
-    assert functional_L(psi, project_p0(v)) == pytest.approx(
-        want, abs=0.0)
 
 
 def test_dg1_keeps_first_mode_structure(domain, golden, stars):

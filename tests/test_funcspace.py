@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 from qprenorm_lab import (
+    AnalyticFn,
     DomainConfig,
     QPFn,
     PairFn,
@@ -26,7 +27,7 @@ from qprenorm_lab import (
     shift_tgamma,
     sup_norm,
 )
-from qprenorm_lab.funcspace import cheb_nodes
+from qprenorm_lab.funcspace import _cheb_machinery, cheb_nodes
 from qprenorm_lab.errors import (
     CompositionDomainError,
     DomainError,
@@ -208,6 +209,88 @@ def test_compose_matches_pointwise_on_the_spectral_grid(case, shift, scale):
     want = g.eval(th + shift, inner.eval(th, scale * x))
     tol = 1e-14 * dom.n_cheb * np.sum(np.abs(g.modes))
     assert np.max(np.abs(h.eval(th, x) - want)) <= tol
+
+
+# ---------------------------------------- scalar calls and grid sampling
+
+@st.composite
+def _real_vectors(draw):
+    """A real Chebyshev vector (n_cheb 8..64) and a point in [-L, L] drawn
+    as a float, an int or an np.float64."""
+    dom = DomainConfig(n_cheb=draw(st.integers(8, 64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = rng.standard_normal(dom.n_cheb) * 10.0 ** rng.uniform(-3, 3)
+    L = dom.half_width
+    x = draw(st.one_of(st.floats(-L, L), st.integers(-1, 1),
+                       st.floats(-L, L).map(np.float64)))
+    return AnalyticFn(c, dom), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_real_vectors())
+def test_scalar_call_is_chebval_bit_for_bit(case):
+    f, x = case
+    got = f(x)
+    want = np.float64(cheb.chebval(np.asarray(x) / f.domain.half_width,
+                                   f.coeffs))
+    assert type(got) is np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_real_vectors())
+def test_complex_coefficients_and_arrays_use_chebval(case):
+    f, x = case
+    L = f.domain.half_width
+    g = AnalyticFn(f.coeffs + 0.5j * f.coeffs[::-1], f.domain)
+    got = g(x)
+    want = cheb.chebval(np.asarray(x) / L, g.coeffs)
+    assert type(got) is type(want) and got.tobytes() == want.tobytes()
+    for pts in (np.asarray(x), np.array([x, -0.5 * x, 0.25])):
+        got = f(pts)
+        want = cheb.chebval(np.asarray(pts) / L, f.coeffs)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _from_callable_per_row(domain, fn):
+    """Reference: sample fn, transform and symmetrize one row at a time."""
+    K = domain.n_fourier
+    M = 2 * K + 1
+    x = cheb_nodes(domain)
+    vals = np.empty((M, x.size))
+    for j, th in enumerate(np.arange(M) / M):
+        vals[j] = fn(th, x)
+    _, _, A = _cheb_machinery(domain.n_cheb)
+    ft = np.fft.fft(vals, axis=0) / M
+    modes = np.empty((M, x.size), dtype=complex)
+    for k in range(-K, K + 1):
+        modes[K + k] = A @ ft[k % M]
+    for k in range(1, K + 1):
+        avg = 0.5 * (modes[K + k] + np.conj(modes[K - k]))
+        modes[K + k] = avg
+        modes[K - k] = np.conj(avg)
+    modes[K] = modes[K].real + 0j
+    return QPFn(modes, domain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(8, 24), st.integers(1, 8), st.integers(1, 8),
+       st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4))
+def test_from_callable_matches_the_per_row_loop(n_cheb, K, k, c):
+    dom = DomainConfig(n_cheb=n_cheb, n_fourier=K)
+    shapes = {
+        "grid": lambda th, x: (c[0] + c[1] * x ** 2
+                               + c[2] * np.cos(TWO_PI * th)
+                               + c[3] * x * np.sin(k * TWO_PI * th)),
+        "theta column": lambda th, x: c[0] * np.cos(k * TWO_PI * th) + c[1],
+        "x row": lambda th, x: c[2] - c[3] * x ** 3,
+        "constant": lambda th, x: c[0],
+    }
+    for name, fn in shapes.items():
+        got = QPFn.from_callable(dom, fn)
+        want = _from_callable_per_row(dom, fn)
+        assert got.modes.tobytes() == want.modes.tobytes(), name
 
 
 # ------------------------------------------------------------ projections
