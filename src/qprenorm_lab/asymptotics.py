@@ -27,15 +27,14 @@ asserted against external ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import (DegeneratePointError, DegenerateScalingError,
                      NoSectionError)
-from .funcspace import (AnalyticFn, DomainConfig, PairFn, QPFn, project_p0,
-                        project_pik, sup_norm)
+from .funcspace import DomainConfig, PairFn, project_pik, sup_norm
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_L_prime,
                        apply_T, build_L_omega, gamma_normalize,
                        require_diophantine)
@@ -534,12 +533,10 @@ def _dominant_direction(psi, omega, section=SectionConfig()):
     op = build_L_omega(psi, omega, 1)
     lam, vecs = np.linalg.eig(op.matrix)
     w = vecs[:, np.argmax(np.abs(lam))]
-    half = w.size // 2
     vec = np.real(w)
     if np.linalg.norm(vec) < 1e-8 * np.linalg.norm(w):
         vec = np.imag(w)
-    pair = PairFn(AnalyticFn(vec[:half].astype(complex), psi.domain),
-                  AnalyticFn(-vec[half:].astype(complex), psi.domain))
+    pair = PairFn.from_coeff_vector(psi.domain, vec)
     _, normalized = gamma_normalize(pair.embed(1), section)
     p = project_pik(normalized, 1)
     return p * (1.0 / p.coeff_norm())

@@ -121,40 +121,44 @@ def parse_omega(spec, dio_gamma=0.0, dio_tau=1.0, q_max=0):
 
 # ------------------------------------------------------------- configuration
 
+def _ini(default, section, key):
+    """A RunConfig field read from `key` in the INI section [section]."""
+    return field(default=default, metadata={"ini": (section, key)})
+
+
 @dataclass
 class RunConfig:
-    """Resolved experiment configuration (file defaults + CLI overrides)."""
+    """Resolved experiment configuration (file defaults + CLI overrides).
 
-    # [run]
-    omega: str = "golden"
-    n_max: int = 6
-    mode: str = "exact-orbit"
-    mode_k: int = 1
-    seed: int = 7
-    eps: float = 1e-6
-    alpha: float = None
-    etas: tuple = (1e-3, 1e-2)
-    dio_gamma: float = 0.0
-    dio_tau: float = 1.0
-    dio_qmax: int = 0
-    direct_nmax: int = 0
-    # [family] / [family2]
-    family: str = "flm"
-    forcing: str = "[1]*cos(1w)"
-    family2: str = "flm2"
-    forcing2: str = "[0.5,0,0.5]*sin(1w)"
-    # [domain]
-    n_cheb: int = 40
-    n_fourier: int = 16
-    delta_dom: float = 0.1
-    # [section]
-    theta0: float = 0.0
-    x0: float = 0.0
-    # [tolerances]
-    fp_tol: float = 1e-10
-    dt_tol: float = 1e-10
+    Each field read from the INI file names its (section, key) once, in its
+    metadata; the parser converts the raw string with the field's type.
+    """
+
+    omega: str = _ini("golden", "run", "omega")
+    n_max: int = _ini(6, "run", "nmax")
+    mode: str = _ini("exact-orbit", "run", "mode")
+    mode_k: int = _ini(1, "run", "mode_k")
+    seed: int = _ini(7, "run", "seed")
+    eps: float = _ini(1e-6, "run", "eps")
+    alpha: float = _ini(None, "run", "alpha")
+    etas: tuple = _ini((1e-3, 1e-2), "run", "etas")
+    dio_gamma: float = _ini(0.0, "run", "dio_gamma")
+    dio_tau: float = _ini(1.0, "run", "dio_tau")
+    dio_qmax: int = _ini(0, "run", "dio_qmax")
+    direct_nmax: int = _ini(0, "run", "direct_nmax")
+    family: str = _ini("flm", "family", "name")
+    forcing: str = _ini("[1]*cos(1w)", "family", "forcing")
+    family2: str = _ini("flm2", "family2", "name")
+    forcing2: str = _ini("[0.5,0,0.5]*sin(1w)", "family2", "forcing")
+    n_cheb: int = _ini(40, "domain", "n_cheb")
+    n_fourier: int = _ini(16, "domain", "n_fourier")
+    delta_dom: float = _ini(0.1, "domain", "delta_dom")
+    theta0: float = _ini(0.0, "section", "theta0")
+    x0: float = _ini(0.0, "section", "x0")
+    fp_tol: float = _ini(1e-10, "tolerances", "fp_tol")
+    dt_tol: float = _ini(1e-10, "tolerances", "dt_tol")
     # output plumbing (not part of the config hash)
-    out_dir: str = "qprenorm-out"
+    out_dir: str = _ini("qprenorm-out", "run", "out")
     plot_data: bool = False
 
     _UNHASHED = ("out_dir", "plot_data")
@@ -193,32 +197,8 @@ class RunConfig:
         return flm_family(g=g, domain=self.domain_config(), name=name)
 
 
-_SCHEMA = {
-    "run": {"omega": str, "nmax": int, "mode": str, "mode_k": int,
-            "seed": int, "eps": float, "alpha": float, "etas": str,
-            "dio_gamma": float, "dio_tau": float, "dio_qmax": int,
-            "direct_nmax": int, "out": str},
-    "family": {"name": str, "forcing": str},
-    "family2": {"name": str, "forcing": str},
-    "domain": {"n_cheb": int, "n_fourier": int, "delta_dom": float},
-    "section": {"theta0": float, "x0": float},
-    "tolerances": {"fp_tol": float, "dt_tol": float},
-}
-
-_KEY_MAP = {
-    ("run", "omega"): "omega", ("run", "nmax"): "n_max",
-    ("run", "mode"): "mode", ("run", "mode_k"): "mode_k",
-    ("run", "seed"): "seed", ("run", "eps"): "eps",
-    ("run", "alpha"): "alpha", ("run", "dio_gamma"): "dio_gamma",
-    ("run", "dio_tau"): "dio_tau", ("run", "dio_qmax"): "dio_qmax",
-    ("run", "direct_nmax"): "direct_nmax", ("run", "out"): "out_dir",
-    ("family", "name"): "family", ("family", "forcing"): "forcing",
-    ("family2", "name"): "family2", ("family2", "forcing"): "forcing2",
-    ("domain", "n_cheb"): "n_cheb", ("domain", "n_fourier"): "n_fourier",
-    ("domain", "delta_dom"): "delta_dom",
-    ("section", "theta0"): "theta0", ("section", "x0"): "x0",
-    ("tolerances", "fp_tol"): "fp_tol", ("tolerances", "dt_tol"): "dt_tol",
-}
+_INI_FIELDS = {f.metadata["ini"]: f for f in dataclass_fields(RunConfig)
+               if "ini" in f.metadata}
 
 
 def load_config(path=None, overrides=None):
@@ -229,24 +209,25 @@ def load_config(path=None, overrides=None):
         read = parser.read(path)
         if not read:
             raise ValueError(f"config file not found: {path}")
+        sections = {sec for sec, _ in _INI_FIELDS}
         for sec in parser.sections():
-            if sec not in _SCHEMA:
+            if sec not in sections:
                 raise ValueError(f"unknown config section [{sec}]")
             for key, raw in parser.items(sec):
-                if key not in _SCHEMA[sec]:
+                f = _INI_FIELDS.get((sec, key))
+                if f is None:
                     raise ValueError(
                         f"unknown key '{key}' in section [{sec}]")
-                if sec == "run" and key == "etas":
-                    cfg.etas = tuple(float(t) for t in raw.split(",")
-                                     if t.strip())
-                    continue
-                typ = _SCHEMA[sec][key]
                 try:
-                    val = typ(raw)
+                    if f.type is tuple:     # etas: comma-separated floats
+                        val = tuple(float(t) for t in raw.split(",")
+                                    if t.strip())
+                    else:
+                        val = f.type(raw)
                 except ValueError:
                     raise ValueError(
                         f"bad value for [{sec}] {key}: {raw!r}")
-                setattr(cfg, _KEY_MAP[(sec, key)], val)
+                setattr(cfg, f.name, val)
     for name, val in (overrides or {}).items():
         if val is not None:
             setattr(cfg, name, val)

@@ -20,9 +20,7 @@ The two must agree within a few percent at small n; the tests enforce it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -32,8 +30,8 @@ from .errors import (BasinError, ConsistencyError, DegeneratePointError,
                      DegenerateScalingError, DomainError, EscapeError,
                      ExistenceError, FormulaMismatchError, NoConvergenceError,
                      SearchError)
-from .funcspace import (AnalyticFn, DomainConfig, PairFn, QPFn, eval_batch,
-                        project_p0, project_pik)
+from .funcspace import (AnalyticFn, DomainConfig, QPFn, eval_batch, project_p0,
+                        project_pik)
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, gamma_normalize)
 from .renorm1d import (FamilySpec, UnimodalMap, dr_matrix,
                        feigenbaum_fixed_point, renormalize_1d,

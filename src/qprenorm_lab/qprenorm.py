@@ -6,14 +6,13 @@ block-diagonal over Fourier modes: mode 0 sees the one-dimensional
 derivative DR, and mode k sees L1 + e^(2 pi i k omega) L2, which on the
 real (cos, sin) pair coefficients is the 2n x 2n matrix
 
-    [[L1 + cos(phi) L2, -sin(phi) L2],
-     [ sin(phi) L2,      L1 + cos(phi) L2]],   phi = 2 pi k omega,
+    [[ L1 + cos(phi) L2, sin(phi) L2],
+     [-sin(phi) L2,      L1 + cos(phi) L2]],   phi = 2 pi k omega,
 
-acting on the pair (p, q) = (u, -v) of the (u, v) convention used by
-project_pik (u = 2 Re c_k, v = -2 Im c_k); the operator object converts at
-its boundary. Rotation numbers are kept as 128-bit fixed-point fractions so
-that the doubling omega -> 2 omega mod 1 stays exact; floats appear only
-inside trig evaluations.
+acting on PairFn.coeff_vector() = (u, v) with u = 2 Re c_k, v = -2 Im c_k,
+the convention of project_pik. Rotation numbers are kept as 128-bit
+fixed-point fractions so that the doubling omega -> 2 omega mod 1 stays
+exact; floats appear only inside trig evaluations.
 
 The section machinery (gamma_normalize, apply_L_prime) quotients the
 rotational symmetry t_gamma by shifting a mode-1 vector onto the section
@@ -23,17 +22,15 @@ rotational symmetry t_gamma by shifting a mode-1 vector onto the section
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from .errors import (DegeneratePointError, DegenerateScalingError,
                      DiophantineError, DomainError, NoSectionError,
                      PrecisionExhaustedError, UnsupportedBaseError)
-from .funcspace import (AnalyticFn, PairFn, QPFn, project_p0, project_pik,
-                        shift_tgamma)
+from .funcspace import PairFn, QPFn, project_p0, project_pik, shift_tgamma
 from .renorm1d import (TOL_A, UnimodalMap, dr_matrix, l1_matrix, l2_matrix)
 
 SCALE_BITS = 128
@@ -52,10 +49,10 @@ class RotationNumber:
 
     The certificate |q omega - p| >= dio_gamma / q^dio_tau is verified for
     0 < q <= q_max at construction (q_max = 0 skips it, which is how the
-    rational test values 0, 1/4, 1/3 are represented). Doubling divides
-    dio_gamma by 2^dio_tau and halves q_max, both exact consequences of the
-    bound, so a doubled number carries its parent's certificate without
-    re-checking it.
+    rational test values 0, 1/4, 1/3 are represented). Multiplying by k
+    (doubling is k = 2) divides dio_gamma by k^dio_tau and q_max by k, both
+    exact consequences of the bound, so the product carries its parent's
+    certificate without re-checking it.
     """
 
     num: int
@@ -121,8 +118,9 @@ class RotationNumber:
             raise ValueError("k must be a positive integer")
         if k == 1:
             return self
-        return RotationNumber(
-            (self.num * k) % SCALE,
+        # q (k omega) = (kq) omega for q <= q_max // k was checked on self
+        return RotationNumber._derived(
+            num=(self.num * k) % SCALE,
             dio_gamma=self.dio_gamma / k ** self.dio_tau,
             dio_tau=self.dio_tau,
             q_max=self.q_max // k,
@@ -232,10 +230,8 @@ def apply_DT(base, omega, v):
 class LOmegaOperator:
     """Restriction of DT to a single Fourier pair, as a real matrix.
 
-    The matrix is written in the rotated pair coordinates (p, q) = (u, -v),
-    where it takes the printed block form
-    [[L1 + cos L2, -sin L2], [sin L2, L1 + cos L2]]; apply() converts from
-    and to the (u, v) convention of project_pik at the boundary.
+    The matrix acts on PairFn.coeff_vector() = (u, v) in the block form
+    [[L1 + cos L2, sin L2], [-sin L2, L1 + cos L2]].
     """
 
     base_psi: UnimodalMap
@@ -243,12 +239,8 @@ class LOmegaOperator:
     matrix: np.ndarray
 
     def apply(self, v: PairFn) -> PairFn:
-        n = self.base_psi.domain.n_cheb
-        vec = np.concatenate([np.real(v.u.coeffs), -np.real(v.v.coeffs)])
-        w = self.matrix @ vec
-        dom = self.base_psi.domain
-        return PairFn(AnalyticFn(w[:n].copy(), dom),
-                      AnalyticFn(-w[n:].copy(), dom))
+        return PairFn.from_coeff_vector(self.base_psi.domain,
+                                        self.matrix @ v.coeff_vector())
 
 
 def build_L_omega(psi, omega, k=1):
@@ -256,24 +248,25 @@ def build_L_omega(psi, omega, k=1):
     if abs(psi.a) < TOL_A:
         raise DegenerateScalingError("degenerate scaling at the base map")
     if isinstance(omega, RotationNumber):
-        om_eff = omega.times_mod1(k) if k != 1 else omega
+        om_eff = omega.times_mod1(k)
     else:
         om_eff = RotationNumber.from_float(k * float(omega))
     phi = 2.0 * np.pi * float(om_eff)
     L1 = l1_matrix(psi)
     L2 = l2_matrix(psi)
     c, s = np.cos(phi), np.sin(phi)
-    M = np.block([[L1 + c * L2, -s * L2],
-                  [s * L2, L1 + c * L2]])
+    M = np.block([[L1 + c * L2, s * L2],
+                  [-s * L2, L1 + c * L2]])
     return LOmegaOperator(base_psi=psi, omega=om_eff, matrix=M)
 
 
 def rotation_matrix(n_cheb, gamma):
-    """R_gamma = rot(2 pi gamma) x Identity in the rotated pair layout."""
+    """Matrix of t_gamma on PairFn.coeff_vector(): rot(-2 pi gamma) x I,
+    as in PairFn.rotate."""
     beta = 2.0 * np.pi * float(gamma)
     eye = np.eye(n_cheb)
     c, s = np.cos(beta), np.sin(beta)
-    return np.block([[c * eye, -s * eye], [s * eye, c * eye]])
+    return np.block([[c * eye, s * eye], [-s * eye, c * eye]])
 
 
 @dataclass

@@ -417,6 +417,16 @@ def _orbit_value(family, alpha, steps):
     return _orbit_with_deriv(family, alpha, steps)[0]
 
 
+def _sign_changes(grid, vals):
+    """(grid[i], grid[i + 1]) for each cell where vals changes sign between
+    two finite values, in grid order."""
+    vals = np.asarray(vals, dtype=float)
+    a, b = vals[:-1], vals[1:]
+    cells = np.isfinite(a) & np.isfinite(b) & (np.sign(a) * np.sign(b) < 0)
+    for i in np.flatnonzero(cells):
+        yield grid[i], grid[i + 1]
+
+
 def superstable_params(family, n_max):
     """Parameters s_0 < s_1 < ... where the critical orbit has period 2^n.
 
@@ -432,26 +442,21 @@ def superstable_params(family, n_max):
     (a_lo, a_hi), _ = family.param_box
     s = []
 
-    # n = 0: first superstable fixed point in the box
-    grid = np.linspace(a_lo, a_hi, 256)
-    vals = np.array([_orbit_value(family, g, 1) for g in grid])
-    idx = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if idx.size == 0:
-        raise SearchError("no superstable fixed point in the parameter box (n=0)")
-    s.append(brentq(lambda t: _orbit_value(family, t, 1),
-                    grid[idx[0]], grid[idx[0] + 1], xtol=1e-14))
-    if n_max == 0:
-        return np.array(s)
-
-    # n = 1: scan upward from s_0, skipping its neighborhood
-    lo = s[0] + 0.02 * (a_hi - s[0])
-    grid = np.linspace(lo, a_hi, 256)
-    vals = np.array([_orbit_value(family, g, 2) for g in grid])
-    idx = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if idx.size == 0:
-        raise SearchError("no period-2 superstable parameter found (n=1)")
-    s.append(brentq(lambda t: _orbit_value(family, t, 2),
-                    grid[idx[0]], grid[idx[0] + 1], xtol=1e-14))
+    # n = 0 scans the box; n = 1 scans upward from s_0, skipping its
+    # neighborhood
+    for steps, missing in (
+            (1, "no superstable fixed point in the parameter box (n=0)"),
+            (2, "no period-2 superstable parameter found (n=1)")):
+        lo = s[0] + 0.02 * (a_hi - s[0]) if s else a_lo
+        grid = np.linspace(lo, a_hi, 256)
+        cell = next(_sign_changes(
+            grid, [_orbit_value(family, g, steps) for g in grid]), None)
+        if cell is None:
+            raise SearchError(missing)
+        s.append(brentq(lambda t: _orbit_value(family, t, steps), *cell,
+                        xtol=1e-14))
+        if n_max == 0:
+            return np.array(s)
 
     delta_est = 4.67
     for n in range(2, n_max + 1):
@@ -484,16 +489,12 @@ def superstable_params(family, n_max):
                 ok = False
         if not ok:
             scan = np.linspace(s[-1] + 0.2 * pred, s[-1] + 2.2 * pred, 64)
-            vals = np.array([_orbit_value(family, g, steps) for g in scan])
-            found = None
-            for i in range(len(scan) - 1):
-                if not (np.isfinite(vals[i]) and np.isfinite(vals[i + 1])):
-                    continue
-                if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-                    hr = abs(_orbit_value(family, 0.5 * (scan[i] + scan[i + 1]), half))
-                    if hr > max(1e-8, 0.3 ** n):
-                        found = (scan[i], scan[i + 1])
-                        break
+            cells = _sign_changes(
+                scan, [_orbit_value(family, g, steps) for g in scan])
+            found = next(
+                (c for c in cells
+                 if abs(_orbit_value(family, 0.5 * (c[0] + c[1]), half))
+                 > max(1e-8, 0.3 ** n)), None)
             if found is None:
                 raise SearchError(f"superstable bracket not found at n={n}")
             alpha = brentq(lambda t: _orbit_value(family, t, steps),
@@ -620,13 +621,10 @@ def _unstable_point(fp, j):
     for k in range(0, 14):
         if k:
             maps = [renormalize_1d(m, check_domain=False) for m in maps]
-        vals = np.array([_crit_orbit_residual(m, j) for m in maps])
-        for i in range(len(taus) - 1):
-            if not (np.isfinite(vals[i]) and np.isfinite(vals[i + 1])):
-                continue
-            if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-                tau_star = brentq(
-                    lambda t: _crit_orbit_residual(map_at(t, k), j),
-                    taus[i], taus[i + 1], xtol=1e-15, rtol=8.9e-16)
-                return map_at(tau_star, k)
+        vals = [_crit_orbit_residual(m, j) for m in maps]
+        for cell in _sign_changes(taus, vals):
+            tau_star = brentq(
+                lambda t: _crit_orbit_residual(map_at(t, k), j),
+                *cell, xtol=1e-15, rtol=8.9e-16)
+            return map_at(tau_star, k)
     raise MeshError(f"no Sigma_{j} crossing within the growth budget")

@@ -108,6 +108,11 @@ def test_config_hash_deterministic_and_out_dir_exempt():
     assert dataclasses.replace(cfg, seed=8).sha256() != cfg.sha256()
 
 
+def test_default_config_hash_is_pinned():
+    assert RunConfig().sha256() == (
+        "6cbfb3127e55c6993ffd5145916a6b468caa0713cee32fb2a4436aaf49689b13")
+
+
 def test_config_file_round_trip(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text(
@@ -118,11 +123,60 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.forcing2 == "[1]*sin(1w)"
 
 
+# (section, key, raw value, RunConfig field, parsed value); none is a default
+INI_KEYS = [
+    ("run", "omega", "[2,1,1]", "omega", "[2,1,1]"),
+    ("run", "nmax", "4", "n_max", 4),
+    ("run", "mode", "fixed-point", "mode", "fixed-point"),
+    ("run", "mode_k", "3", "mode_k", 3),
+    ("run", "seed", "11", "seed", 11),
+    ("run", "eps", "1e-5", "eps", 1e-5),
+    ("run", "alpha", "3.5", "alpha", 3.5),
+    ("run", "etas", "1e-4, 2e-3", "etas", (1e-4, 2e-3)),
+    ("run", "dio_gamma", "0.2", "dio_gamma", 0.2),
+    ("run", "dio_tau", "1.5", "dio_tau", 1.5),
+    ("run", "dio_qmax", "500", "dio_qmax", 500),
+    ("run", "direct_nmax", "2", "direct_nmax", 2),
+    ("run", "out", "elsewhere", "out_dir", "elsewhere"),
+    ("family", "name", "flm-a", "family", "flm-a"),
+    ("family", "forcing", "[2]*sin(1w)", "forcing", "[2]*sin(1w)"),
+    ("family2", "name", "flm-b", "family2", "flm-b"),
+    ("family2", "forcing", "[1]*cos(2w)", "forcing2", "[1]*cos(2w)"),
+    ("domain", "n_cheb", "32", "n_cheb", 32),
+    ("domain", "n_fourier", "12", "n_fourier", 12),
+    ("domain", "delta_dom", "0.2", "delta_dom", 0.2),
+    ("section", "theta0", "0.25", "theta0", 0.25),
+    ("section", "x0", "0.1", "x0", 0.1),
+    ("tolerances", "fp_tol", "1e-9", "fp_tol", 1e-9),
+    ("tolerances", "dt_tol", "1e-8", "dt_tol", 1e-8),
+]
+
+
+@pytest.mark.parametrize("section,key,raw,name,want", INI_KEYS,
+                         ids=[f"{s}.{k}" for s, k, *_ in INI_KEYS])
+def test_config_file_sets_each_key(tmp_path, section, key, raw, name, want):
+    p = tmp_path / "run.ini"
+    p.write_text(f"[{section}]\n{key} = {raw}\n")
+    cfg = load_config(str(p))
+    assert getattr(RunConfig(), name) != want
+    assert getattr(cfg, name) == want
+    assert type(getattr(cfg, name)) is type(want)
+    if name == "etas":
+        assert all(type(e) is float for e in cfg.etas)
+
+
+def test_config_key_list_covers_every_declared_key():
+    declared = {f.metadata["ini"] for f in dataclasses.fields(RunConfig)
+                if "ini" in f.metadata}
+    assert declared == {(s, k) for s, k, *_ in INI_KEYS}
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("[run]\nbogus = 1\n", "unknown key"),
     ("[mystery]\nx = 1\n", "unknown section"),
     ("[run]\nmode = sideways\n", "mode"),
     ("[family]\nforcing = [1]*cos(99w)\n", "mode"),
+    ("[run]\netas = 1e-3,abc\n", "bad value"),
 ])
 def test_config_file_rejected(tmp_path, text, fragment):
     p = tmp_path / "bad.ini"

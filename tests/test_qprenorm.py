@@ -100,6 +100,14 @@ def test_doubled_certificate_matches_a_fresh_verification(omega):
                                q_max=omega.q_max >> d)
         assert (w.num, w.dio_gamma, w.dio_tau, w.q_max, w.depth) == (
             fresh.num, fresh.dio_gamma, fresh.dio_tau, fresh.q_max, d)
+    for k in range(2, 9):
+        w = omega.times_mod1(k)
+        fresh = RotationNumber((omega.num * k) % (1 << 128),
+                               dio_gamma=omega.dio_gamma / k ** omega.dio_tau,
+                               dio_tau=omega.dio_tau,
+                               q_max=omega.q_max // k)
+        assert (w.num, w.dio_gamma, w.dio_tau, w.q_max, w.depth) == (
+            fresh.num, fresh.dio_gamma, fresh.dio_tau, fresh.q_max, 0)
 
 
 def test_double_does_not_rerun_the_diophantine_loop(golden, monkeypatch):
@@ -108,6 +116,8 @@ def test_double_does_not_rerun_the_diophantine_loop(golden, monkeypatch):
     monkeypatch.setattr(RotationNumber, "_verify", fail)
     w = golden.double().double()
     assert w.q_max == golden.q_max // 4
+    for k in range(2, 9):
+        assert golden.times_mod1(k).q_max == golden.q_max // k
     with pytest.raises(AssertionError):
         RotationNumber(golden.num, dio_gamma=0.38, q_max=10)
 
@@ -208,8 +218,8 @@ def test_quarter_rotation_block_structure(fp):
     L2 = l2_matrix(fp.phi)
     assert np.max(np.abs(M[:n, :n] - L1)) <= 1e-12
     assert np.max(np.abs(M[n:, n:] - L1)) <= 1e-12
-    assert np.max(np.abs(M[:n, n:] + L2)) <= 1e-12
-    assert np.max(np.abs(M[n:, :n] - L2)) <= 1e-12
+    assert np.max(np.abs(M[:n, n:] - L2)) <= 1e-12
+    assert np.max(np.abs(M[n:, :n] + L2)) <= 1e-12
 
 
 def test_block_matrix_commutes_with_rotations(fp, golden):
@@ -219,6 +229,16 @@ def test_block_matrix_commutes_with_rotations(fp, golden):
     for gamma in rng.uniform(0.0, 1.0, size=5):
         R = rotation_matrix(n, float(gamma))
         assert np.max(np.abs(M @ R - R @ M)) <= 1e-12
+
+
+def test_rotation_matrix_is_t_gamma_on_the_pair_vector(domain):
+    n = domain.n_cheb
+    rng = np.random.default_rng(12)
+    for gamma in rng.uniform(0.0, 1.0, size=5):
+        pair = PairFn.from_coeff_vector(domain, rng.standard_normal(2 * n))
+        want = project_pik(shift_tgamma(pair.embed(1), gamma), 1)
+        got = rotation_matrix(n, float(gamma)) @ pair.coeff_vector()
+        assert np.max(np.abs(got - want.coeff_vector())) <= 1e-14
 
 
 def test_rotation_matrices_are_orthogonal(fp):

@@ -31,6 +31,7 @@ from qprenorm_lab import (
     superstable_params,
     unstable_manifold_points,
 )
+from qprenorm_lab.renorm1d import _sign_changes
 
 DELTA = 4.6692016091
 A_STAR = -0.3995352805
@@ -198,6 +199,14 @@ def test_superstable_increasing_below_accumulation(flm):
     assert all(b > a for a, b in zip(s, s[1:]))
     a_star = stable_manifold_param(flm)
     assert all(x < a_star for x in s)
+
+
+def test_sign_change_scan_skips_non_finite_cells_in_order():
+    grid = np.arange(10.0)
+    # zero ends and NaN or infinite ends are not brackets
+    vals = [1.0, -1.0, np.nan, 1.0, -2.0, 0.0, 3.0, -np.inf, 2.0, -2.0]
+    assert list(_sign_changes(grid, vals)) == [(0.0, 1.0), (3.0, 4.0),
+                                                (8.0, 9.0)]
 
 
 def test_accumulation_point(flm):
