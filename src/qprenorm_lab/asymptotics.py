@@ -32,12 +32,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DegeneratePointError, DegenerateScalingError,
-                     NoSectionError)
-from .funcspace import DomainConfig, PairFn, project_pik, sup_norm
-from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_L_prime,
-                       apply_T, build_L_omega, gamma_normalize,
-                       require_diophantine)
+from .errors import DegeneratePointError, NoSectionError
+from .funcspace import (DomainConfig, PairFn, pair_sup_norm, project_pik,
+                        sup_norm)
+from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_T,
+                       build_L_omega, l_prime_rows, normalize_pair,
+                       require_diophantine, row_norms)
 from .renorm1d import (FamilySpec, feigenbaum_fixed_point,
                        stable_manifold_param, superstable_params,
                        unstable_manifold_points)
@@ -375,10 +375,8 @@ def component_chains(omega0, v01, v02, n_max, section=SectionConfig()):
     for _ in range(1, n_max + 1):
         op1 = build_L_omega(fp.phi, om, 1)
         op2 = build_L_omega(fp.phi, om, 2)
-        w1 = op1.apply(v1)
         w2 = op2.apply(v2)
-        gam, normalized = gamma_normalize(w1.embed(1), section)
-        v1 = project_pik(normalized, 1)
+        gam, v1 = normalize_pair(op1.apply(v1), section)
         v2 = w2.rotate(2.0 * np.pi * 2.0 * gam)
         gammas.append(gam)
         chain1.append(v1)
@@ -536,9 +534,7 @@ def _dominant_direction(psi, omega, section=SectionConfig()):
     vec = np.real(w)
     if np.linalg.norm(vec) < 1e-8 * np.linalg.norm(w):
         vec = np.imag(w)
-    pair = PairFn.from_coeff_vector(psi.domain, vec)
-    _, normalized = gamma_normalize(pair.embed(1), section)
-    p = project_pik(normalized, 1)
+    _, p = normalize_pair(PairFn.from_coeff_vector(psi.domain, vec), section)
     return p * (1.0 / p.coeff_norm())
 
 
@@ -567,14 +563,20 @@ def check_H4(psi=None, omega_grid=None, n_pairs=100, radius=0.5, seed=7,
     reported. When one-step contraction fails, the multi-step distances
     along the omega-doubling sequence are fitted instead (the relaxed
     criterion K rho^n).
+
+    For each omega, L_omega is built once and all samples are stepped as
+    one block of coefficient rows (l_prime_rows); a pair with an image
+    off the section counts once in n_skipped.
     """
     if psi is None:
         psi = feigenbaum_fixed_point(DomainConfig()).phi
     if omega_grid is None:
         omega_grid = [RotationNumber.from_fraction(2 * k + 1, 128)
                       for k in range(64)]
-    e0 = _dominant_direction(psi, RotationNumber.golden(), section)
-    e0_vec = np.real(e0.coeff_vector())
+    dom = psi.domain
+    # the dominant direction needs the value of golden, not its certificate
+    e0 = _dominant_direction(psi, RotationNumber.golden(q_max=0), section)
+    e0_vec = e0.coeff_vector()
     dim = e0_vec.size
 
     rng = np.random.default_rng(seed)
@@ -587,54 +589,59 @@ def check_H4(psi=None, omega_grid=None, n_pairs=100, radius=0.5, seed=7,
         cand = e0_vec + w
         cand /= np.linalg.norm(cand)
         try:
-            _, normalized = gamma_normalize(
-                PairFn.from_coeff_vector(psi.domain, cand).embed(1), section)
+            _, p = normalize_pair(PairFn.from_coeff_vector(dom, cand), section)
         except (NoSectionError, DegeneratePointError):
             continue
-        p = project_pik(normalized, 1)
         p = p * (1.0 / p.coeff_norm())
-        if np.linalg.norm(np.real(p.coeff_vector()) - e0_vec) <= radius:
-            samples.append(p)
-    pairs = [(samples[2 * i], samples[2 * i + 1])
-             for i in range(len(samples) // 2)]
+        if np.linalg.norm(p.coeff_vector() - e0_vec) <= radius:
+            samples.append(p.coeff_vector())
+    n_used = 2 * (len(samples) // 2)
+    X = np.array(samples[:n_used]).reshape(n_used, dim)
 
-    def step(v, om):
-        out = apply_L_prime(psi, om, v, section=section)
-        return out * (1.0 / out.coeff_norm())
+    def step(Y, om):
+        """Rows v -> t_gamma(L_omega v) / || ||, with per-row errors."""
+        F, errors = l_prime_rows(build_L_omega(psi, om, 1).matrix, Y, dom,
+                                 section)
+        ok = [e is None for e in errors]
+        F[ok] = F[ok] * (1.0 / row_norms(F[ok]))[:, None]
+        return F, errors
 
+    # pair i is (X[2i], X[2i + 1]); its distances do not depend on omega
+    den_l2 = row_norms(X[0::2] - X[1::2])
+    n = dom.n_cheb
+    den_sup = [pair_sup_norm(dom, d[:n], d[n:]) for d in X[0::2] - X[1::2]]
     per_omega, skipped, v_violations = {}, 0, 0
     max_l2 = max_sup = 0.0
     for om in omega_grid:
+        F, errors = step(X, om)
+        pairs = [i for i in range(n_used // 2)
+                 if errors[2 * i] is None and errors[2 * i + 1] is None]
+        skipped += n_used // 2 - len(pairs)
+        rows = [j for i in pairs for j in (2 * i, 2 * i + 1)]
+        v_violations += int(np.sum(row_norms(F[rows] - e0_vec) > radius))
+        num = F[0::2] - F[1::2]
+        num_l2 = row_norms(num)
         worst_l2 = 0.0
-        for u, v in pairs:
-            try:
-                fu, fv = step(u, om), step(v, om)
-            except (NoSectionError, DegeneratePointError,
-                    DegenerateScalingError):
-                skipped += 1
+        for i in pairs:
+            if den_l2[i] < 1e-14:
                 continue
-            for f in (fu, fv):
-                if np.linalg.norm(np.real(f.coeff_vector()) - e0_vec) > radius:
-                    v_violations += 1
-            num_l2 = np.linalg.norm(np.real((fu - fv).coeff_vector()))
-            den_l2 = np.linalg.norm(np.real((u - v).coeff_vector()))
-            num_sup = (fu - fv).sup_norm()
-            den_sup = (u - v).sup_norm()
-            if den_l2 < 1e-14:
-                continue
-            worst_l2 = max(worst_l2, num_l2 / den_l2)
-            max_sup = max(max_sup, num_sup / max(den_sup, 1e-300))
+            num_sup = pair_sup_norm(dom, num[i, :n], num[i, n:])
+            worst_l2 = max(worst_l2, num_l2[i] / den_l2[i])
+            max_sup = max(max_sup, num_sup / max(den_sup[i], 1e-300))
         per_omega[float(om)] = worst_l2
         max_l2 = max(max_l2, worst_l2)
 
     multi_fit = None
-    if max_l2 >= 1.0 and pairs:
-        u, v = pairs[0]
+    if max_l2 >= 1.0 and n_used:
+        Y = X[:2]
         om = omega_grid[0]
         dists = []
         for _ in range(multi_n):
-            u, v = step(u, om), step(v, om)
-            dists.append(np.linalg.norm(np.real((u - v).coeff_vector())))
+            Y, errors = step(Y, om)
+            for e in errors:
+                if e is not None:
+                    raise e
+            dists.append(np.linalg.norm(Y[0] - Y[1]))
             om = om.double()
         multi_fit = fit_geometric_decay(np.arange(1, multi_n + 1), dists)
 

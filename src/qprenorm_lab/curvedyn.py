@@ -458,15 +458,14 @@ def _tgamma_or_skip(v, section):
 
 
 def slope_chain(family, omega0, n, mode="exact-orbit",
-                section=SectionConfig(), paper_literal_tail=False):
+                section=SectionConfig()):
     """Propagate (f_k, u_k, v_k, omega_k) for k = 0..n-1.
 
     exact-orbit: f_k = R^k(c(s_n, 0)) with u, v pushed by the derivative of
     the renormalization at each exact iterate. fixed-point: the bases are
     Phi for the first floor(n/2)-1 steps and the unstable-manifold points
     f*_{n-k+1} for the tail, ending the propagation at f*_2 so that the
-    final evaluation happens at f*_1 (paper_literal_tail shifts the tail to
-    f*_{n-k}, which runs into the degenerate scaling of f*_1 and raises).
+    final evaluation happens at f*_1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -481,9 +480,7 @@ def slope_chain(family, omega0, n, mode="exact-orbit",
     elif mode == "fixed-point":
         alpha = stable_manifold_param(family)
         fpd = feigenbaum_fixed_point(dom)
-        j_need = max(2, n - max(n // 2, 1) + 1, 2 if not paper_literal_tail
-                     else max(2, n - 1))
-        stars = unstable_manifold_points(fpd, max(2, j_need))
+        stars = unstable_manifold_points(fpd, max(2, n - max(n // 2, 1) + 1))
         f0 = fpd.phi
         psi_end_override = stars[0]
     else:
@@ -503,8 +500,7 @@ def slope_chain(family, omega0, n, mode="exact-orbit",
             if k <= n // 2 - 1:
                 base = fpd.phi
             else:
-                j = (n - k) if paper_literal_tail else (n - k + 1)
-                base = stars[j - 1]
+                base = stars[n - k]
         try:
             u = AnalyticFn(dr_matrix(base) @ np.real(u.coeffs), dom)
             v = apply_DT(base, om, v)
@@ -528,10 +524,9 @@ def slope_chain(family, omega0, n, mode="exact-orbit",
 
 
 def slope_formula(family, omega0, n, mode="exact-orbit",
-                  section=SectionConfig(), paper_literal_tail=False):
+                  section=SectionConfig()):
     """(alpha'_n, beta'_n) from the renormalization chain."""
-    ch = slope_chain(family, omega0, n, mode=mode, section=section,
-                     paper_literal_tail=paper_literal_tail)
+    ch = slope_chain(family, omega0, n, mode=mode, section=section)
     den = DG1_hat(ch.psi_end, ch.us[-1])
     if abs(den) < 1e-300:
         raise DegenerateScalingError("DG1_hat denominator vanished")

@@ -372,9 +372,7 @@ class PairFn:
 
     def sup_norm(self):
         """max over (theta, x) of the represented function, exact in theta."""
-        V, _ = _sup_tables(self.domain)
-        uv = np.real(V @ np.stack([self.u.coeffs, self.v.coeffs], axis=1))
-        return float(np.max(np.hypot(uv[:, 0], uv[:, 1])))
+        return pair_sup_norm(self.domain, self.u.coeffs, self.v.coeffs)
 
     def coeff_norm(self):
         return float(np.linalg.norm(self.coeff_vector()))
@@ -515,6 +513,14 @@ def sup_norm(f):
         return float(np.max(np.abs(np.real(V @ f.coeffs))))
     A = V @ _half_spectrum(f).T                        # (n_x, K+1)
     return float(np.max(np.abs(np.real(E @ A.T))))
+
+
+def pair_sup_norm(domain, u, v):
+    """PairFn(u, v).sup_norm() from bare coefficient arrays: the amplitude
+    hypot(u(x), v(x)) maximized over the sup grid."""
+    V, _ = _sup_tables(domain)
+    uv = np.real(V @ np.stack([u, v], axis=1))
+    return float(np.max(np.hypot(uv[:, 0], uv[:, 1])))
 
 
 def eval_qpfn(f, theta, x):

@@ -14,9 +14,11 @@ the convention of project_pik. Rotation numbers are kept as 128-bit
 fixed-point fractions so that the doubling omega -> 2 omega mod 1 stays
 exact; floats appear only inside trig evaluations.
 
-The section machinery (gamma_normalize, apply_L_prime) quotients the
-rotational symmetry t_gamma by shifting a mode-1 vector onto the section
-{f(theta0, x0) = 0, positive theta-derivative}.
+The section machinery quotients the rotational symmetry t_gamma by
+shifting a mode-1 vector onto the section {f(theta0, x0) = 0, positive
+theta-derivative}. One routine, section_gammas, decides the shift for a
+block of pairs; gamma_normalize, normalize_pair, apply_L_prime and
+l_prime_rows (a block of pairs under one L_omega) all go through it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 from .errors import (DegeneratePointError, DegenerateScalingError,
                      DiophantineError, DomainError, NoSectionError,
                      PrecisionExhaustedError, UnsupportedBaseError)
-from .funcspace import PairFn, QPFn, project_p0, project_pik, shift_tgamma
+from .funcspace import (PairFn, QPFn, _clenshaw_scalar, project_p0, project_pik,
+                        shift_tgamma)
 from .renorm1d import (TOL_A, UnimodalMap, dr_matrix, l1_matrix, l2_matrix)
 
 SCALE_BITS = 128
@@ -310,71 +313,157 @@ def spectrum_L_omega(op):
 
 
 # -------------------------------------------------- rotation-symmetry section
+#
+# A block X of mode-1 pairs holds one PairFn.coeff_vector() = (u, v) per
+# row. Norms, matrix products and point values (the scalar Clenshaw loop)
+# are taken row by row and the rest elementwise, so every row gets the bits
+# it would get alone.
 
-def _pair_at_section(pair, theta0, x0):
-    """(value, theta-slope) of u cos + v sin at (theta0, x0)."""
-    A = float(np.real(pair.u(x0)))
-    B = float(np.real(pair.v(x0)))
-    c, s = np.cos(2 * np.pi * theta0), np.sin(2 * np.pi * theta0)
-    value = A * c + B * s
-    slope = 2 * np.pi * (-A * s + B * c)
-    return value, slope, A, B
+def row_norms(X):
+    """np.linalg.norm of each row of X, bit for bit: sqrt of the row's dot
+    product (a norm over an axis sums in another order)."""
+    return np.sqrt(np.array([x.dot(x) for x in X]))
+
+
+def _clenshaw_rows(t, block):
+    """Chebyshev values of the rows of an (m, n_cheb) block, row j at the
+    scaled point t[j], through the scalar Clenshaw loop row by row."""
+    return np.array([_clenshaw_scalar(c, tj)
+                     for c, tj in zip(block.tolist(), t.tolist())])
+
+
+def section_gammas(X, domain, section=SectionConfig()):
+    """Shift gamma0 per row of X that puts the pair on the section.
+
+    The section is f(theta0, x0) = 0 with positive theta-derivative, where
+    x0 is the first of section.x0 and section.degenerate_scan at which the
+    pair is not numerically zero. Of the two roots of the tangency
+    equation the first with positive slope wins; a gamma0 within 1e-12 of
+    0 or 1 snaps to 0.
+
+    Returns (gamma0, errors): errors[j] is None, or the NoSectionError or
+    DegeneratePointError that row j fails with (its gamma0 is then 0). A
+    scan candidate outside the interval raises DomainError.
+    """
+    S = X.shape[0]
+    n, L = domain.n_cheb, domain.half_width
+    U, V = X[:, :n], X[:, n:]
+    errors = [None] * S
+    scale = row_norms(X)
+    todo = scale > TOL_PI1
+    for j in np.flatnonzero(~todo):
+        errors[j] = NoSectionError("mode-1 component vanishes")
+
+    x0, A, B = np.zeros(S), np.zeros(S), np.zeros(S)
+    for cand in (section.x0,) + tuple(section.degenerate_scan):
+        rows = np.flatnonzero(todo)
+        if rows.size == 0:
+            break
+        if abs(cand) > L:
+            raise DomainError(f"section point x0 = {cand} outside the interval")
+        t = np.full(rows.size, cand / L)
+        a, b = _clenshaw_rows(t, U[rows]), _clenshaw_rows(t, V[rows])
+        hit = np.hypot(a, b) > 1e-9 * scale[rows]
+        found = rows[hit]
+        x0[found], A[found], B[found] = cand, a[hit], b[hit]
+        todo[found] = False
+    for j in np.flatnonzero(todo):
+        errors[j] = DegeneratePointError(
+            "mode-1 pair vanishes at every section candidate x0")
+
+    chi = np.arctan2(B, A)
+    g_a = (chi / (2 * np.pi) - 0.25 - section.theta0) % 1.0
+    g_b = (g_a + 0.5) % 1.0
+    c0 = np.cos(2 * np.pi * section.theta0)
+    s0 = np.sin(2 * np.pi * section.theta0)
+
+    def slope_positive(g, rows):
+        # theta-slope at (theta0, x0) after the shift g, as PairFn.rotate
+        beta = 2 * np.pi * g[rows]
+        c, s = np.cos(beta)[:, None], np.sin(beta)[:, None]
+        u, v = U[rows], V[rows]
+        t = x0[rows] / L
+        a = _clenshaw_rows(t, c * u + s * v)
+        b = _clenshaw_rows(t, -s * u + c * v)
+        return 2 * np.pi * (-a * s0 + b * c0) > 0
+
+    gamma0 = g_a.copy()
+    retry = np.flatnonzero(~slope_positive(g_a, np.arange(S)))
+    if retry.size:
+        root_b = slope_positive(g_b, retry)
+        gamma0[retry] = g_b[retry]
+        for j in retry[~root_b]:
+            if errors[j] is None:
+                errors[j] = DegeneratePointError(
+                    "no root satisfies the slope condition")
+    gamma0[(gamma0 > 1.0 - 1e-12) | (gamma0 < 1e-12)] = 0.0
+    gamma0[[e is not None for e in errors]] = 0.0
+    return gamma0, errors
+
+
+def shift_pairs(X, gamma0, n_cheb):
+    """t_gamma0 row by row: c_1 = 0.5 (u - i v) times exp(2 pi i gamma0),
+    read back as (2 Re c_1, -2 Im c_1), as QPFn.from_pair, shift_tgamma and
+    project_pik do on mode 1."""
+    c1 = 0.5 * (X[:, :n_cheb] - 1j * X[:, n_cheb:])
+    c1 = c1 * np.exp(2j * np.pi * gamma0)[:, None]
+    return np.concatenate([2 * np.real(c1), -2 * np.imag(c1)], axis=1)
+
+
+def l_prime_rows(matrix, X, domain, section=SectionConfig()):
+    """Rows t_gamma(L x) for the rows x of X, L = matrix; returns (Y, errors).
+
+    errors[j] is None, or the DegenerateScalingError (image numerically
+    zero), NoSectionError or DegeneratePointError of row j, whose Y row is
+    then 0. Each row gets its own matvec: one matrix product of the whole
+    block would round differently.
+    """
+    W = np.empty_like(X)
+    for j, x in enumerate(X):
+        W[j] = matrix @ x
+    tiny = row_norms(W) <= 1e-14 * np.fmax(1.0, row_norms(X))
+    errors = [DegenerateScalingError("L_omega image is numerically zero")
+              if t else None for t in tiny]
+    Y = np.zeros_like(X)
+    rows = np.flatnonzero(~tiny)
+    if rows.size:
+        gamma0, sec_errors = section_gammas(W[rows], domain, section)
+        Y[rows] = shift_pairs(W[rows], gamma0, domain.n_cheb)
+        for j, e in zip(rows, sec_errors):
+            if e is not None:
+                errors[j], Y[j] = e, 0.0
+    return Y, errors
+
+
+def normalize_pair(pair, section=SectionConfig()):
+    """(gamma0, t_gamma0 pair) for one mode-1 pair; the pair-level form of
+    gamma_normalize, with the same errors."""
+    X = pair.coeff_vector()[None, :]
+    gamma0, errors = section_gammas(X, pair.domain, section)
+    if errors[0] is not None:
+        raise errors[0]
+    Y = shift_pairs(X, gamma0, pair.domain.n_cheb)
+    return gamma0[0], PairFn.from_coeff_vector(pair.domain, Y[0])
 
 
 def gamma_normalize(v, section=SectionConfig()):
-    """Unique shift gamma0 putting the mode-1 part on the section.
+    """Unique shift gamma0 putting the mode-1 part of v on the section.
 
-    The section is f(theta0, x0) = 0 with positive theta-derivative. Both
-    roots of the tangency equation are evaluated directly and the one with
-    positive slope wins. Returns (gamma0, t_gamma0 v).
+    The shift is decided by section_gammas on project_pik(v, 1) and
+    applied to every mode. Returns (gamma0, t_gamma0 v).
     """
-    pair = project_pik(v, 1)
-    scale = pair.coeff_norm()
-    if scale <= TOL_PI1:
-        raise NoSectionError("mode-1 component vanishes")
-    L = v.domain.half_width
-    theta0 = section.theta0
-
-    x0 = None
-    for cand in (section.x0,) + tuple(section.degenerate_scan):
-        if abs(cand) > L:
-            raise DomainError(f"section point x0 = {cand} outside the interval")
-        A = float(np.real(pair.u(cand)))
-        B = float(np.real(pair.v(cand)))
-        if np.hypot(A, B) > 1e-9 * scale:
-            x0 = cand
-            break
-    if x0 is None:
-        raise DegeneratePointError(
-            "mode-1 pair vanishes at every section candidate x0")
-
-    A = float(np.real(pair.u(x0)))
-    B = float(np.real(pair.v(x0)))
-    chi = np.arctan2(B, A)
-    g_a = (chi / (2 * np.pi) - 0.25 - theta0) % 1.0
-    g_b = (g_a + 0.5) % 1.0
-
-    best = None
-    for g in (g_a, g_b):
-        shifted = pair.rotate(2 * np.pi * g)
-        val, slope, _, _ = _pair_at_section(shifted, theta0, x0)
-        if slope > 0:
-            best = (g, val, slope)
-            break
-    if best is None:
-        raise DegeneratePointError("no root satisfies the slope condition")
-    gamma0 = best[0]
-    if gamma0 > 1.0 - 1e-12 or gamma0 < 1e-12:
-        gamma0 = 0.0
-    return gamma0, shift_tgamma(v, gamma0)
+    X = project_pik(v, 1).coeff_vector()[None, :]
+    gamma0, errors = section_gammas(X, v.domain, section)
+    if errors[0] is not None:
+        raise errors[0]
+    return gamma0[0], shift_tgamma(v, gamma0[0])
 
 
 def apply_L_prime(psi, omega, v, section=SectionConfig()):
     """L'_omega(v) = t_gamma(L_omega v): apply, then land on the section."""
     op = build_L_omega(psi, omega, 1)
-    w = op.apply(v)
-    if w.coeff_norm() <= 1e-14 * max(1.0, v.coeff_norm()):
-        raise DegenerateScalingError("L_omega image is numerically zero")
-    emb = QPFn.from_pair(v.u.domain, 1, w.u, w.v)
-    _, normalized = gamma_normalize(emb, section)
-    return project_pik(normalized, 1)
+    Y, errors = l_prime_rows(op.matrix, v.coeff_vector()[None, :], v.domain,
+                             section)
+    if errors[0] is not None:
+        raise errors[0]
+    return PairFn.from_coeff_vector(v.domain, Y[0])

@@ -14,6 +14,7 @@ in the tests as an oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
@@ -397,7 +398,7 @@ def _orbit_with_deriv(family, alpha, steps):
         for _ in range(steps):
             P = family.raw_dmap_dalpha(alpha, x) + family.raw_dmap_dx(alpha, x) * P
             x = family.raw_map(alpha, x)
-            if not np.isfinite(x) or abs(x) > 1e6:
+            if not math.isfinite(x) or abs(x) > 1e6:
                 return np.nan, np.nan
         return x - family.x_crit, P
     psi = family.psi0(alpha)

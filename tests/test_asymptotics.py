@@ -10,15 +10,18 @@ import pytest
 
 from qprenorm_lab import (
     EquivalenceFit,
+    H4Report,
     PairFn,
     RotationNumber,
     apply_L_prime,
+    build_L_omega,
     check_H3,
     check_H4,
     check_H5,
     fit_geometric_decay,
     flm_eta_family,
     flm_family,
+    gamma_normalize,
     observation1,
     observation2,
     observation3,
@@ -28,7 +31,9 @@ from qprenorm_lab import (
     quotient_factorization,
 )
 from qprenorm_lab.cli import parse_forcing
-from qprenorm_lab.errors import DiophantineError
+from qprenorm_lab import qprenorm
+from qprenorm_lab.errors import (DegeneratePointError, DegenerateScalingError,
+                                 DiophantineError, NoSectionError)
 
 
 # ------------------------------------------------------------------ fitter
@@ -184,6 +189,118 @@ def test_h4_contraction_after_multiple_steps(golden):
     # one-step expansion is reported, not hidden
     assert rep.max_ratio_l2 > 1.0
     assert rep.v_violations > 0
+
+
+def _reference_h4(psi, n_pairs, seed, radius=0.5, multi_n=8):
+    """check_H4 one sample and one omega at a time, through the public
+    QPFn section and apply_L_prime."""
+    dom = psi.domain
+    grid = [RotationNumber.from_fraction(2 * k + 1, 128) for k in range(64)]
+    lam, vecs = np.linalg.eig(
+        build_L_omega(psi, RotationNumber.golden(), 1).matrix)
+    w = vecs[:, np.argmax(np.abs(lam))]
+    vec = np.real(w)
+    if np.linalg.norm(vec) < 1e-8 * np.linalg.norm(w):
+        vec = np.imag(w)
+    e0 = project_pik(gamma_normalize(
+        PairFn.from_coeff_vector(dom, vec).embed(1))[1], 1)
+    e0_vec = (e0 * (1.0 / e0.coeff_norm())).coeff_vector()
+    rng = np.random.default_rng(seed)
+    samples, attempts = [], 0
+    while len(samples) < 2 * n_pairs and attempts < 20 * n_pairs:
+        attempts += 1
+        w = rng.standard_normal(e0_vec.size)
+        w *= (radius * 0.98 * rng.random() ** (1.0 / e0_vec.size)
+              / np.linalg.norm(w))
+        cand = e0_vec + w
+        cand /= np.linalg.norm(cand)
+        try:
+            _, f = gamma_normalize(PairFn.from_coeff_vector(dom, cand).embed(1))
+        except (NoSectionError, DegeneratePointError):
+            continue
+        p = project_pik(f, 1)
+        p = p * (1.0 / p.coeff_norm())
+        if np.linalg.norm(p.coeff_vector() - e0_vec) <= radius:
+            samples.append(p)
+    pairs = [(samples[2 * i], samples[2 * i + 1])
+             for i in range(len(samples) // 2)]
+
+    def step(v, om):
+        out = apply_L_prime(psi, om, v)
+        return out * (1.0 / out.coeff_norm())
+
+    per_omega, skipped, violations = {}, 0, 0
+    max_l2 = max_sup = 0.0
+    for om in grid:
+        worst = 0.0
+        for u, v in pairs:
+            try:
+                fu, fv = step(u, om), step(v, om)
+            except (NoSectionError, DegeneratePointError,
+                    DegenerateScalingError):
+                skipped += 1
+                continue
+            for f in (fu, fv):
+                if np.linalg.norm(f.coeff_vector() - e0_vec) > radius:
+                    violations += 1
+            den_l2 = np.linalg.norm((u - v).coeff_vector())
+            if den_l2 < 1e-14:
+                continue
+            worst = max(worst, np.linalg.norm((fu - fv).coeff_vector())
+                        / den_l2)
+            max_sup = max(max_sup, (fu - fv).sup_norm()
+                          / max((u - v).sup_norm(), 1e-300))
+        per_omega[float(om)] = worst
+        max_l2 = max(max_l2, worst)
+    fit = None
+    if max_l2 >= 1.0 and pairs:
+        (u, v), om, dists = pairs[0], grid[0], []
+        for _ in range(multi_n):
+            u, v = step(u, om), step(v, om)
+            dists.append(np.linalg.norm((u - v).coeff_vector()))
+            om = om.double()
+        fit = fit_geometric_decay(np.arange(1, multi_n + 1), dists)
+    return H4Report(max_ratio_l2=float(max_l2), max_ratio_sup=float(max_sup),
+                    per_omega_max=per_omega, n_sampled=len(samples),
+                    n_skipped=skipped, v_violations=violations,
+                    multi_step_fit=fit,
+                    passed=bool(max_l2 < 1.0 or (fit is not None
+                                                 and fit.passes())))
+
+
+@pytest.mark.parametrize("seed", [7, 123, 99999])
+def test_h4_block_step_equals_the_one_sample_loop(fp, seed):
+    got = check_H4(n_pairs=10, seed=seed)
+    want = _reference_h4(fp.phi, 10, seed)
+    for name in H4Report.__dataclass_fields__:
+        assert getattr(got, name) == getattr(want, name), name
+    # types too: repr() of a float and of an np.float64 differ
+    assert ([type(r) for r in got.per_omega_max.values()]
+            == [type(r) for r in want.per_omega_max.values()])
+
+
+def test_h4_counts_a_pair_with_a_failing_image_once(fp, monkeypatch):
+    grid = [RotationNumber.from_fraction(2 * k + 1, 16) for k in range(4)]
+    clean = check_H4(omega_grid=grid, n_pairs=3, seed=2)
+    section_gammas = qprenorm.section_gammas
+
+    def failing(X, domain, section):
+        # in the block of all six images, one image of pair 1 and both
+        # images of pair 2 miss the section
+        gamma0, errors = section_gammas(X, domain, section)
+        if X.shape[0] == 6:
+            for j in (3, 4, 5):
+                errors[j] = DegeneratePointError("injected")
+                gamma0[j] = 0.0
+        return gamma0, errors
+
+    monkeypatch.setattr(qprenorm, "section_gammas", failing)
+    rep = check_H4(omega_grid=grid, n_pairs=3, seed=2)
+    assert clean.n_skipped == 0
+    assert rep.n_skipped == 2 * len(grid)
+    assert rep.n_sampled == clean.n_sampled == 6
+    for w, r in rep.per_omega_max.items():
+        assert r <= clean.per_omega_max[w]
 
 
 def test_identical_pair_maps_to_identical_image(fp, domain, golden):

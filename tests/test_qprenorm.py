@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as cheb
 
 from qprenorm_lab import (
     PairFn,
@@ -32,11 +35,14 @@ from qprenorm_lab import (
     require_diophantine,
 )
 from qprenorm_lab.errors import (
+    DegeneratePointError,
+    DegenerateScalingError,
     DiophantineError,
     NoSectionError,
     PrecisionExhaustedError,
     UnsupportedBaseError,
 )
+from qprenorm_lab.qprenorm import l_prime_rows, normalize_pair
 
 TWO_PI = 2.0 * np.pi
 
@@ -368,3 +374,76 @@ def test_l_prime_output_satisfies_section_conditions(fp, domain, golden):
     h = 1e-6
     slope = (eval_qpfn(f, h, 0.0) - eval_qpfn(f, -h, 0.0)) / (2 * h)
     assert slope > 0.0
+
+
+def _bits(pair):
+    return pair.coeff_vector().tobytes()
+
+
+def _image_vanishing_at_zero(M, n, x):
+    """x moved (by least squares) so that both components of M x vanish at
+    x = 0 up to rounding, which sends the section scan past x0 = 0."""
+    e = cheb.chebvander(0.0, n - 1)[0]
+    R = np.stack([e @ M[:n], e @ M[n:]])
+    return x - R.T @ np.linalg.solve(R @ R.T, R @ x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0), st.booleans())
+def test_l_prime_matches_the_qpfn_round_trip_bit_for_bit(fp, seed, w, vanish):
+    dom = fp.phi.domain
+    n = dom.n_cheb
+    rng = np.random.default_rng(seed)
+    op = build_L_omega(fp.phi, w, 1)
+    x = rng.standard_normal(2 * n) * 10.0 ** rng.uniform(-3, 3)
+    if vanish:
+        x = _image_vanishing_at_zero(op.matrix, n, x)
+    v = PairFn.from_coeff_vector(dom, x)
+    img = op.apply(v)
+    if vanish:
+        at0 = np.hypot(img.u(0.0), img.v(0.0))
+        assert at0 <= 1e-9 * img.coeff_norm()     # the scan moves on
+    want = project_pik(gamma_normalize(
+        QPFn.from_pair(dom, 1, img.u, img.v))[1], 1)
+    assert _bits(apply_L_prime(fp.phi, w, v)) == _bits(want)
+    # the pair-level routine against the same round trip
+    gamma, got = normalize_pair(img)
+    assert _bits(got) == _bits(want)
+    assert gamma == gamma_normalize(img.embed(1))[0]
+
+
+def test_normalizing_twice_snaps_to_zero_and_keeps_the_bits(domain):
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        pair = PairFn.from_coeff_vector(domain,
+                                        rng.standard_normal(2 * domain.n_cheb))
+        _, once = normalize_pair(pair)
+        gamma, twice = normalize_pair(once)
+        assert gamma == 0.0
+        assert _bits(twice) == _bits(once)
+        gamma, f = gamma_normalize(once.embed(1))
+        assert gamma == 0.0
+        assert _bits(project_pik(f, 1)) == _bits(once)
+
+
+def test_l_prime_rows_flags_failing_rows_and_keeps_the_others(domain):
+    n = domain.n_cheb
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((5, 2 * n))
+    X[1] = 0.0
+    # u = v vanishing at every point of the default section scan
+    scan = (0.0, 0.25, -0.25, 0.5, -0.5)
+    c = cheb.chebfromroots([x0 / domain.half_width for x0 in scan])
+    X[3, :c.size] = X[3, n:n + c.size] = c
+    X[3, c.size:n] = X[3, n + c.size:] = 0.0
+    Y, errors = l_prime_rows(np.eye(2 * n), X, domain)
+    assert isinstance(errors[1], DegenerateScalingError)
+    assert isinstance(errors[3], DegeneratePointError)
+    for j in (1, 3):
+        assert not np.any(Y[j])
+    for j in (0, 2, 4):
+        assert errors[j] is None
+        _, want = normalize_pair(PairFn.from_coeff_vector(domain, X[j]))
+        assert Y[j].tobytes() == want.coeff_vector().tobytes()
+    with pytest.raises(DegeneratePointError):
+        normalize_pair(PairFn.from_coeff_vector(domain, X[3]))
