@@ -22,7 +22,7 @@ from .errors import (QPRenormError, DomainError, CompositionDomainError,
                      ForcingParseError)
 from .funcspace import (DomainConfig, AnalyticFn, QPFn, PairFn, compose_fiber,
                         project_p0, project_pik, shift_tgamma, sup_norm,
-                        eval_qpfn, qpfn_to_json, qpfn_from_json)
+                        eval_qpfn)
 from .renorm1d import (UnimodalMap, FixedPointData, FamilySpec, renormalize_1d,
                        in_domain_R, l1_matrix, l2_matrix, dr_matrix,
                        solve_fixed_point, feigenbaum_fixed_point, check_H0,

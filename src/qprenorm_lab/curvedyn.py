@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.optimize import brentq
 
 from .errors import (BasinError, ConsistencyError, DegeneratePointError,
                      DegenerateScalingError, DomainError, EscapeError,
@@ -33,7 +31,7 @@ from .errors import (BasinError, ConsistencyError, DegeneratePointError,
 from .funcspace import (AnalyticFn, DomainConfig, QPFn, eval_batch, project_p0,
                         project_pik)
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, gamma_normalize)
-from .renorm1d import (FamilySpec, UnimodalMap, dr_matrix,
+from .renorm1d import (FamilySpec, UnimodalMap, _brentq, dr_matrix,
                        feigenbaum_fixed_point, renormalize_1d,
                        stable_manifold_param, superstable_params,
                        unstable_manifold_points)
@@ -184,9 +182,11 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
             if residual <= 1e-13:
                 break
             J = np.diag(prod) - S
-            X = X + lu_solve(lu_factor(J), -G)
+            X = X + np.linalg.solve(J, -G)
     except EscapeError as e:
         raise BasinError(f"Newton stage escaped: {e}")
+    except np.linalg.LinAlgError:
+        raise BasinError("Newton stage: singular Jacobian")
 
     if residual > TOL_CURVE:
         raise BasinError(f"curve residual {residual:.3e} above tolerance")
@@ -583,7 +583,7 @@ def locate_reducibility_loss(family, omega0, n, eps, branch="min"):
         state["guess"] = samples
         return val
 
-    return float(brentq(g, lo, hi, xtol=1e-12))
+    return _brentq(g, lo, hi, xtol=1e-12)
 
 
 def direct_slope(family, omega0, n, eps=1e-4, branch="min"):

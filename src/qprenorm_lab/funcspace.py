@@ -22,7 +22,7 @@ Conventions
 
 from __future__ import annotations
 
-import json
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,15 +40,14 @@ class DomainConfig:
     """Geometry and truncation orders shared by all spectral objects.
 
     delta_dom inflates [-1, 1]; (w_center, w_radius) is the complex disc used
-    only by the containment check; rho_strip is the analyticity strip
-    half-width kept for reporting; n_cheb and n_fourier are the truncation
-    orders (n_fourier is the K in modes -K..K).
+    only by the containment check; n_cheb and n_fourier are the truncation
+    orders (n_fourier is the K in modes -K..K). replace() returns a
+    validated copy with the given fields changed.
     """
 
     delta_dom: float = 0.1
     w_center: float = 0.2
     w_radius: float = 1.5
-    rho_strip: float = 0.1
     n_cheb: int = 40
     n_fourier: int = 16
 
@@ -67,12 +66,7 @@ class DomainConfig:
         return 1.0 + self.delta_dom
 
     def replace(self, **kw):
-        fields = dict(
-            delta_dom=self.delta_dom, w_center=self.w_center,
-            w_radius=self.w_radius, rho_strip=self.rho_strip,
-            n_cheb=self.n_cheb, n_fourier=self.n_fourier)
-        fields.update(kw)
-        return DomainConfig(**fields)
+        return dataclasses.replace(self, **kw)
 
 
 # ---------------------------------------------------------------- Chebyshev
@@ -529,35 +523,3 @@ def eval_qpfn(f, theta, x):
     if np.any(np.abs(np.asarray(x, dtype=float)) > L * (1 + 1e-13)):
         raise DomainError(f"x outside [-{L}, {L}]", where=x)
     return f.eval(theta, x)
-
-
-# ----------------------------------------------------------- serialization
-
-def qpfn_to_json(f):
-    """Schema: {"delta_dom":., "n_cheb":., "modes":[{"k":., "re":[], "im":[]}]}.
-
-    Modes k = 0..K are emitted; negatives are conjugates by construction.
-    json round-trips doubles exactly (shortest-repr formatting).
-    """
-    modes = []
-    for k in range(0, f.K + 1):
-        row = f.modes[f.K + k]
-        modes.append({"k": k,
-                      "re": [float(z) for z in np.real(row)],
-                      "im": [float(z) for z in np.imag(row)]})
-    return json.dumps({"delta_dom": f.domain.delta_dom,
-                       "n_cheb": f.domain.n_cheb,
-                       "modes": modes}, sort_keys=True)
-
-
-def qpfn_from_json(s, domain=None):
-    d = json.loads(s)
-    K = max(m["k"] for m in d["modes"])
-    if domain is None:
-        domain = DomainConfig(delta_dom=d["delta_dom"], n_cheb=d["n_cheb"],
-                              n_fourier=max(1, K))
-    rows = {}
-    for m in d["modes"]:
-        rows[m["k"]] = np.array(m["re"]) + 1j * np.array(m["im"])
-    return QPFn.from_mode_rows(domain, rows)
-

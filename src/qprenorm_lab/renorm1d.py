@@ -21,7 +21,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.optimize import brentq
 
 from .errors import (DegenerateScalingError, DomainError, InconsistencyError,
                      MeshError, NoConvergenceError, SearchError)
@@ -428,6 +427,82 @@ def _sign_changes(grid, vals):
         yield grid[i], grid[i + 1]
 
 
+_BRENT_RTOL = 4 * np.finfo(float).eps
+
+
+def _brentq(f, a, b, xtol, rtol=_BRENT_RTOL, maxiter=100):
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A port of SciPy's brentq C kernel to Python floats that keeps its
+    operation order, so it returns the same float bit for bit. The root
+    is within xtol + rtol |x| of a sign change. f(a) and f(b) of the same
+    sign, or a NaN from f, raise SearchError; maxiter iterations without
+    convergence raise NoConvergenceError.
+    """
+    xtol, rtol = float(xtol), float(rtol)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise SearchError(f"f is NaN at x = {x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise SearchError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass  # C divides to inf or NaN, which bisects below
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise NoConvergenceError(
+        f"Brent search did not converge in {maxiter} iterations",
+        residual=abs(fcur))
+
+
 def superstable_params(family, n_max):
     """Parameters s_0 < s_1 < ... where the critical orbit has period 2^n.
 
@@ -454,7 +529,7 @@ def superstable_params(family, n_max):
             grid, [_orbit_value(family, g, steps) for g in grid]), None)
         if cell is None:
             raise SearchError(missing)
-        s.append(brentq(lambda t: _orbit_value(family, t, steps), *cell,
+        s.append(_brentq(lambda t: _orbit_value(family, t, steps), *cell,
                         xtol=1e-14))
         if n_max == 0:
             return np.array(s)
@@ -498,7 +573,7 @@ def superstable_params(family, n_max):
                  > max(1e-8, 0.3 ** n)), None)
             if found is None:
                 raise SearchError(f"superstable bracket not found at n={n}")
-            alpha = brentq(lambda t: _orbit_value(family, t, steps),
+            alpha = _brentq(lambda t: _orbit_value(family, t, steps),
                            *found, xtol=1e-14)
         s.append(alpha)
         if n >= 2:
@@ -592,7 +667,7 @@ def _unstable_point(fp, j):
     """f*_j, seeded to first order as Phi + t e and grown by renormalizing.
 
     The crossing of psi^(2^j)(0) = 0 is located in the (iteration count,
-    mesh parameter) ladder and refined by brentq; f*_1 satisfies
+    mesh parameter) ladder and refined by _brentq; f*_1 satisfies
     psi(1) = 0.
 
     The seed size shrinks with j: f*_j sits at manifold distance about
@@ -624,7 +699,7 @@ def _unstable_point(fp, j):
             maps = [renormalize_1d(m, check_domain=False) for m in maps]
         vals = [_crit_orbit_residual(m, j) for m in maps]
         for cell in _sign_changes(taus, vals):
-            tau_star = brentq(
+            tau_star = _brentq(
                 lambda t: _crit_orbit_residual(map_at(t, k), j),
                 *cell, xtol=1e-15, rtol=8.9e-16)
             return map_at(tau_star, k)

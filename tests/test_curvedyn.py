@@ -6,9 +6,14 @@ exactness of the quadratic-family slope identity beta' = -alpha'.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qprenorm_lab
 
 from qprenorm_lab import (
     DG1,
@@ -31,7 +36,8 @@ from qprenorm_lab import (
     solve_invariant_curve,
     superstable_params,
 )
-from qprenorm_lab.errors import EscapeError, PrecisionExhaustedError
+from qprenorm_lab.errors import (BasinError, EscapeError,
+                                 PrecisionExhaustedError)
 
 TWO_PI = 2.0 * np.pi
 ALPHA = 3.1
@@ -121,6 +127,36 @@ def test_curve_shift_keeps_the_doubling_depth_limit(domain, golden):
         w = w.double()
     with pytest.raises(PrecisionExhaustedError):
         solve_invariant_curve(_logistic(domain), w, 3, M=32)
+
+
+def test_singular_newton_jacobian_is_a_basin_error(domain, golden,
+                                                    monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(BasinError, match="singular Jacobian"):
+        solve_invariant_curve(_logistic(domain), golden, 1,
+                              guess=np.full(512, X_LO + 0.02))
+
+
+def test_package_runs_without_scipy():
+    # a fresh interpreter: import, a superstable cascade, a period-2 curve
+    src = str(Path(qprenorm_lab.__file__).resolve().parents[1])
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+import qprenorm_lab as q
+fam = q.flm_family()
+s = q.superstable_params(fam, 3)
+q.solve_invariant_curve(fam.evaluator(float(s[1]), 1e-4),
+                        q.RotationNumber.golden(), 1)
+print(sorted(m for m in sys.modules
+             if m == "scipy" or m.startswith("scipy.")))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------- derivative products / G1

@@ -4,7 +4,6 @@ Oracles are symbolic: trig identities and polynomial expansions evaluated
 by hand, plus spectral round-trip bounds.
 """
 
-import json
 import math
 
 import numpy as np
@@ -22,8 +21,6 @@ from qprenorm_lab import (
     eval_qpfn,
     project_p0,
     project_pik,
-    qpfn_from_json,
-    qpfn_to_json,
     shift_tgamma,
     sup_norm,
 )
@@ -444,18 +441,12 @@ def test_sup_norm_separable(domain):
     assert sup_norm(f) == pytest.approx(1.0 + domain.delta_dom, abs=1e-9)
 
 
-# ---------------------------------------------------------- serialization
-
-def test_json_roundtrip_bit_exact(domain):
-    f = _mk(domain, lambda th, x: 1.0 - 1.37 * x ** 2
-            + 0.013 * np.cos(TWO_PI * th) + 0.007 * x * np.sin(TWO_PI * th))
-    s = qpfn_to_json(f)
-    g = qpfn_from_json(s)
-    assert np.array_equal(f.modes, g.modes)
-    assert qpfn_to_json(g) == s
-    # payload is plain JSON with the documented keys
-    obj = json.loads(s)
-    assert "modes" in obj and "n_cheb" in obj and "delta_dom" in obj
+def test_domain_replace_changes_fields_and_validates(domain):
+    dom = domain.replace(n_cheb=24)
+    assert (dom.n_cheb, dom.n_fourier, dom.delta_dom) == (
+        24, domain.n_fourier, domain.delta_dom)
+    with pytest.raises(ValueError):
+        domain.replace(n_cheb=4)
 
 
 def test_pairfn_coeff_vector_roundtrip(domain):

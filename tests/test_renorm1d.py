@@ -10,9 +10,12 @@ pinned here).
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qprenorm_lab import (
     AnalyticFn,
@@ -31,7 +34,8 @@ from qprenorm_lab import (
     superstable_params,
     unstable_manifold_points,
 )
-from qprenorm_lab.renorm1d import _sign_changes
+from qprenorm_lab.errors import NoConvergenceError, SearchError
+from qprenorm_lab.renorm1d import _brentq, _sign_changes
 
 DELTA = 4.6692016091
 A_STAR = -0.3995352805
@@ -207,6 +211,74 @@ def test_sign_change_scan_skips_non_finite_cells_in_order():
     vals = [1.0, -1.0, np.nan, 1.0, -2.0, 0.0, 3.0, -np.inf, 2.0, -2.0]
     assert list(_sign_changes(grid, vals)) == [(0.0, 1.0), (3.0, 4.0),
                                                 (8.0, 9.0)]
+
+
+# ------------------------------------------------------------- Brent search
+
+EPS = np.finfo(float).eps
+# the (xtol, rtol) pairs the package searches with
+BRENT_TOLS = [(1e-12, 4 * EPS), (1e-14, 4 * EPS), (1e-15, 8.9e-16)]
+
+
+@st.composite
+def _brackets(draw):
+    """A smooth f with f(a), f(b) of opposite signs or an exact zero end."""
+    finite = st.floats(-4.0, 4.0, allow_nan=False)
+    a, b = draw(finite), draw(finite)
+    assume(a != b)
+    # a root at a or b is an exact zero on an end
+    r = draw(st.sampled_from([a, b, a + draw(st.floats(0.0, 1.0)) * (b - a)]))
+    c = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
+    w = draw(st.floats(0.1, 20.0))
+    if draw(st.booleans()):
+        def f(x):
+            q = 0.0
+            for ck in c:
+                q = q * x + ck
+            return (x - r) * (1.0 + q * q)
+    else:
+        def f(x):
+            return math.sin(w * (x - r)) + c[0] * (x - r) ** 3
+    fa, fb = f(a), f(b)
+    assume(fa == 0.0 or fb == 0.0 or (fa < 0) != (fb < 0))
+    return f, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(_brackets(), st.sampled_from(BRENT_TOLS))
+def test_brent_port_matches_scipy_bit_for_bit(bracket, tols):
+    from scipy import optimize  # the oracle; scipy is a test dependency
+    f, a, b = bracket
+    xtol, rtol = tols
+    got = _brentq(f, a, b, xtol=xtol, rtol=rtol)
+    want = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
+    assert type(got) is type(want)
+    assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def test_brent_same_sign_ends_raise_search_error():
+    with pytest.raises(SearchError):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+
+
+def test_brent_nan_value_raises_search_error():
+    # finite opposite-sign ends, NaN inside: the first step hits it
+    def f(x):
+        return math.nan if 0.0 < x < 1.0 else x - 0.5
+    with pytest.raises(SearchError):
+        _brentq(f, 0.0, 1.0, xtol=1e-12)
+
+
+def test_brent_exhausted_iterations_raise_no_convergence():
+    with pytest.raises(NoConvergenceError):
+        _brentq(lambda x: x ** 3 - 0.3, 0.0, 1.0, xtol=1e-12, maxiter=2)
+
+
+@pytest.mark.parametrize("xtol, rtol", [(0.0, 4 * EPS), (-1e-12, 4 * EPS),
+                                        (1e-12, 2 * EPS)])
+def test_brent_bad_tolerances_are_argument_errors(xtol, rtol):
+    with pytest.raises(ValueError):
+        _brentq(lambda x: x - 0.5, 0.0, 1.0, xtol=xtol, rtol=rtol)
 
 
 def test_accumulation_point(flm):
