@@ -33,12 +33,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegeneratePointError, NoSectionError
-from .funcspace import (DomainConfig, PairFn, pair_sup_norm, project_pik,
-                        sup_norm)
+from .funcspace import (AnalyticFn, DomainConfig, PairFn, pair_sup_norm,
+                        project_pik, sup_norm)
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_T,
                        build_L_omega, l_prime_rows, normalize_pair,
                        require_diophantine, row_norms)
-from .renorm1d import (FamilySpec, feigenbaum_fixed_point,
+from .renorm1d import (FamilySpec, dr_matrix, feigenbaum_fixed_point,
                        stable_manifold_param, superstable_params,
                        unstable_manifold_points)
 from .curvedyn import (DG1_hat, flm_family, functional_K, slope_chain,
@@ -254,30 +254,41 @@ def _aitken(seq):
     return r2 - (r2 - r1) ** 2 / den
 
 
-def renormalized_family(family, omega):
-    """The family (alpha, eps) -> T_omega(c(alpha, eps)).
+def renormalized_family(family, omega, n):
+    """The family (alpha, eps) -> T_omega(c(alpha, eps)), with s_0..s_(n-1).
 
-    Parameter derivatives fall back to finite differences; the superstable
-    search runs on the normalized slice since there is no raw form.
+    Its parameter derivatives are the chain rule of T_omega at the
+    theta-independent slice psi0(alpha) of the parent: DR(psi0) du for
+    alpha and DT(psi0) dv for eps.
+
+    (R psi)^(2^k)(0) = psi^(2^(k+1))(0) / psi(1), so the superstable
+    parameters of the new family are the parent's shifted one level down,
+    s_k(T c) = s_(k+1)(c). The family stores s_1..s_n of the parent as its
+    own s_0..s_(n-1) and has no raw map, so these are all the levels it
+    has: a grid scan would step on parameters where T_omega c is not
+    defined.
     """
-    return FamilySpec(
+    def du_dalpha(alpha):
+        psi = family.psi0(alpha)
+        u = np.real(family.du_dalpha(alpha).coeffs)
+        return AnalyticFn(dr_matrix(psi) @ u, psi.domain)
+
+    fam = FamilySpec(
         name=family.name + "_T",
         evaluator=lambda a, e: apply_T(family.evaluator(a, e), omega),
-        param_box=family.param_box,
-        analytic_params=False)
+        du_dalpha=du_dalpha,
+        dv_deps=lambda a: apply_DT(family.psi0(a), omega, family.dv_deps(a)),
+        param_box=family.param_box)
+    fam._cache["superstable"] = [
+        float(x) for x in superstable_params(family, n)[1:]]
+    return fam
 
 
 def renorm_identity_gap(family, omega0, i, section=SectionConfig()):
     """Relative gap in alpha'_i(omega, c) = alpha'_{i-1}(2 omega, T_omega c)."""
     lhs, _ = slope_formula(family, omega0, i, mode="exact-orbit",
                            section=section)
-    fam_T = renormalized_family(family, omega0)
-    # (R psi)^(2^k)(0) = psi^(2^(k+1))(0) / psi(1), so the transformed
-    # family's superstable parameters are the original's shifted one level
-    # down. Seeding the cache avoids a blind grid scan, which would step on
-    # parameters where the transformed evaluator is not defined.
-    s = superstable_params(family, i)
-    fam_T._cache["superstable"] = [float(x) for x in s[1:]]
+    fam_T = renormalized_family(family, omega0, i)
     rhs, _ = slope_formula(fam_T, omega0.double(), i - 1, mode="exact-orbit",
                            section=section)
     return abs(lhs - rhs) / abs(lhs)
@@ -306,7 +317,8 @@ def observation2(c, omega0, n_max=10, identity_levels=(2, 3),
     from n = 4 on), an Aitken limit estimate with a 3-significant-digit
     stability comparison against the one-shorter window, the boundedness
     diagnostic alpha'_n(w)/alpha'_n(2w), the two-chain norm-ratio band, and
-    the one-step renormalization identity at small levels.
+    the one-step renormalization identity at small levels (relative gap at
+    most 1e-10).
 
     Runs the slope chains on the exact orbit by default: the chain
     propagation is linear in n, the dominant 2^n work sits in cheap 1-D
@@ -336,7 +348,7 @@ def observation2(c, omega0, n_max=10, identity_levels=(2, 3),
 
     gaps = {i: renorm_identity_gap(c, omega0, i, section=section)
             for i in identity_levels}
-    identity_ok = all(g <= 1e-6 for g in gaps.values())
+    identity_ok = all(g <= 1e-10 for g in gaps.values())
 
     return Obs2Report(seq=seq, cauchy_diffs=cauchy,
                       cauchy_decreasing=decreasing,

@@ -626,11 +626,11 @@ def flm_family(g=None, domain=DomainConfig(), param_box=((1.8, 3.6299),
             domain, lambda th, y: 1.0 - mu * y * y
             + eps * g(th, 0.5 + lam * y) / lam)
 
-    def d_alpha(alpha):
+    def du_dalpha(alpha):
         return AnalyticFn.from_callable(
             domain, lambda y: -0.5 * (alpha - 1.0) * y * y)
 
-    def d_eps(alpha):
+    def dv_deps(alpha):
         lam = (alpha - 2.0) / 4.0
         if abs(lam) < 1e-6:
             raise DegenerateScalingError(
@@ -641,10 +641,9 @@ def flm_family(g=None, domain=DomainConfig(), param_box=((1.8, 3.6299),
     return FamilySpec(
         name=name,
         evaluator=evaluator,
+        du_dalpha=du_dalpha,
+        dv_deps=dv_deps,
         param_box=param_box,
-        analytic_params=True,
-        d_alpha=d_alpha,
-        d_eps=d_eps,
         raw_map=lambda a, x: a * x * (1.0 - x),
         raw_dmap_dx=lambda a, x: a * (1.0 - 2.0 * x),
         raw_dmap_dalpha=lambda a, x: x * (1.0 - x),

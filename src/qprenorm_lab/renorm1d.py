@@ -8,8 +8,8 @@ hyperbolicity hypothesis, and walks the invariant manifolds: superstable
 parameter cascades s_n, their accumulation alpha*, and the unstable-manifold
 intersections f*_j with the 2^j-superstable sets.
 
-All derivative matrices are assembled analytically; finite differences stay
-in the tests as an oracle.
+All derivative matrices and the parameter derivatives of a family are
+assembled analytically; finite differences stay in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -159,47 +159,32 @@ class FixedPointData:
 class FamilySpec:
     """Two-parameter family c(alpha, eps) in normalized coordinates.
 
-    evaluator returns the cylinder map; d_alpha / d_eps are the parameter
-    derivatives at eps = 0 (finite differences fill in when absent). The raw
-    fields describe an un-normalized one-dimensional representative used for
-    the superstable-parameter search, where the normalizing conjugacy may
+    evaluator returns the cylinder map; du_dalpha(alpha) and dv_deps(alpha)
+    are its exact parameter derivatives at eps = 0 (the first on the
+    uncoupled slice, the second on the cylinder). The raw fields describe an
+    un-normalized one-dimensional representative used for the
+    superstable-parameter search, where the normalizing conjugacy may
     degenerate.
     """
 
     name: str
     evaluator: Callable[[float, float], QPFn]
+    du_dalpha: Callable[[float], AnalyticFn]
+    dv_deps: Callable[[float], QPFn]
     param_box: tuple = ((2.9, 3.62), (0.0, 1e-2))
-    analytic_params: bool = True
-    d_alpha: Optional[Callable[[float], AnalyticFn]] = None
-    d_eps: Optional[Callable[[float], QPFn]] = None
     raw_map: Optional[Callable[[float, float], float]] = None
     raw_dmap_dx: Optional[Callable[[float, float], float]] = None
     raw_dmap_dalpha: Optional[Callable[[float, float], float]] = None
     x_crit: Optional[float] = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    # s_n and alpha*, filled by superstable_params and stable_manifold_param
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def psi0(self, alpha):
         """The uncoupled slice c(alpha, 0) as a 1-D map."""
         from .funcspace import project_p0
         g = self.evaluator(alpha, 0.0)
         return UnimodalMap(project_p0(g))
-
-    def du_dalpha(self, alpha):
-        if self.d_alpha is not None:
-            return self.d_alpha(alpha)
-        h = 1e-6
-        from .funcspace import project_p0
-        up = project_p0(self.evaluator(alpha + h, 0.0))
-        dn = project_p0(self.evaluator(alpha - h, 0.0))
-        return (up - dn) * (0.5 / h)
-
-    def dv_deps(self, alpha):
-        if self.d_eps is not None:
-            return self.d_eps(alpha)
-        h = 1e-6
-        up = self.evaluator(alpha, h)
-        dn = self.evaluator(alpha, -h)
-        return (up - dn) * (0.5 / h)
 
 
 # ----------------------------------------------------- operator and matrices
@@ -390,27 +375,15 @@ def check_H0(fp, n_boundary=512):
 # --------------------------------------------------- superstable parameters
 
 def _orbit_with_deriv(family, alpha, steps):
-    """(f^steps(x_c) - x_c, d/dalpha of it) for the raw or normalized map."""
-    if family.raw_map is not None:
-        x = family.x_crit
-        P = 0.0
-        for _ in range(steps):
-            P = family.raw_dmap_dalpha(alpha, x) + family.raw_dmap_dx(alpha, x) * P
-            x = family.raw_map(alpha, x)
-            if not math.isfinite(x) or abs(x) > 1e6:
-                return np.nan, np.nan
-        return x - family.x_crit, P
-    psi = family.psi0(alpha)
-    dpsi = psi.psi.deriv()
-    da = family.du_dalpha(alpha)
-    L = psi.domain.half_width
-    x, P = 0.0, 0.0
+    """(f^steps(x_c) - x_c, d/dalpha of it) for the family's raw map."""
+    x = family.x_crit
+    P = 0.0
     for _ in range(steps):
-        P = float(np.real(da(x))) + float(np.real(dpsi(x))) * P
-        x = float(np.real(psi.psi(x)))
-        if abs(x) > L:
+        P = family.raw_dmap_dalpha(alpha, x) + family.raw_dmap_dx(alpha, x) * P
+        x = family.raw_map(alpha, x)
+        if not math.isfinite(x) or abs(x) > 1e6:
             return np.nan, np.nan
-    return x, P
+    return x - family.x_crit, P
 
 
 def _orbit_value(family, alpha, steps):
@@ -506,15 +479,21 @@ def _brentq(f, a, b, xtol, rtol=_BRENT_RTOL, maxiter=100):
 def superstable_params(family, n_max):
     """Parameters s_0 < s_1 < ... where the critical orbit has period 2^n.
 
-    Root search on f^{2^n}(x_c) = x_c: bracket scan for the first two
-    levels, then ratio-guided Newton with a bracket fallback. The raw family
-    parametrization is used when available.
+    Root search on f^{2^n}(x_c) = x_c of the family's raw map: bracket scan
+    for the first two levels, then ratio-guided Newton with a bracket
+    fallback. A family without a raw map has only the levels stored with it
+    (see asymptotics.renormalized_family); asking past them raises
+    SearchError.
     """
     if n_max > 14:
         raise ValueError("n_max above 14 is outside the supported range")
     cached = family._cache.get("superstable")
     if cached is not None and len(cached) > n_max:
         return np.array(cached[:n_max + 1])
+    if family.raw_map is None:
+        raise SearchError(
+            f"family {family.name!r} has no raw map and stores "
+            f"{len(cached or ())} superstable levels; n = {n_max} asked")
     (a_lo, a_hi), _ = family.param_box
     s = []
 

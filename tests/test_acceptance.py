@@ -228,7 +228,7 @@ def test_criterion_09_observation2(flm, golden):
     rep = observation2(flm, golden, n_max=10, identity_levels=(2, 3))
     gaps = rep.identity_gaps
     ok = (rep.passed and rep.cauchy_decreasing and rep.limit_stable_3digits
-          and all(g <= 1e-6 for g in gaps.values()))
+          and all(g <= 1e-10 for g in gaps.values()))
     _report(9, ok, f"limit={rep.limit_estimate:.8f} "
                    f"(prev {rep.limit_prev:.8f}), identity gaps "
                    f"{gaps[2]:.1e}/{gaps[3]:.1e}")

@@ -25,15 +25,19 @@ from qprenorm_lab import (
     observation1,
     observation2,
     observation3,
+    project_p0,
     project_pik,
     renorm_identity_gap,
+    renormalized_family,
     stable_manifold_param,
+    sup_norm,
+    superstable_params,
     quotient_factorization,
 )
 from qprenorm_lab.cli import parse_forcing
 from qprenorm_lab import qprenorm
 from qprenorm_lab.errors import (DegeneratePointError, DegenerateScalingError,
-                                 DiophantineError, NoSectionError)
+                                 DiophantineError, NoSectionError, SearchError)
 
 
 # ------------------------------------------------------------------ fitter
@@ -107,8 +111,40 @@ def test_quotient_decomposition_is_exact(flm, golden):
     assert gap6 <= 1e-4
 
 
-def test_renormalization_identity_on_superstable_sequence(flm, golden):
-    assert renorm_identity_gap(flm, golden, 2) <= 1e-6
+NOBLE = RotationNumber.from_continued_fraction(
+    [2, 1, 3] + [1] * 60, dio_gamma=0.18, dio_tau=1.0, q_max=10000)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("omega", ["golden", "noble"])
+def test_renormalization_identity_on_superstable_sequence(flm, golden,
+                                                          omega, level):
+    om = golden if omega == "golden" else NOBLE
+    assert renorm_identity_gap(flm, om, level) <= 1e-10
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_renormalized_family_derivatives_match_finite_differences(
+        flm, golden, level):
+    # finite differences of the evaluator are the oracle for the chain rule
+    fam_T = renormalized_family(flm, golden, 4)
+    alpha = float(superstable_params(flm, level)[level])
+    h = 1e-6
+    up = project_p0(fam_T.evaluator(alpha + h, 0.0))
+    dn = project_p0(fam_T.evaluator(alpha - h, 0.0))
+    du = fam_T.du_dalpha(alpha)
+    assert sup_norm(du - (up - dn) * (0.5 / h)) <= 1e-8 * sup_norm(du)
+    fd = (fam_T.evaluator(alpha, h) - fam_T.evaluator(alpha, -h)) * (0.5 / h)
+    dv = fam_T.dv_deps(alpha)
+    assert sup_norm(dv - fd) <= 1e-8 * sup_norm(dv)
+
+
+def test_renormalized_family_stores_the_shifted_levels(flm, golden):
+    fam_T = renormalized_family(flm, golden, 4)
+    assert np.array_equal(superstable_params(fam_T, 3),
+                          superstable_params(flm, 4)[1:])
+    with pytest.raises(SearchError, match="flm_T"):
+        superstable_params(fam_T, 4)
 
 
 # ------------------------------------------------------------ observations
@@ -140,7 +176,7 @@ def test_observation2_limit_and_identity(flm, golden):
     assert rep.limit_stable_3digits
     assert rep.limit_estimate == pytest.approx(1.7557, abs=1e-3)
     assert set(rep.identity_gaps) == {2, 3}
-    assert all(gap <= 1e-6 for gap in rep.identity_gaps.values())
+    assert all(gap <= 1e-10 for gap in rep.identity_gaps.values())
     # boundedness diagnostic stays order-one; the two-chain band is ordered
     assert 0.0 < rep.bounded_ratio_min <= rep.bounded_ratio_max <= 10.0
     lo, hi = rep.h5_band

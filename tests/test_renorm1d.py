@@ -297,11 +297,19 @@ def test_accumulation_point_affine_covariance(flm):
         raw_map=lambda b, x: flm.raw_map(b + 1.0, x),
         raw_dmap_dx=lambda b, x: flm.raw_dmap_dx(b + 1.0, x),
         raw_dmap_dalpha=lambda b, x: flm.raw_dmap_dalpha(b + 1.0, x),
-        _cache={},
     )
     b_star = stable_manifold_param(shifted)
     assert b_star + 1.0 == pytest.approx(
         stable_manifold_param(flm), abs=1e-7)
+
+
+def test_replaced_family_starts_with_an_empty_memo(flm):
+    # a copy with a shifted evaluator must not read the parent's s_n
+    superstable_params(flm, 3)
+    other = dataclasses.replace(
+        flm, name="flm-copy", evaluator=lambda b, e: flm.evaluator(b + 1.0, e))
+    assert flm._cache["superstable"]
+    assert other._cache == {}
 
 
 # -------------------------------------------------------- unstable manifold
