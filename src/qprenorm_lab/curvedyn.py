@@ -469,24 +469,29 @@ def slope_chain(family, omega0, n, mode="exact-orbit",
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    probe = family.evaluator(sum(family.param_box[0]) / 2, 0.0)
-    dom = probe.domain
-
     if mode == "exact-orbit":
-        s = superstable_params(family, n)
-        alpha = _polish_sigma1(family, float(s[n]), n)
-        f0 = family.psi0(alpha)
-        psi_end_override = None
+        # polished once per (family, n): the 2 omega table and the identity
+        # gap rerun the same levels
+        polished = family._cache.setdefault("sigma1", {})
+        if n not in polished:
+            s = superstable_params(family, n)
+            polished[n] = _polish_sigma1(family, float(s[n]), n)
+        alpha = polished[n]
     elif mode == "fixed-point":
         alpha = stable_manifold_param(family)
-        fpd = feigenbaum_fixed_point(dom)
-        stars = unstable_manifold_points(fpd, max(2, n - max(n // 2, 1) + 1))
-        f0 = fpd.phi
-        psi_end_override = stars[0]
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     u = family.du_dalpha(alpha)
+    dom = u.domain
+    if mode == "exact-orbit":
+        f0 = family.psi0(alpha)
+        psi_end_override = None
+    else:
+        fpd = feigenbaum_fixed_point(dom)
+        stars = unstable_manifold_points(fpd, max(2, n - max(n // 2, 1) + 1))
+        f0 = fpd.phi
+        psi_end_override = stars[0]
     v = family.dv_deps(alpha)
     v = _tgamma_or_skip(v, section)
 

@@ -176,7 +176,9 @@ class FamilySpec:
     raw_dmap_dx: Optional[Callable[[float, float], float]] = None
     raw_dmap_dalpha: Optional[Callable[[float, float], float]] = None
     x_crit: Optional[float] = None
-    # s_n and alpha*, filled by superstable_params and stable_manifold_param
+    # s_n and alpha*, filled by superstable_params and stable_manifold_param,
+    # and the Sigma_1-polished parameters by n ("sigma1"), filled by
+    # curvedyn.slope_chain in exact-orbit mode
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -582,8 +584,10 @@ def _classify_side(family, alpha, k_max=60):
 def stable_manifold_param(family, n_fit=12):
     """Accumulation parameter alpha* = lim s_n.
 
-    Geometric extrapolation of the cascade, cross-checked by a bisection
-    that classifies renormalization escape; the two must agree to 1e-8.
+    Geometric extrapolation of the cascade, certified by renormalization
+    escape: s_n and alpha_extrap - 1e-8 must escape 'below' and
+    alpha_extrap + 1e-8 'above', so the escape boundary lies within 1e-8
+    of the extrapolation. Any other verdict raises InconsistencyError.
     """
     cached = family._cache.get("alpha_star")
     if cached is not None:
@@ -594,23 +598,15 @@ def stable_manifold_param(family, n_fit=12):
     rho = d2 / d1
     alpha_extrap = s[-1] + d2 * rho / (1.0 - rho)
 
-    lo, hi = s[-1], family.param_box[0][1]
-    if _classify_side(family, lo) != "below":
-        raise InconsistencyError("classifier disagrees with the cascade at s_n")
-    if _classify_side(family, hi) != "above":
-        hi = lo + 2 * (lo - s[-2]) * 10
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _classify_side(family, mid) == "below":
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    alpha_bisect = 0.5 * (lo + hi)
-    if abs(alpha_bisect - alpha_extrap) > 1e-8:
-        raise InconsistencyError(
-            f"extrapolation {alpha_extrap!r} vs bisection {alpha_bisect!r}")
+    for name, point, expected in (
+            ("s_n", s[-1], "below"),
+            ("alpha_extrap - 1e-8", alpha_extrap - 1e-8, "below"),
+            ("alpha_extrap + 1e-8", alpha_extrap + 1e-8, "above")):
+        verdict = _classify_side(family, point)
+        if verdict != expected:
+            raise InconsistencyError(
+                f"extrapolation {float(alpha_extrap)!r}: {name} = "
+                f"{float(point)!r} escapes {verdict!r}, not {expected!r}")
     family._cache["alpha_star"] = alpha_extrap
     return alpha_extrap
 

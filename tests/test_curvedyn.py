@@ -5,6 +5,8 @@ with multiplier -a^2+2a+4, symbolic unrolling of fiber iterates, and the
 exactness of the quadratic-family slope identity beta' = -alpha'.
 """
 
+import collections
+import dataclasses
 import math
 import subprocess
 import sys
@@ -26,16 +28,21 @@ from qprenorm_lab import (
     extremum_m,
     fiber_product,
     fit_geometric_decay,
+    flm_family,
     functional_K,
     iterate_fiber,
     locate_reducibility_loss,
+    mixed_quotient_sequence,
     project_p0,
     quotient_sequence,
+    renorm_identity_gap,
     shift_tgamma,
     slope_formula,
+    slope_table,
     solve_invariant_curve,
     superstable_params,
 )
+from qprenorm_lab import curvedyn
 from qprenorm_lab.errors import (BasinError, EscapeError,
                                  PrecisionExhaustedError)
 
@@ -284,3 +291,33 @@ def test_chain_modes_agree_at_quotient_level(flm, golden):
     assert all(g <= 5e-2 for n, g in zip(ns, gaps) if n >= 4)
     fit = fit_geometric_decay(ns, gaps)
     assert fit.trivial or fit.rho_hat < 1.0
+
+
+def test_sigma1_polish_runs_once_per_family_and_level(golden, monkeypatch):
+    # each level once per family, so no memo is read
+    expect = (slope_table(flm_family(), golden, 5, mode="exact-orbit"),
+              slope_table(flm_family(), golden.double(), 4,
+                          mode="exact-orbit"),
+              renorm_identity_gap(flm_family(), golden, 2))
+
+    calls = collections.Counter()
+    polish = curvedyn._polish_sigma1
+
+    def counted(family, alpha0, n):
+        calls[family.name, n] += 1
+        return polish(family, alpha0, n)
+
+    monkeypatch.setattr(curvedyn, "_polish_sigma1", counted)
+    fam = flm_family()
+    _, tab1, tab2 = mixed_quotient_sequence(fam, golden, 5,
+                                            mode="exact-orbit")
+    gap = renorm_identity_gap(fam, golden, 2)
+    # the 2 omega table and the identity gap's left side reuse flm's
+    # levels; the renormalized family polishes its own one level
+    assert calls == {**{("flm", n): 1 for n in range(1, 6)},
+                     ("flm_T", 1): 1}
+    # bit for bit what families without a memo give
+    assert (tab1, tab2, gap) == expect
+    assert sorted(fam._cache["sigma1"]) == [1, 2, 3, 4, 5]
+    copy = dataclasses.replace(fam, name="flm-copy")
+    assert "sigma1" not in copy._cache

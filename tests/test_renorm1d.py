@@ -25,6 +25,7 @@ from qprenorm_lab import (
     check_H0,
     dr_matrix,
     feigenbaum_fixed_point,
+    flm_family,
     in_domain_R,
     l1_matrix,
     l2_matrix,
@@ -34,8 +35,9 @@ from qprenorm_lab import (
     superstable_params,
     unstable_manifold_points,
 )
-from qprenorm_lab.errors import NoConvergenceError, SearchError
-from qprenorm_lab.renorm1d import _brentq, _sign_changes
+from qprenorm_lab.errors import (InconsistencyError, NoConvergenceError,
+                                 SearchError)
+from qprenorm_lab.renorm1d import _brentq, _classify_side, _sign_changes
 
 DELTA = 4.6692016091
 A_STAR = -0.3995352805
@@ -286,10 +288,10 @@ def test_accumulation_point(flm):
         3.5699456718709, abs=1e-6)
 
 
-def test_accumulation_point_affine_covariance(flm):
-    # same family driven by beta = alpha - 1: accumulation shifts by 1
+def _shifted_flm(flm):
+    """The same family driven by beta = alpha - 1."""
     (lo, hi), eps_box = flm.param_box
-    shifted = dataclasses.replace(
+    return dataclasses.replace(
         flm,
         name="flm-shifted",
         evaluator=lambda b, e: flm.evaluator(b + 1.0, e),
@@ -298,9 +300,63 @@ def test_accumulation_point_affine_covariance(flm):
         raw_dmap_dx=lambda b, x: flm.raw_dmap_dx(b + 1.0, x),
         raw_dmap_dalpha=lambda b, x: flm.raw_dmap_dalpha(b + 1.0, x),
     )
-    b_star = stable_manifold_param(shifted)
+
+
+def test_accumulation_point_affine_covariance(flm):
+    # accumulation shifts by 1 with the parameter
+    b_star = stable_manifold_param(_shifted_flm(flm))
     assert b_star + 1.0 == pytest.approx(
         stable_manifold_param(flm), abs=1e-7)
+
+
+def _bisected_accumulation(family, n_fit=12):
+    """Oracle: bisection on the escape side from s_n to 1e-12."""
+    s = superstable_params(family, n_fit)
+    lo, hi = s[-1], family.param_box[0][1]
+    assert _classify_side(family, lo) == "below"
+    if _classify_side(family, hi) != "above":
+        hi = lo + 2 * (lo - s[-2]) * 10
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _classify_side(family, mid) == "below":
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("shift", [False, True], ids=["flm", "flm-shifted"])
+def test_accumulation_point_matches_the_escape_bisection(flm, shift):
+    family = _shifted_flm(flm) if shift else flm
+    assert abs(stable_manifold_param(family)
+               - _bisected_accumulation(family)) <= 1e-8
+
+
+def _extrapolated(s):
+    d1, d2 = s[-2] - s[-3], s[-1] - s[-2]
+    rho = d2 / d1
+    return s[-1] + d2 * rho / (1.0 - rho)
+
+
+@pytest.mark.parametrize("delta, verdict", [
+    (-1e-7, "raise"), (-2e-8, "raise"), (-1.2e-8, "raise"),
+    (-8e-9, "pass"), (8e-9, "pass"),
+    (1.2e-8, "raise"), (2e-8, "raise at s_n")])
+def test_accumulation_cross_check_verdicts(flm, delta, verdict):
+    # a cascade shifted by more than the 1e-8 tolerance off the escape
+    # boundary fails the cross-check; one shifted by less passes
+    s = [float(x) + delta for x in superstable_params(flm, 12)]
+    family = flm_family()
+    family._cache["superstable"] = s
+    if verdict == "pass":
+        assert stable_manifold_param(family) == _extrapolated(np.array(s))
+    else:
+        with pytest.raises(InconsistencyError) as err:
+            stable_manifold_param(family)
+        assert ("s_n" in str(err.value)) == (verdict == "raise at s_n")
+        assert "alpha_star" not in family._cache
 
 
 def test_replaced_family_starts_with_an_empty_memo(flm):
