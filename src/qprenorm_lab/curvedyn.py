@@ -403,36 +403,40 @@ def _polish_sigma1(family, alpha0, n):
     polish on the renormalized criterion removes that.  The criterion
     itself carries the same delta^(n-1) amplification of double rounding,
     so the achievable residual scales with it; the acceptance threshold
-    below corresponds to a fixed ~1e-13 accuracy in alpha."""
+    below corresponds to a fixed ~1e-13 accuracy in alpha.
+
+    Returns the polished alpha and the map c(alpha, 0) there, which still
+    holds the renormalizations the criterion built from it."""
     def g(alpha):
-        m = family.psi0(alpha)
+        m0 = family.psi0(alpha)
+        m = m0
         for _ in range(n - 1):
             m = renormalize_1d(m, check_domain=False)
-        return float(np.real(m.psi(1.0)))
-
-    delta = feigenbaum_fixed_point(
-        family.psi0(alpha0).domain).delta_feig
-    tol = max(1e-12, 1e-13 * delta ** (n - 1))
+        return float(np.real(m.psi(1.0))), m0
 
     a0, a1 = alpha0, alpha0 + 1e-9 * max(1.0, abs(alpha0))
-    g0, g1 = g(a0), g(a1)
-    best_a, best_g = (a0, abs(g0)) if abs(g0) < abs(g1) else (a1, abs(g1))
+    (g0, m0), (g1, m1) = g(a0), g(a1)
+    delta = feigenbaum_fixed_point(m0.domain).delta_feig
+    tol = max(1e-12, 1e-13 * delta ** (n - 1))
+
+    best = (a0, abs(g0), m0) if abs(g0) < abs(g1) else (a1, abs(g1), m1)
     stale = 0
     for _ in range(24):
         if abs(g1) <= 1e-13 or g1 == g0:
             break
         a0, a1, g0 = a1, a1 - g1 * (a1 - a0) / (g1 - g0), g1
-        g1 = g(a1)
-        if abs(g1) < best_g:
-            best_a, best_g = a1, abs(g1)
+        g1, m1 = g(a1)
+        if abs(g1) < best[1]:
+            best = (a1, abs(g1), m1)
             stale = 0
         else:
             stale += 1
             if stale >= 3:
                 break
+    best_a, best_g, best_m = best
     if best_g > tol:
         raise NoConvergenceError("Sigma_1 polish stalled", best_g)
-    return best_a
+    return best_a, best_m
 
 
 def _project_sigma1(m):
@@ -471,12 +475,16 @@ def slope_chain(family, omega0, n, mode="exact-orbit",
         raise ValueError("n must be >= 1")
     if mode == "exact-orbit":
         # polished once per (family, n): the 2 omega table and the identity
-        # gap rerun the same levels
+        # gap rerun the same levels. Only the parameter is kept; a kept map
+        # would keep its operator data alive.
         polished = family._cache.setdefault("sigma1", {})
-        if n not in polished:
+        if n in polished:
+            alpha = polished[n]
+            f0 = family.psi0(alpha)
+        else:
             s = superstable_params(family, n)
-            polished[n] = _polish_sigma1(family, float(s[n]), n)
-        alpha = polished[n]
+            alpha, f0 = _polish_sigma1(family, float(s[n]), n)
+            polished[n] = alpha
     elif mode == "fixed-point":
         alpha = stable_manifold_param(family)
     else:
@@ -485,7 +493,6 @@ def slope_chain(family, omega0, n, mode="exact-orbit",
     u = family.du_dalpha(alpha)
     dom = u.domain
     if mode == "exact-orbit":
-        f0 = family.psi0(alpha)
         psi_end_override = None
     else:
         fpd = feigenbaum_fixed_point(dom)

@@ -96,6 +96,19 @@ def _diff_matrix(n):
     return D
 
 
+def _cheb_vander(y, n):
+    """Chebyshev Vandermonde V[i, j] = T_j(y_i) for j < n.
+
+    On [-1, 1] it is cos(j arccos y_i), one vectorized pass whose entries
+    are within n^2 eps of chebvander's recurrence; points outside the
+    interval, and NaN, go through chebvander itself.
+    """
+    y = np.asarray(y, dtype=float)
+    if np.all(np.abs(y) <= 1.0):      # False for any NaN
+        return np.cos(np.outer(np.arccos(y), np.arange(n)))
+    return _cheb.chebvander(y, n - 1)
+
+
 def _clenshaw_scalar(c, t):
     """chebval(t, c) for a float t and a list of len(c) >= 2 floats, in
     plain-float arithmetic with chebval's operation order (bit-equal)."""

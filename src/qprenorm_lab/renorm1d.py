@@ -24,8 +24,8 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (DegenerateScalingError, DomainError, InconsistencyError,
                      MeshError, NoConvergenceError, SearchError)
-from .funcspace import (AnalyticFn, DomainConfig, QPFn, cheb_nodes,
-                        _cheb_machinery, sup_norm)
+from .funcspace import (AnalyticFn, DomainConfig, QPFn, _cheb_machinery,
+                        _cheb_vander, _diff_matrix, sup_norm)
 
 TOL_A = 1e-8
 
@@ -39,10 +39,11 @@ def _read_only(arr):
 class UnimodalMap:
     """Even analytic map with psi(0) = 1; a = psi(1) is cached.
 
-    The operator data at the map (L1, L2, DR and R(psi)) is built on first
-    use and kept on the object as read-only arrays, so it lives exactly as
-    long as the map does; l1_matrix, l2_matrix, dr_matrix and
-    renormalize_1d read it. A map is therefore not to be changed in place.
+    The operator data at the map (two Chebyshev Vandermondes, then L1, L2,
+    DR and R(psi) as products with them) is built on first use and kept on
+    the object as read-only arrays, so it lives exactly as long as the map
+    does; l1_matrix, l2_matrix, dr_matrix and renormalize_1d read it. A map
+    is therefore not to be changed in place.
     """
 
     psi: AnalyticFn
@@ -92,15 +93,26 @@ class UnimodalMap:
         return QPFn.from_analytic(self.psi)
 
     # ------------------------------------------ operator data, built once
+    #
+    # All of it comes from two Chebyshev Vandermondes at the collocation
+    # nodes x_i = L t_i: E_in at a x_i and E_out at psi(a x_i).
 
     @cached_property
-    def _inner(self):
-        """psi(a x) at the Chebyshev nodes, shared by L1, L2 and R(psi)."""
-        return np.real(self.psi(self.a * cheb_nodes(self.domain)))
+    def _e_in(self):
+        """E_in[i, j] = T_j(a t_i)."""
+        t, _, _ = _cheb_machinery(self.domain.n_cheb)
+        return _read_only(_cheb_vander(self.a * t, self.domain.n_cheb))
+
+    @cached_property
+    def _e_out(self):
+        """E_out[i, j] = T_j(psi(a x_i) / L)."""
+        dom = self.domain
+        inner = self._e_in @ np.real(self.psi.coeffs)       # psi(a x_i)
+        return _read_only(_cheb_vander(inner / dom.half_width, dom.n_cheb))
 
     @cached_property
     def _renormalized(self):
-        vals = np.real(self.psi(self._inner)) / self.a
+        vals = self._e_out @ np.real(self.psi.coeffs) / self.a
         rpsi = AnalyticFn.from_values(self.domain, vals)
         _read_only(rpsi.coeffs)
         return UnimodalMap(rpsi)
@@ -110,18 +122,14 @@ class UnimodalMap:
         dom = self.domain
         n = dom.n_cheb
         _, _, A = _cheb_machinery(n)
-        E = _cheb.chebvander(self.a * cheb_nodes(dom) / dom.half_width,
-                             n - 1)                      # T_j(a x_i)
-        w = np.real(self.psi.deriv()(self._inner)) / self.a
-        return _read_only(A @ (w[:, None] * E))
+        dc = _diff_matrix(n) @ np.real(self.psi.coeffs)
+        w = self._e_out @ dc / (dom.half_width * self.a)   # psi'(psi(a x))/a
+        return _read_only(A @ (w[:, None] * self._e_in))
 
     @cached_property
     def _l2(self):
-        dom = self.domain
-        n = dom.n_cheb
-        _, _, A = _cheb_machinery(n)
-        E = _cheb.chebvander(self._inner / dom.half_width, n - 1)
-        return _read_only(A @ (E / self.a))
+        _, _, A = _cheb_machinery(self.domain.n_cheb)
+        return _read_only(A @ (self._e_out / self.a))
 
     @cached_property
     def _dr(self):
@@ -130,15 +138,19 @@ class UnimodalMap:
             raise DegenerateScalingError("derivative assembly at degenerate a")
         dom = self.domain
         n = dom.n_cheb
-        x = cheb_nodes(dom)
-        _, _, A = _cheb_machinery(n)
-        rpsi = self._renormalized.psi
-        w_vals = (x * np.real(rpsi.deriv()(x)) - np.real(rpsi(x))) / a
-        w_coeffs = A @ w_vals
-        eval_at_1 = _cheb.chebvander(np.array([1.0 / dom.half_width]),
-                                     n - 1)[0]
+        t, V, A = _cheb_machinery(n)
+        rc = self._renormalized.psi.coeffs
+        # x (R psi)'(x) at x = L t is t times the [-1, 1] derivative
+        w_vals = (t * (V @ (_diff_matrix(n) @ rc)) - V @ rc) / a
         return _read_only(self._l1 + self._l2
-                          + np.outer(w_coeffs, eval_at_1))
+                          + np.outer(A @ w_vals, _row_at_one(dom)))
+
+
+@lru_cache(maxsize=64)
+def _row_at_one(domain):
+    """T_j(1 / L) for j < n_cheb: the row of u -> u(1) on coefficients."""
+    return _read_only(_cheb.chebvander(
+        np.array([1.0 / domain.half_width]), domain.n_cheb - 1)[0])
 
 
 @dataclass

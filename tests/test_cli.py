@@ -283,16 +283,19 @@ def test_plot_data_flag_emits_dat(tmp_path):
 # ------------------------------------------------------------ determinism
 
 def test_identical_runs_are_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["--out", str(a), "--nmax", "4", "superstable"]) == 0
-    assert main(["--out", str(b), "--nmax", "4", "superstable"]) == 0
-    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-    assert (a / "superstable.csv").read_bytes() \
-        == (b / "superstable.csv").read_bytes()
-    ma = json.loads((a / "manifest.json").read_text())
-    mb = json.loads((b / "manifest.json").read_text())
-    assert {e["file"]: e["sha256"] for e in ma["artifacts"]} \
-        == {e["file"]: e["sha256"] for e in mb["artifacts"]}
+    for argv, csv in (
+            (["--nmax", "4", "superstable"], "superstable.csv"),
+            # exact-orbit chains: renormalization and DR at every step
+            (["--nmax", "5", "observe", "--which", "2"], "quotients.csv")):
+        a, b = tmp_path / argv[-1] / "a", tmp_path / argv[-1] / "b"
+        assert main(["--out", str(a)] + argv) == 0
+        assert main(["--out", str(b)] + argv) == 0
+        for name in ("report.json", csv):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        ma = json.loads((a / "manifest.json").read_text())
+        mb = json.loads((b / "manifest.json").read_text())
+        assert {e["file"]: e["sha256"] for e in ma["artifacts"]} \
+            == {e["file"]: e["sha256"] for e in mb["artifacts"]}
 
 
 # -------------------------------------------------------------- exit codes

@@ -42,7 +42,7 @@ from qprenorm_lab import (
     solve_invariant_curve,
     superstable_params,
 )
-from qprenorm_lab import curvedyn
+from qprenorm_lab import asymptotics, curvedyn
 from qprenorm_lab.errors import (BasinError, EscapeError,
                                  PrecisionExhaustedError)
 
@@ -321,3 +321,24 @@ def test_sigma1_polish_runs_once_per_family_and_level(golden, monkeypatch):
     assert sorted(fam._cache["sigma1"]) == [1, 2, 3, 4, 5]
     copy = dataclasses.replace(fam, name="flm-copy")
     assert "sigma1" not in copy._cache
+
+
+def test_sigma1_polish_builds_each_slice_map_once(golden, monkeypatch):
+    # every slice map of the renormalized family costs one apply_T. The
+    # polish reads the domain off its first secant map and hands the map
+    # at the polished parameter to the chain, so only the three secant
+    # evaluations per level remain (two more each before)
+    calls = collections.Counter()
+    apply_T = asymptotics.apply_T
+
+    def counted(*args, **kw):
+        calls["apply_T"] += 1
+        return apply_T(*args, **kw)
+
+    monkeypatch.setattr(asymptotics, "apply_T", counted)
+    fam = flm_family()
+    for i in (2, 3):
+        renorm_identity_gap(fam, golden, i)
+    assert calls["apply_T"] == 6
+    # the memo keeps parameters, not maps
+    assert all(type(a) is float for a in fam._cache["sigma1"].values())

@@ -24,7 +24,7 @@ from qprenorm_lab import (
     shift_tgamma,
     sup_norm,
 )
-from qprenorm_lab.funcspace import _cheb_machinery, cheb_nodes
+from qprenorm_lab.funcspace import _cheb_machinery, _cheb_vander, cheb_nodes
 from qprenorm_lab.errors import (
     CompositionDomainError,
     DomainError,
@@ -248,6 +248,31 @@ def test_complex_coefficients_and_arrays_use_chebval(case):
         want = cheb.chebval(np.asarray(pts) / L, f.coeffs)
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=48),
+       st.integers(8, 64))
+def test_vandermonde_on_the_interval_is_within_n2_eps(ys, n):
+    y = np.array(ys)
+    got = _cheb_vander(y, n)
+    want = cheb.chebvander(y, n - 1)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= n * n * np.finfo(float).eps
+
+
+_OFF_INTERVAL = st.one_of(st.floats(1.0, 1e3, exclude_min=True),
+                          st.floats(-1e3, -1.0, exclude_max=True),
+                          st.just(math.nan))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), max_size=16), _OFF_INTERVAL,
+       st.integers(0, 16), st.integers(8, 64))
+def test_vandermonde_off_the_interval_is_chebvander(ys, y_off, at, n):
+    y = np.array(ys[:at] + [y_off] + ys[at:])
+    got = _cheb_vander(y, n)
+    assert got.tobytes() == cheb.chebvander(y, n - 1).tobytes()
 
 
 def _from_callable_per_row(domain, fn):

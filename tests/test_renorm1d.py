@@ -2,7 +2,7 @@
 
 Closed-form oracles: s_0 = 2 and s_1 = 1 + sqrt(5) for the logistic family,
 the a = 1 disc identity for the containment check. Frozen numeric oracles:
-the universal constants delta = 4.6692016091 and a* = -0.3995352805, the
+the universal constants delta = 4.669201609102990 and a* = -0.3995352805, the
 logistic s_2 = 3.4985616993277 and accumulation point 3.5699456718709 (all
 cross-checked against independent high-precision computations before being
 pinned here).
@@ -37,9 +37,10 @@ from qprenorm_lab import (
 )
 from qprenorm_lab.errors import (InconsistencyError, NoConvergenceError,
                                  SearchError)
+from qprenorm_lab.funcspace import cheb_nodes
 from qprenorm_lab.renorm1d import _brentq, _classify_side, _sign_changes
 
-DELTA = 4.6692016091
+DELTA = 4.669201609102990
 A_STAR = -0.3995352805
 MU_FEIG = 1.4011551890920506
 
@@ -88,9 +89,47 @@ def test_operator_data_matches_a_fresh_copy(fp, domain):
 
 
 def test_operator_data_is_read_only(fp):
-    for arr in _operator_data(_copy(fp.phi)):
+    m = _copy(fp.phi)
+    for arr in _operator_data(m) + [m._e_in, m._e_out]:
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
+
+
+@pytest.fixture(scope="module")
+def oracle_maps(fp, flm, stars):
+    """Phi, the uncoupled slice at s_3 and f*_2, each a fresh copy."""
+    s3 = superstable_params(flm, 3)[3]
+    return {"Phi": _copy(fp.phi), "psi0(s_3)": _copy(flm.psi0(s3)),
+            "f*_2": _copy(stars[1])}
+
+
+@pytest.mark.parametrize("name", ["Phi", "psi0(s_3)", "f*_2"])
+def test_renormalized_coefficients_match_the_chebval_oracle(oracle_maps,
+                                                            name):
+    m = oracle_maps[name]
+    x = cheb_nodes(m.domain)
+    # psi(psi(a x)) / a with both evaluations through chebval
+    inner = np.real(m.psi(m.a * x))
+    want = AnalyticFn.from_values(m.domain, np.real(m.psi(inner)) / m.a)
+    got = renormalize_1d(m, check_domain=False).psi.coeffs
+    assert np.max(np.abs(got - want.coeffs)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["Phi", "psi0(s_3)", "f*_2"])
+def test_dr_matrix_matches_central_differences(oracle_maps, name):
+    m = oracle_maps[name]
+    dom = m.domain
+    c = np.real(m.psi.coeffs)
+    u = 0.5 ** np.arange(dom.n_cheb)
+    h = 1e-6
+
+    def R(coeffs):
+        return renormalize_1d(UnimodalMap(AnalyticFn(coeffs, dom)),
+                              check_domain=False).psi.coeffs
+
+    fd = (R(c + h * u) - R(c - h * u)) / (2 * h)
+    got = dr_matrix(m) @ u
+    assert np.linalg.norm(got - fd) <= 1e-7 * np.linalg.norm(got)
 
 
 def test_domain_check_runs_on_every_call(domain):
@@ -134,7 +173,7 @@ def test_in_domain_diagnostics_for_steep_quadratic(domain):
 
 def test_fixed_point_constants(fp):
     assert fp.a_star == pytest.approx(A_STAR, abs=1e-8)
-    assert fp.delta_feig == pytest.approx(DELTA, abs=1e-5)
+    assert fp.delta_feig == pytest.approx(DELTA, abs=1e-12)
     assert fp.newton_residual <= 1e-10
 
 
