@@ -18,8 +18,7 @@ from .errors import (QPRenormError, DomainError, CompositionDomainError,
                      NoSectionError, DegeneratePointError,
                      UnsupportedBaseError, PrecisionExhaustedError,
                      EscapeError, BasinError, ExistenceError,
-                     FormulaMismatchError, ConsistencyError, DiophantineError,
-                     ForcingParseError)
+                     ConsistencyError, DiophantineError, ForcingParseError)
 from .funcspace import (DomainConfig, AnalyticFn, QPFn, PairFn, compose_fiber,
                         project_p0, project_pik, shift_tgamma, sup_norm,
                         eval_qpfn)

@@ -36,8 +36,8 @@ from .errors import DegeneratePointError, NoSectionError
 from .funcspace import (AnalyticFn, DomainConfig, PairFn, pair_sup_norm,
                         project_pik, sup_norm)
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_T,
-                       build_L_omega, l_prime_rows, normalize_pair,
-                       require_diophantine, row_norms)
+                       build_L_omega, gamma_normalize, l_prime_rows,
+                       normalize_pair, require_diophantine, row_norms)
 from .renorm1d import (FamilySpec, dr_matrix, feigenbaum_fixed_point,
                        stable_manifold_param, superstable_params,
                        unstable_manifold_points)
@@ -154,15 +154,13 @@ def fit_geometric_decay(ns, diffs):
 
 # ------------------------------------------------------------ slope tables
 
-def slope_table(family, omega0, n_max, mode="fixed-point",
-                section=SectionConfig()):
+def slope_table(family, omega0, n_max, mode="fixed-point"):
     """alpha'_n and beta'_n for n = 1..n_max, one chain per level."""
     if mode == "exact-orbit":
         superstable_params(family, n_max)        # warm the cache once
     table = {}
     for n in range(1, n_max + 1):
-        table[n] = slope_formula(family, omega0, n, mode=mode,
-                                 section=section)
+        table[n] = slope_formula(family, omega0, n, mode=mode)
     return table
 
 
@@ -217,15 +215,18 @@ class Obs1Report:
     passed: bool
 
 
-def observation1(c1, c2, omega0, n_max=10, overlap=(4, 6),
-                 overlap_tol=0.05):
+OVERLAP_WINDOW = (4, 6)
+OVERLAP_TOL = 0.05
+
+
+def observation1(c1, c2, omega0, n_max=10):
     """Family independence of q_n for forcing in the first harmonic.
 
     Both quotient sequences are computed in fixed-point mode and the decay
     of their difference is fitted; PASS needs rho_hat < 1 with the fit
-    residuals spread over less than a decade. On the overlap window the
-    exact-orbit quotients must match the fixed-point ones within
-    overlap_tol (measured gaps are about 1e-2 or less).
+    residuals spread over less than a decade. On the overlap window
+    OVERLAP_WINDOW the exact-orbit quotients must match the fixed-point
+    ones within OVERLAP_TOL (measured gaps are about 1e-2 or less).
     """
     require_diophantine(omega0)
     tab1 = slope_table(c1, omega0, n_max, mode="fixed-point")
@@ -235,9 +236,9 @@ def observation1(c1, c2, omega0, n_max=10, overlap=(4, 6),
     diffs = seq1.values() - seq2.values()
     fit = fit_geometric_decay(seq1.ns(), diffs)
 
-    window = (max(overlap[0], 2), min(overlap[1], n_max))
+    window = (max(OVERLAP_WINDOW[0], 2), min(OVERLAP_WINDOW[1], n_max))
     gaps = _overlap_gaps([c1, c2], omega0, window, [tab1, tab2])
-    overlap_ok = all(g <= overlap_tol for g in gaps.values())
+    overlap_ok = all(g <= OVERLAP_TOL for g in gaps.values())
     return Obs1Report(fit=fit, seq1=seq1, seq2=seq2, overlap_gaps=gaps,
                       overlap_ok=overlap_ok,
                       passed=fit.passes() and overlap_ok)
@@ -284,13 +285,11 @@ def renormalized_family(family, omega, n):
     return fam
 
 
-def renorm_identity_gap(family, omega0, i, section=SectionConfig()):
+def renorm_identity_gap(family, omega0, i):
     """Relative gap in alpha'_i(omega, c) = alpha'_{i-1}(2 omega, T_omega c)."""
-    lhs, _ = slope_formula(family, omega0, i, mode="exact-orbit",
-                           section=section)
+    lhs, _ = slope_formula(family, omega0, i, mode="exact-orbit")
     fam_T = renormalized_family(family, omega0, i)
-    rhs, _ = slope_formula(fam_T, omega0.double(), i - 1, mode="exact-orbit",
-                           section=section)
+    rhs, _ = slope_formula(fam_T, omega0.double(), i - 1, mode="exact-orbit")
     return abs(lhs - rhs) / abs(lhs)
 
 
@@ -310,7 +309,7 @@ class Obs2Report:
 
 
 def observation2(c, omega0, n_max=10, identity_levels=(2, 3),
-                 mode="exact-orbit", section=SectionConfig()):
+                 mode="exact-orbit"):
     """Convergence of the mixed quotient r_n = alpha'_n(w)/alpha'_{n-1}(2w).
 
     Reports the Cauchy differences |r_n - r_{n-1}| (required decreasing
@@ -346,8 +345,7 @@ def observation2(c, omega0, n_max=10, identity_levels=(2, 3),
     p0 = project_pik(v0, 1)
     h5 = check_H5(omega0, p0, p0, n_max=min(n_max, 12))
 
-    gaps = {i: renorm_identity_gap(c, omega0, i, section=section)
-            for i in identity_levels}
+    gaps = {i: renorm_identity_gap(c, omega0, i) for i in identity_levels}
     identity_ok = all(g <= 1e-10 for g in gaps.values())
 
     return Obs2Report(seq=seq, cauchy_diffs=cauchy,
@@ -364,11 +362,11 @@ def observation2(c, omega0, n_max=10, identity_levels=(2, 3),
 
 # ----------------------------------------------------------- observation 3
 
-def flm_eta_family(eta, f2_weight=1.0):
+def flm_eta_family(eta):
     """Forced logistic family with forcing cos(2 pi t) + eta cos(4 pi t)."""
     def g(theta, x):
         t = 2.0 * np.pi * np.asarray(theta)
-        return (np.cos(t) + eta * f2_weight * np.cos(2 * t)) * np.ones_like(x)
+        return (np.cos(t) + eta * np.cos(2 * t)) * np.ones_like(x)
     return flm_family(g=g, name=f"flm_eta{eta:g}")
 
 
@@ -412,8 +410,8 @@ class Obs3Report:
     passed: bool
 
 
-def observation3(omega0, etas=(1e-3, 1e-2), n_max=10, f2_weight=1.0,
-                 builder=None, section=SectionConfig()):
+def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
+                 section=SectionConfig()):
     """eta-perturbation study: a second harmonic breaks universality.
 
     For each eta the full quotient sequence of the two-harmonic family is
@@ -424,12 +422,9 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10, f2_weight=1.0,
     with C estimated from the norm-ratio band.
     """
     require_diophantine(omega0)
-    if builder is None:
-        builder = lambda e: flm_eta_family(e, f2_weight=f2_weight)
-
     tables = {}
     for eta in (0.0,) + tuple(etas):
-        fam = builder(eta)
+        fam = flm_eta_family(eta)
         tables[eta] = quotient_sequence(fam, omega0, n_max)
     base = dict(zip(tables[0.0].ns(), tables[0.0].values()))
 
@@ -449,7 +444,7 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10, f2_weight=1.0,
         scale, scale_ok = 1.0, True
 
     # component bookkeeping at unit eta; everything is linear in v02
-    fam1 = builder(1.0)
+    fam1 = flm_eta_family(1.0)
     alpha_star = stable_manifold_param(fam1)
     v0 = fam1.dv_deps(alpha_star)
     v01, v02 = project_pik(v0, 1), project_pik(v0, 2)
@@ -506,21 +501,31 @@ class H3Report:
     passed: bool
 
 
+def _on_section(v, section):
+    """t_gamma v on the section; v itself when its mode-1 part is zero to
+    rounding (the shift is then undefined and v has no direction to fix)."""
+    if project_pik(v, 1).coeff_norm() <= 1e-12 * max(1.0, v.coeff_norm()):
+        return v
+    return gamma_normalize(v, section)[1]
+
+
 def check_H3(c, omega0, n_max=8, section=SectionConfig()):
     """Direction equivalence of the exact-orbit and fixed-point chains.
 
-    For each n both chains are run to their final vectors; the normalized
-    vectors' difference should decay geometrically in n. Also reports the
-    two floors the theory needs: min ||v_{n-1}|| over the fixed-point
-    chains, and the minimum of |m(DG1 at the final section map, applied to
-    the normalized direction)|.
+    For each n both chains are run to their final vectors, which are put on
+    the section before they are compared: the chains themselves leave the
+    rotation free. The normalized vectors' difference should decay
+    geometrically in n. Also reports the two floors the theory needs:
+    min ||v_{n-1}|| over the fixed-point chains, and the minimum of
+    |m(DG1 at the final section map, applied to the normalized direction)|.
     """
     require_diophantine(omega0)
     gaps, norms, m_floors = {}, [], []
     for n in range(2, n_max + 1):
-        ch_e = slope_chain(c, omega0, n, mode="exact-orbit", section=section)
-        ch_f = slope_chain(c, omega0, n, mode="fixed-point", section=section)
-        ve, vf = ch_e.vs[-1], ch_f.vs[-1]
+        ch_e = slope_chain(c, omega0, n, mode="exact-orbit")
+        ch_f = slope_chain(c, omega0, n, mode="fixed-point")
+        ve = _on_section(ch_e.vs[-1], section)
+        vf = _on_section(ch_f.vs[-1], section)
         ve_hat = ve * (1.0 / sup_norm(ve))
         vf_hat = vf * (1.0 / sup_norm(vf))
         gaps[n] = sup_norm(ve_hat - vf_hat)
@@ -717,7 +722,7 @@ class QuotientFactorsReport:
     norm_gap: float
 
 
-def quotient_factorization(family, omega0, n, section=SectionConfig()):
+def quotient_factorization(family, omega0, n):
     """Three-factor form of q_n in fixed-point mode.
 
     q_n factors exactly as [L-quotient of the u-chains] * [normalized
@@ -730,10 +735,8 @@ def quotient_factorization(family, omega0, n, section=SectionConfig()):
     """
     if n < 2:
         raise ValueError("the decomposition needs n >= 2")
-    ch_n = slope_chain(family, omega0, n, mode="fixed-point",
-                       section=section)
-    ch_m = slope_chain(family, omega0, n - 1, mode="fixed-point",
-                       section=section)
+    ch_n = slope_chain(family, omega0, n, mode="fixed-point")
+    ch_m = slope_chain(family, omega0, n - 1, mode="fixed-point")
 
     L_n = DG1_hat(ch_n.psi_end, ch_n.us[-1])
     L_m = DG1_hat(ch_m.psi_end, ch_m.us[-1])

@@ -23,6 +23,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -75,11 +76,14 @@ def parse_forcing(expr, k_max=16):
             raise ForcingParseError(
                 f"bad coefficient list at position {m.start(1)}",
                 pos=m.start(1))
-        k = int(m.group(3))
+        try:
+            k = int(m.group(3))
+        except ValueError:      # more digits than int() converts
+            k = 0
         if not 1 <= k <= k_max:
             raise ForcingParseError(
-                f"mode {k} outside 1..{k_max} at position {m.start(3)}",
-                pos=m.start(3))
+                f"mode {m.group(3):.20} outside 1..{k_max} at position "
+                f"{m.start(3)}", pos=m.start(3))
         terms.append((np.array(coeffs), m.group(2), k))
         pos = m.end()
     if not terms:
@@ -115,8 +119,11 @@ def parse_omega(spec, dio_gamma=0.0, dio_tau=1.0, q_max=0):
         return RotationNumber.from_fraction(
             int(p_str), int(q_str), dio_gamma=dio_gamma, dio_tau=dio_tau,
             q_max=q_max)
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"rotation number {spec!r} is not finite")
     return RotationNumber.from_float(
-        float(s), dio_gamma=dio_gamma, dio_tau=dio_tau, q_max=q_max)
+        x, dio_gamma=dio_gamma, dio_tau=dio_tau, q_max=q_max)
 
 
 # ------------------------------------------------------------- configuration
@@ -489,8 +496,7 @@ def cmd_curve(cfg, store):
 def cmd_slopes(cfg, store):
     fam = cfg.build_family()
     omega = cfg.rotation()
-    table = slope_table(fam, omega, cfg.n_max, mode=cfg.mode,
-                        section=cfg.section_config())
+    table = slope_table(fam, omega, cfg.n_max, mode=cfg.mode)
     s = superstable_params(fam, cfg.n_max)
     rows = []
     for n in range(1, cfg.n_max + 1):
@@ -549,8 +555,7 @@ def cmd_observe(cfg, store, which):
         return 0 if rep.passed else 2
     if which == 2:
         c = cfg.build_family()
-        rep = observation2(c, omega, n_max=cfg.n_max, mode=cfg.mode,
-                           section=cfg.section_config())
+        rep = observation2(c, omega, n_max=cfg.n_max, mode=cfg.mode)
         r = dict(rep.seq.entries)
         rows = [[n, r[n], rep.cauchy_diffs.get(n, "")] for n in sorted(r)]
         store.write_csv("quotients.csv",
@@ -622,7 +627,8 @@ def cmd_conjecture(cfg, store, which):
               f"{'PASS' if rep.passed else 'FAIL'}")
         return 0 if rep.passed else 2
     if which == "h4":
-        rep = check_H4(n_pairs=100, seed=cfg.seed)
+        rep = check_H4(n_pairs=100, seed=cfg.seed,
+                       section=cfg.section_config())
         store.write_csv("contraction.csv",
                         ["omega [revolutions]", "max_ratio_l2 [1]"],
                         sorted((float(k), v)

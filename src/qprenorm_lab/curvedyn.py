@@ -26,11 +26,9 @@ import numpy as np
 
 from .errors import (BasinError, ConsistencyError, DegeneratePointError,
                      DegenerateScalingError, DomainError, EscapeError,
-                     ExistenceError, FormulaMismatchError, NoConvergenceError,
-                     SearchError)
-from .funcspace import (AnalyticFn, DomainConfig, QPFn, eval_batch, project_p0,
-                        project_pik)
-from .qprenorm import (RotationNumber, SectionConfig, apply_DT, gamma_normalize)
+                     ExistenceError, NoConvergenceError, SearchError)
+from .funcspace import AnalyticFn, DomainConfig, QPFn, eval_batch, project_p0
+from .qprenorm import RotationNumber, apply_DT
 from .renorm1d import (FamilySpec, UnimodalMap, _brentq, dr_matrix,
                        feigenbaum_fixed_point, renormalize_1d,
                        stable_manifold_param, superstable_params,
@@ -99,11 +97,6 @@ class DerivativeProduct:
     values: np.ndarray
     period_log2: int = 1
 
-    def geometric_mean(self):
-        with np.errstate(divide="ignore"):
-            return float(np.exp(np.mean(
-                np.maximum(np.log(np.abs(self.values)), LOG_FLOOR))))
-
 
 def _shift_phases(M, s):
     k = np.arange(M // 2 + 1)
@@ -160,29 +153,29 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
     def forward(X):
         return _orbit_grid(f, fx, omega, steps, thetas, X)
 
-    residual = np.inf
+    # one grid pass per iterate: FX, prod and logs always belong to X
     try:
+        FX, prod, logs = forward(X)
         for it in range(300):
-            FX, prod, _ = forward(X)
             target = _shift_samples(FX, -s)
-            residual = float(np.max(np.abs(target - X)))
-            if residual < 1e-8:
+            if float(np.max(np.abs(target - X))) < 1e-8:
                 break
             lam = 0.6 if it < 50 else 1.0
             X = X + lam * (target - X)
+            FX, prod, logs = forward(X)
     except EscapeError as e:
         raise BasinError(f"fixed-point stage escaped: {e}")
 
     S = _shift_matrix(M, s)
     try:
-        for _ in range(20):
-            FX, prod, logs = forward(X)
+        for it in range(21):
             G = FX - S @ X
             residual = float(np.max(np.abs(G)))
-            if residual <= 1e-13:
+            if residual <= 1e-13 or it == 20:
                 break
             J = np.diag(prod) - S
             X = X + np.linalg.solve(J, -G)
+            FX, prod, logs = forward(X)
     except EscapeError as e:
         raise BasinError(f"Newton stage escaped: {e}")
     except np.linalg.LinAlgError:
@@ -190,7 +183,6 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
 
     if residual > TOL_CURVE:
         raise BasinError(f"curve residual {residual:.3e} above tolerance")
-    FX, prod, logs = forward(X)
     lyap = float(np.mean(logs)) / steps
     return InvariantCurve(period_log2=n, samples=X, omega=omega,
                           lyapunov=lyap, residual=residual)
@@ -271,7 +263,7 @@ def _second_deriv_at_zero(psi):
     return float(np.real(psi.psi.deriv().deriv()(0.0)))
 
 
-def DG1(psi, omega, v, M=M_GRID, cross_check=True):
+def DG1(psi, omega, v, M=M_GRID):
     """First derivative of G1 at the uncoupled superstable map, direction v.
 
     Linearizing the invariance equation around the critical 2-cycle
@@ -279,7 +271,6 @@ def DG1(psi, omega, v, M=M_GRID, cross_check=True):
         dx(theta) = psi'(1) v(theta - 2 omega, 0) + v(theta - omega, 1)
     and the product response
         DG1 v(theta) = psi'(1) [d_x v(theta, 0) + psi''(0) dx(theta)].
-    A central finite difference of G1 at psi + h v guards the derivation.
     """
     _require_sigma1(psi)
     w = float(omega)
@@ -288,27 +279,12 @@ def DG1(psi, omega, v, M=M_GRID, cross_check=True):
     c2 = _second_deriv_at_zero(psi)
     zeros = np.zeros(M)
     dx = c1 * v.eval(thetas - 2 * w, zeros) + v.eval(thetas - w, zeros + 1.0)
-    out = c1 * (v.dx().eval(thetas, zeros) + c2 * dx)
-
-    if cross_check:
-        h = 1e-5
-        base = psi.embed()
-        g = []
-        for sgn in (1.0, -1.0):
-            fpm = base + v * (sgn * h)
-            curve = solve_invariant_curve(fpm, omega, 1, guess=np.zeros(M), M=M)
-            g.append(G1(fpm, omega, curve).values)
-        fd = (g[0] - g[1]) / (2 * h)
-        rel = float(np.max(np.abs(fd - out))) / max(1.0, float(np.max(np.abs(out))))
-        if rel > 1e-6:
-            raise FormulaMismatchError(
-                f"analytic DG1 vs finite difference disagree: rel {rel:.3e}")
-    return out
+    return c1 * (v.dx().eval(thetas, zeros) + c2 * dx)
 
 
 def functional_K(omega, psi, v, M=M_GRID):
     """K(omega, f, v) = m(DG1(omega, f) v)."""
-    return extremum_m(DG1(psi, omega, v, M=M, cross_check=False)).value
+    return extremum_m(DG1(psi, omega, v, M=M)).value
 
 
 # ------------------------------------------------------------------ extrema
@@ -453,16 +429,7 @@ def _project_sigma1(m):
     return UnimodalMap(AnalyticFn(c, m.domain))
 
 
-def _tgamma_or_skip(v, section):
-    pair = project_pik(v, 1)
-    if pair.coeff_norm() <= 1e-12 * max(1.0, v.coeff_norm()):
-        return v
-    _, out = gamma_normalize(v, section)
-    return out
-
-
-def slope_chain(family, omega0, n, mode="exact-orbit",
-                section=SectionConfig()):
+def slope_chain(family, omega0, n, mode="exact-orbit"):
     """Propagate (f_k, u_k, v_k, omega_k) for k = 0..n-1.
 
     exact-orbit: f_k = R^k(c(s_n, 0)) with u, v pushed by the derivative of
@@ -470,6 +437,11 @@ def slope_chain(family, omega0, n, mode="exact-orbit",
     Phi for the first floor(n/2)-1 steps and the unstable-manifold points
     f*_{n-k+1} for the tail, ending the propagation at f*_2 so that the
     final evaluation happens at f*_1.
+
+    The v_k are not put on the section: a shift t_gamma commutes with DT at
+    a theta-independent base and leaves every norm and m(DG1 v) unchanged,
+    so the slope does not depend on it. Callers that compare directions
+    (check_H3) shift the vectors they compare.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -500,7 +472,6 @@ def slope_chain(family, omega0, n, mode="exact-orbit",
         f0 = fpd.phi
         psi_end_override = stars[0]
     v = family.dv_deps(alpha)
-    v = _tgamma_or_skip(v, section)
 
     fs, us, vs, omegas = [f0], [u], [v], [omega0]
     om = omega0
@@ -518,7 +489,6 @@ def slope_chain(family, omega0, n, mode="exact-orbit",
             v = apply_DT(base, om, v)
         except (DegenerateScalingError, DomainError) as e:
             raise type(e)(f"chain stage k={k}: {e}")
-        v = _tgamma_or_skip(v, section)
         if mode == "exact-orbit":
             f_cur = renormalize_1d(f_cur, check_domain=False)
         else:
@@ -535,14 +505,13 @@ def slope_chain(family, omega0, n, mode="exact-orbit",
                        psi_end=psi_end, omega_end=omegas[-1], mode=mode)
 
 
-def slope_formula(family, omega0, n, mode="exact-orbit",
-                  section=SectionConfig()):
+def slope_formula(family, omega0, n, mode="exact-orbit"):
     """(alpha'_n, beta'_n) from the renormalization chain."""
-    ch = slope_chain(family, omega0, n, mode=mode, section=section)
+    ch = slope_chain(family, omega0, n, mode=mode)
     den = DG1_hat(ch.psi_end, ch.us[-1])
     if abs(den) < 1e-300:
         raise DegenerateScalingError("DG1_hat denominator vanished")
-    vals = DG1(ch.psi_end, ch.omega_end, ch.vs[-1], cross_check=False)
+    vals = DG1(ch.psi_end, ch.omega_end, ch.vs[-1])
     alpha_p = -extremum_m(vals).value / den
     beta_p = -extremum_M(vals).value / den
     return alpha_p, beta_p

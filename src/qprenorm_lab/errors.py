@@ -84,10 +84,6 @@ class ExistenceError(QPRenormError):
     """A required orbit (e.g. a real 2-cycle) does not exist."""
 
 
-class FormulaMismatchError(QPRenormError):
-    """Analytic derivative and finite-difference oracle disagree."""
-
-
 class ConsistencyError(QPRenormError):
     """Mismatched grids, rotation numbers or metadata between inputs."""
 

@@ -168,10 +168,6 @@ class AnalyticFn:
         out[: d.size] = d
         return AnalyticFn(out, self.domain)
 
-    def values_at_nodes(self):
-        _, V, _ = _cheb_machinery(self.domain.n_cheb)
-        return V @ self.coeffs
-
     def __add__(self, other):
         self._check(other)
         return AnalyticFn(self.coeffs + other.coeffs, self.domain)
@@ -304,10 +300,6 @@ class QPFn:
     def dx(self):
         D = _diff_matrix(self.domain.n_cheb)
         return QPFn(self.modes @ D.T / self.domain.half_width, self.domain)
-
-    def dtheta(self):
-        k = np.arange(-self.K, self.K + 1)
-        return QPFn(self.modes * (2j * np.pi * k)[:, None], self.domain)
 
     def coeff_norm(self):
         """l2 norm of the full coefficient stack."""

@@ -183,7 +183,10 @@ def require_diophantine(omega, dio_gamma=None, dio_tau=None, q_max=1000):
 class SectionConfig:
     theta0: float = 0.0
     x0: float = 0.0
-    degenerate_scan: tuple = (0.0, 0.25, -0.25, 0.5, -0.5)
+
+
+# points tried in turn when the pair vanishes at the section's x0
+DEGENERATE_SCAN = (0.0, 0.25, -0.25, 0.5, -0.5)
 
 
 # ------------------------------------------------------------- the operator
@@ -336,10 +339,8 @@ def section_gammas(X, domain, section=SectionConfig()):
     """Shift gamma0 per row of X that puts the pair on the section.
 
     The section is f(theta0, x0) = 0 with positive theta-derivative, where
-    x0 is the first of section.x0 and section.degenerate_scan at which the
-    pair is not numerically zero. Of the two roots of the tangency
-    equation the first with positive slope wins; a gamma0 within 1e-12 of
-    0 or 1 snaps to 0.
+    x0 is the first of section.x0 and DEGENERATE_SCAN at which the pair is
+    not numerically zero. A gamma0 within 1e-12 of 0 or 1 snaps to 0.
 
     Returns (gamma0, errors): errors[j] is None, or the NoSectionError or
     DegeneratePointError that row j fails with (its gamma0 is then 0). A
@@ -354,8 +355,8 @@ def section_gammas(X, domain, section=SectionConfig()):
     for j in np.flatnonzero(~todo):
         errors[j] = NoSectionError("mode-1 component vanishes")
 
-    x0, A, B = np.zeros(S), np.zeros(S), np.zeros(S)
-    for cand in (section.x0,) + tuple(section.degenerate_scan):
+    A, B = np.zeros(S), np.zeros(S)
+    for cand in (section.x0,) + DEGENERATE_SCAN:
         rows = np.flatnonzero(todo)
         if rows.size == 0:
             break
@@ -365,37 +366,14 @@ def section_gammas(X, domain, section=SectionConfig()):
         a, b = _clenshaw_rows(t, U[rows]), _clenshaw_rows(t, V[rows])
         hit = np.hypot(a, b) > 1e-9 * scale[rows]
         found = rows[hit]
-        x0[found], A[found], B[found] = cand, a[hit], b[hit]
+        A[found], B[found] = a[hit], b[hit]
         todo[found] = False
     for j in np.flatnonzero(todo):
         errors[j] = DegeneratePointError(
             "mode-1 pair vanishes at every section candidate x0")
 
-    chi = np.arctan2(B, A)
-    g_a = (chi / (2 * np.pi) - 0.25 - section.theta0) % 1.0
-    g_b = (g_a + 0.5) % 1.0
-    c0 = np.cos(2 * np.pi * section.theta0)
-    s0 = np.sin(2 * np.pi * section.theta0)
-
-    def slope_positive(g, rows):
-        # theta-slope at (theta0, x0) after the shift g, as PairFn.rotate
-        beta = 2 * np.pi * g[rows]
-        c, s = np.cos(beta)[:, None], np.sin(beta)[:, None]
-        u, v = U[rows], V[rows]
-        t = x0[rows] / L
-        a = _clenshaw_rows(t, c * u + s * v)
-        b = _clenshaw_rows(t, -s * u + c * v)
-        return 2 * np.pi * (-a * s0 + b * c0) > 0
-
-    gamma0 = g_a.copy()
-    retry = np.flatnonzero(~slope_positive(g_a, np.arange(S)))
-    if retry.size:
-        root_b = slope_positive(g_b, retry)
-        gamma0[retry] = g_b[retry]
-        for j in retry[~root_b]:
-            if errors[j] is None:
-                errors[j] = DegeneratePointError(
-                    "no root satisfies the slope condition")
+    # the theta-slope at (theta0, x0) is then 2 pi hypot(A, B) > 0 by `hit`
+    gamma0 = (np.arctan2(B, A) / (2 * np.pi) - 0.25 - section.theta0) % 1.0
     gamma0[(gamma0 > 1.0 - 1e-12) | (gamma0 < 1e-12)] = 0.0
     gamma0[[e is not None for e in errors]] = 0.0
     return gamma0, errors

@@ -67,14 +67,14 @@ class UnimodalMap:
             m.validate()
         return m
 
-    def validate(self, tol_norm=1e-9):
+    def validate(self):
         """Membership checks for the normalized unimodal class.
 
         psi(0) = 1 and x psi'(x) < 0 are hard errors; whether psi maps the
         interval into itself is recorded (in_domain_R reports it).
         """
         v0 = float(np.real(self.psi(0.0)))
-        if abs(v0 - 1.0) > tol_norm:
+        if abs(v0 - 1.0) > 1e-9:
             raise DomainError(f"psi(0) = {v0}, not 1")
         L = self.domain.half_width
         x = np.linspace(0.05 * L, L, 64)

@@ -191,7 +191,7 @@ def test_criterion_07_dg1_gradient(domain, golden, stars):
             domain,
             lambda th, x: (c[0] + c[1] * x
                            + (c[2] + c[3] * x) * np.cos(TWO_PI * th)))
-        out = DG1(psi, golden, v, M=M, cross_check=False)
+        out = DG1(psi, golden, v, M=M)
         g = []
         for sgn in (1.0, -1.0):
             fpm = base + v * (sgn * h)

@@ -12,7 +12,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qprenorm_lab import SectionConfig, check_H4, cli
 from qprenorm_lab.cli import (
     RunConfig,
     load_config,
@@ -20,7 +23,7 @@ from qprenorm_lab.cli import (
     parse_forcing,
     parse_omega,
 )
-from qprenorm_lab.errors import ForcingParseError
+from qprenorm_lab.errors import DiophantineError, ForcingParseError
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,6 +77,37 @@ def test_forcing_rejects_mode_beyond_truncation():
         parse_forcing("[1]*cos(17w)", k_max=16)
 
 
+def test_forcing_rejects_mode_past_the_int_digit_limit():
+    with pytest.raises(ForcingParseError) as err:
+        parse_forcing("[1]*cos(" + "5" * 5000 + "w)")
+    assert err.value.pos == len("[1]*cos(")
+
+
+# strings near the grammar as well as arbitrary text
+_TERM = st.builds(
+    "[{}]*{}({}{}w)".format,
+    st.lists(st.sampled_from(["1", "0.5", "-2e3", "", "x", "nan", " 1 "]),
+             max_size=3).map(",".join),
+    st.sampled_from(["cos", "sin", "tan", ""]),
+    st.text("0123456789 ", max_size=6),
+    st.sampled_from(["", " "]))
+_FORCING = st.one_of(st.text(max_size=40),
+                     st.lists(_TERM, min_size=1, max_size=3).map("+".join),
+                     st.lists(_TERM, min_size=1, max_size=3).map(" + ".join))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FORCING)
+def test_forcing_parser_raises_only_its_own_error(expr):
+    try:
+        g, modes = parse_forcing(expr)
+    except ForcingParseError as e:
+        assert e.pos is not None and 0 <= e.pos <= len(expr)
+        return
+    assert all(1 <= k <= 16 for k in modes)
+    assert np.asarray(g(np.array([0.1]), np.array([0.2]))).shape == (1,)
+
+
 # -------------------------------------------------------- rotation parsing
 
 def test_omega_named_golden():
@@ -94,6 +128,33 @@ def test_omega_continued_fraction_converges_to_golden():
 def test_omega_garbage_rejected():
     with pytest.raises(ValueError):
         parse_omega("not-a-number", 0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("spec", ["inf", "-inf", "nan", "1e309"])
+def test_omega_non_finite_rejected_by_name(spec):
+    with pytest.raises(ValueError, match=repr(spec)):
+        parse_omega(spec, 0.0, 1.0, 0)
+
+
+_OMEGA = st.one_of(
+    st.text(max_size=20),
+    st.sampled_from(["golden", "inf", "nan", "1e309", "[]", "[1,", "1/0",
+                     "-1/3", "0.5"]),
+    st.builds("{}/{}".format, st.integers(-50, 50), st.integers(-5, 50)),
+    st.lists(st.integers(-2, 9), max_size=6).map(
+        lambda q: "[" + ",".join(map(str, q)) + "]"),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OMEGA, st.sampled_from([0.0, 0.01, 0.3]), st.integers(0, 40))
+def test_omega_parser_raises_only_value_or_diophantine_errors(spec, gamma,
+                                                              q_max):
+    try:
+        w = parse_omega(spec, dio_gamma=gamma, dio_tau=1.0, q_max=q_max)
+    except (ValueError, DiophantineError):
+        return
+    assert 0.0 <= float(w) < 1.0
 
 
 # ------------------------------------------------------------ config hash
@@ -271,6 +332,26 @@ def test_slopes_run_beta_mirrors_alpha(tmp_path):
     for n in rep["alpha_prime"]:
         assert rep["beta_prime"][n] == pytest.approx(
             -rep["alpha_prime"][n], rel=1e-9)
+
+
+def test_conjecture_h4_reads_the_section(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(**kw):
+        seen.append(kw["section"])
+        return check_H4(**dict(kw, n_pairs=5))
+
+    monkeypatch.setattr(cli, "check_H4", spy)
+    p = tmp_path / "run.ini"
+    p.write_text("[section]\ntheta0 = 0.25\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(p), "--out", str(out),
+                 "conjecture", "--which", "h4"]) in (0, 2)
+    assert seen == [SectionConfig(theta0=0.25)]
+    # the section moves the result, so the report depends on it
+    rep = json.loads((out / "report.json").read_text())
+    default = check_H4(n_pairs=5, seed=RunConfig().seed)
+    assert rep["max_ratio_l2"] != default.max_ratio_l2
 
 
 def test_plot_data_flag_emits_dat(tmp_path):

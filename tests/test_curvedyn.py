@@ -146,6 +146,55 @@ def test_singular_newton_jacobian_is_a_basin_error(domain, golden,
                               guess=np.full(512, X_LO + 0.02))
 
 
+def _passes_and_check(f, omega, n, monkeypatch):
+    """Solve a period-2^n curve while recording the samples each
+    _orbit_grid pass starts from; check that residual and Lyapunov exponent
+    are those of the returned samples. Returns (curve, pass inputs)."""
+    inputs = []
+    orbit = curvedyn._orbit_grid
+
+    def counted(f, fx, omega, steps, thetas, X):
+        inputs.append(np.array(X, dtype=float))
+        return orbit(f, fx, omega, steps, thetas, X)
+
+    monkeypatch.setattr(curvedyn, "_orbit_grid", counted)
+    curve = solve_invariant_curve(f, omega, n)
+    monkeypatch.undo()
+    s = omega
+    for _ in range(n):
+        s = s.double()
+    FX, _, logs = orbit(f, f.dx(), omega, 2 ** n, curve.thetas, curve.samples)
+    G = FX - curvedyn._shift_matrix(curve.M, float(s)) @ curve.samples
+    assert curve.residual == float(np.max(np.abs(G)))
+    assert curve.lyapunov == float(np.mean(logs)) / 2 ** n
+    return curve, inputs
+
+
+def test_curve_solve_spends_one_grid_pass_per_iterate(flm, golden,
+                                                      monkeypatch):
+    s = superstable_params(flm, 4)
+    f = flm.evaluator(float(s[3]) + 0.1 * (s[4] - s[3]), 1e-4)
+    curve, inputs = _passes_and_check(f, golden, 3, monkeypatch)
+    assert curve.residual <= 1e-13
+    # no pass repeats the one before it, and the last is at the samples
+    assert not any(np.array_equal(a, b) for a, b in zip(inputs, inputs[1:]))
+    assert np.array_equal(inputs[-1], curve.samples)
+
+
+def test_curve_residual_is_that_of_the_samples_when_newton_runs_out(
+        flm, golden, monkeypatch):
+    # shortened Newton steps converge linearly: after the 20 steps the
+    # residual is above the 1e-13 stop but within TOL_CURVE
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda J, b: 0.35 * solve(J, b))
+    s = superstable_params(flm, 4)
+    f = flm.evaluator(float(s[3]) + 0.1 * (s[4] - s[3]), 1e-4)
+    curve, inputs = _passes_and_check(f, golden, 3, monkeypatch)
+    assert 1e-13 < curve.residual <= curvedyn.TOL_CURVE
+    assert np.array_equal(inputs[-1], curve.samples)
+
+
 def test_package_runs_without_scipy():
     # a fresh interpreter: import, a superstable cascade, a period-2 curve
     src = str(Path(qprenorm_lab.__file__).resolve().parents[1])
@@ -190,9 +239,40 @@ def test_g1_hat_vanishes_on_sigma1(stars):
 
 # ---------------------------------------------------------------- DG1 / K
 
+# the directions v of the DG1 tests; each is also checked by the oracle
+DG1_DIRECTIONS = {
+    "theta-independent": lambda th, x: 1.0 - 0.3 * x ** 2,
+    "first-mode": lambda th, x: (0.4 + 0.2 * x) * np.cos(TWO_PI * th),
+    "mixed": lambda th, x: 0.3 * x + (0.5 + 0.1 * x) * np.cos(TWO_PI * th),
+}
+
+
+def _assert_dg1_matches_differences(psi, omega, v, out, h=1e-5):
+    """Oracle: the central difference of G1 at psi +- h v, each from an
+    invariant-curve solve, agrees with DG1 v within 1e-6 relative."""
+    M = out.size
+    g = []
+    for sgn in (1.0, -1.0):
+        fpm = psi.embed() + v * (sgn * h)
+        curve = solve_invariant_curve(fpm, omega, 1, guess=np.zeros(M), M=M)
+        g.append(G1(fpm, omega, curve).values)
+    fd = (g[0] - g[1]) / (2 * h)
+    rel = (float(np.max(np.abs(fd - out)))
+           / max(1.0, float(np.max(np.abs(out)))))
+    assert rel <= 1e-6, f"DG1 against central differences: rel {rel:.3e}"
+
+
+@pytest.mark.parametrize("name", list(DG1_DIRECTIONS))
+def test_dg1_matches_central_differences(domain, golden, stars, name):
+    v = QPFn.from_callable(domain, DG1_DIRECTIONS[name])
+    out = DG1(stars[0], golden, v)
+    assert np.all(np.isfinite(out))
+    _assert_dg1_matches_differences(stars[0], golden, v, out)
+
+
 def test_dg1_theta_independent_reduces_to_hat(domain, golden, stars):
     psi = stars[0]
-    v = QPFn.from_callable(domain, lambda th, x: 1.0 - 0.3 * x ** 2)
+    v = QPFn.from_callable(domain, DG1_DIRECTIONS["theta-independent"])
     out = DG1(psi, golden, v)
     assert np.max(out) - np.min(out) <= 1e-12
     want = DG1_hat(psi, project_p0(v))
@@ -200,8 +280,7 @@ def test_dg1_theta_independent_reduces_to_hat(domain, golden, stars):
 
 
 def test_dg1_keeps_first_mode_structure(domain, golden, stars):
-    v = QPFn.from_callable(
-        domain, lambda th, x: (0.4 + 0.2 * x) * np.cos(TWO_PI * th))
+    v = QPFn.from_callable(domain, DG1_DIRECTIONS["first-mode"])
     out = DG1(stars[0], golden, v)
     spec = np.fft.rfft(out) / out.size
     assert abs(spec[0]) <= 1e-12
@@ -210,15 +289,6 @@ def test_dg1_keeps_first_mode_structure(domain, golden, stars):
     # a pure first mode has mirror-symmetric extrema
     assert extremum_M(out).value == pytest.approx(
         -extremum_m(out).value, abs=1e-9)
-
-
-def test_dg1_internal_difference_guard_is_quiet(domain, golden, stars):
-    # cross_check=True re-derives DG1 from two invariant-curve solves and
-    # raises beyond 1e-6 relative; passing here is the assertion
-    v = QPFn.from_callable(
-        domain, lambda th, x: 0.3 * x + (0.5 + 0.1 * x) * np.cos(TWO_PI * th))
-    out = DG1(stars[0], golden, v, cross_check=True)
-    assert np.all(np.isfinite(out))
 
 
 def test_functional_k_homogeneous_and_shift_invariant(domain, golden, stars):

@@ -417,12 +417,27 @@ def test_shift_quarter_turn_sine_to_cosine(domain):
         assert eval_qpfn(g, th, 0.0) == pytest.approx(want, abs=1e-12)
 
 
-def test_shift_composes_additively(domain):
+_SHIFT = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SHIFT, _SHIFT, st.integers(-3, 3))
+def test_shift_composes_additively(domain, a, b, turns):
+    # t_gamma is an action of the circle: t_a t_b = t_(a+b) = t_b t_a,
+    # t_0 and whole turns are the identity, t_(-a) inverts t_a
     f = _mk(domain, lambda th, x: x * np.cos(TWO_PI * th)
-            + 0.4 * np.sin(2 * TWO_PI * th))
-    g1 = shift_tgamma(shift_tgamma(f, 0.2), 0.15)
-    g2 = shift_tgamma(f, 0.35)
-    assert np.max(np.abs(g1.modes - g2.modes)) <= 1e-13
+            + 0.4 * np.sin(2 * TWO_PI * th)
+            + 0.1 * x * np.cos(16 * TWO_PI * th))
+
+    def gap(g, h):
+        return np.max(np.abs(g.modes - h.modes))
+
+    ab = shift_tgamma(f, a + b)
+    assert gap(shift_tgamma(shift_tgamma(f, a), b), ab) <= 1e-13
+    assert gap(shift_tgamma(shift_tgamma(f, b), a), ab) <= 1e-13
+    assert gap(shift_tgamma(shift_tgamma(f, a), -a), f) <= 1e-13
+    assert gap(shift_tgamma(f, a + turns), shift_tgamma(f, a)) <= 1e-13
+    assert np.array_equal(shift_tgamma(f, 0.0).modes, f.modes)
 
 
 def test_shift_preserves_coeff_norm_exactly(domain):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
@@ -17,6 +17,7 @@ from qprenorm_lab import (
     PairFn,
     QPFn,
     RotationNumber,
+    SectionConfig,
     apply_DT,
     apply_L_prime,
     apply_T,
@@ -42,6 +43,7 @@ from qprenorm_lab.errors import (
     PrecisionExhaustedError,
     UnsupportedBaseError,
 )
+from qprenorm_lab.funcspace import _clenshaw_scalar
 from qprenorm_lab.qprenorm import l_prime_rows, normalize_pair
 
 TWO_PI = 2.0 * np.pi
@@ -114,6 +116,20 @@ def test_doubled_certificate_matches_a_fresh_verification(omega):
                                q_max=omega.q_max // k)
         assert (w.num, w.dio_gamma, w.dio_tau, w.q_max, w.depth) == (
             fresh.num, fresh.dio_gamma, fresh.dio_tau, fresh.q_max, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 128 - 1), st.integers(0, 10 ** 12),
+       st.integers(0, 75))
+def test_repeated_doubling_is_multiplication_by_a_power_of_two(num, q_max,
+                                                              d):
+    # dio_gamma = 0 skips the Diophantine loop; q_max is carried regardless
+    w = RotationNumber(num, q_max=q_max)
+    doubled = w
+    for _ in range(d):
+        doubled = doubled.double()
+    product = w.times_mod1(2 ** d)
+    assert (doubled.num, doubled.q_max) == (product.num, product.q_max)
 
 
 def test_double_does_not_rerun_the_diophantine_loop(golden, monkeypatch):
@@ -364,7 +380,24 @@ def test_normalize_falls_back_on_degenerate_section_point(domain):
     assert min(abs(gamma0), abs(1.0 - gamma0)) <= 1e-9
 
 
-def test_l_prime_output_satisfies_section_conditions(fp, domain, golden):
+def _shifted_value_and_slope(pair, gamma, section):
+    """f and d f / d theta at (theta0, x0) of t_gamma pair, from the pair
+    rotated as PairFn.rotate and the scalar Clenshaw loop."""
+    c, s = np.cos(TWO_PI * gamma), np.sin(TWO_PI * gamma)
+    u, v = pair.u.coeffs, pair.v.coeffs
+    t = section.x0 / pair.domain.half_width
+    a = _clenshaw_scalar((c * u + s * v).tolist(), t)
+    b = _clenshaw_scalar((-s * u + c * v).tolist(), t)
+    c0, s0 = np.cos(TWO_PI * section.theta0), np.sin(TWO_PI * section.theta0)
+    return a * c0 + b * s0, TWO_PI * (-a * s0 + b * c0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(-6.0, 6.0),
+       st.floats(0.0, 1.0, exclude_max=True),
+       st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+def test_l_prime_output_satisfies_section_conditions(fp, domain, golden, seed,
+                                                     log_norm, theta0, x0):
     pair = project_pik(QPFn.from_callable(
         domain, lambda th, x: (0.8 + 0.3 * x) * np.cos(TWO_PI * th)
         + 0.2 * np.sin(TWO_PI * th)), 1)
@@ -374,6 +407,21 @@ def test_l_prime_output_satisfies_section_conditions(fp, domain, golden):
     h = 1e-6
     slope = (eval_qpfn(f, h, 0.0) - eval_qpfn(f, -h, 0.0)) / (2 * h)
     assert slope > 0.0
+
+    # random pairs and sections: the shift section_gammas picks without a
+    # slope check lands on the section with slope 2 pi hypot(A, B)
+    section = SectionConfig(theta0=theta0, x0=x0 * domain.half_width)
+    x = np.random.default_rng(seed).standard_normal(2 * domain.n_cheb)
+    x *= 10.0 ** log_norm / np.linalg.norm(x)
+    pair = PairFn.from_coeff_vector(domain, x)
+    radius = math.hypot(pair.u(section.x0), pair.v(section.x0))
+    assume(radius > 1e-9 * np.linalg.norm(x))     # no scan past x0
+    gamma, got = normalize_pair(pair, section)
+    want = (1.0 - 1e-6) * TWO_PI * radius
+    value, slope = _shifted_value_and_slope(pair, gamma, section)
+    assert abs(value) <= 1e-12 * np.sum(np.abs(x)) and slope >= want
+    value, slope = _shifted_value_and_slope(got, 0.0, section)
+    assert abs(value) <= 1e-12 * np.sum(np.abs(x)) and slope >= want
 
 
 def _bits(pair):
