@@ -39,8 +39,7 @@ from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_T,
                        build_L_omega, gamma_normalize, l_prime_rows,
                        normalize_pair, require_diophantine, row_norms)
 from .renorm1d import (FamilySpec, dr_matrix, feigenbaum_fixed_point,
-                       stable_manifold_param, superstable_params,
-                       unstable_manifold_points)
+                       stable_manifold_param, superstable_params)
 from .curvedyn import (DG1_hat, flm_family, functional_K, slope_chain,
                        slope_formula)
 
@@ -49,18 +48,13 @@ from .curvedyn import (DG1_hat, flm_family, functional_K, slope_chain,
 
 @dataclass
 class QuotientSequence:
-    """Levels n with their quotients q_n, plus provenance metadata.
+    """Levels n with their quotients q_n, as (n, q_n) entries.
 
-    kind "plain" means q_n = alpha'_n(omega)/alpha'_{n-1}(omega); kind
-    "mixed" means the denominator slope was computed at the doubled
-    rotation number.
+    The plain quotient is alpha'_n(omega)/alpha'_{n-1}(omega); the mixed
+    one takes the denominator slope at the doubled rotation number.
     """
 
     entries: list
-    family: str = ""
-    omega: str = ""
-    mode: str = "fixed-point"
-    kind: str = "plain"
 
     def __post_init__(self):
         ns = [n for n, _ in self.entries]
@@ -170,8 +164,7 @@ def quotient_sequence(family, omega0, n_max, mode="fixed-point",
         table = slope_table(family, omega0, n_max, mode=mode)
     entries = [(n, table[n][0] / table[n - 1][0])
                for n in range(2, n_max + 1)]
-    return QuotientSequence(entries=entries, family=family.name,
-                            omega=repr(float(omega0)), mode=mode)
+    return QuotientSequence(entries=entries)
 
 
 def mixed_quotient_sequence(family, omega0, n_max, mode="fixed-point"):
@@ -179,10 +172,7 @@ def mixed_quotient_sequence(family, omega0, n_max, mode="fixed-point"):
     tab1 = slope_table(family, omega0, n_max, mode=mode)
     tab2 = slope_table(family, omega0.double(), n_max - 1, mode=mode)
     entries = [(n, tab1[n][0] / tab2[n - 1][0]) for n in range(2, n_max + 1)]
-    seq = QuotientSequence(entries=entries, family=family.name,
-                           omega=repr(float(omega0)), mode=mode,
-                           kind="mixed")
-    return seq, tab1, tab2
+    return QuotientSequence(entries=entries), tab1, tab2
 
 
 def _overlap_gaps(families, omega0, window, fixed_tables):
@@ -370,29 +360,31 @@ def flm_eta_family(eta):
     return flm_family(g=g, name=f"flm_eta{eta:g}")
 
 
-def component_chains(omega0, v01, v02, n_max, section=SectionConfig()):
-    """Two-mode propagation with the shared shift from the first mode.
+def component_chains(omega0, v01, v02, n_max):
+    """The two-mode chain (v_{k,1}, v_{k,2}) for k = 0..n_max.
 
     v_{k,1} advances under the mode-1 operator at the fixed point and
-    v_{k,2} under the mode-2 one; at each step the shift gamma that puts
-    the mode-1 image on the section is applied to both components (the
-    shift acts on mode k as the phase e^{2 pi i k gamma}).
+    v_{k,2} under the mode-2 one, along the omega-doubling sequence.
+    Returns the two lists. The chain stays off the section: the shift
+    commutes with each mode operator, so callers that compare directions
+    shift the vectors they compare.
     """
     fp = feigenbaum_fixed_point(v01.u.domain)
-    v1, v2 = v01, v02
-    chain1, chain2, gammas = [v1], [v2], []
+    chain1, chain2 = [v01], [v02]
     om = omega0
-    for _ in range(1, n_max + 1):
-        op1 = build_L_omega(fp.phi, om, 1)
-        op2 = build_L_omega(fp.phi, om, 2)
-        w2 = op2.apply(v2)
-        gam, v1 = normalize_pair(op1.apply(v1), section)
-        v2 = w2.rotate(2.0 * np.pi * 2.0 * gam)
-        gammas.append(gam)
-        chain1.append(v1)
-        chain2.append(v2)
+    for _ in range(n_max):
+        chain1.append(build_L_omega(fp.phi, om, 1).apply(chain1[-1]))
+        chain2.append(build_L_omega(fp.phi, om, 2).apply(chain2[-1]))
         om = om.double()
-    return chain1, chain2, gammas
+    return chain1, chain2
+
+
+def _on_section(v, section):
+    """t_gamma v on the section; v itself when its mode-1 part is zero to
+    rounding (the shift is then undefined and v has no direction to fix)."""
+    if project_pik(v, 1).coeff_norm() <= 1e-12 * max(1.0, v.coeff_norm()):
+        return v
+    return gamma_normalize(v, section)[1]
 
 
 @dataclass
@@ -419,7 +411,9 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     (the two-eta ratio matches the eta ratio within a factor 3) while NOT
     decaying geometrically in n for fixed eta > 0. The two-component
     recurrences provide the direction-deviation bound 2 C eta / (1 - C eta)
-    with C estimated from the norm-ratio band.
+    with C estimated from the norm-ratio band. The two directions compared
+    at each level are put on the section first; they share their mode-1
+    part, and with it the shift.
     """
     require_diophantine(omega0)
     tables = {}
@@ -448,8 +442,7 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     alpha_star = stable_manifold_param(fam1)
     v0 = fam1.dv_deps(alpha_star)
     v01, v02 = project_pik(v0, 1), project_pik(v0, 2)
-    chain1, chain2, _ = component_chains(omega0, v01, v02, n_max - 1,
-                                         section=section)
+    chain1, chain2 = component_chains(omega0, v01, v02, n_max - 1)
     ratios = [c2.sup_norm() / c1.sup_norm()
               for c1, c2 in zip(chain1, chain2)]
     C = max(ratios)           # ||v_{n,2}||/||v_{n,1}|| <= C eta by linearity
@@ -463,8 +456,8 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
         allowed = 2.0 * C * eta / (1.0 - C * eta)
         worst = 0.0
         for c1, c2 in zip(chain1, chain2):
-            vn = c1.embed(1) + (c2 * eta).embed(2)
-            v1n = c1.embed(1)
+            vn = _on_section(c1.embed(1) + (c2 * eta).embed(2), section)
+            v1n = _on_section(c1.embed(1), section)
             gap = sup_norm(vn * (1.0 / sup_norm(vn))
                            - v1n * (1.0 / sup_norm(v1n)))
             worst = max(worst, gap)
@@ -499,14 +492,6 @@ class H3Report:
     c_floor: float
     c0_floor: float
     passed: bool
-
-
-def _on_section(v, section):
-    """t_gamma v on the section; v itself when its mode-1 part is zero to
-    rounding (the shift is then undefined and v has no direction to fix)."""
-    if project_pik(v, 1).coeff_norm() <= 1e-12 * max(1.0, v.coeff_norm()):
-        return v
-    return gamma_normalize(v, section)[1]
 
 
 def check_H3(c, omega0, n_max=8, section=SectionConfig()):
@@ -683,24 +668,18 @@ class H5Report:
 def check_H5(omega0, v01, v02, n_max=12):
     """Band stability of the two-mode norm ratio.
 
-    v_{k,1} advances under the mode-1 operator along the omega-doubling
-    sequence, v_{k,2} under the mode-2 one (no section shifts: norms are
-    shift-invariant). Reports empirical band constants C1 = min, C2 = max
-    of (||v_{n,2}||/||v_{n,1}||) / (||v_{0,2}||/||v_{0,1}||).
+    The ratios are read off component_chains, which leaves the chain off
+    the section (norms are shift-invariant). Reports empirical band
+    constants C1 = min, C2 = max of
+    (||v_{n,2}||/||v_{n,1}||) / (||v_{0,2}||/||v_{0,1}||) for n = 1..n_max.
     """
     require_diophantine(omega0)
     if v01.coeff_norm() == 0 or v02.coeff_norm() == 0:
         raise ValueError("both starting vectors must be nonzero")
-    fp = feigenbaum_fixed_point(v01.u.domain)
+    chain1, chain2 = component_chains(omega0, v01, v02, n_max)
     r0 = v02.sup_norm() / v01.sup_norm()
-    v1, v2 = v01, v02
-    om = omega0
-    ratios = []
-    for _ in range(n_max):
-        v1 = build_L_omega(fp.phi, om, 1).apply(v1)
-        v2 = build_L_omega(fp.phi, om, 2).apply(v2)
-        ratios.append((v2.sup_norm() / v1.sup_norm()) / r0)
-        om = om.double()
+    ratios = [(c2.sup_norm() / c1.sup_norm()) / r0
+              for c1, c2 in zip(chain1[1:], chain2[1:])]
     c1, c2 = float(np.min(ratios)), float(np.max(ratios))
     return H5Report(c1=c1, c2=c2, ratios=[float(r) for r in ratios],
                     r0=float(r0), passed=bool(c1 > 0 and np.isfinite(c2)))
@@ -738,8 +717,8 @@ def quotient_factorization(family, omega0, n):
     ch_n = slope_chain(family, omega0, n, mode="fixed-point")
     ch_m = slope_chain(family, omega0, n - 1, mode="fixed-point")
 
-    L_n = DG1_hat(ch_n.psi_end, ch_n.us[-1])
-    L_m = DG1_hat(ch_m.psi_end, ch_m.us[-1])
+    L_n = DG1_hat(ch_n.psi_end, ch_n.u_end)
+    L_m = DG1_hat(ch_m.psi_end, ch_m.u_end)
     nv_n, nv_m = sup_norm(ch_n.vs[-1]), sup_norm(ch_m.vs[-1])
     K_n = functional_K(ch_n.omega_end, ch_n.psi_end,
                        ch_n.vs[-1] * (1.0 / nv_n))
@@ -756,11 +735,9 @@ def quotient_factorization(family, omega0, n):
     fp = feigenbaum_fixed_point(ch_n.psi_end.domain)
     delta_gap = abs(factor_u * fp.delta_feig - 1.0)
 
-    f2 = unstable_manifold_points(fp, 2)[1]
-    v_prev = ch_n.vs[-2]
-    image = apply_DT(f2, ch_n.omegas[-2],
-                     v_prev * (1.0 / sup_norm(v_prev)))
-    norm_reference = sup_norm(image)
+    # the last step is DT at f*_2, which is linear: its image of the
+    # normalized v_{n-2} has the norm ||v_{n-1}|| / ||v_{n-2}||
+    norm_reference = nv_n / sup_norm(ch_n.vs[-2])
     norm_gap = abs(factor_norm - norm_reference) / norm_reference
 
     return QuotientFactorsReport(n=n, q_n=float(q_n), factor_u=float(factor_u),

@@ -76,6 +76,10 @@ def parse_forcing(expr, k_max=16):
             raise ForcingParseError(
                 f"bad coefficient list at position {m.start(1)}",
                 pos=m.start(1))
+        if not all(np.isfinite(coeffs)):
+            raise ForcingParseError(
+                f"non-finite coefficient at position {m.start(1)}",
+                pos=m.start(1))
         try:
             k = int(m.group(3))
         except ValueError:      # more digits than int() converts

@@ -361,14 +361,18 @@ def extremum_M(vals):
 
 @dataclass
 class ChainResult:
-    alpha: float
-    fs: list
-    us: list
+    """End of a slope chain: u_{n-1}, the directions v_0..v_{n-1} with
+    their rotation numbers omega_0..omega_{n-1}, and the map on Sigma_1 at
+    which the slope is evaluated."""
+
+    u_end: AnalyticFn
     vs: list
     omegas: list
     psi_end: UnimodalMap
-    omega_end: RotationNumber
-    mode: str
+
+    @property
+    def omega_end(self):
+        return self.omegas[-1]
 
 
 def _polish_sigma1(family, alpha0, n):
@@ -430,13 +434,14 @@ def _project_sigma1(m):
 
 
 def slope_chain(family, omega0, n, mode="exact-orbit"):
-    """Propagate (f_k, u_k, v_k, omega_k) for k = 0..n-1.
+    """Propagate (u_k, v_k, omega_k) for k = 0..n-1 over a list of bases.
 
-    exact-orbit: f_k = R^k(c(s_n, 0)) with u, v pushed by the derivative of
-    the renormalization at each exact iterate. fixed-point: the bases are
-    Phi for the first floor(n/2)-1 steps and the unstable-manifold points
-    f*_{n-k+1} for the tail, ending the propagation at f*_2 so that the
-    final evaluation happens at f*_1.
+    exact-orbit: the bases are R^k(c(s_n, 0)) for k = 0..n-2, and the chain
+    ends at R^(n-1)(c(s_n, 0)). fixed-point: the bases are Phi for
+    k <= floor(n/2)-1 and the unstable-manifold points f*_{n-k+1} for the
+    tail, so the last step is taken at f*_2 and the chain ends at f*_1.
+    Each step pushes u by DR and v by DT_omega at its base, then doubles
+    omega.
 
     The v_k are not put on the section: a shift t_gamma commutes with DT at
     a theta-independent base and leaves every norm and m(DG1 v) unchanged,
@@ -457,58 +462,38 @@ def slope_chain(family, omega0, n, mode="exact-orbit"):
             s = superstable_params(family, n)
             alpha, f0 = _polish_sigma1(family, float(s[n]), n)
             polished[n] = alpha
+        u = family.du_dalpha(alpha)
+        bases = [f0]
+        for _ in range(n - 1):
+            bases.append(renormalize_1d(bases[-1], check_domain=False))
+        end = bases.pop()
     elif mode == "fixed-point":
         alpha = stable_manifold_param(family)
+        u = family.du_dalpha(alpha)
+        fpd = feigenbaum_fixed_point(u.domain)
+        stars = unstable_manifold_points(fpd, max(2, n - max(n // 2, 1) + 1))
+        bases = [fpd.phi if k <= n // 2 - 1 else stars[n - k]
+                 for k in range(1, n)]
+        end = stars[0]
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    u = family.du_dalpha(alpha)
-    dom = u.domain
-    if mode == "exact-orbit":
-        psi_end_override = None
-    else:
-        fpd = feigenbaum_fixed_point(dom)
-        stars = unstable_manifold_points(fpd, max(2, n - max(n // 2, 1) + 1))
-        f0 = fpd.phi
-        psi_end_override = stars[0]
-    v = family.dv_deps(alpha)
-
-    fs, us, vs, omegas = [f0], [u], [v], [omega0]
-    om = omega0
-    f_cur = f0
-    for k in range(1, n):
-        if mode == "exact-orbit":
-            base = f_cur
-        else:
-            if k <= n // 2 - 1:
-                base = fpd.phi
-            else:
-                base = stars[n - k]
+    vs, omegas = [family.dv_deps(alpha)], [omega0]
+    for k, base in enumerate(bases, start=1):
         try:
-            u = AnalyticFn(dr_matrix(base) @ np.real(u.coeffs), dom)
-            v = apply_DT(base, om, v)
+            u = AnalyticFn(dr_matrix(base) @ np.real(u.coeffs), u.domain)
+            vs.append(apply_DT(base, omegas[-1], vs[-1]))
         except (DegenerateScalingError, DomainError) as e:
             raise type(e)(f"chain stage k={k}: {e}")
-        if mode == "exact-orbit":
-            f_cur = renormalize_1d(f_cur, check_domain=False)
-        else:
-            f_cur = base
-        om = om.double()
-        fs.append(f_cur)
-        us.append(u)
-        vs.append(v)
-        omegas.append(om)
-
-    psi_end = psi_end_override if psi_end_override is not None else fs[-1]
-    psi_end = _project_sigma1(psi_end)
-    return ChainResult(alpha=alpha, fs=fs, us=us, vs=vs, omegas=omegas,
-                       psi_end=psi_end, omega_end=omegas[-1], mode=mode)
+        omegas.append(omegas[-1].double())
+    return ChainResult(u_end=u, vs=vs, omegas=omegas,
+                       psi_end=_project_sigma1(end))
 
 
 def slope_formula(family, omega0, n, mode="exact-orbit"):
     """(alpha'_n, beta'_n) from the renormalization chain."""
     ch = slope_chain(family, omega0, n, mode=mode)
-    den = DG1_hat(ch.psi_end, ch.us[-1])
+    den = DG1_hat(ch.psi_end, ch.u_end)
     if abs(den) < 1e-300:
         raise DegenerateScalingError("DG1_hat denominator vanished")
     vals = DG1(ch.psi_end, ch.omega_end, ch.vs[-1])

@@ -376,12 +376,6 @@ class PairFn:
     def coeff_norm(self):
         return float(np.linalg.norm(self.coeff_vector()))
 
-    def rotate(self, beta):
-        """Shift theta by gamma with beta = 2 pi k gamma: acts as rot(-beta)."""
-        c, s = np.cos(beta), np.sin(beta)
-        return PairFn(AnalyticFn(c * self.u.coeffs + s * self.v.coeffs, self.domain),
-                      AnalyticFn(-s * self.u.coeffs + c * self.v.coeffs, self.domain))
-
     def __add__(self, other):
         return PairFn(self.u + other.u, self.v + other.v)
 

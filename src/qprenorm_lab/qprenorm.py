@@ -241,7 +241,6 @@ class LOmegaOperator:
     """
 
     base_psi: UnimodalMap
-    omega: RotationNumber
     matrix: np.ndarray
 
     def apply(self, v: PairFn) -> PairFn:
@@ -263,12 +262,12 @@ def build_L_omega(psi, omega, k=1):
     c, s = np.cos(phi), np.sin(phi)
     M = np.block([[L1 + c * L2, s * L2],
                   [-s * L2, L1 + c * L2]])
-    return LOmegaOperator(base_psi=psi, omega=om_eff, matrix=M)
+    return LOmegaOperator(base_psi=psi, matrix=M)
 
 
 def rotation_matrix(n_cheb, gamma):
     """Matrix of t_gamma on PairFn.coeff_vector(): rot(-2 pi gamma) x I,
-    as in PairFn.rotate."""
+    the real-matrix form of shift_tgamma on one mode-1 pair."""
     beta = 2.0 * np.pi * float(gamma)
     eye = np.eye(n_cheb)
     c, s = np.cos(beta), np.sin(beta)
@@ -281,7 +280,6 @@ class SpectrumReport:
     spectral_radius: float
     pairing_ok: bool
     violations: list
-    tol: float = TOL_SPEC
 
 
 def spectrum_L_omega(op):

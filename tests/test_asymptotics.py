@@ -13,6 +13,7 @@ from qprenorm_lab import (
     H4Report,
     PairFn,
     RotationNumber,
+    apply_DT,
     apply_L_prime,
     build_L_omega,
     check_H3,
@@ -29,6 +30,8 @@ from qprenorm_lab import (
     project_pik,
     renorm_identity_gap,
     renormalized_family,
+    slope_chain,
+    slope_table,
     stable_manifold_param,
     sup_norm,
     superstable_params,
@@ -100,11 +103,19 @@ def test_pass_criterion_uses_upper_confidence_bound():
 
 # --------------------------------------------------------- quotient algebra
 
-def test_quotient_decomposition_is_exact(flm, golden):
+def test_quotient_decomposition_is_exact(flm, golden, stars):
     for n in (3, 6):
         rep = quotient_factorization(flm, golden, n)
         assert rep.residual <= 1e-12
         assert rep.q_n == pytest.approx(rep.product, abs=1e-12)
+        # oracle for norm_reference: the last step DT(f*_2) applied to the
+        # normalized previous direction
+        ch = slope_chain(flm, golden, n, mode="fixed-point")
+        v_prev = ch.vs[-2]
+        image = apply_DT(stars[1], ch.omegas[-2],
+                         v_prev * (1.0 / sup_norm(v_prev)))
+        assert rep.norm_reference == pytest.approx(sup_norm(image),
+                                                   rel=1e-13, abs=0.0)
     gap3 = quotient_factorization(flm, golden, 3).delta_gap
     gap6 = quotient_factorization(flm, golden, 6).delta_gap
     assert gap6 < gap3
@@ -367,3 +378,60 @@ def test_rational_rotation_rejected(flm, golden):
     p0 = project_pik(flm.dv_deps(stable_manifold_param(flm)), 1)
     with pytest.raises(DiophantineError):
         check_H5(third, p0, p0, n_max=3)
+
+
+# ------------------------------------------------------- pinned chain values
+#
+# Values of the chain walks at the default domain, as repr floats. A
+# mis-ordered base list or a dropped step moves them by O(1); the drift of
+# the Vandermonde operator data (2.1e-11 on slopes) stays inside PINNED_REL.
+
+PINNED_REL = 1e-10
+PINNED_SLOPES = {
+    "exact-orbit": {
+        1: (-8.16078370432081, 8.160783704320805),
+        2: (-11.166652707345094, 11.166652707345094),
+        3: (-21.22155411694844, 21.221554116948436),
+        4: (-14.564213015083698, 14.564213015083684),
+        5: (-15.837452604808542, 15.837452604808538),
+        6: (-23.384207858724015, 23.384207858723997),
+    },
+    "fixed-point": {
+        1: (-5.3800337562968075, 5.3800337562968075),
+        2: (-9.5576240415636, 9.5576240415636),
+        3: (-19.03812272561594, 19.03812272561594),
+        4: (-13.067173183434045, 13.06717318343404),
+        5: (-14.350170776564145, 14.350170776564145),
+        6: (-21.182481790410634, 21.182481790410616),
+    },
+}
+PINNED_H5_RATIOS = [0.7893899134329336, 1.0135636760866065,
+                    0.5170943075785668, 0.5959734395351113,
+                    0.719686205328731, 0.9973600608742302,
+                    0.5813137751683972, 0.7230117186765608]
+PINNED_OBS3_C = 1.0135636760866058
+PINNED_OBS3_MARGINS = {1e-3: (0.0020052304127258997, 0.002029184059427942),
+                       1e-2: (0.019873966582905977, 0.02047883960121406)}
+
+
+@pytest.mark.parametrize("mode", ["exact-orbit", "fixed-point"])
+def test_pinned_slopes(flm, golden, mode):
+    table = slope_table(flm, golden, 6, mode=mode)
+    for n, want in PINNED_SLOPES[mode].items():
+        assert table[n] == pytest.approx(want, rel=PINNED_REL, abs=0.0)
+
+
+def test_pinned_h5_ratios(flm, golden):
+    p0 = project_pik(flm.dv_deps(stable_manifold_param(flm)), 1)
+    rep = check_H5(golden, p0, p0, n_max=8)
+    assert rep.ratios == pytest.approx(PINNED_H5_RATIOS, rel=PINNED_REL,
+                                       abs=0.0)
+
+
+def test_pinned_observation3_bound(golden):
+    rep = observation3(golden, etas=(1e-3, 1e-2), n_max=10)
+    assert rep.bound_C == pytest.approx(PINNED_OBS3_C, rel=PINNED_REL, abs=0.0)
+    assert rep.bound_margins.keys() == PINNED_OBS3_MARGINS.keys()
+    for eta, want in PINNED_OBS3_MARGINS.items():
+        assert rep.bound_margins[eta] == pytest.approx(want, rel=PINNED_REL,
+                                                       abs=0.0)

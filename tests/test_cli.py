@@ -72,6 +72,14 @@ def test_forcing_rejects_malformed(bad):
     assert err.value.pos is not None
 
 
+@pytest.mark.parametrize("coeff", ["nan", "inf", "-inf", "NaN"])
+def test_forcing_rejects_non_finite_coefficients(coeff):
+    expr = f"[1]*sin(1w) + [0.5,{coeff}]*cos(2w)"
+    with pytest.raises(ForcingParseError) as err:
+        parse_forcing(expr)
+    assert err.value.pos == expr.index("0.5")
+
+
 def test_forcing_rejects_mode_beyond_truncation():
     with pytest.raises(ForcingParseError):
         parse_forcing("[1]*cos(17w)", k_max=16)
@@ -245,6 +253,16 @@ def test_config_file_rejected(tmp_path, text, fragment):
     with pytest.raises((ValueError, ForcingParseError)) as err:
         load_config(str(p))
     assert fragment.split()[0] in str(err.value).lower()
+
+
+def test_non_finite_forcing_config_exits_1(tmp_path, capsys):
+    p = tmp_path / "nan.ini"
+    p.write_text("[family]\nforcing = [nan]*cos(1w)\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out), "--nmax", "3",
+                 "slopes"]) == 1
+    assert "non-finite coefficient" in capsys.readouterr().err
+    assert not (out / "slopes.csv").exists()
 
 
 def test_config_missing_file(tmp_path):

@@ -382,7 +382,7 @@ def test_normalize_falls_back_on_degenerate_section_point(domain):
 
 def _shifted_value_and_slope(pair, gamma, section):
     """f and d f / d theta at (theta0, x0) of t_gamma pair, from the pair
-    rotated as PairFn.rotate and the scalar Clenshaw loop."""
+    rotated as rotation_matrix and the scalar Clenshaw loop."""
     c, s = np.cos(TWO_PI * gamma), np.sin(TWO_PI * gamma)
     u, v = pair.u.coeffs, pair.v.coeffs
     t = section.x0 / pair.domain.half_width
