@@ -269,7 +269,7 @@ def renormalized_family(family, omega, n):
         evaluator=lambda a, e: apply_T(family.evaluator(a, e), omega),
         du_dalpha=du_dalpha,
         dv_deps=lambda a: apply_DT(family.psi0(a), omega, family.dv_deps(a)),
-        param_box=family.param_box)
+        alpha_box=family.alpha_box)
     fam._cache["superstable"] = [
         float(x) for x in superstable_params(family, n)[1:]]
     return fam
@@ -298,16 +298,18 @@ class Obs2Report:
     passed: bool
 
 
-def observation2(c, omega0, n_max=10, identity_levels=(2, 3),
-                 mode="exact-orbit"):
+IDENTITY_LEVELS = (2, 3)
+
+
+def observation2(c, omega0, n_max=10, mode="exact-orbit"):
     """Convergence of the mixed quotient r_n = alpha'_n(w)/alpha'_{n-1}(2w).
 
     Reports the Cauchy differences |r_n - r_{n-1}| (required decreasing
     from n = 4 on), an Aitken limit estimate with a 3-significant-digit
     stability comparison against the one-shorter window, the boundedness
     diagnostic alpha'_n(w)/alpha'_n(2w), the two-chain norm-ratio band, and
-    the one-step renormalization identity at small levels (relative gap at
-    most 1e-10).
+    the one-step renormalization identity at the levels IDENTITY_LEVELS
+    (relative gap at most 1e-10).
 
     Runs the slope chains on the exact orbit by default: the chain
     propagation is linear in n, the dominant 2^n work sits in cheap 1-D
@@ -335,7 +337,7 @@ def observation2(c, omega0, n_max=10, identity_levels=(2, 3),
     p0 = project_pik(v0, 1)
     h5 = check_H5(omega0, p0, p0, n_max=min(n_max, 12))
 
-    gaps = {i: renorm_identity_gap(c, omega0, i) for i in identity_levels}
+    gaps = {i: renorm_identity_gap(c, omega0, i) for i in IDENTITY_LEVELS}
     identity_ok = all(g <= 1e-10 for g in gaps.values())
 
     return Obs2Report(seq=seq, cauchy_diffs=cauchy,
@@ -352,12 +354,12 @@ def observation2(c, omega0, n_max=10, identity_levels=(2, 3),
 
 # ----------------------------------------------------------- observation 3
 
-def flm_eta_family(eta):
+def flm_eta_family(eta, domain=DomainConfig()):
     """Forced logistic family with forcing cos(2 pi t) + eta cos(4 pi t)."""
     def g(theta, x):
         t = 2.0 * np.pi * np.asarray(theta)
         return (np.cos(t) + eta * np.cos(2 * t)) * np.ones_like(x)
-    return flm_family(g=g, name=f"flm_eta{eta:g}")
+    return flm_family(g=g, domain=domain, name=f"flm_eta{eta:g}")
 
 
 def component_chains(omega0, v01, v02, n_max):
@@ -403,7 +405,7 @@ class Obs3Report:
 
 
 def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
-                 section=SectionConfig()):
+                 section=SectionConfig(), domain=DomainConfig()):
     """eta-perturbation study: a second harmonic breaks universality.
 
     For each eta the full quotient sequence of the two-harmonic family is
@@ -413,12 +415,12 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     recurrences provide the direction-deviation bound 2 C eta / (1 - C eta)
     with C estimated from the norm-ratio band. The two directions compared
     at each level are put on the section first; they share their mode-1
-    part, and with it the shift.
+    part, and with it the shift. Every family lives on `domain`.
     """
     require_diophantine(omega0)
     tables = {}
     for eta in (0.0,) + tuple(etas):
-        fam = flm_eta_family(eta)
+        fam = flm_eta_family(eta, domain)
         tables[eta] = quotient_sequence(fam, omega0, n_max)
     base = dict(zip(tables[0.0].ns(), tables[0.0].values()))
 
@@ -438,7 +440,7 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
         scale, scale_ok = 1.0, True
 
     # component bookkeeping at unit eta; everything is linear in v02
-    fam1 = flm_eta_family(1.0)
+    fam1 = flm_eta_family(1.0, domain)
     alpha_star = stable_manifold_param(fam1)
     v0 = fam1.dv_deps(alpha_star)
     v01, v02 = project_pik(v0, 1), project_pik(v0, 2)
@@ -552,12 +554,15 @@ class H4Report:
     passed: bool
 
 
-def check_H4(psi=None, omega_grid=None, n_pairs=100, radius=0.5, seed=7,
-             multi_n=8, section=SectionConfig()):
+H4_RADIUS = 0.5
+
+
+def check_H4(psi=None, omega_grid=None, n_pairs=100, seed=7, multi_n=8,
+             section=SectionConfig()):
     """Uniform contraction of the normalized one-step map near the
     dominant direction.
 
-    V is the radius-`radius` coefficient ball around the normalized
+    V is the radius-H4_RADIUS coefficient ball around the normalized
     dominant direction at the golden rotation number, intersected with the
     unit sphere on the section. For sampled pairs in V and every omega on
     the grid, the one-step map v -> t_gamma(L_omega v)/|| || must shrink
@@ -581,6 +586,7 @@ def check_H4(psi=None, omega_grid=None, n_pairs=100, radius=0.5, seed=7,
     e0_vec = e0.coeff_vector()
     dim = e0_vec.size
 
+    radius = H4_RADIUS
     rng = np.random.default_rng(seed)
     samples = []
     attempts = 0

@@ -238,6 +238,9 @@ def load_config(path=None, overrides=None):
                 except ValueError:
                     raise ValueError(
                         f"bad value for [{sec}] {key}: {raw!r}")
+                if f.type in (float, tuple) and not np.all(np.isfinite(val)):
+                    raise ValueError(
+                        f"non-finite value for [{sec}] {key}: {raw!r}")
                 setattr(cfg, f.name, val)
     for name, val in (overrides or {}).items():
         if val is not None:
@@ -583,7 +586,8 @@ def cmd_observe(cfg, store, which):
         return 0 if rep.passed else 2
     if which == 3:
         rep = observation3(omega, etas=cfg.etas, n_max=cfg.n_max,
-                           section=cfg.section_config())
+                           section=cfg.section_config(),
+                           domain=cfg.domain_config())
         ns = sorted(next(iter(rep.deviations.values())))
         header = (["n [level]"] +
                   [f"abs_dev_eta_{e:g} [1]" for e in rep.etas])
@@ -631,7 +635,8 @@ def cmd_conjecture(cfg, store, which):
               f"{'PASS' if rep.passed else 'FAIL'}")
         return 0 if rep.passed else 2
     if which == "h4":
-        rep = check_H4(n_pairs=100, seed=cfg.seed,
+        rep = check_H4(psi=feigenbaum_fixed_point(cfg.domain_config()).phi,
+                       n_pairs=100, seed=cfg.seed,
                        section=cfg.section_config())
         store.write_csv("contraction.csv",
                         ["omega [revolutions]", "max_ratio_l2 [1]"],

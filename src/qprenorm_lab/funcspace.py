@@ -33,6 +33,7 @@ from .errors import (CompositionDomainError, ConsistencyError, DomainError,
                      TruncationError)
 
 TOL_INTERP = 1e-12
+TOL_THETA = 1e-12     # relative size of the modes k != 0 of a theta-free map
 
 
 @dataclass(frozen=True)
@@ -225,28 +226,15 @@ class QPFn:
         return out
 
     @classmethod
-    def from_mode_rows(cls, domain, rows):
-        """rows: dict k -> complex coefficient vector, k >= 0 only.
-
-        Negative rows are filled in by conjugation.
-        """
-        out = cls.zero(domain)
-        K = domain.n_fourier
-        for k, c in rows.items():
-            if abs(k) > K:
-                raise TruncationError(f"mode {k} exceeds K={K}")
-            out.modes[K + k] = c
-            if k > 0:
-                out.modes[K - k] = np.conj(c)
-        return out
-
-    @classmethod
     def from_pair(cls, domain, k, u, v):
         """Embed u(x) cos(2 pi k theta) + v(x) sin(2 pi k theta)."""
-        if k < 1 or k > domain.n_fourier:
+        K = domain.n_fourier
+        if k < 1 or k > K:
             raise TruncationError(f"mode {k} out of range")
-        ck = 0.5 * (u.coeffs - 1j * v.coeffs)
-        return cls.from_mode_rows(domain, {k: ck})
+        out = cls.zero(domain)
+        out.modes[K + k] = 0.5 * (u.coeffs - 1j * v.coeffs)
+        out.modes[K - k] = np.conj(out.modes[K + k])
+        return out
 
     @classmethod
     def from_callable(cls, domain, fn):
@@ -305,12 +293,12 @@ class QPFn:
         """l2 norm of the full coefficient stack."""
         return float(np.sqrt(np.sum(np.abs(self.modes) ** 2)))
 
-    def is_theta_independent(self, tol=1e-12):
+    def is_theta_independent(self):
         K = self.K
         off = np.sqrt(np.sum(np.abs(self.modes) ** 2)
                       - np.sum(np.abs(self.modes[K]) ** 2))
         scale = max(1.0, np.max(np.abs(self.modes)))
-        return off <= tol * scale
+        return off <= TOL_THETA * scale
 
     # ------------------------------------------------------------- algebra
 
@@ -517,7 +505,10 @@ def pair_sup_norm(domain, u, v):
 
 
 def eval_qpfn(f, theta, x):
-    """Functional form of QPFn.eval with the domain guard of the contract."""
+    """Functional form of QPFn.eval with the domain guard of the contract.
+
+    A reference kept for the tests, which check the guard; the library
+    calls QPFn.eval and eval_batch directly."""
     L = f.domain.half_width
     if np.any(np.abs(np.asarray(x, dtype=float)) > L * (1 + 1e-13)):
         raise DomainError(f"x outside [-{L}, {L}]", where=x)

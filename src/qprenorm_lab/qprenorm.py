@@ -42,6 +42,7 @@ MAX_DEPTH = SCALE_BITS - 53      # doublings float(omega) survives intact
 
 TOL_PI1 = 1e-12
 TOL_SPEC = 1e-8
+DIO_QMAX = 1000       # denominators the driver-level Diophantine gate checks
 
 
 # --------------------------------------------------------- rotation numbers
@@ -97,20 +98,20 @@ class RotationNumber:
                 f"more than {MAX_DEPTH} doublings requested: a "
                 f"{SCALE_BITS}-bit fraction keeps float(omega) exact only "
                 f"through {SCALE_BITS} - 53 = {MAX_DEPTH}")
-        # q (2 omega) = (2q) omega for q <= q_max // 2 was checked on self
-        return RotationNumber._derived(
-            num=(self.num << 1) % SCALE,
-            dio_gamma=self.dio_gamma / 2 ** self.dio_tau,
-            dio_tau=self.dio_tau,
-            q_max=self.q_max // 2,
-            depth=self.depth + 1)
+        return self._times(2, self.depth + 1)
 
-    @classmethod
-    def _derived(cls, **fields):
-        """Build a number whose certificate follows from a verified one,
-        skipping the Diophantine loop that __post_init__ runs."""
-        out = object.__new__(cls)
-        for name, value in fields.items():
+    def _times(self, k, depth):
+        """k omega mod 1 at the given depth, carrying the certificate.
+
+        q (k omega) = (kq) omega for q <= q_max // k was checked on self,
+        so the Diophantine loop that __post_init__ runs is skipped.
+        """
+        out = object.__new__(RotationNumber)
+        for name, value in (("num", (self.num * k) % SCALE),
+                            ("dio_gamma", self.dio_gamma / k ** self.dio_tau),
+                            ("dio_tau", self.dio_tau),
+                            ("q_max", self.q_max // k),
+                            ("depth", depth)):
             object.__setattr__(out, name, value)
         return out
 
@@ -121,13 +122,7 @@ class RotationNumber:
             raise ValueError("k must be a positive integer")
         if k == 1:
             return self
-        # q (k omega) = (kq) omega for q <= q_max // k was checked on self
-        return RotationNumber._derived(
-            num=(self.num * k) % SCALE,
-            dio_gamma=self.dio_gamma / k ** self.dio_tau,
-            dio_tau=self.dio_tau,
-            q_max=self.q_max // k,
-            depth=self.depth)
+        return self._times(k, self.depth)
 
     @classmethod
     def zero(cls):
@@ -162,19 +157,15 @@ class RotationNumber:
                                  dio_gamma, dio_tau, q_max)
 
 
-def require_diophantine(omega, dio_gamma=None, dio_tau=None, q_max=1000):
-    """Driver-level gate: verify (or re-verify) the Diophantine bound.
-
-    Uses the certificate stored on omega unless overridden; raises when the
-    bound fails or when omega carries no usable constants.
+def require_diophantine(omega):
+    """Driver-level gate: re-verify the certificate stored on omega for
+    0 < q <= DIO_QMAX; raises when the bound fails or when omega carries
+    no usable constants.
     """
-    gamma = omega.dio_gamma if dio_gamma is None else dio_gamma
-    tau = omega.dio_tau if dio_tau is None else dio_tau
-    if gamma <= 0:
+    if omega.dio_gamma <= 0:
         raise DiophantineError("rotation number carries no Diophantine bound")
-    probe = RotationNumber(omega.num, dio_gamma=gamma, dio_tau=tau,
-                           q_max=q_max)
-    return probe
+    return RotationNumber(omega.num, dio_gamma=omega.dio_gamma,
+                          dio_tau=omega.dio_tau, q_max=DIO_QMAX)
 
 
 # ------------------------------------------------------------------ sections
@@ -249,14 +240,11 @@ class LOmegaOperator:
 
 
 def build_L_omega(psi, omega, k=1):
-    """Assemble L_{k omega} acting on pair coefficients."""
+    """Assemble L_{k omega} acting on pair coefficients; omega is a
+    RotationNumber, so k omega mod 1 is exact."""
     if abs(psi.a) < TOL_A:
         raise DegenerateScalingError("degenerate scaling at the base map")
-    if isinstance(omega, RotationNumber):
-        om_eff = omega.times_mod1(k)
-    else:
-        om_eff = RotationNumber.from_float(k * float(omega))
-    phi = 2.0 * np.pi * float(om_eff)
+    phi = 2.0 * np.pi * float(omega.times_mod1(k))
     L1 = l1_matrix(psi)
     L2 = l2_matrix(psi)
     c, s = np.cos(phi), np.sin(phi)
@@ -358,7 +346,7 @@ def section_gammas(X, domain, section=SectionConfig()):
         rows = np.flatnonzero(todo)
         if rows.size == 0:
             break
-        if abs(cand) > L:
+        if not abs(cand) <= L:      # NaN fails too
             raise DomainError(f"section point x0 = {cand} outside the interval")
         t = np.full(rows.size, cand / L)
         a, b = _clenshaw_rows(t, U[rows]), _clenshaw_rows(t, V[rows])

@@ -28,6 +28,8 @@ from .funcspace import (AnalyticFn, DomainConfig, QPFn, _cheb_machinery,
                         _cheb_vander, _diff_matrix, sup_norm)
 
 TOL_A = 1e-8
+N_FIT = 12            # cascade levels behind the alpha* extrapolation
+H0_BOUNDARY = 512     # disc boundary samples of the H0 containment check
 
 
 def _read_only(arr):
@@ -47,11 +49,10 @@ class UnimodalMap:
     """
 
     psi: AnalyticFn
-    a: float = None
+    a: float = field(init=False)
 
     def __post_init__(self):
-        if self.a is None:
-            self.a = float(np.real(self.psi(1.0)))
+        self.a = float(np.real(self.psi(1.0)))
 
     @property
     def domain(self):
@@ -61,11 +62,8 @@ class UnimodalMap:
         return self.psi(x)
 
     @classmethod
-    def from_callable(cls, domain, fn, validate=True):
-        m = cls(AnalyticFn.from_callable(domain, fn))
-        if validate:
-            m.validate()
-        return m
+    def from_callable(cls, domain, fn):
+        return cls(AnalyticFn.from_callable(domain, fn)).validate()
 
     def validate(self):
         """Membership checks for the normalized unimodal class.
@@ -173,20 +171,19 @@ class FamilySpec:
 
     evaluator returns the cylinder map; du_dalpha(alpha) and dv_deps(alpha)
     are its exact parameter derivatives at eps = 0 (the first on the
-    uncoupled slice, the second on the cylinder). The raw fields describe an
-    un-normalized one-dimensional representative used for the
-    superstable-parameter search, where the normalizing conjugacy may
-    degenerate.
+    uncoupled slice, the second on the cylinder). alpha_box = (lo, hi) is
+    the parameter range the superstable search scans. raw_step(alpha, x)
+    returns (f, f_x, f_alpha) at x for an un-normalized one-dimensional
+    representative with critical point x_crit, used for that search, where
+    the normalizing conjugacy may degenerate.
     """
 
     name: str
     evaluator: Callable[[float, float], QPFn]
     du_dalpha: Callable[[float], AnalyticFn]
     dv_deps: Callable[[float], QPFn]
-    param_box: tuple = ((2.9, 3.62), (0.0, 1e-2))
-    raw_map: Optional[Callable[[float, float], float]] = None
-    raw_dmap_dx: Optional[Callable[[float, float], float]] = None
-    raw_dmap_dalpha: Optional[Callable[[float, float], float]] = None
+    alpha_box: tuple
+    raw_step: Optional[Callable[[float, float], tuple]] = None
     x_crit: Optional[float] = None
     # s_n and alpha*, filled by superstable_params and stable_manifold_param,
     # and the Sigma_1-polished parameters by n ("sigma1"), filled by
@@ -369,21 +366,22 @@ class H0Report:
     n_boundary: int
 
 
-def check_H0(fp, n_boundary=512):
-    """Sampled containment of a*W and Phi(a*W) in the disc W.
+def check_H0(fp):
+    """Sampled containment of a*W and Phi(a*W) in the disc W, at
+    H0_BOUNDARY points of its boundary.
 
     Positive margins mean the sampled image stays strictly inside; this is
     a numerical check, not a rigorous bound.
     """
     dom = fp.phi.domain
     c, r = dom.w_center, dom.w_radius
-    z = c + r * np.exp(2j * np.pi * np.arange(n_boundary) / n_boundary)
+    z = c + r * np.exp(2j * np.pi * np.arange(H0_BOUNDARY) / H0_BOUNDARY)
     a = fp.a_star
     m1 = r - float(np.max(np.abs(a * z - c)))
     img = fp.phi.psi(a * z)
     m2 = r - float(np.max(np.abs(img - c)))
     return H0Report(margin_a_disc=m1, margin_image_disc=m2,
-                    contained=bool(m1 > 0 and m2 > 0), n_boundary=n_boundary)
+                    contained=bool(m1 > 0 and m2 > 0), n_boundary=H0_BOUNDARY)
 
 
 # --------------------------------------------------- superstable parameters
@@ -393,8 +391,8 @@ def _orbit_with_deriv(family, alpha, steps):
     x = family.x_crit
     P = 0.0
     for _ in range(steps):
-        P = family.raw_dmap_dalpha(alpha, x) + family.raw_dmap_dx(alpha, x) * P
-        x = family.raw_map(alpha, x)
+        x, f_x, f_alpha = family.raw_step(alpha, x)
+        P = f_alpha + f_x * P
         if not math.isfinite(x) or abs(x) > 1e6:
             return np.nan, np.nan
     return x - family.x_crit, P
@@ -504,11 +502,11 @@ def superstable_params(family, n_max):
     cached = family._cache.get("superstable")
     if cached is not None and len(cached) > n_max:
         return np.array(cached[:n_max + 1])
-    if family.raw_map is None:
+    if family.raw_step is None:
         raise SearchError(
             f"family {family.name!r} has no raw map and stores "
             f"{len(cached or ())} superstable levels; n = {n_max} asked")
-    (a_lo, a_hi), _ = family.param_box
+    a_lo, a_hi = family.alpha_box
     s = []
 
     # n = 0 scans the box; n = 1 scans upward from s_0, skipping its
@@ -593,18 +591,18 @@ def _classify_side(family, alpha, k_max=60):
     raise NoConvergenceError("no escape within the iteration budget")
 
 
-def stable_manifold_param(family, n_fit=12):
+def stable_manifold_param(family):
     """Accumulation parameter alpha* = lim s_n.
 
-    Geometric extrapolation of the cascade, certified by renormalization
-    escape: s_n and alpha_extrap - 1e-8 must escape 'below' and
-    alpha_extrap + 1e-8 'above', so the escape boundary lies within 1e-8
-    of the extrapolation. Any other verdict raises InconsistencyError.
+    Geometric extrapolation of the cascade s_0..s_N_FIT, certified by
+    renormalization escape: s_n and alpha_extrap - 1e-8 must escape 'below'
+    and alpha_extrap + 1e-8 'above', so the escape boundary lies within
+    1e-8 of the extrapolation. Any other verdict raises InconsistencyError.
     """
     cached = family._cache.get("alpha_star")
     if cached is not None:
         return cached
-    s = superstable_params(family, n_fit)
+    s = superstable_params(family, N_FIT)
     d1 = s[-2] - s[-3]
     d2 = s[-1] - s[-2]
     rho = d2 / d1

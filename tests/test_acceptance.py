@@ -84,7 +84,7 @@ def test_criterion_03_fixed_point_quality(fp):
     rphi = renormalize_1d(fp.phi)
     resid = float(np.max(np.abs(np.real(rphi.psi(xs))
                                 - np.real(fp.phi.psi(xs)))))
-    h0 = check_H0(fp, n_boundary=512)
+    h0 = check_H0(fp)
     ok = resid <= 1e-10 and h0.margin_a_disc > 0.0 \
         and h0.margin_image_disc > 0.0
     _report(3, ok, f"||R(phi)-phi||={resid:.2e}, margins "
@@ -148,7 +148,8 @@ def test_criterion_05_equivariance_suite(fp, domain, golden, stars):
         for g in rng.uniform(0.0, 1.0, size=5))
 
     pairing = all(
-        spectrum_L_omega(build_L_omega(fp.phi, i / 64.0, 1)).pairing_ok
+        spectrum_L_omega(build_L_omega(
+            fp.phi, RotationNumber.from_fraction(i, 64), 1)).pairing_ok
         for i in range(64))
 
     ok = (norm_gap <= 1e-10 and equiv_gap <= 1e-10
@@ -191,13 +192,13 @@ def test_criterion_07_dg1_gradient(domain, golden, stars):
             domain,
             lambda th, x: (c[0] + c[1] * x
                            + (c[2] + c[3] * x) * np.cos(TWO_PI * th)))
-        out = DG1(psi, golden, v, M=M)
+        out = DG1(psi, golden, v)
         g = []
         for sgn in (1.0, -1.0):
             fpm = base + v * (sgn * h)
             curve = solve_invariant_curve(fpm, golden, 1,
                                           guess=np.zeros(M), M=M)
-            g.append(G1(fpm, golden, curve).values)
+            g.append(G1(fpm, golden, curve))
         fd = (g[0] - g[1]) / (2.0 * h)
         rel = float(np.max(np.abs(fd - out))) \
             / max(1.0, float(np.max(np.abs(out))))
@@ -225,7 +226,7 @@ def test_criterion_08_observation1(flm, golden):
 
 
 def test_criterion_09_observation2(flm, golden):
-    rep = observation2(flm, golden, n_max=10, identity_levels=(2, 3))
+    rep = observation2(flm, golden, n_max=10)
     gaps = rep.identity_gaps
     ok = (rep.passed and rep.cauchy_decreasing and rep.limit_stable_3digits
           and all(g <= 1e-10 for g in gaps.values()))

@@ -265,6 +265,38 @@ def test_non_finite_forcing_config_exits_1(tmp_path, capsys):
     assert not (out / "slopes.csv").exists()
 
 
+FLOAT_KEYS = [(s, k, raw) for s, k, raw, _, want in INI_KEYS
+              if type(want) in (float, tuple)]
+
+
+@pytest.mark.parametrize("bad", ["nan", "-inf"])
+@pytest.mark.parametrize("section,key,raw", FLOAT_KEYS,
+                         ids=[f"{s}.{k}" for s, k, _ in FLOAT_KEYS])
+def test_config_non_finite_float_rejected_by_key(tmp_path, section, key, raw,
+                                                 bad):
+    # for etas, one bad entry of the list is enough
+    value = f"{raw}, {bad}" if key == "etas" else bad
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=rf"non-finite .*\[{section}\] {key}"):
+        load_config(str(p))
+
+
+@pytest.mark.parametrize("section,key,argv", [
+    ("section", "x0", ["--nmax", "4", "conjecture", "--which", "h3"]),
+    ("run", "eps", ["--nmax", "2", "curve"]),
+])
+def test_non_finite_config_value_exits_1_naming_the_key(tmp_path, capsys,
+                                                         section, key, argv):
+    p = tmp_path / "nan.ini"
+    p.write_text(f"[{section}]\n{key} = nan\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out)] + argv) == 1
+    assert (f"non-finite value for [{section}] {key}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_config_missing_file(tmp_path):
     with pytest.raises(ValueError):
         load_config(str(tmp_path / "absent.ini"))
@@ -370,6 +402,21 @@ def test_conjecture_h4_reads_the_section(tmp_path, monkeypatch):
     rep = json.loads((out / "report.json").read_text())
     default = check_H4(n_pairs=5, seed=RunConfig().seed)
     assert rep["max_ratio_l2"] != default.max_ratio_l2
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["conjecture", "--which", "h4"], "contraction.csv"),
+    (["--nmax", "3", "observe", "--which", "3"], "deviations.csv"),
+])
+def test_domain_config_reaches_the_run(tmp_path, argv, name):
+    # both drivers build their maps on [domain], so a different truncation
+    # changes the numbers they write
+    p = tmp_path / "run.ini"
+    p.write_text("[domain]\nn_cheb = 48\nn_fourier = 20\n")
+    default, custom = tmp_path / "default", tmp_path / "custom"
+    assert main(["--out", str(default)] + argv) == 0
+    assert main(["--config", str(p), "--out", str(custom)] + argv) == 0
+    assert (default / name).read_bytes() != (custom / name).read_bytes()
 
 
 def test_plot_data_flag_emits_dat(tmp_path):

@@ -39,6 +39,7 @@ from qprenorm_lab.errors import (
     DegeneratePointError,
     DegenerateScalingError,
     DiophantineError,
+    DomainError,
     NoSectionError,
     PrecisionExhaustedError,
     UnsupportedBaseError,
@@ -320,7 +321,8 @@ def test_zero_rotation_spectrum_is_doubled(fp):
 def test_spectrum_pairing_and_continuity_over_grid(fp):
     radii = []
     for i in range(64):
-        rep = spectrum_L_omega(build_L_omega(fp.phi, i / 64.0, 1))
+        rep = spectrum_L_omega(build_L_omega(
+            fp.phi, RotationNumber.from_fraction(i, 64), 1))
         assert rep.pairing_ok, f"pairing violated at omega={i / 64.0}"
         radii.append(rep.spectral_radius)
     jumps = np.abs(np.diff(radii + radii[:1]))
@@ -330,9 +332,11 @@ def test_spectrum_pairing_and_continuity_over_grid(fp):
 def test_opposite_rotation_conjugates_spectrum(fp, golden):
     w = float(golden)
     eig_pos = np.sort_complex(np.asarray(
-        spectrum_L_omega(build_L_omega(fp.phi, w, 1)).eigenvalues))
+        spectrum_L_omega(build_L_omega(
+            fp.phi, RotationNumber.from_float(w), 1)).eigenvalues))
     eig_neg = np.sort_complex(np.asarray(
-        spectrum_L_omega(build_L_omega(fp.phi, 1.0 - w, 1)).eigenvalues))
+        spectrum_L_omega(build_L_omega(
+            fp.phi, RotationNumber.from_float(1.0 - w), 1)).eigenvalues))
     assert np.max(np.abs(eig_pos - np.sort_complex(np.conj(eig_neg)))) <= 1e-8
 
 
@@ -378,6 +382,16 @@ def test_normalize_falls_back_on_degenerate_section_point(domain):
     v = QPFn.from_callable(domain, lambda th, x: x * np.sin(TWO_PI * th))
     gamma0, _ = gamma_normalize(v)
     assert min(abs(gamma0), abs(1.0 - gamma0)) <= 1e-9
+
+
+@pytest.mark.parametrize("x0", [math.nan, 2.0, -math.inf])
+def test_section_point_off_the_interval_raises(domain, x0):
+    # NaN included: every comparison with it is false, so the range test
+    # has to be phrased as "not inside"
+    v = QPFn.from_callable(
+        domain, lambda th, x: (1.0 + 0.2 * x) * np.cos(TWO_PI * th))
+    with pytest.raises(DomainError, match="outside the interval"):
+        gamma_normalize(v, SectionConfig(x0=x0))
 
 
 def _shifted_value_and_slope(pair, gamma, section):
@@ -442,7 +456,8 @@ def test_l_prime_matches_the_qpfn_round_trip_bit_for_bit(fp, seed, w, vanish):
     dom = fp.phi.domain
     n = dom.n_cheb
     rng = np.random.default_rng(seed)
-    op = build_L_omega(fp.phi, w, 1)
+    omega = RotationNumber.from_float(w)
+    op = build_L_omega(fp.phi, omega, 1)
     x = rng.standard_normal(2 * n) * 10.0 ** rng.uniform(-3, 3)
     if vanish:
         x = _image_vanishing_at_zero(op.matrix, n, x)
@@ -453,7 +468,7 @@ def test_l_prime_matches_the_qpfn_round_trip_bit_for_bit(fp, seed, w, vanish):
         assert at0 <= 1e-9 * img.coeff_norm()     # the scan moves on
     want = project_pik(gamma_normalize(
         QPFn.from_pair(dom, 1, img.u, img.v))[1], 1)
-    assert _bits(apply_L_prime(fp.phi, w, v)) == _bits(want)
+    assert _bits(apply_L_prime(fp.phi, omega, v)) == _bits(want)
     # the pair-level routine against the same round trip
     gamma, got = normalize_pair(img)
     assert _bits(got) == _bits(want)

@@ -38,7 +38,8 @@ from qprenorm_lab import (
 from qprenorm_lab.errors import (InconsistencyError, NoConvergenceError,
                                  SearchError)
 from qprenorm_lab.funcspace import cheb_nodes
-from qprenorm_lab.renorm1d import _brentq, _classify_side, _sign_changes
+from qprenorm_lab.renorm1d import (_brentq, _classify_side, _orbit_value,
+                                   _orbit_with_deriv, _sign_changes)
 
 DELTA = 4.669201609102990
 A_STAR = -0.3995352805
@@ -133,8 +134,7 @@ def test_dr_matrix_matches_central_differences(oracle_maps, name):
 
 
 def test_domain_check_runs_on_every_call(domain):
-    psi = UnimodalMap.from_callable(
-        domain, lambda x: 1.0 - 0.5 * x ** 2, validate=False)
+    psi = UnimodalMap.from_callable(domain, lambda x: 1.0 - 0.5 * x ** 2)
     renormalize_1d(psi, check_domain=False)
     for _ in range(2):
         with pytest.raises(DomainError):
@@ -151,8 +151,7 @@ def test_in_domain_phi(fp):
 
 
 def test_in_domain_rejects_positive_a(domain):
-    psi = UnimodalMap.from_callable(
-        domain, lambda x: 1.0 - 0.1 * x ** 2, validate=False)
+    psi = UnimodalMap.from_callable(domain, lambda x: 1.0 - 0.1 * x ** 2)
     chk = in_domain_R(psi)
     assert not chk.ok
     assert chk.a == pytest.approx(0.9, abs=1e-12)
@@ -160,8 +159,7 @@ def test_in_domain_rejects_positive_a(domain):
 
 
 def test_in_domain_diagnostics_for_steep_quadratic(domain):
-    psi = UnimodalMap.from_callable(
-        domain, lambda x: 1.0 - 2.0 * x ** 2, validate=False)
+    psi = UnimodalMap.from_callable(domain, lambda x: 1.0 - 2.0 * x ** 2)
     chk = in_domain_R(psi)
     assert not chk.ok
     assert chk.a == pytest.approx(-1.0, abs=1e-12)
@@ -244,6 +242,19 @@ def test_superstable_increasing_below_accumulation(flm):
     assert all(b > a for a, b in zip(s, s[1:]))
     a_star = stable_manifold_param(flm)
     assert all(x < a_star for x in s)
+
+
+@pytest.mark.parametrize("alpha", [3.2, 3.4, 3.52, 3.56, 3.5657])
+def test_newton_orbit_derivative_matches_central_differences(flm, alpha):
+    # P, the alpha-derivative of f^steps(x_c) that the superstable Newton
+    # step divides by, against a central difference of the orbit value;
+    # every alpha lies below s_4 = 3.56667, where the orbit stays bounded
+    h = 1e-6
+    for steps in range(1, 17):
+        P = _orbit_with_deriv(flm, alpha, steps)[1]
+        fd = (_orbit_value(flm, alpha + h, steps)
+              - _orbit_value(flm, alpha - h, steps)) / (2.0 * h)
+        assert abs(fd - P) <= 1e-7 * max(1.0, abs(P)), (steps, P, fd)
 
 
 def test_sign_change_scan_skips_non_finite_cells_in_order():
@@ -329,15 +340,13 @@ def test_accumulation_point(flm):
 
 def _shifted_flm(flm):
     """The same family driven by beta = alpha - 1."""
-    (lo, hi), eps_box = flm.param_box
+    lo, hi = flm.alpha_box
     return dataclasses.replace(
         flm,
         name="flm-shifted",
         evaluator=lambda b, e: flm.evaluator(b + 1.0, e),
-        param_box=((lo - 1.0, hi - 1.0), eps_box),
-        raw_map=lambda b, x: flm.raw_map(b + 1.0, x),
-        raw_dmap_dx=lambda b, x: flm.raw_dmap_dx(b + 1.0, x),
-        raw_dmap_dalpha=lambda b, x: flm.raw_dmap_dalpha(b + 1.0, x),
+        alpha_box=(lo - 1.0, hi - 1.0),
+        raw_step=lambda b, x: flm.raw_step(b + 1.0, x),
     )
 
 
@@ -351,7 +360,7 @@ def test_accumulation_point_affine_covariance(flm):
 def _bisected_accumulation(family, n_fit=12):
     """Oracle: bisection on the escape side from s_n to 1e-12."""
     s = superstable_params(family, n_fit)
-    lo, hi = s[-1], family.param_box[0][1]
+    lo, hi = s[-1], family.alpha_box[1]
     assert _classify_side(family, lo) == "below"
     if _classify_side(family, hi) != "above":
         hi = lo + 2 * (lo - s[-2]) * 10
