@@ -46,6 +46,9 @@ from .curvedyn import (DG1_hat, flm_family, functional_K, slope_chain,
 
 # ------------------------------------------------------ quotient sequences
 
+MAX_SPREAD = 1.0      # decades the fit residuals may spread over
+
+
 @dataclass
 class QuotientSequence:
     """Levels n with their quotients q_n, as (n, q_n) entries.
@@ -89,13 +92,14 @@ class EquivalenceFit:
         r = np.asarray(self.log10_residuals)
         return float(np.max(r) - np.min(r))
 
-    def passes(self, max_spread=1.0):
+    def passes(self):
         """Decay must be statistically real: even the two-sigma upper
         bound of rho stays below 1 (a flat sequence fits to rho just
-        under 1 by chance), and the points hug the line."""
+        under 1 by chance), and the points hug the line (residuals spread
+        over less than MAX_SPREAD decades)."""
         if self.trivial:
             return True
-        return 0.0 < self.rho_hat_hi < 1.0 and self.spread_decades < max_spread
+        return 0.0 < self.rho_hat_hi < 1.0 and self.spread_decades < MAX_SPREAD
 
 
 def fit_geometric_decay(ns, diffs):
@@ -158,12 +162,10 @@ def slope_table(family, omega0, n_max, mode="fixed-point"):
     return table
 
 
-def quotient_sequence(family, omega0, n_max, mode="fixed-point",
-                      table=None):
-    if table is None:
-        table = slope_table(family, omega0, n_max, mode=mode)
+def quotient_sequence(table):
+    """q_n = alpha'_n / alpha'_(n-1) for n = 2..n_max of a slope_table."""
     entries = [(n, table[n][0] / table[n - 1][0])
-               for n in range(2, n_max + 1)]
+               for n in range(2, len(table) + 1)]
     return QuotientSequence(entries=entries)
 
 
@@ -221,8 +223,8 @@ def observation1(c1, c2, omega0, n_max=10):
     require_diophantine(omega0)
     tab1 = slope_table(c1, omega0, n_max, mode="fixed-point")
     tab2 = slope_table(c2, omega0, n_max, mode="fixed-point")
-    seq1 = quotient_sequence(c1, omega0, n_max, table=tab1)
-    seq2 = quotient_sequence(c2, omega0, n_max, table=tab2)
+    seq1 = quotient_sequence(tab1)
+    seq2 = quotient_sequence(tab2)
     diffs = seq1.values() - seq2.values()
     fit = fit_geometric_decay(seq1.ns(), diffs)
 
@@ -421,7 +423,7 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     tables = {}
     for eta in (0.0,) + tuple(etas):
         fam = flm_eta_family(eta, domain)
-        tables[eta] = quotient_sequence(fam, omega0, n_max)
+        tables[eta] = quotient_sequence(slope_table(fam, omega0, n_max))
     base = dict(zip(tables[0.0].ns(), tables[0.0].values()))
 
     deviations, sup_dev = {}, {}
@@ -555,10 +557,12 @@ class H4Report:
 
 
 H4_RADIUS = 0.5
+H4_OMEGAS = tuple(RotationNumber.from_fraction(2 * k + 1, 128)
+                  for k in range(64))
+H4_MULTI_N = 8        # steps of the multi-step fit
 
 
-def check_H4(psi=None, omega_grid=None, n_pairs=100, seed=7, multi_n=8,
-             section=SectionConfig()):
+def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
     """Uniform contraction of the normalized one-step map near the
     dominant direction.
 
@@ -567,9 +571,10 @@ def check_H4(psi=None, omega_grid=None, n_pairs=100, seed=7, multi_n=8,
     unit sphere on the section. For sampled pairs in V and every omega on
     the grid, the one-step map v -> t_gamma(L_omega v)/|| || must shrink
     pairwise distances; both the coefficient l2 norm and the sup norm are
-    reported. When one-step contraction fails, the multi-step distances
-    along the omega-doubling sequence are fitted instead (the relaxed
-    criterion K rho^n).
+    reported; the grid is H4_OMEGAS, the odd multiples of 1/128. When
+    one-step contraction fails, the H4_MULTI_N multi-step distances along
+    the omega-doubling sequence from the first grid omega are fitted
+    instead (the relaxed criterion K rho^n).
 
     For each omega, L_omega is built once and all samples are stepped as
     one block of coefficient rows (l_prime_rows); a pair with an image
@@ -577,9 +582,6 @@ def check_H4(psi=None, omega_grid=None, n_pairs=100, seed=7, multi_n=8,
     """
     if psi is None:
         psi = feigenbaum_fixed_point(DomainConfig()).phi
-    if omega_grid is None:
-        omega_grid = [RotationNumber.from_fraction(2 * k + 1, 128)
-                      for k in range(64)]
     dom = psi.domain
     # the dominant direction needs the value of golden, not its certificate
     e0 = _dominant_direction(psi, RotationNumber.golden(q_max=0), section)
@@ -620,7 +622,7 @@ def check_H4(psi=None, omega_grid=None, n_pairs=100, seed=7, multi_n=8,
     den_sup = [pair_sup_norm(dom, d[:n], d[n:]) for d in X[0::2] - X[1::2]]
     per_omega, skipped, v_violations = {}, 0, 0
     max_l2 = max_sup = 0.0
-    for om in omega_grid:
+    for om in H4_OMEGAS:
         F, errors = step(X, om)
         pairs = [i for i in range(n_used // 2)
                  if errors[2 * i] is None and errors[2 * i + 1] is None]
@@ -642,16 +644,16 @@ def check_H4(psi=None, omega_grid=None, n_pairs=100, seed=7, multi_n=8,
     multi_fit = None
     if max_l2 >= 1.0 and n_used:
         Y = X[:2]
-        om = omega_grid[0]
+        om = H4_OMEGAS[0]
         dists = []
-        for _ in range(multi_n):
+        for _ in range(H4_MULTI_N):
             Y, errors = step(Y, om)
             for e in errors:
                 if e is not None:
                     raise e
             dists.append(np.linalg.norm(Y[0] - Y[1]))
             om = om.double()
-        multi_fit = fit_geometric_decay(np.arange(1, multi_n + 1), dists)
+        multi_fit = fit_geometric_decay(np.arange(1, H4_MULTI_N + 1), dists)
 
     passed = max_l2 < 1.0 or (multi_fit is not None and multi_fit.passes())
     return H4Report(max_ratio_l2=float(max_l2), max_ratio_sup=float(max_sup),

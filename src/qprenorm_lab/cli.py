@@ -108,9 +108,16 @@ def parse_forcing(expr, k_max=16):
 
 
 def parse_omega(spec, dio_gamma=0.0, dio_tau=1.0, q_max=0):
-    """Rotation-number spec: 'golden', 'p/q', a float, or a CF list [a1,...]."""
+    """Rotation-number spec: 'golden', 'p/q', a float, or a CF list [a1,...].
+
+    Every spec takes the certificate (dio_gamma, dio_tau, q_max); at
+    dio_gamma = 0, 'golden' keeps its own (gamma 0.38, tau 1, q_max 10^4).
+    """
     s = spec.strip()
     if s.lower() == "golden":
+        if dio_gamma > 0:
+            return RotationNumber(RotationNumber.golden(q_max=0).num,
+                                  dio_gamma, dio_tau, q_max)
         return RotationNumber.golden()
     if s.startswith("["):
         if not s.endswith("]"):
@@ -273,8 +280,7 @@ class ArtifactStore:
         self.cfg_hash = cfg_hash
         self.plot_data = plot_data
         self.files = []
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
 
     def _register(self, path):
         with open(path, "rb") as fh:
@@ -283,8 +289,6 @@ class ArtifactStore:
                            "sha256": digest})
 
     def write_csv(self, name, header, rows):
-        if self.out_dir is None:
-            return
         path = os.path.join(self.out_dir, name)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -294,8 +298,6 @@ class ArtifactStore:
         self._register(path)
 
     def write_json(self, name, payload):
-        if self.out_dir is None:
-            return
         path = os.path.join(self.out_dir, name)
         body = {"config_sha256": self.cfg_hash, "version": __version__}
         body.update(payload)
@@ -305,7 +307,7 @@ class ArtifactStore:
         self._register(path)
 
     def write_plot(self, name, xs, ys):
-        if self.out_dir is None or not self.plot_data:
+        if not self.plot_data:
             return
         path = os.path.join(self.out_dir, name)
         with open(path, "w") as fh:
@@ -314,8 +316,6 @@ class ArtifactStore:
         self._register(path)
 
     def write_manifest(self, command):
-        if self.out_dir is None:
-            return
         import datetime
         manifest = {
             "command": command,
@@ -344,8 +344,6 @@ def _jsonable(obj):
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         return x if np.isfinite(x) else None
-    if isinstance(obj, complex):
-        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     return obj
 
 

@@ -35,8 +35,10 @@ from .renorm1d import (FamilySpec, UnimodalMap, _brentq, dr_matrix,
                        unstable_manifold_points)
 
 TOL_CURVE = 1e-11
+TOL_SIGMA1 = 1e-9     # |psi(1)| up to which a map counts as on Sigma_1
 M_GRID = 512
 LOG_FLOOR = -1e3
+DAMPED_STALL = 50     # damped iterations without a new best residual
 
 
 # ------------------------------------------------------------ fiber orbits
@@ -122,9 +124,10 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
     omega is a RotationNumber; the shift 2^n omega mod 1 is taken by n
     exact doublings. Damped fixed-point iteration pulls the guess into the
     attracting curve, then Newton (dense, with the spectral shift matrix)
-    sharpens it to tol_curve. The Lyapunov exponent is the per-step
-    average of log |D_x f| along the solved curve, floored in log-space at
-    the superstable samples.
+    sharpens it to TOL_CURVE. The damped stage gives up with BasinError
+    after DAMPED_STALL iterations without a new best residual. The
+    Lyapunov exponent is the per-step average of log |D_x f| along the
+    solved curve, floored in log-space at the superstable samples.
     """
     steps = 2 ** n
     thetas = np.arange(M) / M
@@ -150,12 +153,21 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
         return _orbit_grid(f, fx, omega, steps, thetas, X)
 
     # one grid pass per iterate: FX, prod and logs always belong to X
+    best, stale = np.inf, 0
     try:
         FX, prod, logs = forward(X)
         for it in range(300):
             target = _shift_samples(FX, -s)
-            if float(np.max(np.abs(target - X))) < 1e-8:
+            res = float(np.max(np.abs(target - X)))
+            if res < 1e-8:
                 break
+            if res < best:
+                best, stale = res, 0
+            else:
+                stale += 1
+                if stale >= DAMPED_STALL:
+                    raise BasinError(f"damped stage stalled: best residual "
+                                     f"{best:.3e}, now {res:.3e}")
             lam = 0.6 if it < 50 else 1.0
             X = X + lam * (target - X)
             FX, prod, logs = forward(X)
@@ -239,26 +251,26 @@ def G1_hat(psi):
 
 def DG1_hat(psi, u):
     """Derivative of the 2-cycle multiplier at psi in Sigma_1, direction u."""
-    _require_sigma1(psi)
-    c1 = float(np.real(psi.psi.deriv()(1.0)))
-    c2 = _second_deriv_at_zero(psi)
+    c1, c2 = _sigma1_constants(psi)
     u0 = float(np.real(u(0.0)))
     u1 = float(np.real(u(1.0)))
     du0 = float(np.real(u.deriv()(0.0)))
     return c1 * (du0 + c2 * (c1 * u0 + u1))
 
 
-def _require_sigma1(psi, tol=1e-9):
+def _sigma1_constants(psi):
+    """(psi'(1), psi''(0)) of a map on Sigma_1, from one derivative chain.
+
+    Raises DomainError when |psi(1)| > TOL_SIGMA1 and DegeneratePointError
+    when psi''(0) vanishes."""
     r = abs(float(np.real(psi.psi(1.0))))
-    if r > tol:
+    if r > TOL_SIGMA1:
         raise DomainError(f"psi(1) = {r:.3e}: not on Sigma_1")
-    c2 = _second_deriv_at_zero(psi)
+    d1 = psi.psi.deriv()
+    c2 = float(np.real(d1.deriv()(0.0)))
     if abs(c2) < 1e-8:
         raise DegeneratePointError("psi''(0) vanishes; formula degenerate")
-
-
-def _second_deriv_at_zero(psi):
-    return float(np.real(psi.psi.deriv().deriv()(0.0)))
+    return float(np.real(d1(1.0))), c2
 
 
 def DG1(psi, omega, v):
@@ -271,11 +283,9 @@ def DG1(psi, omega, v):
     and the product response
         DG1 v(theta) = psi'(1) [d_x v(theta, 0) + psi''(0) dx(theta)].
     """
-    _require_sigma1(psi)
+    c1, c2 = _sigma1_constants(psi)
     w = float(omega)
     thetas = np.arange(M_GRID) / M_GRID
-    c1 = float(np.real(psi.psi.deriv()(1.0)))
-    c2 = _second_deriv_at_zero(psi)
     zeros = np.zeros(M_GRID)
     dx = c1 * v.eval(thetas - 2 * w, zeros) + v.eval(thetas - w, zeros + 1.0)
     return c1 * (v.dx().eval(thetas, zeros) + c2 * dx)

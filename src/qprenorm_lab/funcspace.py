@@ -22,7 +22,6 @@ Conventions
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,8 +41,7 @@ class DomainConfig:
 
     delta_dom inflates [-1, 1]; (w_center, w_radius) is the complex disc used
     only by the containment check; n_cheb and n_fourier are the truncation
-    orders (n_fourier is the K in modes -K..K). replace() returns a
-    validated copy with the given fields changed.
+    orders (n_fourier is the K in modes -K..K).
     """
 
     delta_dom: float = 0.1
@@ -65,9 +63,6 @@ class DomainConfig:
     @property
     def half_width(self):
         return 1.0 + self.delta_dom
-
-    def replace(self, **kw):
-        return dataclasses.replace(self, **kw)
 
 
 # ---------------------------------------------------------------- Chebyshev

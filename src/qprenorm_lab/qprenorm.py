@@ -53,10 +53,9 @@ class RotationNumber:
 
     The certificate |q omega - p| >= dio_gamma / q^dio_tau is verified for
     0 < q <= q_max at construction (q_max = 0 skips it, which is how the
-    rational test values 0, 1/4, 1/3 are represented). Multiplying by k
-    (doubling is k = 2) divides dio_gamma by k^dio_tau and q_max by k, both
-    exact consequences of the bound, so the product carries its parent's
-    certificate without re-checking it.
+    rational test values 0, 1/4, 1/3 are represented). Only the number a
+    driver is given is checked (require_diophantine), so a multiple k omega
+    (doubling is k = 2) carries no certificate.
     """
 
     num: int
@@ -98,22 +97,7 @@ class RotationNumber:
                 f"more than {MAX_DEPTH} doublings requested: a "
                 f"{SCALE_BITS}-bit fraction keeps float(omega) exact only "
                 f"through {SCALE_BITS} - 53 = {MAX_DEPTH}")
-        return self._times(2, self.depth + 1)
-
-    def _times(self, k, depth):
-        """k omega mod 1 at the given depth, carrying the certificate.
-
-        q (k omega) = (kq) omega for q <= q_max // k was checked on self,
-        so the Diophantine loop that __post_init__ runs is skipped.
-        """
-        out = object.__new__(RotationNumber)
-        for name, value in (("num", (self.num * k) % SCALE),
-                            ("dio_gamma", self.dio_gamma / k ** self.dio_tau),
-                            ("dio_tau", self.dio_tau),
-                            ("q_max", self.q_max // k),
-                            ("depth", depth)):
-            object.__setattr__(out, name, value)
-        return out
+        return RotationNumber(2 * self.num, depth=self.depth + 1)
 
     def times_mod1(self, k):
         """k omega mod 1 for a positive integer k, exact."""
@@ -122,7 +106,7 @@ class RotationNumber:
             raise ValueError("k must be a positive integer")
         if k == 1:
             return self
-        return self._times(k, self.depth)
+        return RotationNumber(k * self.num, depth=self.depth)
 
     @classmethod
     def zero(cls):

@@ -30,6 +30,7 @@ from .funcspace import (AnalyticFn, DomainConfig, QPFn, _cheb_machinery,
 TOL_A = 1e-8
 N_FIT = 12            # cascade levels behind the alpha* extrapolation
 H0_BOUNDARY = 512     # disc boundary samples of the H0 containment check
+ESCAPE_STEPS = 60     # renormalizations _classify_side waits for an escape
 
 
 def _read_only(arr):
@@ -294,15 +295,13 @@ def _even_tangent_basis(n):
     return B
 
 
-def solve_fixed_point(initial, n_cheb=None):
+def solve_fixed_point(initial):
     """Newton solve of R(psi) = psi on the even, psi(0)=1 slice.
 
     Returns the fixed point together with the spectrum data of its
     derivative restricted to the invariant tangent space {even, u(0)=0}.
     """
     dom = initial.domain
-    if n_cheb is not None and n_cheb != dom.n_cheb:
-        dom = dom.replace(n_cheb=n_cheb)
     n = dom.n_cheb
     psi_fn = AnalyticFn.from_callable(dom, lambda x: np.real(initial.psi(x)))
     c = np.real(psi_fn.coeffs).copy()
@@ -575,10 +574,10 @@ def superstable_params(family, n_max):
 
 # ---------------------------------------------------------- stable manifold
 
-def _classify_side(family, alpha, k_max=60):
+def _classify_side(family, alpha):
     """Which side of the accumulation: 'below' or 'above', by escape type."""
     psi = family.psi0(alpha)
-    for _ in range(k_max):
+    for _ in range(ESCAPE_STEPS):
         chk = in_domain_R(psi)
         if not chk:
             return "below" if chk.a > 0 else "above"

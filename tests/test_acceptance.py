@@ -59,7 +59,7 @@ def test_criterion_01_feigenbaum_constant(domain):
     t0 = time.monotonic()
     initial = UnimodalMap.from_callable(
         domain, lambda x: 1.0 - 1.4 * x ** 2)
-    fp = solve_fixed_point(initial, n_cheb=domain.n_cheb)
+    fp = solve_fixed_point(initial)
     dt = time.monotonic() - t0
     ok = abs(fp.delta_feig - DELTA) <= 5e-5 and dt < 10.0
     _report(1, ok, f"delta={fp.delta_feig:.10f} "

@@ -38,7 +38,7 @@ from qprenorm_lab import (
     quotient_factorization,
 )
 from qprenorm_lab.cli import parse_forcing
-from qprenorm_lab import qprenorm
+from qprenorm_lab import asymptotics, qprenorm
 from qprenorm_lab.errors import (DegeneratePointError, DegenerateScalingError,
                                  DiophantineError, NoSectionError, SearchError)
 
@@ -98,7 +98,8 @@ def test_pass_criterion_uses_upper_confidence_bound():
                 trivial=False, n_dropped=0)
     assert not EquivalenceFit(rho_hat_hi=1.05, **base).passes()
     assert EquivalenceFit(rho_hat_hi=0.95, **base).passes()
-    assert not EquivalenceFit(rho_hat_hi=0.95, **base).passes(max_spread=-1.0)
+    spread = dict(base, log10_residuals=[0.0, asymptotics.MAX_SPREAD])
+    assert not EquivalenceFit(rho_hat_hi=0.95, **spread).passes()
 
 
 # --------------------------------------------------------- quotient algebra
@@ -229,7 +230,7 @@ def test_h3_directions_converge(flm, golden):
 
 
 def test_h4_contraction_after_multiple_steps(golden):
-    rep = check_H4(n_pairs=10, multi_n=5, seed=7)
+    rep = check_H4(n_pairs=10, seed=7)
     assert rep.passed
     assert rep.multi_step_fit is not None
     assert rep.multi_step_fit.rho_hat < 1.0
@@ -327,8 +328,7 @@ def test_h4_block_step_equals_the_one_sample_loop(fp, seed):
 
 
 def test_h4_counts_a_pair_with_a_failing_image_once(fp, monkeypatch):
-    grid = [RotationNumber.from_fraction(2 * k + 1, 16) for k in range(4)]
-    clean = check_H4(omega_grid=grid, n_pairs=3, seed=2)
+    clean = check_H4(n_pairs=3, seed=2)
     section_gammas = qprenorm.section_gammas
 
     def failing(X, domain, section):
@@ -342,9 +342,9 @@ def test_h4_counts_a_pair_with_a_failing_image_once(fp, monkeypatch):
         return gamma0, errors
 
     monkeypatch.setattr(qprenorm, "section_gammas", failing)
-    rep = check_H4(omega_grid=grid, n_pairs=3, seed=2)
+    rep = check_H4(n_pairs=3, seed=2)
     assert clean.n_skipped == 0
-    assert rep.n_skipped == 2 * len(grid)
+    assert rep.n_skipped == 2 * len(asymptotics.H4_OMEGAS)
     assert rep.n_sampled == clean.n_sampled == 6
     for w, r in rep.per_omega_max.items():
         assert r <= clean.per_omega_max[w]

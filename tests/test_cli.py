@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qprenorm_lab import SectionConfig, check_H4, cli
+from qprenorm_lab import RotationNumber, SectionConfig, check_H4, cli
 from qprenorm_lab.cli import (
     RunConfig,
     load_config,
@@ -121,6 +121,20 @@ def test_forcing_parser_raises_only_its_own_error(expr):
 def test_omega_named_golden():
     w = parse_omega("golden", 0.0, 1.0, 0)
     assert float(w) == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, abs=1e-12)
+
+
+def test_golden_takes_the_certificate_set_in_the_config(tmp_path, capsys):
+    # at dio_gamma = 0 golden keeps its own certificate
+    assert parse_omega("golden", 0.0, 1.0, 0) == RotationNumber.golden()
+    # golden and its 42-term continued fraction both break gamma = 0.9 at q=1
+    for spec in ("golden", "[" + ",".join(["1"] * 42) + "]"):
+        p = tmp_path / "cert.ini"
+        p.write_text(f"[run]\nomega = {spec}\ndio_gamma = 0.9\n"
+                     "dio_qmax = 50\n")
+        assert main(["--config", str(p), "--out", str(tmp_path / "out"),
+                     "--nmax", "3", "conjecture", "--which", "h5"]) == 1
+        assert ("at q=1 breaks gamma/q^tau = 9.000e-01"
+                in capsys.readouterr().err)
 
 
 def test_omega_fraction():

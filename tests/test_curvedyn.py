@@ -195,6 +195,26 @@ def test_curve_residual_is_that_of_the_samples_when_newton_runs_out(
     assert np.array_equal(inputs[-1], curve.samples)
 
 
+def test_damped_stage_gives_up_when_the_residual_stalls(flm, golden,
+                                                        monkeypatch):
+    # the period-64 curve at a tenth of the way from s_6 to s_7 does not
+    # attract at eps = 1e-4: the damped residual's best comes at iteration
+    # 2 and it then climbs, so the solve ends DAMPED_STALL iterations later
+    passes = []
+    orbit = curvedyn._orbit_grid
+
+    def counted(*args):
+        passes.append(1)
+        return orbit(*args)
+
+    monkeypatch.setattr(curvedyn, "_orbit_grid", counted)
+    s = superstable_params(flm, 7)
+    f = flm.evaluator(float(s[6]) + 0.1 * (s[7] - s[6]), 1e-4)
+    with pytest.raises(BasinError, match="damped stage stalled"):
+        solve_invariant_curve(f, golden, 6)
+    assert len(passes) <= 60
+
+
 def test_package_runs_without_scipy():
     # a fresh interpreter: import, a superstable cascade, a period-2 curve
     src = str(Path(qprenorm_lab.__file__).resolve().parents[1])
@@ -354,8 +374,10 @@ def test_loss_location_collapses_to_superstable_at_zero_coupling(
 
 
 def test_chain_modes_agree_at_quotient_level(flm, golden):
-    exact = dict(quotient_sequence(flm, golden, 8, mode="exact-orbit").entries)
-    fixed = dict(quotient_sequence(flm, golden, 8, mode="fixed-point").entries)
+    exact = dict(quotient_sequence(
+        slope_table(flm, golden, 8, mode="exact-orbit")).entries)
+    fixed = dict(quotient_sequence(
+        slope_table(flm, golden, 8, mode="fixed-point")).entries)
     ns = sorted(set(exact) & set(fixed))
     gaps = [abs(exact[n] - fixed[n]) for n in ns]
     assert all(g <= 5e-2 for n, g in zip(ns, gaps) if n >= 4)

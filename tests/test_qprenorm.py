@@ -99,24 +99,15 @@ NOBLE = RotationNumber.from_continued_fraction(
 @pytest.mark.parametrize("omega", [RotationNumber.golden(q_max=4000), NOBLE],
                          ids=["golden", "noble"])
 def test_doubled_certificate_matches_a_fresh_verification(omega):
+    # a derived number carries no certificate: only the number a driver is
+    # given is verified
     w = omega
     for d in range(1, 9):
         w = w.double()
-        # construction from raw fields runs the Diophantine loop
-        fresh = RotationNumber((omega.num << d) % (1 << 128),
-                               dio_gamma=omega.dio_gamma / 2 ** d,
-                               dio_tau=omega.dio_tau,
-                               q_max=omega.q_max >> d)
-        assert (w.num, w.dio_gamma, w.dio_tau, w.q_max, w.depth) == (
-            fresh.num, fresh.dio_gamma, fresh.dio_tau, fresh.q_max, d)
+        assert w == RotationNumber((omega.num << d) % (1 << 128), depth=d)
     for k in range(2, 9):
-        w = omega.times_mod1(k)
-        fresh = RotationNumber((omega.num * k) % (1 << 128),
-                               dio_gamma=omega.dio_gamma / k ** omega.dio_tau,
-                               dio_tau=omega.dio_tau,
-                               q_max=omega.q_max // k)
-        assert (w.num, w.dio_gamma, w.dio_tau, w.q_max, w.depth) == (
-            fresh.num, fresh.dio_gamma, fresh.dio_tau, fresh.q_max, 0)
+        assert omega.times_mod1(k) == RotationNumber(
+            (omega.num * k) % (1 << 128), depth=0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -124,13 +115,13 @@ def test_doubled_certificate_matches_a_fresh_verification(omega):
        st.integers(0, 75))
 def test_repeated_doubling_is_multiplication_by_a_power_of_two(num, q_max,
                                                               d):
-    # dio_gamma = 0 skips the Diophantine loop; q_max is carried regardless
+    # dio_gamma = 0 skips the Diophantine loop
     w = RotationNumber(num, q_max=q_max)
     doubled = w
     for _ in range(d):
         doubled = doubled.double()
     product = w.times_mod1(2 ** d)
-    assert (doubled.num, doubled.q_max) == (product.num, product.q_max)
+    assert (doubled.num, doubled.depth) == (product.num, d)
 
 
 def test_double_does_not_rerun_the_diophantine_loop(golden, monkeypatch):
@@ -138,9 +129,10 @@ def test_double_does_not_rerun_the_diophantine_loop(golden, monkeypatch):
         raise AssertionError("doubling re-verified the certificate")
     monkeypatch.setattr(RotationNumber, "_verify", fail)
     w = golden.double().double()
-    assert w.q_max == golden.q_max // 4
+    assert w == RotationNumber((golden.num << 2) % (1 << 128), depth=2)
     for k in range(2, 9):
-        assert golden.times_mod1(k).q_max == golden.q_max // k
+        assert golden.times_mod1(k) == RotationNumber(
+            (golden.num * k) % (1 << 128), depth=0)
     with pytest.raises(AssertionError):
         RotationNumber(golden.num, dio_gamma=0.38, q_max=10)
 
