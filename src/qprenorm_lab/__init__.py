@@ -16,9 +16,9 @@ from .errors import (QPRenormError, DomainError, CompositionDomainError,
                      DegenerateScalingError, NoConvergenceError, SearchError,
                      InconsistencyError, MeshError, TruncationError,
                      NoSectionError, DegeneratePointError,
-                     UnsupportedBaseError, PrecisionExhaustedError,
-                     EscapeError, BasinError, ExistenceError,
-                     ConsistencyError, DiophantineError, ForcingParseError)
+                     PrecisionExhaustedError, EscapeError, BasinError,
+                     ExistenceError, ConsistencyError, DiophantineError,
+                     ForcingParseError)
 from .funcspace import (DomainConfig, AnalyticFn, QPFn, PairFn, compose_fiber,
                         project_p0, project_pik, shift_tgamma, sup_norm,
                         eval_qpfn)

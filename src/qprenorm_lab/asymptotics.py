@@ -154,8 +154,6 @@ def fit_geometric_decay(ns, diffs):
 
 def slope_table(family, omega0, n_max, mode="fixed-point"):
     """alpha'_n and beta'_n for n = 1..n_max, one chain per level."""
-    if mode == "exact-orbit":
-        superstable_params(family, n_max)        # warm the cache once
     table = {}
     for n in range(1, n_max + 1):
         table[n] = slope_formula(family, omega0, n, mode=mode)

@@ -304,9 +304,6 @@ class ExtremumResult:
     theta: float
     degenerate: bool
 
-    def __float__(self):
-        return self.value
-
 
 def _trig_eval(spec_half, M, theta, deriv=0):
     k = np.arange(spec_half.size)
@@ -596,10 +593,6 @@ def flm_family(g=None, domain=DomainConfig(), name="flm"):
     def evaluator(alpha, eps):
         mu = alpha * (alpha - 2.0) / 4.0
         lam = (alpha - 2.0) / 4.0
-        if eps == 0.0:
-            return QPFn.from_callable(
-                domain, lambda th, y: (1.0 - mu * y * y) * np.ones_like(
-                    np.broadcast_arrays(th, y)[0]))
         if abs(lam) < 1e-6:
             raise DegenerateScalingError(
                 "normalizing conjugacy degenerates at alpha = 2")

@@ -60,10 +60,6 @@ class DegeneratePointError(QPRenormError):
     """The section point (and all fallbacks) evaluate to zero amplitude."""
 
 
-class UnsupportedBaseError(QPRenormError):
-    """Operator derivative requested at a theta-dependent base map."""
-
-
 class PrecisionExhaustedError(QPRenormError):
     """Too many exact doublings, the fixed-point fraction ran out of bits."""
 

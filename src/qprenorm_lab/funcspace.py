@@ -32,28 +32,28 @@ from .errors import (CompositionDomainError, ConsistencyError, DomainError,
                      TruncationError)
 
 TOL_INTERP = 1e-12
-TOL_THETA = 1e-12     # relative size of the modes k != 0 of a theta-free map
+# the complex disc W of the H0 containment check (renorm1d.check_H0)
+W_CENTER = 0.2
+W_RADIUS = 1.5
 
 
 @dataclass(frozen=True)
 class DomainConfig:
     """Geometry and truncation orders shared by all spectral objects.
 
-    delta_dom inflates [-1, 1]; (w_center, w_radius) is the complex disc used
-    only by the containment check; n_cheb and n_fourier are the truncation
+    delta_dom inflates [-1, 1], and the disc (W_CENTER, W_RADIUS) must
+    contain the inflated interval; n_cheb and n_fourier are the truncation
     orders (n_fourier is the K in modes -K..K).
     """
 
     delta_dom: float = 0.1
-    w_center: float = 0.2
-    w_radius: float = 1.5
     n_cheb: int = 40
     n_fourier: int = 16
 
     def __post_init__(self):
         if not self.delta_dom > 0:
             raise ValueError("delta_dom must be positive")
-        if not self.w_radius > 1 + self.delta_dom - self.w_center:
+        if not W_RADIUS > 1 + self.delta_dom - W_CENTER:
             raise ValueError("disc must contain the inflated interval")
         if self.n_cheb < 8:
             raise ValueError("n_cheb must be at least 8")
@@ -148,10 +148,6 @@ class AnalyticFn:
     def from_callable(cls, domain, fn):
         return cls.from_values(domain, fn(cheb_nodes(domain)))
 
-    @classmethod
-    def zero(cls, domain):
-        return cls(np.zeros(domain.n_cheb), domain)
-
     def __call__(self, x):
         c, L = self.coeffs, self.domain.half_width
         if isinstance(x, (float, int, np.integer)) and c.dtype == np.float64:
@@ -163,10 +159,6 @@ class AnalyticFn:
         out = np.zeros(self.domain.n_cheb, dtype=d.dtype)
         out[: d.size] = d
         return AnalyticFn(out, self.domain)
-
-    def __add__(self, other):
-        self._check(other)
-        return AnalyticFn(self.coeffs + other.coeffs, self.domain)
 
     def __sub__(self, other):
         self._check(other)
@@ -268,11 +260,6 @@ class QPFn:
 
     # ---------------------------------------------------------- evaluation
 
-    def mode(self, k):
-        if abs(k) > self.K:
-            raise TruncationError(f"mode {k} exceeds K={self.K}")
-        return AnalyticFn(self.modes[self.K + k].copy(), self.domain)
-
     def eval(self, theta, x):
         """Pointwise value, broadcasting theta and x together."""
         (out,) = eval_batch((self,), theta, x)
@@ -287,13 +274,6 @@ class QPFn:
     def coeff_norm(self):
         """l2 norm of the full coefficient stack."""
         return float(np.sqrt(np.sum(np.abs(self.modes) ** 2)))
-
-    def is_theta_independent(self):
-        K = self.K
-        off = np.sqrt(np.sum(np.abs(self.modes) ** 2)
-                      - np.sum(np.abs(self.modes[K]) ** 2))
-        scale = max(1.0, np.max(np.abs(self.modes)))
-        return off <= TOL_THETA * scale
 
     # ------------------------------------------------------------- algebra
 
@@ -311,9 +291,6 @@ class QPFn:
         return QPFn(self.modes * scalar, self.domain)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return QPFn(-self.modes, self.domain)
 
 
 @dataclass
@@ -348,19 +325,12 @@ class PairFn:
         return cls(AnalyticFn(np.array(vec[:n], dtype=float), domain),
                    AnalyticFn(np.array(vec[n:], dtype=float), domain))
 
-    @classmethod
-    def zero(cls, domain):
-        return cls(AnalyticFn.zero(domain), AnalyticFn.zero(domain))
-
     def sup_norm(self):
         """max over (theta, x) of the represented function, exact in theta."""
         return pair_sup_norm(self.domain, self.u.coeffs, self.v.coeffs)
 
     def coeff_norm(self):
         return float(np.linalg.norm(self.coeff_vector()))
-
-    def __add__(self, other):
-        return PairFn(self.u + other.u, self.v + other.v)
 
     def __sub__(self, other):
         return PairFn(self.u - other.u, self.v - other.v)

@@ -31,10 +31,10 @@ import numpy as np
 
 from .errors import (DegeneratePointError, DegenerateScalingError,
                      DiophantineError, DomainError, NoSectionError,
-                     PrecisionExhaustedError, UnsupportedBaseError)
-from .funcspace import (PairFn, QPFn, _clenshaw_scalar, project_p0, project_pik,
-                        shift_tgamma)
-from .renorm1d import (TOL_A, UnimodalMap, dr_matrix, l1_matrix, l2_matrix)
+                     PrecisionExhaustedError)
+from .funcspace import (PairFn, QPFn, _clenshaw_scalar, compose_fiber,
+                        project_p0, project_pik, shift_tgamma)
+from .renorm1d import TOL_A, UnimodalMap, dr_matrix, l1_matrix, l2_matrix
 
 SCALE_BITS = 128
 SCALE = 1 << SCALE_BITS
@@ -168,7 +168,6 @@ DEGENERATE_SCAN = (0.0, 0.25, -0.25, 0.5, -0.5)
 
 def apply_T(g, omega):
     """T_omega(g) = g(theta + omega, g(theta, a x)) / a, a = mean g(theta, 1)."""
-    from .funcspace import compose_fiber
     a_hat = float(np.real(project_p0(g)(1.0)))
     if abs(a_hat) < TOL_A:
         raise DegenerateScalingError(f"mean scaling a = {a_hat:.3e} too small")
@@ -179,22 +178,16 @@ def apply_T(g, omega):
 def apply_DT(base, omega, v):
     """Derivative of T_omega at a theta-independent base, mode by mode.
 
-    Mode 0 gets the one-dimensional derivative DR(psi); mode k gets
-    L1 c_k + e^(2 pi i k omega) L2 c_k. The base is a UnimodalMap, whose
-    operator data is reused across calls, or a theta-independent QPFn.
+    The base is a UnimodalMap psi, so the type carries the theta
+    independence, and its operator data is reused across calls. Mode 0 gets
+    the one-dimensional derivative DR(psi); mode k gets
+    L1 c_k + e^(2 pi i k omega) L2 c_k.
     """
-    if isinstance(base, UnimodalMap):
-        psi = base
-    elif base.is_theta_independent():
-        psi = UnimodalMap(project_p0(base))
-    else:
-        raise UnsupportedBaseError(
-            "DT is only assembled at theta-independent bases")
-    if abs(psi.a) < TOL_A:
+    if abs(base.a) < TOL_A:
         raise DegenerateScalingError("degenerate scaling at the base map")
-    L1 = l1_matrix(psi)
-    L2 = l2_matrix(psi)
-    DR = dr_matrix(psi)
+    L1 = l1_matrix(base)
+    L2 = l2_matrix(base)
+    DR = dr_matrix(base)
     w = float(omega)
     K = v.K
     out = QPFn.zero(v.domain)

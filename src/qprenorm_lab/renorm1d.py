@@ -24,8 +24,9 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (DegenerateScalingError, DomainError, InconsistencyError,
                      MeshError, NoConvergenceError, SearchError)
-from .funcspace import (AnalyticFn, DomainConfig, QPFn, _cheb_machinery,
-                        _cheb_vander, _diff_matrix, sup_norm)
+from .funcspace import (W_CENTER, W_RADIUS, AnalyticFn, DomainConfig, QPFn,
+                        _cheb_machinery, _cheb_vander, _diff_matrix,
+                        project_p0, sup_norm)
 
 TOL_A = 1e-8
 N_FIT = 12            # cascade levels behind the alpha* extrapolation
@@ -58,9 +59,6 @@ class UnimodalMap:
     @property
     def domain(self):
         return self.psi.domain
-
-    def __call__(self, x):
-        return self.psi(x)
 
     @classmethod
     def from_callable(cls, domain, fn):
@@ -194,39 +192,32 @@ class FamilySpec:
 
     def psi0(self, alpha):
         """The uncoupled slice c(alpha, 0) as a 1-D map."""
-        from .funcspace import project_p0
-        g = self.evaluator(alpha, 0.0)
-        return UnimodalMap(project_p0(g))
+        return UnimodalMap(project_p0(self.evaluator(alpha, 0.0)))
 
 
 # ----------------------------------------------------- operator and matrices
 
 def in_domain_R(psi):
-    """Domain check for the doubling operator, with per-clause margins.
+    """Domain check for the doubling operator, naming the failed clauses.
 
     Clauses: a < 0; 1 > b' > -a'; psi(b') < -a', where a' = (1+delta) a and
     b' = psi(a'). Returns a report object that is truthy iff all hold.
     """
-    dom = psi.domain
-    L = dom.half_width
+    L = psi.domain.half_width
     a = psi.a
     a_prime = L * a
-    report = {"a": a, "a_prime": a_prime, "b_prime": None, "psi_b_prime": None}
-    clauses = {}
-    clauses["a_negative"] = a < 0
-    range_ok = abs(a_prime) <= L * (1 + 1e-13)
     b_prime = float(np.real(psi.psi(a_prime)))
-    report["b_prime"] = b_prime
-    clauses["b_prime_bracket"] = bool(1.0 > b_prime > -a_prime)
-    range_ok = range_ok and abs(b_prime) <= L * (1 + 1e-13)
     psi_b = float(np.real(psi.psi(b_prime)))
-    report["psi_b_prime"] = psi_b
-    clauses["image_below"] = bool(psi_b < -a_prime)
-    clauses["range_ok"] = bool(range_ok)
-    clauses["maps_into_interval"] = psi.maps_interval_into_itself()
-    ok = all(clauses.values())
+    clauses = {
+        "a_negative": a < 0,
+        "b_prime_bracket": bool(1.0 > b_prime > -a_prime),
+        "image_below": bool(psi_b < -a_prime),
+        "range_ok": bool(abs(a_prime) <= L * (1 + 1e-13)
+                         and abs(b_prime) <= L * (1 + 1e-13)),
+        "maps_into_interval": psi.maps_interval_into_itself(),
+    }
     failing = [k for k, v in clauses.items() if not v]
-    return DomainCheck(ok=ok, clauses=clauses, failing=failing, **report)
+    return DomainCheck(ok=not failing, a=a, a_prime=a_prime, failing=failing)
 
 
 @dataclass
@@ -234,9 +225,6 @@ class DomainCheck:
     ok: bool
     a: float
     a_prime: float
-    b_prime: float
-    psi_b_prime: float
-    clauses: dict
     failing: list
 
     def __bool__(self):
@@ -372,8 +360,7 @@ def check_H0(fp):
     Positive margins mean the sampled image stays strictly inside; this is
     a numerical check, not a rigorous bound.
     """
-    dom = fp.phi.domain
-    c, r = dom.w_center, dom.w_radius
+    c, r = W_CENTER, W_RADIUS
     z = c + r * np.exp(2j * np.pi * np.arange(H0_BOUNDARY) / H0_BOUNDARY)
     a = fp.a_star
     m1 = r - float(np.max(np.abs(a * z - c)))
@@ -491,85 +478,78 @@ def superstable_params(family, n_max):
     """Parameters s_0 < s_1 < ... where the critical orbit has period 2^n.
 
     Root search on f^{2^n}(x_c) = x_c of the family's raw map: bracket scan
-    for the first two levels, then ratio-guided Newton with a bracket
-    fallback. A family without a raw map has only the levels stored with it
-    (see asymptotics.renormalized_family); asking past them raises
-    SearchError.
+    for the first two levels, then ratio-guided Newton. The levels are kept
+    on the family and a deeper request extends them in place. A Newton run
+    that hits a non-finite orbit or a zero derivative, leaves its bracket,
+    does not converge, or lands on a root whose half orbit returns to the
+    critical point raises SearchError naming the level. A family without a
+    raw map has only the levels stored with it (see
+    asymptotics.renormalized_family); asking past them raises SearchError.
     """
     if n_max > 14:
         raise ValueError("n_max above 14 is outside the supported range")
-    cached = family._cache.get("superstable")
-    if cached is not None and len(cached) > n_max:
-        return np.array(cached[:n_max + 1])
-    if family.raw_step is None:
+    s = family._cache.setdefault("superstable", [])
+    if len(s) <= n_max and family.raw_step is None:
         raise SearchError(
             f"family {family.name!r} has no raw map and stores "
-            f"{len(cached or ())} superstable levels; n = {n_max} asked")
+            f"{len(s)} superstable levels; n = {n_max} asked")
+    for n in range(len(s), n_max + 1):
+        s.append(_scan_level(family, s, n) if n < 2
+                 else _newton_level(family, s, n))
+    return np.array(s[:n_max + 1])
+
+
+def _scan_level(family, s, n):
+    """s_0 scans the box; s_1 scans upward from s_0, skipping its
+    neighborhood."""
     a_lo, a_hi = family.alpha_box
-    s = []
+    steps = 2 ** n
+    lo = s[0] + 0.02 * (a_hi - s[0]) if n else a_lo
+    grid = np.linspace(lo, a_hi, 256)
+    cell = next(_sign_changes(
+        grid, [_orbit_value(family, g, steps) for g in grid]), None)
+    if cell is None:
+        raise SearchError(
+            "no superstable fixed point in the parameter box (n=0)" if n == 0
+            else "no period-2 superstable parameter found (n=1)")
+    return _brentq(lambda t: _orbit_value(family, t, steps), *cell,
+                   xtol=1e-14)
 
-    # n = 0 scans the box; n = 1 scans upward from s_0, skipping its
-    # neighborhood
-    for steps, missing in (
-            (1, "no superstable fixed point in the parameter box (n=0)"),
-            (2, "no period-2 superstable parameter found (n=1)")):
-        lo = s[0] + 0.02 * (a_hi - s[0]) if s else a_lo
-        grid = np.linspace(lo, a_hi, 256)
-        cell = next(_sign_changes(
-            grid, [_orbit_value(family, g, steps) for g in grid]), None)
-        if cell is None:
-            raise SearchError(missing)
-        s.append(_brentq(lambda t: _orbit_value(family, t, steps), *cell,
-                        xtol=1e-14))
-        if n_max == 0:
-            return np.array(s)
 
-    delta_est = 4.67
-    for n in range(2, n_max + 1):
-        gap_prev = s[-1] - s[-2]
-        pred = gap_prev / delta_est
-        guess = s[-1] + pred
-        steps = 2 ** n
-        half = 2 ** (n - 1)
-        lo_b, hi_b = s[-1] + 0.05 * pred, s[-1] + 3.0 * pred
-
-        alpha = guess
-        ok = False
-        for _ in range(40):
-            h, P = _orbit_with_deriv(family, alpha, steps)
-            if not np.isfinite(h) or P == 0:
-                break
-            step = h / P
-            alpha_new = alpha - step
-            if not (lo_b < alpha_new < hi_b):
-                break
-            if abs(step) < 1e-14 * max(1.0, abs(alpha_new)):
-                alpha = alpha_new
-                ok = True
-                break
-            alpha = alpha_new
-        if ok:
-            # minimal-period guard: the half orbit must miss the critical point
-            half_res = abs(_orbit_value(family, alpha, half))
-            if half_res < max(1e-8, 0.3 ** n):
-                ok = False
-        if not ok:
-            scan = np.linspace(s[-1] + 0.2 * pred, s[-1] + 2.2 * pred, 64)
-            cells = _sign_changes(
-                scan, [_orbit_value(family, g, steps) for g in scan])
-            found = next(
-                (c for c in cells
-                 if abs(_orbit_value(family, 0.5 * (c[0] + c[1]), half))
-                 > max(1e-8, 0.3 ** n)), None)
-            if found is None:
-                raise SearchError(f"superstable bracket not found at n={n}")
-            alpha = _brentq(lambda t: _orbit_value(family, t, steps),
-                           *found, xtol=1e-14)
-        s.append(alpha)
-        if n >= 2:
-            delta_est = (s[-2] - s[-3]) / (s[-1] - s[-2])
-    family._cache["superstable"] = list(s)
-    return np.array(s)
+def _newton_level(family, s, n):
+    """s_n for n >= 2 by Newton from the gap ratio of the levels below."""
+    if n == 2:
+        delta_est = 4.67
+    else:
+        delta_est = (s[n - 2] - s[n - 3]) / (s[n - 1] - s[n - 2])
+    pred = (s[n - 1] - s[n - 2]) / delta_est
+    lo_b, hi_b = s[n - 1] + 0.05 * pred, s[n - 1] + 3.0 * pred
+    steps = 2 ** n
+    alpha = s[n - 1] + pred
+    for _ in range(40):
+        h, P = _orbit_with_deriv(family, alpha, steps)
+        if not np.isfinite(h) or P == 0:
+            raise SearchError(
+                f"superstable Newton at n={n}: orbit not finite or zero "
+                f"parameter derivative at alpha = {alpha!r}")
+        step = h / P
+        alpha = alpha - step
+        if not (lo_b < alpha < hi_b):
+            raise SearchError(
+                f"superstable Newton at n={n}: alpha = {alpha!r} left the "
+                f"bracket ({lo_b!r}, {hi_b!r})")
+        if abs(step) < 1e-14 * max(1.0, abs(alpha)):
+            break
+    else:
+        raise SearchError(
+            f"superstable Newton at n={n}: no convergence in 40 steps")
+    # minimal-period guard: the half orbit must miss the critical point
+    half_res = abs(_orbit_value(family, alpha, 2 ** (n - 1)))
+    if half_res < max(1e-8, 0.3 ** n):
+        raise SearchError(
+            f"superstable Newton at n={n}: the half orbit returns within "
+            f"{half_res:.3e} of the critical point")
+    return alpha
 
 
 # ---------------------------------------------------------- stable manifold

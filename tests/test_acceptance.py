@@ -93,7 +93,6 @@ def test_criterion_03_fixed_point_quality(fp):
 
 
 def test_criterion_04_diagonalization_identity(fp, domain, golden):
-    phi_q = fp.phi.embed()
     rng = np.random.default_rng(0)
     worst = 0.0
     for k in range(1, 9):
@@ -101,7 +100,7 @@ def test_criterion_04_diagonalization_identity(fp, domain, golden):
         for _ in range(20):
             pair = PairFn.from_coeff_vector(
                 domain, rng.standard_normal(2 * domain.n_cheb))
-            gap = sup_norm(apply_DT(phi_q, golden, pair.embed(k))
+            gap = sup_norm(apply_DT(fp.phi, golden, pair.embed(k))
                            + op.apply(pair).embed(k) * -1.0)
             worst = max(worst, gap)
     ok = worst <= 1e-10
@@ -111,7 +110,6 @@ def test_criterion_04_diagonalization_identity(fp, domain, golden):
 
 def test_criterion_05_equivariance_suite(fp, domain, golden, stars):
     rng = np.random.default_rng(1)
-    phi_q = fp.phi.embed()
     n = domain.n_cheb
 
     def rand_v():
@@ -130,8 +128,8 @@ def test_criterion_05_equivariance_suite(fp, domain, golden, stars):
         shifted = shift_tgamma(v, gamma)
         norm_gap = max(norm_gap,
                        abs(shifted.coeff_norm() - v.coeff_norm()))
-        a = shift_tgamma(apply_DT(phi_q, golden, v), gamma)
-        b = apply_DT(phi_q, golden, shifted)
+        a = shift_tgamma(apply_DT(fp.phi, golden, v), gamma)
+        b = apply_DT(fp.phi, golden, shifted)
         equiv_gap = max(equiv_gap, sup_norm(a + b * -1.0))
 
     vk = QPFn.from_callable(

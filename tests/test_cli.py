@@ -398,6 +398,23 @@ def test_slopes_run_beta_mirrors_alpha(tmp_path):
             -rep["alpha_prime"][n], rel=1e-9)
 
 
+def test_slopes_cross_checks_the_direct_slope(tmp_path):
+    # direct_nmax = 1: level 1 carries the direct slope and its relative
+    # gap to alpha', level 2 leaves both columns empty
+    p = tmp_path / "direct.ini"
+    p.write_text("[run]\nnmax = 2\ndirect_nmax = 1\neps = 1e-4\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out), "slopes"]) == 0
+    lines = (out / "slopes.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    assert header[4:] == ["direct_slope [parameter/forcing]", "rel_gap [1]"]
+    level1, level2 = (line.split(",") for line in lines[1:])
+    alpha_p, direct, gap = float(level1[2]), float(level1[4]), float(level1[5])
+    assert gap == abs(alpha_p - direct) / abs(direct)
+    assert gap <= 1e-3
+    assert level2[0] == "2" and level2[4:] == ["", ""]
+
+
 def test_conjecture_h4_reads_the_section(tmp_path, monkeypatch):
     seen = []
 
@@ -496,10 +513,26 @@ def test_exit_two_on_failed_checker(tmp_path):
 
 # --------------------------------------------------------------- env knob
 
-def test_thread_cap_env(tmp_path):
-    import subprocess, sys
-    code = ("import os; os.environ['QPRENORM_THREADS'] = '2'; "
-            "import qprenorm_lab; print(os.environ['OMP_NUM_THREADS'])")
-    res = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "2"
+THREAD_VARS = ("QPRENORM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+               "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def test_thread_cap_env():
+    import os, subprocess, sys
+    code = ("import os, qprenorm_lab; "
+            "print(os.environ['OMP_NUM_THREADS'], "
+            "os.environ['OPENBLAS_NUM_THREADS'])")
+    # the child sees none of the caller's thread settings, and imports the
+    # package from where this process found it
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    base["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+
+    def child(**env):
+        res = subprocess.run([sys.executable, "-c", code],
+                             env=dict(base, **env), capture_output=True,
+                             text=True, check=True)
+        return res.stdout.split()
+
+    assert child(QPRENORM_THREADS="2") == ["2", "2"]
+    # an explicit per-library setting wins over the blanket knob
+    assert child(QPRENORM_THREADS="2", OMP_NUM_THREADS="3") == ["3", "2"]

@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
     "NoConvergenceError", "NoSectionError", "PairFn",
     "PrecisionExhaustedError", "QPFn", "QPRenormError", "RotationNumber",
     "SearchError", "SectionConfig", "TruncationError", "UnimodalMap",
-    "UnsupportedBaseError", "apply_DT", "apply_L_prime", "apply_T",
+    "apply_DT", "apply_L_prime", "apply_T",
     "build_L_omega", "check_H0", "check_H3", "check_H4", "check_H5",
     "compose_fiber", "direct_slope", "dr_matrix", "eval_qpfn", "extremum_M",
     "extremum_m", "feigenbaum_fixed_point", "fiber_product",

@@ -24,7 +24,6 @@ from qprenorm_lab import (
     UnimodalMap,
     check_H0,
     dr_matrix,
-    feigenbaum_fixed_point,
     flm_family,
     in_domain_R,
     l1_matrix,
@@ -37,7 +36,8 @@ from qprenorm_lab import (
 )
 from qprenorm_lab.errors import (InconsistencyError, NoConvergenceError,
                                  SearchError)
-from qprenorm_lab.funcspace import cheb_nodes
+from qprenorm_lab import renorm1d
+from qprenorm_lab.funcspace import W_RADIUS, cheb_nodes
 from qprenorm_lab.renorm1d import (_brentq, _classify_side, _orbit_value,
                                    _orbit_with_deriv, _sign_changes)
 
@@ -210,12 +210,13 @@ def test_h0_identity_scaling_margin_zero(fp):
     assert abs(rep.margin_a_disc) <= 1e-12
 
 
-def test_h0_margin_shrinks_with_radius(fp, domain):
+def test_h0_margin_shrinks_with_radius(fp, monkeypatch):
     margins = [check_H0(fp).margin_a_disc]
     for radius in (1.4, 1.3):
-        dom = dataclasses.replace(domain, w_radius=radius)
-        margins.append(check_H0(feigenbaum_fixed_point(dom)).margin_a_disc)
-    # radii 1.5 > 1.4 > 1.3: margin decreases as the disc shrinks
+        monkeypatch.setattr(renorm1d, "W_RADIUS", radius)
+        margins.append(check_H0(fp).margin_a_disc)
+    # radii W_RADIUS = 1.5 > 1.4 > 1.3: margin decreases as the disc shrinks
+    assert W_RADIUS == 1.5
     assert margins[0] > margins[1] > margins[2] > 0.0
 
 
@@ -414,6 +415,44 @@ def test_replaced_family_starts_with_an_empty_memo(flm):
         flm, name="flm-copy", evaluator=lambda b, e: flm.evaluator(b + 1.0, e))
     assert flm._cache["superstable"]
     assert other._cache == {}
+
+
+def _counted_flm():
+    """A fresh flm family whose raw_step counts its calls."""
+    flm = flm_family()
+    calls = [0]
+
+    def raw_step(alpha, x):
+        calls[0] += 1
+        return flm.raw_step(alpha, x)
+
+    return dataclasses.replace(flm, raw_step=raw_step), calls
+
+
+def test_superstable_extends_the_stored_levels():
+    # a deeper request computes only the levels it has not stored, so
+    # reaching s_12 in two requests costs the raw steps of one
+    fam, calls = _counted_flm()
+    superstable_params(fam, 10)
+    grown = superstable_params(fam, 12)
+    fresh_fam, fresh_calls = _counted_flm()
+    fresh = superstable_params(fresh_fam, 12)
+    assert calls[0] == fresh_calls[0]
+    assert grown.tobytes() == fresh.tobytes()
+
+
+def test_superstable_newton_failure_raises_search_error():
+    # with f_alpha = 0 the Newton step has a zero derivative at n = 2, and
+    # no other search takes over
+    flm = flm_family()
+
+    def raw_step(alpha, x):
+        f, f_x, _ = flm.raw_step(alpha, x)
+        return f, f_x, 0.0
+
+    fam = dataclasses.replace(flm, raw_step=raw_step)
+    with pytest.raises(SearchError, match="n=2"):
+        superstable_params(fam, 3)
 
 
 # -------------------------------------------------------- unstable manifold
