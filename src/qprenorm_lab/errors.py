@@ -61,7 +61,8 @@ class DegeneratePointError(QPRenormError):
 
 
 class PrecisionExhaustedError(QPRenormError):
-    """Too many exact doublings, the fixed-point fraction ran out of bits."""
+    """A request deeper than float64 resolves: more doublings than the
+    fixed-point fraction keeps, or a level past renorm1d.MAX_LEVEL."""
 
 
 class EscapeError(QPRenormError):

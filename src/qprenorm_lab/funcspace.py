@@ -2,22 +2,22 @@
 cylinder T x I.
 
 Functions of x live as Chebyshev-T coefficient vectors on the inflated
-interval I = [-(1+delta), 1+delta]; functions of (theta, x) as a stack of
-Fourier modes (k = -K..K, conjugate symmetric) whose coefficients are
-Chebyshev vectors. Everything downstream (operators, curve solvers, slope
-formulas) works through these two containers.
+interval I = [-(1+delta), 1+delta]; real functions of (theta, x) as their
+half spectrum, the Fourier modes h_0..h_K whose coefficients are Chebyshev
+vectors. Everything downstream (operators, curve solvers, slope formulas)
+works through these two containers.
 
 Conventions
 -----------
-* theta is measured in full turns, so the k-th mode carries exp(2 pi i k theta).
-* mode pairs: the B_k component of a real f is u(x) cos(2 pi k theta)
-  + v(x) sin(2 pi k theta) with u = 2 Re c_k and v = -2 Im c_k.
+* theta is in full turns: f(theta, x) = Re sum_{k=0..K} h_k(x)
+  exp(2 pi i k theta) with h_0 real, so h_k = 2 c_k (k >= 1) in terms of
+  the full spectrum of f, whose negative frequencies are not stored.
+* mode pairs: the B_k component of f is u(x) cos(2 pi k theta)
+  + v(x) sin(2 pi k theta) with h_k = u - i v.
 * the sup norm is a fixed real-grid proxy: 4(2K+1) uniform theta points
   times 4 n_cheb Chebyshev-clustered x points (endpoints included).
-* evaluation folds the modes onto k = 0..K (h_0 = c_0, h_k = c_k +
-  conj(c_{-k})), which is exact for any mode array since Re(c_k z^k +
-  c_{-k} z^-k) = Re(h_k z^k), and sums Re (V h_k) z^k with one Chebyshev
-  Vandermonde V per point set.
+* evaluation sums Re (V h_k) z^k with one Chebyshev Vandermonde V per
+  point set and z = exp(2 pi i theta).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class DomainConfig:
 
     delta_dom inflates [-1, 1], and the disc (W_CENTER, W_RADIUS) must
     contain the inflated interval; n_cheb and n_fourier are the truncation
-    orders (n_fourier is the K in modes -K..K).
+    orders (n_fourier is the K in modes 0..K).
     """
 
     delta_dom: float = 0.1
@@ -179,10 +179,9 @@ class AnalyticFn:
 
 @dataclass
 class QPFn:
-    """Real function on the cylinder: stacked Fourier modes of Chebyshev rows.
+    """Real function on the cylinder: its half spectrum of Chebyshev rows.
 
-    modes[k + K] holds the complex Chebyshev coefficients of c_k(x); rows
-    satisfy c_{-k} = conj(c_k) so evaluation is real.
+    modes[k], k = 0..K, holds the complex Chebyshev coefficients of h_k(x).
     """
 
     modes: np.ndarray
@@ -190,9 +189,9 @@ class QPFn:
 
     def __post_init__(self):
         m = np.asarray(self.modes, dtype=complex)
-        K = self.domain.n_fourier
-        if m.shape != (2 * K + 1, self.domain.n_cheb):
-            raise ValueError("mode array has wrong shape")
+        want = (self.K + 1, self.domain.n_cheb)
+        if m.shape != want:
+            raise ValueError(f"shape {m.shape} is not (K+1, n_cheb) = {want}")
         object.__setattr__(self, "modes", m)
 
     @property
@@ -204,12 +203,12 @@ class QPFn:
     @classmethod
     def zero(cls, domain):
         K = domain.n_fourier
-        return cls(np.zeros((2 * K + 1, domain.n_cheb), dtype=complex), domain)
+        return cls(np.zeros((K + 1, domain.n_cheb), dtype=complex), domain)
 
     @classmethod
     def from_analytic(cls, fn):
         out = cls.zero(fn.domain)
-        out.modes[fn.domain.n_fourier] = fn.coeffs
+        out.modes[0] = fn.coeffs
         return out
 
     @classmethod
@@ -219,8 +218,7 @@ class QPFn:
         if k < 1 or k > K:
             raise TruncationError(f"mode {k} out of range")
         out = cls.zero(domain)
-        out.modes[K + k] = 0.5 * (u.coeffs - 1j * v.coeffs)
-        out.modes[K - k] = np.conj(out.modes[K + k])
+        out.modes[k] = u.coeffs - 1j * v.coeffs
         return out
 
     @classmethod
@@ -240,22 +238,20 @@ class QPFn:
 
     @classmethod
     def _from_grid_values(cls, domain, vals):
-        """vals[j, i] = f(j/M, x_i) with M = 2K+1 rows."""
+        """vals[j, i] = f(j/M, x_i) with M = 2K+1 rows; h_k adds frequency
+        -k (FFT row M-k) to frequency k."""
         K = domain.n_fourier
         M = 2 * K + 1
         _, _, A = _cheb_machinery(domain.n_cheb)
         A = A.astype(complex)   # cast once, not in each product below
         ft = np.fft.fft(vals, axis=0) / M      # index j -> frequency k mod M
-        modes = np.empty((M, domain.n_cheb), dtype=complex)
         # one product per row: a single matmul over all rows rounds the
         # sums differently
-        for k in range(-K, K + 1):
-            modes[K + k] = A @ ft[k % M]
-        # exact conjugate symmetry (kills FFT rounding asymmetry)
-        avg = 0.5 * (modes[K + 1:] + np.conj(modes[K - 1::-1]))
-        modes[K + 1:] = avg
-        modes[K - 1::-1] = np.conj(avg)
-        modes[K] = modes[K].real + 0j
+        rows = [A @ f for f in ft]
+        modes = np.empty((K + 1, domain.n_cheb), dtype=complex)
+        modes[0] = rows[0].real
+        for k in range(1, K + 1):
+            modes[k] = rows[k] + np.conj(rows[M - k])
         return cls(modes, domain)
 
     # ---------------------------------------------------------- evaluation
@@ -272,7 +268,7 @@ class QPFn:
         return QPFn(self.modes @ D.T / self.domain.half_width, self.domain)
 
     def coeff_norm(self):
-        """l2 norm of the full coefficient stack."""
+        """l2 norm of the stored half spectrum."""
         return float(np.sqrt(np.sum(np.abs(self.modes) ** 2)))
 
     # ------------------------------------------------------------- algebra
@@ -371,34 +367,26 @@ def compose_fiber(g, shift, inner, scale):
 
 def project_p0(f):
     """Theta-average: the k = 0 Fourier coefficient as a real function."""
-    return AnalyticFn(np.real(f.modes[f.K]).copy(), f.domain)
+    return AnalyticFn(np.real(f.modes[0]).copy(), f.domain)
 
 
 def project_pik(f, k):
-    """Mode-k component as the (u, v) pair with u = 2 Re c_k, v = -2 Im c_k."""
+    """Mode-k component as the (u, v) pair with u = Re h_k, v = -Im h_k."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     if k > f.K:
         raise TruncationError(f"mode {k} exceeds K={f.K}")
-    ck = f.modes[f.K + k]
-    return PairFn(AnalyticFn(2 * np.real(ck), f.domain),
-                  AnalyticFn(-2 * np.imag(ck), f.domain))
+    hk = f.modes[k]
+    return PairFn(AnalyticFn(np.real(hk).copy(), f.domain),
+                  AnalyticFn(-np.imag(hk), f.domain))
 
 
 def shift_tgamma(f, gamma):
     """Rotation in theta: mode k is multiplied by exp(2 pi i k gamma)."""
     gamma = float(gamma)
-    k = np.arange(-f.K, f.K + 1)
+    k = np.arange(f.K + 1)
     ph = np.exp(2j * np.pi * k * gamma)
     return QPFn(f.modes * ph[:, None], f.domain)
-
-
-def _half_spectrum(f):
-    """Folded modes h_0 = c_0, h_k = c_k + conj(c_{-k}), k = 1..K."""
-    K = f.K
-    h = f.modes[K:].copy()
-    h[1:] += np.conj(f.modes[K - 1::-1])
-    return h
 
 
 def _phases(theta, K):
@@ -417,8 +405,8 @@ def eval_batch(fns, theta, x):
 
     Returns shape (len(fns),) + broadcast shape. One Chebyshev Vandermonde
     of the points and one phase table exp(2 pi i k theta), k = 0..K, serve
-    every function; the folded half spectra of all of them go through a
-    single matrix product.
+    every function; the half spectra of all of them go through a single
+    matrix product.
     """
     dom = fns[0].domain
     if any(f.domain != dom for f in fns):
@@ -429,7 +417,7 @@ def eval_batch(fns, theta, x):
     V = _cheb.chebvander(x.ravel() / dom.half_width, n - 1)        # (P, n)
     H = np.empty((n, len(fns), K + 1), dtype=complex)
     for i, f in enumerate(fns):
-        H[:, i, :] = _half_spectrum(f).T
+        H[:, i, :] = f.modes.T
     # real V against interleaved (re, im) columns: one real matmul
     A = (V @ H.reshape(n, -1).view(float)).view(complex)          # (P, F(K+1))
     A = A.reshape(-1, len(fns), K + 1)
@@ -457,7 +445,7 @@ def sup_norm(f):
     V, E = _sup_tables(f.domain)
     if isinstance(f, AnalyticFn):
         return float(np.max(np.abs(np.real(V @ f.coeffs))))
-    A = V @ _half_spectrum(f).T                        # (n_x, K+1)
+    A = V @ f.modes.T                                  # (n_x, K+1)
     return float(np.max(np.abs(np.real(E @ A.T))))
 
 

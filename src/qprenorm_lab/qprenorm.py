@@ -9,10 +9,11 @@ real (cos, sin) pair coefficients is the 2n x 2n matrix
     [[ L1 + cos(phi) L2, sin(phi) L2],
      [-sin(phi) L2,      L1 + cos(phi) L2]],   phi = 2 pi k omega,
 
-acting on PairFn.coeff_vector() = (u, v) with u = 2 Re c_k, v = -2 Im c_k,
-the convention of project_pik. Rotation numbers are kept as 128-bit
-fixed-point fractions so that the doubling omega -> 2 omega mod 1 stays
-exact; floats appear only inside trig evaluations.
+acting on PairFn.coeff_vector() = (u, v), the package's one pair
+convention: mode k of a QPFn is its stored row h_k = u - i v (see
+funcspace). Rotation numbers are kept as 128-bit fixed-point fractions
+so that the doubling omega -> 2 omega mod 1 stays exact; floats appear
+only inside trig evaluations.
 
 The section machinery quotients the rotational symmetry t_gamma by
 shifting a mode-1 vector onto the section {f(theta0, x0) = 0, positive
@@ -181,7 +182,7 @@ def apply_DT(base, omega, v):
     The base is a UnimodalMap psi, so the type carries the theta
     independence, and its operator data is reused across calls. Mode 0 gets
     the one-dimensional derivative DR(psi); mode k gets
-    L1 c_k + e^(2 pi i k omega) L2 c_k.
+    L1 h_k + e^(2 pi i k omega) L2 h_k, one stored row per k.
     """
     if abs(base.a) < TOL_A:
         raise DegenerateScalingError("degenerate scaling at the base map")
@@ -189,14 +190,11 @@ def apply_DT(base, omega, v):
     L2 = l2_matrix(base)
     DR = dr_matrix(base)
     w = float(omega)
-    K = v.K
     out = QPFn.zero(v.domain)
-    out.modes[K] = DR @ v.modes[K]
-    for k in range(1, K + 1):
-        ck = v.modes[K + k]
-        row = L1 @ ck + np.exp(2j * np.pi * k * w) * (L2 @ ck)
-        out.modes[K + k] = row
-        out.modes[K - k] = np.conj(row)
+    out.modes[0] = DR @ v.modes[0]
+    for k in range(1, v.K + 1):
+        hk = v.modes[k]
+        out.modes[k] = L1 @ hk + np.exp(2j * np.pi * k * w) * (L2 @ hk)
     return out
 
 
@@ -343,12 +341,12 @@ def section_gammas(X, domain, section=SectionConfig()):
 
 
 def shift_pairs(X, gamma0, n_cheb):
-    """t_gamma0 row by row: c_1 = 0.5 (u - i v) times exp(2 pi i gamma0),
-    read back as (2 Re c_1, -2 Im c_1), as QPFn.from_pair, shift_tgamma and
+    """t_gamma0 row by row: h_1 = u - i v times exp(2 pi i gamma0), read
+    back as (Re h_1, -Im h_1), as QPFn.from_pair, shift_tgamma and
     project_pik do on mode 1."""
-    c1 = 0.5 * (X[:, :n_cheb] - 1j * X[:, n_cheb:])
-    c1 = c1 * np.exp(2j * np.pi * gamma0)[:, None]
-    return np.concatenate([2 * np.real(c1), -2 * np.imag(c1)], axis=1)
+    h1 = X[:, :n_cheb] - 1j * X[:, n_cheb:]
+    h1 = h1 * np.exp(2j * np.pi * gamma0)[:, None]
+    return np.concatenate([np.real(h1), -np.imag(h1)], axis=1)
 
 
 def l_prime_rows(matrix, X, domain, section=SectionConfig()):

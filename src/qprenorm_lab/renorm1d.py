@@ -23,7 +23,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (DegenerateScalingError, DomainError, InconsistencyError,
-                     MeshError, NoConvergenceError, SearchError)
+                     MeshError, NoConvergenceError, PrecisionExhaustedError,
+                     SearchError)
 from .funcspace import (W_CENTER, W_RADIUS, AnalyticFn, DomainConfig, QPFn,
                         _cheb_machinery, _cheb_vander, _diff_matrix,
                         project_p0, sup_norm)
@@ -32,6 +33,7 @@ TOL_A = 1e-8
 N_FIT = 12            # cascade levels behind the alpha* extrapolation
 H0_BOUNDARY = 512     # disc boundary samples of the H0 containment check
 ESCAPE_STEPS = 60     # renormalizations _classify_side waits for an escape
+MAX_LEVEL = 14        # deepest superstable level (see superstable_params)
 
 
 def _read_only(arr):
@@ -485,9 +487,14 @@ def superstable_params(family, n_max):
     critical point raises SearchError naming the level. A family without a
     raw map has only the levels stored with it (see
     asymptotics.renormalized_family); asking past them raises SearchError.
+
+    Past MAX_LEVEL the logistic gap ratios leave delta by rounding (1.8e-4
+    at n = 15, 0.1 at n = 18), so n_max > MAX_LEVEL raises
+    PrecisionExhaustedError.
     """
-    if n_max > 14:
-        raise ValueError("n_max above 14 is outside the supported range")
+    if n_max > MAX_LEVEL:
+        raise PrecisionExhaustedError(
+            f"superstable level n = {n_max} is above MAX_LEVEL = {MAX_LEVEL}")
     s = family._cache.setdefault("superstable", [])
     if len(s) <= n_max and family.raw_step is None:
         raise SearchError(

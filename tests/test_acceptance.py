@@ -5,14 +5,12 @@ plain `pytest -v -s tests/test_acceptance.py` doubles as the sign-off
 report. Stated runtime budgets are asserted where the criterion gives one.
 """
 
-import math
 import time
 
 import numpy as np
 
 from qprenorm_lab import (
     DG1,
-    DomainConfig,
     G1,
     PairFn,
     QPFn,

@@ -279,6 +279,13 @@ def test_non_finite_forcing_config_exits_1(tmp_path, capsys):
     assert not (out / "slopes.csv").exists()
 
 
+def test_superstable_past_the_cap_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--nmax", "15", "superstable"]) == 1
+    assert "MAX_LEVEL = 14" in capsys.readouterr().err
+    assert not (out / "superstable.csv").exists()
+
+
 FLOAT_KEYS = [(s, k, raw) for s, k, raw, _, want in INI_KEYS
               if type(want) in (float, tuple)]
 

@@ -134,27 +134,27 @@ def test_compose_offgrid_roundtrip(domain):
 # ------------------------------------------------- the evaluation kernel
 
 def _reference_eval(f, theta, x):
-    """Re sum_k chebval(x / L, c_k) exp(2 pi i k theta) over all 2K+1 modes."""
+    """Re sum_k chebval(x / L, h_k) exp(2 pi i k theta) over k = 0..K."""
     t = np.asarray(x, dtype=float) / f.domain.half_width
     th = np.asarray(theta, dtype=float)
     total = 0.0
-    for k in range(-f.K, f.K + 1):
-        total = total + cheb.chebval(t, f.modes[f.K + k]) * np.exp(
+    for k in range(f.K + 1):
+        total = total + cheb.chebval(t, f.modes[k]) * np.exp(
             2j * np.pi * k * th)
     return np.real(total)
 
 
 @st.composite
 def _mode_stacks(draw):
-    """A QPFn on a small domain; modes are conjugate symmetric or not."""
+    """A QPFn on a small domain; its h_0 row is real or not."""
     dom = DomainConfig(n_cheb=draw(st.integers(8, 24)),
                        n_fourier=draw(st.integers(1, 6)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    shape = (2 * dom.n_fourier + 1, dom.n_cheb)
+    shape = (dom.n_fourier + 1, dom.n_cheb)
     modes = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
              ) * 10.0 ** rng.uniform(-3, 3)
     if draw(st.booleans()):
-        modes = 0.5 * (modes + np.conj(modes[::-1]))
+        modes[0] = modes[0].real
     return QPFn(modes, dom), rng
 
 
@@ -185,7 +185,7 @@ def test_dx_matches_chebder_row_by_row(case):
     f, _ = case
     n, L = f.domain.n_cheb, f.domain.half_width
     d = f.dx()
-    for r in range(2 * f.K + 1):
+    for r in range(f.K + 1):
         want = cheb.chebder(f.modes[r]) / L
         tol = 1e-15 * n * n * np.sum(np.abs(f.modes[r]))
         assert np.max(np.abs(d.modes[r, : n - 1] - want)) <= tol
@@ -198,7 +198,7 @@ def test_compose_matches_pointwise_on_the_spectral_grid(case, shift, scale):
     g, rng = case
     dom = g.domain
     shape = g.modes.shape
-    # |inner| <= sum |c| = 1 keeps every inner value inside [-L, L]
+    # |inner| <= sum |h| = 1 keeps every inner value inside [-L, L]
     modes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     inner = QPFn(modes / np.sum(np.abs(modes)), dom)
     h = compose_fiber(g, shift, inner, scale)
@@ -278,7 +278,8 @@ def test_vandermonde_off_the_interval_is_chebvander(ys, y_off, at, n):
 
 
 def _from_callable_per_row(domain, fn):
-    """Reference: sample fn, transform and symmetrize one row at a time."""
+    """Reference: sample fn, then h_0 = Re(A ft[0]) and h_k = A ft[k] +
+    conj(A ft[M-k]) one row at a time."""
     K = domain.n_fourier
     M = 2 * K + 1
     x = cheb_nodes(domain)
@@ -287,14 +288,10 @@ def _from_callable_per_row(domain, fn):
         vals[j] = fn(th, x)
     _, _, A = _cheb_machinery(domain.n_cheb)
     ft = np.fft.fft(vals, axis=0) / M
-    modes = np.empty((M, x.size), dtype=complex)
-    for k in range(-K, K + 1):
-        modes[K + k] = A @ ft[k % M]
+    modes = np.empty((K + 1, x.size), dtype=complex)
+    modes[0] = np.real(A @ ft[0])
     for k in range(1, K + 1):
-        avg = 0.5 * (modes[K + k] + np.conj(modes[K - k]))
-        modes[K + k] = avg
-        modes[K - k] = np.conj(avg)
-    modes[K] = modes[K].real + 0j
+        modes[k] = A @ ft[k] + np.conj(A @ ft[M - k])
     return QPFn(modes, domain)
 
 
@@ -315,6 +312,12 @@ def test_from_callable_matches_the_per_row_loop(n_cheb, K, k, c):
         got = QPFn.from_callable(dom, fn)
         want = _from_callable_per_row(dom, fn)
         assert got.modes.tobytes() == want.modes.tobytes(), name
+
+
+def test_full_spectrum_rows_are_rejected_with_the_expected_shape():
+    dom = DomainConfig(n_cheb=8, n_fourier=3)
+    with pytest.raises(ValueError, match=r"\(K\+1, n_cheb\) = \(4, 8\)"):
+        QPFn(np.zeros((7, 8), dtype=complex), dom)
 
 
 # ------------------------------------------------------------ projections
@@ -380,6 +383,19 @@ def test_project_pik_beyond_truncation_raises(domain):
     f = _mk(domain, lambda th, x: x)
     with pytest.raises(TruncationError):
         project_pik(f, domain.n_fourier + 1)
+
+
+def test_project_pik_reads_back_from_pair_bit_for_bit(domain):
+    rng = np.random.default_rng(5)
+    for k in (1, 2, domain.n_fourier):
+        u = AnalyticFn(rng.standard_normal(domain.n_cheb), domain)
+        v = AnalyticFn(rng.standard_normal(domain.n_cheb), domain)
+        f = QPFn.from_pair(domain, k, u, v)
+        pair = project_pik(f, k)
+        assert pair.u.coeffs.tobytes() == u.coeffs.tobytes()
+        assert pair.v.coeffs.tobytes() == v.coeffs.tobytes()
+        f.modes[k] = 0.0        # the pair does not alias the mode rows
+        assert pair.u.coeffs.tobytes() == u.coeffs.tobytes()
 
 
 def test_projections_orthogonal(domain):

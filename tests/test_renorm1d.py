@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from qprenorm_lab import (
     AnalyticFn,
-    DomainConfig,
     DomainError,
     UnimodalMap,
     check_H0,
@@ -35,7 +34,7 @@ from qprenorm_lab import (
     unstable_manifold_points,
 )
 from qprenorm_lab.errors import (InconsistencyError, NoConvergenceError,
-                                 SearchError)
+                                 PrecisionExhaustedError, SearchError)
 from qprenorm_lab import renorm1d
 from qprenorm_lab.funcspace import W_RADIUS, cheb_nodes
 from qprenorm_lab.renorm1d import (_brentq, _classify_side, _orbit_value,
@@ -453,6 +452,15 @@ def test_superstable_newton_failure_raises_search_error():
     fam = dataclasses.replace(flm, raw_step=raw_step)
     with pytest.raises(SearchError, match="n=2"):
         superstable_params(fam, 3)
+
+
+def test_superstable_past_the_cap_raises_before_searching():
+    fam, calls = _counted_flm()
+    assert renorm1d.MAX_LEVEL == 14
+    with pytest.raises(PrecisionExhaustedError,
+                       match=r"n = 15 .* MAX_LEVEL = 14"):
+        superstable_params(fam, 15)
+    assert calls[0] == 0
 
 
 # -------------------------------------------------------- unstable manifold
