@@ -400,6 +400,28 @@ def _phases(theta, K):
     return ph
 
 
+def _stack_modes(fns):
+    """The half spectra of several QPFn on one domain, stacked for
+    _eval_stacked: an (n_cheb, 2 F (K+1)) real array whose columns
+    interleave (re, im) of mode k of function f."""
+    dom = fns[0].domain
+    if any(f.domain != dom for f in fns):
+        raise ConsistencyError("evaluation operands on different domains")
+    H = np.empty((dom.n_cheb, len(fns), dom.n_fourier + 1), dtype=complex)
+    for i, f in enumerate(fns):
+        H[:, i, :] = f.modes.T
+    return H.reshape(dom.n_cheb, -1).view(float)
+
+
+def _eval_stacked(domain, H, x, E):
+    """The evaluation kernel: values (F, P) of the stacked functions H at
+    the P points x (1-D), with E[p, k] = exp(2 pi i k theta_p)."""
+    V = _cheb.chebvander(x / domain.half_width, domain.n_cheb - 1)  # (P, n)
+    # real V against interleaved (re, im) columns: one real matmul
+    A = (V @ H).view(complex).reshape(x.size, -1, domain.n_fourier + 1)
+    return np.einsum("pfk,pk->fp", A, E).real
+
+
 def eval_batch(fns, theta, x):
     """Values of several QPFn on one domain at the broadcast (theta, x).
 
@@ -408,20 +430,11 @@ def eval_batch(fns, theta, x):
     every function; the half spectra of all of them go through a single
     matrix product.
     """
+    H = _stack_modes(fns)
     dom = fns[0].domain
-    if any(f.domain != dom for f in fns):
-        raise ConsistencyError("evaluation operands on different domains")
-    K, n = dom.n_fourier, dom.n_cheb
     theta, x = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                    np.asarray(x, dtype=float))
-    V = _cheb.chebvander(x.ravel() / dom.half_width, n - 1)        # (P, n)
-    H = np.empty((n, len(fns), K + 1), dtype=complex)
-    for i, f in enumerate(fns):
-        H[:, i, :] = f.modes.T
-    # real V against interleaved (re, im) columns: one real matmul
-    A = (V @ H.reshape(n, -1).view(float)).view(complex)          # (P, F(K+1))
-    A = A.reshape(-1, len(fns), K + 1)
-    vals = np.einsum("pfk,pk->fp", A, _phases(theta, K)).real
+    vals = _eval_stacked(dom, H, x.ravel(), _phases(theta, dom.n_fourier))
     return vals.reshape((len(fns),) + x.shape)
 
 
