@@ -23,7 +23,6 @@ from qprenorm_lab import (
     G1,
     G1_hat,
     QPFn,
-    RotationNumber,
     direct_slope,
     extremum_M,
     extremum_m,
@@ -254,8 +253,8 @@ def test_shift_is_exact_on_band_limited_grid_functions(M):
 
 
 @pytest.mark.parametrize("M", [16, 17, 512])
-def test_shift_matrix_is_the_circulant_of_one_column(M):
-    for s in (0.3141, float(RotationNumber.golden()), -0.123):
+def test_shift_matrix_is_the_circulant_of_one_column(M, golden):
+    for s in (0.3141, float(golden), -0.123):
         S = curvedyn._shift_matrix(M, s)
         want = curvedyn._shift_samples(np.eye(M), s)
         assert np.max(np.abs(S - want)) <= 1e-15
