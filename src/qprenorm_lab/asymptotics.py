@@ -261,7 +261,7 @@ def renormalized_family(family, omega, n):
     """
     def du_dalpha(alpha):
         psi = family.psi0(alpha)
-        u = np.real(family.du_dalpha(alpha).coeffs)
+        u = family.du_dalpha(alpha).coeffs
         return AnalyticFn(dr_matrix(psi) @ u, psi.domain)
 
     fam = FamilySpec(
@@ -315,8 +315,12 @@ def observation2(c, omega0, n_max=10, mode="exact-orbit"):
     propagation is linear in n, the dominant 2^n work sits in cheap 1-D
     orbit evaluations, and the mixed quotient converges monotonically
     there, while the fixed-point tails make it oscillate in pairs.
+
+    The Aitken limits need r_2..r_4, so n_max < 4 raises ValueError.
     """
     require_diophantine(omega0)
+    if n_max < 4:
+        raise ValueError(f"observation 2 needs n_max >= 4, got {n_max}")
     seq, tab1, tab2 = mixed_quotient_sequence(c, omega0, n_max, mode=mode)
     r = dict(zip(seq.ns(), seq.values()))
 
@@ -415,9 +419,12 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     recurrences provide the direction-deviation bound 2 C eta / (1 - C eta)
     with C estimated from the norm-ratio band. The two directions compared
     at each level are put on the section first; they share their mode-1
-    part, and with it the shift. Every family lives on `domain`.
+    part, and with it the shift. Every family lives on `domain`. An empty
+    etas raises ValueError.
     """
     require_diophantine(omega0)
+    if not etas:
+        raise ValueError("observation 3 needs at least one eta")
     tables = {}
     for eta in (0.0,) + tuple(etas):
         fam = flm_eta_family(eta, domain)
@@ -505,8 +512,11 @@ def check_H3(c, omega0, n_max=8, section=SectionConfig()):
     geometrically in n. Also reports the two floors the theory needs:
     min ||v_{n-1}|| over the fixed-point chains, and the minimum of
     |m(DG1 at the final section map, applied to the normalized direction)|.
+    n_max < 2 raises ValueError.
     """
     require_diophantine(omega0)
+    if n_max < 2:
+        raise ValueError(f"H3 needs n_max >= 2, got {n_max}")
     gaps, norms, m_floors = {}, [], []
     for n in range(2, n_max + 1):
         ch_e = slope_chain(c, omega0, n, mode="exact-orbit")
@@ -677,9 +687,12 @@ def check_H5(omega0, v01, v02, n_max=12):
     The ratios are read off component_chains, which leaves the chain off
     the section (norms are shift-invariant). Reports empirical band
     constants C1 = min, C2 = max of
-    (||v_{n,2}||/||v_{n,1}||) / (||v_{0,2}||/||v_{0,1}||) for n = 1..n_max.
+    (||v_{n,2}||/||v_{n,1}||) / (||v_{0,2}||/||v_{0,1}||) for n = 1..n_max,
+    so n_max < 1 raises ValueError.
     """
     require_diophantine(omega0)
+    if n_max < 1:
+        raise ValueError(f"H5 needs n_max >= 1, got {n_max}")
     if v01.coeff_norm() == 0 or v02.coeff_norm() == 0:
         raise ValueError("both starting vectors must be nonzero")
     chain1, chain2 = component_chains(omega0, v01, v02, n_max)

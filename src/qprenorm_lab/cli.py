@@ -38,8 +38,7 @@ from .renorm1d import (feigenbaum_fixed_point, renormalize_1d, check_H0,
                        superstable_params, stable_manifold_param)
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, build_L_omega,
                        spectrum_L_omega)
-from .curvedyn import (solve_invariant_curve, fiber_product, direct_slope,
-                       flm_family)
+from .curvedyn import solve_invariant_curve, direct_slope, flm_family
 from .asymptotics import (slope_table, observation1, observation2,
                           observation3, check_H3, check_H4, check_H5)
 from . import __version__
@@ -369,7 +368,7 @@ def cmd_fixed_point(cfg, store):
           f"contained={h0.contained}")
     store.write_csv("phi_coefficients.csv",
                     ["j [index]", "c_j [1]"],
-                    list(enumerate(np.real(fp.phi.psi.coeffs))))
+                    list(enumerate(fp.phi.psi.coeffs)))
     store.write_json("report.json", {
         "command": "fixed-point", "a_star": fp.a_star,
         "delta_feig": fp.delta_feig, "renorm_residual": residual,
@@ -481,10 +480,9 @@ def cmd_curve(cfg, store):
         alpha = float(superstable_params(fam, n)[n])
     f = fam.evaluator(alpha, cfg.eps)
     curve = solve_invariant_curve(f, omega, n)
-    prod = fiber_product(f, omega, curve)
     print(f"period 2^{n} curve at alpha={alpha:.12f}, eps={cfg.eps:g}: "
           f"residual {curve.residual:.3e}, lyapunov {curve.lyapunov:+.6f}")
-    rows = list(zip(curve.thetas, curve.samples, prod))
+    rows = list(zip(curve.thetas, curve.samples, curve.product))
     store.write_csv("curve.csv",
                     ["theta [revolutions]", "x [normalized]",
                      "fiber_derivative_product [1]"], rows)
@@ -602,10 +600,9 @@ def cmd_observe(cfg, store, which):
             "nonequivalent": rep.nonequiv,
             "nonequiv_fit": _fit_payload(rep.nonequiv_fit),
         })
-        if rep.etas:
-            e_big = max(rep.etas)
-            store.write_plot("deviations.dat", ns,
-                             [rep.deviations[e_big][n] for n in ns])
+        e_big = max(rep.etas)
+        store.write_plot("deviations.dat", ns,
+                         [rep.deviations[e_big][n] for n in ns])
         print(f"observation 3: scale={rep.scale_factor:.3f} "
               f"bound_ok={rep.bound_ok} nonequiv={rep.nonequiv} -> "
               f"{'PASS' if rep.passed else 'FAIL'}")

@@ -28,8 +28,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (BasinError, ConsistencyError, DegeneratePointError,
                      DegenerateScalingError, DomainError, EscapeError,
                      ExistenceError, NoConvergenceError, SearchError)
-from .funcspace import (AnalyticFn, DomainConfig, QPFn, _eval_stacked,
-                        _phases, _stack_modes, project_p0)
+from .funcspace import (INTERVAL_SLACK, AnalyticFn, DomainConfig, QPFn,
+                        _eval_stacked, _phases, _stack_modes, project_p0)
 from .qprenorm import RotationNumber, apply_DT
 from .renorm1d import (FamilySpec, UnimodalMap, _brentq, dr_matrix,
                        feigenbaum_fixed_point, renormalize_1d,
@@ -56,7 +56,7 @@ def iterate_fiber(f, omega, n, theta, x):
     x = float(x)
     for j in range(n):
         x = float(f.eval(theta + j * w, x))
-        if not np.isfinite(x) or abs(x) > L * (1 + 1e-13):
+        if not np.isfinite(x) or abs(x) > L * INTERVAL_SLACK:
             raise EscapeError(f"orbit left the interval at step {j + 1}", j + 1)
     return x
 
@@ -89,7 +89,7 @@ def _orbit_grid(f, fx, omega, steps, thetas, X):
         prod = prod * d
         with np.errstate(divide="ignore"):
             logs = logs + np.maximum(np.log(np.abs(d)), LOG_FLOOR)
-        if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > L * (1 + 1e-13):
+        if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > L * INTERVAL_SLACK:
             raise EscapeError(f"grid orbit left the interval at step {j + 1}",
                               j + 1)
     return X, prod, logs
@@ -104,6 +104,7 @@ class InvariantCurve:
     omega: RotationNumber
     lyapunov: float
     residual: float
+    product: np.ndarray    # fiber derivative product at the samples
 
     @property
     def M(self):
@@ -231,11 +232,14 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
         raise BasinError(f"curve residual {residual:.3e} above tolerance")
     lyap = float(np.mean(logs)) / steps
     return InvariantCurve(period_log2=n, samples=X, omega=omega,
-                          lyapunov=lyap, residual=residual)
+                          lyapunov=lyap, residual=residual, product=prod)
 
 
 def fiber_product(f, omega, curve):
-    """Product of the 2^n fiber derivatives along the curve, per theta."""
+    """Product of the 2^n fiber derivatives along the curve, per theta.
+
+    Recomputed by one grid pass; it equals the curve's own product, which
+    the solve kept from its last pass."""
     _, prod, _ = _orbit_grid(f, f.dx(), omega, 2 ** curve.period_log2,
                              curve.thetas, curve.samples)
     return prod
@@ -262,16 +266,16 @@ def G1_hat(psi):
     L = psi.domain.half_width
     x = 0.0
     for _ in range(2000):
-        x = float(np.real(psi.psi(x)))
+        x = float(psi.psi(x))
         if abs(x) > L:
             raise ExistenceError("critical orbit escapes; no attracting 2-cycle")
     # Newton polish on psi(psi(x)) - x
     dpsi = psi.psi.deriv()
     for _ in range(60):
-        fx = float(np.real(psi.psi(x)))
-        ffx = float(np.real(psi.psi(fx)))
+        fx = float(psi.psi(x))
+        ffx = float(psi.psi(fx))
         h = ffx - x
-        dh = float(np.real(dpsi(fx))) * float(np.real(dpsi(x))) - 1.0
+        dh = float(dpsi(fx)) * float(dpsi(x)) - 1.0
         if abs(dh) < 1e-14:
             break
         x_new = x - h / dh
@@ -281,18 +285,18 @@ def G1_hat(psi):
             x = x_new
             break
         x = x_new
-    fx = float(np.real(psi.psi(x)))
-    if abs(float(np.real(psi.psi(fx))) - x) > 1e-10 or abs(fx - x) < 1e-8:
+    fx = float(psi.psi(x))
+    if abs(float(psi.psi(fx)) - x) > 1e-10 or abs(fx - x) < 1e-8:
         raise ExistenceError("no real 2-periodic orbit found")
-    return float(np.real(dpsi(x))) * float(np.real(dpsi(fx)))
+    return float(dpsi(x)) * float(dpsi(fx))
 
 
 def DG1_hat(psi, u):
     """Derivative of the 2-cycle multiplier at psi in Sigma_1, direction u."""
     c1, c2 = _sigma1_constants(psi)
-    u0 = float(np.real(u(0.0)))
-    u1 = float(np.real(u(1.0)))
-    du0 = float(np.real(u.deriv()(0.0)))
+    u0 = float(u(0.0))
+    u1 = float(u(1.0))
+    du0 = float(u.deriv()(0.0))
     return c1 * (du0 + c2 * (c1 * u0 + u1))
 
 
@@ -301,14 +305,14 @@ def _sigma1_constants(psi):
 
     Raises DomainError when |psi(1)| > TOL_SIGMA1 and DegeneratePointError
     when psi''(0) vanishes."""
-    r = abs(float(np.real(psi.psi(1.0))))
+    r = abs(psi.a)
     if r > TOL_SIGMA1:
         raise DomainError(f"psi(1) = {r:.3e}: not on Sigma_1")
     d1 = psi.psi.deriv()
-    c2 = float(np.real(d1.deriv()(0.0)))
+    c2 = float(d1.deriv()(0.0))
     if abs(c2) < 1e-8:
         raise DegeneratePointError("psi''(0) vanishes; formula degenerate")
-    return float(np.real(d1(1.0))), c2
+    return float(d1(1.0)), c2
 
 
 def DG1(psi, omega, v):
@@ -436,7 +440,7 @@ def _polish_sigma1(family, alpha0, n):
         m = m0
         for _ in range(n - 1):
             m = renormalize_1d(m, check_domain=False)
-        return float(np.real(m.psi(1.0))), m0
+        return m.a, m0
 
     a0, a1 = alpha0, alpha0 + 1e-9 * max(1.0, abs(alpha0))
     (g0, m0), (g1, m1) = g(a0), g(a1)
@@ -469,9 +473,9 @@ def _project_sigma1(m):
     The correction r*x^2 (r = psi(1)) keeps psi(0) = 1 and evenness while
     zeroing psi(1) exactly; it is only meant to absorb the rounding-level
     residual left by parameter polishing, so the map changes by O(r)."""
-    r = float(np.real(m.psi(1.0)))
+    r = m.a
     L = m.domain.half_width
-    c = np.real(m.psi.coeffs).copy()
+    c = m.psi.coeffs.copy()
     c[0] -= r * L * L / 2.0
     c[2] -= r * L * L / 2.0
     return UnimodalMap(AnalyticFn(c, m.domain))
@@ -525,7 +529,7 @@ def slope_chain(family, omega0, n, mode="exact-orbit"):
     vs, omegas = [family.dv_deps(alpha)], [omega0]
     for k, base in enumerate(bases, start=1):
         try:
-            u = AnalyticFn(dr_matrix(base) @ np.real(u.coeffs), u.domain)
+            u = AnalyticFn(dr_matrix(base) @ u.coeffs, u.domain)
             vs.append(apply_DT(base, omegas[-1], vs[-1]))
         except (DegenerateScalingError, DomainError) as e:
             raise type(e)(f"chain stage k={k}: {e}")
@@ -551,7 +555,7 @@ def slope_formula(family, omega0, n, mode="exact-orbit"):
 def _criterion(family, omega0, n, eps, alpha, branch, guess):
     f = family.evaluator(alpha, eps)
     curve = solve_invariant_curve(f, omega0, n, guess=guess)
-    prod = fiber_product(f, omega0, curve)
+    prod = curve.product
     ext = extremum_m(prod) if branch == "min" else extremum_M(prod)
     return ext.value, curve.samples
 

@@ -1,11 +1,11 @@
 """Spectral representation of analytic functions on an interval and on the
 cylinder T x I.
 
-Functions of x live as Chebyshev-T coefficient vectors on the inflated
-interval I = [-(1+delta), 1+delta]; real functions of (theta, x) as their
-half spectrum, the Fourier modes h_0..h_K whose coefficients are Chebyshev
-vectors. Everything downstream (operators, curve solvers, slope formulas)
-works through these two containers.
+Functions of x live as float64 Chebyshev-T coefficient vectors on the
+inflated interval I = [-(1+delta), 1+delta]; real functions of (theta, x)
+as their half spectrum, the Fourier modes h_0..h_K: complex Chebyshev
+rows, the only complex values stored. Everything downstream (operators,
+curve solvers, slope formulas) works through these two containers.
 
 Conventions
 -----------
@@ -35,6 +35,9 @@ TOL_INTERP = 1e-12
 # the complex disc W of the H0 containment check (renorm1d.check_H0)
 W_CENTER = 0.2
 W_RADIUS = 1.5
+# relative slack of the |x| <= L interval checks, for values that land on
+# the boundary up to rounding
+INTERVAL_SLACK = 1 + 1e-13
 
 
 @dataclass(frozen=True)
@@ -123,17 +126,18 @@ def cheb_nodes(domain):
 
 @dataclass
 class AnalyticFn:
-    """One real-analytic function of x as a Chebyshev-T coefficient vector.
-
-    Coefficients may be complex when the object represents a single Fourier
-    mode of a cylinder function; standalone instances are real.
-    """
+    """One real-analytic function of x as a float64 Chebyshev-T coefficient
+    vector; complex coefficients raise ValueError (complex Fourier modes are
+    QPFn rows). Complex points x are evaluated through chebval."""
 
     coeffs: np.ndarray
     domain: DomainConfig
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs)
+        # checked before the float conversion, which would drop Im silently
+        if np.iscomplexobj(self.coeffs):
+            raise ValueError("AnalyticFn coefficients must be real")
+        c = np.asarray(self.coeffs, dtype=float)
         n = self.domain.n_cheb
         if c.shape != (n,):
             raise ValueError("coefficient vector has wrong length")
@@ -150,13 +154,13 @@ class AnalyticFn:
 
     def __call__(self, x):
         c, L = self.coeffs, self.domain.half_width
-        if isinstance(x, (float, int, np.integer)) and c.dtype == np.float64:
+        if isinstance(x, (float, int, np.integer)):
             return _clenshaw_scalar(c.tolist(), float(x) / L)
         return _cheb.chebval(np.asarray(x) / L, c)
 
     def deriv(self):
         d = _cheb.chebder(self.coeffs) / self.domain.half_width
-        out = np.zeros(self.domain.n_cheb, dtype=d.dtype)
+        out = np.zeros(self.domain.n_cheb)
         out[: d.size] = d
         return AnalyticFn(out, self.domain)
 
@@ -313,7 +317,7 @@ class PairFn:
 
     def coeff_vector(self):
         """Stacked real coefficients (u then v), the operator state vector."""
-        return np.concatenate([np.real(self.u.coeffs), np.real(self.v.coeffs)])
+        return np.concatenate([self.u.coeffs, self.v.coeffs])
 
     @classmethod
     def from_coeff_vector(cls, domain, vec):
@@ -355,7 +359,7 @@ def compose_fiber(g, shift, inner, scale):
     L = dom.half_width
 
     inner_vals = inner.eval(thetas[:, None], scale * x)      # (M, n_cheb)
-    bad = np.abs(inner_vals) > L * (1 + 1e-13)
+    bad = np.abs(inner_vals) > L * INTERVAL_SLACK
     if np.any(bad):
         j, i = np.argwhere(bad)[0]
         raise CompositionDomainError(
@@ -457,7 +461,7 @@ def sup_norm(f):
     """Grid proxy for the supremum norm (deterministic fixed grid)."""
     V, E = _sup_tables(f.domain)
     if isinstance(f, AnalyticFn):
-        return float(np.max(np.abs(np.real(V @ f.coeffs))))
+        return float(np.max(np.abs(V @ f.coeffs)))
     A = V @ f.modes.T                                  # (n_x, K+1)
     return float(np.max(np.abs(np.real(E @ A.T))))
 
@@ -466,7 +470,7 @@ def pair_sup_norm(domain, u, v):
     """PairFn(u, v).sup_norm() from bare coefficient arrays: the amplitude
     hypot(u(x), v(x)) maximized over the sup grid."""
     V, _ = _sup_tables(domain)
-    uv = np.real(V @ np.stack([u, v], axis=1))
+    uv = V @ np.stack([u, v], axis=1)
     return float(np.max(np.hypot(uv[:, 0], uv[:, 1])))
 
 
@@ -476,6 +480,6 @@ def eval_qpfn(f, theta, x):
     A reference kept for the tests, which check the guard; the library
     calls QPFn.eval and eval_batch directly."""
     L = f.domain.half_width
-    if np.any(np.abs(np.asarray(x, dtype=float)) > L * (1 + 1e-13)):
+    if np.any(np.abs(np.asarray(x, dtype=float)) > L * INTERVAL_SLACK):
         raise DomainError(f"x outside [-{L}, {L}]", where=x)
     return f.eval(theta, x)

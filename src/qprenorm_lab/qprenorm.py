@@ -169,7 +169,7 @@ DEGENERATE_SCAN = (0.0, 0.25, -0.25, 0.5, -0.5)
 
 def apply_T(g, omega):
     """T_omega(g) = g(theta + omega, g(theta, a x)) / a, a = mean g(theta, 1)."""
-    a_hat = float(np.real(project_p0(g)(1.0)))
+    a_hat = float(project_p0(g)(1.0))
     if abs(a_hat) < TOL_A:
         raise DegenerateScalingError(f"mean scaling a = {a_hat:.3e} too small")
     h = compose_fiber(g, float(omega), g, a_hat)

@@ -25,9 +25,9 @@ from numpy.polynomial import chebyshev as _cheb
 from .errors import (DegenerateScalingError, DomainError, InconsistencyError,
                      MeshError, NoConvergenceError, PrecisionExhaustedError,
                      SearchError)
-from .funcspace import (W_CENTER, W_RADIUS, AnalyticFn, DomainConfig, QPFn,
-                        _cheb_machinery, _cheb_vander, _diff_matrix,
-                        project_p0, sup_norm)
+from .funcspace import (INTERVAL_SLACK, W_CENTER, W_RADIUS, AnalyticFn,
+                        DomainConfig, QPFn, _cheb_machinery, _cheb_vander,
+                        _diff_matrix, project_p0, sup_norm)
 
 TOL_A = 1e-8
 N_FIT = 12            # cascade levels behind the alpha* extrapolation
@@ -56,7 +56,7 @@ class UnimodalMap:
     a: float = field(init=False)
 
     def __post_init__(self):
-        self.a = float(np.real(self.psi(1.0)))
+        self.a = float(self.psi(1.0))
 
     @property
     def domain(self):
@@ -72,21 +72,19 @@ class UnimodalMap:
         psi(0) = 1 and x psi'(x) < 0 are hard errors; whether psi maps the
         interval into itself is recorded (in_domain_R reports it).
         """
-        v0 = float(np.real(self.psi(0.0)))
+        v0 = float(self.psi(0.0))
         if abs(v0 - 1.0) > 1e-9:
             raise DomainError(f"psi(0) = {v0}, not 1")
         L = self.domain.half_width
         x = np.linspace(0.05 * L, L, 64)
-        dp = np.real(self.psi.deriv()(x))
-        if np.any(dp >= 0):
+        if np.any(self.psi.deriv()(x) >= 0):
             raise DomainError("psi is not decreasing on the positive half")
         return self
 
     def maps_interval_into_itself(self):
         L = self.domain.half_width
         x = np.linspace(-L, L, 257)
-        vals = np.real(self.psi(x))
-        return bool(np.all(np.abs(vals) <= L * (1 + 1e-13)))
+        return bool(np.all(np.abs(self.psi(x)) <= L * INTERVAL_SLACK))
 
     def embed(self):
         return QPFn.from_analytic(self.psi)
@@ -106,12 +104,12 @@ class UnimodalMap:
     def _e_out(self):
         """E_out[i, j] = T_j(psi(a x_i) / L)."""
         dom = self.domain
-        inner = self._e_in @ np.real(self.psi.coeffs)       # psi(a x_i)
+        inner = self._e_in @ self.psi.coeffs                # psi(a x_i)
         return _read_only(_cheb_vander(inner / dom.half_width, dom.n_cheb))
 
     @cached_property
     def _renormalized(self):
-        vals = self._e_out @ np.real(self.psi.coeffs) / self.a
+        vals = self._e_out @ self.psi.coeffs / self.a
         rpsi = AnalyticFn.from_values(self.domain, vals)
         _read_only(rpsi.coeffs)
         return UnimodalMap(rpsi)
@@ -121,7 +119,7 @@ class UnimodalMap:
         dom = self.domain
         n = dom.n_cheb
         _, _, A = _cheb_machinery(n)
-        dc = _diff_matrix(n) @ np.real(self.psi.coeffs)
+        dc = _diff_matrix(n) @ self.psi.coeffs
         w = self._e_out @ dc / (dom.half_width * self.a)   # psi'(psi(a x))/a
         return _read_only(A @ (w[:, None] * self._e_in))
 
@@ -208,14 +206,14 @@ def in_domain_R(psi):
     L = psi.domain.half_width
     a = psi.a
     a_prime = L * a
-    b_prime = float(np.real(psi.psi(a_prime)))
-    psi_b = float(np.real(psi.psi(b_prime)))
+    b_prime = float(psi.psi(a_prime))
+    psi_b = float(psi.psi(b_prime))
     clauses = {
         "a_negative": a < 0,
         "b_prime_bracket": bool(1.0 > b_prime > -a_prime),
         "image_below": bool(psi_b < -a_prime),
-        "range_ok": bool(abs(a_prime) <= L * (1 + 1e-13)
-                         and abs(b_prime) <= L * (1 + 1e-13)),
+        "range_ok": bool(abs(a_prime) <= L * INTERVAL_SLACK
+                         and abs(b_prime) <= L * INTERVAL_SLACK),
         "maps_into_interval": psi.maps_interval_into_itself(),
     }
     failing = [k for k, v in clauses.items() if not v]
@@ -293,8 +291,7 @@ def solve_fixed_point(initial):
     """
     dom = initial.domain
     n = dom.n_cheb
-    psi_fn = AnalyticFn.from_callable(dom, lambda x: np.real(initial.psi(x)))
-    c = np.real(psi_fn.coeffs).copy()
+    c = AnalyticFn.from_callable(dom, initial.psi).coeffs
     c[1::2] = 0.0
     # pin psi(0) = 1 exactly
     val0 = float(_cheb.chebval(0.0, c))
@@ -305,7 +302,7 @@ def solve_fixed_point(initial):
     for _ in range(50):
         psi = UnimodalMap(AnalyticFn(c.copy(), dom))
         rpsi = renormalize_1d(psi, check_domain=False)
-        R = np.real(rpsi.psi.coeffs) - c
+        R = rpsi.psi.coeffs - c
         residual = sup_norm(AnalyticFn(R, dom))
         if residual <= 1e-12:
             break
@@ -330,7 +327,7 @@ def solve_fixed_point(initial):
     e_coeffs = np.real(B @ vec[:, i_top])
     e_coeffs /= np.linalg.norm(e_coeffs)
     e = AnalyticFn(e_coeffs, dom)
-    if float(np.real(e(1.0))) < 0:
+    if e(1.0) < 0:
         e = -e
     return FixedPointData(
         phi=phi, a_star=phi.a, delta_feig=float(delta.real), e_unstable=e,
@@ -572,7 +569,7 @@ def _classify_side(family, alpha):
             psi = renormalize_1d(psi, check_domain=False)
         except DegenerateScalingError:
             return "above"
-        if not np.all(np.isfinite(np.real(psi.psi.coeffs))):
+        if not np.all(np.isfinite(psi.psi.coeffs)):
             return "above"
     raise NoConvergenceError("no escape within the iteration budget")
 
@@ -614,7 +611,7 @@ def _crit_orbit_residual(psi, j):
     L = psi.domain.half_width
     x = 0.0
     for _ in range(2 ** j):
-        x = float(np.real(psi.psi(x)))
+        x = float(psi.psi(x))
         if abs(x) > L:
             return np.nan
     return x
@@ -656,7 +653,7 @@ def _unstable_point(fp, j):
 
     def seed(tau):
         return UnimodalMap(AnalyticFn(
-            np.real(phi.psi.coeffs) + tau * t0 * np.real(e.coeffs), dom))
+            phi.psi.coeffs + tau * t0 * e.coeffs, dom))
 
     def map_at(tau, k):
         m = seed(tau)

@@ -5,6 +5,7 @@ family, and the unstable-manifold points f*_j are reused across modules;
 everything else is cheap enough to build inside the tests.
 """
 
+import numpy as np
 import pytest
 
 from qprenorm_lab import (
@@ -14,6 +15,15 @@ from qprenorm_lab import (
     flm_family,
     unstable_manifold_points,
 )
+
+
+def pytest_configure(config):
+    # a cast that discards an imaginary part fails the test; the warning
+    # class is numpy.exceptions.ComplexWarning on numpy 2 and
+    # numpy.ComplexWarning on numpy 1.24
+    cls = getattr(np, "exceptions", np).ComplexWarning
+    config.addinivalue_line(
+        "filterwarnings", f"error::{cls.__module__}.{cls.__name__}")
 
 
 @pytest.fixture(scope="session")

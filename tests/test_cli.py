@@ -506,6 +506,23 @@ def test_exit_one_rational_rotation(tmp_path):
                  "observe", "--which", "2"]) == 1
 
 
+@pytest.mark.parametrize("ini,argv,fragment", [
+    ("", ["--nmax", "2", "observe", "--which", "2"], "n_max >= 4"),
+    ("[run]\netas =\n", ["observe", "--which", "3"], "at least one eta"),
+    ("", ["--nmax", "1", "conjecture", "--which", "h3"], "n_max >= 2"),
+    ("", ["--nmax", "0", "conjecture", "--which", "h5"], "n_max >= 1"),
+], ids=["observe-2", "observe-3-no-etas", "h3", "h5"])
+def test_exit_one_on_a_run_too_shallow_or_empty(tmp_path, capsys, ini, argv,
+                                                fragment):
+    p = tmp_path / "run.ini"
+    p.write_text(ini)
+    assert main(["--config", str(p), "--out", str(tmp_path / "o")]
+                + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert "Traceback" not in err
+
+
 def test_exit_two_on_failed_checker(tmp_path):
     # second-mode forcing renormalizes along 2 omega: observation 1 must
     # report FAIL, which the driver maps to exit code 2

@@ -229,6 +229,33 @@ def test_benchmark_like_curve_solve_takes_few_passes(flm, golden,
     assert len(inputs) <= 12
 
 
+def test_criterion_reads_the_product_of_the_solve(flm, golden, monkeypatch):
+    # the solve keeps the fiber product of its last pass, which is at the
+    # samples: it is fiber_product's bit for bit, and the bracket criterion
+    # spends no grid pass beyond the solve's own
+    passes = []
+    orbit = curvedyn._orbit_grid
+
+    def counted(*args):
+        passes.append(1)
+        return orbit(*args)
+
+    s = superstable_params(flm, 4)
+    alpha = float(s[3]) + 0.1 * (s[4] - s[3])
+    f = flm.evaluator(alpha, 2e-4)
+    monkeypatch.setattr(curvedyn, "_orbit_grid", counted)
+    curve = solve_invariant_curve(f, golden, 3)
+    solve_passes = len(passes)
+    value, samples = curvedyn._criterion(flm, golden, 3, 2e-4, alpha, "min",
+                                         None)
+    assert len(passes) == 2 * solve_passes
+    monkeypatch.undo()
+    prod = fiber_product(f, golden, curve)
+    assert curve.product.tobytes() == prod.tobytes()
+    assert samples.tobytes() == curve.samples.tobytes()
+    assert value == extremum_m(prod).value
+
+
 def test_period16_curve_converges_where_the_damped_stage_stalls(flm,
                                                                 golden):
     # the damped residual reaches 1.7e-6 and then climbs away, so a damped

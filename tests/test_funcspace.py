@@ -238,18 +238,30 @@ def test_scalar_call_is_chebval_bit_for_bit(case):
 
 @settings(max_examples=50, deadline=None)
 @given(_real_vectors())
-def test_complex_coefficients_and_arrays_use_chebval(case):
+def test_arrays_and_complex_points_use_chebval(case):
     f, x = case
     L = f.domain.half_width
-    g = AnalyticFn(f.coeffs + 0.5j * f.coeffs[::-1], f.domain)
-    got = g(x)
-    want = cheb.chebval(np.asarray(x) / L, g.coeffs)
-    assert type(got) is type(want) and got.tobytes() == want.tobytes()
-    for pts in (np.asarray(x), np.array([x, -0.5 * x, 0.25])):
+    for pts in (np.asarray(x), np.array([x, -0.5 * x, 0.25]),
+                complex(x, 0.5)):
         got = f(pts)
         want = cheb.chebval(np.asarray(pts) / L, f.coeffs)
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_complex_coefficients_are_rejected():
+    # complex values live in QPFn rows; a function of x is real, even when
+    # the imaginary part is zero
+    dom = DomainConfig(n_cheb=8)
+    with pytest.raises(ValueError, match="must be real"):
+        AnalyticFn(np.zeros(dom.n_cheb, dtype=complex), dom)
+    with pytest.raises(ValueError, match="must be real"):
+        AnalyticFn([1j] + [0.0] * (dom.n_cheb - 1), dom)
+    with pytest.raises(ValueError, match="must be real"):
+        AnalyticFn.from_values(dom, np.ones(dom.n_cheb) + 0.5j)
+    f = AnalyticFn(np.arange(dom.n_cheb), dom)
+    assert f.coeffs.dtype == np.float64
+    assert f.deriv().coeffs.dtype == np.float64
 
 
 @settings(max_examples=100, deadline=None)
