@@ -216,9 +216,12 @@ def observation1(c1, c2, omega0, n_max=10):
     of their difference is fitted; PASS needs rho_hat < 1 with the fit
     residuals spread over less than a decade. On the overlap window
     OVERLAP_WINDOW the exact-orbit quotients must match the fixed-point
-    ones within OVERLAP_TOL (measured gaps are about 1e-2 or less).
+    ones within OVERLAP_TOL (measured gaps are about 1e-2 or less). Below
+    n_max = 4 the window is empty, so n_max < 4 raises ValueError.
     """
     require_diophantine(omega0)
+    if n_max < 4:
+        raise ValueError(f"observation 1 needs n_max >= 4, got {n_max}")
     tab1 = slope_table(c1, omega0, n_max, mode="fixed-point")
     tab2 = slope_table(c2, omega0, n_max, mode="fixed-point")
     seq1 = quotient_sequence(tab1)
@@ -420,9 +423,11 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     with C estimated from the norm-ratio band. The two directions compared
     at each level are put on the section first; they share their mode-1
     part, and with it the shift. Every family lives on `domain`. An empty
-    etas raises ValueError.
+    etas or n_max < 2 (no component chain) raises ValueError.
     """
     require_diophantine(omega0)
+    if n_max < 2:
+        raise ValueError(f"observation 3 needs n_max >= 2, got {n_max}")
     if not etas:
         raise ValueError("observation 3 needs at least one eta")
     tables = {}

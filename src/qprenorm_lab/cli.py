@@ -251,6 +251,8 @@ def load_config(path=None, overrides=None):
     for name, val in (overrides or {}).items():
         if val is not None:
             setattr(cfg, name, val)
+    if cfg.n_max < 1:
+        raise ValueError(f"nmax must be >= 1, got {cfg.n_max}")
     if cfg.mode not in ("exact-orbit", "fixed-point"):
         raise ValueError(f"mode must be exact-orbit or fixed-point, "
                          f"got {cfg.mode!r}")

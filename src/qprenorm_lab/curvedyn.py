@@ -21,6 +21,7 @@ The two must agree within a few percent at small n; the tests enforce it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -620,6 +621,11 @@ def _logistic_step(alpha, x):
     return alpha * x * (1.0 - x), alpha * (1.0 - 2.0 * x), x * (1.0 - x)
 
 
+@lru_cache(maxsize=8)
+def _slice_record(domain):
+    return {}
+
+
 def flm_family(g=None, domain=DomainConfig(), name="flm"):
     """Forced logistic map in normalized coordinates.
 
@@ -627,6 +633,8 @@ def flm_family(g=None, domain=DomainConfig(), name="flm"):
     x = 1/2 + lambda y with lambda = (alpha - 2)/4 brings the unforced map
     to 1 - mu y^2 with mu = alpha (alpha - 2)/4, normalized to value 1 at
     the critical point. Default forcing g = cos(2 pi theta).
+    Families on one domain share the record of s_n, alpha* and the Sigma_1
+    parameters (free of g); a dataclasses.replace copy gets a private one.
     """
     if g is None:
         def g(theta, x):
@@ -654,7 +662,7 @@ def flm_family(g=None, domain=DomainConfig(), name="flm"):
         return QPFn.from_callable(domain,
                                   lambda th, y: g(th, 0.5 + lam * y) / lam)
 
-    return FamilySpec(
+    fam = FamilySpec(
         name=name,
         evaluator=evaluator,
         du_dalpha=du_dalpha,
@@ -662,3 +670,5 @@ def flm_family(g=None, domain=DomainConfig(), name="flm"):
         alpha_box=FLM_ALPHA_BOX,
         raw_step=_logistic_step,
         x_crit=0.5)
+    fam._cache = _slice_record(domain)
+    return fam

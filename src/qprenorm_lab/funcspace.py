@@ -261,11 +261,15 @@ class QPFn:
     # ---------------------------------------------------------- evaluation
 
     def eval(self, theta, x):
-        """Pointwise value, broadcasting theta and x together."""
-        (out,) = eval_batch((self,), theta, x)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        """Pointwise value, broadcasting theta and x together: one Chebyshev
+        Vandermonde of the points and one phase table exp(2 pi i k theta),
+        k = 0..K, through the evaluation kernel _eval_stacked."""
+        theta, x = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                       np.asarray(x, dtype=float))
+        out = _eval_stacked(self.domain, _stack_modes((self,)), x.ravel(),
+                            _phases(theta, self.domain.n_fourier))
+        out = out.reshape(x.shape)
+        return float(out) if out.ndim == 0 else out
 
     def dx(self):
         D = _diff_matrix(self.domain.n_cheb)
@@ -426,22 +430,6 @@ def _eval_stacked(domain, H, x, E):
     return np.einsum("pfk,pk->fp", A, E).real
 
 
-def eval_batch(fns, theta, x):
-    """Values of several QPFn on one domain at the broadcast (theta, x).
-
-    Returns shape (len(fns),) + broadcast shape. One Chebyshev Vandermonde
-    of the points and one phase table exp(2 pi i k theta), k = 0..K, serve
-    every function; the half spectra of all of them go through a single
-    matrix product.
-    """
-    H = _stack_modes(fns)
-    dom = fns[0].domain
-    theta, x = np.broadcast_arrays(np.asarray(theta, dtype=float),
-                                   np.asarray(x, dtype=float))
-    vals = _eval_stacked(dom, H, x.ravel(), _phases(theta, dom.n_fourier))
-    return vals.reshape((len(fns),) + x.shape)
-
-
 @lru_cache(maxsize=64)
 def _sup_tables(domain):
     """Chebyshev Vandermonde of the sup x grid (4 n_cheb points clustered
@@ -478,7 +466,7 @@ def eval_qpfn(f, theta, x):
     """Functional form of QPFn.eval with the domain guard of the contract.
 
     A reference kept for the tests, which check the guard; the library
-    calls QPFn.eval and eval_batch directly."""
+    calls QPFn.eval directly."""
     L = f.domain.half_width
     if np.any(np.abs(np.asarray(x, dtype=float)) > L * INTERVAL_SLACK):
         raise DomainError(f"x outside [-{L}, {L}]", where=x)

@@ -187,6 +187,7 @@ class FamilySpec:
     # s_n and alpha*, filled by superstable_params and stable_manifold_param,
     # and the Sigma_1-polished parameters by n ("sigma1"), filled by
     # curvedyn.slope_chain in exact-orbit mode
+    # (shared per domain by flm_family; private after dataclasses.replace)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 

@@ -380,6 +380,13 @@ def test_rational_rotation_rejected(flm, golden):
         check_H5(third, p0, p0, n_max=3)
 
 
+def test_h5_rejects_n_max_below_one(flm, golden):
+    # the CLI stops nmax < 1 in load_config; the library keeps its guard
+    p0 = project_pik(flm.dv_deps(stable_manifold_param(flm)), 1)
+    with pytest.raises(ValueError, match="n_max >= 1"):
+        check_H5(golden, p0, p0, n_max=0)
+
+
 # ------------------------------------------------------- pinned chain values
 #
 # Values of the chain walks at the default domain, as repr floats. A

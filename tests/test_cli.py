@@ -510,8 +510,11 @@ def test_exit_one_rational_rotation(tmp_path):
     ("", ["--nmax", "2", "observe", "--which", "2"], "n_max >= 4"),
     ("[run]\netas =\n", ["observe", "--which", "3"], "at least one eta"),
     ("", ["--nmax", "1", "conjecture", "--which", "h3"], "n_max >= 2"),
-    ("", ["--nmax", "0", "conjecture", "--which", "h5"], "n_max >= 1"),
-], ids=["observe-2", "observe-3-no-etas", "h3", "h5"])
+    ("", ["--nmax", "0", "conjecture", "--which", "h5"], "nmax must be >= 1"),
+    ("", ["--nmax", "3", "observe", "--which", "1"], "n_max >= 4"),
+    ("", ["--nmax", "1", "observe", "--which", "3"], "n_max >= 2"),
+], ids=["observe-2", "observe-3-no-etas", "h3", "h5", "observe-1",
+        "observe-3"])
 def test_exit_one_on_a_run_too_shallow_or_empty(tmp_path, capsys, ini, argv,
                                                 fragment):
     p = tmp_path / "run.ini"
@@ -521,6 +524,19 @@ def test_exit_one_on_a_run_too_shallow_or_empty(tmp_path, capsys, ini, argv,
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--nmax", "-1", "superstable"],
+    ["--nmax", "0", "slopes"],
+], ids=["superstable", "slopes"])
+def test_exit_one_on_nmax_below_one(tmp_path, capsys, argv):
+    # a run of depth < 1 has no level to write, so the config stops it
+    # before the artifact directory exists
+    out = tmp_path / "o"
+    assert main(["--out", str(out)] + argv) == 1
+    assert "nmax must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_two_on_failed_checker(tmp_path):

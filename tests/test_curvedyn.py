@@ -20,6 +20,7 @@ import qprenorm_lab
 from qprenorm_lab import (
     DG1,
     DG1_hat,
+    DomainConfig,
     G1,
     G1_hat,
     QPFn,
@@ -28,6 +29,7 @@ from qprenorm_lab import (
     extremum_m,
     fiber_product,
     fit_geometric_decay,
+    flm_eta_family,
     flm_family,
     functional_K,
     iterate_fiber,
@@ -37,12 +39,15 @@ from qprenorm_lab import (
     quotient_sequence,
     renorm_identity_gap,
     shift_tgamma,
+    slope_chain,
     slope_formula,
     slope_table,
     solve_invariant_curve,
+    stable_manifold_param,
     superstable_params,
 )
-from qprenorm_lab import asymptotics, curvedyn
+from qprenorm_lab import asymptotics, curvedyn, renorm1d
+from qprenorm_lab.cli import parse_forcing
 from qprenorm_lab.errors import (BasinError, EscapeError,
                                  PrecisionExhaustedError)
 from qprenorm_lab.funcspace import _phases
@@ -471,11 +476,14 @@ def test_chain_modes_agree_at_quotient_level(flm, golden):
 
 
 def test_sigma1_polish_runs_once_per_family_and_level(golden, monkeypatch):
-    # each level once per family, so no memo is read
-    expect = (slope_table(flm_family(), golden, 5, mode="exact-orbit"),
-              slope_table(flm_family(), golden.double(), 4,
-                          mode="exact-orbit"),
-              renorm_identity_gap(flm_family(), golden, 2))
+    # each level once per family, so no memo is read. flm_family shares
+    # its record per domain; private copies start empty
+    def fresh():
+        return dataclasses.replace(flm_family())
+
+    expect = (slope_table(fresh(), golden, 5, mode="exact-orbit"),
+              slope_table(fresh(), golden.double(), 4, mode="exact-orbit"),
+              renorm_identity_gap(fresh(), golden, 2))
 
     calls = collections.Counter()
     polish = curvedyn._polish_sigma1
@@ -485,7 +493,7 @@ def test_sigma1_polish_runs_once_per_family_and_level(golden, monkeypatch):
         return polish(family, alpha0, n)
 
     monkeypatch.setattr(curvedyn, "_polish_sigma1", counted)
-    fam = flm_family()
+    fam = fresh()
     _, tab1, tab2 = mixed_quotient_sequence(fam, golden, 5,
                                             mode="exact-orbit")
     gap = renorm_identity_gap(fam, golden, 2)
@@ -519,3 +527,47 @@ def test_sigma1_polish_builds_each_slice_map_once(golden, monkeypatch):
     assert calls["apply_T"] == 6
     # the memo keeps parameters, not maps
     assert all(type(a) is float for a in fam._cache["sigma1"].values())
+
+
+# --------------------------------------------------- the shared slice record
+
+# a domain no other test builds a family on, so the record starts empty
+SLICE_DOMAIN = DomainConfig(n_cheb=44, n_fourier=10)
+SIN_MIX, _ = parse_forcing("[0.5,0,0.5]*sin(1w)")
+
+
+def test_flm_families_on_a_domain_share_one_slice_record(golden,
+                                                         monkeypatch):
+    first = flm_family(domain=SLICE_DOMAIN)
+    s = superstable_params(first, 12)
+    alpha_star = stable_manifold_param(first)
+    u_ends = [slope_chain(first, golden, n).u_end.coeffs for n in (1, 2, 3)]
+    assert sorted(first._cache["sigma1"]) == [1, 2, 3]
+
+    def fail(*args, **kw):
+        raise AssertionError("the slice record was recomputed")
+
+    for module, name in ((renorm1d, "_scan_level"),
+                         (renorm1d, "_newton_level"),
+                         (renorm1d, "_classify_side"),
+                         (curvedyn, "_polish_sigma1")):
+        monkeypatch.setattr(module, name, fail)
+    for other in (flm_family(g=SIN_MIX, domain=SLICE_DOMAIN, name="sin"),
+                  flm_eta_family(0.5, SLICE_DOMAIN)):
+        assert superstable_params(other, 12).tobytes() == s.tobytes()
+        assert stable_manifold_param(other) == alpha_star
+        # u_end depends on the polished parameter and the slice alone
+        for n, want in zip((1, 2, 3), u_ends):
+            got = slope_chain(other, golden, n).u_end.coeffs
+            assert got.tobytes() == want.tobytes()
+    assert dataclasses.replace(first)._cache == {}
+
+
+def test_slice_does_not_read_the_forcing():
+    # 0 * g / lambda is a signed zero for a finite g, so c(alpha, 0) is the
+    # same map bit for bit whatever the forcing
+    families = (flm_family(), flm_family(g=SIN_MIX),
+                flm_eta_family(0.5))
+    for alpha in (2.5, 3.1, 3.3, 3.5, 3.5699):
+        coeffs = {f.psi0(alpha).psi.coeffs.tobytes() for f in families}
+        assert len(coeffs) == 1

@@ -396,7 +396,7 @@ def test_accumulation_cross_check_verdicts(flm, delta, verdict):
     # a cascade shifted by more than the 1e-8 tolerance off the escape
     # boundary fails the cross-check; one shifted by less passes
     s = [float(x) + delta for x in superstable_params(flm, 12)]
-    family = flm_family()
+    family = dataclasses.replace(flm_family())
     family._cache["superstable"] = s
     if verdict == "pass":
         assert stable_manifold_param(family) == _extrapolated(np.array(s))
