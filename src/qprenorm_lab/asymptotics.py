@@ -419,8 +419,10 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     compared against eta = 0. The deviations should scale linearly in eta
     (the two-eta ratio matches the eta ratio within a factor 3) while NOT
     decaying geometrically in n for fixed eta > 0. The two-component
-    recurrences provide the direction-deviation bound 2 C eta / (1 - C eta)
-    with C estimated from the norm-ratio band. The two directions compared
+    recurrences provide the direction-deviation bound 2 C |eta| / (1 - C |eta|)
+    with C estimated from the norm-ratio band. An eta is a size by |eta|:
+    the scale test and the fit use the nonzero etas ordered by |eta|, and
+    the deviations stay keyed by the signed eta. The two directions compared
     at each level are put on the section first; they share their mode-1
     part, and with it the shift. Every family lives on `domain`. An empty
     etas or n_max < 2 (no component chain) raises ValueError.
@@ -442,10 +444,10 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
         deviations[eta] = {n: abs(cur[n] - base[n]) for n in base}
         sup_dev[eta] = max(deviations[eta].values())
 
-    pos = sorted(e for e in etas if e > 0.0)
+    pos = sorted((e for e in etas if e != 0.0), key=abs)
     if len(pos) >= 2:
         e1, e2 = pos[0], pos[-1]
-        scale = (sup_dev[e2] / sup_dev[e1]) / (e2 / e1)
+        scale = (sup_dev[e2] / sup_dev[e1]) / abs(e2 / e1)
         scale_ok = 1.0 / 3.0 <= scale <= 3.0
     else:
         e2 = pos[0] if pos else None
@@ -464,10 +466,10 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     bound_margins = {}
     bound_ok = True
     for eta in etas:
-        if C * eta >= 1.0:
+        if C * abs(eta) >= 1.0:
             bound_ok = False
             continue
-        allowed = 2.0 * C * eta / (1.0 - C * eta)
+        allowed = 2.0 * C * abs(eta) / (1.0 - C * abs(eta))
         worst = 0.0
         for c1, c2 in zip(chain1, chain2):
             vn = _on_section(c1.embed(1) + (c2 * eta).embed(2), section)
@@ -591,8 +593,11 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
 
     For each omega, L_omega is built once and all samples are stepped as
     one block of coefficient rows (l_prime_rows); a pair with an image
-    off the section counts once in n_skipped.
+    off the section counts once in n_skipped. n_pairs < 1 raises
+    ValueError, and a run that compares no pair at any omega fails.
     """
+    if n_pairs < 1:
+        raise ValueError(f"check_H4 needs n_pairs >= 1, got {n_pairs}")
     if psi is None:
         psi = feigenbaum_fixed_point(DomainConfig()).phi
     dom = psi.domain
@@ -630,29 +635,30 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
         return F, errors
 
     # pair i is (X[2i], X[2i + 1]); its distances do not depend on omega
-    den_l2 = row_norms(X[0::2] - X[1::2])
     n = dom.n_cheb
-    den_sup = [pair_sup_norm(dom, d[:n], d[n:]) for d in X[0::2] - X[1::2]]
-    per_omega, skipped, v_violations = {}, 0, 0
+    D = X[0::2] - X[1::2]
+    den_l2 = row_norms(D)
+    den_sup = np.maximum(pair_sup_norm(dom, D[:, :n], D[:, n:]), 1e-300)
+    per_omega, skipped, v_violations, compared = {}, 0, 0, 0
     max_l2 = max_sup = 0.0
     for om in H4_OMEGAS:
         F, errors = step(X, om)
-        pairs = [i for i in range(n_used // 2)
-                 if errors[2 * i] is None and errors[2 * i + 1] is None]
-        skipped += n_used // 2 - len(pairs)
-        rows = [j for i in pairs for j in (2 * i, 2 * i + 1)]
-        v_violations += int(np.sum(row_norms(F[rows] - e0_vec) > radius))
-        num = F[0::2] - F[1::2]
-        num_l2 = row_norms(num)
-        worst_l2 = 0.0
-        for i in pairs:
-            if den_l2[i] < 1e-14:
-                continue
-            num_sup = pair_sup_norm(dom, num[i, :n], num[i, n:])
-            worst_l2 = max(worst_l2, num_l2[i] / den_l2[i])
-            max_sup = max(max_sup, num_sup / max(den_sup[i], 1e-300))
+        ok = np.array([e is None for e in errors], dtype=bool)
+        pair_ok = ok[0::2] & ok[1::2]
+        skipped += int(np.sum(~pair_ok))
+        v_violations += int(np.sum(
+            row_norms(F[np.repeat(pair_ok, 2)] - e0_vec) > radius))
+        use = pair_ok & ~(den_l2 < 1e-14)
+        num = (F[0::2] - F[1::2])[use]
+        ratios_l2 = row_norms(num) / den_l2[use]
+        ratios_sup = pair_sup_norm(dom, num[:, :n], num[:, n:]) / den_sup[use]
+        # Python max keeps the float 0.0 when no ratio exceeds it, and the
+        # first of equal maxima, as a one-pair-at-a-time loop does
+        worst_l2 = max((0.0, *ratios_l2))
+        max_sup = max((max_sup, *ratios_sup))
         per_omega[float(om)] = worst_l2
         max_l2 = max(max_l2, worst_l2)
+        compared += int(np.sum(use))
 
     multi_fit = None
     if max_l2 >= 1.0 and n_used:
@@ -668,7 +674,8 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
             om = om.double()
         multi_fit = fit_geometric_decay(np.arange(1, H4_MULTI_N + 1), dists)
 
-    passed = max_l2 < 1.0 or (multi_fit is not None and multi_fit.passes())
+    passed = compared > 0 and (max_l2 < 1.0 or (multi_fit is not None
+                                                 and multi_fit.passes()))
     return H4Report(max_ratio_l2=float(max_l2), max_ratio_sup=float(max_sup),
                     per_omega_max=per_omega, n_sampled=len(samples),
                     n_skipped=skipped, v_violations=v_violations,

@@ -449,7 +449,8 @@ def cmd_dt_check(cfg, store):
     n_dir = 20
     worst = 0.0
     per_k = {}
-    for k in range(1, 9):
+    k_max = min(8, cfg.n_fourier)
+    for k in range(1, k_max + 1):
         op = build_L_omega(fp.phi, omega, k=k)
         wk = 0.0
         for _ in range(n_dir):
@@ -460,7 +461,7 @@ def cmd_dt_check(cfg, store):
             wk = max(wk, sup_norm(lhs - rhs))
         per_k[k] = wk
         worst = max(worst, wk)
-    print(f"max residual over k<=8, {n_dir} directions: {worst:.3e} "
+    print(f"max residual over k<={k_max}, {n_dir} directions: {worst:.3e} "
           f"(tol {cfg.dt_tol:g})")
     store.write_csv("dt_residuals.csv",
                     ["k [mode]", "max_residual [sup norm]"],
@@ -602,7 +603,7 @@ def cmd_observe(cfg, store, which):
             "nonequivalent": rep.nonequiv,
             "nonequiv_fit": _fit_payload(rep.nonequiv_fit),
         })
-        e_big = max(rep.etas)
+        e_big = max(rep.etas, key=abs)
         store.write_plot("deviations.dat", ns,
                          [rep.deviations[e_big][n] for n in ns])
         print(f"observation 3: scale={rep.scale_factor:.3f} "

@@ -83,6 +83,8 @@ def _cheb_machinery(n):
     V = np.cos(np.outer(ang, np.arange(n)))
     A = (2.0 / n) * V.T.copy()
     A[0, :] *= 0.5
+    for arr in (t, V, A):
+        arr.flags.writeable = False
     return t, V, A
 
 
@@ -331,7 +333,7 @@ class PairFn:
 
     def sup_norm(self):
         """max over (theta, x) of the represented function, exact in theta."""
-        return pair_sup_norm(self.domain, self.u.coeffs, self.v.coeffs)
+        return float(pair_sup_norm(self.domain, self.u.coeffs, self.v.coeffs))
 
     def coeff_norm(self):
         return float(np.linalg.norm(self.coeff_vector()))
@@ -455,11 +457,13 @@ def sup_norm(f):
 
 
 def pair_sup_norm(domain, u, v):
-    """PairFn(u, v).sup_norm() from bare coefficient arrays: the amplitude
-    hypot(u(x), v(x)) maximized over the sup grid."""
+    """PairFn(u, v).sup_norm() from bare coefficient arrays, one norm per
+    row of (S, n_cheb) blocks: the amplitude hypot(u(x), v(x)) maximized
+    over the sup grid. The stacked matmul takes one product per row, so a
+    row gets the bits it would get alone."""
     V, _ = _sup_tables(domain)
-    uv = V @ np.stack([u, v], axis=1)
-    return float(np.max(np.hypot(uv[:, 0], uv[:, 1])))
+    uv = V @ np.stack([u, v], axis=-1)
+    return np.max(np.hypot(uv[..., 0], uv[..., 1]), axis=-1)
 
 
 def eval_qpfn(f, theta, x):

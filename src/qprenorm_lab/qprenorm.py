@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (DegeneratePointError, DegenerateScalingError,
                      DiophantineError, DomainError, NoSectionError,
                      PrecisionExhaustedError)
-from .funcspace import (PairFn, QPFn, _clenshaw_scalar, compose_fiber,
+from .funcspace import (PairFn, QPFn, _cheb_vander, compose_fiber,
                         project_p0, project_pik, shift_tgamma)
 from .renorm1d import TOL_A, UnimodalMap, dr_matrix, l1_matrix, l2_matrix
 
@@ -132,9 +132,14 @@ class RotationNumber:
     @classmethod
     def from_continued_fraction(cls, quotients, dio_gamma=0.0, dio_tau=1.0,
                                 q_max=0):
-        """omega = 1/(c1 + 1/(c2 + ...)) from positive partial quotients."""
+        """omega = 1/(c1 + 1/(c2 + ...)) from positive partial quotients;
+        an empty list raises ValueError."""
+        quotients = list(quotients)
+        if not quotients:
+            raise ValueError("a continued fraction needs at least one "
+                             "partial quotient")
         x = Fraction(0)
-        for c in reversed(list(quotients)):
+        for c in reversed(quotients):
             if c < 1:
                 raise ValueError("partial quotients must be >= 1")
             x = Fraction(1, c + x)
@@ -279,21 +284,14 @@ def spectrum_L_omega(op):
 # -------------------------------------------------- rotation-symmetry section
 #
 # A block X of mode-1 pairs holds one PairFn.coeff_vector() = (u, v) per
-# row. Norms, matrix products and point values (the scalar Clenshaw loop)
-# are taken row by row and the rest elementwise, so every row gets the bits
-# it would get alone.
+# row. Norms, matrix products and point values (a per-row sum against one
+# Chebyshev row) are taken row by row and the rest elementwise, so every
+# row gets the bits it would get alone.
 
 def row_norms(X):
     """np.linalg.norm of each row of X, bit for bit: sqrt of the row's dot
     product (a norm over an axis sums in another order)."""
     return np.sqrt(np.array([x.dot(x) for x in X]))
-
-
-def _clenshaw_rows(t, block):
-    """Chebyshev values of the rows of an (m, n_cheb) block, row j at the
-    scaled point t[j], through the scalar Clenshaw loop row by row."""
-    return np.array([_clenshaw_scalar(c, tj)
-                     for c, tj in zip(block.tolist(), t.tolist())])
 
 
 def section_gammas(X, domain, section=SectionConfig()):
@@ -307,36 +305,32 @@ def section_gammas(X, domain, section=SectionConfig()):
     DegeneratePointError that row j fails with (its gamma0 is then 0). A
     scan candidate outside the interval raises DomainError.
     """
-    S = X.shape[0]
     n, L = domain.n_cheb, domain.half_width
     U, V = X[:, :n], X[:, n:]
-    errors = [None] * S
     scale = row_norms(X)
     todo = scale > TOL_PI1
-    for j in np.flatnonzero(~todo):
-        errors[j] = NoSectionError("mode-1 component vanishes")
-
-    A, B = np.zeros(S), np.zeros(S)
+    vanished = ~todo
+    A, B = np.zeros(X.shape[0]), np.zeros(X.shape[0])
     for cand in (section.x0,) + DEGENERATE_SCAN:
         rows = np.flatnonzero(todo)
         if rows.size == 0:
             break
         if not abs(cand) <= L:      # NaN fails too
             raise DomainError(f"section point x0 = {cand} outside the interval")
-        t = np.full(rows.size, cand / L)
-        a, b = _clenshaw_rows(t, U[rows]), _clenshaw_rows(t, V[rows])
+        t = _cheb_vander([cand / L], n)[0]
+        a, b = (U[rows] * t).sum(axis=1), (V[rows] * t).sum(axis=1)
         hit = np.hypot(a, b) > 1e-9 * scale[rows]
         found = rows[hit]
         A[found], B[found] = a[hit], b[hit]
         todo[found] = False
-    for j in np.flatnonzero(todo):
-        errors[j] = DegeneratePointError(
-            "mode-1 pair vanishes at every section candidate x0")
+    errors = [NoSectionError("mode-1 component vanishes") if z
+              else DegeneratePointError(
+                  "mode-1 pair vanishes at every section candidate x0")
+              if miss else None for z, miss in zip(vanished, todo)]
 
     # the theta-slope at (theta0, x0) is then 2 pi hypot(A, B) > 0 by `hit`
     gamma0 = (np.arctan2(B, A) / (2 * np.pi) - 0.25 - section.theta0) % 1.0
-    gamma0[(gamma0 > 1.0 - 1e-12) | (gamma0 < 1e-12)] = 0.0
-    gamma0[[e is not None for e in errors]] = 0.0
+    gamma0[(gamma0 > 1.0 - 1e-12) | (gamma0 < 1e-12) | vanished | todo] = 0.0
     return gamma0, errors
 
 
@@ -353,36 +347,28 @@ def l_prime_rows(matrix, X, domain, section=SectionConfig()):
     """Rows t_gamma(L x) for the rows x of X, L = matrix; returns (Y, errors).
 
     errors[j] is None, or the DegenerateScalingError (image numerically
-    zero), NoSectionError or DegeneratePointError of row j, whose Y row is
-    then 0. Each row gets its own matvec: one matrix product of the whole
-    block would round differently.
+    zero, whatever the section says), NoSectionError or
+    DegeneratePointError of row j, whose Y row is then 0. Each row gets its
+    own matvec: one matrix product of the whole block would round
+    differently.
     """
     W = np.empty_like(X)
     for j, x in enumerate(X):
         W[j] = matrix @ x
+    gamma0, errors = section_gammas(W, domain, section)
     tiny = row_norms(W) <= 1e-14 * np.fmax(1.0, row_norms(X))
     errors = [DegenerateScalingError("L_omega image is numerically zero")
-              if t else None for t in tiny]
-    Y = np.zeros_like(X)
-    rows = np.flatnonzero(~tiny)
-    if rows.size:
-        gamma0, sec_errors = section_gammas(W[rows], domain, section)
-        Y[rows] = shift_pairs(W[rows], gamma0, domain.n_cheb)
-        for j, e in zip(rows, sec_errors):
-            if e is not None:
-                errors[j], Y[j] = e, 0.0
+              if z else e for z, e in zip(tiny, errors)]
+    Y = shift_pairs(W, gamma0, domain.n_cheb)
+    Y[[e is not None for e in errors]] = 0.0
     return Y, errors
 
 
 def normalize_pair(pair, section=SectionConfig()):
-    """(gamma0, t_gamma0 pair) for one mode-1 pair; the pair-level form of
-    gamma_normalize, with the same errors."""
-    X = pair.coeff_vector()[None, :]
-    gamma0, errors = section_gammas(X, pair.domain, section)
-    if errors[0] is not None:
-        raise errors[0]
-    Y = shift_pairs(X, gamma0, pair.domain.n_cheb)
-    return gamma0[0], PairFn.from_coeff_vector(pair.domain, Y[0])
+    """(gamma0, t_gamma0 pair) for one mode-1 pair: gamma_normalize on the
+    pair as mode 1, read back as a pair."""
+    gamma0, f = gamma_normalize(pair.embed(1), section)
+    return gamma0, project_pik(f, 1)
 
 
 def gamma_normalize(v, section=SectionConfig()):

@@ -204,6 +204,21 @@ def test_observation3_linear_response(golden):
         assert worst <= allowed
 
 
+@pytest.mark.parametrize("etas", [(-1e-3, -1e-2), (-1e-3, 1e-2)],
+                         ids=["negative", "mixed"])
+def test_observation3_measures_eta_by_its_size(golden, etas):
+    # the sign of eta flips the second harmonic, not the size of the
+    # perturbation: the bound and the scale test read |eta|
+    rep = observation3(golden, etas=etas, n_max=8)
+    assert rep.passed
+    assert 1.0 / 3.0 <= rep.scale_factor <= 3.0
+    assert rep.bound_margins.keys() == set(etas)
+    for eta, (worst, allowed) in rep.bound_margins.items():
+        C = rep.bound_C
+        assert allowed == 2.0 * C * abs(eta) / (1.0 - C * abs(eta)) > 0.0
+        assert worst <= allowed
+
+
 def test_observation3_zero_coupling_degenerates_cleanly(golden):
     rep = observation3(golden, etas=(0.0,), n_max=4)
     assert rep.passed
@@ -348,6 +363,31 @@ def test_h4_counts_a_pair_with_a_failing_image_once(fp, monkeypatch):
     assert rep.n_sampled == clean.n_sampled == 6
     for w, r in rep.per_omega_max.items():
         assert r <= clean.per_omega_max[w]
+
+
+@pytest.mark.parametrize("n_pairs", [0, -3])
+def test_h4_needs_one_pair(fp, n_pairs):
+    with pytest.raises(ValueError, match="n_pairs >= 1"):
+        check_H4(n_pairs=n_pairs)
+
+
+def test_h4_fails_when_it_compares_no_pair(fp, monkeypatch):
+    section_gammas = qprenorm.section_gammas
+
+    def failing(X, domain, section):
+        # every image of the sample block misses the section
+        gamma0, errors = section_gammas(X, domain, section)
+        if X.shape[0] == 4:
+            errors = [DegeneratePointError("injected")] * 4
+            gamma0[:] = 0.0
+        return gamma0, errors
+
+    monkeypatch.setattr(qprenorm, "section_gammas", failing)
+    rep = check_H4(n_pairs=2, seed=2)
+    assert rep.n_sampled == 4
+    assert rep.n_skipped == 2 * len(asymptotics.H4_OMEGAS)
+    assert rep.max_ratio_l2 == 0.0
+    assert not rep.passed
 
 
 def test_identical_pair_maps_to_identical_image(fp, domain, golden):

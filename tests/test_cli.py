@@ -147,6 +147,12 @@ def test_omega_continued_fraction_converges_to_golden():
     assert float(w) == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, abs=1e-10)
 
 
+def test_omega_empty_continued_fraction_exits_1(tmp_path, capsys):
+    assert main(["--omega", "[]", "--out", str(tmp_path / "o"),
+                 "spectrum"]) == 1
+    assert "at least one partial quotient" in capsys.readouterr().err
+
+
 def test_omega_garbage_rejected():
     with pytest.raises(ValueError):
         parse_omega("not-a-number", 0.0, 1.0, 0)
@@ -373,6 +379,18 @@ def test_dt_check_run(tmp_path):
     out = tmp_path / "out"
     assert main(["--out", str(out), "dt-check"]) == 0
     rep = json.loads((out / "report.json").read_text())
+    assert rep["max_residual"] <= 1e-10
+
+
+def test_dt_check_stops_at_the_truncation(tmp_path, capsys):
+    # K = 4 < 8: the modes checked are 1..K
+    p = tmp_path / "run.ini"
+    p.write_text("[domain]\nn_fourier = 4\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out), "dt-check"]) == 0
+    assert "over k<=4," in capsys.readouterr().out
+    rep = json.loads((out / "report.json").read_text())
+    assert list(rep["per_mode"]) == ["1", "2", "3", "4"]
     assert rep["max_residual"] <= 1e-10
 
 

@@ -26,7 +26,8 @@ from qprenorm_lab import (
     shift_tgamma,
     sup_norm,
 )
-from qprenorm_lab.funcspace import _cheb_machinery, _cheb_vander, cheb_nodes
+from qprenorm_lab.funcspace import (_cheb_machinery, _cheb_vander, cheb_nodes,
+                                    pair_sup_norm)
 from qprenorm_lab.errors import (
     CompositionDomainError,
     DomainError,
@@ -275,6 +276,13 @@ def test_vandermonde_on_the_interval_is_within_n2_eps(ys, n):
     assert np.max(np.abs(got - want)) <= n * n * np.finfo(float).eps
 
 
+def test_cached_chebyshev_tables_are_read_only():
+    # one in-place write would corrupt every later transform of that size
+    for arr in _cheb_machinery(16):
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
+
+
 _OFF_INTERVAL = st.one_of(st.floats(1.0, 1e3, exclude_min=True),
                           st.floats(-1e3, -1.0, exclude_max=True),
                           st.just(math.nan))
@@ -510,6 +518,18 @@ def test_sup_norm_separable(domain):
     # |x sin(2 pi theta)| peaks at the interval edge 1 + delta_dom
     f = _mk(domain, lambda th, x: x * np.sin(TWO_PI * th))
     assert sup_norm(f) == pytest.approx(1.0 + domain.delta_dom, abs=1e-9)
+
+
+def test_pair_sup_norm_of_a_block_is_the_per_row_norm_bit_for_bit(domain):
+    rng = np.random.default_rng(5)
+    U = rng.standard_normal((7, domain.n_cheb))
+    V = rng.standard_normal((7, domain.n_cheb))
+    got = pair_sup_norm(domain, U, V)
+    assert got.shape == (7,)
+    for j in range(7):
+        pair = PairFn(AnalyticFn(U[j], domain), AnalyticFn(V[j], domain))
+        assert got[j] == pair.sup_norm()
+        assert type(pair.sup_norm()) is float
 
 
 def test_domain_replace_changes_fields_and_validates(domain):

@@ -44,7 +44,7 @@ from qprenorm_lab.errors import (
     PrecisionExhaustedError,
 )
 from qprenorm_lab.funcspace import _clenshaw_scalar
-from qprenorm_lab.qprenorm import l_prime_rows, normalize_pair
+from qprenorm_lab.qprenorm import l_prime_rows, normalize_pair, section_gammas
 
 TWO_PI = 2.0 * np.pi
 
@@ -491,3 +491,29 @@ def test_l_prime_rows_flags_failing_rows_and_keeps_the_others(domain):
         assert Y[j].tobytes() == want.coeff_vector().tobytes()
     with pytest.raises(DegeneratePointError):
         normalize_pair(PairFn.from_coeff_vector(domain, X[3]))
+    # images numerically zero under a scaled matrix, though large enough
+    # for the section scan to place them: the scaling error wins
+    M = 1e-15 * np.eye(2 * n)
+    Z = 1e4 * X[[0, 2]]
+    _, sec_errors = section_gammas(np.stack([M @ z for z in Z]), domain)
+    assert sec_errors == [None, None]
+    Y, errors = l_prime_rows(M, Z, domain)
+    assert all(isinstance(e, DegenerateScalingError) for e in errors)
+    assert not np.any(Y)
+
+
+def test_section_gammas_of_a_block_is_the_per_row_result_bit_for_bit(domain):
+    rng = np.random.default_rng(12)
+    n = domain.n_cheb
+    X = rng.standard_normal((9, 2 * n))
+    X[4] = 0.0
+    # u = v = T_1(x / L) vanishes at x0 = 0: the scan moves on for row 6
+    X[6] = 0.0
+    X[6, 1] = X[6, n + 1] = 1.0
+    for section in (SectionConfig(), SectionConfig(theta0=0.25, x0=0.3)):
+        gamma0, errors = section_gammas(X, domain, section)
+        for j in range(X.shape[0]):
+            g, e = section_gammas(X[j:j + 1], domain, section)
+            assert g[0] == gamma0[j]
+            assert type(e[0]) is type(errors[j])
+    assert isinstance(errors[4], NoSectionError)
