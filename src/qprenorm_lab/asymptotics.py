@@ -27,6 +27,7 @@ asserted against external ground truth.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,6 +48,21 @@ from .curvedyn import (DG1_hat, flm_family, functional_K, slope_chain,
 # ------------------------------------------------------ quotient sequences
 
 MAX_SPREAD = 1.0      # decades the fit residuals may spread over
+
+
+# a pass condition of a checker; `ok` is its own test of value against bound
+Clause = namedtuple("Clause", "name value bound ok")
+
+
+class _Verdict:
+    """Base of the checker reports: PASS means every clause holds."""
+
+    @property
+    def passed(self):
+        return all(c.ok for c in self.clauses)
+
+    def _ok(self, name):
+        return next(c.ok for c in self.clauses if c.name == name)
 
 
 @dataclass
@@ -92,14 +108,19 @@ class EquivalenceFit:
         r = np.asarray(self.log10_residuals)
         return float(np.max(r) - np.min(r))
 
-    def passes(self):
+    @property
+    def clauses(self):
         """Decay must be statistically real: even the two-sigma upper
         bound of rho stays below 1 (a flat sequence fits to rho just
         under 1 by chance), and the points hug the line (residuals spread
-        over less than MAX_SPREAD decades)."""
-        if self.trivial:
-            return True
-        return 0.0 < self.rho_hat_hi < 1.0 and self.spread_decades < MAX_SPREAD
+        over less than MAX_SPREAD decades). A trivial fit passes both."""
+        return [Clause("rho_hat_hi", self.rho_hat_hi, 1.0,
+                       self.trivial or 0.0 < self.rho_hat_hi < 1.0),
+                Clause("spread_decades", self.spread_decades, MAX_SPREAD,
+                       self.trivial or self.spread_decades < MAX_SPREAD)]
+
+    def passes(self):
+        return all(c.ok for c in self.clauses)
 
 
 def fit_geometric_decay(ns, diffs):
@@ -196,13 +217,13 @@ def _overlap_gaps(families, omega0, window, fixed_tables):
 # ----------------------------------------------------------- observation 1
 
 @dataclass
-class Obs1Report:
+class Obs1Report(_Verdict):
     fit: EquivalenceFit
     seq1: QuotientSequence
     seq2: QuotientSequence
     overlap_gaps: dict
-    overlap_ok: bool
-    passed: bool
+    clauses: list
+    overlap_ok = property(lambda self: self._ok("overlap_gap"))
 
 
 OVERLAP_WINDOW = (4, 6)
@@ -231,10 +252,10 @@ def observation1(c1, c2, omega0, n_max=10):
 
     window = (max(OVERLAP_WINDOW[0], 2), min(OVERLAP_WINDOW[1], n_max))
     gaps = _overlap_gaps([c1, c2], omega0, window, [tab1, tab2])
-    overlap_ok = all(g <= OVERLAP_TOL for g in gaps.values())
+    overlap = Clause("overlap_gap", max(gaps.values()), OVERLAP_TOL,
+                     all(g <= OVERLAP_TOL for g in gaps.values()))
     return Obs1Report(fit=fit, seq1=seq1, seq2=seq2, overlap_gaps=gaps,
-                      overlap_ok=overlap_ok,
-                      passed=fit.passes() and overlap_ok)
+                      clauses=[*fit.clauses, overlap])
 
 
 # ----------------------------------------------------------- observation 2
@@ -287,21 +308,22 @@ def renorm_identity_gap(family, omega0, i):
 
 
 @dataclass
-class Obs2Report:
+class Obs2Report(_Verdict):
     seq: QuotientSequence
     cauchy_diffs: dict
-    cauchy_decreasing: bool
     limit_estimate: float
     limit_prev: float
-    limit_stable_3digits: bool
     bounded_ratio_min: float
     bounded_ratio_max: float
     h5_band: tuple
     identity_gaps: dict
-    passed: bool
+    clauses: list
+    cauchy_decreasing = property(lambda self: self._ok("cauchy_ratio"))
+    limit_stable_3digits = property(lambda self: self._ok("limit_drift"))
 
 
 IDENTITY_LEVELS = (2, 3)
+H5_MAX_N = 12     # H5 depth cap: the acceptance criterion runs H5 at 12
 
 
 def observation2(c, omega0, n_max=10, mode="exact-orbit"):
@@ -329,34 +351,36 @@ def observation2(c, omega0, n_max=10, mode="exact-orbit"):
 
     cauchy = {n: abs(r[n] - r[n - 1]) for n in range(3, n_max + 1)}
     dec_ns = [n for n in sorted(cauchy) if n >= 4]
-    decreasing = all(cauchy[b] < cauchy[a]
-                     for a, b in zip(dec_ns, dec_ns[1:]))
+    pairs = [(cauchy[a], cauchy[b]) for a, b in zip(dec_ns, dec_ns[1:])]
+    decreasing = Clause("cauchy_ratio", max((b / a for a, b in pairs),
+                                            default=0.0),
+                        1.0, all(b < a for a, b in pairs))
 
     vals = [r[n] for n in sorted(r)]
     limit = _aitken(vals)
     limit_prev = _aitken(vals[:-1]) if len(vals) >= 4 else limit
-    stable = abs(limit - limit_prev) <= 5e-4 * max(1.0, abs(limit))
+    drift, allowed = abs(limit - limit_prev), 5e-4 * max(1.0, abs(limit))
+    stable = Clause("limit_drift", drift, allowed, bool(drift <= allowed))
 
     b = [tab1[n][0] / tab2[n][0] for n in range(1, n_max)]
     b_abs = np.abs(b)
 
     v0 = c.dv_deps(stable_manifold_param(c))
     p0 = project_pik(v0, 1)
-    h5 = check_H5(omega0, p0, p0, n_max=min(n_max, 12))
+    h5 = check_H5(omega0, p0, p0, n_max=min(n_max, H5_MAX_N))
 
     gaps = {i: renorm_identity_gap(c, omega0, i) for i in IDENTITY_LEVELS}
-    identity_ok = all(g <= 1e-10 for g in gaps.values())
+    identity = Clause("identity_gap", max(gaps.values()), 1e-10,
+                      all(g <= 1e-10 for g in gaps.values()))
 
     return Obs2Report(seq=seq, cauchy_diffs=cauchy,
-                      cauchy_decreasing=decreasing,
                       limit_estimate=float(limit),
                       limit_prev=float(limit_prev),
-                      limit_stable_3digits=bool(stable),
                       bounded_ratio_min=float(np.min(b_abs)),
                       bounded_ratio_max=float(np.max(b_abs)),
                       h5_band=(h5.c1, h5.c2),
                       identity_gaps=gaps,
-                      passed=bool(decreasing and stable and identity_ok))
+                      clauses=[decreasing, stable, identity])
 
 
 # ----------------------------------------------------------- observation 3
@@ -397,18 +421,16 @@ def _on_section(v, section):
 
 
 @dataclass
-class Obs3Report:
+class Obs3Report(_Verdict):
     etas: tuple
     deviations: dict
     sup_deviations: dict
     scale_factor: float
-    scale_ok: bool
     bound_C: float
     bound_margins: dict
-    bound_ok: bool
     nonequiv_fit: EquivalenceFit
-    nonequiv: bool
-    passed: bool
+    clauses: list       # scale, direction bound, then non-equivalence
+    bound_ok = property(lambda self: self._ok("direction_bound"))
 
 
 def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
@@ -420,12 +442,14 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     (the two-eta ratio matches the eta ratio within a factor 3) while NOT
     decaying geometrically in n for fixed eta > 0. The two-component
     recurrences provide the direction-deviation bound 2 C |eta| / (1 - C |eta|)
-    with C estimated from the norm-ratio band. An eta is a size by |eta|:
-    the scale test and the fit use the nonzero etas ordered by |eta|, and
-    the deviations stay keyed by the signed eta. The two directions compared
-    at each level are put on the section first; they share their mode-1
-    part, and with it the shift. Every family lives on `domain`. An empty
-    etas or n_max < 2 (no component chain) raises ValueError.
+    with C estimated from the norm-ratio band. Non-equivalence is the arm
+    that decided: the largest eta's deviations fail the geometric fit, or
+    else keep 5% of their supremum at the last three levels. An eta is a
+    size by |eta|: the scale test and the fit use the nonzero etas ordered
+    by |eta|, and the deviations stay keyed by the signed eta. The two
+    directions compared at each level are put on the section first; they
+    share their mode-1 part, and with it the shift. Every family lives on
+    `domain`. An empty etas or n_max < 2 (no chain) raises ValueError.
     """
     require_diophantine(omega0)
     if n_max < 2:
@@ -448,10 +472,9 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     if len(pos) >= 2:
         e1, e2 = pos[0], pos[-1]
         scale = (sup_dev[e2] / sup_dev[e1]) / abs(e2 / e1)
-        scale_ok = 1.0 / 3.0 <= scale <= 3.0
     else:
         e2 = pos[0] if pos else None
-        scale, scale_ok = 1.0, True
+        scale = 1.0
 
     # component bookkeeping at unit eta; everything is linear in v02
     fam1 = flm_eta_family(1.0, domain)
@@ -464,10 +487,10 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     C = max(ratios)           # ||v_{n,2}||/||v_{n,1}|| <= C eta by linearity
 
     bound_margins = {}
-    bound_ok = True
+    bound_ok, fold = True, 0.0
     for eta in etas:
         if C * abs(eta) >= 1.0:
-            bound_ok = False
+            bound_ok, fold = False, np.inf
             continue
         allowed = 2.0 * C * abs(eta) / (1.0 - C * abs(eta))
         worst = 0.0
@@ -479,35 +502,43 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
             worst = max(worst, gap)
         bound_margins[eta] = (worst, allowed)
         bound_ok = bound_ok and worst <= allowed
+        fold = max(fold, worst / allowed if worst else 0.0)
 
     if e2 is not None:
         dev_big = deviations[e2]
         fit = fit_geometric_decay(sorted(dev_big),
                                   [dev_big[n] for n in sorted(dev_big)])
-        tail = [dev_big[n] for n in sorted(dev_big)[-3:]]
-        nonequiv = (not fit.passes()) or min(tail) >= 0.05 * sup_dev[e2]
+        tail = min(dev_big[n] for n in sorted(dev_big)[-3:])
+        floor = 0.05 * sup_dev[e2]
+        failed = [c._replace(name="deviation_" + c.name, ok=True)
+                  for c in fit.clauses if not c.ok]
+        nonequiv = (failed + [Clause("deviation_tail", tail, floor,
+                                     bool(tail >= floor))])[0]
     else:
         # degenerate eta = 0 run: PASS means the deviations vanish exactly
         fit = fit_geometric_decay([], [])
-        nonequiv = all(d == 0.0 for d in sup_dev.values())
+        nonequiv = Clause("sup_deviation", max(sup_dev.values()), 0.0,
+                          all(d == 0.0 for d in sup_dev.values()))
 
     return Obs3Report(etas=tuple(etas), deviations=deviations,
                       sup_deviations=sup_dev, scale_factor=float(scale),
-                      scale_ok=scale_ok, bound_C=float(C),
-                      bound_margins=bound_margins, bound_ok=bound_ok,
-                      nonequiv_fit=fit, nonequiv=nonequiv,
-                      passed=bool(scale_ok and bound_ok and nonequiv))
+                      bound_C=float(C), bound_margins=bound_margins,
+                      nonequiv_fit=fit,
+                      clauses=[Clause("scale_fold", max(scale, 1.0 / scale),
+                                      3.0, 1.0 / 3.0 <= scale <= 3.0),
+                               Clause("direction_bound", fold, 1.0, bound_ok),
+                               nonequiv])
 
 
 # ------------------------------------------------------------- H3 checker
 
 @dataclass
-class H3Report:
+class H3Report(_Verdict):
     fit: EquivalenceFit
     direction_gaps: dict
     c_floor: float
     c0_floor: float
-    passed: bool
+    clauses: list
 
 
 def check_H3(c, omega0, n_max=8, section=SectionConfig()):
@@ -541,8 +572,9 @@ def check_H3(c, omega0, n_max=8, section=SectionConfig()):
     c0_floor = float(np.min(m_floors))
     return H3Report(fit=fit, direction_gaps=gaps, c_floor=c_floor,
                     c0_floor=c0_floor,
-                    passed=bool(fit.passes() and c_floor > 0
-                                and c0_floor > 0))
+                    clauses=[*fit.clauses,
+                             Clause("c_floor", c_floor, 0.0, c_floor > 0),
+                             Clause("c0_floor", c0_floor, 0.0, c0_floor > 0)])
 
 
 # ------------------------------------------------------------- H4 checker
@@ -560,7 +592,7 @@ def _dominant_direction(psi, omega, section=SectionConfig()):
 
 
 @dataclass
-class H4Report:
+class H4Report(_Verdict):
     max_ratio_l2: float
     max_ratio_sup: float
     per_omega_max: dict
@@ -568,7 +600,7 @@ class H4Report:
     n_skipped: int
     v_violations: int
     multi_step_fit: Optional[EquivalenceFit]
-    passed: bool
+    clauses: list
 
 
 H4_RADIUS = 0.5
@@ -589,7 +621,8 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
     reported; the grid is H4_OMEGAS, the odd multiples of 1/128. When
     one-step contraction fails, the H4_MULTI_N multi-step distances along
     the omega-doubling sequence from the first grid omega are fitted
-    instead (the relaxed criterion K rho^n).
+    instead (the relaxed criterion K rho^n). The clauses: some pair was
+    compared, then the one-step or the multi-step criterion that decided.
 
     For each omega, L_omega is built once and all samples are stepped as
     one block of coefficient rows (l_prime_rows); a pair with an image
@@ -657,7 +690,7 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
         worst_l2 = max((0.0, *ratios_l2))
         max_sup = max((max_sup, *ratios_sup))
         per_omega[float(om)] = worst_l2
-        max_l2 = max(max_l2, worst_l2)
+        max_l2 = max(max_l2, float(worst_l2))
         compared += int(np.sum(use))
 
     multi_fit = None
@@ -674,23 +707,25 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
             om = om.double()
         multi_fit = fit_geometric_decay(np.arange(1, H4_MULTI_N + 1), dists)
 
-    passed = compared > 0 and (max_l2 < 1.0 or (multi_fit is not None
-                                                 and multi_fit.passes()))
+    decided = (multi_fit.clauses if multi_fit is not None else
+               [Clause("max_ratio_l2", max_l2, 1.0, max_l2 < 1.0)])
     return H4Report(max_ratio_l2=float(max_l2), max_ratio_sup=float(max_sup),
                     per_omega_max=per_omega, n_sampled=len(samples),
                     n_skipped=skipped, v_violations=v_violations,
-                    multi_step_fit=multi_fit, passed=bool(passed))
+                    multi_step_fit=multi_fit,
+                    clauses=[Clause("pairs_compared", compared, 1,
+                                    compared > 0), *decided])
 
 
 # ------------------------------------------------------------- H5 checker
 
 @dataclass
-class H5Report:
+class H5Report(_Verdict):
     c1: float
     c2: float
     ratios: list
     r0: float
-    passed: bool
+    clauses: list
 
 
 def check_H5(omega0, v01, v02, n_max=12):
@@ -712,8 +747,12 @@ def check_H5(omega0, v01, v02, n_max=12):
     ratios = [(c2.sup_norm() / c1.sup_norm()) / r0
               for c1, c2 in zip(chain1[1:], chain2[1:])]
     c1, c2 = float(np.min(ratios)), float(np.max(ratios))
+    # c2 is bounded by the largest float: report.json cannot hold inf
     return H5Report(c1=c1, c2=c2, ratios=[float(r) for r in ratios],
-                    r0=float(r0), passed=bool(c1 > 0 and np.isfinite(c2)))
+                    r0=float(r0),
+                    clauses=[Clause("c1", c1, 0.0, c1 > 0),
+                             Clause("c2", c2, float(np.finfo(float).max),
+                                    bool(np.isfinite(c2)))])
 
 
 # --------------------------------------------- exact quotient decomposition

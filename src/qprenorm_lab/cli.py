@@ -39,7 +39,7 @@ from .renorm1d import (feigenbaum_fixed_point, renormalize_1d, check_H0,
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, build_L_omega,
                        spectrum_L_omega)
 from .curvedyn import solve_invariant_curve, direct_slope, flm_family
-from .asymptotics import (slope_table, observation1, observation2,
+from .asymptotics import (H5_MAX_N, slope_table, observation1, observation2,
                           observation3, check_H3, check_H4, check_H5)
 from . import __version__
 
@@ -256,6 +256,9 @@ def load_config(path=None, overrides=None):
     if cfg.mode not in ("exact-orbit", "fixed-point"):
         raise ValueError(f"mode must be exact-orbit or fixed-point, "
                          f"got {cfg.mode!r}")
+    if not 1 <= cfg.mode_k <= cfg.n_fourier:
+        raise ValueError(f"[run] mode_k must be in 1..{cfg.n_fourier} "
+                         f"(n_fourier), got {cfg.mode_k}")
     # config invariant: both forcing expressions parse and stay below the
     # mode cutoff, regardless of which subcommand will run
     parse_forcing(cfg.forcing, k_max=cfg.n_fourier)
@@ -348,11 +351,13 @@ def _jsonable(obj):
     return obj
 
 
+def _fields(obj, *names):
+    return {name: getattr(obj, name) for name in names}
+
+
 def _fit_payload(fit):
-    return {"rho_hat": fit.rho_hat, "rho_hat_hi": fit.rho_hat_hi,
-            "k0_hat": fit.k0_hat, "spread_decades": fit.spread_decades,
-            "n_dropped": fit.n_dropped, "trivial": fit.trivial,
-            "ns": list(fit.ns)}
+    return fit and _fields(fit, "rho_hat", "rho_hat_hi", "k0_hat",
+                           "spread_decades", "n_dropped", "trivial", "ns")
 
 
 # ------------------------------------------------------------------ commands
@@ -533,165 +538,123 @@ def cmd_slopes(cfg, store):
     return 0
 
 
-def cmd_observe(cfg, store, which):
-    omega = cfg.rotation()
-    if which == 1:
-        c1 = cfg.build_family(1)
-        c2 = cfg.build_family(2)
-        rep = observation1(c1, c2, omega, n_max=cfg.n_max)
-        q1 = dict(rep.seq1.entries)
-        q2 = dict(rep.seq2.entries)
-        rows = [[n, q1[n], q2[n], abs(q1[n] - q2[n])] for n in sorted(q1)]
-        store.write_csv("quotients.csv",
-                        ["n [level]", "q_n_family1 [1]", "q_n_family2 [1]",
-                         "abs_diff [1]"], rows)
-        store.write_json("report.json", {
-            "command": "observe-1", "passed": rep.passed,
-            "fit": _fit_payload(rep.fit),
-            "overlap_gaps": rep.overlap_gaps,
-            "overlap_ok": rep.overlap_ok,
-            "families": [c1.name, c2.name],
-        })
-        store.write_plot("quotient_diffs.dat", [r[0] for r in rows],
-                         [r[3] for r in rows])
-        print(f"observation 1: rho_hat={rep.fit.rho_hat:.4f} "
-              f"(upper {rep.fit.rho_hat_hi:.4f}), "
-              f"overlap_ok={rep.overlap_ok} -> "
-              f"{'PASS' if rep.passed else 'FAIL'}")
-        return 0 if rep.passed else 2
-    if which == 2:
-        c = cfg.build_family()
-        rep = observation2(c, omega, n_max=cfg.n_max, mode=cfg.mode)
-        r = dict(rep.seq.entries)
-        rows = [[n, r[n], rep.cauchy_diffs.get(n, "")] for n in sorted(r)]
-        store.write_csv("quotients.csv",
-                        ["n [level]", "r_n [1]",
-                         "abs_cauchy_diff [1]"], rows)
-        store.write_json("report.json", {
-            "command": "observe-2", "passed": rep.passed,
-            "limit_estimate": rep.limit_estimate,
-            "limit_prev": rep.limit_prev,
-            "limit_stable_3digits": rep.limit_stable_3digits,
-            "cauchy_decreasing": rep.cauchy_decreasing,
-            "bounded_ratio": [rep.bounded_ratio_min, rep.bounded_ratio_max],
-            "h5_band": list(rep.h5_band),
-            "identity_gaps": rep.identity_gaps,
-        })
-        store.write_plot("quotients.dat", [r_[0] for r_ in rows],
-                         [r_[1] for r_ in rows])
-        print(f"observation 2: limit={rep.limit_estimate:.6f} "
-              f"cauchy_decreasing={rep.cauchy_decreasing} -> "
-              f"{'PASS' if rep.passed else 'FAIL'}")
-        return 0 if rep.passed else 2
-    if which == 3:
-        rep = observation3(omega, etas=cfg.etas, n_max=cfg.n_max,
-                           section=cfg.section_config(),
-                           domain=cfg.domain_config())
-        ns = sorted(next(iter(rep.deviations.values())))
-        header = (["n [level]"] +
-                  [f"abs_dev_eta_{e:g} [1]" for e in rep.etas])
-        rows = [[n] + [rep.deviations[e][n] for e in rep.etas] for n in ns]
-        store.write_csv("deviations.csv", header, rows)
-        store.write_json("report.json", {
-            "command": "observe-3", "passed": rep.passed,
-            "etas": list(rep.etas),
-            "sup_deviations": rep.sup_deviations,
-            "scale_factor": rep.scale_factor, "scale_ok": rep.scale_ok,
-            "bound_C": rep.bound_C, "bound_ok": rep.bound_ok,
-            "bound_margins": {str(k): list(v)
-                              for k, v in rep.bound_margins.items()},
-            "nonequivalent": rep.nonequiv,
-            "nonequiv_fit": _fit_payload(rep.nonequiv_fit),
-        })
-        e_big = max(rep.etas, key=abs)
-        store.write_plot("deviations.dat", ns,
-                         [rep.deviations[e_big][n] for n in ns])
-        print(f"observation 3: scale={rep.scale_factor:.3f} "
-              f"bound_ok={rep.bound_ok} nonequiv={rep.nonequiv} -> "
-              f"{'PASS' if rep.passed else 'FAIL'}")
-        return 0 if rep.passed else 2
-    raise ValueError(f"--which must be 1, 2, or 3, got {which}")
+# ------------------------------------------------------------------ checkers
+
+def _observe_1(cfg, store, omega):
+    c1, c2 = cfg.build_family(1), cfg.build_family(2)
+    rep = observation1(c1, c2, omega, n_max=cfg.n_max)
+    q1, q2 = dict(rep.seq1.entries), dict(rep.seq2.entries)
+    rows = [[n, q1[n], q2[n], abs(q1[n] - q2[n])] for n in sorted(q1)]
+    store.write_csv("quotients.csv",
+                    ["n [level]", "q_n_family1 [1]", "q_n_family2 [1]",
+                     "abs_diff [1]"], rows)
+    store.write_plot("quotient_diffs.dat", [r[0] for r in rows],
+                     [r[3] for r in rows])
+    return rep, {"fit": _fit_payload(rep.fit), "families": [c1.name, c2.name],
+                 **_fields(rep, "overlap_gaps", "overlap_ok")}
 
 
-def cmd_conjecture(cfg, store, which):
-    omega = cfg.rotation()
-    if which == "h3":
-        c = cfg.build_family()
-        rep = check_H3(c, omega, n_max=cfg.n_max,
-                       section=cfg.section_config())
-        store.write_csv("direction_gaps.csv",
-                        ["n [level]", "gap [sup norm]"],
-                        sorted(rep.direction_gaps.items()))
-        store.write_json("report.json", {
-            "command": "conjecture-h3", "passed": rep.passed,
-            "fit": _fit_payload(rep.fit),
-            "c_floor": rep.c_floor, "c0_floor": rep.c0_floor,
-            "direction_gaps": rep.direction_gaps,
-        })
-        print(f"H3: rho_hat={rep.fit.rho_hat:.4f} c_floor={rep.c_floor:.4g} "
-              f"c0_floor={rep.c0_floor:.4g} -> "
-              f"{'PASS' if rep.passed else 'FAIL'}")
-        return 0 if rep.passed else 2
-    if which == "h4":
-        rep = check_H4(psi=feigenbaum_fixed_point(cfg.domain_config()).phi,
-                       n_pairs=100, seed=cfg.seed,
-                       section=cfg.section_config())
-        store.write_csv("contraction.csv",
-                        ["omega [revolutions]", "max_ratio_l2 [1]"],
-                        sorted((float(k), v)
-                               for k, v in rep.per_omega_max.items()))
-        store.write_json("report.json", {
-            "command": "conjecture-h4", "passed": rep.passed,
-            "max_ratio_l2": rep.max_ratio_l2,
-            "max_ratio_sup": rep.max_ratio_sup,
-            "n_sampled": rep.n_sampled, "n_skipped": rep.n_skipped,
-            "v_violations": rep.v_violations,
-            "multi_step_fit": (_fit_payload(rep.multi_step_fit)
-                               if rep.multi_step_fit is not None else None),
-        })
-        tail = (f", multi-step rho={rep.multi_step_fit.rho_hat:.4f}"
-                if rep.multi_step_fit is not None else "")
-        print(f"H4: one-step max {rep.max_ratio_l2:.4f} (l2) "
-              f"{rep.max_ratio_sup:.4f} (sup){tail} -> "
-              f"{'PASS' if rep.passed else 'FAIL'}")
-        return 0 if rep.passed else 2
-    if which == "h5":
-        c = cfg.build_family()
-        p0 = project_pik(c.dv_deps(stable_manifold_param(c)), 1)
-        rep = check_H5(omega, p0, p0, n_max=min(cfg.n_max, 12))
-        store.write_csv("ratio_band.csv",
-                        ["n [level]", "normalized_ratio [1]"],
-                        list(enumerate(rep.ratios)))
-        store.write_json("report.json", {
-            "command": "conjecture-h5", "passed": rep.passed,
-            "c1": rep.c1, "c2": rep.c2, "ratios": rep.ratios,
-        })
-        print(f"H5: band [{rep.c1:.4f}, {rep.c2:.4f}] -> "
-              f"{'PASS' if rep.passed else 'FAIL'}")
-        return 0 if rep.passed else 2
-    raise ValueError(f"--which must be h3, h4, or h5, got {which!r}")
+def _observe_2(cfg, store, omega):
+    rep = observation2(cfg.build_family(), omega, n_max=cfg.n_max,
+                       mode=cfg.mode)
+    r = dict(rep.seq.entries)
+    rows = [[n, r[n], rep.cauchy_diffs.get(n, "")] for n in sorted(r)]
+    store.write_csv("quotients.csv",
+                    ["n [level]", "r_n [1]", "abs_cauchy_diff [1]"], rows)
+    store.write_plot("quotients.dat", r.keys(), r.values())
+    return rep, {"bounded_ratio": [rep.bounded_ratio_min,
+                                   rep.bounded_ratio_max],
+                 **_fields(rep, "limit_estimate", "limit_prev",
+                           "limit_stable_3digits", "cauchy_decreasing",
+                           "h5_band", "identity_gaps")}
+
+
+def _observe_3(cfg, store, omega):
+    rep = observation3(omega, etas=cfg.etas, n_max=cfg.n_max,
+                       section=cfg.section_config(),
+                       domain=cfg.domain_config())
+    ns = sorted(next(iter(rep.deviations.values())))
+    header = ["n [level]"] + [f"abs_dev_eta_{e:g} [1]" for e in rep.etas]
+    rows = [[n] + [rep.deviations[e][n] for e in rep.etas] for n in ns]
+    store.write_csv("deviations.csv", header, rows)
+    e_big = max(rep.etas, key=abs)
+    store.write_plot("deviations.dat", ns,
+                     [rep.deviations[e_big][n] for n in ns])
+    scale, bound, nonequiv = rep.clauses
+    return rep, {"scale_ok": scale.ok, "bound_ok": bound.ok,
+                 "nonequivalent": nonequiv.ok,
+                 "nonequiv_fit": _fit_payload(rep.nonequiv_fit),
+                 **_fields(rep, "etas", "sup_deviations", "scale_factor",
+                           "bound_C", "bound_margins")}
+
+
+def _conjecture_h3(cfg, store, omega):
+    rep = check_H3(cfg.build_family(), omega, n_max=cfg.n_max,
+                   section=cfg.section_config())
+    store.write_csv("direction_gaps.csv", ["n [level]", "gap [sup norm]"],
+                    sorted(rep.direction_gaps.items()))
+    return rep, {"fit": _fit_payload(rep.fit),
+                 **_fields(rep, "c_floor", "c0_floor", "direction_gaps")}
+
+
+def _conjecture_h4(cfg, store, omega):
+    rep = check_H4(psi=feigenbaum_fixed_point(cfg.domain_config()).phi,
+                   n_pairs=100, seed=cfg.seed, section=cfg.section_config())
+    store.write_csv("contraction.csv", ["omega [revolutions]",
+                                        "max_ratio_l2 [1]"],
+                    sorted(rep.per_omega_max.items()))
+    return rep, {"multi_step_fit": _fit_payload(rep.multi_step_fit),
+                 **_fields(rep, "max_ratio_l2", "max_ratio_sup", "n_sampled",
+                           "n_skipped", "v_violations")}
+
+
+def _conjecture_h5(cfg, store, omega):
+    c = cfg.build_family()
+    p0 = project_pik(c.dv_deps(stable_manifold_param(c)), 1)
+    rep = check_H5(omega, p0, p0, n_max=min(cfg.n_max, H5_MAX_N))
+    store.write_csv("ratio_band.csv", ["n [level]", "normalized_ratio [1]"],
+                    list(enumerate(rep.ratios)))
+    return rep, _fields(rep, "c1", "c2", "ratios")
+
+
+# (subcommand, --which) -> checker; report.json names it "subcommand-which"
+CHECKERS = {("observe", 1): _observe_1, ("observe", 2): _observe_2,
+            ("observe", 3): _observe_3, ("conjecture", "h3"): _conjecture_h3,
+            ("conjecture", "h4"): _conjecture_h4,
+            ("conjecture", "h5"): _conjecture_h5}
+
+
+def _run_checker(cfg, store, command, which):
+    """Run one checker, which writes its CSV and plot and returns (report,
+    report.json payload); report.json gets the clauses and verdict, stdout
+    the first failing clause or all on PASS; exit 2 if a clause fails."""
+    name = f"{command}-{which}"
+    rep, payload = CHECKERS[command, which](cfg, store, cfg.rotation())
+    store.write_json("report.json", {
+        "command": name, "passed": rep.passed,
+        "clauses": [c._asdict() for c in rep.clauses], **payload})
+    shown = [c for c in rep.clauses if not c.ok][:1] or rep.clauses
+    print(f"{name}: " + ", ".join(f"{c.name} {c.value:.4g} (bound "
+                                  f"{c.bound:.4g})" for c in shown)
+          + f" -> {'PASS' if rep.passed else 'FAIL'}")
+    return 0 if rep.passed else 2
 
 
 # ---------------------------------------------------------------- entry point
 
+COMMANDS = {"fixed-point": cmd_fixed_point, "delta": cmd_delta,
+            "superstable": cmd_superstable, "spectrum": cmd_spectrum,
+            "dt-check": cmd_dt_check, "curve": cmd_curve,
+            "slopes": cmd_slopes}
+
+
 def run(cfg, command, which=None):
     """Dispatch one subcommand; returns the process exit status."""
-    store = ArtifactStore(cfg.out_dir, cfg.sha256(),
-                          plot_data=cfg.plot_data)
-    handlers = {
-        "fixed-point": lambda: cmd_fixed_point(cfg, store),
-        "delta": lambda: cmd_delta(cfg, store),
-        "superstable": lambda: cmd_superstable(cfg, store),
-        "spectrum": lambda: cmd_spectrum(cfg, store),
-        "dt-check": lambda: cmd_dt_check(cfg, store),
-        "curve": lambda: cmd_curve(cfg, store),
-        "slopes": lambda: cmd_slopes(cfg, store),
-        "observe": lambda: cmd_observe(cfg, store, which),
-        "conjecture": lambda: cmd_conjecture(cfg, store, which),
-    }
-    if command not in handlers:
-        raise ValueError(f"unknown command {command!r}")
-    status = handlers[command]()
+    if command not in COMMANDS and (command, which) not in CHECKERS:
+        raise ValueError(f"unknown command {command!r}, --which {which!r}")
+    store = ArtifactStore(cfg.out_dir, cfg.sha256(), plot_data=cfg.plot_data)
+    status = (COMMANDS[command](cfg, store) if command in COMMANDS
+              else _run_checker(cfg, store, command, which))
     store.write_manifest(command)
     return status
 
@@ -713,13 +676,12 @@ def _build_parser():
     p.add_argument("--plot-data", action="store_true",
                    help="also emit two-column .dat files")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("fixed-point", "delta", "superstable", "spectrum",
-                 "dt-check", "curve", "slopes"):
+    for name in COMMANDS:
         sub.add_parser(name)
-    ob = sub.add_parser("observe")
-    ob.add_argument("--which", type=int, required=True, choices=(1, 2, 3))
-    cj = sub.add_parser("conjecture")
-    cj.add_argument("--which", required=True, choices=("h3", "h4", "h5"))
+    for name in dict.fromkeys(c for c, _ in CHECKERS):
+        choices = [w for c, w in CHECKERS if c == name]
+        sub.add_parser(name).add_argument(
+            "--which", type=type(choices[0]), required=True, choices=choices)
     return p
 
 
@@ -738,8 +700,7 @@ def main(argv=None):
             "out_dir": args.out,
             "plot_data": args.plot_data or None,
         })
-        which = getattr(args, "which", None)
-        return run(cfg, args.command, which=which)
+        return run(cfg, args.command, getattr(args, "which", None))
     except (QPRenormError, ValueError, OSError,
             configparser.Error) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -5,6 +5,8 @@ measured sequences; the drivers are run at reduced depth here (full depth
 belongs to the acceptance suite) with one negative control each.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,26 @@ def test_observation3_zero_coupling_degenerates_cleanly(golden):
     assert rep.sup_deviations[0.0] == 0.0
 
 
+def test_observation3_names_the_nonequivalence_arm_that_decided(
+        golden, monkeypatch):
+    # non-equivalence is "the deviation fit fails, or else the tail keeps
+    # 5% of the supremum"; its clause is the first arm that holds
+    rep = observation3(golden, etas=(1e-3, 1e-2), n_max=5)
+    tail = rep.clauses[-1]
+    assert tail.name == "deviation_tail" and tail.ok
+    assert rep.nonequiv_fit.passes()
+    assert tail.bound == 0.05 * rep.sup_deviations[1e-2]
+
+    def flat(ns, diffs):
+        fit = fit_geometric_decay(ns, diffs)
+        return dataclasses.replace(fit, rho_hat_hi=1.25)
+
+    monkeypatch.setattr(asymptotics, "fit_geometric_decay", flat)
+    rep = observation3(golden, etas=(1e-3, 1e-2), n_max=5)
+    assert rep.clauses[-1] == ("deviation_rho_hat_hi", 1.25, 1.0, True)
+    assert rep.passed
+
+
 def test_eta_family_reduces_to_base_at_zero(flm):
     fam0 = flm_eta_family(0.0)
     for alpha in (3.2, 3.5):
@@ -292,7 +314,7 @@ def _reference_h4(psi, n_pairs, seed, radius=0.5, multi_n=8):
         out = apply_L_prime(psi, om, v)
         return out * (1.0 / out.coeff_norm())
 
-    per_omega, skipped, violations = {}, 0, 0
+    per_omega, skipped, violations, compared = {}, 0, 0, 0
     max_l2 = max_sup = 0.0
     for om in grid:
         worst = 0.0
@@ -309,6 +331,7 @@ def _reference_h4(psi, n_pairs, seed, radius=0.5, multi_n=8):
             den_l2 = np.linalg.norm((u - v).coeff_vector())
             if den_l2 < 1e-14:
                 continue
+            compared += 1
             worst = max(worst, np.linalg.norm((fu - fv).coeff_vector())
                         / den_l2)
             max_sup = max(max_sup, (fu - fv).sup_norm()
@@ -323,12 +346,16 @@ def _reference_h4(psi, n_pairs, seed, radius=0.5, multi_n=8):
             dists.append(np.linalg.norm((u - v).coeff_vector()))
             om = om.double()
         fit = fit_geometric_decay(np.arange(1, multi_n + 1), dists)
+    # one-step contraction decides, or else the multi-step fit
+    decided = ([asymptotics.Clause("max_ratio_l2", float(max_l2), 1.0,
+                                   max_l2 < 1.0)] if fit is None
+               else fit.clauses)
     return H4Report(max_ratio_l2=float(max_l2), max_ratio_sup=float(max_sup),
                     per_omega_max=per_omega, n_sampled=len(samples),
                     n_skipped=skipped, v_violations=violations,
                     multi_step_fit=fit,
-                    passed=bool(max_l2 < 1.0 or (fit is not None
-                                                 and fit.passes())))
+                    clauses=[asymptotics.Clause("pairs_compared", compared, 1,
+                                                compared > 0), *decided])
 
 
 @pytest.mark.parametrize("seed", [7, 123, 99999])

@@ -9,13 +9,15 @@ artifacts, with manifest.json (timestamps) the single allowed exception.
 import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qprenorm_lab import RotationNumber, SectionConfig, check_H4, cli
+from qprenorm_lab import (RotationNumber, SectionConfig, asymptotics,
+                          check_H4, cli)
 from qprenorm_lab.cli import (
     RunConfig,
     load_config,
@@ -531,8 +533,9 @@ def test_exit_one_rational_rotation(tmp_path):
     ("", ["--nmax", "0", "conjecture", "--which", "h5"], "nmax must be >= 1"),
     ("", ["--nmax", "3", "observe", "--which", "1"], "n_max >= 4"),
     ("", ["--nmax", "1", "observe", "--which", "3"], "n_max >= 2"),
+    ("[run]\nmode_k = 40\n", ["spectrum"], "[run] mode_k must be in 1..16"),
 ], ids=["observe-2", "observe-3-no-etas", "h3", "h5", "observe-1",
-        "observe-3"])
+        "observe-3", "spectrum-mode-k"])
 def test_exit_one_on_a_run_too_shallow_or_empty(tmp_path, capsys, ini, argv,
                                                 fragment):
     p = tmp_path / "run.ini"
@@ -557,16 +560,92 @@ def test_exit_one_on_nmax_below_one(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_exit_two_on_failed_checker(tmp_path):
+def test_exit_two_on_failed_checker(tmp_path, capsys):
     # second-mode forcing renormalizes along 2 omega: observation 1 must
-    # report FAIL, which the driver maps to exit code 2
+    # report FAIL, which the driver maps to exit code 2; stdout names the
+    # clause that failed, with its value and bound
     p = tmp_path / "neg.ini"
     p.write_text("[run]\nnmax = 6\n\n[family2]\nforcing = [1]*cos(2w)\n")
     out = tmp_path / "o"
     assert main(["--config", str(p), "--out", str(out),
                  "observe", "--which", "1"]) == 2
+    assert capsys.readouterr().out.startswith(
+        "observe-1: rho_hat_hi 1.058 (bound 1) -> FAIL")
     rep = json.loads((out / "report.json").read_text())
     assert rep["passed"] is False
+    failed = [c for c in rep["clauses"] if not c["ok"]]
+    assert [c["name"] for c in failed] == ["rho_hat_hi"]
+    assert failed[0]["value"] >= failed[0]["bound"] == 1.0
+
+
+def test_checker_verdict_names_the_first_failing_clause(tmp_path, capsys,
+                                                        monkeypatch):
+    # one writer for all six checkers: report.json gets command, passed
+    # and every clause; stdout names the first failing clause only
+    Clause = asymptotics.Clause
+    clauses = [Clause("a", 0.5, 1.0, True), Clause("b", 2.0, 1.0, False),
+               Clause("c", 3.0, 1.0, False)]
+    rep = types.SimpleNamespace(clauses=clauses, passed=False)
+    monkeypatch.setitem(cli.CHECKERS, ("conjecture", "h5"),
+                        lambda cfg, store, omega: (rep, {"extra": 1}))
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "conjecture", "--which", "h5"]) == 2
+    assert capsys.readouterr().out == "conjecture-h5: b 2 (bound 1) -> FAIL\n"
+    got = json.loads((out / "report.json").read_text())
+    assert got["command"] == "conjecture-h5" and got["passed"] is False
+    assert got["extra"] == 1
+    assert got["clauses"] == [c._asdict() for c in clauses]
+
+
+@pytest.mark.parametrize("command,which", [
+    ("observe", 5), ("observe", "1"), ("conjecture", "h6"), ("bogus", None),
+])
+def test_run_rejects_an_unknown_checker(tmp_path, command, which):
+    # argparse stops a bad --which on the command line; run() is the
+    # library entry and must raise ValueError (exit 1), not KeyError
+    cfg = load_config(overrides={"out_dir": str(tmp_path / "o")})
+    with pytest.raises(ValueError, match="unknown command"):
+        cli.run(cfg, command, which=which)
+    assert not (tmp_path / "o").exists()
+
+
+CHECKER_ARGV = [["observe", "--which", "1"], ["observe", "--which", "2"],
+                ["observe", "--which", "3"], ["conjecture", "--which", "h3"],
+                ["conjecture", "--which", "h4"],
+                ["conjecture", "--which", "h5"]]
+
+# the one clause whose default-config margin is below 5%: observation 3's
+# direction deviation reaches 0.988 of its bound at eta 1e-3 (measured
+# margin 0.0118)
+NARROW_CLAUSES = {("observe-3", "direction_bound"): 0.0118}
+
+
+def test_default_config_clause_margins(tmp_path, capsys):
+    # a verdict that passes by a hair shows up here: every clause of the
+    # six checkers keeps |bound - value| / |bound| >= 5% at the default
+    # config, apart from the listed exceptions, which must still hold
+    margins = {}
+    for argv in CHECKER_ARGV:
+        out = tmp_path / "-".join(argv)
+        assert main(["--out", str(out)] + argv) == 0
+        line = capsys.readouterr().out
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["passed"] is True and line.endswith(" -> PASS\n")
+        for c in rep["clauses"]:
+            assert c["ok"] is True and f"{c['name']} " in line
+            gap = abs(c["bound"] - c["value"])
+            margins[rep["command"], c["name"]] = (
+                gap / abs(c["bound"]) if c["bound"] else math.inf)
+    with capsys.disabled():
+        print()
+        for (command, name), margin in margins.items():
+            print(f"{command:14s} {name:16s} margin {margin:.4f}")
+    assert NARROW_CLAUSES.keys() <= margins.keys()
+    for key, margin in margins.items():
+        if key in NARROW_CLAUSES:
+            assert margin > 0.0
+        else:
+            assert margin >= 0.05, key
 
 
 # --------------------------------------------------------------- env knob
