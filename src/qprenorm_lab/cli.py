@@ -14,8 +14,10 @@ JSON reports with sorted keys. With --plot-data the drivers additionally
 emit two-column whitespace-separated .dat files for plotting tools.
 
 Exit codes: 0 success, 1 errors (bad config, parse failures, numerical
-breakdown), 2 for runs that complete but report an invariant violation
-(a FAIL verdict from a checker or an out-of-tolerance residual).
+breakdown), 2 if and only if a clause of the run's verdict fails. Every
+subcommand judges its run by a list of clauses (delta, superstable, curve
+and slopes have none, so they always pass); report.json records them with
+the verdict, and stdout gets one verdict line when there are any.
 """
 
 import argparse
@@ -39,8 +41,9 @@ from .renorm1d import (feigenbaum_fixed_point, renormalize_1d, check_H0,
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, build_L_omega,
                        spectrum_L_omega)
 from .curvedyn import solve_invariant_curve, direct_slope, flm_family
-from .asymptotics import (H5_MAX_N, slope_table, observation1, observation2,
-                          observation3, check_H3, check_H4, check_H5)
+from .asymptotics import (H5_MAX_N, Clause, slope_table, observation1,
+                          observation2, observation3, check_H3, check_H4,
+                          check_H5)
 from . import __version__
 
 
@@ -361,8 +364,11 @@ def _fit_payload(fit):
 
 
 # ------------------------------------------------------------------ commands
+#
+# Each command writes its CSV and plot and returns (clauses, payload);
+# run() adds the verdict to report.json and stdout.
 
-def cmd_fixed_point(cfg, store):
+def _fixed_point(cfg, store):
     fp = feigenbaum_fixed_point(cfg.domain_config())
     diff = renormalize_1d(fp.phi, check_domain=False).psi - fp.phi.psi
     residual = float(np.max(np.abs(diff.coeffs)))
@@ -376,30 +382,26 @@ def cmd_fixed_point(cfg, store):
     store.write_csv("phi_coefficients.csv",
                     ["j [index]", "c_j [1]"],
                     list(enumerate(fp.phi.psi.coeffs)))
-    store.write_json("report.json", {
-        "command": "fixed-point", "a_star": fp.a_star,
-        "delta_feig": fp.delta_feig, "renorm_residual": residual,
-        "newton_residual": fp.newton_residual,
-        "h0": {"margin_a_disc": h0.margin_a_disc,
-               "margin_image_disc": h0.margin_image_disc,
-               "contained": h0.contained,
-               "n_boundary": h0.n_boundary},
-    })
-    ok = residual <= cfg.fp_tol and h0.contained
-    return 0 if ok else 2
+    # the two margin clauses together are h0.contained
+    return [Clause("renorm_residual", residual, cfg.fp_tol,
+                   residual <= cfg.fp_tol),
+            Clause("h0_margin_a_disc", h0.margin_a_disc, 0.0,
+                   h0.margin_a_disc > 0),
+            Clause("h0_margin_image_disc", h0.margin_image_disc, 0.0,
+                   h0.margin_image_disc > 0)], {
+        "a_star": fp.a_star, "delta_feig": fp.delta_feig,
+        "renorm_residual": residual, "newton_residual": fp.newton_residual,
+        "h0": _fields(h0, "margin_a_disc", "margin_image_disc", "contained",
+                      "n_boundary")}
 
 
-def cmd_delta(cfg, store):
+def _delta(cfg, store):
     fp = feigenbaum_fixed_point(cfg.domain_config())
     print(f"delta_feig = {fp.delta_feig:.10f}")
-    store.write_json("report.json", {
-        "command": "delta", "delta_feig": fp.delta_feig,
-        "n_cheb": cfg.n_cheb,
-    })
-    return 0
+    return [], {"delta_feig": fp.delta_feig, "n_cheb": cfg.n_cheb}
 
 
-def cmd_superstable(cfg, store):
+def _superstable(cfg, store):
     fam = cfg.build_family()
     s = superstable_params(fam, cfg.n_max)
     rows = []
@@ -413,15 +415,12 @@ def cmd_superstable(cfg, store):
     store.write_csv("superstable.csv",
                     ["n [level]", "s_n [parameter]",
                      "ratio (s_n-s_(n-1))/(s_(n+1)-s_n) [1]"], rows)
-    store.write_json("report.json", {
-        "command": "superstable", "family": fam.name, "n_max": cfg.n_max,
-        "s": [float(v) for v in s],
-    })
     store.write_plot("superstable.dat", range(len(s)), [float(v) for v in s])
-    return 0
+    return [], {"family": fam.name, "n_max": cfg.n_max,
+                "s": [float(v) for v in s]}
 
 
-def cmd_spectrum(cfg, store):
+def _spectrum(cfg, store):
     fp = feigenbaum_fixed_point(cfg.domain_config())
     omega = cfg.rotation()
     op = build_L_omega(fp.phi, omega, k=cfg.mode_k)
@@ -435,18 +434,16 @@ def cmd_spectrum(cfg, store):
     store.write_csv("spectrum.csv",
                     ["re [1]", "im [1]", "modulus [1]"],
                     [[v.real, v.imag, abs(v)] for v in lam])
-    store.write_json("report.json", {
-        "command": "spectrum", "mode_k": cfg.mode_k,
-        "omega": float(omega), "spectral_radius": rep.spectral_radius,
-        "pairing_ok": rep.pairing_ok,
-        "n_violations": len(rep.violations),
-    })
     store.write_plot("spectrum.dat", [v.real for v in lam],
                      [v.imag for v in lam])
-    return 0 if rep.pairing_ok else 2
+    return [Clause("pairing_violations", len(rep.violations), 0,
+                   rep.pairing_ok)], {
+        "mode_k": cfg.mode_k, "omega": float(omega),
+        "spectral_radius": rep.spectral_radius, "pairing_ok": rep.pairing_ok,
+        "n_violations": len(rep.violations)}
 
 
-def cmd_dt_check(cfg, store):
+def _dt_check(cfg, store):
     """Diagonalization identity: DT on mode k equals the assembled block."""
     fp = feigenbaum_fixed_point(cfg.domain_config())
     omega = cfg.rotation()
@@ -471,15 +468,13 @@ def cmd_dt_check(cfg, store):
     store.write_csv("dt_residuals.csv",
                     ["k [mode]", "max_residual [sup norm]"],
                     sorted(per_k.items()))
-    store.write_json("report.json", {
-        "command": "dt-check", "max_residual": worst,
-        "tolerance": cfg.dt_tol, "per_mode": per_k,
-        "n_directions": n_dir, "seed": cfg.seed,
-    })
-    return 0 if worst <= cfg.dt_tol else 2
+    return [Clause("max_residual", worst, cfg.dt_tol,
+                   worst <= cfg.dt_tol)], {
+        "max_residual": worst, "tolerance": cfg.dt_tol, "per_mode": per_k,
+        "n_directions": n_dir, "seed": cfg.seed}
 
 
-def cmd_curve(cfg, store):
+def _curve(cfg, store):
     fam = cfg.build_family()
     omega = cfg.rotation()
     n = cfg.n_max
@@ -494,17 +489,13 @@ def cmd_curve(cfg, store):
     store.write_csv("curve.csv",
                     ["theta [revolutions]", "x [normalized]",
                      "fiber_derivative_product [1]"], rows)
-    store.write_json("report.json", {
-        "command": "curve", "alpha": alpha, "eps": cfg.eps,
-        "omega": float(omega), "period_log2": n,
-        "residual": curve.residual, "lyapunov": curve.lyapunov,
-        "grid": int(curve.M),
-    })
     store.write_plot("curve.dat", curve.thetas, curve.samples)
-    return 0
+    return [], {"alpha": alpha, "eps": cfg.eps, "omega": float(omega),
+                "period_log2": n, "residual": curve.residual,
+                "lyapunov": curve.lyapunov, "grid": int(curve.M)}
 
 
-def cmd_slopes(cfg, store):
+def _slopes(cfg, store):
     fam = cfg.build_family()
     omega = cfg.rotation()
     table = slope_table(fam, omega, cfg.n_max, mode=cfg.mode)
@@ -527,22 +518,17 @@ def cmd_slopes(cfg, store):
                      "beta_prime [parameter/forcing]",
                      "direct_slope [parameter/forcing]",
                      "rel_gap [1]"], rows)
-    store.write_json("report.json", {
-        "command": "slopes", "family": fam.name, "mode": cfg.mode,
-        "omega": float(omega), "n_max": cfg.n_max,
-        "alpha_prime": {n: table[n][0] for n in table},
-        "beta_prime": {n: table[n][1] for n in table},
-    })
     store.write_plot("slopes.dat", list(table),
                      [abs(table[n][0]) for n in table])
-    return 0
+    return [], {"family": fam.name, "mode": cfg.mode, "omega": float(omega),
+                "n_max": cfg.n_max,
+                "alpha_prime": {n: table[n][0] for n in table},
+                "beta_prime": {n: table[n][1] for n in table}}
 
 
-# ------------------------------------------------------------------ checkers
-
-def _observe_1(cfg, store, omega):
+def _observe_1(cfg, store):
     c1, c2 = cfg.build_family(1), cfg.build_family(2)
-    rep = observation1(c1, c2, omega, n_max=cfg.n_max)
+    rep = observation1(c1, c2, cfg.rotation(), n_max=cfg.n_max)
     q1, q2 = dict(rep.seq1.entries), dict(rep.seq2.entries)
     rows = [[n, q1[n], q2[n], abs(q1[n] - q2[n])] for n in sorted(q1)]
     store.write_csv("quotients.csv",
@@ -550,27 +536,29 @@ def _observe_1(cfg, store, omega):
                      "abs_diff [1]"], rows)
     store.write_plot("quotient_diffs.dat", [r[0] for r in rows],
                      [r[3] for r in rows])
-    return rep, {"fit": _fit_payload(rep.fit), "families": [c1.name, c2.name],
-                 **_fields(rep, "overlap_gaps", "overlap_ok")}
+    return rep.clauses, {"fit": _fit_payload(rep.fit),
+                         "families": [c1.name, c2.name],
+                         **_fields(rep, "overlap_gaps", "overlap_ok")}
 
 
-def _observe_2(cfg, store, omega):
-    rep = observation2(cfg.build_family(), omega, n_max=cfg.n_max,
+def _observe_2(cfg, store):
+    rep = observation2(cfg.build_family(), cfg.rotation(), n_max=cfg.n_max,
                        mode=cfg.mode)
     r = dict(rep.seq.entries)
     rows = [[n, r[n], rep.cauchy_diffs.get(n, "")] for n in sorted(r)]
     store.write_csv("quotients.csv",
                     ["n [level]", "r_n [1]", "abs_cauchy_diff [1]"], rows)
     store.write_plot("quotients.dat", r.keys(), r.values())
-    return rep, {"bounded_ratio": [rep.bounded_ratio_min,
-                                   rep.bounded_ratio_max],
-                 **_fields(rep, "limit_estimate", "limit_prev",
-                           "limit_stable_3digits", "cauchy_decreasing",
-                           "h5_band", "identity_gaps")}
+    return rep.clauses, {"bounded_ratio": [rep.bounded_ratio_min,
+                                           rep.bounded_ratio_max],
+                         **_fields(rep, "limit_estimate", "limit_prev",
+                                   "limit_stable_3digits",
+                                   "cauchy_decreasing", "h5_band",
+                                   "identity_gaps")}
 
 
-def _observe_3(cfg, store, omega):
-    rep = observation3(omega, etas=cfg.etas, n_max=cfg.n_max,
+def _observe_3(cfg, store):
+    rep = observation3(cfg.rotation(), etas=cfg.etas, n_max=cfg.n_max,
                        section=cfg.section_config(),
                        domain=cfg.domain_config())
     ns = sorted(next(iter(rep.deviations.values())))
@@ -581,82 +569,82 @@ def _observe_3(cfg, store, omega):
     store.write_plot("deviations.dat", ns,
                      [rep.deviations[e_big][n] for n in ns])
     scale, bound, nonequiv = rep.clauses
-    return rep, {"scale_ok": scale.ok, "bound_ok": bound.ok,
-                 "nonequivalent": nonequiv.ok,
-                 "nonequiv_fit": _fit_payload(rep.nonequiv_fit),
-                 **_fields(rep, "etas", "sup_deviations", "scale_factor",
-                           "bound_C", "bound_margins")}
+    return rep.clauses, {"scale_ok": scale.ok, "bound_ok": bound.ok,
+                         "nonequivalent": nonequiv.ok,
+                         "nonequiv_fit": _fit_payload(rep.nonequiv_fit),
+                         **_fields(rep, "etas", "sup_deviations",
+                                   "scale_factor", "bound_C",
+                                   "bound_margins")}
 
 
-def _conjecture_h3(cfg, store, omega):
-    rep = check_H3(cfg.build_family(), omega, n_max=cfg.n_max,
+def _conjecture_h3(cfg, store):
+    rep = check_H3(cfg.build_family(), cfg.rotation(), n_max=cfg.n_max,
                    section=cfg.section_config())
     store.write_csv("direction_gaps.csv", ["n [level]", "gap [sup norm]"],
                     sorted(rep.direction_gaps.items()))
-    return rep, {"fit": _fit_payload(rep.fit),
-                 **_fields(rep, "c_floor", "c0_floor", "direction_gaps")}
+    return rep.clauses, {"fit": _fit_payload(rep.fit),
+                         **_fields(rep, "c_floor", "c0_floor",
+                                   "direction_gaps")}
 
 
-def _conjecture_h4(cfg, store, omega):
+def _conjecture_h4(cfg, store):
     rep = check_H4(psi=feigenbaum_fixed_point(cfg.domain_config()).phi,
                    n_pairs=100, seed=cfg.seed, section=cfg.section_config())
     store.write_csv("contraction.csv", ["omega [revolutions]",
                                         "max_ratio_l2 [1]"],
                     sorted(rep.per_omega_max.items()))
-    return rep, {"multi_step_fit": _fit_payload(rep.multi_step_fit),
-                 **_fields(rep, "max_ratio_l2", "max_ratio_sup", "n_sampled",
-                           "n_skipped", "v_violations")}
+    return rep.clauses, {"multi_step_fit": _fit_payload(rep.multi_step_fit),
+                         **_fields(rep, "max_ratio_l2", "max_ratio_sup",
+                                   "n_sampled", "n_skipped", "v_violations")}
 
 
-def _conjecture_h5(cfg, store, omega):
+def _conjecture_h5(cfg, store):
     c = cfg.build_family()
     p0 = project_pik(c.dv_deps(stable_manifold_param(c)), 1)
-    rep = check_H5(omega, p0, p0, n_max=min(cfg.n_max, H5_MAX_N))
+    rep = check_H5(cfg.rotation(), p0, p0, n_max=min(cfg.n_max, H5_MAX_N))
     store.write_csv("ratio_band.csv", ["n [level]", "normalized_ratio [1]"],
                     list(enumerate(rep.ratios)))
-    return rep, _fields(rep, "c1", "c2", "ratios")
+    return rep.clauses, _fields(rep, "c1", "c2", "ratios")
 
 
-# (subcommand, --which) -> checker; report.json names it "subcommand-which"
-CHECKERS = {("observe", 1): _observe_1, ("observe", 2): _observe_2,
+# ---------------------------------------------------------------- entry point
+
+# (subcommand, --which) -> command; which is None for a subcommand without
+# --which, and report.json names a checker "subcommand-which"
+COMMANDS = {("fixed-point", None): _fixed_point, ("delta", None): _delta,
+            ("superstable", None): _superstable,
+            ("spectrum", None): _spectrum, ("dt-check", None): _dt_check,
+            ("curve", None): _curve, ("slopes", None): _slopes,
+            ("observe", 1): _observe_1, ("observe", 2): _observe_2,
             ("observe", 3): _observe_3, ("conjecture", "h3"): _conjecture_h3,
             ("conjecture", "h4"): _conjecture_h4,
             ("conjecture", "h5"): _conjecture_h5}
 
 
-def _run_checker(cfg, store, command, which):
-    """Run one checker, which writes its CSV and plot and returns (report,
-    report.json payload); report.json gets the clauses and verdict, stdout
-    the first failing clause or all on PASS; exit 2 if a clause fails."""
-    name = f"{command}-{which}"
-    rep, payload = CHECKERS[command, which](cfg, store, cfg.rotation())
-    store.write_json("report.json", {
-        "command": name, "passed": rep.passed,
-        "clauses": [c._asdict() for c in rep.clauses], **payload})
-    shown = [c for c in rep.clauses if not c.ok][:1] or rep.clauses
-    print(f"{name}: " + ", ".join(f"{c.name} {c.value:.4g} (bound "
-                                  f"{c.bound:.4g})" for c in shown)
-          + f" -> {'PASS' if rep.passed else 'FAIL'}")
-    return 0 if rep.passed else 2
-
-
-# ---------------------------------------------------------------- entry point
-
-COMMANDS = {"fixed-point": cmd_fixed_point, "delta": cmd_delta,
-            "superstable": cmd_superstable, "spectrum": cmd_spectrum,
-            "dt-check": cmd_dt_check, "curve": cmd_curve,
-            "slopes": cmd_slopes}
-
-
 def run(cfg, command, which=None):
-    """Dispatch one subcommand; returns the process exit status."""
-    if command not in COMMANDS and (command, which) not in CHECKERS:
+    """Run one subcommand and judge it; returns the process exit status.
+
+    report.json gets command, passed and clauses ahead of the command's
+    payload; stdout gets one verdict line when there are clauses (the first
+    failing clause on FAIL, all of them on PASS); the status is 2 if and
+    only if a clause fails.
+    """
+    if (command, which) not in COMMANDS:
         raise ValueError(f"unknown command {command!r}, --which {which!r}")
+    name = command if which is None else f"{command}-{which}"
     store = ArtifactStore(cfg.out_dir, cfg.sha256(), plot_data=cfg.plot_data)
-    status = (COMMANDS[command](cfg, store) if command in COMMANDS
-              else _run_checker(cfg, store, command, which))
+    clauses, payload = COMMANDS[command, which](cfg, store)
+    passed = all(c.ok for c in clauses)
+    store.write_json("report.json", {
+        "command": name, "passed": passed,
+        "clauses": [c._asdict() for c in clauses], **payload})
+    if clauses:
+        shown = [c for c in clauses if not c.ok][:1] or clauses
+        print(f"{name}: " + ", ".join(f"{c.name} {c.value:.4g} (bound "
+                                      f"{c.bound:.4g})" for c in shown)
+              + f" -> {'PASS' if passed else 'FAIL'}")
     store.write_manifest(command)
-    return status
+    return 0 if passed else 2
 
 
 def _build_parser():
@@ -676,12 +664,12 @@ def _build_parser():
     p.add_argument("--plot-data", action="store_true",
                    help="also emit two-column .dat files")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub.add_parser(name)
-    for name in dict.fromkeys(c for c, _ in CHECKERS):
-        choices = [w for c, w in CHECKERS if c == name]
-        sub.add_parser(name).add_argument(
-            "--which", type=type(choices[0]), required=True, choices=choices)
+    for name in dict.fromkeys(c for c, _ in COMMANDS):
+        choices = [w for c, w in COMMANDS if c == name and w is not None]
+        parser = sub.add_parser(name)
+        if choices:
+            parser.add_argument("--which", type=type(choices[0]),
+                                required=True, choices=choices)
     return p
 
 

@@ -603,6 +603,8 @@ def locate_reducibility_loss(family, omega0, n, eps, branch="min"):
 
 def direct_slope(family, omega0, n, eps=1e-4, branch="min"):
     """Richardson-extrapolated slope (alpha_loss(eps) - s_n) / eps."""
+    if eps == 0.0:
+        raise ValueError("direct_slope divides by eps, which must be nonzero")
     s_n = float(superstable_params(family, n)[n])
     a1 = locate_reducibility_loss(family, omega0, n, eps, branch=branch)
     a2 = locate_reducibility_loss(family, omega0, n, eps / 2, branch=branch)

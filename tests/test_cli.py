@@ -1,15 +1,13 @@
 """Command-line driver: forcing grammar, config hashing, artifacts, exits.
 
 Exit convention under test: 0 success, 1 usage/config/runtime errors,
-2 reserved for honest invariant-violation reports (a checker that ran and
-failed). Artifact determinism: identical configs give byte-identical
+2 if and only if a subcommand ran and a clause of its verdict failed. Artifact determinism: identical configs give byte-identical
 artifacts, with manifest.json (timestamps) the single allowed exception.
 """
 
 import dataclasses
 import json
 import math
-import types
 
 import numpy as np
 import pytest
@@ -534,8 +532,9 @@ def test_exit_one_rational_rotation(tmp_path):
     ("", ["--nmax", "3", "observe", "--which", "1"], "n_max >= 4"),
     ("", ["--nmax", "1", "observe", "--which", "3"], "n_max >= 2"),
     ("[run]\nmode_k = 40\n", ["spectrum"], "[run] mode_k must be in 1..16"),
+    ("[run]\neps = 0\ndirect_nmax = 1\n", ["--nmax", "1", "slopes"], "eps"),
 ], ids=["observe-2", "observe-3-no-etas", "h3", "h5", "observe-1",
-        "observe-3", "spectrum-mode-k"])
+        "observe-3", "spectrum-mode-k", "slopes-direct-eps-0"])
 def test_exit_one_on_a_run_too_shallow_or_empty(tmp_path, capsys, ini, argv,
                                                 fragment):
     p = tmp_path / "run.ini"
@@ -580,14 +579,13 @@ def test_exit_two_on_failed_checker(tmp_path, capsys):
 
 def test_checker_verdict_names_the_first_failing_clause(tmp_path, capsys,
                                                         monkeypatch):
-    # one writer for all six checkers: report.json gets command, passed
+    # one writer for every subcommand: report.json gets command, passed
     # and every clause; stdout names the first failing clause only
     Clause = asymptotics.Clause
     clauses = [Clause("a", 0.5, 1.0, True), Clause("b", 2.0, 1.0, False),
                Clause("c", 3.0, 1.0, False)]
-    rep = types.SimpleNamespace(clauses=clauses, passed=False)
-    monkeypatch.setitem(cli.CHECKERS, ("conjecture", "h5"),
-                        lambda cfg, store, omega: (rep, {"extra": 1}))
+    monkeypatch.setitem(cli.COMMANDS, ("conjecture", "h5"),
+                        lambda cfg, store: (clauses, {"extra": 1}))
     out = tmp_path / "o"
     assert main(["--out", str(out), "conjecture", "--which", "h5"]) == 2
     assert capsys.readouterr().out == "conjecture-h5: b 2 (bound 1) -> FAIL\n"
@@ -597,8 +595,28 @@ def test_checker_verdict_names_the_first_failing_clause(tmp_path, capsys,
     assert got["clauses"] == [c._asdict() for c in clauses]
 
 
+@pytest.mark.parametrize("key,argv,clause", [
+    ("fp_tol", ["fixed-point"], "renorm_residual"),
+    ("dt_tol", ["dt-check"], "max_residual"),
+])
+def test_exit_two_on_a_residual_above_its_tolerance(tmp_path, capsys, key,
+                                                    argv, clause):
+    # a tolerance below the residual reached fails the run's one clause
+    p = tmp_path / "tight.ini"
+    p.write_text(f"[tolerances]\n{key} = 1e-20\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(p), "--out", str(out)] + argv) == 2
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith(f"{argv[0]}: {clause} ")
+    assert line.endswith(" (bound 1e-20) -> FAIL")
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["passed"] is False
+    assert [c["name"] for c in rep["clauses"] if not c["ok"]] == [clause]
+
+
 @pytest.mark.parametrize("command,which", [
     ("observe", 5), ("observe", "1"), ("conjecture", "h6"), ("bogus", None),
+    ("delta", 1),
 ])
 def test_run_rejects_an_unknown_checker(tmp_path, command, which):
     # argparse stops a bad --which on the command line; run() is the
@@ -609,7 +627,8 @@ def test_run_rejects_an_unknown_checker(tmp_path, command, which):
     assert not (tmp_path / "o").exists()
 
 
-CHECKER_ARGV = [["observe", "--which", "1"], ["observe", "--which", "2"],
+CHECKER_ARGV = [["fixed-point"], ["spectrum"], ["dt-check"],
+                ["observe", "--which", "1"], ["observe", "--which", "2"],
                 ["observe", "--which", "3"], ["conjecture", "--which", "h3"],
                 ["conjecture", "--which", "h4"],
                 ["conjecture", "--which", "h5"]]
@@ -622,7 +641,7 @@ NARROW_CLAUSES = {("observe-3", "direction_bound"): 0.0118}
 
 def test_default_config_clause_margins(tmp_path, capsys):
     # a verdict that passes by a hair shows up here: every clause of the
-    # six checkers keeps |bound - value| / |bound| >= 5% at the default
+    # nine subcommands that have clauses keeps |bound - value| / |bound| >= 5% at the default
     # config, apart from the listed exceptions, which must still hold
     margins = {}
     for argv in CHECKER_ARGV:

@@ -463,6 +463,13 @@ def test_loss_location_collapses_to_superstable_at_zero_coupling(
     assert loss == pytest.approx(s[2], abs=1e-9)
 
 
+def test_direct_slope_rejects_zero_coupling(flm, golden):
+    # the slope is a difference quotient in eps: at eps = 0 it names eps
+    # instead of dividing by zero
+    with pytest.raises(ValueError, match="eps"):
+        direct_slope(flm, golden, 1, eps=0.0)
+
+
 def test_chain_modes_agree_at_quotient_level(flm, golden):
     exact = dict(quotient_sequence(
         slope_table(flm, golden, 8, mode="exact-orbit")).entries)
