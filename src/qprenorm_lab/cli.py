@@ -259,6 +259,8 @@ def load_config(path=None, overrides=None):
     if cfg.mode not in ("exact-orbit", "fixed-point"):
         raise ValueError(f"mode must be exact-orbit or fixed-point, "
                          f"got {cfg.mode!r}")
+    if not cfg.dio_tau >= 0:
+        raise ValueError(f"[run] dio_tau must be >= 0, got {cfg.dio_tau}")
     if not 1 <= cfg.mode_k <= cfg.n_fourier:
         raise ValueError(f"[run] mode_k must be in 1..{cfg.n_fourier} "
                          f"(n_fourier), got {cfg.mode_k}")

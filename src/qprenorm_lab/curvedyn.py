@@ -25,12 +25,14 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (BasinError, ConsistencyError, DegeneratePointError,
                      DegenerateScalingError, DomainError, EscapeError,
                      ExistenceError, NoConvergenceError, SearchError)
 from .funcspace import (INTERVAL_SLACK, AnalyticFn, DomainConfig, QPFn,
-                        _eval_stacked, _phases, _stack_modes, project_p0)
+                        _diff_matrix, _eval_stacked, _phases, _stack_modes,
+                        project_p0)
 from .qprenorm import RotationNumber, apply_DT
 from .renorm1d import (FamilySpec, UnimodalMap, _brentq, dr_matrix,
                        feigenbaum_fixed_point, renormalize_1d,
@@ -316,6 +318,21 @@ def _sigma1_constants(psi):
     return float(d1(1.0)), c2
 
 
+@lru_cache(maxsize=8)
+def _dg1_tables(domain):
+    """Read-only tables of DG1 on one domain: the Chebyshev rows that read
+    h(0), h(1) and h'(0) off a coefficient row h, as the columns of an
+    (n_cheb, 3) array, and the phase table exp(2 pi i k theta), k = 0..K,
+    of the M_GRID-point theta grid."""
+    n, L = domain.n_cheb, domain.half_width
+    V = _cheb.chebvander(np.array([0.0, 1.0 / L]), n - 1)
+    rows = np.stack([V[0], V[1], _diff_matrix(n).T @ V[0] / L], axis=1)
+    E = _phases(np.arange(M_GRID) / M_GRID, domain.n_fourier)
+    rows.flags.writeable = False
+    E.flags.writeable = False
+    return rows, E
+
+
 def DG1(psi, omega, v):
     """First derivative of G1 at the uncoupled superstable map, direction v,
     on the M_GRID-point theta grid.
@@ -325,13 +342,18 @@ def DG1(psi, omega, v):
         dx(theta) = psi'(1) v(theta - 2 omega, 0) + v(theta - omega, 1)
     and the product response
         DG1 v(theta) = psi'(1) [d_x v(theta, 0) + psi''(0) dx(theta)].
+    Both are trigonometric polynomials of degree K, assembled on the half
+    spectrum: three Chebyshev rows read each mode at x = 0 and 1 and its
+    x-derivative at 0, the shifts by omega and 2 omega are the phase
+    factors exp(-2 pi i k omega) and exp(-4 pi i k omega), and one product
+    with the grid's phase table samples the sum.
     """
     c1, c2 = _sigma1_constants(psi)
+    rows, E = _dg1_tables(v.domain)
+    at0, at1, dx0 = (v.modes @ rows).T
     w = float(omega)
-    thetas = np.arange(M_GRID) / M_GRID
-    zeros = np.zeros(M_GRID)
-    dx = c1 * v.eval(thetas - 2 * w, zeros) + v.eval(thetas - w, zeros + 1.0)
-    return c1 * (v.dx().eval(thetas, zeros) + c2 * dx)
+    dx = c1 * at0 * _phases(-2 * w, v.K)[0] + at1 * _phases(-w, v.K)[0]
+    return (E @ (c1 * (dx0 + c2 * dx))).real
 
 
 def functional_K(omega, psi, v):
@@ -348,27 +370,17 @@ class ExtremumResult:
     degenerate: bool
 
 
-def _trig_eval(spec_half, M, theta, deriv=0):
-    k = np.arange(spec_half.size)
-    ph = np.exp(2j * np.pi * k * theta)
-    fac = (2j * np.pi * k) ** deriv
-    weights = np.full(spec_half.size, 2.0)
-    weights[0] = 1.0
-    if M % 2 == 0:
-        weights[-1] = 1.0
-    return float(np.real(np.sum(weights * fac * spec_half * ph))) / M
-
-
 def extremum_m(vals):
     """min over the circle: grid argmin, three-point quadratic step, then
-    Newton on the trigonometric interpolant. Degenerate (flat) minima are
-    flagged and returned at grid accuracy."""
+    Newton on the trigonometric interpolant. A minimum is flat when its
+    second difference is at most 1e-10 max |vals| (all-zero values are
+    flat); flat minima are flagged and returned at grid accuracy."""
     vals = np.asarray(vals, dtype=float)
     M = vals.size
     i = int(np.argmin(vals))
     gm = vals[i]
     gl, gr = vals[(i - 1) % M], vals[(i + 1) % M]
-    scale = max(1.0, float(np.max(np.abs(vals))))
+    scale = float(np.max(np.abs(vals)))
     d1 = 0.5 * (gr - gl)
     d2 = gr - 2 * gm + gl
     if abs(d2) <= 1e-10 * scale:
@@ -380,12 +392,19 @@ def extremum_m(vals):
     # The quadratic step can overshoot below the true minimum; Newton on the
     # trigonometric interpolant is the authoritative refinement and the
     # quadratic value is only a fallback when that iteration goes bad.
-    spec_half = np.fft.rfft(vals)
+    # The interpolant is Re sum_k spec_k exp(2 pi i k theta) over the
+    # weighted half spectrum, so one exponential per step gives g1 and g2.
+    spec = np.fft.rfft(vals)
+    spec[1:(M + 1) // 2] *= 2.0
+    spec /= M
+    ik = 2j * np.pi * np.arange(spec.size)
+    spec1, spec2 = ik * spec, ik * ik * spec
     th = theta
     ok = True
     for _ in range(10):
-        g1 = _trig_eval(spec_half, M, th, deriv=1)
-        g2 = _trig_eval(spec_half, M, th, deriv=2)
+        e = np.exp(ik * th)
+        g1 = float(np.sum(spec1 * e).real)
+        g2 = float(np.sum(spec2 * e).real)
         if g2 <= 0 or not np.isfinite(g2):
             ok = False
             break
@@ -395,7 +414,7 @@ def extremum_m(vals):
         if abs(step) < 1e-16:
             break
     if ok and abs(th - theta) <= 2.0 / M:
-        refined = _trig_eval(spec_half, M, th)
+        refined = float(np.sum(spec * np.exp(ik * th)).real)
         return ExtremumResult(value=refined, theta=th % 1.0, degenerate=False)
     return ExtremumResult(value=value, theta=theta % 1.0, degenerate=False)
 

@@ -161,10 +161,9 @@ class AnalyticFn:
         return _cheb.chebval(np.asarray(x) / L, c)
 
     def deriv(self):
-        d = _cheb.chebder(self.coeffs) / self.domain.half_width
-        out = np.zeros(self.domain.n_cheb)
-        out[: d.size] = d
-        return AnalyticFn(out, self.domain)
+        D = _diff_matrix(self.domain.n_cheb)
+        return AnalyticFn(D @ self.coeffs / self.domain.half_width,
+                          self.domain)
 
     def __sub__(self, other):
         self._check(other)

@@ -54,9 +54,10 @@ class RotationNumber:
 
     The certificate |q omega - p| >= dio_gamma / q^dio_tau is verified for
     0 < q <= q_max at construction (q_max = 0 skips it, which is how the
-    rational test values 0, 1/4, 1/3 are represented). Only the number a
-    driver is given is checked (require_diophantine), so a multiple k omega
-    (doubling is k = 2) carries no certificate.
+    rational test values 0, 1/4, 1/3 are represented). dio_tau must be
+    >= 0. Only the number a driver is given is checked
+    (require_diophantine), so a multiple k omega (doubling is k = 2)
+    carries no certificate.
     """
 
     num: int
@@ -66,18 +67,33 @@ class RotationNumber:
     depth: int = 0
 
     def __post_init__(self):
+        if not self.dio_tau >= 0:       # also false for NaN
+            raise ValueError(f"dio_tau must be >= 0, got {self.dio_tau}")
         object.__setattr__(self, "num", self.num % SCALE)
         if self.q_max > 0 and self.dio_gamma > 0:
             self._verify()
 
     def _verify(self):
-        for q in range(1, self.q_max + 1):
+        """Test the convergent denominators q_k <= q_max of num / 2^128.
+
+        The bound gamma / q^tau does not grow with q (tau >= 0), so the
+        smallest q that breaks it has |q omega - p| below that of every
+        smaller q: a best approximation, hence a convergent denominator.
+        Euclid's algorithm on (num, 2^128) yields them all, q_0 = 1
+        included."""
+        q_prev, q = 0, 1
+        n, d = self.num, SCALE          # the tail of the continued fraction
+        while q <= self.q_max:
             r = (q * self.num) % SCALE
             dist = min(r, SCALE - r)
             if float(dist) < self.dio_gamma * SCALE / q ** self.dio_tau:
                 raise DiophantineError(
                     f"|q omega - p| = {dist / SCALE:.3e} at q={q} breaks "
                     f"gamma/q^tau = {self.dio_gamma / q ** self.dio_tau:.3e}")
+            if n == 0:
+                break
+            a, n, d = d // n, d % n, n
+            q_prev, q = q, a * q + q_prev
 
     @property
     def value(self):

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qprenorm_lab
 
@@ -370,6 +372,50 @@ def _assert_dg1_matches_differences(psi, omega, v, out, h=1e-5):
     rel = (float(np.max(np.abs(fd - out)))
            / max(1.0, float(np.max(np.abs(out)))))
     assert rel <= 1e-6, f"DG1 against central differences: rel {rel:.3e}"
+
+
+def _dg1_by_eval(psi, omega, v):
+    """Reference: DG1's formula sampled by three cylinder evaluations of v
+    on the M_GRID-point theta grid, at x = 0 (v and d_x v) and at x = 1."""
+    c1, c2 = curvedyn._sigma1_constants(psi)
+    w = float(omega)
+    thetas = np.arange(curvedyn.M_GRID) / curvedyn.M_GRID
+    zeros = np.zeros(curvedyn.M_GRID)
+    dx = c1 * v.eval(thetas - 2 * w, zeros) + v.eval(thetas - w, zeros + 1.0)
+    return c1 * (v.dx().eval(thetas, zeros) + c2 * dx)
+
+
+def _assert_dg1_matches_eval(psi, omega, v):
+    out = DG1(psi, omega, v)
+    want = _dg1_by_eval(psi, omega, v)
+    assert out.shape == want.shape
+    assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", list(DG1_DIRECTIONS))
+def test_dg1_matches_cylinder_evaluation(domain, golden, stars, name):
+    v = QPFn.from_callable(domain, DG1_DIRECTIONS[name])
+    _assert_dg1_matches_eval(stars[0], golden, v)
+
+
+_FORCING = st.lists(
+    st.tuples(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+              st.sampled_from(["cos", "sin"]), st.integers(1, 5)),
+    min_size=1, max_size=3, unique_by=lambda t: t[1:])
+
+
+@settings(max_examples=12, deadline=None)
+@given(terms=_FORCING, n=st.integers(1, 6),
+       mode=st.sampled_from(["exact-orbit", "fixed-point"]))
+def test_dg1_at_chain_ends_matches_cylinder_evaluation(golden, terms, n,
+                                                       mode):
+    # the direction and the map at the end of a slope chain, for a coupling
+    # of the forcing grammar
+    expr = " + ".join(f"[{','.join(map(repr, poly))}]*{trig}({k}w)"
+                      for poly, trig, k in terms)
+    g, _ = parse_forcing(expr)
+    ch = slope_chain(flm_family(g=g), golden, n, mode=mode)
+    _assert_dg1_matches_eval(ch.psi_end, ch.omega_end, ch.vs[-1])
 
 
 @pytest.mark.parametrize("name", list(DG1_DIRECTIONS))

@@ -250,6 +250,19 @@ def test_arrays_and_complex_points_use_chebval(case):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(_real_vectors())
+def test_deriv_matches_padded_chebder(case):
+    # reference: chebder's recurrence divided by L, padded with one zero
+    f, _ = case
+    n, L = f.domain.n_cheb, f.domain.half_width
+    want = np.zeros(n)
+    want[: n - 1] = cheb.chebder(f.coeffs) / L
+    got = f.deriv().coeffs
+    assert got.shape == (n,) and got[n - 1] == 0
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_complex_coefficients_are_rejected():
     # complex values live in QPFn rows; a function of x is real, even when
     # the imaginary part is zero

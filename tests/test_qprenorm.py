@@ -136,6 +136,47 @@ def test_double_does_not_rerun_the_diophantine_loop(golden, monkeypatch):
         RotationNumber(golden.num, dio_gamma=0.38, q_max=10)
 
 
+def _first_break_by_loop(num, gamma, tau, q_max):
+    """Reference: the message of the first q in 1..q_max that breaks
+    |q omega - p| >= gamma / q^tau, or None."""
+    scale = 1 << 128
+    for q in range(1, q_max + 1):
+        r = (q * num) % scale
+        dist = min(r, scale - r)
+        if float(dist) < gamma * scale / q ** tau:
+            return (f"|q omega - p| = {dist / scale:.3e} at q={q} breaks "
+                    f"gamma/q^tau = {gamma / q ** tau:.3e}")
+    return None
+
+
+_NUMS = st.one_of(
+    st.integers(0, 2 ** 128 - 1),
+    # near a rational p/q: floor(p 2^128 / q) plus a few units
+    st.builds(lambda q, p, e: (p % q * 2 ** 128 // q + e) % 2 ** 128,
+              st.integers(1, 3000), st.integers(0, 3000),
+              st.integers(-2, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NUMS, st.floats(1e-6, 1.0), st.floats(0.0, 3.0),
+       st.integers(1, 2000))
+def test_convergent_certificate_matches_the_loop(num, gamma, tau, q_max):
+    want = _first_break_by_loop(num, gamma, tau, q_max)
+    try:
+        RotationNumber(num, dio_gamma=gamma, dio_tau=tau, q_max=q_max)
+        got = None
+    except DiophantineError as e:
+        got = str(e)
+    assert got == want
+
+
+@pytest.mark.parametrize("tau", [-1.0, float("nan")])
+def test_negative_or_nan_tau_is_rejected(tau):
+    with pytest.raises(ValueError, match="dio_tau"):
+        RotationNumber(RotationNumber.golden().num, dio_gamma=0.38,
+                       dio_tau=tau, q_max=100)
+
+
 def test_diophantine_certificates():
     require_diophantine(RotationNumber.golden())
     with pytest.raises(DiophantineError):

@@ -16,18 +16,16 @@ Couplings come from the forcing grammar: x-polynomials times cos or sin of
 2 pi k theta, k <= 5, one term per waveform and mode. Every relation holds
 to 1e-12 relative.
 
-Each coefficient is 0 or at least 1e-3 in size. extremum_m calls a minimum
-flat when its second difference is below 1e-10 max(1, max |vals|), an
-absolute floor, and then returns the grid value: a single-term coupling of
-size 1e-8 or less gets slopes 1.7e-6 off in relative terms, so amplitude
-and phase fail there. That is a limit of the extremum search, not of the
-symmetries.
+Each coefficient is 0 or between 1e-100 and 2 in size. extremum_m judges
+a minimum flat against 1e-10 max |vals|, a floor relative to the values,
+so the extremum search is itself homogeneous: a coupling of size 1e-90
+has the slopes of the unit coupling scaled by 1e-90.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qprenorm_lab import RotationNumber, flm_family, slope_formula
@@ -36,8 +34,8 @@ from qprenorm_lab.cli import parse_forcing
 REL = 1e-12
 GOLDEN = RotationNumber.golden()
 
-_COEFF = st.one_of(st.just(0.0), st.floats(1e-3, 2.0),
-                   st.floats(-2.0, -1e-3))
+_COEFF = st.one_of(st.just(0.0), st.floats(1e-100, 2.0),
+                   st.floats(-2.0, -1e-100))
 _POLY = st.lists(_COEFF, min_size=1, max_size=3)
 # (x-polynomial, waveform, mode): one term of the forcing grammar
 _TERMS = st.lists(st.tuples(_POLY, st.sampled_from(["cos", "sin"]),
@@ -62,8 +60,13 @@ def _assert_close(got, want):
     assert got == pytest.approx(want, rel=REL, abs=0.0)
 
 
+# a coupling of size 1e-8, which an absolute flatness floor misjudges
+_SMALL = [([1e-8], "cos", 1)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(_TERMS, _LEVEL, _MODE, st.floats(0.1, 10.0))
+@example(_SMALL, 1, "exact-orbit", 10.0)
 def test_amplitude_scales_the_slopes(terms, n, mode, lam):
     a, b = _slopes(terms, n, mode)
     _assert_close(_slopes(terms, n, mode, scale=lam), (lam * a, lam * b))
@@ -71,6 +74,7 @@ def test_amplitude_scales_the_slopes(terms, n, mode, lam):
 
 @settings(max_examples=25, deadline=None)
 @given(_TERMS, _LEVEL, _MODE, st.floats(0.0, 1.0))
+@example(_SMALL, 1, "fixed-point", 0.3)
 def test_phase_shift_leaves_the_slopes(terms, n, mode, c):
     # cos(k(t + c)) = cos(kc) cos(kt) - sin(kc) sin(kt)
     # sin(k(t + c)) = cos(kc) sin(kt) + sin(kc) cos(kt)
