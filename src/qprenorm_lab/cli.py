@@ -261,6 +261,15 @@ def load_config(path=None, overrides=None):
                          f"got {cfg.mode!r}")
     if not cfg.dio_tau >= 0:
         raise ValueError(f"[run] dio_tau must be >= 0, got {cfg.dio_tau}")
+    if cfg.seed < 0:
+        raise ValueError(f"[run] seed must be >= 0, got {cfg.seed}")
+    try:
+        L = cfg.domain_config().half_width
+    except ValueError as e:
+        raise ValueError(f"[domain] {e}")
+    if not abs(cfg.x0) <= L:
+        raise ValueError(f"[section] x0 must be in [-{L:g}, {L:g}] "
+                         f"(1 + delta_dom), got {cfg.x0}")
     if not 1 <= cfg.mode_k <= cfg.n_fourier:
         raise ValueError(f"[run] mode_k must be in 1..{cfg.n_fourier} "
                          f"(n_fourier), got {cfg.mode_k}")
@@ -645,7 +654,7 @@ def run(cfg, command, which=None):
         print(f"{name}: " + ", ".join(f"{c.name} {c.value:.4g} (bound "
                                       f"{c.bound:.4g})" for c in shown)
               + f" -> {'PASS' if passed else 'FAIL'}")
-    store.write_manifest(command)
+    store.write_manifest(name)
     return 0 if passed else 2
 
 

@@ -25,14 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (BasinError, ConsistencyError, DegeneratePointError,
                      DegenerateScalingError, DomainError, EscapeError,
                      ExistenceError, NoConvergenceError, SearchError)
 from .funcspace import (INTERVAL_SLACK, AnalyticFn, DomainConfig, QPFn,
-                        _diff_matrix, _eval_stacked, _phases, _stack_modes,
-                        project_p0)
+                        _eval_stacked, _grid_phases, _phases, _stack_modes,
+                        _tables, project_p0)
 from .qprenorm import RotationNumber, apply_DT
 from .renorm1d import (FamilySpec, UnimodalMap, _brentq, dr_matrix,
                        feigenbaum_fixed_point, renormalize_1d,
@@ -64,19 +63,21 @@ def iterate_fiber(f, omega, n, theta, x):
     return x
 
 
-def _step_phases(thetas, w, steps, K):
-    """Phase tables exp(2 pi i k (theta + j w)), k = 0..K, for the steps
-    j = 0..steps-1 of a grid orbit, one at a time: the grid's table times
-    the K+1 phases of j w mod 1. It differs from _phases(thetas + j w, K)
-    by the rounding of the sum theta + j w, about 2 pi k ulp(j w) in mode
-    k, and costs one complex product per entry instead of a cumprod."""
-    E0 = _phases(thetas, K)
+def _step_phases(M, w, steps, K):
+    """Phase tables exp(2 pi i k (theta + j w)), k = 0..K, on the uniform
+    M-point grid theta = arange(M) / M for the steps j = 0..steps-1 of a
+    grid orbit, one at a time: the grid's cached table times the K+1
+    phases of j w mod 1. It differs from _phases(theta + j w, K) by the
+    rounding of the sum theta + j w, about 2 pi k ulp(j w) in mode k, and
+    costs one complex product per entry instead of a cumprod."""
+    E0 = _grid_phases(M, K)
     for j in range(steps):
         yield E0 * _phases(j * w, K)
 
 
-def _orbit_grid(f, fx, omega, steps, thetas, X):
-    """Vectorized f^steps over the grid, with fx = f.dx(); returns final X
+def _orbit_grid(f, fx, omega, steps, X):
+    """Vectorized f^steps over the uniform grid theta = arange(M) / M of the
+    M = X.size samples X, with fx = f.dx(); returns final X
     and the derivative product and per-step log-derivative sum (with the
     superstable floor). f and fx are stacked once and each step evaluates
     both in one kernel call."""
@@ -86,7 +87,7 @@ def _orbit_grid(f, fx, omega, steps, thetas, X):
     X = np.array(X, dtype=float)
     logs = np.zeros_like(X)
     prod = np.ones_like(X)
-    for j, E in enumerate(_step_phases(thetas, float(omega), steps,
+    for j, E in enumerate(_step_phases(X.size, float(omega), steps,
                                        dom.n_fourier)):
         X, d = _eval_stacked(dom, H, X, E)
         prod = prod * d
@@ -170,7 +171,6 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
     log-space at the superstable samples.
     """
     steps = 2 ** n
-    thetas = np.arange(M) / M
     s_exact = omega
     for _ in range(n):
         s_exact = s_exact.double()
@@ -186,11 +186,13 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
                 raise BasinError("default guess escaped; supply one")
         guess = np.full(M, x)
     X = np.array(guess, dtype=float)
+    if X.shape != (M,):     # the grid passes take M from the samples
+        raise ValueError(f"guess has shape {X.shape}, not ({M},)")
 
     fx = f.dx()
 
     def forward(X):
-        return _orbit_grid(f, fx, omega, steps, thetas, X)
+        return _orbit_grid(f, fx, omega, steps, X)
 
     # one grid pass per iterate: FX, prod and logs always belong to X
     best, stale = np.inf, 0
@@ -244,7 +246,7 @@ def fiber_product(f, omega, curve):
     Recomputed by one grid pass; it equals the curve's own product, which
     the solve kept from its last pass."""
     _, prod, _ = _orbit_grid(f, f.dx(), omega, 2 ** curve.period_log2,
-                             curve.thetas, curve.samples)
+                             curve.samples)
     return prod
 
 
@@ -318,21 +320,6 @@ def _sigma1_constants(psi):
     return float(d1(1.0)), c2
 
 
-@lru_cache(maxsize=8)
-def _dg1_tables(domain):
-    """Read-only tables of DG1 on one domain: the Chebyshev rows that read
-    h(0), h(1) and h'(0) off a coefficient row h, as the columns of an
-    (n_cheb, 3) array, and the phase table exp(2 pi i k theta), k = 0..K,
-    of the M_GRID-point theta grid."""
-    n, L = domain.n_cheb, domain.half_width
-    V = _cheb.chebvander(np.array([0.0, 1.0 / L]), n - 1)
-    rows = np.stack([V[0], V[1], _diff_matrix(n).T @ V[0] / L], axis=1)
-    E = _phases(np.arange(M_GRID) / M_GRID, domain.n_fourier)
-    rows.flags.writeable = False
-    E.flags.writeable = False
-    return rows, E
-
-
 def DG1(psi, omega, v):
     """First derivative of G1 at the uncoupled superstable map, direction v,
     on the M_GRID-point theta grid.
@@ -349,11 +336,10 @@ def DG1(psi, omega, v):
     with the grid's phase table samples the sum.
     """
     c1, c2 = _sigma1_constants(psi)
-    rows, E = _dg1_tables(v.domain)
-    at0, at1, dx0 = (v.modes @ rows).T
+    at0, at1, dx0 = (v.modes @ _tables(v.domain).at).T
     w = float(omega)
     dx = c1 * at0 * _phases(-2 * w, v.K)[0] + at1 * _phases(-w, v.K)[0]
-    return (E @ (c1 * (dx0 + c2 * dx))).real
+    return (_grid_phases(M_GRID, v.K) @ (c1 * (dx0 + c2 * dx))).real
 
 
 def functional_K(omega, psi, v):

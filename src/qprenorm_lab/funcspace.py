@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -57,7 +58,8 @@ class DomainConfig:
         if not self.delta_dom > 0:
             raise ValueError("delta_dom must be positive")
         if not W_RADIUS > 1 + self.delta_dom - W_CENTER:
-            raise ValueError("disc must contain the inflated interval")
+            raise ValueError("delta_dom too large: the disc must contain "
+                             "the inflated interval")
         if self.n_cheb < 8:
             raise ValueError("n_cheb must be at least 8")
         if self.n_fourier < 1:
@@ -70,31 +72,53 @@ class DomainConfig:
 
 # ---------------------------------------------------------------- Chebyshev
 
-@lru_cache(maxsize=64)
-def _cheb_machinery(n):
-    """Gauss nodes on [-1,1], value matrix V and transform matrix A.
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
 
-    V[i, j] = T_j(t_i), A is its inverse in the discrete-orthogonality
-    sense: coeffs = A @ values, values = V @ coeffs.
+
+class _Tables(NamedTuple):
+    """The Chebyshev tables of one domain, all read-only.
+
+    t are the Gauss nodes on [-1, 1] and V[i, j] = T_j(t_i); A is V's
+    inverse in the discrete-orthogonality sense (coeffs = A @ values,
+    values = V @ coeffs); D @ c = chebder(c) padded to length n_cheb (the
+    derivative on [-1, 1]); the columns of `at` read c(0), c(1) and c'(0)
+    off a coefficient vector c, as c @ at; sup_V is the Vandermonde of the
+    sup x grid (4 n_cheb points clustered like Chebyshev extrema, so the
+    interval endpoints are on grid).
     """
-    i = np.arange(n)
-    ang = np.pi * (i + 0.5) / n
-    t = np.cos(ang)
+
+    t: np.ndarray
+    V: np.ndarray
+    A: np.ndarray
+    D: np.ndarray
+    at: np.ndarray
+    sup_V: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _tables(domain):
+    n, L = domain.n_cheb, domain.half_width
+    ang = np.pi * (np.arange(n) + 0.5) / n
     V = np.cos(np.outer(ang, np.arange(n)))
     A = (2.0 / n) * V.T.copy()
     A[0, :] *= 0.5
-    for arr in (t, V, A):
-        arr.flags.writeable = False
-    return t, V, A
+    D = np.zeros((n, n))
+    D[: n - 1] = _cheb.chebder(np.eye(n), axis=0)
+    rows = _cheb.chebvander(np.array([0.0, 1.0 / L]), n - 1)
+    at = np.stack([rows[0], rows[1], D.T @ rows[0] / L], axis=1)
+    n_x = 4 * n
+    sup_V = _cheb.chebvander(np.cos(np.pi * np.arange(n_x) / (n_x - 1)),
+                             n - 1)
+    return _Tables(*map(_read_only, (np.cos(ang), V, A, D, at, sup_V)))
 
 
 @lru_cache(maxsize=64)
-def _diff_matrix(n):
-    """D with D @ c = chebder(c) padded to length n (derivative on [-1, 1])."""
-    D = np.zeros((n, n))
-    D[: n - 1] = _cheb.chebder(np.eye(n), axis=0)
-    D.flags.writeable = False
-    return D
+def _grid_phases(M, K):
+    """The read-only phase table exp(2 pi i k theta), k = 0..K, of the
+    uniform M-point theta grid j / M."""
+    return _read_only(_phases(np.arange(M) / M, K))
 
 
 def _cheb_vander(y, n):
@@ -122,8 +146,7 @@ def _clenshaw_scalar(c, t):
 
 def cheb_nodes(domain):
     """Physical collocation nodes on the inflated interval."""
-    t, _, _ = _cheb_machinery(domain.n_cheb)
-    return domain.half_width * t
+    return domain.half_width * _tables(domain).t
 
 
 @dataclass
@@ -147,8 +170,7 @@ class AnalyticFn:
 
     @classmethod
     def from_values(cls, domain, values):
-        _, _, A = _cheb_machinery(domain.n_cheb)
-        return cls(A @ np.asarray(values), domain)
+        return cls(_tables(domain).A @ np.asarray(values), domain)
 
     @classmethod
     def from_callable(cls, domain, fn):
@@ -161,12 +183,12 @@ class AnalyticFn:
         return _cheb.chebval(np.asarray(x) / L, c)
 
     def deriv(self):
-        D = _diff_matrix(self.domain.n_cheb)
+        D = _tables(self.domain).D
         return AnalyticFn(D @ self.coeffs / self.domain.half_width,
                           self.domain)
 
     def __sub__(self, other):
-        self._check(other)
+        _same_domain(self, other)
         return AnalyticFn(self.coeffs - other.coeffs, self.domain)
 
     def __mul__(self, scalar):
@@ -177,9 +199,10 @@ class AnalyticFn:
     def __neg__(self):
         return AnalyticFn(-self.coeffs, self.domain)
 
-    def _check(self, other):
-        if other.domain != self.domain:
-            raise ConsistencyError("domain mismatch")
+
+def _same_domain(f, g):
+    if g.domain != f.domain:
+        raise ConsistencyError("domain mismatch")
 
 
 @dataclass
@@ -247,8 +270,8 @@ class QPFn:
         -k (FFT row M-k) to frequency k."""
         K = domain.n_fourier
         M = 2 * K + 1
-        _, _, A = _cheb_machinery(domain.n_cheb)
-        A = A.astype(complex)   # cast once, not in each product below
+        # cast once, not in each product below
+        A = _tables(domain).A.astype(complex)
         ft = np.fft.fft(vals, axis=0) / M      # index j -> frequency k mod M
         # one product per row: a single matmul over all rows rounds the
         # sums differently
@@ -273,7 +296,7 @@ class QPFn:
         return float(out) if out.ndim == 0 else out
 
     def dx(self):
-        D = _diff_matrix(self.domain.n_cheb)
+        D = _tables(self.domain).D
         return QPFn(self.modes @ D.T / self.domain.half_width, self.domain)
 
     def coeff_norm(self):
@@ -284,11 +307,13 @@ class QPFn:
 
     def __add__(self, other):
         if isinstance(other, QPFn):
+            _same_domain(self, other)
             return QPFn(self.modes + other.modes, self.domain)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, QPFn):
+            _same_domain(self, other)
             return QPFn(self.modes - other.modes, self.domain)
         return NotImplemented
 
@@ -431,27 +456,13 @@ def _eval_stacked(domain, H, x, E):
     return np.einsum("pfk,pk->fp", A, E).real
 
 
-@lru_cache(maxsize=64)
-def _sup_tables(domain):
-    """Chebyshev Vandermonde of the sup x grid (4 n_cheb points clustered
-    like Chebyshev extrema, so the interval endpoints are on grid) and the
-    phase table exp(2 pi i k theta), k = 0..K, of the 4(2K+1) theta points."""
-    n_x = 4 * domain.n_cheb
-    t = np.cos(np.pi * np.arange(n_x) / (n_x - 1))
-    V = _cheb.chebvander(t, domain.n_cheb - 1)
-    n_t = 4 * (2 * domain.n_fourier + 1)
-    E = _phases(np.arange(n_t) / n_t, domain.n_fourier)
-    V.flags.writeable = False
-    E.flags.writeable = False
-    return V, E
-
-
 def sup_norm(f):
     """Grid proxy for the supremum norm (deterministic fixed grid)."""
-    V, E = _sup_tables(f.domain)
+    V = _tables(f.domain).sup_V
     if isinstance(f, AnalyticFn):
         return float(np.max(np.abs(V @ f.coeffs)))
     A = V @ f.modes.T                                  # (n_x, K+1)
+    E = _grid_phases(4 * (2 * f.K + 1), f.K)           # 4(2K+1) theta points
     return float(np.max(np.abs(np.real(E @ A.T))))
 
 
@@ -460,8 +471,7 @@ def pair_sup_norm(domain, u, v):
     row of (S, n_cheb) blocks: the amplitude hypot(u(x), v(x)) maximized
     over the sup grid. The stacked matmul takes one product per row, so a
     row gets the bits it would get alone."""
-    V, _ = _sup_tables(domain)
-    uv = V @ np.stack([u, v], axis=-1)
+    uv = _tables(domain).sup_V @ np.stack([u, v], axis=-1)
     return np.max(np.hypot(uv[..., 0], uv[..., 1]), axis=-1)
 
 

@@ -20,25 +20,19 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (DegenerateScalingError, DomainError, InconsistencyError,
                      MeshError, NoConvergenceError, PrecisionExhaustedError,
                      SearchError)
 from .funcspace import (INTERVAL_SLACK, W_CENTER, W_RADIUS, AnalyticFn,
-                        DomainConfig, QPFn, _cheb_machinery, _cheb_vander,
-                        _diff_matrix, project_p0, sup_norm)
+                        DomainConfig, QPFn, _cheb_vander, _read_only,
+                        _tables, project_p0, sup_norm)
 
 TOL_A = 1e-8
 N_FIT = 12            # cascade levels behind the alpha* extrapolation
 H0_BOUNDARY = 512     # disc boundary samples of the H0 containment check
 ESCAPE_STEPS = 60     # renormalizations _classify_side waits for an escape
 MAX_LEVEL = 14        # deepest superstable level (see superstable_params)
-
-
-def _read_only(arr):
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass
@@ -97,7 +91,7 @@ class UnimodalMap:
     @cached_property
     def _e_in(self):
         """E_in[i, j] = T_j(a t_i)."""
-        t, _, _ = _cheb_machinery(self.domain.n_cheb)
+        t = _tables(self.domain).t
         return _read_only(_cheb_vander(self.a * t, self.domain.n_cheb))
 
     @cached_property
@@ -117,15 +111,14 @@ class UnimodalMap:
     @cached_property
     def _l1(self):
         dom = self.domain
-        n = dom.n_cheb
-        _, _, A = _cheb_machinery(n)
-        dc = _diff_matrix(n) @ self.psi.coeffs
+        tab = _tables(dom)
+        dc = tab.D @ self.psi.coeffs
         w = self._e_out @ dc / (dom.half_width * self.a)   # psi'(psi(a x))/a
-        return _read_only(A @ (w[:, None] * self._e_in))
+        return _read_only(tab.A @ (w[:, None] * self._e_in))
 
     @cached_property
     def _l2(self):
-        _, _, A = _cheb_machinery(self.domain.n_cheb)
+        A = _tables(self.domain).A
         return _read_only(A @ (self._e_out / self.a))
 
     @cached_property
@@ -133,21 +126,13 @@ class UnimodalMap:
         a = self.a
         if abs(a) < TOL_A:
             raise DegenerateScalingError("derivative assembly at degenerate a")
-        dom = self.domain
-        n = dom.n_cheb
-        t, V, A = _cheb_machinery(n)
+        tab = _tables(self.domain)
         rc = self._renormalized.psi.coeffs
-        # x (R psi)'(x) at x = L t is t times the [-1, 1] derivative
-        w_vals = (t * (V @ (_diff_matrix(n) @ rc)) - V @ rc) / a
+        # x (R psi)'(x) at x = L t is t times the [-1, 1] derivative, and
+        # the column at[:, 1] = T_j(1 / L) reads u(1) off coefficients
+        w_vals = (tab.t * (tab.V @ (tab.D @ rc)) - tab.V @ rc) / a
         return _read_only(self._l1 + self._l2
-                          + np.outer(A @ w_vals, _row_at_one(dom)))
-
-
-@lru_cache(maxsize=64)
-def _row_at_one(domain):
-    """T_j(1 / L) for j < n_cheb: the row of u -> u(1) on coefficients."""
-    return _read_only(_cheb.chebvander(
-        np.array([1.0 / domain.half_width]), domain.n_cheb - 1)[0])
+                          + np.outer(tab.A @ w_vals, tab.at[:, 1]))
 
 
 @dataclass
@@ -295,7 +280,7 @@ def solve_fixed_point(initial):
     c = AnalyticFn.from_callable(dom, initial.psi).coeffs
     c[1::2] = 0.0
     # pin psi(0) = 1 exactly
-    val0 = float(_cheb.chebval(0.0, c))
+    val0 = float(AnalyticFn(c, dom)(0.0))
     c[0] += 1.0 - val0
 
     B = _even_tangent_basis(n)

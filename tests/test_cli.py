@@ -324,6 +324,23 @@ def test_non_finite_config_value_exits_1_naming_the_key(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,argv,key", [
+    ("[domain]\nn_cheb = 4\n", ["delta"], "[domain] n_cheb"),
+    ("[domain]\ndelta_dom = 2.0\n", ["delta"], "[domain] delta_dom"),
+    ("[section]\nx0 = 5\n", ["--nmax", "4", "conjecture", "--which", "h3"],
+     "[section] x0"),
+    ("", ["--seed", "-1", "dt-check"], "[run] seed"),
+], ids=["n_cheb", "delta_dom", "x0", "seed"])
+def test_bad_config_value_exits_1_before_the_artifact_directory(
+        tmp_path, capsys, text, argv, key):
+    p = tmp_path / "bad.ini"
+    p.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out)] + argv) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_missing_file(tmp_path):
     with pytest.raises(ValueError):
         load_config(str(tmp_path / "absent.ini"))
@@ -498,6 +515,9 @@ def test_identical_runs_are_byte_identical(tmp_path):
         mb = json.loads((b / "manifest.json").read_text())
         assert {e["file"]: e["sha256"] for e in ma["artifacts"]} \
             == {e["file"]: e["sha256"] for e in mb["artifacts"]}
+        # the manifest names the command as report.json does
+        assert ma["command"] == json.loads(
+            (a / "report.json").read_text())["command"]
 
 
 # -------------------------------------------------------------- exit codes

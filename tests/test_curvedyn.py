@@ -154,6 +154,14 @@ def test_singular_newton_jacobian_is_a_basin_error(domain, golden,
                               guess=np.full(512, X_LO + 0.02))
 
 
+def test_guess_of_the_wrong_size_is_refused_before_any_pass(
+        domain, golden, monkeypatch):
+    monkeypatch.setattr(curvedyn, "_orbit_grid", None)
+    with pytest.raises(ValueError, match=r"not \(512,\)"):
+        solve_invariant_curve(_logistic(domain), golden, 1,
+                              guess=np.full(256, X_LO + 0.02))
+
+
 def _passes_and_check(f, omega, n, monkeypatch):
     """Solve a period-2^n curve while recording the samples each
     _orbit_grid pass starts from; check that residual and Lyapunov exponent
@@ -161,9 +169,9 @@ def _passes_and_check(f, omega, n, monkeypatch):
     inputs = []
     orbit = curvedyn._orbit_grid
 
-    def counted(f, fx, omega, steps, thetas, X):
+    def counted(f, fx, omega, steps, X):
         inputs.append(np.array(X, dtype=float))
-        return orbit(f, fx, omega, steps, thetas, X)
+        return orbit(f, fx, omega, steps, X)
 
     monkeypatch.setattr(curvedyn, "_orbit_grid", counted)
     curve = solve_invariant_curve(f, omega, n)
@@ -171,7 +179,7 @@ def _passes_and_check(f, omega, n, monkeypatch):
     s = omega
     for _ in range(n):
         s = s.double()
-    FX, _, logs = orbit(f, f.dx(), omega, 2 ** n, curve.thetas, curve.samples)
+    FX, _, logs = orbit(f, f.dx(), omega, 2 ** n, curve.samples)
     G = FX - curvedyn._shift_matrix(curve.M, float(s)) @ curve.samples
     assert curve.residual == float(np.max(np.abs(G)))
     assert curve.lyapunov == float(np.mean(logs)) / 2 ** n
@@ -300,7 +308,7 @@ def test_stepped_phase_table_matches_the_direct_one(domain, golden):
     K, w = domain.n_fourier, float(golden)
     thetas = np.arange(512) / 512
     tol = TWO_PI * K * np.spacing(64.0)
-    tables = curvedyn._step_phases(thetas, w, 64, K)
+    tables = curvedyn._step_phases(512, w, 64, K)
     for j, E in enumerate(tables):
         want = _phases(thetas + j * w, K)
         assert np.max(np.abs(E - want)) <= tol, j

@@ -6,6 +6,7 @@ by hand, plus spectral round-trip bounds.
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -26,10 +27,11 @@ from qprenorm_lab import (
     shift_tgamma,
     sup_norm,
 )
-from qprenorm_lab.funcspace import (_cheb_machinery, _cheb_vander, cheb_nodes,
-                                    pair_sup_norm)
+from qprenorm_lab.funcspace import (_cheb_vander, _grid_phases, _tables,
+                                    cheb_nodes, pair_sup_norm)
 from qprenorm_lab.errors import (
     CompositionDomainError,
+    ConsistencyError,
     DomainError,
     TruncationError,
 )
@@ -290,10 +292,24 @@ def test_vandermonde_on_the_interval_is_within_n2_eps(ys, n):
 
 
 def test_cached_chebyshev_tables_are_read_only():
-    # one in-place write would corrupt every later transform of that size
-    for arr in _cheb_machinery(16):
+    # one in-place write would corrupt every later transform, sup norm,
+    # derivative or DG1 read-out on that domain or grid
+    dom = DomainConfig(n_cheb=16, n_fourier=4)
+    for arr in (*_tables(dom), _grid_phases(512, 4), _grid_phases(36, 4)):
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
+
+
+def test_qpfn_sum_and_difference_check_domains(domain):
+    # as AnalyticFn subtraction does: the result would otherwise read the
+    # second operand's coefficients on the first one's interval
+    other = dataclasses.replace(domain, delta_dom=2 * domain.delta_dom)
+    f, g = QPFn.zero(domain), QPFn.zero(other)
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ConsistencyError, match="domain mismatch"):
+            op(f, g)
+    with pytest.raises(ConsistencyError, match="domain mismatch"):
+        project_p0(f) - project_p0(g)
 
 
 _OFF_INTERVAL = st.one_of(st.floats(1.0, 1e3, exclude_min=True),
@@ -319,7 +335,7 @@ def _from_callable_per_row(domain, fn):
     vals = np.empty((M, x.size))
     for j, th in enumerate(np.arange(M) / M):
         vals[j] = fn(th, x)
-    _, _, A = _cheb_machinery(domain.n_cheb)
+    A = _tables(domain).A
     ft = np.fft.fft(vals, axis=0) / M
     modes = np.empty((K + 1, x.size), dtype=complex)
     modes[0] = np.real(A @ ft[0])

@@ -1,4 +1,5 @@
-"""Import hygiene: no module in src/ or tests/ imports a name it never reads.
+"""Import hygiene: no module in src/ or tests/ imports a name it never reads,
+and only funcspace.py in src/ uses numpy's Chebyshev module.
 
 The package __init__ re-exports names it does not read, and `from
 __future__` imports are directives, so both are exempt.
@@ -39,3 +40,50 @@ def test_the_scan_sees_an_unused_import():
                          ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_every_imported_name_is_read(path):
     assert _unused_imports(path.read_text()) == []
+
+
+CHEB = "numpy.polynomial.chebyshev"
+SRC = sorted((ROOT / "src").rglob("*.py"))
+
+
+def _chebyshev_uses(source):
+    """Lines that import or name numpy.polynomial.chebyshev: an import of
+    it or from it, `from numpy.polynomial import chebyshev`, and an
+    attribute chain ending in polynomial.chebyshev."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.startswith(CHEB) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith(CHEB) or (
+                node.module == "numpy.polynomial"
+                and any(a.name == "chebyshev" for a in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute)
+                   and node.attr == "chebyshev"
+                   and isinstance(node.value, ast.Attribute)
+                   and node.value.attr == "polynomial")
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_sees_a_chebyshev_use():
+    source = ("from numpy.polynomial import chebyshev as C\n"
+              "import numpy.polynomial.chebyshev\n"
+              "from numpy.polynomial.chebyshev import chebval\n"
+              "import numpy as np\n"
+              "np.polynomial.chebyshev.chebval(0.0, [1.0])\n"
+              "np.polynomial.polynomial.polyval(0.0, [1.0])\n")
+    assert _chebyshev_uses(source) == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("path", SRC,
+                         ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_only_funcspace_uses_the_chebyshev_module(path):
+    # the Chebyshev basis (tables, Vandermondes, chebval) has one owner
+    uses = _chebyshev_uses(path.read_text())
+    if path.name == "funcspace.py":
+        assert uses             # the owner, so the scan must see it
+    else:
+        assert uses == []
