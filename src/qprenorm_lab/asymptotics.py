@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -41,8 +42,8 @@ from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_T,
                        normalize_pair, require_diophantine, row_norms)
 from .renorm1d import (FamilySpec, dr_matrix, feigenbaum_fixed_point,
                        stable_manifold_param, superstable_params)
-from .curvedyn import (DG1_hat, flm_family, functional_K, slope_chain,
-                       slope_formula)
+from .curvedyn import (DG1_hat, _chain_slopes, _slope_chains, flm_family,
+                       functional_K, slope_chain, slope_formula)
 
 
 # ------------------------------------------------------ quotient sequences
@@ -189,9 +190,22 @@ def quotient_sequence(table):
 
 
 def mixed_quotient_sequence(family, omega0, n_max, mode="fixed-point"):
-    """r_n = alpha'_n(omega0) / alpha'_{n-1}(2 omega0) for n = 2..n_max."""
-    tab1 = slope_table(family, omega0, n_max, mode=mode)
-    tab2 = slope_table(family, omega0.double(), n_max - 1, mode=mode)
+    """r_n = alpha'_n(omega0) / alpha'_{n-1}(2 omega0) for n = 2..n_max.
+
+    Returns the sequence with the slope tables of omega0 (levels 1..n_max)
+    and of 2 omega0 (levels 1..n_max-1). A level's bases do not depend on
+    the rotation number, so each level below n_max walks them once for
+    both (curvedyn._slope_chains).
+    """
+    omega2 = omega0.double()
+    tab1, tab2 = {}, {}
+    for n in range(1, n_max + 1):
+        omegas = (omega0, omega2) if n < n_max else (omega0,)
+        slopes = [_chain_slopes(ch)
+                  for ch in _slope_chains(family, omegas, n, mode)]
+        tab1[n] = slopes[0]
+        if n < n_max:
+            tab2[n] = slopes[1]
     entries = [(n, tab1[n][0] / tab2[n - 1][0]) for n in range(2, n_max + 1)]
     return QuotientSequence(entries=entries), tab1, tab2
 
@@ -283,8 +297,11 @@ def renormalized_family(family, omega, n):
     has: a grid scan would step on parameters where T_omega c is not
     defined.
     """
+    # du_dalpha and dv_deps read the same slice, with its operator data
+    psi0 = lru_cache(maxsize=1)(family.psi0)
+
     def du_dalpha(alpha):
-        psi = family.psi0(alpha)
+        psi = psi0(alpha)
         u = family.du_dalpha(alpha).coeffs
         return AnalyticFn(dr_matrix(psi) @ u, psi.domain)
 
@@ -292,7 +309,7 @@ def renormalized_family(family, omega, n):
         name=family.name + "_T",
         evaluator=lambda a, e: apply_T(family.evaluator(a, e), omega),
         du_dalpha=du_dalpha,
-        dv_deps=lambda a: apply_DT(family.psi0(a), omega, family.dv_deps(a)),
+        dv_deps=lambda a: apply_DT(psi0(a), omega, family.dv_deps(a)),
         alpha_box=family.alpha_box)
     fam._cache["superstable"] = [
         float(x) for x in superstable_params(family, n)[1:]]
@@ -302,6 +319,14 @@ def renormalized_family(family, omega, n):
 def renorm_identity_gap(family, omega0, i):
     """Relative gap in alpha'_i(omega, c) = alpha'_{i-1}(2 omega, T_omega c)."""
     lhs, _ = slope_formula(family, omega0, i, mode="exact-orbit")
+    return _identity_gap(family, omega0, i, lhs)
+
+
+def _identity_gap(family, omega0, i, lhs):
+    """renorm_identity_gap with its left-hand side alpha'_i(omega, c) given.
+
+    The right-hand side is computed here, on the family that apply_T
+    builds, so the identity stays a check independent of the chain."""
     fam_T = renormalized_family(family, omega0, i)
     rhs, _ = slope_formula(fam_T, omega0.double(), i - 1, mode="exact-orbit")
     return abs(lhs - rhs) / abs(lhs)
@@ -369,7 +394,11 @@ def observation2(c, omega0, n_max=10, mode="exact-orbit"):
     p0 = project_pik(v0, 1)
     h5 = check_H5(omega0, p0, p0, n_max=min(n_max, H5_MAX_N))
 
-    gaps = {i: renorm_identity_gap(c, omega0, i) for i in IDENTITY_LEVELS}
+    if mode == "exact-orbit":    # tab1 holds the left-hand sides
+        gaps = {i: _identity_gap(c, omega0, i, tab1[i][0])
+                for i in IDENTITY_LEVELS}
+    else:
+        gaps = {i: renorm_identity_gap(c, omega0, i) for i in IDENTITY_LEVELS}
     identity = Clause("identity_gap", max(gaps.values()), 1e-10,
                       all(g <= 1e-10 for g in gaps.values()))
 

@@ -502,10 +502,21 @@ def slope_chain(family, omega0, n, mode="exact-orbit"):
     so the slope does not depend on it. Callers that compare directions
     (check_H3) shift the vectors they compare.
     """
+    return _slope_chains(family, (omega0,), n, mode)[0]
+
+
+def _slope_chains(family, omegas0, n, mode):
+    """The chains of slope_chain at level n for each start omega in
+    omegas0, from one walk over the bases.
+
+    The bases with their operator data, the u-chain, v_0 and the end map
+    depend on n but not on omega, so each is built once; every omega gets
+    its own v-chain through apply_DT. The chains share u_end and psi_end.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode == "exact-orbit":
-        # polished once per (family, n): the 2 omega table and the identity
+        # polished once per (family, n): tables, checkers and the identity
         # gap rerun the same levels. Only the parameter is kept; a kept map
         # would keep its operator data alive.
         polished = family._cache.setdefault("sigma1", {})
@@ -532,28 +543,34 @@ def slope_chain(family, omega0, n, mode="exact-orbit"):
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    vs, omegas = [family.dv_deps(alpha)], [omega0]
+    v0 = family.dv_deps(alpha)
+    chains = [([v0], [om]) for om in omegas0]     # (vs, omegas) per omega
     for k, base in enumerate(bases, start=1):
         try:
             u = AnalyticFn(dr_matrix(base) @ u.coeffs, u.domain)
-            vs.append(apply_DT(base, omegas[-1], vs[-1]))
+            for vs, omegas in chains:
+                vs.append(apply_DT(base, omegas[-1], vs[-1]))
+                omegas.append(omegas[-1].double())
         except (DegenerateScalingError, DomainError) as e:
             raise type(e)(f"chain stage k={k}: {e}")
-        omegas.append(omegas[-1].double())
-    return ChainResult(u_end=u, vs=vs, omegas=omegas,
-                       psi_end=_project_sigma1(end))
+    psi_end = _project_sigma1(end)
+    return [ChainResult(u_end=u, vs=vs, omegas=omegas, psi_end=psi_end)
+            for vs, omegas in chains]
 
 
-def slope_formula(family, omega0, n, mode="exact-orbit"):
-    """(alpha'_n, beta'_n) from the renormalization chain."""
-    ch = slope_chain(family, omega0, n, mode=mode)
+def _chain_slopes(ch):
+    """(alpha'_n, beta'_n) read off the end of a chain: the extrema of
+    DG1 v_{n-1} over theta, each divided by -DG1_hat u_{n-1}."""
     den = DG1_hat(ch.psi_end, ch.u_end)
     if abs(den) < 1e-300:
         raise DegenerateScalingError("DG1_hat denominator vanished")
     vals = DG1(ch.psi_end, ch.omega_end, ch.vs[-1])
-    alpha_p = -extremum_m(vals).value / den
-    beta_p = -extremum_M(vals).value / den
-    return alpha_p, beta_p
+    return -extremum_m(vals).value / den, -extremum_M(vals).value / den
+
+
+def slope_formula(family, omega0, n, mode="exact-orbit"):
+    """(alpha'_n, beta'_n) from the renormalization chain."""
+    return _chain_slopes(slope_chain(family, omega0, n, mode=mode))
 
 
 # ----------------------------------------------- direct bifurcation search

@@ -207,8 +207,9 @@ def apply_DT(base, omega, v):
     """
     if abs(base.a) < TOL_A:
         raise DegenerateScalingError("degenerate scaling at the base map")
-    L1 = l1_matrix(base)
-    L2 = l2_matrix(base)
+    # cast once: each product below would cast its real matrix again
+    L1 = l1_matrix(base).astype(complex)
+    L2 = l2_matrix(base).astype(complex)
     DR = dr_matrix(base)
     w = float(omega)
     out = QPFn.zero(v.domain)

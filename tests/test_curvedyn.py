@@ -26,6 +26,7 @@ from qprenorm_lab import (
     G1,
     G1_hat,
     QPFn,
+    RotationNumber,
     direct_slope,
     extremum_M,
     extremum_m,
@@ -37,6 +38,7 @@ from qprenorm_lab import (
     iterate_fiber,
     locate_reducibility_loss,
     mixed_quotient_sequence,
+    observation2,
     project_p0,
     quotient_sequence,
     renorm_identity_gap,
@@ -588,6 +590,75 @@ def test_sigma1_polish_builds_each_slice_map_once(golden, monkeypatch):
     assert calls["apply_T"] == 6
     # the memo keeps parameters, not maps
     assert all(type(a) is float for a in fam._cache["sigma1"].values())
+
+
+# ------------------------------------------------ one base walk per level
+
+# a noble number: a prefix of partial quotients 2, 1, 3, then ones
+NOBLE = RotationNumber.from_continued_fraction([2, 1, 3] + [1] * 60,
+                                               dio_gamma=0.18, q_max=10000)
+
+
+@pytest.mark.parametrize("mode", ["exact-orbit", "fixed-point"])
+def test_shared_walk_reads_the_slopes_of_separate_chains(golden, mode):
+    # each level of mixed_quotient_sequence walks its bases once for omega
+    # and 2 omega; one slope_formula call per rotation number and level is
+    # the reference, bit for bit
+    fam = flm_family()
+    for omega in (golden, NOBLE):
+        _, tab1, tab2 = mixed_quotient_sequence(fam, omega, 8, mode=mode)
+        assert tab1 == {n: slope_formula(fam, omega, n, mode=mode)
+                        for n in range(1, 9)}
+        assert tab2 == {n: slope_formula(fam, omega.double(), n, mode=mode)
+                        for n in range(1, 8)}
+
+
+def test_observation2_identity_gaps_are_the_public_gaps(flm, golden):
+    # observation 2 takes the left-hand sides from its own table
+    rep = observation2(flm, golden, n_max=4)
+    assert rep.identity_gaps == {i: renorm_identity_gap(flm, golden, i)
+                                 for i in asymptotics.IDENTITY_LEVELS}
+
+
+def test_mixed_quotient_walks_each_level_once(golden, monkeypatch):
+    # levels 1..5 walk their bases once for omega and 2 omega and level 6
+    # for omega alone: 0 + 1 + ... + 5 = 15 renormalizations, where one
+    # walk per rotation number takes 25. apply_DT runs once per base and
+    # rotation number either way
+    fam = flm_family()
+    slope_table(fam, golden, 6, mode="exact-orbit")   # polish every level
+    calls = collections.Counter()
+
+    def counting(name):
+        fn = getattr(curvedyn, name)
+
+        def counted(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return counted
+
+    for name in ("renormalize_1d", "apply_DT"):
+        monkeypatch.setattr(curvedyn, name, counting(name))
+    mixed_quotient_sequence(fam, golden, 6, mode="exact-orbit")
+    assert calls == {"renormalize_1d": 15, "apply_DT": 25}
+
+
+def test_renormalized_family_builds_the_parent_slice_once(flm, golden,
+                                                          monkeypatch):
+    # du_dalpha and dv_deps at one alpha share the parent's slice map
+    calls = collections.Counter()
+    psi0 = flm.psi0
+
+    def counted(alpha):
+        calls[alpha] += 1
+        return psi0(alpha)
+
+    monkeypatch.setattr(flm, "psi0", counted)
+    fam_T = asymptotics.renormalized_family(flm, golden, 3)
+    alpha = fam_T._cache["superstable"][1]
+    fam_T.du_dalpha(alpha)
+    fam_T.dv_deps(alpha)
+    assert calls == {alpha: 1}
 
 
 # --------------------------------------------------- the shared slice record

@@ -22,6 +22,7 @@ from qprenorm_lab import (
     apply_L_prime,
     apply_T,
     build_L_omega,
+    dr_matrix,
     eval_qpfn,
     gamma_normalize,
     l1_matrix,
@@ -216,12 +217,31 @@ def test_first_order_taylor_consistency(fp, domain, golden):
 # --------------------------------------------------------------- derivative
 
 def test_derivative_mode_zero_is_1d_derivative(fp, domain, golden):
-    from qprenorm_lab import dr_matrix
     v = QPFn.from_callable(domain, lambda th, x: 0.3 - 0.2 * x ** 2)
     image = apply_DT(fp.phi, golden, v)
     got = project_p0(image).coeffs
     want = dr_matrix(fp.phi) @ project_p0(v).coeffs
     assert np.max(np.abs(got - want)) <= 1e-10
+
+
+@pytest.mark.parametrize("w", [0.0, 0.25, 0.6180339887498949, 0.9])
+def test_derivative_is_the_per_mode_formula_bit_for_bit(fp, stars, domain,
+                                                        w):
+    # apply_DT casts L1 and L2 to complex once per call; the real matrix
+    # times each mode is the reference
+    rng = np.random.default_rng(5)
+    v = QPFn.zero(domain)
+    v.modes[:] = (rng.standard_normal(v.modes.shape)
+                  + 1j * rng.standard_normal(v.modes.shape))
+    omega = RotationNumber.from_float(w)
+    for base in (fp.phi, stars[1]):
+        L1, L2 = l1_matrix(base), l2_matrix(base)
+        want = [dr_matrix(base) @ v.modes[0]] + [
+            L1 @ v.modes[k]
+            + np.exp(2j * np.pi * k * float(omega)) * (L2 @ v.modes[k])
+            for k in range(1, v.K + 1)]
+        got = apply_DT(base, omega, v).modes
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_derivative_preserves_mode_spaces(fp, domain, golden):

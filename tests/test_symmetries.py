@@ -10,7 +10,12 @@ relations of the coupling g(theta, x):
 - sign: alpha'(-g) = -beta'(g), since the minimum of -DG1 v is minus its
   maximum;
 - k-fold cover: a coupling in the single mode k at omega has the slopes of
-  the same coupling in mode 1 at k omega mod 1.
+  the same coupling in mode 1 at k omega mod 1;
+- reflection: an even coupling, g(-theta, x) = g(theta, x), has the same
+  slopes at 1 - omega as at omega, since DG1 v is then reflected in theta;
+- superposition: v_0 = dv/deps is linear in g and the chain's steps are
+  linear maps at bases that do not read g, so the DG1 values at the
+  chain's end are linear in g.
 
 Couplings come from the forcing grammar: x-polynomials times cos or sin of
 2 pi k theta, k <= 5, one term per waveform and mode. Every relation holds
@@ -24,11 +29,13 @@ has the slopes of the unit coupling scaled by 1e-90.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qprenorm_lab import RotationNumber, flm_family, slope_formula
+from qprenorm_lab import (DG1, RotationNumber, flm_family, slope_chain,
+                          slope_formula)
 from qprenorm_lab.cli import parse_forcing
 
 REL = 1e-12
@@ -54,6 +61,11 @@ def _slopes(terms, n, mode, omega=GOLDEN, scale=1.0):
     g, _ = parse_forcing(_expr(terms))
     fam = flm_family(g=lambda theta, x: scale * g(theta, x))
     return slope_formula(fam, omega, n, mode=mode)
+
+
+def _dg1_at_chain_end(g, n, mode):
+    ch = slope_chain(flm_family(g=g), GOLDEN, n, mode=mode)
+    return DG1(ch.psi_end, ch.omega_end, ch.vs[-1])
 
 
 def _assert_close(got, want):
@@ -103,3 +115,29 @@ def test_k_fold_cover_multiplies_omega(poly, trig, k, n, mode):
     _assert_close(_slopes([(poly, trig, k)], n, mode),
                   _slopes([(poly, trig, 1)], n, mode,
                           omega=GOLDEN.times_mod1(k)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(_POLY, st.just("cos"), st.integers(1, 5)),
+                min_size=1, max_size=3, unique_by=lambda t: t[2]),
+       _LEVEL, _MODE)
+def test_reflection_leaves_the_slopes_of_an_even_coupling(terms, n, mode):
+    _assert_close(_slopes(terms, n, mode, omega=RotationNumber(-GOLDEN.num)),
+                  _slopes(terms, n, mode))
+
+
+# lam has a normal size: a subnormal one carries fewer significant bits
+@settings(max_examples=25, deadline=None)
+@given(_TERMS, _TERMS, st.one_of(st.just(0.0), st.floats(0.1, 10.0),
+                                 st.floats(-10.0, -0.1)), _LEVEL, _MODE)
+def test_superposition_of_couplings_adds_the_dg1_values(terms1, terms2, lam,
+                                                        n, mode):
+    g1, _ = parse_forcing(_expr(terms1))
+    g2, _ = parse_forcing(_expr(terms2))
+    a = _dg1_at_chain_end(g1, n, mode)
+    b = lam * _dg1_at_chain_end(g2, n, mode)
+    got = _dg1_at_chain_end(lambda theta, x: g1(theta, x) + lam * g2(theta, x),
+                            n, mode)
+    # relative to the size of the parts: their sum may cancel
+    scale = np.max(np.abs(a)) + np.max(np.abs(b))
+    assert np.max(np.abs(got - (a + b))) <= REL * scale
