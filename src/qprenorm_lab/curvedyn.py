@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BasinError, ConsistencyError, DegeneratePointError,
                      DegenerateScalingError, DomainError, EscapeError,
@@ -44,6 +43,7 @@ M_GRID = 512
 LOG_FLOOR = -1e3
 DAMPED_STALL = 50     # damped iterations without a new best residual
 NEWTON_SWITCH = 1e-3  # damped residual at which Newton takes over
+NEUMANN_MAX = 100     # Neumann terms of a Newton step before the dense solve
 
 
 # ------------------------------------------------------------ fiber orbits
@@ -137,15 +137,59 @@ def _shift_samples(vals, s):
     return np.fft.irfft(spec * ph, M, axis=0)
 
 
-def _shift_matrix(M, s):
-    """S with S @ vals = _shift_samples(vals, s): the shift is a circular
-    convolution, so S is the circulant S[i, j] = c[(i - j) % M] of the
-    shifted unit sample c."""
-    e0 = np.zeros(M)
-    e0[0] = 1.0
-    c = _shift_samples(e0, s)
-    cc = np.concatenate((c, c))[::-1]      # cc[M - 1 - i + j] = c[(i - j) % M]
-    return sliding_window_view(cc, M)[M - 1::-1].copy()
+def _newton_step(prod, G, s):
+    """The Newton step x of (diag(prod) - S) x = -G, S the shift by s
+    (_shift_samples), without forming a matrix.
+
+    T, the shift by -s with the Nyquist multiplier of an even M set to the
+    sign of S's, c = cos(pi M s), inverts S on every other mode, and T S =
+    |c| on the Nyquist mode. So T (diag(prod) - S) = -(I - T diag(prod)) +
+    sigma n n^T, with sigma = 1 - |c| (0 for odd M) and n the unit Nyquist
+    vector (-1)^j / sqrt(M). The Neumann series of (I - T diag(prod))^-1
+    runs on the two rows [T G, n] together, one rfft/irfft pair per term,
+    and Sherman-Morrison adds the rank-one term. The n row keeps only the
+    terms past n itself, w, so the denominator |c| - sigma n.w does not
+    cancel. A unit multiplier passes the Nyquist part of G at full size,
+    where cos(pi M s) would shrink it by |c| and the denominator would then
+    divide it back.
+
+    The series converges when max |prod| < 1, since ||T||_2 <= 1, and stops
+    once each row's term is at most 1e-15 of that row's sum in max-norm.
+    When it has not stopped after NEUMANN_MAX terms, or has overflowed, the
+    dense solve takes over. A singular system raises BasinError.
+    """
+    M = prod.size
+    ph = _shift_phases(M, -s)
+    c = 1.0
+    if M % 2 == 0:
+        c = abs(ph[-1].real)
+        ph[-1] = np.copysign(1.0, ph[-1].real)
+    sigma = 1.0 - c
+    nyq = np.where(np.arange(M) % 2, -1.0, 1.0) / np.sqrt(M)
+    TG = np.fft.irfft(np.fft.rfft(G) * ph, M)
+    term = np.stack((TG, nyq))
+    Y = np.stack((TG, np.zeros(M)))    # the n row sums w, past n itself
+    converged = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(NEUMANN_MAX):
+            term = np.fft.irfft(np.fft.rfft(prod * term) * ph, M)
+            Y = Y + term
+            if np.all(np.max(np.abs(term), axis=1)
+                      <= 1e-15 * np.max(np.abs(Y), axis=1)):
+                converged = bool(np.all(np.isfinite(Y)))
+                break
+    if not converged:
+        J = -_shift_samples(np.eye(M), s)
+        J.flat[::M + 1] += prod        # J = diag(prod) - S
+        try:
+            return np.linalg.solve(J, -G)
+        except np.linalg.LinAlgError:
+            raise BasinError("Newton stage: singular Jacobian")
+    y, w = Y
+    den = c - sigma * float(nyq @ w)
+    if den == 0.0 or not np.isfinite(den):
+        raise BasinError("Newton stage: singular Jacobian")
+    return y + (nyq + w) * (sigma * float(nyq @ y) / den)
 
 
 def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
@@ -159,9 +203,11 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
       attracting curve until the residual max |x(theta + 2^n omega) -
       f^(2^n)| is below NEWTON_SWITCH = 1e-3. The stage gives up with
       BasinError after DAMPED_STALL iterations without a new best residual.
-    * Newton steps, dense with the Jacobian diag(D_x f^(2^n)) - S and the
-      circulant spectral shift matrix S, stop at residual 1e-13 or after
-      20 steps; the residual must then be within TOL_CURVE.
+    * Newton steps on the Jacobian diag(D_x f^(2^n)) - S, S the spectral
+      shift by 2^n omega, stop at residual 1e-13 or after 20 steps; the
+      residual must then be within TOL_CURVE. Each step is solved without
+      a matrix (_newton_step); only a step whose Neumann series does not
+      converge builds S and J.
 
     From 1e-3 Newton needs about three steps where the damped stage needs
     about 14 more to reach 1e-8, and it converges on period-16 curves
@@ -216,22 +262,16 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
     except EscapeError as e:
         raise BasinError(f"fixed-point stage escaped: {e}")
 
-    S = _shift_matrix(M, s)
-    J = np.empty_like(S)   # one Jacobian buffer for all Newton steps
     try:
         for it in range(21):
-            G = FX - S @ X
+            G = FX - _shift_samples(X, s)
             residual = float(np.max(np.abs(G)))
             if residual <= 1e-13 or it == 20:
                 break
-            np.negative(S, out=J)
-            J.flat[::M + 1] += prod        # J = diag(prod) - S
-            X = X + np.linalg.solve(J, -G)
+            X = X + _newton_step(prod, G, s)
             FX, prod, logs = forward(X)
     except EscapeError as e:
         raise BasinError(f"Newton stage escaped: {e}")
-    except np.linalg.LinAlgError:
-        raise BasinError("Newton stage: singular Jacobian")
 
     if residual > TOL_CURVE:
         raise BasinError(f"curve residual {residual:.3e} above tolerance")
@@ -357,13 +397,39 @@ class ExtremumResult:
 
 
 def extremum_m(vals):
-    """min over the circle: grid argmin, three-point quadratic step, then
-    Newton on the trigonometric interpolant. A minimum is flat when its
+    """min over the circle: grid local minima, three-point quadratic step,
+    then Newton on the trigonometric interpolant. A minimum is flat when its
     second difference is at most 1e-10 max |vals| (all-zero values are
-    flat); flat minima are flagged and returned at grid accuracy."""
+    flat); flat minima are flagged and returned at grid accuracy.
+
+    A true minimum lies within half a grid step of a grid point, so the
+    grid misses it by at most max |g''| / (8 M^2), and max |g''| is at most
+    sum 4 pi^2 k^2 |spec_k| over the weighted half spectrum. Every grid
+    local minimum within that bound of the grid minimum is refined and the
+    least refined value is returned; with one such basin, the grid argmin
+    is the only one refined."""
     vals = np.asarray(vals, dtype=float)
     M = vals.size
     i = int(np.argmin(vals))
+    # The interpolant is Re sum_k spec_k exp(2 pi i k theta) over the
+    # weighted half spectrum, so one exponential per Newton step gives g1
+    # and g2.
+    spec = np.fft.rfft(vals)
+    spec[1:(M + 1) // 2] *= 2.0
+    spec /= M
+    ik = 2j * np.pi * np.arange(spec.size)
+    spec2 = ik * ik * spec
+    bound = float(np.sum(np.abs(spec2))) / (8 * M * M)
+    near = np.flatnonzero(vals <= vals[i] + bound).tolist()
+    basins = [i] + [j for j in near
+                    if j != i and vals[j - 1] > vals[j] <= vals[(j + 1) % M]]
+    refined = [_refine_min(vals, j, spec, ik, spec2) for j in basins]
+    return min(refined, key=lambda r: r.value)
+
+
+def _refine_min(vals, i, spec, ik, spec2):
+    """The minimum of the basin of grid point i, as extremum_m states it."""
+    M = vals.size
     gm = vals[i]
     gl, gr = vals[(i - 1) % M], vals[(i + 1) % M]
     scale = float(np.max(np.abs(vals)))
@@ -378,13 +444,7 @@ def extremum_m(vals):
     # The quadratic step can overshoot below the true minimum; Newton on the
     # trigonometric interpolant is the authoritative refinement and the
     # quadratic value is only a fallback when that iteration goes bad.
-    # The interpolant is Re sum_k spec_k exp(2 pi i k theta) over the
-    # weighted half spectrum, so one exponential per step gives g1 and g2.
-    spec = np.fft.rfft(vals)
-    spec[1:(M + 1) // 2] *= 2.0
-    spec /= M
-    ik = 2j * np.pi * np.arange(spec.size)
-    spec1, spec2 = ik * spec, ik * ik * spec
+    spec1 = ik * spec
     th = theta
     ok = True
     for _ in range(10):

@@ -10,11 +10,12 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qprenorm_lab
@@ -146,11 +147,32 @@ def test_curve_shift_keeps_the_doubling_depth_limit(domain, golden):
         solve_invariant_curve(_logistic(domain), w, 3, M=32)
 
 
-def test_singular_newton_jacobian_is_a_basin_error(domain, golden,
-                                                    monkeypatch):
+@pytest.mark.parametrize("nyquist", [0.0, np.nan])
+def test_singular_sherman_morrison_denominator_is_a_basin_error(
+        nyquist, monkeypatch):
+    # at s = 1 / (2M) the shift's Nyquist multiplier cos(pi M s) is 0 in
+    # exact arithmetic (6e-17 in floating point), so J = -S is singular at
+    # prod = 0; the phase table is given that exact value, and a NaN
+    # stands in for a non-finite one
+    shift_phases = curvedyn._shift_phases
+
+    def exact(M, s):
+        ph = shift_phases(M, s)
+        ph[-1] = nyquist
+        return ph
+
+    monkeypatch.setattr(curvedyn, "_shift_phases", exact)
+    G = np.cos(TWO_PI * np.arange(16) / 16)
+    with pytest.raises(BasinError, match="singular Jacobian"):
+        curvedyn._newton_step(np.zeros(16), G, 1 / 32)
+
+
+def test_singular_dense_fallback_is_a_basin_error(domain, golden,
+                                                  monkeypatch):
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
     monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(curvedyn, "NEUMANN_MAX", 0)
     with pytest.raises(BasinError, match="singular Jacobian"):
         solve_invariant_curve(_logistic(domain), golden, 1,
                               guess=np.full(512, X_LO + 0.02))
@@ -182,7 +204,7 @@ def _passes_and_check(f, omega, n, monkeypatch):
     for _ in range(n):
         s = s.double()
     FX, _, logs = orbit(f, f.dx(), omega, 2 ** n, curve.samples)
-    G = FX - curvedyn._shift_matrix(curve.M, float(s)) @ curve.samples
+    G = FX - curvedyn._shift_samples(curve.samples, float(s))
     assert curve.residual == float(np.max(np.abs(G)))
     assert curve.lyapunov == float(np.mean(logs)) / 2 ** n
     return curve, inputs
@@ -204,9 +226,9 @@ def test_curve_residual_is_that_of_the_samples_when_newton_runs_out(
     # shortened Newton steps converge linearly: after the 20 steps from the
     # NEWTON_SWITCH hand-over the residual is above the 1e-13 stop but
     # within TOL_CURVE (7.6e-13 here)
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve",
-                        lambda J, b: 0.65 * solve(J, b))
+    step = curvedyn._newton_step
+    monkeypatch.setattr(curvedyn, "_newton_step",
+                        lambda prod, G, s: 0.65 * step(prod, G, s))
     s = superstable_params(flm, 4)
     f = flm.evaluator(float(s[3]) + 0.1 * (s[4] - s[3]), 1e-4)
     curve, inputs = _passes_and_check(f, golden, 3, monkeypatch)
@@ -273,14 +295,90 @@ def test_criterion_reads_the_product_of_the_solve(flm, golden, monkeypatch):
     assert value == extremum_m(prod).value
 
 
-def test_period16_curve_converges_where_the_damped_stage_stalls(flm,
-                                                                golden):
+def test_period16_curve_converges_where_the_damped_stage_stalls(
+        flm, golden, monkeypatch):
     # the damped residual reaches 1.7e-6 and then climbs away, so a damped
-    # stage run down to 1e-8 stalls; Newton from 1e-3 converges
+    # stage run down to 1e-8 stalls; Newton from 1e-3 converges. The fiber
+    # product reaches 3.7 here and the spectral radius of T diag(prod) is
+    # 1.55-1.57, so every Newton step takes the dense fallback
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(J, b):
+        solves.append(J.shape)
+        return solve(J, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
     f = flm.evaluator(3.5667224221654124, 5.566964054792822e-4)
     curve = solve_invariant_curve(f, golden, 4)
     assert curve.residual <= curvedyn.TOL_CURVE
     assert curve.lyapunov == pytest.approx(-0.00846, abs=5e-5)
+    assert solves and set(solves) == {(512, 512)}
+
+
+# ------------------------------------------------ the matrix-free Newton step
+
+def _no_dense_solve(*args):
+    raise AssertionError("the Newton step took the dense solve")
+
+
+@settings(max_examples=30, deadline=None)
+@given(M=st.sampled_from([16, 17, 511, 512]), j=st.integers(0, 511),
+       off=st.floats(-0.03, 0.03), amp=st.floats(0.0, 0.89),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_newton_step_solves_the_dense_system(M, j, off, amp, seed):
+    # shifts near a zero of the Nyquist multiplier, |cos(pi M s)| =
+    # |sin(pi off)| < 0.1, where the rank-one term is largest, and
+    # max |prod| < 0.9, where the Neumann series converges. Each solver is
+    # off by up to about cond(J) eps, so J is kept well conditioned
+    s = (j % M + 0.5 + off) / M
+    rng = np.random.default_rng(seed)
+    prod = amp * rng.uniform(-1.0, 1.0, M)
+    G = rng.standard_normal(M)
+    J = np.diag(prod) - curvedyn._shift_samples(np.eye(M), s)
+    assume(np.linalg.cond(J) <= 1e3)
+    want = np.linalg.solve(J, -G)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", _no_dense_solve)
+        got = curvedyn._newton_step(prod, G, s)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_benchmark_like_curve_solve_forms_no_matrix(flm, golden,
+                                                    monkeypatch):
+    # the period-8 curve of the curves benchmark: no Newton step reaches
+    # the dense solve, and the solve's peak allocation stays below one
+    # 512 x 512 float64 matrix (0.7 MiB against 2 MiB; 8.3 MiB dense)
+    s = superstable_params(flm, 4)
+    f = flm.evaluator(float(s[3]) + 0.1 * (s[4] - s[3]), 2e-4)
+    monkeypatch.setattr(np.linalg, "solve", _no_dense_solve)
+    solve_invariant_curve(f, golden, 3)      # warm the phase tables
+    tracemalloc.start()
+    try:
+        curve = solve_invariant_curve(f, golden, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.residual <= curvedyn.TOL_CURVE
+    assert peak < 512 * 512 * 8
+
+
+@pytest.mark.parametrize("n, eps", [(2, 5e-4), (3, 2e-4)])
+def test_dense_fallback_agrees_with_the_matrix_free_step(flm, golden,
+                                                         monkeypatch, n,
+                                                         eps):
+    # README's drift tolerances for the curve solver: 1e-12 on the
+    # samples, 1e-10 on the Lyapunov exponent, 1e-11 on the extremum
+    s = superstable_params(flm, n + 1)
+    f = flm.evaluator(float(s[n]) + 0.1 * (s[n + 1] - s[n]), eps)
+    free = solve_invariant_curve(f, golden, n)
+    monkeypatch.setattr(curvedyn, "NEUMANN_MAX", 0)
+    dense = solve_invariant_curve(f, golden, n)
+    assert dense.residual <= curvedyn.TOL_CURVE
+    assert np.max(np.abs(free.samples - dense.samples)) <= 1e-12
+    assert abs(free.lyapunov - dense.lyapunov) <= 1e-10
+    assert abs(extremum_m(free.product).value
+               - extremum_m(dense.product).value) <= 1e-11
 
 
 @pytest.mark.parametrize("M", [16, 17])
@@ -294,14 +392,6 @@ def test_shift_is_exact_on_band_limited_grid_functions(M):
         got = curvedyn._shift_samples(np.cos(TWO_PI * k * thetas), s)
         want = np.cos(TWO_PI * k * (thetas + s))
         assert np.max(np.abs(got - want)) <= 1e-13, k
-
-
-@pytest.mark.parametrize("M", [16, 17, 512])
-def test_shift_matrix_is_the_circulant_of_one_column(M, golden):
-    for s in (0.3141, float(golden), -0.123):
-        S = curvedyn._shift_matrix(M, s)
-        want = curvedyn._shift_samples(np.eye(M), s)
-        assert np.max(np.abs(S - want)) <= 1e-15
 
 
 def test_stepped_phase_table_matches_the_direct_one(domain, golden):
@@ -482,6 +572,23 @@ def test_extrema_of_shifted_cosine():
 
 def test_extrema_flag_degenerate_constant():
     assert extremum_m(np.full(512, 0.7)).degenerate
+
+
+@pytest.mark.parametrize("c", [0.0, 0.1234, 0.3141, 0.5, 0.77])
+def test_extremum_takes_the_global_minimum_among_near_tied_basins(c):
+    # three minima of -cos(6 pi t) split by 1e-11 cos(2 pi t - 0.4): the
+    # grid misses each by up to 1.7e-4, far more than they differ, so
+    # every basin is refined; the least is at t = 2/3 (shifted by c)
+    thetas = np.arange(512) / 512.0
+    t = thetas - c
+    vals = -np.cos(3 * TWO_PI * t) + 1e-11 * np.cos(TWO_PI * t - 0.4)
+    m = extremum_m(vals)
+    assert m.value == pytest.approx(-1.0 + 1e-11 * math.cos(TWO_PI * 2 / 3
+                                                            - 0.4),
+                                    rel=0.0, abs=1e-15)
+    assert abs((m.theta - c - 2 / 3 + 0.5) % 1.0 - 0.5) <= 1e-6
+    M = extremum_M(-vals)
+    assert (M.value, M.theta) == (-m.value, m.theta)
 
 
 def test_extrema_refinement_matches_dense_grid():

@@ -74,6 +74,10 @@ def _assert_close(got, want):
 
 # a coupling of size 1e-8, which an absolute flatness floor misjudges
 _SMALL = [([1e-8], "cos", 1)]
+# three minima of cos(6 pi theta) that a 1e-11 first mode splits by far
+# less than the grid's discretization error, so the grid argmin's basin
+# depends on the phase and the global minimum needs every basin refined
+_NEAR_TIED = [([1e-11], "cos", 1), ([-1.0], "cos", 3)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -87,6 +91,7 @@ def test_amplitude_scales_the_slopes(terms, n, mode, lam):
 @settings(max_examples=25, deadline=None)
 @given(_TERMS, _LEVEL, _MODE, st.floats(0.0, 1.0))
 @example(_SMALL, 1, "fixed-point", 0.3)
+@example(_NEAR_TIED, 1, "exact-orbit", 0.7)
 def test_phase_shift_leaves_the_slopes(terms, n, mode, c):
     # cos(k(t + c)) = cos(kc) cos(kt) - sin(kc) sin(kt)
     # sin(k(t + c)) = cos(kc) sin(kt) + sin(kc) cos(kt)
