@@ -35,11 +35,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegeneratePointError, NoSectionError
-from .funcspace import (AnalyticFn, DomainConfig, PairFn, pair_sup_norm,
-                        project_pik, sup_norm)
+from .funcspace import (AnalyticFn, DomainConfig, pair_sup_norm, project_pik,
+                        sup_norm)
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_T,
                        build_L_omega, gamma_normalize, l_prime_rows,
-                       normalize_pair, require_diophantine, row_norms)
+                       require_diophantine, row_norms, section_gammas,
+                       shift_pairs)
 from .renorm1d import (FamilySpec, dr_matrix, feigenbaum_fixed_point,
                        stable_manifold_param, superstable_params)
 from .curvedyn import (DG1_hat, _chain_slopes, _slope_chains, flm_family,
@@ -608,16 +609,25 @@ def check_H3(c, omega0, n_max=8, section=SectionConfig()):
 
 # ------------------------------------------------------------- H4 checker
 
+def _unit_on_section(x, domain, section):
+    """Row x on the section, scaled to unit l2 norm; raises its error."""
+    X = np.array([x])
+    gamma0, errors = section_gammas(X, domain, section)
+    if errors[0] is not None:
+        raise errors[0]
+    p = shift_pairs(X, gamma0, domain.n_cheb)[0]
+    return p * (1.0 / np.linalg.norm(p))
+
+
 def _dominant_direction(psi, omega, section=SectionConfig()):
-    """Unit vector on the section spanning the leading invariant plane."""
+    """Unit row on the section spanning the leading invariant plane."""
     op = build_L_omega(psi, omega, 1)
     lam, vecs = np.linalg.eig(op.matrix)
     w = vecs[:, np.argmax(np.abs(lam))]
     vec = np.real(w)
     if np.linalg.norm(vec) < 1e-8 * np.linalg.norm(w):
         vec = np.imag(w)
-    _, p = normalize_pair(PairFn.from_coeff_vector(psi.domain, vec), section)
-    return p * (1.0 / p.coeff_norm())
+    return _unit_on_section(vec, psi.domain, section)
 
 
 @dataclass
@@ -664,8 +674,8 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
         psi = feigenbaum_fixed_point(DomainConfig()).phi
     dom = psi.domain
     # the dominant direction needs the value of golden, not its certificate
-    e0 = _dominant_direction(psi, RotationNumber.golden(q_max=0), section)
-    e0_vec = e0.coeff_vector()
+    e0_vec = _dominant_direction(psi, RotationNumber.golden(q_max=0),
+                                 section)
     dim = e0_vec.size
 
     radius = H4_RADIUS
@@ -679,12 +689,11 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
         cand = e0_vec + w
         cand /= np.linalg.norm(cand)
         try:
-            _, p = normalize_pair(PairFn.from_coeff_vector(dom, cand), section)
+            p = _unit_on_section(cand, dom, section)
         except (NoSectionError, DegeneratePointError):
             continue
-        p = p * (1.0 / p.coeff_norm())
-        if np.linalg.norm(p.coeff_vector() - e0_vec) <= radius:
-            samples.append(p.coeff_vector())
+        if np.linalg.norm(p - e0_vec) <= radius:
+            samples.append(p)
     n_used = 2 * (len(samples) // 2)
     X = np.array(samples[:n_used]).reshape(n_used, dim)
 

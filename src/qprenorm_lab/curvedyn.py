@@ -109,6 +109,7 @@ class InvariantCurve:
     lyapunov: float
     residual: float
     product: np.ndarray    # fiber derivative product at the samples
+    f: QPFn                # the map the curve was solved for
 
     @property
     def M(self):
@@ -155,8 +156,9 @@ def _newton_step(prod, G, s):
 
     The series converges when max |prod| < 1, since ||T||_2 <= 1, and stops
     once each row's term is at most 1e-15 of that row's sum in max-norm.
-    When it has not stopped after NEUMANN_MAX terms, or has overflowed, the
-    dense solve takes over. A singular system raises BasinError.
+    When it has not stopped after NEUMANN_MAX terms, or has overflowed, one
+    LU solves its system A [y, w + n] = [T G, n], A = I - T diag(prod) from
+    T's circulant column, for the same finish. Singular: BasinError.
     """
     M = prod.size
     ph = _shift_phases(M, -s)
@@ -179,12 +181,14 @@ def _newton_step(prod, G, s):
                 converged = bool(np.all(np.isfinite(Y)))
                 break
     if not converged:
-        J = -_shift_samples(np.eye(M), s)
-        J.flat[::M + 1] += prod        # J = diag(prod) - S
+        i = np.arange(M)
+        A = -np.fft.irfft(ph, M)[(i[:, None] - i) % M] * prod
+        A.flat[::M + 1] += 1.0         # A = I - T diag(prod)
         try:
-            return np.linalg.solve(J, -G)
+            y, z = np.linalg.solve(A, np.stack((TG, nyq), axis=1)).T
         except np.linalg.LinAlgError:
             raise BasinError("Newton stage: singular Jacobian")
+        Y = (y, z - nyq)
     y, w = Y
     den = c - sigma * float(nyq @ w)
     if den == 0.0 or not np.isfinite(den):
@@ -207,7 +211,7 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
       shift by 2^n omega, stop at residual 1e-13 or after 20 steps; the
       residual must then be within TOL_CURVE. Each step is solved without
       a matrix (_newton_step); only a step whose Neumann series does not
-      converge builds S and J.
+      converge builds the M x M matrix of the series' system for one LU.
 
     From 1e-3 Newton needs about three steps where the damped stage needs
     about 14 more to reach 1e-8, and it converges on period-16 curves
@@ -236,14 +240,10 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
         raise ValueError(f"guess has shape {X.shape}, not ({M},)")
 
     fx = f.dx()
-
-    def forward(X):
-        return _orbit_grid(f, fx, omega, steps, X)
-
     # one grid pass per iterate: FX, prod and logs always belong to X
     best, stale = np.inf, 0
     try:
-        FX, prod, logs = forward(X)
+        FX, prod, logs = _orbit_grid(f, fx, omega, steps, X)
         for it in range(300):
             target = _shift_samples(FX, -s)
             res = float(np.max(np.abs(target - X)))
@@ -258,7 +258,7 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
                                      f"{best:.3e}, now {res:.3e}")
             lam = 0.6 if it < 50 else 1.0
             X = X + lam * (target - X)
-            FX, prod, logs = forward(X)
+            FX, prod, logs = _orbit_grid(f, fx, omega, steps, X)
     except EscapeError as e:
         raise BasinError(f"fixed-point stage escaped: {e}")
 
@@ -269,25 +269,26 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
             if residual <= 1e-13 or it == 20:
                 break
             X = X + _newton_step(prod, G, s)
-            FX, prod, logs = forward(X)
+            FX, prod, logs = _orbit_grid(f, fx, omega, steps, X)
     except EscapeError as e:
         raise BasinError(f"Newton stage escaped: {e}")
 
     if residual > TOL_CURVE:
         raise BasinError(f"curve residual {residual:.3e} above tolerance")
     lyap = float(np.mean(logs)) / steps
-    return InvariantCurve(period_log2=n, samples=X, omega=omega,
+    return InvariantCurve(period_log2=n, samples=X, omega=omega, f=f,
                           lyapunov=lyap, residual=residual, product=prod)
 
 
 def fiber_product(f, omega, curve):
-    """Product of the 2^n fiber derivatives along the curve, per theta.
-
-    Recomputed by one grid pass; it equals the curve's own product, which
-    the solve kept from its last pass."""
-    _, prod, _ = _orbit_grid(f, f.dx(), omega, 2 ** curve.period_log2,
-                             curve.samples)
-    return prod
+    """The curve's product of its 2^n fiber derivatives, per theta, as the
+    solve kept it; ConsistencyError unless f and omega match bit for bit."""
+    g = curve.f
+    if f.domain != g.domain or f.modes.tobytes() != g.modes.tobytes():
+        raise ConsistencyError("curve was solved for a different map")
+    if omega.num != curve.omega.num:
+        raise ConsistencyError("curve was solved at a different omega")
+    return curve.product
 
 
 def G1(f, omega, curve):
@@ -295,8 +296,6 @@ def G1(f, omega, curve):
     one value per grid theta of the period-2 curve."""
     if curve.period_log2 != 1:
         raise ConsistencyError("G1 takes a period-2 curve")
-    if omega.num != curve.omega.num:
-        raise ConsistencyError("curve was solved at a different omega")
     return fiber_product(f, omega, curve)
 
 

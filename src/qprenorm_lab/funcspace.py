@@ -32,7 +32,6 @@ from numpy.polynomial import chebyshev as _cheb
 from .errors import (CompositionDomainError, ConsistencyError, DomainError,
                      TruncationError)
 
-TOL_INTERP = 1e-12
 # the complex disc W of the H0 containment check (renorm1d.check_H0)
 W_CENTER = 0.2
 W_RADIUS = 1.5

@@ -18,8 +18,8 @@ only inside trig evaluations.
 The section machinery quotients the rotational symmetry t_gamma by
 shifting a mode-1 vector onto the section {f(theta0, x0) = 0, positive
 theta-derivative}. One routine, section_gammas, decides the shift for a
-block of pairs; gamma_normalize, normalize_pair, apply_L_prime and
-l_prime_rows (a block of pairs under one L_omega) all go through it.
+block of pairs; gamma_normalize, apply_L_prime and l_prime_rows (a
+block of pairs under one L_omega) all go through it.
 """
 
 from __future__ import annotations
@@ -379,13 +379,6 @@ def l_prime_rows(matrix, X, domain, section=SectionConfig()):
     Y = shift_pairs(W, gamma0, domain.n_cheb)
     Y[[e is not None for e in errors]] = 0.0
     return Y, errors
-
-
-def normalize_pair(pair, section=SectionConfig()):
-    """(gamma0, t_gamma0 pair) for one mode-1 pair: gamma_normalize on the
-    pair as mode 1, read back as a pair."""
-    gamma0, f = gamma_normalize(pair.embed(1), section)
-    return gamma0, project_pik(f, 1)
 
 
 def gamma_normalize(v, section=SectionConfig()):

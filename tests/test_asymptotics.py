@@ -9,6 +9,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qprenorm_lab import (
     EquivalenceFit,
@@ -170,6 +172,27 @@ def test_observation1_families_equivalent(flm, golden):
     assert rep.passed
     assert rep.fit.rho_hat_hi < 1.0
     assert rep.overlap_ok
+
+
+@settings(max_examples=20, deadline=None)
+@given(which=st.sampled_from([0, 1]), log_c=st.floats(-6.0, 5.0),
+       sign=st.sampled_from([1.0, -1.0]), n_max=st.integers(4, 6))
+def test_observation1_quotients_ignore_the_coupling_scale(
+        flm, golden, which, log_c, sign, n_max):
+    # scaling a family's coupling g by c scales each of its slopes by c,
+    # so its quotients alpha'_n / alpha'_(n-1) stay put
+    g2, _ = parse_forcing("[0.5,0,0.5]*sin(1w)")
+    fams = [flm, flm_family(g=g2, name="flm-sin-mix")]
+    g = [lambda th, x: np.cos(2 * np.pi * np.asarray(th)) * np.ones_like(x),
+         g2][which]
+    c = sign * 10.0 ** log_c
+    scaled = list(fams)
+    scaled[which] = flm_family(g=lambda th, x: c * g(th, x), name="scaled")
+    base = observation1(*fams, golden, n_max=n_max)
+    rep = observation1(*scaled, golden, n_max=n_max)
+    for want, got in ((base.seq1, rep.seq1), (base.seq2, rep.seq2)):
+        assert np.all(np.abs(got.values() - want.values())
+                      <= 1e-13 * np.abs(want.values()))
 
 
 def test_observation1_negative_control_b2_forcing(flm, golden):

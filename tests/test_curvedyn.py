@@ -5,6 +5,7 @@ with multiplier -a^2+2a+4, symbolic unrolling of fiber iterates, and the
 exactness of the quadratic-family slope identity beta' = -alpha'.
 """
 
+import ast
 import collections
 import dataclasses
 import math
@@ -53,7 +54,7 @@ from qprenorm_lab import (
 )
 from qprenorm_lab import asymptotics, curvedyn, renorm1d
 from qprenorm_lab.cli import parse_forcing
-from qprenorm_lab.errors import (BasinError, EscapeError,
+from qprenorm_lab.errors import (BasinError, ConsistencyError, EscapeError,
                                  PrecisionExhaustedError)
 from qprenorm_lab.funcspace import _phases
 
@@ -188,8 +189,9 @@ def test_guess_of_the_wrong_size_is_refused_before_any_pass(
 
 def _passes_and_check(f, omega, n, monkeypatch):
     """Solve a period-2^n curve while recording the samples each
-    _orbit_grid pass starts from; check that residual and Lyapunov exponent
-    are those of the returned samples. Returns (curve, pass inputs)."""
+    _orbit_grid pass starts from; check that residual, Lyapunov exponent
+    and fiber product are those of the returned samples, the product bit
+    for bit. Returns (curve, pass inputs)."""
     inputs = []
     orbit = curvedyn._orbit_grid
 
@@ -203,10 +205,11 @@ def _passes_and_check(f, omega, n, monkeypatch):
     s = omega
     for _ in range(n):
         s = s.double()
-    FX, _, logs = orbit(f, f.dx(), omega, 2 ** n, curve.samples)
+    FX, prod, logs = orbit(f, f.dx(), omega, 2 ** n, curve.samples)
     G = FX - curvedyn._shift_samples(curve.samples, float(s))
     assert curve.residual == float(np.max(np.abs(G)))
     assert curve.lyapunov == float(np.mean(logs)) / 2 ** n
+    assert curve.product.tobytes() == prod.tobytes()
     return curve, inputs
 
 
@@ -269,9 +272,8 @@ def test_benchmark_like_curve_solve_takes_few_passes(flm, golden,
 
 
 def test_criterion_reads_the_product_of_the_solve(flm, golden, monkeypatch):
-    # the solve keeps the fiber product of its last pass, which is at the
-    # samples: it is fiber_product's bit for bit, and the bracket criterion
-    # spends no grid pass beyond the solve's own
+    # the bracket criterion reads the product the solve kept from its last
+    # pass and spends no grid pass beyond the solve's own
     passes = []
     orbit = curvedyn._orbit_grid
 
@@ -288,11 +290,41 @@ def test_criterion_reads_the_product_of_the_solve(flm, golden, monkeypatch):
     value, samples = curvedyn._criterion(flm, golden, 3, 2e-4, alpha, "min",
                                          None)
     assert len(passes) == 2 * solve_passes
-    monkeypatch.undo()
-    prod = fiber_product(f, golden, curve)
-    assert curve.product.tobytes() == prod.tobytes()
     assert samples.tobytes() == curve.samples.tobytes()
-    assert value == extremum_m(prod).value
+    assert value == extremum_m(curve.product).value
+
+
+@pytest.mark.parametrize("read", [fiber_product, G1])
+def test_curve_results_come_from_the_solve(flm, golden, monkeypatch, read):
+    # fiber_product and G1 return the solve's product for an equal map (a
+    # second evaluator call) and refuse another map or another omega,
+    # without a grid pass
+    s = superstable_params(flm, 2)
+    alpha = float(s[1]) + 0.1 * (s[2] - s[1])
+    f = flm.evaluator(alpha, 2e-4)
+    curve = solve_invariant_curve(f, golden, 1)
+    monkeypatch.setattr(curvedyn, "_orbit_grid", None)
+    again = flm.evaluator(alpha, 2e-4)
+    assert again is not f
+    assert read(again, golden, curve) is curve.product
+    with pytest.raises(ConsistencyError, match="different map"):
+        read(flm.evaluator(alpha, 3e-4), golden, curve)
+    other = RotationNumber.from_fraction(2, 5)
+    with pytest.raises(ConsistencyError, match="different omega"):
+        read(f, other, curve)
+
+
+def test_only_the_solve_runs_grid_passes():
+    # every curve result reads the solve's product: no function of src/
+    # but solve_invariant_curve names _orbit_grid
+    src = Path(qprenorm_lab.__file__).resolve().parent
+    users = set()
+    for path in src.rglob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(node, ast.Name) and node.id == "_orbit_grid"
+                   for node in ast.walk(top)):
+                users.add((path.name, getattr(top, "name", None)))
+    assert users == {("curvedyn.py", "solve_invariant_curve")}
 
 
 def test_period16_curve_converges_where_the_damped_stage_stalls(
@@ -341,6 +373,36 @@ def test_newton_step_solves_the_dense_system(M, j, off, amp, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "solve", _no_dense_solve)
         got = curvedyn._newton_step(prod, G, s)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(M=st.sampled_from([16, 17, 511, 512]), j=st.integers(0, 511),
+       off=st.floats(-0.03, 0.03), amp=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_newton_fallback_solves_the_dense_system(M, j, off, amp, seed):
+    # the same systems with max |prod| up to 3, where the Neumann series
+    # diverges, and no series term: the step is the one LU of the series'
+    # own system with the Sherman-Morrison finish
+    s = (j % M + 0.5 + off) / M
+    rng = np.random.default_rng(seed)
+    prod = amp * rng.uniform(-1.0, 1.0, M)
+    G = rng.standard_normal(M)
+    J = np.diag(prod) - curvedyn._shift_samples(np.eye(M), s)
+    assume(np.linalg.cond(J) <= 1e3)
+    want = np.linalg.solve(J, -G)
+    solve = np.linalg.solve
+    shapes = []
+
+    def counted(A, b):
+        shapes.append(A.shape)
+        return solve(A, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curvedyn, "NEUMANN_MAX", 0)
+        mp.setattr(np.linalg, "solve", counted)
+        got = curvedyn._newton_step(prod, G, s)
+    assert shapes == [(M, M)]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -1,5 +1,6 @@
 """Import hygiene: no module in src/ or tests/ imports a name it never reads,
-and only funcspace.py in src/ uses numpy's Chebyshev module.
+only funcspace.py in src/ uses numpy's Chebyshev module, and every
+module-level constant of src/ is read somewhere in src/ or tests/.
 
 The package __init__ re-exports names it does not read, and `from
 __future__` imports are directives, so both are exempt.
@@ -87,3 +88,44 @@ def test_only_funcspace_uses_the_chebyshev_module(path):
         assert uses             # the owner, so the scan must see it
     else:
         assert uses == []
+
+
+def _constants(source):
+    """Names in upper case that a module assigns at its top level."""
+    names = []
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        names += [n.id for t in targets for n in ast.walk(t)
+                  if isinstance(n, ast.Name) and n.id.lstrip("_").isupper()]
+    return names
+
+
+def _reads(source):
+    """Names a module reads: loaded names, attribute names and names
+    imported from another module."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_the_scan_sees_a_dead_constant():
+    source = ("A = 1\n_B: int = 2\nC, D = 3, 4\nlower = 5\n"
+              "print(A, mod.C)\nfrom m import D\n")
+    assert _constants(source) == ["A", "_B", "C", "D"]
+    assert {"A", "C", "D"} <= _reads(source)
+    assert "_B" not in _reads(source)
+
+
+def test_every_module_constant_is_read():
+    read = set().union(*(_reads(p.read_text()) for p in MODULES))
+    dead = [(p.name, name) for p in SRC for name in _constants(p.read_text())
+            if name not in read]
+    assert dead == []

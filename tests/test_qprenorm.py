@@ -45,7 +45,7 @@ from qprenorm_lab.errors import (
     PrecisionExhaustedError,
 )
 from qprenorm_lab.funcspace import _clenshaw_scalar
-from qprenorm_lab.qprenorm import l_prime_rows, normalize_pair, section_gammas
+from qprenorm_lab.qprenorm import l_prime_rows, section_gammas
 
 TWO_PI = 2.0 * np.pi
 
@@ -472,7 +472,7 @@ def test_l_prime_output_satisfies_section_conditions(fp, domain, golden, seed,
     pair = PairFn.from_coeff_vector(domain, x)
     radius = math.hypot(pair.u(section.x0), pair.v(section.x0))
     assume(radius > 1e-9 * np.linalg.norm(x))     # no scan past x0
-    gamma, got = normalize_pair(pair, section)
+    gamma, got = _normalized(pair, section)
     want = (1.0 - 1e-6) * TWO_PI * radius
     value, slope = _shifted_value_and_slope(pair, gamma, section)
     assert abs(value) <= 1e-12 * np.sum(np.abs(x)) and slope >= want
@@ -482,6 +482,13 @@ def test_l_prime_output_satisfies_section_conditions(fp, domain, golden, seed,
 
 def _bits(pair):
     return pair.coeff_vector().tobytes()
+
+
+def _normalized(pair, section=SectionConfig()):
+    """(gamma0, t_gamma0 pair) for one mode-1 pair: gamma_normalize on the
+    pair as mode 1, read back as a pair."""
+    gamma, f = gamma_normalize(pair.embed(1), section)
+    return gamma, project_pik(f, 1)
 
 
 def _image_vanishing_at_zero(M, n, x):
@@ -511,10 +518,6 @@ def test_l_prime_matches_the_qpfn_round_trip_bit_for_bit(fp, seed, w, vanish):
     want = project_pik(gamma_normalize(
         QPFn.from_pair(dom, 1, img.u, img.v))[1], 1)
     assert _bits(apply_L_prime(fp.phi, omega, v)) == _bits(want)
-    # the pair-level routine against the same round trip
-    gamma, got = normalize_pair(img)
-    assert _bits(got) == _bits(want)
-    assert gamma == gamma_normalize(img.embed(1))[0]
 
 
 def test_normalizing_twice_snaps_to_zero_and_keeps_the_bits(domain):
@@ -522,13 +525,10 @@ def test_normalizing_twice_snaps_to_zero_and_keeps_the_bits(domain):
     for _ in range(20):
         pair = PairFn.from_coeff_vector(domain,
                                         rng.standard_normal(2 * domain.n_cheb))
-        _, once = normalize_pair(pair)
-        gamma, twice = normalize_pair(once)
+        _, once = _normalized(pair)
+        gamma, twice = _normalized(once)
         assert gamma == 0.0
         assert _bits(twice) == _bits(once)
-        gamma, f = gamma_normalize(once.embed(1))
-        assert gamma == 0.0
-        assert _bits(project_pik(f, 1)) == _bits(once)
 
 
 def test_l_prime_rows_flags_failing_rows_and_keeps_the_others(domain):
@@ -548,10 +548,10 @@ def test_l_prime_rows_flags_failing_rows_and_keeps_the_others(domain):
         assert not np.any(Y[j])
     for j in (0, 2, 4):
         assert errors[j] is None
-        _, want = normalize_pair(PairFn.from_coeff_vector(domain, X[j]))
+        _, want = _normalized(PairFn.from_coeff_vector(domain, X[j]))
         assert Y[j].tobytes() == want.coeff_vector().tobytes()
     with pytest.raises(DegeneratePointError):
-        normalize_pair(PairFn.from_coeff_vector(domain, X[3]))
+        _normalized(PairFn.from_coeff_vector(domain, X[3]))
     # images numerically zero under a scaled matrix, though large enough
     # for the section scan to place them: the scaling error wins
     M = 1e-15 * np.eye(2 * n)
