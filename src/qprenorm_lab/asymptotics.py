@@ -34,7 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneratePointError, NoSectionError
+from .errors import (DegeneratePointError, DegenerateScalingError,
+                     NoSectionError)
 from .funcspace import (AnalyticFn, DomainConfig, pair_sup_norm, project_pik,
                         sup_norm)
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_T,
@@ -183,9 +184,28 @@ def slope_table(family, omega0, n_max, mode="fixed-point"):
     return table
 
 
+def _slope_quotient(num, den, n):
+    """The level-n quotient num / den of two slopes; a zero denominator
+    (a zero coupling's slope) raises DegenerateScalingError."""
+    if den == 0.0:
+        raise DegenerateScalingError(
+            f"slope quotient at n = {n}: the denominator slope is 0")
+    return num / den
+
+
+def _unit_direction(v, n):
+    """v / sup_norm(v) for the final direction of a level-n chain; a zero
+    direction (a zero coupling's) raises DegenerateScalingError."""
+    norm = sup_norm(v)
+    if norm == 0.0:
+        raise DegenerateScalingError(
+            f"the final direction of the level-{n} chain is 0")
+    return v * (1.0 / norm)
+
+
 def quotient_sequence(table):
     """q_n = alpha'_n / alpha'_(n-1) for n = 2..n_max of a slope_table."""
-    entries = [(n, table[n][0] / table[n - 1][0])
+    entries = [(n, _slope_quotient(table[n][0], table[n - 1][0], n))
                for n in range(2, len(table) + 1)]
     return QuotientSequence(entries=entries)
 
@@ -207,7 +227,8 @@ def mixed_quotient_sequence(family, omega0, n_max, mode="fixed-point"):
         tab1[n] = slopes[0]
         if n < n_max:
             tab2[n] = slopes[1]
-    entries = [(n, tab1[n][0] / tab2[n - 1][0]) for n in range(2, n_max + 1)]
+    entries = [(n, _slope_quotient(tab1[n][0], tab2[n - 1][0], n))
+               for n in range(2, n_max + 1)]
     return QuotientSequence(entries=entries), tab1, tab2
 
 
@@ -349,7 +370,6 @@ class Obs2Report(_Verdict):
 
 
 IDENTITY_LEVELS = (2, 3)
-H5_MAX_N = 12     # H5 depth cap: the acceptance criterion runs H5 at 12
 
 
 def observation2(c, omega0, n_max=10, mode="exact-orbit"):
@@ -391,9 +411,7 @@ def observation2(c, omega0, n_max=10, mode="exact-orbit"):
     b = [tab1[n][0] / tab2[n][0] for n in range(1, n_max)]
     b_abs = np.abs(b)
 
-    v0 = c.dv_deps(stable_manifold_param(c))
-    p0 = project_pik(v0, 1)
-    h5 = check_H5(omega0, p0, p0, n_max=min(n_max, H5_MAX_N))
+    h5 = _family_H5(c, omega0, n_max)
 
     if mode == "exact-orbit":    # tab1 holds the left-hand sides
         gaps = {i: _identity_gap(c, omega0, i, tab1[i][0])
@@ -591,8 +609,8 @@ def check_H3(c, omega0, n_max=8, section=SectionConfig()):
         ch_f = slope_chain(c, omega0, n, mode="fixed-point")
         ve = _on_section(ch_e.vs[-1], section)
         vf = _on_section(ch_f.vs[-1], section)
-        ve_hat = ve * (1.0 / sup_norm(ve))
-        vf_hat = vf * (1.0 / sup_norm(vf))
+        ve_hat = _unit_direction(ve, n)
+        vf_hat = _unit_direction(vf, n)
         gaps[n] = sup_norm(ve_hat - vf_hat)
         norms.append(sup_norm(vf))
         m_floors.append(abs(functional_K(ch_f.omega_end, ch_f.psi_end,
@@ -793,6 +811,17 @@ def check_H5(omega0, v01, v02, n_max=12):
                                     bool(np.isfinite(c2)))])
 
 
+H5_MAX_N = 12     # H5 depth cap: the acceptance criterion runs H5 at 12
+
+
+def _family_H5(c, omega0, n_max):
+    """check_H5 for the family c, as observation 2 and the CLI run it: both
+    start vectors are the mode-1 part of dv/deps at the stable-manifold
+    parameter, and the depth is capped at H5_MAX_N."""
+    p0 = project_pik(c.dv_deps(stable_manifold_param(c)), 1)
+    return check_H5(omega0, p0, p0, n_max=min(n_max, H5_MAX_N))
+
+
 # --------------------------------------------- exact quotient decomposition
 
 @dataclass
@@ -829,9 +858,9 @@ def quotient_factorization(family, omega0, n):
     L_m = DG1_hat(ch_m.psi_end, ch_m.u_end)
     nv_n, nv_m = sup_norm(ch_n.vs[-1]), sup_norm(ch_m.vs[-1])
     K_n = functional_K(ch_n.omega_end, ch_n.psi_end,
-                       ch_n.vs[-1] * (1.0 / nv_n))
+                       _unit_direction(ch_n.vs[-1], n))
     K_m = functional_K(ch_m.omega_end, ch_m.psi_end,
-                       ch_m.vs[-1] * (1.0 / nv_m))
+                       _unit_direction(ch_m.vs[-1], n - 1))
 
     q_n = (-nv_n * K_n / L_n) / (-nv_m * K_m / L_m)
     factor_u = L_m / L_n

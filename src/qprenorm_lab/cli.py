@@ -34,16 +34,15 @@ import re
 
 import numpy as np
 
-from .errors import QPRenormError, ForcingParseError
-from .funcspace import DomainConfig, PairFn, project_pik, sup_norm
+from .errors import DiophantineError, ForcingParseError, QPRenormError
+from .funcspace import DomainConfig, PairFn, sup_norm
 from .renorm1d import (feigenbaum_fixed_point, renormalize_1d, check_H0,
-                       superstable_params, stable_manifold_param)
+                       superstable_params)
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, build_L_omega,
                        spectrum_L_omega)
 from .curvedyn import solve_invariant_curve, direct_slope, flm_family
-from .asymptotics import (H5_MAX_N, Clause, slope_table, observation1,
-                          observation2, observation3, check_H3, check_H4,
-                          check_H5)
+from .asymptotics import (Clause, _family_H5, slope_table, observation1,
+                          observation2, observation3, check_H3, check_H4)
 from . import __version__
 
 
@@ -263,6 +262,10 @@ def load_config(path=None, overrides=None):
         raise ValueError(f"[run] dio_tau must be >= 0, got {cfg.dio_tau}")
     if cfg.seed < 0:
         raise ValueError(f"[run] seed must be >= 0, got {cfg.seed}")
+    try:
+        cfg.rotation()
+    except (ValueError, DiophantineError) as e:
+        raise ValueError(f"[run] omega {cfg.omega!r}: {e}")
     try:
         L = cfg.domain_config().half_width
     except ValueError as e:
@@ -610,9 +613,7 @@ def _conjecture_h4(cfg, store):
 
 
 def _conjecture_h5(cfg, store):
-    c = cfg.build_family()
-    p0 = project_pik(c.dv_deps(stable_manifold_param(c)), 1)
-    rep = check_H5(cfg.rotation(), p0, p0, n_max=min(cfg.n_max, H5_MAX_N))
+    rep = _family_H5(cfg.build_family(), cfg.rotation(), cfg.n_max)
     store.write_csv("ratio_band.csv", ["n [level]", "normalized_ratio [1]"],
                     list(enumerate(rep.ratios)))
     return rep.clauses, _fields(rep, "c1", "c2", "ratios")

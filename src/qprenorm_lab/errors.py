@@ -25,7 +25,9 @@ class CompositionDomainError(DomainError):
 
 
 class DegenerateScalingError(QPRenormError):
-    """The rescaling constant a (or a-hat) is too close to zero."""
+    """The rescaling constant a (or a-hat) is too close to zero, or a
+    slope quotient has nothing to divide by: a denominator slope or a
+    chain's final direction is 0, as for a zero coupling."""
 
 
 class NoConvergenceError(QPRenormError):

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qprenorm_lab import (
+    DG1,
+    DG1_hat,
     EquivalenceFit,
     H4Report,
     PairFn,
@@ -23,6 +25,7 @@ from qprenorm_lab import (
     check_H3,
     check_H4,
     check_H5,
+    extremum_m,
     fit_geometric_decay,
     flm_eta_family,
     flm_family,
@@ -242,6 +245,48 @@ def test_observation3_measures_eta_by_its_size(golden, etas):
         C = rep.bound_C
         assert allowed == 2.0 * C * abs(eta) / (1.0 - C * abs(eta)) > 0.0
         assert worst <= allowed
+
+
+def test_observation3_deviations_are_those_of_the_superposed_dg1_values(
+        golden):
+    # the DG1 values at a chain's end are linear in the coupling
+    # (tests/test_symmetries.py), so the slopes of cos(2 pi t) + eta cos(4 pi
+    # t) come from one fixed-point chain per mode; observation3 runs its
+    # own chain for each eta family
+    etas, n_max = (1e-3, 1e-2), 6
+    rep = observation3(golden, etas=etas, n_max=n_max)
+    parts = []
+    for expr in ("[1]*cos(1w)", "[1]*cos(2w)"):
+        g, _ = parse_forcing(expr)
+        fam = flm_family(g=g)
+        chains = [slope_chain(fam, golden, n, mode="fixed-point")
+                  for n in range(1, n_max + 1)]
+        parts.append([DG1(ch.psi_end, ch.omega_end, ch.vs[-1])
+                      for ch in chains])
+    dens = [DG1_hat(ch.psi_end, ch.u_end)
+            for ch in (slope_chain(flm_eta_family(0.0), golden, n,
+                                   mode="fixed-point")
+                       for n in range(1, n_max + 1))]
+
+    def quotients(eta):
+        alpha = [-extremum_m(a + eta * b).value / den
+                 for a, b, den in zip(*parts, dens)]
+        return {n: alpha[n - 1] / alpha[n - 2] for n in range(2, n_max + 1)}
+
+    q0 = quotients(0.0)
+    for eta in etas:
+        q = quotients(eta)
+        want = {n: abs(q[n] - q0[n]) for n in q}
+        assert rep.deviations[eta].keys() == want.keys()
+        for n in want:
+            assert rep.deviations[eta][n] == pytest.approx(want[n], rel=1e-10,
+                                                          abs=0.0)
+
+
+def test_zero_coupling_has_no_quotient_factorization(golden):
+    g, _ = parse_forcing("[0]*cos(1w)")
+    with pytest.raises(DegenerateScalingError, match="level-3 chain is 0"):
+        quotient_factorization(flm_family(g=g), golden, 3)
 
 
 def test_observation3_zero_coupling_degenerates_cleanly(golden):

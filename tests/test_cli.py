@@ -330,7 +330,8 @@ def test_non_finite_config_value_exits_1_naming_the_key(tmp_path, capsys,
     ("[section]\nx0 = 5\n", ["--nmax", "4", "conjecture", "--which", "h3"],
      "[section] x0"),
     ("", ["--seed", "-1", "dt-check"], "[run] seed"),
-], ids=["n_cheb", "delta_dom", "x0", "seed"])
+    ("", ["--omega", "foo", "delta"], "[run] omega 'foo'"),
+], ids=["n_cheb", "delta_dom", "x0", "seed", "omega"])
 def test_bad_config_value_exits_1_before_the_artifact_directory(
         tmp_path, capsys, text, argv, key):
     p = tmp_path / "bad.ini"
@@ -567,6 +568,32 @@ def test_exit_one_on_a_run_too_shallow_or_empty(tmp_path, capsys, ini, argv,
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["observe", "--which", "1"], 1),
+    (["observe", "--which", "2"], 1),
+    (["conjecture", "--which", "h3"], 1),
+    (["slopes"], 0),
+], ids=["observe-1", "observe-2", "h3", "slopes"])
+def test_zero_coupling_exits_1_where_a_quotient_divides_by_it(
+        tmp_path, capsys, argv, status):
+    # every slope and chain direction of a zero coupling is 0: slopes
+    # writes them, and a slope quotient or a normalized direction raises
+    # DegenerateScalingError naming the level
+    p = tmp_path / "zero.ini"
+    p.write_text("[family]\nforcing = [0]*cos(1w)\n")
+    assert main(["--config", str(p), "--out", str(tmp_path / "o"),
+                 "--nmax", "4"] + argv) == status
+    err = capsys.readouterr().err
+    assert err.count("error:") == status and "Traceback" not in err
+
+
+def test_omega_without_a_certificate_runs_where_none_is_needed(tmp_path):
+    # load_config checks that the omega spec parses; H4 samples its own
+    # rotation numbers, so a rational omega still runs
+    assert main(["--omega", "1/3", "--out", str(tmp_path / "o"),
+                 "conjecture", "--which", "h4"]) == 0
 
 
 @pytest.mark.parametrize("argv", [

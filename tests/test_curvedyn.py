@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qprenorm_lab
@@ -173,7 +173,7 @@ def test_singular_dense_fallback_is_a_basin_error(domain, golden,
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
     monkeypatch.setattr(np.linalg, "solve", singular)
-    monkeypatch.setattr(curvedyn, "NEUMANN_MAX", 0)
+    monkeypatch.setattr(curvedyn, "NEUMANN_RHO", 0.0)
     with pytest.raises(BasinError, match="singular Jacobian"):
         solve_invariant_curve(_logistic(domain), golden, 1,
                               guess=np.full(512, X_LO + 0.02))
@@ -331,8 +331,8 @@ def test_period16_curve_converges_where_the_damped_stage_stalls(
         flm, golden, monkeypatch):
     # the damped residual reaches 1.7e-6 and then climbs away, so a damped
     # stage run down to 1e-8 stalls; Newton from 1e-3 converges. The fiber
-    # product reaches 3.7 here and the spectral radius of T diag(prod) is
-    # 1.55-1.57, so every Newton step takes the dense fallback
+    # product reaches 3.7 here, above NEUMANN_RHO, and the spectral radius
+    # of T diag(prod) is 1.55-1.57, so every Newton step takes the LU
     solves = []
     solve = np.linalg.solve
 
@@ -354,36 +354,27 @@ def _no_dense_solve(*args):
     raise AssertionError("the Newton step took the dense solve")
 
 
-@settings(max_examples=30, deadline=None)
-@given(M=st.sampled_from([16, 17, 511, 512]), j=st.integers(0, 511),
-       off=st.floats(-0.03, 0.03), amp=st.floats(0.0, 0.89),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_newton_step_solves_the_dense_system(M, j, off, amp, seed):
-    # shifts near a zero of the Nyquist multiplier, |cos(pi M s)| =
-    # |sin(pi off)| < 0.1, where the rank-one term is largest, and
-    # max |prod| < 0.9, where the Neumann series converges. Each solver is
-    # off by up to about cond(J) eps, so J is kept well conditioned
-    s = (j % M + 0.5 + off) / M
-    rng = np.random.default_rng(seed)
-    prod = amp * rng.uniform(-1.0, 1.0, M)
-    G = rng.standard_normal(M)
-    J = np.diag(prod) - curvedyn._shift_samples(np.eye(M), s)
-    assume(np.linalg.cond(J) <= 1e3)
-    want = np.linalg.solve(J, -G)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "solve", _no_dense_solve)
-        got = curvedyn._newton_step(prod, G, s)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+def _counted(fn, calls):
+    """fn, appending the shape of its first argument to calls per call."""
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return fn(a, *args, **kwargs)
+    return counted
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(M=st.sampled_from([16, 17, 511, 512]), j=st.integers(0, 511),
        off=st.floats(-0.03, 0.03), amp=st.floats(0.0, 3.0),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_newton_fallback_solves_the_dense_system(M, j, off, amp, seed):
-    # the same systems with max |prod| up to 3, where the Neumann series
-    # diverges, and no series term: the step is the one LU of the series'
-    # own system with the Sherman-Morrison finish
+@example(M=511, j=0, off=0.0, amp=0.875, seed=1)
+def test_newton_step_solves_the_dense_system(M, j, off, amp, seed):
+    # shifts near a zero of the Nyquist multiplier, |cos(pi M s)| =
+    # |sin(pi off)| < 0.1, where the rank-one term is largest. The step
+    # takes the one LU if and only if max |prod| >= NEUMANN_RHO, and then
+    # computes no series term: its only rfft is that of T G. Each solver is
+    # off by up to about cond(J) eps, so J is kept well conditioned. The
+    # pinned example (max |prod| 0.87, shift half a grid step from 0) needs
+    # about 260 series terms
     s = (j % M + 0.5 + off) / M
     rng = np.random.default_rng(seed)
     prod = amp * rng.uniform(-1.0, 1.0, M)
@@ -391,18 +382,49 @@ def test_newton_fallback_solves_the_dense_system(M, j, off, amp, seed):
     J = np.diag(prod) - curvedyn._shift_samples(np.eye(M), s)
     assume(np.linalg.cond(J) <= 1e3)
     want = np.linalg.solve(J, -G)
-    solve = np.linalg.solve
-    shapes = []
-
-    def counted(A, b):
-        shapes.append(A.shape)
-        return solve(A, b)
-
+    solves, rffts = [], []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(curvedyn, "NEUMANN_MAX", 0)
-        mp.setattr(np.linalg, "solve", counted)
+        mp.setattr(np.linalg, "solve", _counted(np.linalg.solve, solves))
+        mp.setattr(np.fft, "rfft", _counted(np.fft.rfft, rffts))
         got = curvedyn._newton_step(prod, G, s)
-    assert shapes == [(M, M)]
+    if np.max(np.abs(prod)) >= curvedyn.NEUMANN_RHO:
+        assert solves == [(M, M)] and len(rffts) == 1
+    else:
+        assert solves == [] and len(rffts) >= 2
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("p", [np.nextafter(curvedyn.NEUMANN_RHO, 0.0),
+                               curvedyn.NEUMANN_RHO], ids=["below", "at"])
+def test_newton_step_forms_a_matrix_only_from_the_threshold(p):
+    # a constant product just below NEUMANN_RHO at half a grid step is the
+    # series' slowest case (about 330 terms); its peak allocation stays
+    # below one 512 x 512 float64 matrix. At NEUMANN_RHO the step runs no
+    # series term and exactly one (M, M) solve
+    M = 512
+    s = 0.5 / M
+    prod = np.full(M, p)
+    G = np.cos(TWO_PI * 3 * np.arange(M) / M) + 0.1
+    J = np.diag(prod) - curvedyn._shift_samples(np.eye(M), s)
+    want = np.linalg.solve(J, -G)
+    solves, rffts = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", _counted(np.linalg.solve, solves))
+        mp.setattr(np.fft, "rfft", _counted(np.fft.rfft, rffts))
+        curvedyn._newton_step(prod, G, s)         # warm the FFT plans
+        solves.clear()
+        rffts.clear()
+        tracemalloc.start()
+        try:
+            got = curvedyn._newton_step(prod, G, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    if p < curvedyn.NEUMANN_RHO:
+        assert solves == [] and len(rffts) > 300
+        assert peak < M * M * 8
+    else:
+        assert solves == [(M, M)] and len(rffts) == 1
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -434,7 +456,7 @@ def test_dense_fallback_agrees_with_the_matrix_free_step(flm, golden,
     s = superstable_params(flm, n + 1)
     f = flm.evaluator(float(s[n]) + 0.1 * (s[n + 1] - s[n]), eps)
     free = solve_invariant_curve(f, golden, n)
-    monkeypatch.setattr(curvedyn, "NEUMANN_MAX", 0)
+    monkeypatch.setattr(curvedyn, "NEUMANN_RHO", 0.0)
     dense = solve_invariant_curve(f, golden, n)
     assert dense.residual <= curvedyn.TOL_CURVE
     assert np.max(np.abs(free.samples - dense.samples)) <= 1e-12
