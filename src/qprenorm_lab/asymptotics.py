@@ -318,6 +318,12 @@ def renormalized_family(family, omega, n):
     own s_0..s_(n-1) and has no raw map, so these are all the levels it
     has: a grid scan would step on parameters where T_omega c is not
     defined.
+
+    The Sigma_1 parameters shift the same way. On the slice, T_omega
+    c(alpha, 0) = R(psi0(alpha)), so R^(k-2) of the new slice is on
+    Sigma_1 where R^(k-1) of the parent's is: the family starts with a
+    snapshot {k - 1: alpha_k} of the parent's polished levels k >= 2. A
+    level it polishes itself goes into its own record, not the parent's.
     """
     # du_dalpha and dv_deps read the same slice, with its operator data
     psi0 = lru_cache(maxsize=1)(family.psi0)
@@ -335,6 +341,9 @@ def renormalized_family(family, omega, n):
         alpha_box=family.alpha_box)
     fam._cache["superstable"] = [
         float(x) for x in superstable_params(family, n)[1:]]
+    fam._cache["sigma1"] = {k - 1: alpha for k, alpha
+                            in family._cache.get("sigma1", {}).items()
+                            if k >= 2}
     return fam
 
 
@@ -348,7 +357,9 @@ def _identity_gap(family, omega0, i, lhs):
     """renorm_identity_gap with its left-hand side alpha'_i(omega, c) given.
 
     The right-hand side is computed here, on the family that apply_T
-    builds, so the identity stays a check independent of the chain."""
+    builds, so the identity stays a check independent of the chain. That
+    family inherits the Sigma_1 parameter of level i that the left-hand
+    side polished, so its slice costs one apply_T and no polish."""
     fam_T = renormalized_family(family, omega0, i)
     rhs, _ = slope_formula(fam_T, omega0.double(), i - 1, mode="exact-orbit")
     return abs(lhs - rhs) / abs(lhs)
@@ -791,13 +802,17 @@ def check_H5(omega0, v01, v02, n_max=12):
     the section (norms are shift-invariant). Reports empirical band
     constants C1 = min, C2 = max of
     (||v_{n,2}||/||v_{n,1}||) / (||v_{0,2}||/||v_{0,1}||) for n = 1..n_max,
-    so n_max < 1 raises ValueError.
+    so n_max < 1 raises ValueError. A zero start vector (from a family,
+    a zero mode-1 coupling) raises DegenerateScalingError.
     """
     require_diophantine(omega0)
     if n_max < 1:
         raise ValueError(f"H5 needs n_max >= 1, got {n_max}")
-    if v01.coeff_norm() == 0 or v02.coeff_norm() == 0:
-        raise ValueError("both starting vectors must be nonzero")
+    for j, v0 in ((1, v01), (2, v02)):
+        if v0.coeff_norm() == 0:
+            raise DegenerateScalingError(
+                f"H5 start vector v_(0,{j}) is 0, as from a zero mode-1 "
+                "coupling")
     chain1, chain2 = component_chains(omega0, v01, v02, n_max)
     r0 = v02.sup_norm() / v01.sup_norm()
     ratios = [(c2.sup_norm() / c1.sup_norm()) / r0

@@ -294,14 +294,20 @@ def _fmt(x):
 
 
 class ArtifactStore:
-    """Single writer for all run outputs; collects the manifest rows."""
+    """Single writer for all run outputs; collects the manifest rows.
+
+    The directory is made on the first write, so a command that raises
+    before it writes leaves no directory behind."""
 
     def __init__(self, out_dir, cfg_hash, plot_data=False):
         self.out_dir = out_dir
         self.cfg_hash = cfg_hash
         self.plot_data = plot_data
         self.files = []
-        os.makedirs(out_dir, exist_ok=True)
+
+    def _path(self, name):
+        os.makedirs(self.out_dir, exist_ok=True)
+        return os.path.join(self.out_dir, name)
 
     def _register(self, path):
         with open(path, "rb") as fh:
@@ -310,7 +316,7 @@ class ArtifactStore:
                            "sha256": digest})
 
     def write_csv(self, name, header, rows):
-        path = os.path.join(self.out_dir, name)
+        path = self._path(name)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(header)
@@ -319,7 +325,7 @@ class ArtifactStore:
         self._register(path)
 
     def write_json(self, name, payload):
-        path = os.path.join(self.out_dir, name)
+        path = self._path(name)
         body = {"config_sha256": self.cfg_hash, "version": __version__}
         body.update(payload)
         with open(path, "w") as fh:
@@ -330,7 +336,7 @@ class ArtifactStore:
     def write_plot(self, name, xs, ys):
         if not self.plot_data:
             return
-        path = os.path.join(self.out_dir, name)
+        path = self._path(name)
         with open(path, "w") as fh:
             for x, y in zip(xs, ys):
                 fh.write(f"{_fmt(float(x))} {_fmt(float(y))}\n")
@@ -346,7 +352,7 @@ class ArtifactStore:
                 datetime.timezone.utc).isoformat(),
             "artifacts": self.files,
         }
-        path = os.path.join(self.out_dir, "manifest.json")
+        path = self._path("manifest.json")
         with open(path, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")

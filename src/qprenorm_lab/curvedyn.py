@@ -31,11 +31,11 @@ from .errors import (BasinError, ConsistencyError, DegeneratePointError,
 from .funcspace import (INTERVAL_SLACK, AnalyticFn, DomainConfig, QPFn,
                         _eval_stacked, _grid_phases, _phases, _stack_modes,
                         _tables, project_p0)
-from .qprenorm import RotationNumber, apply_DT
-from .renorm1d import (FamilySpec, UnimodalMap, _brentq, dr_matrix,
-                       feigenbaum_fixed_point, renormalize_1d,
-                       stable_manifold_param, superstable_params,
-                       unstable_manifold_points)
+from .qprenorm import RotationNumber
+from .renorm1d import (TOL_A, FamilySpec, UnimodalMap, _brentq, dr_matrix,
+                       feigenbaum_fixed_point, l1_matrix, l2_matrix,
+                       renormalize_1d, stable_manifold_param,
+                       superstable_params, unstable_manifold_points)
 
 TOL_CURVE = 1e-11
 TOL_SIGMA1 = 1e-9     # |psi(1)| up to which a map counts as on Sigma_1
@@ -563,13 +563,37 @@ def slope_chain(family, omega0, n, mode="exact-orbit"):
     return _slope_chains(family, (omega0,), n, mode)[0]
 
 
+def _dt_step(base, omega, v):
+    """qprenorm.apply_DT(base, omega, v) in two real matrix products.
+
+    Mode 0 gets DR h_0 as there. Modes 1..K go through L1 and L2 at once:
+    one real product each against the interleaved (re, im) columns of the
+    stored rows h_1..h_K, as _eval_stacked reads its stack, and the phases
+    exp(2 pi i k omega) are one vector. The sums run in another order than
+    apply_DT's complex matvecs, so the two agree to rounding, not bit for
+    bit; apply_DT stays the reference.
+    """
+    if abs(base.a) < TOL_A:
+        raise DegenerateScalingError("degenerate scaling at the base map")
+    X = np.ascontiguousarray(v.modes[1:].T).view(float)    # (n, 2K)
+    A1 = (l1_matrix(base) @ X).view(complex)               # (n, K)
+    A2 = (l2_matrix(base) @ X).view(complex)
+    ph = np.exp(2j * np.pi * np.arange(1, v.K + 1) * float(omega))
+    modes = np.empty_like(v.modes)
+    modes[0] = dr_matrix(base) @ v.modes[0]
+    modes[1:] = (A1 + ph * A2).T
+    return QPFn(modes, v.domain)
+
+
 def _slope_chains(family, omegas0, n, mode):
     """The chains of slope_chain at level n for each start omega in
     omegas0, from one walk over the bases.
 
     The bases with their operator data, the u-chain, v_0 and the end map
     depend on n but not on omega, so each is built once; every omega gets
-    its own v-chain through apply_DT. The chains share u_end and psi_end.
+    its own v-chain through _dt_step, one step per base, so its chain does
+    not depend on which other omegas share the walk. The chains share
+    u_end and psi_end.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -607,7 +631,7 @@ def _slope_chains(family, omegas0, n, mode):
         try:
             u = AnalyticFn(dr_matrix(base) @ u.coeffs, u.domain)
             for vs, omegas in chains:
-                vs.append(apply_DT(base, omegas[-1], vs[-1]))
+                vs.append(_dt_step(base, omegas[-1], vs[-1]))
                 omegas.append(omegas[-1].double())
         except (DegenerateScalingError, DomainError) as e:
             raise type(e)(f"chain stage k={k}: {e}")

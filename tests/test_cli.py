@@ -589,6 +589,27 @@ def test_zero_coupling_exits_1_where_a_quotient_divides_by_it(
     assert err.count("error:") == status and "Traceback" not in err
 
 
+def test_a_run_that_raises_leaves_no_out_directory(tmp_path, capsys):
+    # the store makes the directory on its first write, after the command
+    p = tmp_path / "zero.ini"
+    p.write_text("[family]\nforcing = [0]*cos(1w)\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(p), "--out", str(out), "--nmax", "4",
+                 "observe", "--which", "2"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_h5_names_a_zero_coupling(tmp_path, capsys):
+    p = tmp_path / "zero.ini"
+    p.write_text("[family]\nforcing = [0]*cos(1w)\n")
+    assert main(["--config", str(p), "--out", str(tmp_path / "o"),
+                 "conjecture", "--which", "h5"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "coupling" in err
+
+
 def test_omega_without_a_certificate_runs_where_none_is_needed(tmp_path):
     # load_config checks that the omega spec parses; H4 samples its own
     # rotation numbers, so a rational omega still runs

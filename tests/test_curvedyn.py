@@ -29,6 +29,7 @@ from qprenorm_lab import (
     G1_hat,
     QPFn,
     RotationNumber,
+    apply_DT,
     direct_slope,
     extremum_M,
     extremum_m,
@@ -54,7 +55,8 @@ from qprenorm_lab import (
 )
 from qprenorm_lab import asymptotics, curvedyn, renorm1d
 from qprenorm_lab.cli import parse_forcing
-from qprenorm_lab.errors import (BasinError, ConsistencyError, EscapeError,
+from qprenorm_lab.errors import (BasinError, ConsistencyError,
+                                 DegenerateScalingError, EscapeError,
                                  PrecisionExhaustedError)
 from qprenorm_lab.funcspace import _phases
 
@@ -776,9 +778,9 @@ def test_sigma1_polish_runs_once_per_family_and_level(golden, monkeypatch):
                                             mode="exact-orbit")
     gap = renorm_identity_gap(fam, golden, 2)
     # the 2 omega table and the identity gap's left side reuse flm's
-    # levels; the renormalized family polishes its own one level
-    assert calls == {**{("flm", n): 1 for n in range(1, 6)},
-                     ("flm_T", 1): 1}
+    # levels; the renormalized family inherits its one level from flm's
+    # level 2
+    assert calls == {("flm", n): 1 for n in range(1, 6)}
     # bit for bit what families without a memo give
     assert (tab1, tab2, gap) == expect
     assert sorted(fam._cache["sigma1"]) == [1, 2, 3, 4, 5]
@@ -787,10 +789,10 @@ def test_sigma1_polish_runs_once_per_family_and_level(golden, monkeypatch):
 
 
 def test_sigma1_polish_builds_each_slice_map_once(golden, monkeypatch):
-    # every slice map of the renormalized family costs one apply_T. The
-    # polish reads the domain off its first secant map and hands the map
-    # at the polished parameter to the chain, so only the three secant
-    # evaluations per level remain (two more each before)
+    # every slice map of the renormalized family costs one apply_T. It
+    # inherits its Sigma_1 parameter from the left-hand side's polish, so
+    # each level builds one slice, at that parameter (three secant
+    # evaluations per level before)
     calls = collections.Counter()
     apply_T = asymptotics.apply_T
 
@@ -802,7 +804,7 @@ def test_sigma1_polish_builds_each_slice_map_once(golden, monkeypatch):
     fam = flm_family()
     for i in (2, 3):
         renorm_identity_gap(fam, golden, i)
-    assert calls["apply_T"] == 6
+    assert calls["apply_T"] == 2
     # the memo keeps parameters, not maps
     assert all(type(a) is float for a in fam._cache["sigma1"].values())
 
@@ -838,8 +840,8 @@ def test_observation2_identity_gaps_are_the_public_gaps(flm, golden):
 def test_mixed_quotient_walks_each_level_once(golden, monkeypatch):
     # levels 1..5 walk their bases once for omega and 2 omega and level 6
     # for omega alone: 0 + 1 + ... + 5 = 15 renormalizations, where one
-    # walk per rotation number takes 25. apply_DT runs once per base and
-    # rotation number either way
+    # walk per rotation number takes 25. The v-chain step runs once per
+    # base and rotation number either way
     fam = flm_family()
     slope_table(fam, golden, 6, mode="exact-orbit")   # polish every level
     calls = collections.Counter()
@@ -852,10 +854,10 @@ def test_mixed_quotient_walks_each_level_once(golden, monkeypatch):
             return fn(*args, **kw)
         return counted
 
-    for name in ("renormalize_1d", "apply_DT"):
+    for name in ("renormalize_1d", "_dt_step"):
         monkeypatch.setattr(curvedyn, name, counting(name))
     mixed_quotient_sequence(fam, golden, 6, mode="exact-orbit")
-    assert calls == {"renormalize_1d": 15, "apply_DT": 25}
+    assert calls == {"renormalize_1d": 15, "_dt_step": 25}
 
 
 def test_renormalized_family_builds_the_parent_slice_once(flm, golden,
@@ -874,6 +876,57 @@ def test_renormalized_family_builds_the_parent_slice_once(flm, golden,
     fam_T.du_dalpha(alpha)
     fam_T.dv_deps(alpha)
     assert calls == {alpha: 1}
+
+
+@pytest.mark.parametrize("omega", [RotationNumber.golden(), NOBLE],
+                         ids=["golden", "noble"])
+def test_renormalized_family_inherits_the_parent_sigma1_parameters(omega):
+    # T_omega c(alpha, 0) = R(psi0(alpha)) on the slice, so the renormalized
+    # family's own polish of level i - 1 lands where the parent's level i
+    # did: bit for bit at i = 2, 3, 4 for both rotation numbers
+    fam = dataclasses.replace(flm_family())
+    for i in (2, 3, 4):
+        slope_formula(fam, omega, i)
+        fam_T = asymptotics.renormalized_family(fam, omega, i)
+        inherited = fam_T._cache["sigma1"][i - 1]
+        s = superstable_params(fam_T, i - 1)[i - 1]
+        alpha, _ = curvedyn._polish_sigma1(fam_T, float(s), i - 1)
+        assert alpha == inherited == fam._cache["sigma1"][i]
+    # a level the renormalized family polishes itself stays in its record
+    parent = dict(fam._cache["sigma1"])
+    fam_T = asymptotics.renormalized_family(fam, omega, 6)
+    assert fam_T._cache["sigma1"] == {k - 1: parent[k] for k in (2, 3, 4)}
+    slope_formula(fam_T, omega.double(), 5)
+    assert 5 in fam_T._cache["sigma1"]
+    assert fam._cache["sigma1"] == parent
+
+
+# ------------------------------------------------------ the chain's DT step
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_dt_step_is_apply_dt_to_rounding(fp, stars, flm, which, seed, w):
+    # the chain's two-product step sums in another order than apply_DT's
+    # per-mode matvecs; the bases are Phi, f*_2..f*_4 and psi0(s_3)
+    s_3 = float(superstable_params(flm, 3)[3])
+    base = (fp.phi, *stars[1:4], flm.psi0(s_3))[which]
+    rng = np.random.default_rng(seed)
+    v = QPFn.zero(base.domain)
+    v.modes[:] = ((rng.standard_normal(v.modes.shape)
+                   + 1j * rng.standard_normal(v.modes.shape))
+                  * 10.0 ** rng.uniform(-3, 3))
+    omega = RotationNumber.from_float(w)
+    want = apply_DT(base, omega, v).modes
+    got = curvedyn._dt_step(base, omega, v).modes
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_dt_step_rejects_a_degenerate_base(domain, golden):
+    base = renorm1d.UnimodalMap.from_callable(domain, lambda x: 1.0 - x * x)
+    assert abs(base.a) < renorm1d.TOL_A
+    with pytest.raises(DegenerateScalingError, match="degenerate scaling"):
+        curvedyn._dt_step(base, golden, QPFn.zero(domain))
 
 
 # --------------------------------------------------- the shared slice record
