@@ -29,8 +29,8 @@ from .errors import (BasinError, ConsistencyError, DegeneratePointError,
                      DegenerateScalingError, DomainError, EscapeError,
                      ExistenceError, NoConvergenceError, SearchError)
 from .funcspace import (INTERVAL_SLACK, AnalyticFn, DomainConfig, QPFn,
-                        _eval_stacked, _grid_phases, _phases, _stack_modes,
-                        _tables, project_p0)
+                        _eval_folded, _fold, _grid_phases, _phases, _tables,
+                        project_p0)
 from .qprenorm import RotationNumber
 from .renorm1d import (TOL_A, FamilySpec, UnimodalMap, _brentq, dr_matrix,
                        feigenbaum_fixed_point, l1_matrix, l2_matrix,
@@ -75,21 +75,32 @@ def _step_phases(M, w, steps, K):
         yield E0 * _phases(j * w, K)
 
 
-def _orbit_grid(f, fx, omega, steps, X):
+def _step_tables(f, omega, steps, M):
+    """The folded step tables of one solve: block j is f folded with the
+    phase table of step j (_fold against _step_phases), the Chebyshev
+    coefficients of f(theta + j omega, .) at each of the M grid thetas, a
+    (steps, n_cheb, M) array. They depend on f, omega and the grid only,
+    not on the samples, so every grid pass of the solve reads them."""
+    C = np.empty((steps, f.domain.n_cheb, M))
+    for j, E in enumerate(_step_phases(M, float(omega), steps, f.K)):
+        C[j] = _fold(f, E)
+    return C
+
+
+def _orbit_grid(domain, tables, X):
     """Vectorized f^steps over the uniform grid theta = arange(M) / M of the
-    M = X.size samples X, with fx = f.dx(); returns final X
-    and the derivative product and per-step log-derivative sum (with the
-    superstable floor). f and fx are stacked once and each step evaluates
-    both in one kernel call."""
-    dom = f.domain
-    L = dom.half_width
-    H = _stack_modes((f, fx))
+    M = X.size samples X, with the step tables of f (_step_tables); returns
+    final X and the derivative product and per-step log-derivative sum
+    (with the superstable floor). Each step is one Chebyshev recurrence
+    and one contraction against its table (_eval_folded), which reads f_x
+    through the derivative rows."""
+    L = domain.half_width
+    V = np.empty((2, domain.n_cheb, X.size))
     X = np.array(X, dtype=float)
     logs = np.zeros_like(X)
     prod = np.ones_like(X)
-    for j, E in enumerate(_step_phases(X.size, float(omega), steps,
-                                       dom.n_fourier)):
-        X, d = _eval_stacked(dom, H, X, E)
+    for j, C in enumerate(tables):
+        X, d = _eval_folded(domain, C, X, V)
         prod = prod * d
         with np.errstate(divide="ignore"):
             logs = logs + np.maximum(np.log(np.abs(d)), LOG_FLOOR)
@@ -180,8 +191,12 @@ def _newton_step(prod, G, s):
             term = np.fft.irfft(np.fft.rfft(prod * term) * ph, M)
             Y = Y + term
     else:
-        i = np.arange(M)
-        A = -np.fft.irfft(ph, M)[(i[:, None] - i) % M] * prod
+        # row r of T is col[(r - k) % M] over k: the window at M - 1 - r
+        # of the reversed doubled column, so no M x M index array is built
+        col = -np.fft.irfft(ph, M)
+        rows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((col, col))[::-1], M)
+        A = rows[M - 1::-1] * prod
         A.flat[::M + 1] += 1.0         # A = I - T diag(prod)
         try:
             y, z = np.linalg.solve(A, np.stack((TG, nyq), axis=1)).T
@@ -199,8 +214,9 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
     """Solve x(theta + 2^n omega) = f^(2^n)(theta, x(theta)) on the grid.
 
     omega is a RotationNumber; the shift 2^n omega mod 1 is taken by n
-    exact doublings. Each iterate costs one grid pass (_orbit_grid), in
-    two stages:
+    exact doublings. The step tables of f are built once
+    (_step_tables), and each iterate costs one grid pass (_orbit_grid)
+    over them, in two stages:
 
     * damped fixed-point steps (lambda 0.6) pull the guess into the
       attracting curve until the residual max |x(theta + 2^n omega) -
@@ -238,11 +254,12 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
     if X.shape != (M,):     # the grid passes take M from the samples
         raise ValueError(f"guess has shape {X.shape}, not ({M},)")
 
-    fx = f.dx()
+    dom = f.domain
+    tables = _step_tables(f, omega, steps, M)
     # one grid pass per iterate: FX, prod and logs always belong to X
     best, stale = np.inf, 0
     try:
-        FX, prod, logs = _orbit_grid(f, fx, omega, steps, X)
+        FX, prod, logs = _orbit_grid(dom, tables, X)
         for it in range(300):
             target = _shift_samples(FX, -s)
             res = float(np.max(np.abs(target - X)))
@@ -257,7 +274,7 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
                                      f"{best:.3e}, now {res:.3e}")
             lam = 0.6 if it < 50 else 1.0
             X = X + lam * (target - X)
-            FX, prod, logs = _orbit_grid(f, fx, omega, steps, X)
+            FX, prod, logs = _orbit_grid(dom, tables, X)
     except EscapeError as e:
         raise BasinError(f"fixed-point stage escaped: {e}")
 
@@ -268,7 +285,7 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
             if residual <= 1e-13 or it == 20:
                 break
             X = X + _newton_step(prod, G, s)
-            FX, prod, logs = _orbit_grid(f, fx, omega, steps, X)
+            FX, prod, logs = _orbit_grid(dom, tables, X)
     except EscapeError as e:
         raise BasinError(f"Newton stage escaped: {e}")
 

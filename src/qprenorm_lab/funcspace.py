@@ -125,12 +125,30 @@ def _cheb_vander(y, n):
 
     On [-1, 1] it is cos(j arccos y_i), one vectorized pass whose entries
     are within n^2 eps of chebvander's recurrence; points outside the
-    interval, and NaN, go through chebvander itself.
+    interval, and NaN, go through that recurrence (_vander_rows).
     """
     y = np.asarray(y, dtype=float)
     if np.all(np.abs(y) <= 1.0):      # False for any NaN
         return np.cos(np.outer(np.arccos(y), np.arange(n)))
-    return _cheb.chebvander(y, n - 1)
+    return _vander_rows(y, n).T
+
+
+def _vander_rows(y, n, out=None):
+    """The Chebyshev Vandermonde by rows, V[j, i] = T_j(y_i) for j < n, an
+    (n, P) array written into out when given. It runs chebvander's
+    recurrence in chebvander's operation order, so V.T is chebvander(y,
+    n - 1) bit for bit, on and off [-1, 1], with chebvander's memory
+    layout."""
+    y = np.ravel(y) + 0.0             # as chebvander: -0.0 becomes 0.0
+    V = np.empty((n, y.size)) if out is None else out
+    V[0] = y * 0 + 1
+    V[1] = y
+    y2 = 2 * y
+    rows = list(V)       # one view per row, not three per step
+    for a, b, c in zip(rows, rows[1:], rows[2:]):
+        np.multiply(b, y2, out=c)
+        np.subtract(c, a, out=c)
+    return V
 
 
 def _clenshaw_scalar(c, t):
@@ -289,7 +307,8 @@ class QPFn:
         k = 0..K, through the evaluation kernel _eval_stacked."""
         theta, x = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                        np.asarray(x, dtype=float))
-        out = _eval_stacked(self.domain, _stack_modes((self,)), x.ravel(),
+        H = np.ascontiguousarray(self.modes.T).view(float)
+        out = _eval_stacked(self.domain, H, x.ravel(),
                             _phases(theta, self.domain.n_fourier))
         out = out.reshape(x.shape)
         return float(out) if out.ndim == 0 else out
@@ -433,26 +452,37 @@ def _phases(theta, K):
     return ph
 
 
-def _stack_modes(fns):
-    """The half spectra of several QPFn on one domain, stacked for
-    _eval_stacked: an (n_cheb, 2 F (K+1)) real array whose columns
-    interleave (re, im) of mode k of function f."""
-    dom = fns[0].domain
-    if any(f.domain != dom for f in fns):
-        raise ConsistencyError("evaluation operands on different domains")
-    H = np.empty((dom.n_cheb, len(fns), dom.n_fourier + 1), dtype=complex)
-    for i, f in enumerate(fns):
-        H[:, i, :] = f.modes.T
-    return H.reshape(dom.n_cheb, -1).view(float)
-
-
 def _eval_stacked(domain, H, x, E):
-    """The evaluation kernel: values (F, P) of the stacked functions H at
-    the P points x (1-D), with E[p, k] = exp(2 pi i k theta_p)."""
-    V = _cheb.chebvander(x / domain.half_width, domain.n_cheb - 1)  # (P, n)
+    """The evaluation kernel: values (F, P) of F functions at the P points
+    x (1-D), with E[p, k] = exp(2 pi i k theta_p). H is their half spectra
+    stacked as an (n_cheb, 2 F (K+1)) real array whose columns interleave
+    (re, im) of mode k of function f."""
+    V = _vander_rows(x / domain.half_width, domain.n_cheb).T      # (P, n)
     # real V against interleaved (re, im) columns: one real matmul
     A = (V @ H).view(complex).reshape(x.size, -1, domain.n_fourier + 1)
     return np.einsum("pfk,pk->fp", A, E).real
+
+
+def _fold(f, E):
+    """f folded with the phase table E[p, k] = exp(2 pi i k theta_p) of P
+    points: C[i, p] = Re sum_k h_k[i] E[p, k], the Chebyshev coefficients
+    of f(theta_p, .) as one column per point, an (n_cheb, P) array. One
+    real product of the (re, -im) columns of the h_k with E's (re, im)."""
+    H = np.ascontiguousarray(f.modes.T.conj()).view(float)
+    return H @ E.view(float).T
+
+
+def _eval_folded(domain, C, x, V):
+    """Value and x-derivative, a (2, P) array, at the P points x (1-D) of
+    the folded columns C = _fold(f, E): one Chebyshev recurrence of x / L
+    into V[0] of the (2, n_cheb, P) buffer V, the derivative rows D^T V[0]
+    into V[1], and one contraction of both against C."""
+    L = domain.half_width
+    _vander_rows(x / L, domain.n_cheb, out=V[0])
+    np.matmul(_tables(domain).D.T, V[0], out=V[1])
+    out = np.einsum("fip,ip->fp", V, C)
+    out[1] /= L
+    return out
 
 
 def sup_norm(f):

@@ -181,6 +181,33 @@ def test_singular_dense_fallback_is_a_basin_error(domain, golden,
                               guess=np.full(512, X_LO + 0.02))
 
 
+@pytest.mark.parametrize("M", [17, 512])
+def test_lu_matrix_is_the_index_gathered_circulant(M, monkeypatch):
+    # the strided window of the doubled column gives A = I - T diag(prod)
+    # byte for byte as gathering T's column by (r - k) % M
+    rng = np.random.default_rng(M)
+    prod = rng.uniform(-3.0, 3.0, M)
+    G = rng.standard_normal(M)
+    s = 0.3141
+    seen = []
+    solve = np.linalg.solve
+
+    def recorded(A, b):
+        seen.append(A.copy())
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    curvedyn._newton_step(prod, G, s)
+    ph = curvedyn._shift_phases(M, -s)
+    if M % 2 == 0:
+        ph[-1] = np.copysign(1.0, ph[-1].real)
+    i = np.arange(M)
+    want = -np.fft.irfft(ph, M)[(i[:, None] - i) % M] * prod
+    want.flat[::M + 1] += 1.0
+    assert len(seen) == 1
+    assert seen[0].tobytes() == want.tobytes()
+
+
 def test_guess_of_the_wrong_size_is_refused_before_any_pass(
         domain, golden, monkeypatch):
     monkeypatch.setattr(curvedyn, "_orbit_grid", None)
@@ -197,9 +224,9 @@ def _passes_and_check(f, omega, n, monkeypatch):
     inputs = []
     orbit = curvedyn._orbit_grid
 
-    def counted(f, fx, omega, steps, X):
+    def counted(domain, tables, X):
         inputs.append(np.array(X, dtype=float))
-        return orbit(f, fx, omega, steps, X)
+        return orbit(domain, tables, X)
 
     monkeypatch.setattr(curvedyn, "_orbit_grid", counted)
     curve = solve_invariant_curve(f, omega, n)
@@ -207,7 +234,8 @@ def _passes_and_check(f, omega, n, monkeypatch):
     s = omega
     for _ in range(n):
         s = s.double()
-    FX, prod, logs = orbit(f, f.dx(), omega, 2 ** n, curve.samples)
+    tables = curvedyn._step_tables(f, omega, 2 ** n, curve.M)
+    FX, prod, logs = orbit(f.domain, tables, curve.samples)
     G = FX - curvedyn._shift_samples(curve.samples, float(s))
     assert curve.residual == float(np.max(np.abs(G)))
     assert curve.lyapunov == float(np.mean(logs)) / 2 ** n
@@ -273,6 +301,31 @@ def test_benchmark_like_curve_solve_takes_few_passes(flm, golden,
     assert len(inputs) <= 12
 
 
+@pytest.mark.parametrize("n, eps", [(1, 2e-4), (3, 2e-4), (3, 1e-4)])
+def test_a_solve_builds_its_step_tables_once(flm, golden, monkeypatch, n,
+                                             eps):
+    # the folded tables depend on f, omega and the grid only: one build per
+    # solve, read by each of its passes
+    builds, passes = [], []
+    build, orbit = curvedyn._step_tables, curvedyn._orbit_grid
+
+    def counted_build(*args):
+        builds.append(1)
+        return build(*args)
+
+    def counted_orbit(*args):
+        passes.append(1)
+        return orbit(*args)
+
+    monkeypatch.setattr(curvedyn, "_step_tables", counted_build)
+    monkeypatch.setattr(curvedyn, "_orbit_grid", counted_orbit)
+    s = superstable_params(flm, n + 1)
+    f = flm.evaluator(float(s[n]) + 0.1 * (s[n + 1] - s[n]), eps)
+    solve_invariant_curve(f, golden, n)
+    assert len(builds) == 1
+    assert len(passes) > 1
+
+
 def test_criterion_reads_the_product_of_the_solve(flm, golden, monkeypatch):
     # the bracket criterion reads the product the solve kept from its last
     # pass and spends no grid pass beyond the solve's own
@@ -318,15 +371,19 @@ def test_curve_results_come_from_the_solve(flm, golden, monkeypatch, read):
 
 def test_only_the_solve_runs_grid_passes():
     # every curve result reads the solve's product: no function of src/
-    # but solve_invariant_curve names _orbit_grid
+    # but solve_invariant_curve names _orbit_grid, nor the step-table
+    # builder, so the tables are built per solve and never kept past it
     src = Path(qprenorm_lab.__file__).resolve().parent
-    users = set()
-    for path in src.rglob("*.py"):
-        for top in ast.parse(path.read_text()).body:
-            if any(isinstance(node, ast.Name) and node.id == "_orbit_grid"
-                   for node in ast.walk(top)):
-                users.add((path.name, getattr(top, "name", None)))
-    assert users == {("curvedyn.py", "solve_invariant_curve")}
+    trees = [(path.name, ast.parse(path.read_text()))
+             for path in src.rglob("*.py")]
+    for name in ("_orbit_grid", "_step_tables"):
+        users = set()
+        for file, tree in trees:
+            for top in tree.body:
+                if any(isinstance(node, ast.Name) and node.id == name
+                       for node in ast.walk(top)):
+                    users.add((file, getattr(top, "name", None)))
+        assert users == {("curvedyn.py", "solve_invariant_curve")}, name
 
 
 def test_period16_curve_converges_where_the_damped_stage_stalls(
@@ -609,7 +666,8 @@ def test_dg1_matches_cylinder_evaluation(domain, golden, stars, name):
 
 
 _FORCING = st.lists(
-    st.tuples(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+    st.tuples(st.lists(st.floats(-2.0, 2.0, allow_subnormal=False),
+                       min_size=1, max_size=3),
               st.sampled_from(["cos", "sin"]), st.integers(1, 5)),
     min_size=1, max_size=3, unique_by=lambda t: t[1:])
 

@@ -10,7 +10,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
@@ -27,8 +27,10 @@ from qprenorm_lab import (
     shift_tgamma,
     sup_norm,
 )
-from qprenorm_lab.funcspace import (_cheb_vander, _grid_phases, _tables,
-                                    cheb_nodes, pair_sup_norm)
+from qprenorm_lab.funcspace import (INTERVAL_SLACK, _cheb_vander,
+                                    _eval_folded, _fold, _grid_phases,
+                                    _phases, _tables, cheb_nodes,
+                                    pair_sup_norm)
 from qprenorm_lab.errors import (
     CompositionDomainError,
     ConsistencyError,
@@ -195,6 +197,47 @@ def test_dx_matches_chebder_row_by_row(case):
         assert d.modes[r, n - 1] == 0
 
 
+def _longdouble_step(f, E, x):
+    """Reference for a folded grid step: Re sum_k h_k(x_p) E[p, k] and its
+    x-derivative, summed in np.longdouble from the same float64 phases,
+    with T_j' = j U_(j-1)."""
+    ld = np.longdouble
+    n, L = f.domain.n_cheb, ld(f.domain.half_width)
+    y = x.astype(ld) / L
+    T = np.empty((n, y.size), dtype=ld)
+    U = np.empty_like(T)
+    T[0], T[1], U[0], U[1] = 1, y, 1, 2 * y
+    for j in range(2, n):
+        T[j] = 2 * y * T[j - 1] - T[j - 2]
+        U[j] = 2 * y * U[j - 1] - U[j - 2]
+    dT = np.zeros_like(T)
+    dT[1:] = np.arange(1, n, dtype=ld)[:, None] * U[:-1]
+    h = f.modes.T
+    C = (h.real.astype(ld) @ E.real.T.astype(ld)
+         - h.imag.astype(ld) @ E.imag.T.astype(ld))
+    return np.sum(T * C, axis=0), np.sum(dT * C, axis=0) / L
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mode_stacks())
+def test_folded_step_matches_a_longdouble_sum(case):
+    # value and x-derivative of one grid step, at points up to the slack
+    # of the interval check; the derivative's bound takes the coefficients
+    # of f_x, D h_k / L, whose rows grow like j^2
+    f, rng = case
+    dom = f.domain
+    n, L = dom.n_cheb, dom.half_width
+    edge = L * INTERVAL_SLACK
+    x = np.concatenate(([-edge, edge], rng.uniform(-edge, edge, 15)))
+    E = _phases(rng.uniform(-2.0, 3.0, x.size), f.K)
+    got = _eval_folded(dom, _fold(f, E), x, np.empty((2, n, x.size)))
+    value, deriv = _longdouble_step(f, E, x)
+    tol = n * n * np.finfo(float).eps
+    assert np.max(np.abs(got[0] - value)) <= tol * np.sum(np.abs(f.modes))
+    assert np.max(np.abs(got[1] - deriv)) <= tol * np.sum(
+        np.abs(f.dx().modes))
+
+
 @settings(max_examples=25, deadline=None)
 @given(_mode_stacks(), st.floats(0.0, 1.0), st.floats(0.1, 1.0))
 def test_compose_matches_pointwise_on_the_spectral_grid(case, shift, scale):
@@ -317,13 +360,21 @@ _OFF_INTERVAL = st.one_of(st.floats(1.0, 1e3, exclude_min=True),
                           st.just(math.nan))
 
 
+# a grid pass evaluates at |x| up to L INTERVAL_SLACK
+_EDGE = DomainConfig().half_width * INTERVAL_SLACK / DomainConfig().half_width
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-1.0, 1.0), max_size=16), _OFF_INTERVAL,
        st.integers(0, 16), st.integers(8, 64))
+@example([0.5, -1.0, 1.0], _EDGE, 1, 40)
+@example([-0.0, -1.0, 1.0], -_EDGE, 1, 40)
 def test_vandermonde_off_the_interval_is_chebvander(ys, y_off, at, n):
     y = np.array(ys[:at] + [y_off] + ys[at:])
     got = _cheb_vander(y, n)
-    assert got.tobytes() == cheb.chebvander(y, n - 1).tobytes()
+    want = cheb.chebvander(y, n - 1)
+    assert got.tobytes() == want.tobytes()
+    assert got.strides == want.strides
 
 
 def _from_callable_per_row(domain, fn):
