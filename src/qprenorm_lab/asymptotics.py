@@ -34,8 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DegeneratePointError, DegenerateScalingError,
-                     NoSectionError)
+from .errors import (ConsistencyError, DegeneratePointError,
+                     DegenerateScalingError, NoSectionError)
 from .funcspace import (AnalyticFn, DomainConfig, pair_sup_norm, project_pik,
                         sup_norm)
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_T,
@@ -803,11 +803,15 @@ def check_H5(omega0, v01, v02, n_max=12):
     constants C1 = min, C2 = max of
     (||v_{n,2}||/||v_{n,1}||) / (||v_{0,2}||/||v_{0,1}||) for n = 1..n_max,
     so n_max < 1 raises ValueError. A zero start vector (from a family,
-    a zero mode-1 coupling) raises DegenerateScalingError.
+    a zero mode-1 coupling) raises DegenerateScalingError, and start
+    vectors on two domains raise ConsistencyError.
     """
     require_diophantine(omega0)
     if n_max < 1:
         raise ValueError(f"H5 needs n_max >= 1, got {n_max}")
+    if v01.domain != v02.domain:
+        raise ConsistencyError(f"H5 start vectors on two domains: v_(0,1) "
+                               f"on {v01.domain}, v_(0,2) on {v02.domain}")
     for j, v0 in ((1, v01), (2, v02)):
         if v0.coeff_norm() == 0:
             raise DegenerateScalingError(

@@ -585,7 +585,7 @@ def _dt_step(base, omega, v):
 
     Mode 0 gets DR h_0 as there. Modes 1..K go through L1 and L2 at once:
     one real product each against the interleaved (re, im) columns of the
-    stored rows h_1..h_K, as _eval_stacked reads its stack, and the phases
+    stored rows h_1..h_K, as QPFn.eval reads them, and the phases
     exp(2 pi i k omega) are one vector. The sums run in another order than
     apply_DT's complex matvecs, so the two agree to rounding, not bit for
     bit; apply_DT stays the reference.

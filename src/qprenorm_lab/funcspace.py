@@ -105,11 +105,10 @@ def _tables(domain):
     A[0, :] *= 0.5
     D = np.zeros((n, n))
     D[: n - 1] = _cheb.chebder(np.eye(n), axis=0)
-    rows = _cheb.chebvander(np.array([0.0, 1.0 / L]), n - 1)
+    rows = _vander_rows(np.array([0.0, 1.0 / L]), n).T
     at = np.stack([rows[0], rows[1], D.T @ rows[0] / L], axis=1)
     n_x = 4 * n
-    sup_V = _cheb.chebvander(np.cos(np.pi * np.arange(n_x) / (n_x - 1)),
-                             n - 1)
+    sup_V = _vander_rows(np.cos(np.pi * np.arange(n_x) / (n_x - 1)), n).T
     return _Tables(*map(_read_only, (np.cos(ang), V, A, D, at, sup_V)))
 
 
@@ -273,20 +272,13 @@ class QPFn:
         fn is called once, with theta as the (2K+1, 1) column j / (2K+1)
         and x as the node vector; its result must broadcast to
         (2K+1, n_cheb), so a theta column, an x row or a constant will do.
+        h_k adds frequency -k (FFT row 2K+1-k) to frequency k.
         """
-        M = 2 * domain.n_fourier + 1
-        thetas = np.arange(M) / M
-        vals = fn(thetas[:, None], cheb_nodes(domain))
-        vals = np.broadcast_to(np.asarray(vals, dtype=float),
-                               (M, domain.n_cheb))
-        return cls._from_grid_values(domain, vals)
-
-    @classmethod
-    def _from_grid_values(cls, domain, vals):
-        """vals[j, i] = f(j/M, x_i) with M = 2K+1 rows; h_k adds frequency
-        -k (FFT row M-k) to frequency k."""
         K = domain.n_fourier
         M = 2 * K + 1
+        vals = fn((np.arange(M) / M)[:, None], cheb_nodes(domain))
+        vals = np.broadcast_to(np.asarray(vals, dtype=float),
+                               (M, domain.n_cheb))
         # cast once, not in each product below
         A = _tables(domain).A.astype(complex)
         ft = np.fft.fft(vals, axis=0) / M      # index j -> frequency k mod M
@@ -303,13 +295,15 @@ class QPFn:
 
     def eval(self, theta, x):
         """Pointwise value, broadcasting theta and x together: one Chebyshev
-        Vandermonde of the points and one phase table exp(2 pi i k theta),
-        k = 0..K, through the evaluation kernel _eval_stacked."""
+        Vandermonde V of the points, one real product of V against the
+        interleaved (re, im) columns of the h_k, and one contraction with
+        the phase table exp(2 pi i k theta), k = 0..K."""
         theta, x = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                        np.asarray(x, dtype=float))
+        V = _vander_rows(x / self.domain.half_width, self.domain.n_cheb).T
         H = np.ascontiguousarray(self.modes.T).view(float)
-        out = _eval_stacked(self.domain, H, x.ravel(),
-                            _phases(theta, self.domain.n_fourier))
+        A = (V @ H).view(complex)                          # (P, K+1)
+        out = np.einsum("pk,pk->p", A, _phases(theta, self.K)).real
         out = out.reshape(x.shape)
         return float(out) if out.ndim == 0 else out
 
@@ -394,27 +388,26 @@ class PairFn:
 def compose_fiber(g, shift, inner, scale):
     """h(theta, x) = g(theta + shift, inner(theta, scale * x)).
 
-    Re-expanded on the spectral grid: (2K+1) theta samples times Chebyshev
-    nodes. The inner range is checked on that grid and a violation raises
-    with the offending sample attached.
+    Re-expanded on the spectral grid, (2K+1) theta samples times Chebyshev
+    nodes, through QPFn.from_callable. The inner range is checked on that
+    grid and a violation raises with the offending sample attached.
     """
     dom = g.domain
     if inner.domain != dom:
         raise ConsistencyError("composition operands on different domains")
-    M = 2 * dom.n_fourier + 1
-    thetas = np.arange(M) / M
-    x = cheb_nodes(dom)
     L = dom.half_width
 
-    inner_vals = inner.eval(thetas[:, None], scale * x)      # (M, n_cheb)
-    bad = np.abs(inner_vals) > L * INTERVAL_SLACK
-    if np.any(bad):
-        j, i = np.argwhere(bad)[0]
-        raise CompositionDomainError(
-            f"inner value {inner_vals[j, i]:.6g} leaves [-{L}, {L}]",
-            where=(thetas[j], x[i]))
-    out_vals = g.eval(thetas[:, None] + float(shift), inner_vals)
-    return QPFn._from_grid_values(dom, out_vals)
+    def h(theta, x):
+        inner_vals = inner.eval(theta, scale * x)          # (2K+1, n_cheb)
+        bad = np.abs(inner_vals) > L * INTERVAL_SLACK
+        if np.any(bad):
+            j, i = np.argwhere(bad)[0]
+            raise CompositionDomainError(
+                f"inner value {inner_vals[j, i]:.6g} leaves [-{L}, {L}]",
+                where=(theta[j, 0], x[i]))
+        return g.eval(theta + float(shift), inner_vals)
+
+    return QPFn.from_callable(dom, h)
 
 
 def project_p0(f):
@@ -450,17 +443,6 @@ def _phases(theta, K):
     np.cumprod(np.broadcast_to(z[:, None], (z.size, K)), axis=1,
                out=ph[:, 1:])
     return ph
-
-
-def _eval_stacked(domain, H, x, E):
-    """The evaluation kernel: values (F, P) of F functions at the P points
-    x (1-D), with E[p, k] = exp(2 pi i k theta_p). H is their half spectra
-    stacked as an (n_cheb, 2 F (K+1)) real array whose columns interleave
-    (re, im) of mode k of function f."""
-    V = _vander_rows(x / domain.half_width, domain.n_cheb).T      # (P, n)
-    # real V against interleaved (re, im) columns: one real matmul
-    A = (V @ H).view(complex).reshape(x.size, -1, domain.n_fourier + 1)
-    return np.einsum("pfk,pk->fp", A, E).real
 
 
 def _fold(f, E):

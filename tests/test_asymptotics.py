@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qprenorm_lab import (
     DG1,
     DG1_hat,
+    DomainConfig,
     EquivalenceFit,
     H4Report,
     PairFn,
@@ -46,8 +47,9 @@ from qprenorm_lab import (
 )
 from qprenorm_lab.cli import parse_forcing
 from qprenorm_lab import asymptotics, qprenorm
-from qprenorm_lab.errors import (DegeneratePointError, DegenerateScalingError,
-                                 DiophantineError, NoSectionError, SearchError)
+from qprenorm_lab.errors import (ConsistencyError, DegeneratePointError,
+                                 DegenerateScalingError, DiophantineError,
+                                 NoSectionError, SearchError)
 
 
 # ------------------------------------------------------------------ fitter
@@ -520,6 +522,16 @@ def test_h5_rejects_n_max_below_one(flm, golden):
     p0 = project_pik(flm.dv_deps(stable_manifold_param(flm)), 1)
     with pytest.raises(ValueError, match="n_max >= 1"):
         check_H5(golden, p0, p0, n_max=0)
+
+
+def test_h5_rejects_start_vectors_on_two_domains(flm, golden):
+    # the chain would otherwise die in a matmul at its first step
+    p0 = project_pik(flm.dv_deps(stable_manifold_param(flm)), 1)
+    other = DomainConfig(n_cheb=48)
+    p1 = PairFn.from_coeff_vector(other, np.ones(2 * other.n_cheb))
+    with pytest.raises(ConsistencyError, match="two domains") as err:
+        check_H5(golden, p0, p1, n_max=2)
+    assert "n_cheb=40" in str(err.value) and "n_cheb=48" in str(err.value)
 
 
 # ------------------------------------------------------- pinned chain values

@@ -69,6 +69,17 @@ def test_eval_outside_interval_raises(domain):
         eval_qpfn(f, 0.0, 1.0 + domain.delta_dom + 0.05)
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_eval_on_empty_points_is_an_empty_array(domain, shape):
+    f = _mk(domain, lambda th, x: x * np.cos(TWO_PI * th))
+    theta, x = np.zeros(shape[-1:]), np.zeros(shape)
+    for got in (f.eval(theta, x), eval_qpfn(f, theta, x)):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == np.float64
+        assert got.shape == shape
+    assert isinstance(f.eval(np.float64(0.3), np.array(0.5)), float)
+
+
 def test_eval_theta_wraps_mod_one(domain):
     f = _mk(domain, lambda th, x: np.cos(TWO_PI * th) + x)
     a = eval_qpfn(f, 0.37, 0.2)
@@ -332,6 +343,22 @@ def test_vandermonde_on_the_interval_is_within_n2_eps(ys, n):
     want = cheb.chebvander(y, n - 1)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= n * n * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("dom", [DomainConfig(),
+                                 DomainConfig(n_cheb=24, delta_dom=0.05),
+                                 DomainConfig(n_cheb=64, delta_dom=0.3)],
+                         ids=["default", "n24", "n64"])
+def test_table_rows_are_chebvander(dom):
+    # numpy's routine is the oracle for the value rows of `at` and sup_V
+    n, L = dom.n_cheb, dom.half_width
+    tab = _tables(dom)
+    assert np.array_equal(tab.at[:, 0:2],
+                          cheb.chebvander(np.array([0.0, 1.0 / L]), n - 1).T)
+    n_x = 4 * n
+    want = cheb.chebvander(np.cos(np.pi * np.arange(n_x) / (n_x - 1)), n - 1)
+    assert np.array_equal(tab.sup_V, want)
+    assert tab.sup_V.strides == want.strides
 
 
 def test_cached_chebyshev_tables_are_read_only():

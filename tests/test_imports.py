@@ -1,6 +1,7 @@
 """Import hygiene: no module in src/ or tests/ imports a name it never reads,
 only funcspace.py in src/ uses numpy's Chebyshev module, and every
-module-level constant of src/ is read somewhere in src/ or tests/.
+module-level constant, function, class and method of src/ is named
+somewhere in src/ or tests/.
 
 The package __init__ re-exports names it does not read, and `from
 __future__` imports are directives, so both are exempt.
@@ -128,4 +129,38 @@ def test_every_module_constant_is_read():
     read = set().union(*(_reads(p.read_text()) for p in MODULES))
     dead = [(p.name, name) for p in SRC for name in _constants(p.read_text())
             if name not in read]
+    assert dead == []
+
+
+def _definitions(source):
+    """Functions and classes a module defines at its top level, and the
+    methods of those classes; dunders are called by the language, so they
+    are exempt."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, defs):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [m.name for m in node.body if isinstance(m, defs)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_the_scan_sees_a_dead_definition():
+    source = ("def used(): pass\ndef _dead(): pass\n"
+              "class C:\n    def __init__(self): pass\n"
+              "    def m(self): pass\n    def _gone(self): pass\n"
+              "    def inner(self):\n        def nested(): pass\n"
+              "C().m(used())\n")
+    assert _definitions(source) == ["used", "_dead", "C", "m", "_gone",
+                                    "inner"]
+    assert {"used", "C", "m"} <= _reads(source)
+    assert not {"_dead", "_gone", "inner"} & _reads(source)
+
+
+def test_every_definition_is_named():
+    # a helper that loses its last caller fails here
+    read = set().union(*(_reads(p.read_text()) for p in MODULES))
+    dead = [(p.name, name) for p in SRC
+            for name in _definitions(p.read_text()) if name not in read]
     assert dead == []
