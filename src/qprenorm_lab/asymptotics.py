@@ -398,24 +398,24 @@ def observation2(c, omega0, n_max=10, mode="exact-orbit"):
     orbit evaluations, and the mixed quotient converges monotonically
     there, while the fixed-point tails make it oscillate in pairs.
 
-    The Aitken limits need r_2..r_4, so n_max < 4 raises ValueError.
+    The Cauchy ratio and the shorter Aitken window need r_2..r_5, so
+    n_max < 5 raises ValueError.
     """
     require_diophantine(omega0)
-    if n_max < 4:
-        raise ValueError(f"observation 2 needs n_max >= 4, got {n_max}")
+    if n_max < 5:
+        raise ValueError(f"observation 2 needs n_max >= 5, got {n_max}")
     seq, tab1, tab2 = mixed_quotient_sequence(c, omega0, n_max, mode=mode)
     r = dict(zip(seq.ns(), seq.values()))
 
     cauchy = {n: abs(r[n] - r[n - 1]) for n in range(3, n_max + 1)}
     dec_ns = [n for n in sorted(cauchy) if n >= 4]
     pairs = [(cauchy[a], cauchy[b]) for a, b in zip(dec_ns, dec_ns[1:])]
-    decreasing = Clause("cauchy_ratio", max((b / a for a, b in pairs),
-                                            default=0.0),
+    decreasing = Clause("cauchy_ratio", max(b / a for a, b in pairs),
                         1.0, all(b < a for a, b in pairs))
 
     vals = [r[n] for n in sorted(r)]
     limit = _aitken(vals)
-    limit_prev = _aitken(vals[:-1]) if len(vals) >= 4 else limit
+    limit_prev = _aitken(vals[:-1])
     drift, allowed = abs(limit - limit_prev), 5e-4 * max(1.0, abs(limit))
     stable = Clause("limit_drift", drift, allowed, bool(drift <= allowed))
 
@@ -508,11 +508,12 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     by |eta|, and the deviations stay keyed by the signed eta. The two
     directions compared at each level are put on the section first; they
     share their mode-1 part, and with it the shift. Every family lives on
-    `domain`. An empty etas or n_max < 2 (no chain) raises ValueError.
+    `domain`. An empty etas or n_max < 3 (a tail of one q_n) raises
+    ValueError.
     """
     require_diophantine(omega0)
-    if n_max < 2:
-        raise ValueError(f"observation 3 needs n_max >= 2, got {n_max}")
+    if n_max < 3:
+        raise ValueError(f"observation 3 needs n_max >= 3, got {n_max}")
     if not etas:
         raise ValueError("observation 3 needs at least one eta")
     tables = {}
@@ -609,11 +610,11 @@ def check_H3(c, omega0, n_max=8, section=SectionConfig()):
     geometrically in n. Also reports the two floors the theory needs:
     min ||v_{n-1}|| over the fixed-point chains, and the minimum of
     |m(DG1 at the final section map, applied to the normalized direction)|.
-    n_max < 2 raises ValueError.
+    n_max < 4 (a fit with no degree of freedom) raises ValueError.
     """
     require_diophantine(omega0)
-    if n_max < 2:
-        raise ValueError(f"H3 needs n_max >= 2, got {n_max}")
+    if n_max < 4:
+        raise ValueError(f"H3 needs n_max >= 4, got {n_max}")
     gaps, norms, m_floors = {}, [], []
     for n in range(2, n_max + 1):
         ch_e = slope_chain(c, omega0, n, mode="exact-orbit")

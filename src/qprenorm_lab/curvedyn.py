@@ -32,7 +32,7 @@ from .funcspace import (INTERVAL_SLACK, AnalyticFn, DomainConfig, QPFn,
                         _eval_folded, _fold, _grid_phases, _phases, _tables,
                         project_p0)
 from .qprenorm import RotationNumber
-from .renorm1d import (TOL_A, FamilySpec, UnimodalMap, _brentq, dr_matrix,
+from .renorm1d import (FamilySpec, UnimodalMap, _brentq, dr_matrix,
                        feigenbaum_fixed_point, l1_matrix, l2_matrix,
                        renormalize_1d, stable_manifold_param,
                        superstable_params, unstable_manifold_points)
@@ -504,47 +504,46 @@ class ChainResult:
         return self.omegas[-1]
 
 
+def _sigma1_walk(family, alpha, n):
+    """(g, g', c(alpha, 0)) for g(alpha) = psi(1) of R^(n-1)(c(alpha, 0));
+    g' is the chain's own u_(n-1) = DR^(n-1) du_dalpha, read at 1."""
+    m0 = m = family.psi0(alpha)
+    u = family.du_dalpha(alpha).coeffs
+    for _ in range(n - 1):
+        u = dr_matrix(m) @ u
+        m = renormalize_1d(m, check_domain=False)
+    return m.a, float(u @ _tables(m.domain).at[:, 1]), m0
+
+
 def _polish_sigma1(family, alpha0, n):
     """Sharpen alpha so that R^(n-1)(c(alpha, 0)) lands on Sigma_1.
 
     The superstable parameter satisfies this in exact arithmetic, but the
-    n-1 renormalizations amplify its rounding by delta^(n-1); a secant
-    polish on the renormalized criterion removes that.  The criterion
-    itself carries the same delta^(n-1) amplification of double rounding,
-    so the achievable residual scales with it; the acceptance threshold
-    below corresponds to a fixed ~1e-13 accuracy in alpha.
+    n-1 renormalizations amplify its rounding by delta^(n-1); Newton on g
+    (_sigma1_walk) from alpha0 removes that. It stops at |g| <= 1e-13, at
+    the first step that does not lower |g|, or after 24 walks; a zero or
+    non-finite g' raises NoConvergenceError. g carries the same
+    delta^(n-1) amplification of double rounding, so the acceptance
+    threshold below corresponds to a fixed ~1e-13 accuracy in alpha.
 
     Returns the polished alpha and the map c(alpha, 0) there, which still
-    holds the renormalizations the criterion built from it."""
-    def g(alpha):
-        m0 = family.psi0(alpha)
-        m = m0
-        for _ in range(n - 1):
-            m = renormalize_1d(m, check_domain=False)
-        return m.a, m0
-
-    a0, a1 = alpha0, alpha0 + 1e-9 * max(1.0, abs(alpha0))
-    (g0, m0), (g1, m1) = g(a0), g(a1)
-    delta = feigenbaum_fixed_point(m0.domain).delta_feig
-    tol = max(1e-12, 1e-13 * delta ** (n - 1))
-
-    best = (a0, abs(g0), m0) if abs(g0) < abs(g1) else (a1, abs(g1), m1)
-    stale = 0
+    holds the renormalizations and DR data the walk built from it."""
+    alpha, best = alpha0, None
     for _ in range(24):
-        if abs(g1) <= 1e-13 or g1 == g0:
+        g, dg, m0 = _sigma1_walk(family, alpha, n)
+        if best is not None and not abs(g) < best[1]:
             break
-        a0, a1, g0 = a1, a1 - g1 * (a1 - a0) / (g1 - g0), g1
-        g1, m1 = g(a1)
-        if abs(g1) < best[1]:
-            best = (a1, abs(g1), m1)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 3:
-                break
+        best = (alpha, abs(g), m0)
+        if abs(g) <= 1e-13:
+            break
+        if dg == 0 or not np.isfinite(dg):
+            raise NoConvergenceError(
+                f"Sigma_1 polish at n = {n}: g' = {dg!r} at alpha = {alpha!r}")
+        alpha -= g / dg
     best_a, best_g, best_m = best
-    if best_g > tol:
-        raise NoConvergenceError("Sigma_1 polish stalled", best_g)
+    delta = feigenbaum_fixed_point(best_m.domain).delta_feig
+    if not best_g <= max(1e-12, 1e-13 * delta ** (n - 1)):
+        raise NoConvergenceError(f"Sigma_1 polish at n = {n} stalled", best_g)
     return best_a, best_m
 
 
@@ -590,8 +589,6 @@ def _dt_step(base, omega, v):
     apply_DT's complex matvecs, so the two agree to rounding, not bit for
     bit; apply_DT stays the reference.
     """
-    if abs(base.a) < TOL_A:
-        raise DegenerateScalingError("degenerate scaling at the base map")
     X = np.ascontiguousarray(v.modes[1:].T).view(float)    # (n, 2K)
     A1 = (l1_matrix(base) @ X).view(complex)               # (n, K)
     A2 = (l2_matrix(base) @ X).view(complex)

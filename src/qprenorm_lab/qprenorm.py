@@ -205,8 +205,6 @@ def apply_DT(base, omega, v):
     the one-dimensional derivative DR(psi); mode k gets
     L1 h_k + e^(2 pi i k omega) L2 h_k, one stored row per k.
     """
-    if abs(base.a) < TOL_A:
-        raise DegenerateScalingError("degenerate scaling at the base map")
     # cast once: each product below would cast its real matrix again
     L1 = l1_matrix(base).astype(complex)
     L2 = l2_matrix(base).astype(complex)
@@ -239,8 +237,6 @@ class LOmegaOperator:
 def build_L_omega(psi, omega, k=1):
     """Assemble L_{k omega} acting on pair coefficients; omega is a
     RotationNumber, so k omega mod 1 is exact."""
-    if abs(psi.a) < TOL_A:
-        raise DegenerateScalingError("degenerate scaling at the base map")
     phi = 2.0 * np.pi * float(omega.times_mod1(k))
     L1 = l1_matrix(psi)
     L2 = l2_matrix(psi)

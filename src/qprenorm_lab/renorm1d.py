@@ -90,7 +90,9 @@ class UnimodalMap:
 
     @cached_property
     def _e_in(self):
-        """E_in[i, j] = T_j(a t_i)."""
+        """E_in[i, j] = T_j(a t_i), the guard of all data divided by a."""
+        if abs(self.a) < TOL_A:
+            raise DegenerateScalingError(f"degenerate scaling: a = {self.a}")
         t = _tables(self.domain).t
         return _read_only(_cheb_vander(self.a * t, self.domain.n_cheb))
 
@@ -123,14 +125,11 @@ class UnimodalMap:
 
     @cached_property
     def _dr(self):
-        a = self.a
-        if abs(a) < TOL_A:
-            raise DegenerateScalingError("derivative assembly at degenerate a")
         tab = _tables(self.domain)
         rc = self._renormalized.psi.coeffs
         # x (R psi)'(x) at x = L t is t times the [-1, 1] derivative, and
         # the column at[:, 1] = T_j(1 / L) reads u(1) off coefficients
-        w_vals = (tab.t * (tab.V @ (tab.D @ rc)) - tab.V @ rc) / a
+        w_vals = (tab.t * (tab.V @ (tab.D @ rc)) - tab.V @ rc) / self.a
         return _read_only(self._l1 + self._l2
                           + np.outer(tab.A @ w_vals, tab.at[:, 1]))
 
@@ -564,9 +563,11 @@ def stable_manifold_param(family):
     """Accumulation parameter alpha* = lim s_n.
 
     Geometric extrapolation of the cascade s_0..s_N_FIT, certified by
-    renormalization escape: s_n and alpha_extrap - 1e-8 must escape 'below'
-    and alpha_extrap + 1e-8 'above', so the escape boundary lies within
-    1e-8 of the extrapolation. Any other verdict raises InconsistencyError.
+    renormalization escape: (s_(N-1) + s_N) / 2 and alpha_extrap - 1e-8
+    must escape 'below' and alpha_extrap + 1e-8 'above', so the escape
+    boundary lies within 1e-8 of the extrapolation. Any other verdict
+    raises InconsistencyError. s_N itself is on Sigma_1 after N - 1
+    renormalizations, where rounding decides its side.
     """
     cached = family._cache.get("alpha_star")
     if cached is not None:
@@ -578,7 +579,7 @@ def stable_manifold_param(family):
     alpha_extrap = s[-1] + d2 * rho / (1.0 - rho)
 
     for name, point, expected in (
-            ("s_n", s[-1], "below"),
+            ("(s_(N-1) + s_N) / 2", (s[-2] + s[-1]) / 2, "below"),
             ("alpha_extrap - 1e-8", alpha_extrap - 1e-8, "below"),
             ("alpha_extrap + 1e-8", alpha_extrap + 1e-8, "above")):
         verdict = _classify_side(family, point)

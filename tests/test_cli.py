@@ -546,12 +546,12 @@ def test_exit_one_rational_rotation(tmp_path):
 
 
 @pytest.mark.parametrize("ini,argv,fragment", [
-    ("", ["--nmax", "2", "observe", "--which", "2"], "n_max >= 4"),
+    ("", ["--nmax", "4", "observe", "--which", "2"], "n_max >= 5"),
     ("[run]\netas =\n", ["observe", "--which", "3"], "at least one eta"),
-    ("", ["--nmax", "1", "conjecture", "--which", "h3"], "n_max >= 2"),
+    ("", ["--nmax", "3", "conjecture", "--which", "h3"], "n_max >= 4"),
     ("", ["--nmax", "0", "conjecture", "--which", "h5"], "nmax must be >= 1"),
     ("", ["--nmax", "3", "observe", "--which", "1"], "n_max >= 4"),
-    ("", ["--nmax", "1", "observe", "--which", "3"], "n_max >= 2"),
+    ("", ["--nmax", "2", "observe", "--which", "3"], "n_max >= 3"),
     ("[run]\nmode_k = 40\n", ["spectrum"], "[run] mode_k must be in 1..16"),
     ("[run]\neps = 0\ndirect_nmax = 1\n", ["--nmax", "1", "slopes"], "eps"),
     ("[run]\ndio_tau = -1\n", ["observe", "--which", "2"],
@@ -571,10 +571,10 @@ def test_exit_one_on_a_run_too_shallow_or_empty(tmp_path, capsys, ini, argv,
 
 
 @pytest.mark.parametrize("argv,status", [
-    (["observe", "--which", "1"], 1),
-    (["observe", "--which", "2"], 1),
-    (["conjecture", "--which", "h3"], 1),
-    (["slopes"], 0),
+    (["--nmax", "4", "observe", "--which", "1"], 1),
+    (["--nmax", "5", "observe", "--which", "2"], 1),
+    (["--nmax", "4", "conjecture", "--which", "h3"], 1),
+    (["--nmax", "4", "slopes"], 0),
 ], ids=["observe-1", "observe-2", "h3", "slopes"])
 def test_zero_coupling_exits_1_where_a_quotient_divides_by_it(
         tmp_path, capsys, argv, status):
@@ -583,8 +583,8 @@ def test_zero_coupling_exits_1_where_a_quotient_divides_by_it(
     # DegenerateScalingError naming the level
     p = tmp_path / "zero.ini"
     p.write_text("[family]\nforcing = [0]*cos(1w)\n")
-    assert main(["--config", str(p), "--out", str(tmp_path / "o"),
-                 "--nmax", "4"] + argv) == status
+    assert main(["--config", str(p), "--out", str(tmp_path / "o")]
+                + argv) == status
     err = capsys.readouterr().err
     assert err.count("error:") == status and "Traceback" not in err
 
@@ -594,7 +594,7 @@ def test_a_run_that_raises_leaves_no_out_directory(tmp_path, capsys):
     p = tmp_path / "zero.ini"
     p.write_text("[family]\nforcing = [0]*cos(1w)\n")
     out = tmp_path / "o"
-    assert main(["--config", str(p), "--out", str(out), "--nmax", "4",
+    assert main(["--config", str(p), "--out", str(out), "--nmax", "5",
                  "observe", "--which", "2"]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()

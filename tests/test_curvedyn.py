@@ -57,8 +57,8 @@ from qprenorm_lab import asymptotics, curvedyn, renorm1d
 from qprenorm_lab.cli import parse_forcing
 from qprenorm_lab.errors import (BasinError, ConsistencyError,
                                  DegenerateScalingError, EscapeError,
-                                 PrecisionExhaustedError)
-from qprenorm_lab.funcspace import _phases
+                                 NoConvergenceError, PrecisionExhaustedError)
+from qprenorm_lab.funcspace import AnalyticFn, _phases
 
 TWO_PI = 2.0 * np.pi
 ALPHA = 3.1
@@ -867,6 +867,77 @@ def test_sigma1_polish_builds_each_slice_map_once(golden, monkeypatch):
     assert all(type(a) is float for a in fam._cache["sigma1"].values())
 
 
+# ---------------------------------------------- the Sigma_1 Newton polish
+
+DELTA = 4.669201609102990
+
+
+@pytest.mark.parametrize("dom", [DomainConfig(),
+                                 DomainConfig(n_cheb=56, n_fourier=24)],
+                         ids=["40x16", "56x24"])
+def test_sigma1_newton_derivative_matches_a_central_difference(dom):
+    # g' = u_(n-1)(1) is about 1.14 delta^(n-1); g varies on the scale
+    # delta^-(n-1) in alpha and is rounded at eps delta^(n-1), so the step
+    # balances the two at about 1e-8 relative
+    fam = dataclasses.replace(flm_family(domain=dom))
+    s = superstable_params(fam, 6)
+    for n in range(1, 7):
+        alpha = float(s[n])
+        _, dg, _ = curvedyn._sigma1_walk(fam, alpha, n)
+        h = 1e-5 * DELTA ** (-2 * (n - 1) / 3)
+        fd = (curvedyn._sigma1_walk(fam, alpha + h, n)[0]
+              - curvedyn._sigma1_walk(fam, alpha - h, n)[0]) / (2 * h)
+        assert abs(fd - dg) <= 1e-6 * abs(dg), (n, fd, dg)
+
+
+def test_sigma1_newton_converges_from_s_n_at_every_level(monkeypatch):
+    # 1-5 walks per level on the default domain; the secant took 3-9
+    walks = collections.Counter()
+    walk = curvedyn._sigma1_walk
+
+    def counted(family, alpha, n):
+        walks[n] += 1
+        return walk(family, alpha, n)
+
+    monkeypatch.setattr(curvedyn, "_sigma1_walk", counted)
+    fam = dataclasses.replace(flm_family())
+    s = superstable_params(fam, renorm1d.MAX_LEVEL)
+    for n in range(1, renorm1d.MAX_LEVEL + 1):
+        alpha, m0 = curvedyn._polish_sigma1(fam, float(s[n]), n)
+        assert m0.psi.coeffs.tobytes() == fam.psi0(alpha).psi.coeffs.tobytes()
+    assert max(walks.values()) <= 6, walks
+
+
+@pytest.mark.parametrize("value", [0.0, math.nan], ids=["zero", "nan"])
+def test_sigma1_newton_rejects_a_zero_or_nan_derivative(value):
+    dom = DomainConfig()
+    fam = dataclasses.replace(flm_family(), du_dalpha=lambda a: AnalyticFn(
+        np.full(dom.n_cheb, value), dom))
+    s_2 = float(superstable_params(fam, 2)[2])
+    with pytest.raises(NoConvergenceError, match="n = 2: g' = "):
+        curvedyn._polish_sigma1(fam, s_2 + 1e-6, 2)
+
+
+def test_sigma1_newton_stops_at_the_walk_cap(monkeypatch):
+    # a derivative ten times too large makes each step a tenth of Newton's:
+    # |g| falls by 0.9 a walk and is still 2e-4 after the 24-walk cap
+    flm = flm_family()
+    fam = dataclasses.replace(flm, du_dalpha=lambda a: AnalyticFn(
+        10.0 * flm.du_dalpha(a).coeffs, DomainConfig()))
+    walks = []
+    walk = curvedyn._sigma1_walk
+
+    def counted(family, alpha, n):
+        walks.append(alpha)
+        return walk(family, alpha, n)
+
+    monkeypatch.setattr(curvedyn, "_sigma1_walk", counted)
+    s_3 = float(superstable_params(fam, 3)[3])
+    with pytest.raises(NoConvergenceError, match="stalled"):
+        curvedyn._polish_sigma1(fam, s_3 + 1e-4, 3)
+    assert len(walks) == 24
+
+
 # ------------------------------------------------ one base walk per level
 
 # a noble number: a prefix of partial quotients 2, 1, 3, then ones
@@ -890,7 +961,7 @@ def test_shared_walk_reads_the_slopes_of_separate_chains(golden, mode):
 
 def test_observation2_identity_gaps_are_the_public_gaps(flm, golden):
     # observation 2 takes the left-hand sides from its own table
-    rep = observation2(flm, golden, n_max=4)
+    rep = observation2(flm, golden, n_max=5)
     assert rep.identity_gaps == {i: renorm_identity_gap(flm, golden, i)
                                  for i in asymptotics.IDENTITY_LEVELS}
 

@@ -35,6 +35,7 @@ from qprenorm_lab import (
     spectrum_L_omega,
     sup_norm,
     require_diophantine,
+    UnimodalMap,
 )
 from qprenorm_lab.errors import (
     DegeneratePointError,
@@ -287,6 +288,19 @@ def test_quarter_rotation_block_structure(fp):
     assert np.max(np.abs(M[n:, n:] - L1)) <= 1e-12
     assert np.max(np.abs(M[:n, n:] - L2)) <= 1e-12
     assert np.max(np.abs(M[n:, :n] + L2)) <= 1e-12
+
+
+@pytest.mark.parametrize("op", [
+    l1_matrix, l2_matrix, dr_matrix,
+    lambda psi: apply_DT(psi, RotationNumber.golden(), QPFn.zero(psi.domain)),
+    lambda psi: build_L_omega(psi, RotationNumber.golden(), 1),
+], ids=["l1", "l2", "dr", "apply_DT", "build_L_omega"])
+def test_operator_data_rejects_a_degenerate_base(domain, op):
+    # 1 - x^2 has a = psi(1) = -8.9e-16, and each operator divides by a:
+    # L1 and L2 at it reach entries of 1e15
+    base = UnimodalMap.from_callable(domain, lambda x: 1.0 - x * x)
+    with pytest.raises(DegenerateScalingError, match="degenerate scaling"):
+        op(base)
 
 
 def test_block_matrix_commutes_with_rotations(fp, golden):

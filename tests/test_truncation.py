@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from qprenorm_lab import (DomainConfig, RotationNumber, feigenbaum_fixed_point,
-                          flm_family, slope_chain, slope_formula)
+                          flm_family, slope_chain, slope_formula,
+                          stable_manifold_param)
+from qprenorm_lab.errors import InconsistencyError
 
 # delta to 15 digits (independent high-precision computations)
 DELTA = 4.669201609102990
@@ -28,6 +30,20 @@ def test_delta_does_not_depend_on_n_cheb():
         report[n] = (abs(fp.delta_feig - DELTA), _tail(fp.phi.psi))
     bad = {n: r for n, r in report.items() if r[0] > 5e-12}
     assert not bad, f"n_cheb: (|delta - DELTA|, tail) = {bad}"
+
+
+def test_alpha_star_certifies_at_every_n_cheb():
+    # the extrapolation reads the raw-map cascade alone; the escape
+    # certificate renormalizes on the domain, and must not rest on the side
+    # rounding gives s_N, which N - 1 renormalizations put on Sigma_1
+    report = {}
+    for n in range(24, 65, 2):
+        fam = flm_family(domain=DomainConfig(n_cheb=n))
+        try:
+            report[n] = float(stable_manifold_param(fam))
+        except InconsistencyError as e:   # report every order
+            report[n] = str(e)
+    assert len(set(report.values())) == 1, f"n_cheb: alpha* = {report}"
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
