@@ -318,12 +318,6 @@ def renormalized_family(family, omega, n):
     own s_0..s_(n-1) and has no raw map, so these are all the levels it
     has: a grid scan would step on parameters where T_omega c is not
     defined.
-
-    The Sigma_1 parameters shift the same way. On the slice, T_omega
-    c(alpha, 0) = R(psi0(alpha)), so R^(k-2) of the new slice is on
-    Sigma_1 where R^(k-1) of the parent's is: the family starts with a
-    snapshot {k - 1: alpha_k} of the parent's polished levels k >= 2. A
-    level it polishes itself goes into its own record, not the parent's.
     """
     # du_dalpha and dv_deps read the same slice, with its operator data
     psi0 = lru_cache(maxsize=1)(family.psi0)
@@ -341,9 +335,6 @@ def renormalized_family(family, omega, n):
         alpha_box=family.alpha_box)
     fam._cache["superstable"] = [
         float(x) for x in superstable_params(family, n)[1:]]
-    fam._cache["sigma1"] = {k - 1: alpha for k, alpha
-                            in family._cache.get("sigma1", {}).items()
-                            if k >= 2}
     return fam
 
 
@@ -357,9 +348,7 @@ def _identity_gap(family, omega0, i, lhs):
     """renorm_identity_gap with its left-hand side alpha'_i(omega, c) given.
 
     The right-hand side is computed here, on the family that apply_T
-    builds, so the identity stays a check independent of the chain. That
-    family inherits the Sigma_1 parameter of level i that the left-hand
-    side polished, so its slice costs one apply_T and no polish."""
+    builds, so the identity stays a check independent of the chain."""
     fam_T = renormalized_family(family, omega0, i)
     rhs, _ = slope_formula(fam_T, omega0.double(), i - 1, mode="exact-orbit")
     return abs(lhs - rhs) / abs(lhs)

@@ -10,8 +10,9 @@ reducibility-loss slope:
 
   * slope_formula: the renormalization chain
     alpha'_n = -m(DG1(omega_{n-1}, f_{n-1}) v_{n-1}) / DG1_hat(f_{n-1}) u_{n-1}
-    propagated either along the exact orbit R^k(c(s_n, 0)) or along the
-    fixed point with an f*_j tail;
+    propagated either along the exact orbit R^k(c(alpha_n, 0)), where
+    alpha_n is s_n polished onto Sigma_1, or along the fixed point with an
+    f*_j tail;
   * locate_reducibility_loss: direct bisection in alpha of the criterion
     "extremum over theta of the period derivative product hits zero".
 
@@ -504,47 +505,59 @@ class ChainResult:
         return self.omegas[-1]
 
 
-def _sigma1_walk(family, alpha, n):
-    """(g, g', c(alpha, 0)) for g(alpha) = psi(1) of R^(n-1)(c(alpha, 0));
-    g' is the chain's own u_(n-1) = DR^(n-1) du_dalpha, read at 1."""
-    m0 = m = family.psi0(alpha)
-    u = family.du_dalpha(alpha).coeffs
-    for _ in range(n - 1):
-        u = dr_matrix(m) @ u
-        m = renormalize_1d(m, check_domain=False)
-    return m.a, float(u @ _tables(m.domain).at[:, 1]), m0
+def _exact_orbit_start(family, n):
+    """The start of the level-n exact-orbit chain: (alpha_n, maps, u).
 
+    maps are c(alpha_n, 0) .. R^(n-1) c, the last on Sigma_1, and u is the
+    chain's u_(n-1), with u_0 = du_dalpha(alpha_n) and u_(k+1) = DR(R^k c)
+    u_k. The superstable parameter s_n puts R^(n-1) c on Sigma_1 in exact
+    arithmetic, but the n-1 renormalizations amplify its rounding by
+    delta^(n-1). Newton on g(alpha) = psi(1) of R^(n-1)(c(alpha, 0)) from
+    s_n removes that, with g' = u_(n-1)(1) read off the walk itself. It
+    stops at |g| <= 1e-13, at the first step that does not lower |g|, or
+    after 24 walks; a zero or non-finite g' raises NoConvergenceError. g
+    carries the same delta^(n-1) amplification of double rounding, so the
+    acceptance threshold below corresponds to a fixed ~1e-13 accuracy in
+    alpha. The accepted walk is returned, so the chain builds no map and
+    no DR matrix again.
 
-def _polish_sigma1(family, alpha0, n):
-    """Sharpen alpha so that R^(n-1)(c(alpha, 0)) lands on Sigma_1.
+    alpha_n is kept on the family's record, once per (family, n): tables,
+    checkers and the identity gap rerun the same levels. Only the
+    parameter is kept; a kept map would keep its operator data alive. A
+    kept level walks once, at alpha_n.
+    """
+    def walk(alpha):
+        maps = [family.psi0(alpha)]
+        u = family.du_dalpha(alpha)
+        for _ in range(n - 1):
+            u = AnalyticFn(dr_matrix(maps[-1]) @ u.coeffs, u.domain)
+            maps.append(renormalize_1d(maps[-1], check_domain=False))
+        return alpha, maps, u
 
-    The superstable parameter satisfies this in exact arithmetic, but the
-    n-1 renormalizations amplify its rounding by delta^(n-1); Newton on g
-    (_sigma1_walk) from alpha0 removes that. It stops at |g| <= 1e-13, at
-    the first step that does not lower |g|, or after 24 walks; a zero or
-    non-finite g' raises NoConvergenceError. g carries the same
-    delta^(n-1) amplification of double rounding, so the acceptance
-    threshold below corresponds to a fixed ~1e-13 accuracy in alpha.
-
-    Returns the polished alpha and the map c(alpha, 0) there, which still
-    holds the renormalizations and DR data the walk built from it."""
-    alpha, best = alpha0, None
+    polished = family._cache.setdefault("sigma1", {})
+    if n in polished:
+        return walk(polished[n])
+    alpha, best = float(superstable_params(family, n)[n]), None
     for _ in range(24):
-        g, dg, m0 = _sigma1_walk(family, alpha, n)
-        if best is not None and not abs(g) < best[1]:
+        start = walk(alpha)
+        _, maps, u = start
+        g = maps[-1].a
+        if best is not None and not abs(g) < best[0]:
             break
-        best = (alpha, abs(g), m0)
+        best = (abs(g), start)
         if abs(g) <= 1e-13:
             break
+        dg = float(u.coeffs @ _tables(maps[-1].domain).at[:, 1])
         if dg == 0 or not np.isfinite(dg):
             raise NoConvergenceError(
                 f"Sigma_1 polish at n = {n}: g' = {dg!r} at alpha = {alpha!r}")
         alpha -= g / dg
-    best_a, best_g, best_m = best
-    delta = feigenbaum_fixed_point(best_m.domain).delta_feig
+    best_g, start = best
+    delta = feigenbaum_fixed_point(maps[0].domain).delta_feig
     if not best_g <= max(1e-12, 1e-13 * delta ** (n - 1)):
         raise NoConvergenceError(f"Sigma_1 polish at n = {n} stalled", best_g)
-    return best_a, best_m
+    polished[n] = start[0]
+    return start
 
 
 def _project_sigma1(m):
@@ -564,8 +577,9 @@ def _project_sigma1(m):
 def slope_chain(family, omega0, n, mode="exact-orbit"):
     """Propagate (u_k, v_k, omega_k) for k = 0..n-1 over a list of bases.
 
-    exact-orbit: the bases are R^k(c(s_n, 0)) for k = 0..n-2, and the chain
-    ends at R^(n-1)(c(s_n, 0)). fixed-point: the bases are Phi for
+    exact-orbit: the bases are R^k(c(alpha_n, 0)) for k = 0..n-2, and the
+    chain ends at R^(n-1)(c(alpha_n, 0)) on Sigma_1, where alpha_n is the
+    polished Sigma_1 parameter (_exact_orbit_start). fixed-point: the bases are Phi for
     k <= floor(n/2)-1 and the unstable-manifold points f*_{n-k+1} for the
     tail, so the last step is taken at f*_2 and the chain ends at f*_1.
     Each step pushes u by DR and v by DT_omega at its base, then doubles
@@ -612,21 +626,7 @@ def _slope_chains(family, omegas0, n, mode):
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode == "exact-orbit":
-        # polished once per (family, n): tables, checkers and the identity
-        # gap rerun the same levels. Only the parameter is kept; a kept map
-        # would keep its operator data alive.
-        polished = family._cache.setdefault("sigma1", {})
-        if n in polished:
-            alpha = polished[n]
-            f0 = family.psi0(alpha)
-        else:
-            s = superstable_params(family, n)
-            alpha, f0 = _polish_sigma1(family, float(s[n]), n)
-            polished[n] = alpha
-        u = family.du_dalpha(alpha)
-        bases = [f0]
-        for _ in range(n - 1):
-            bases.append(renormalize_1d(bases[-1], check_domain=False))
+        alpha, bases, u = _exact_orbit_start(family, n)
         end = bases.pop()
     elif mode == "fixed-point":
         alpha = stable_manifold_param(family)
@@ -636,6 +636,8 @@ def _slope_chains(family, omegas0, n, mode):
         bases = [fpd.phi if k <= n // 2 - 1 else stars[n - k]
                  for k in range(1, n)]
         end = stars[0]
+        for base in bases:
+            u = AnalyticFn(dr_matrix(base) @ u.coeffs, u.domain)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -643,7 +645,6 @@ def _slope_chains(family, omegas0, n, mode):
     chains = [([v0], [om]) for om in omegas0]     # (vs, omegas) per omega
     for k, base in enumerate(bases, start=1):
         try:
-            u = AnalyticFn(dr_matrix(base) @ u.coeffs, u.domain)
             for vs, omegas in chains:
                 vs.append(_dt_step(base, omegas[-1], vs[-1]))
                 omegas.append(omegas[-1].double())

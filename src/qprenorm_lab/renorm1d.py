@@ -169,8 +169,8 @@ class FamilySpec:
     raw_step: Optional[Callable[[float, float], tuple]] = None
     x_crit: Optional[float] = None
     # s_n and alpha*, filled by superstable_params and stable_manifold_param,
-    # and the Sigma_1-polished parameters by n ("sigma1"), filled by
-    # curvedyn.slope_chain in exact-orbit mode
+    # and the Sigma_1-polished parameters by n ("sigma1"), which only
+    # curvedyn writes (the exact-orbit chain start)
     # (shared per domain by flm_family; private after dataclasses.replace)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)

@@ -815,7 +815,8 @@ def test_chain_modes_agree_at_quotient_level(flm, golden):
 
 def test_sigma1_polish_runs_once_per_family_and_level(golden, monkeypatch):
     # each level once per family, so no memo is read. flm_family shares
-    # its record per domain; private copies start empty
+    # its record per domain; private copies start empty. A polish starts
+    # at s_n, so the superstable lookups of the start count them
     def fresh():
         return dataclasses.replace(flm_family())
 
@@ -824,21 +825,21 @@ def test_sigma1_polish_runs_once_per_family_and_level(golden, monkeypatch):
               renorm_identity_gap(fresh(), golden, 2))
 
     calls = collections.Counter()
-    polish = curvedyn._polish_sigma1
+    lookup = curvedyn.superstable_params
 
-    def counted(family, alpha0, n):
+    def counted(family, n):
         calls[family.name, n] += 1
-        return polish(family, alpha0, n)
+        return lookup(family, n)
 
-    monkeypatch.setattr(curvedyn, "_polish_sigma1", counted)
+    monkeypatch.setattr(curvedyn, "superstable_params", counted)
     fam = fresh()
     _, tab1, tab2 = mixed_quotient_sequence(fam, golden, 5,
                                             mode="exact-orbit")
     gap = renorm_identity_gap(fam, golden, 2)
     # the 2 omega table and the identity gap's left side reuse flm's
-    # levels; the renormalized family inherits its one level from flm's
-    # level 2
-    assert calls == {("flm", n): 1 for n in range(1, 6)}
+    # levels; the renormalized family polishes its one level itself
+    assert calls == {**{("flm", n): 1 for n in range(1, 6)},
+                     ("flm_T", 1): 1}
     # bit for bit what families without a memo give
     assert (tab1, tab2, gap) == expect
     assert sorted(fam._cache["sigma1"]) == [1, 2, 3, 4, 5]
@@ -847,10 +848,9 @@ def test_sigma1_polish_runs_once_per_family_and_level(golden, monkeypatch):
 
 
 def test_sigma1_polish_builds_each_slice_map_once(golden, monkeypatch):
-    # every slice map of the renormalized family costs one apply_T. It
-    # inherits its Sigma_1 parameter from the left-hand side's polish, so
-    # each level builds one slice, at that parameter (three secant
-    # evaluations per level before)
+    # every slice map of the renormalized family costs one apply_T. Its
+    # own polish from s_n stops after one walk at these levels and hands
+    # that walk to the chain, so each level builds one slice
     calls = collections.Counter()
     apply_T = asymptotics.apply_T
 
@@ -872,6 +872,36 @@ def test_sigma1_polish_builds_each_slice_map_once(golden, monkeypatch):
 DELTA = 4.669201609102990
 
 
+def _counting_walks(fam, monkeypatch):
+    """The parameters at which fam's exact-orbit start walks: each walk
+    builds its slice map once."""
+    walks = []
+    psi0 = fam.psi0
+
+    def counted(alpha):
+        walks.append(alpha)
+        return psi0(alpha)
+
+    monkeypatch.setattr(fam, "psi0", counted)
+    return walks
+
+
+def _walk_at(fam, alpha, n):
+    """(g, g') at alpha: a kept level walks once, at its parameter."""
+    fam._cache["sigma1"] = {n: alpha}
+    _, maps, u = curvedyn._exact_orbit_start(fam, n)
+    return maps[-1].a, u(1.0)
+
+
+def _perturbed_start(fam, n, shift):
+    """fam with its level-n superstable parameter moved by shift, so the
+    exact-orbit start's Newton begins there."""
+    s = [float(x) for x in superstable_params(fam, n)]
+    s[n] += shift
+    fam._cache["superstable"] = s
+    return fam
+
+
 @pytest.mark.parametrize("dom", [DomainConfig(),
                                  DomainConfig(n_cheb=56, n_fourier=24)],
                          ids=["40x16", "56x24"])
@@ -883,58 +913,55 @@ def test_sigma1_newton_derivative_matches_a_central_difference(dom):
     s = superstable_params(fam, 6)
     for n in range(1, 7):
         alpha = float(s[n])
-        _, dg, _ = curvedyn._sigma1_walk(fam, alpha, n)
+        _, dg = _walk_at(fam, alpha, n)
         h = 1e-5 * DELTA ** (-2 * (n - 1) / 3)
-        fd = (curvedyn._sigma1_walk(fam, alpha + h, n)[0]
-              - curvedyn._sigma1_walk(fam, alpha - h, n)[0]) / (2 * h)
+        fd = (_walk_at(fam, alpha + h, n)[0]
+              - _walk_at(fam, alpha - h, n)[0]) / (2 * h)
         assert abs(fd - dg) <= 1e-6 * abs(dg), (n, fd, dg)
 
 
 def test_sigma1_newton_converges_from_s_n_at_every_level(monkeypatch):
     # 1-5 walks per level on the default domain; the secant took 3-9
-    walks = collections.Counter()
-    walk = curvedyn._sigma1_walk
-
-    def counted(family, alpha, n):
-        walks[n] += 1
-        return walk(family, alpha, n)
-
-    monkeypatch.setattr(curvedyn, "_sigma1_walk", counted)
     fam = dataclasses.replace(flm_family())
+    walks = _counting_walks(fam, monkeypatch)
     s = superstable_params(fam, renorm1d.MAX_LEVEL)
+    per_level = {}
     for n in range(1, renorm1d.MAX_LEVEL + 1):
-        alpha, m0 = curvedyn._polish_sigma1(fam, float(s[n]), n)
-        assert m0.psi.coeffs.tobytes() == fam.psi0(alpha).psi.coeffs.tobytes()
-    assert max(walks.values()) <= 6, walks
+        walks.clear()
+        alpha, maps, u = curvedyn._exact_orbit_start(fam, n)
+        per_level[n] = len(walks)
+        assert walks[0] == s[n] and len(maps) == n
+        # the accepted walk is what a walk at the kept parameter gives
+        walks.clear()
+        again, maps2, u2 = curvedyn._exact_orbit_start(fam, n)
+        assert walks == [alpha] == [again]
+        assert u2.coeffs.tobytes() == u.coeffs.tobytes()
+        for m, m2 in zip(maps, maps2):
+            assert m2.psi.coeffs.tobytes() == m.psi.coeffs.tobytes()
+    assert max(per_level.values()) <= 6, per_level
 
 
 @pytest.mark.parametrize("value", [0.0, math.nan], ids=["zero", "nan"])
 def test_sigma1_newton_rejects_a_zero_or_nan_derivative(value):
     dom = DomainConfig()
-    fam = dataclasses.replace(flm_family(), du_dalpha=lambda a: AnalyticFn(
-        np.full(dom.n_cheb, value), dom))
-    s_2 = float(superstable_params(fam, 2)[2])
+    fam = _perturbed_start(dataclasses.replace(
+        flm_family(), du_dalpha=lambda a: AnalyticFn(
+            np.full(dom.n_cheb, value), dom)), 2, 1e-6)
     with pytest.raises(NoConvergenceError, match="n = 2: g' = "):
-        curvedyn._polish_sigma1(fam, s_2 + 1e-6, 2)
+        curvedyn._exact_orbit_start(fam, 2)
+    assert fam._cache["sigma1"] == {}
 
 
 def test_sigma1_newton_stops_at_the_walk_cap(monkeypatch):
     # a derivative ten times too large makes each step a tenth of Newton's:
     # |g| falls by 0.9 a walk and is still 2e-4 after the 24-walk cap
     flm = flm_family()
-    fam = dataclasses.replace(flm, du_dalpha=lambda a: AnalyticFn(
-        10.0 * flm.du_dalpha(a).coeffs, DomainConfig()))
-    walks = []
-    walk = curvedyn._sigma1_walk
-
-    def counted(family, alpha, n):
-        walks.append(alpha)
-        return walk(family, alpha, n)
-
-    monkeypatch.setattr(curvedyn, "_sigma1_walk", counted)
-    s_3 = float(superstable_params(fam, 3)[3])
+    fam = _perturbed_start(dataclasses.replace(
+        flm, du_dalpha=lambda a: AnalyticFn(
+            10.0 * flm.du_dalpha(a).coeffs, DomainConfig())), 3, 1e-4)
+    walks = _counting_walks(fam, monkeypatch)
     with pytest.raises(NoConvergenceError, match="stalled"):
-        curvedyn._polish_sigma1(fam, s_3 + 1e-4, 3)
+        curvedyn._exact_orbit_start(fam, 3)
     assert len(walks) == 24
 
 
@@ -1007,29 +1034,6 @@ def test_renormalized_family_builds_the_parent_slice_once(flm, golden,
     assert calls == {alpha: 1}
 
 
-@pytest.mark.parametrize("omega", [RotationNumber.golden(), NOBLE],
-                         ids=["golden", "noble"])
-def test_renormalized_family_inherits_the_parent_sigma1_parameters(omega):
-    # T_omega c(alpha, 0) = R(psi0(alpha)) on the slice, so the renormalized
-    # family's own polish of level i - 1 lands where the parent's level i
-    # did: bit for bit at i = 2, 3, 4 for both rotation numbers
-    fam = dataclasses.replace(flm_family())
-    for i in (2, 3, 4):
-        slope_formula(fam, omega, i)
-        fam_T = asymptotics.renormalized_family(fam, omega, i)
-        inherited = fam_T._cache["sigma1"][i - 1]
-        s = superstable_params(fam_T, i - 1)[i - 1]
-        alpha, _ = curvedyn._polish_sigma1(fam_T, float(s), i - 1)
-        assert alpha == inherited == fam._cache["sigma1"][i]
-    # a level the renormalized family polishes itself stays in its record
-    parent = dict(fam._cache["sigma1"])
-    fam_T = asymptotics.renormalized_family(fam, omega, 6)
-    assert fam_T._cache["sigma1"] == {k - 1: parent[k] for k in (2, 3, 4)}
-    slope_formula(fam_T, omega.double(), 5)
-    assert 5 in fam_T._cache["sigma1"]
-    assert fam._cache["sigma1"] == parent
-
-
 # ------------------------------------------------------ the chain's DT step
 
 @settings(max_examples=60, deadline=None)
@@ -1079,7 +1083,7 @@ def test_flm_families_on_a_domain_share_one_slice_record(golden,
     for module, name in ((renorm1d, "_scan_level"),
                          (renorm1d, "_newton_level"),
                          (renorm1d, "_classify_side"),
-                         (curvedyn, "_polish_sigma1")):
+                         (curvedyn, "superstable_params")):
         monkeypatch.setattr(module, name, fail)
     for other in (flm_family(g=SIN_MIX, domain=SLICE_DOMAIN, name="sin"),
                   flm_eta_family(0.5, SLICE_DOMAIN)):

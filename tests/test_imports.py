@@ -1,7 +1,7 @@
 """Import hygiene: no module in src/ or tests/ imports a name it never reads,
-only funcspace.py in src/ uses numpy's Chebyshev module, and every
-module-level constant, function, class and method of src/ is named
-somewhere in src/ or tests/.
+only funcspace.py in src/ uses numpy's Chebyshev module, only curvedyn.py
+in src/ names the "sigma1" record key, and every module-level constant,
+function, class and method of src/ is named somewhere in src/ or tests/.
 
 The package __init__ re-exports names it does not read, and `from
 __future__` imports are directives, so both are exempt.
@@ -86,6 +86,32 @@ def test_only_funcspace_uses_the_chebyshev_module(path):
     # the Chebyshev basis (tables, Vandermondes, chebval) has one owner
     uses = _chebyshev_uses(path.read_text())
     if path.name == "funcspace.py":
+        assert uses             # the owner, so the scan must see it
+    else:
+        assert uses == []
+
+
+def _key_uses(source, key):
+    """Lines of the string literals equal to key; comments are not code."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and node.value == key)
+
+
+def test_the_scan_sees_a_record_key():
+    source = ('# "sigma1" in a comment\n'
+              'cache["sigma1"] = {}\n'
+              'x = "sigma1s"\n'
+              'cache.get("sigma1", {})\n')
+    assert _key_uses(source, "sigma1") == [2, 4]
+
+
+@pytest.mark.parametrize("path", SRC,
+                         ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_only_curvedyn_names_the_sigma1_record(path):
+    # the exact-orbit start owns the polished Sigma_1 parameters; no other
+    # module reads or seeds them
+    uses = _key_uses(path.read_text(), "sigma1")
+    if path.name == "curvedyn.py":
         assert uses             # the owner, so the scan must see it
     else:
         assert uses == []
