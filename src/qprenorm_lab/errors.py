@@ -47,7 +47,8 @@ class InconsistencyError(QPRenormError):
 
 
 class MeshError(QPRenormError):
-    """A growth mesh was exhausted before the target crossing."""
+    """A growth mesh was exhausted before the target crossing, or a level
+    read off the growth walk misses its superstable set."""
 
 
 class TruncationError(QPRenormError):

@@ -25,8 +25,8 @@ from .errors import (DegenerateScalingError, DomainError, InconsistencyError,
                      MeshError, NoConvergenceError, PrecisionExhaustedError,
                      SearchError)
 from .funcspace import (INTERVAL_SLACK, W_CENTER, W_RADIUS, AnalyticFn,
-                        DomainConfig, QPFn, _cheb_vander, _read_only,
-                        _tables, project_p0, sup_norm)
+                        DomainConfig, QPFn, _cheb_vander, _clenshaw_scalar,
+                        _read_only, _tables, project_p0, sup_norm)
 
 TOL_A = 1e-8
 N_FIT = 12            # cascade levels behind the alpha* extrapolation
@@ -143,7 +143,8 @@ class FixedPointData:
     newton_residual: float
     eig_moduli: np.ndarray = None
     spectral_gap: float = None
-    # f*_j by j, filled by unstable_manifold_points
+    # f*_j by j, filled from j = 1 upward by unstable_manifold_points, one
+    # walk per group of levels that share a seed scale
     _unstable: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -595,10 +596,10 @@ def stable_manifold_param(family):
 
 def _crit_orbit_residual(psi, j):
     """psi^(2^j)(0); NaN when the orbit leaves the interval."""
-    L = psi.domain.half_width
+    c, L = psi.psi.coeffs.tolist(), psi.domain.half_width
     x = 0.0
     for _ in range(2 ** j):
-        x = float(psi.psi(x))
+        x = float(_clenshaw_scalar(c, x / L))
         if abs(x) > L:
             return np.nan
     return x
@@ -608,54 +609,80 @@ def unstable_manifold_points(fp, j_max):
     """f*_j for j = 1..j_max: unstable-manifold maps whose critical orbit is
     2^j-superstable.
 
-    Each f*_j is computed independently of the others and kept on fp, so a
-    later call computes only the j it has not seen; the list is fresh on
-    every call.
+    The levels are filled from 1 upward, one _unstable_walk per group of
+    levels that share a seed scale, and kept on fp, so a later call computes
+    only the levels it has not seen. A group is always filled whole from its
+    lowest level, so each f*_j has the same bits whatever j_max the first
+    call asked for; the list is fresh on every call.
     """
-    for j in range(1, j_max + 1):
-        if j not in fp._unstable:
-            fp._unstable[j] = _unstable_point(fp, j)
+    while len(fp._unstable) < j_max:
+        fp._unstable.update(_unstable_walk(fp, len(fp._unstable) + 1))
     return [fp._unstable[j] for j in range(1, j_max + 1)]
 
 
-def _unstable_point(fp, j):
-    """f*_j, seeded to first order as Phi + t e and grown by renormalizing.
+def _seed_scale(fp, j):
+    """Seed size t0 of f*_j, which shrinks with j.
 
-    The crossing of psi^(2^j)(0) = 0 is located in the (iteration count,
-    mesh parameter) ladder and refined by _brentq; f*_1 satisfies
-    psi(1) = 0.
+    f*_j sits at manifold distance about 3.6 delta^(1-j) from Phi, and
+    keeping the growth to a few doubling steps bounds both the
+    linearization error of the seed and the rounding amplification along
+    the unstable direction. Up to level 5 the clip holds t0 at 1e-5.
+    """
+    delta = fp.delta_feig
+    s_est = 3.6 * delta ** (1 - j)
+    return float(np.clip(s_est / delta ** 4, 1e-12, 1e-5))
 
-    The seed size shrinks with j: f*_j sits at manifold distance about
-    3.6 delta^(1-j) from Phi, and keeping the growth to a few doubling
-    steps bounds both the linearization error of the seed and the rounding
-    amplification along the unstable direction.
+
+def _unstable_walk(fp, j):
+    """{level: f*_level} for f*_j and the levels above it that share its
+    seed scale, from one search.
+
+    f*_j is seeded to first order as Phi + tau t0 e and grown by
+    renormalizing: the crossing of psi^(2^j)(0) = 0 is located in the
+    (iteration count k, mesh parameter tau) ladder and refined by _brentq;
+    f*_1 satisfies psi(1) = 0. Since (R psi)^(2^i)(0) =
+    psi^(2^(i+1))(0) / psi(1), R maps Sigma_(i+1) into Sigma_i, so the walk
+    seed, R(seed), ..., R^k(seed) at the root holds f*_(j+i) = R^(k-i)(seed)
+    for i <= k. The levels read off it are those with j's seed scale, and
+    each must meet its own Sigma residual within 1e-9, else MeshError.
     """
     phi = fp.phi
     e = fp.e_unstable
     dom = phi.domain
-    delta = fp.delta_feig
-    taus = np.geomspace(1.0, delta, 17)
-    s_est = 3.6 * delta ** (1 - j)
-    t0 = float(np.clip(s_est / delta ** 4, 1e-12, 1e-5))
+    taus = np.geomspace(1.0, fp.delta_feig, 17)
+    t0 = _seed_scale(fp, j)
 
     def seed(tau):
         return UnimodalMap(AnalyticFn(
             phi.psi.coeffs + tau * t0 * e.coeffs, dom))
 
-    def map_at(tau, k):
-        m = seed(tau)
+    def walk(tau, k):
+        maps = [seed(tau)]
         for _ in range(k):
-            m = renormalize_1d(m, check_domain=False)
-        return m
+            maps.append(renormalize_1d(maps[-1], check_domain=False))
+        return maps
 
     maps = [seed(t) for t in taus]
     for k in range(0, 14):
         if k:
             maps = [renormalize_1d(m, check_domain=False) for m in maps]
         vals = [_crit_orbit_residual(m, j) for m in maps]
-        for cell in _sign_changes(taus, vals):
-            tau_star = _brentq(
-                lambda t: _crit_orbit_residual(map_at(t, k), j),
-                *cell, xtol=1e-15, rtol=8.9e-16)
-            return map_at(tau_star, k)
-    raise MeshError(f"no Sigma_{j} crossing within the growth budget")
+        cell = next(_sign_changes(taus, vals), None)
+        if cell is not None:
+            break
+    else:
+        raise MeshError(f"no Sigma_{j} crossing within the growth budget")
+    tau_star = _brentq(lambda t: _crit_orbit_residual(walk(t, k)[k], j),
+                       *cell, xtol=1e-15, rtol=8.9e-16)
+    chain = walk(tau_star, k)
+    points = {j: chain[k]}
+    for i in range(1, k + 1):
+        if _seed_scale(fp, j + i) != t0:
+            break
+        res = _crit_orbit_residual(chain[k - i], j + i)
+        if not abs(res) <= 1e-9:
+            raise MeshError(
+                f"f*_{j + i} read off the Sigma_{j} walk has Sigma_{j + i} "
+                f"residual {res!r}, above 1e-9")
+        points[j + i] = chain[k - i]
+    return points

@@ -9,6 +9,7 @@ pinned here).
 """
 
 import dataclasses
+import functools
 import math
 import struct
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from qprenorm_lab import (
     AnalyticFn,
     DomainError,
+    MeshError,
     UnimodalMap,
     check_H0,
     dr_matrix,
@@ -473,10 +475,19 @@ def test_sigma1_boundary_condition(stars):
     assert abs(float(np.real(f1.psi(1.0)))) <= 1e-9
 
 
-def test_renormalization_steps_down_the_ladder(stars):
-    for j in range(len(stars) - 1):
-        stepped = renormalize_1d(stars[j + 1])
-        assert _dist(stepped, stars[j]) <= 1e-8
+def test_renormalization_steps_down_the_ladder(fp):
+    # f*_1..f*_5 share a seed scale at the default domain and are read off
+    # one walk, so R(f*_(j+1)) is f*_j itself; f*_6 has a search of its own
+    stars = unstable_manifold_points(fp, 6)
+    walked = 0
+    for j in range(1, len(stars)):
+        stepped = renormalize_1d(stars[j])
+        if renorm1d._seed_scale(fp, j + 1) == renorm1d._seed_scale(fp, j):
+            assert stepped is stars[j - 1]
+            walked += 1
+        else:
+            assert _dist(stepped, stars[j - 1]) <= 1e-8
+    assert walked == 4
 
 
 def test_manifold_points_are_memoized_on_the_fixed_point(fp):
@@ -493,6 +504,81 @@ def test_manifold_points_are_memoized_on_the_fixed_point(fp):
     again = unstable_manifold_points(fp1, 5)
     assert [a.psi.coeffs.tobytes() for a in again] == [
         b.psi.coeffs.tobytes() for b in single]
+
+
+def _per_level_point(fp, j):
+    """The oracle: f*_j from a ladder scan, Brent search and walk of its
+    own, seeded at scale t0(j)."""
+    phi = fp.phi
+    e = fp.e_unstable
+    dom = phi.domain
+    delta = fp.delta_feig
+    taus = np.geomspace(1.0, delta, 17)
+    s_est = 3.6 * delta ** (1 - j)
+    t0 = float(np.clip(s_est / delta ** 4, 1e-12, 1e-5))
+
+    def seed(tau):
+        return UnimodalMap(AnalyticFn(
+            phi.psi.coeffs + tau * t0 * e.coeffs, dom))
+
+    def map_at(tau, k):
+        m = seed(tau)
+        for _ in range(k):
+            m = renormalize_1d(m, check_domain=False)
+        return m
+
+    maps = [seed(t) for t in taus]
+    for k in range(0, 14):
+        if k:
+            maps = [renormalize_1d(m, check_domain=False) for m in maps]
+        vals = [renorm1d._crit_orbit_residual(m, j) for m in maps]
+        for cell in _sign_changes(taus, vals):
+            tau_star = _brentq(
+                lambda t: renorm1d._crit_orbit_residual(map_at(t, k), j),
+                *cell, xtol=1e-15, rtol=8.9e-16)
+            return map_at(tau_star, k)
+    raise AssertionError(f"no Sigma_{j} crossing within the growth budget")
+
+
+def test_shared_walk_matches_the_per_level_searches(fp):
+    stars = unstable_manifold_points(fp, 6)
+    for j in range(1, 7):
+        got = stars[j - 1].psi.coeffs
+        want = _per_level_point(fp, j).psi.coeffs
+        if j in (1, 6):    # the searched levels: the oracle's own search
+            assert got.tobytes() == want.tobytes()
+        else:              # read off f*_1's walk
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_one_seed_scale_costs_one_search(fp, monkeypatch):
+    built = []
+    renormalized = UnimodalMap.__dict__["_renormalized"]
+
+    def counted(psi):
+        built.append(psi)
+        return renormalized.func(psi)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(UnimodalMap, "_renormalized")
+    monkeypatch.setattr(UnimodalMap, "_renormalized", prop)
+    counts = []
+    for j_max in (1, 5):
+        fresh = solve_fixed_point(fp.phi)
+        built.clear()
+        unstable_manifold_points(fresh, j_max)
+        counts.append(len(built))
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
+
+
+def test_read_off_level_off_its_sigma_raises_mesh_error(fp, monkeypatch):
+    residual = renorm1d._crit_orbit_residual
+    monkeypatch.setattr(
+        renorm1d, "_crit_orbit_residual",
+        lambda psi, j: 2e-9 if j == 3 else residual(psi, j))
+    with pytest.raises(MeshError, match=r"f\*_3 .*Sigma_3 residual"):
+        unstable_manifold_points(dataclasses.replace(fp), 2)
 
 
 def test_manifold_points_approach_phi_geometrically(fp, stars):
