@@ -44,8 +44,8 @@ from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_T,
                        shift_pairs)
 from .renorm1d import (FamilySpec, dr_matrix, feigenbaum_fixed_point,
                        stable_manifold_param, superstable_params)
-from .curvedyn import (DG1_hat, _chain_slopes, _slope_chains, flm_family,
-                       functional_K, slope_chain, slope_formula)
+from .curvedyn import (DG1_hat, _slope_pass, flm_family, functional_K,
+                       slope_chain, slope_formula)
 
 
 # ------------------------------------------------------ quotient sequences
@@ -178,10 +178,19 @@ def fit_geometric_decay(ns, diffs):
 
 def slope_table(family, omega0, n_max, mode="fixed-point"):
     """alpha'_n and beta'_n for n = 1..n_max, one chain per level."""
-    table = {}
-    for n in range(1, n_max + 1):
-        table[n] = slope_formula(family, omega0, n, mode=mode)
-    return table
+    return _slope_tables([family], omega0, n_max, mode)[0]
+
+
+def _slope_tables(families, omega0, n_max, mode):
+    """The slope_table of each family, from one pass over the levels
+    (curvedyn._slope_pass): families that share a slice record walk each
+    level once, and each table has the bits it has alone."""
+    tables = [{} for _ in families]
+    levels = [(n, (omega0,)) for n in range(1, n_max + 1)]
+    for n, slopes in _slope_pass(families, levels, mode):
+        for table, pair in zip(tables, slopes):
+            table[n] = pair
+    return tables
 
 
 def _slope_quotient(num, den, n):
@@ -216,14 +225,13 @@ def mixed_quotient_sequence(family, omega0, n_max, mode="fixed-point"):
     Returns the sequence with the slope tables of omega0 (levels 1..n_max)
     and of 2 omega0 (levels 1..n_max-1). A level's bases do not depend on
     the rotation number, so each level below n_max walks them once for
-    both (curvedyn._slope_chains).
+    both (curvedyn._slope_pass).
     """
     omega2 = omega0.double()
+    levels = [(n, (omega0, omega2) if n < n_max else (omega0,))
+              for n in range(1, n_max + 1)]
     tab1, tab2 = {}, {}
-    for n in range(1, n_max + 1):
-        omegas = (omega0, omega2) if n < n_max else (omega0,)
-        slopes = [_chain_slopes(ch)
-                  for ch in _slope_chains(family, omegas, n, mode)]
+    for n, slopes in _slope_pass([family], levels, mode):
         tab1[n] = slopes[0]
         if n < n_max:
             tab2[n] = slopes[1]
@@ -237,11 +245,12 @@ def _overlap_gaps(families, omega0, window, fixed_tables):
 
     The observation drivers run whole sequences in fixed-point mode; on the
     overlap window both modes are computed and the quotients must agree.
+    The exact-orbit tables of all families come from one pass.
     """
     lo, hi = window
     gaps = {}
-    for fam, tab_fixed in zip(families, fixed_tables):
-        tab_exact = slope_table(fam, omega0, hi, mode="exact-orbit")
+    exact_tables = _slope_tables(families, omega0, hi, "exact-orbit")
+    for tab_exact, tab_fixed in zip(exact_tables, fixed_tables):
         for n in range(max(2, lo), hi + 1):
             qe = tab_exact[n][0] / tab_exact[n - 1][0]
             qf = tab_fixed[n][0] / tab_fixed[n - 1][0]
@@ -279,8 +288,7 @@ def observation1(c1, c2, omega0, n_max=10):
     require_diophantine(omega0)
     if n_max < 4:
         raise ValueError(f"observation 1 needs n_max >= 4, got {n_max}")
-    tab1 = slope_table(c1, omega0, n_max, mode="fixed-point")
-    tab2 = slope_table(c2, omega0, n_max, mode="fixed-point")
+    tab1, tab2 = _slope_tables([c1, c2], omega0, n_max, "fixed-point")
     seq1 = quotient_sequence(tab1)
     seq2 = quotient_sequence(tab2)
     diffs = seq1.values() - seq2.values()
@@ -505,10 +513,10 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
         raise ValueError(f"observation 3 needs n_max >= 3, got {n_max}")
     if not etas:
         raise ValueError("observation 3 needs at least one eta")
-    tables = {}
-    for eta in (0.0,) + tuple(etas):
-        fam = flm_eta_family(eta, domain)
-        tables[eta] = quotient_sequence(slope_table(fam, omega0, n_max))
+    all_etas = (0.0,) + tuple(etas)
+    fams = [flm_eta_family(eta, domain) for eta in all_etas]
+    tables = {eta: quotient_sequence(table) for eta, table in zip(
+        all_etas, _slope_tables(fams, omega0, n_max, "fixed-point"))}
     base = dict(zip(tables[0.0].ns(), tables[0.0].values()))
 
     deviations, sup_dev = {}, {}

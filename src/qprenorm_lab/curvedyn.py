@@ -354,7 +354,12 @@ def G1_hat(psi):
 
 def DG1_hat(psi, u):
     """Derivative of the 2-cycle multiplier at psi in Sigma_1, direction u."""
-    c1, c2 = _sigma1_constants(psi)
+    return _dg1_hat(_sigma1_constants(psi), u)
+
+
+def _dg1_hat(consts, u):
+    """DG1_hat at a map with the Sigma_1 constants consts."""
+    c1, c2 = consts
     u0 = float(u(0.0))
     u1 = float(u(1.0))
     du0 = float(u.deriv()(0.0))
@@ -385,22 +390,32 @@ def DG1(psi, omega, v):
         dx(theta) = psi'(1) v(theta - 2 omega, 0) + v(theta - omega, 1)
     and the product response
         DG1 v(theta) = psi'(1) [d_x v(theta, 0) + psi''(0) dx(theta)].
-    Both are trigonometric polynomials of degree K, assembled on the half
-    spectrum: three Chebyshev rows read each mode at x = 0 and 1 and its
-    x-derivative at 0, the shifts by omega and 2 omega are the phase
-    factors exp(-2 pi i k omega) and exp(-4 pi i k omega), and one product
-    with the grid's phase table samples the sum.
+    Both are trigonometric polynomials of degree K (_dg1_samples).
     """
-    c1, c2 = _sigma1_constants(psi)
+    return _dg1_samples(_sigma1_constants(psi), omega, v)[0]
+
+
+def _dg1_samples(consts, omega, v):
+    """DG1 v on the M_GRID-point grid and its half spectrum s_0..s_K, at a
+    map with the Sigma_1 constants consts = (psi'(1), psi''(0)).
+
+    DG1 v(theta) = Re sum_k s_k exp(2 pi i k theta). Three Chebyshev rows
+    read each mode at x = 0 and 1 and its x-derivative at 0, the shifts by
+    omega and 2 omega are the phase factors exp(-2 pi i k omega) and
+    exp(-4 pi i k omega), and one product with the grid's phase table
+    samples the sum.
+    """
+    c1, c2 = consts
     at0, at1, dx0 = (v.modes @ _tables(v.domain).at).T
     w = float(omega)
     dx = c1 * at0 * _phases(-2 * w, v.K)[0] + at1 * _phases(-w, v.K)[0]
-    return (_grid_phases(M_GRID, v.K) @ (c1 * (dx0 + c2 * dx))).real
+    spec = c1 * (dx0 + c2 * dx)
+    return (_grid_phases(M_GRID, v.K) @ spec).real, spec
 
 
 def functional_K(omega, psi, v):
-    """K(omega, f, v) = m(DG1(omega, f) v)."""
-    return extremum_m(DG1(psi, omega, v)).value
+    """K(omega, f, v) = m(DG1(omega, f) v), refined on DG1's half spectrum."""
+    return _spectral_min(*_dg1_samples(_sigma1_constants(psi), omega, v)).value
 
 
 # ------------------------------------------------------------------ extrema
@@ -413,26 +428,32 @@ class ExtremumResult:
 
 
 def extremum_m(vals):
-    """min over the circle: grid local minima, three-point quadratic step,
-    then Newton on the trigonometric interpolant. A minimum is flat when its
-    second difference is at most 1e-10 max |vals| (all-zero values are
-    flat); flat minima are flagged and returned at grid accuracy.
-
-    A true minimum lies within half a grid step of a grid point, so the
-    grid misses it by at most max |g''| / (8 M^2), and max |g''| is at most
-    sum 4 pi^2 k^2 |spec_k| over the weighted half spectrum. Every grid
-    local minimum within that bound of the grid minimum is refined and the
-    least refined value is returned; with one such basin, the grid argmin
-    is the only one refined."""
+    """min over the circle of sampled values: the weighted half spectrum of
+    their trigonometric interpolant by one rfft, then _spectral_min."""
     vals = np.asarray(vals, dtype=float)
     M = vals.size
-    i = int(np.argmin(vals))
-    # The interpolant is Re sum_k spec_k exp(2 pi i k theta) over the
-    # weighted half spectrum, so one exponential per Newton step gives g1
-    # and g2.
     spec = np.fft.rfft(vals)
     spec[1:(M + 1) // 2] *= 2.0
     spec /= M
+    return _spectral_min(vals, spec)
+
+
+def _spectral_min(vals, spec):
+    """min over the circle of g(theta) = Re sum_k spec_k exp(2 pi i k theta)
+    from its samples vals on the uniform M-point grid: grid local minima,
+    three-point quadratic step, then Newton on the half spectrum. A minimum
+    is flat when its second difference is at most 1e-10 max |vals| (all-zero
+    values are flat); flat minima are flagged and returned at grid accuracy.
+
+    A true minimum lies within half a grid step of a grid point, so the
+    grid misses it by at most max |g''| / (8 M^2), and max |g''| is at most
+    sum 4 pi^2 k^2 |spec_k|. Every grid local minimum within that bound of
+    the grid minimum is refined and the least refined value is returned;
+    with one such basin, the grid argmin is the only one refined. One
+    exponential per Newton step gives g1 and g2, over the spec.size terms:
+    K + 1 for DG1's spectrum, M / 2 + 1 for extremum_m's."""
+    M = vals.size
+    i = int(np.argmin(vals))
     ik = 2j * np.pi * np.arange(spec.size)
     spec2 = ik * ik * spec
     bound = float(np.sum(np.abs(spec2))) / (8 * M * M)
@@ -444,16 +465,19 @@ def extremum_m(vals):
 
 
 def _refine_min(vals, i, spec, ik, spec2):
-    """The minimum of the basin of grid point i, as extremum_m states it."""
+    """The minimum of the basin of grid point i, as _spectral_min states
+    it."""
     M = vals.size
     gm = vals[i]
     gl, gr = vals[(i - 1) % M], vals[(i + 1) % M]
-    scale = float(np.max(np.abs(vals)))
+    scale = float(np.abs(vals).max())
     d1 = 0.5 * (gr - gl)
     d2 = gr - 2 * gm + gl
     if abs(d2) <= 1e-10 * scale:
         return ExtremumResult(value=float(gm), theta=i / M, degenerate=True)
-    off = float(np.clip(-d1 / d2, -1.0, 1.0))
+    # min/max and array methods, not np.clip and np.sum: on DG1's K + 1
+    # terms the wrappers cost as much as the arithmetic
+    off = min(max(float(-d1 / d2), -1.0), 1.0)
     theta = (i + off) / M
     value = float(gm - d1 * d1 / (2 * d2))
 
@@ -465,18 +489,17 @@ def _refine_min(vals, i, spec, ik, spec2):
     ok = True
     for _ in range(10):
         e = np.exp(ik * th)
-        g1 = float(np.sum(spec1 * e).real)
-        g2 = float(np.sum(spec2 * e).real)
+        g1 = float((spec1 * e).sum().real)
+        g2 = float((spec2 * e).sum().real)
         if g2 <= 0 or not np.isfinite(g2):
             ok = False
             break
-        step = -g1 / g2
-        step = float(np.clip(step, -1.0 / M, 1.0 / M))
+        step = min(max(-g1 / g2, -1.0 / M), 1.0 / M)
         th += step
         if abs(step) < 1e-16:
             break
     if ok and abs(th - theta) <= 2.0 / M:
-        refined = float(np.sum(spec * np.exp(ik * th)).real)
+        refined = float((spec * np.exp(ik * th)).sum().real)
         return ExtremumResult(value=refined, theta=th % 1.0, degenerate=False)
     return ExtremumResult(value=value, theta=theta % 1.0, degenerate=False)
 
@@ -590,7 +613,7 @@ def slope_chain(family, omega0, n, mode="exact-orbit"):
     so the slope does not depend on it. Callers that compare directions
     (check_H3) shift the vectors they compare.
     """
-    return _slope_chains(family, (omega0,), n, mode)[0]
+    return _slope_chains([family], (omega0,), n, mode, {})[0]
 
 
 def _dt_step(base, omega, v):
@@ -613,18 +636,39 @@ def _dt_step(base, omega, v):
     return QPFn(modes, v.domain)
 
 
-def _slope_chains(family, omegas0, n, mode):
-    """The chains of slope_chain at level n for each start omega in
-    omegas0, from one walk over the bases.
+def _slope_chains(families, omegas0, n, mode, v0s):
+    """The chains of slope_chain at level n for every family in families
+    and start omega in omegas0, family-major: families[i] at omegas0[j] is
+    entry i * len(omegas0) + j.
 
-    The bases with their operator data, the u-chain, v_0 and the end map
-    depend on n but not on omega, so each is built once; every omega gets
-    its own v-chain through _dt_step, one step per base, so its chain does
-    not depend on which other omegas share the walk. The chains share
-    u_end and psi_end.
+    The bases with their operator data, the u-chain and the end map depend
+    on n and on the family's slice record (its _cache), not on the coupling
+    or omega: families that share a record share one walk (_record_chains),
+    and the records are walked in the order each first appears. v0s maps a
+    family's index to its latest (alpha, v_0); a caller that runs several
+    levels passes one dict, so v_0 is built once per family and alpha.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    records = {}
+    for i, family in enumerate(families):
+        records.setdefault(id(family._cache), []).append(i)
+    rows = {}
+    for members in records.values():
+        rows.update(_record_chains(families, members, omegas0, n, mode, v0s))
+    return [ch for i in range(len(families)) for ch in rows[i]]
+
+
+def _record_chains(families, members, omegas0, n, mode, v0s):
+    """{i: chains of families[i] at omegas0} at level n for the families
+    in members, which share one record, from one walk over the bases.
+
+    Every (family, omega) gets its own v-chain through _dt_step, one step
+    per base, so its chain does not depend on which others share the walk;
+    the chains share u_end and psi_end. The walk ends with this call, so
+    one walk is alive at a time.
+    """
+    family = families[members[0]]
     if mode == "exact-orbit":
         alpha, bases, u = _exact_orbit_start(family, n)
         end = bases.pop()
@@ -641,8 +685,12 @@ def _slope_chains(family, omegas0, n, mode):
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    v0 = family.dv_deps(alpha)
-    chains = [([v0], [om]) for om in omegas0]     # (vs, omegas) per omega
+    rows = {}
+    for i in members:
+        if i not in v0s or v0s[i][0] != alpha:
+            v0s[i] = alpha, families[i].dv_deps(alpha)
+        rows[i] = [([v0s[i][1]], [om]) for om in omegas0]   # (vs, omegas)
+    chains = [c for row in rows.values() for c in row]
     for k, base in enumerate(bases, start=1):
         try:
             for vs, omegas in chains:
@@ -651,23 +699,56 @@ def _slope_chains(family, omegas0, n, mode):
         except (DegenerateScalingError, DomainError) as e:
             raise type(e)(f"chain stage k={k}: {e}")
     psi_end = _project_sigma1(end)
-    return [ChainResult(u_end=u, vs=vs, omegas=omegas, psi_end=psi_end)
-            for vs, omegas in chains]
+    return {i: [ChainResult(u_end=u, vs=vs, omegas=omegas, psi_end=psi_end)
+                for vs, omegas in row] for i, row in rows.items()}
 
 
-def _chain_slopes(ch):
-    """(alpha'_n, beta'_n) read off the end of a chain: the extrema of
-    DG1 v_{n-1} over theta, each divided by -DG1_hat u_{n-1}."""
-    den = DG1_hat(ch.psi_end, ch.u_end)
-    if abs(den) < 1e-300:
-        raise DegenerateScalingError("DG1_hat denominator vanished")
-    vals = DG1(ch.psi_end, ch.omega_end, ch.vs[-1])
-    return -extremum_m(vals).value / den, -extremum_M(vals).value / den
+def _chain_slopes(chains):
+    """(alpha'_n, beta'_n) read off the end of each chain: the extrema of
+    DG1 v_(n-1) over theta, refined on its half spectrum (_dg1_samples,
+    _spectral_min), each divided by -DG1_hat u_(n-1). The chains of one
+    walk share their end, whose Sigma_1 constants and denominator are
+    computed once."""
+    ends, slopes = {}, []
+    for ch in chains:
+        end = ends.get(id(ch.psi_end))
+        if end is None:
+            consts = _sigma1_constants(ch.psi_end)
+            den = _dg1_hat(consts, ch.u_end)
+            if abs(den) < 1e-300:
+                raise DegenerateScalingError("DG1_hat denominator vanished")
+            end = ends[id(ch.psi_end)] = consts, den
+        consts, den = end
+        vals, spec = _dg1_samples(consts, ch.omega_end, ch.vs[-1])
+        slopes.append((-_spectral_min(vals, spec).value / den,
+                       _spectral_min(-vals, -spec).value / den))
+    return slopes
+
+
+def _slope_pass(families, levels, mode):
+    """The slopes of several families, one level at a time.
+
+    levels is a sequence of (n, omegas0). For each, the pass yields n and
+    the (alpha'_n, beta'_n) of every family at every omega in omegas0, in
+    _slope_chains' order, read out before the next level is walked. v_0
+    is built once per family and alpha (once per family in fixed-point
+    mode, where alpha* does not move). A family's slopes do not depend on
+    which others share the pass.
+
+    When several chains would fail, the first failing level raises. Within
+    it the chains are built record by record, in the order each record
+    first appears (the walk, then v_0 in family order, then the lowest
+    chain stage k), and read out after all of them, in family order. A
+    one-family table thus raises what its level raises alone.
+    """
+    v0s = {}
+    for n, omegas0 in levels:
+        yield n, _chain_slopes(_slope_chains(families, omegas0, n, mode, v0s))
 
 
 def slope_formula(family, omega0, n, mode="exact-orbit"):
     """(alpha'_n, beta'_n) from the renormalization chain."""
-    return _chain_slopes(slope_chain(family, omega0, n, mode=mode))
+    return _chain_slopes([slope_chain(family, omega0, n, mode=mode)])[0]
 
 
 # ----------------------------------------------- direct bifurcation search

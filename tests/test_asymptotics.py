@@ -5,6 +5,7 @@ measured sequences; the drivers are run at reduced depth here (full depth
 belongs to the acceptance suite) with one negative control each.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -35,6 +36,7 @@ from qprenorm_lab import (
     observation2,
     observation3,
     project_p0,
+    quotient_sequence,
     project_pik,
     renorm_identity_gap,
     renormalized_family,
@@ -46,7 +48,7 @@ from qprenorm_lab import (
     quotient_factorization,
 )
 from qprenorm_lab.cli import parse_forcing
-from qprenorm_lab import asymptotics, qprenorm
+from qprenorm_lab import asymptotics, curvedyn, qprenorm
 from qprenorm_lab.errors import (ConsistencyError, DegeneratePointError,
                                  DegenerateScalingError, DiophantineError,
                                  NoSectionError, SearchError)
@@ -323,6 +325,124 @@ def test_eta_family_reduces_to_base_at_zero(flm):
         a = fam0.evaluator(alpha, 0.0)
         b = flm.evaluator(alpha, 0.0)
         assert np.max(np.abs(a.modes - b.modes)) <= 1e-12
+
+
+# ---------------------------------------------------- the shared slope pass
+
+def _sin_mix_family(name="flm-sin-mix"):
+    g, _ = parse_forcing("[0.5,0,0.5]*sin(1w)")
+    return flm_family(g=g, name=name)
+
+
+@pytest.mark.parametrize("mode", ["exact-orbit", "fixed-point"])
+def test_shared_pass_gives_each_family_its_one_family_table(flm, golden,
+                                                            mode):
+    # three couplings on the default domain's record walk each level once
+    fams = [flm, _sin_mix_family(), flm_eta_family(1e-2)]
+    got = asymptotics._slope_tables(fams, golden, 6, mode)
+    assert got == [slope_table(f, golden, 6, mode=mode) for f in fams]
+
+
+def test_observation1_reads_the_one_family_tables(flm, golden):
+    other = _sin_mix_family()
+    rep = observation1(flm, other, golden, n_max=8)
+    fixed = [slope_table(f, golden, 8) for f in (flm, other)]
+    assert rep.seq1.entries == quotient_sequence(fixed[0]).entries
+    assert rep.seq2.entries == quotient_sequence(fixed[1]).entries
+    gaps = {}
+    for f, tab_fixed in zip((flm, other), fixed):
+        tab_exact = slope_table(f, golden, 6, mode="exact-orbit")
+        for n in range(4, 7):
+            qe = tab_exact[n][0] / tab_exact[n - 1][0]
+            qf = tab_fixed[n][0] / tab_fixed[n - 1][0]
+            gaps[n] = max(abs(qe - qf) / abs(qe), gaps.get(n, 0.0))
+    assert rep.overlap_gaps == gaps
+
+
+def test_observation3_reads_the_one_family_tables(golden):
+    etas = (1e-3, 1e-2)
+    rep = observation3(golden, etas=etas, n_max=6)
+    q = {eta: dict(quotient_sequence(
+        slope_table(flm_eta_family(eta), golden, 6)).entries)
+         for eta in (0.0,) + etas}
+    for eta in etas:
+        assert rep.deviations[eta] == {n: abs(q[eta][n] - q[0.0][n])
+                                       for n in q[0.0]}
+
+
+def _count_walks_and_couplings(fams, monkeypatch):
+    """A counter of each family's dv_deps calls (by name) and of the
+    exact-orbit walks (by the name of the family that walks, and n)."""
+    calls = collections.Counter()
+    for fam in fams:
+        def counted(alpha, name=fam.name, dv_deps=fam.dv_deps):
+            calls[name] += 1
+            return dv_deps(alpha)
+        monkeypatch.setattr(fam, "dv_deps", counted)
+    start = curvedyn._exact_orbit_start
+
+    def walked(family, n):
+        calls[family.name, n] += 1
+        return start(family, n)
+    monkeypatch.setattr(curvedyn, "_exact_orbit_start", walked)
+    return calls
+
+
+def test_observation1_walks_each_level_once_for_both_families(golden,
+                                                              monkeypatch):
+    # the families share the default domain's record: the overlap window
+    # walks levels 1..6 once, and each family builds v_0 once for its
+    # fixed-point table (alpha* does not move) and once per exact level
+    fams = [flm_family(), _sin_mix_family()]
+    observation1(*fams, golden, n_max=8)       # polish levels 1..6 first
+    calls = _count_walks_and_couplings(fams, monkeypatch)
+    observation1(*fams, golden, n_max=8)
+    assert calls == {"flm": 7, "flm-sin-mix": 7,
+                     **{("flm", n): 1 for n in range(1, 7)}}
+
+
+def test_a_family_on_a_private_record_walks_alone(golden, monkeypatch):
+    shared, other = flm_family(), _sin_mix_family()
+    private = dataclasses.replace(_sin_mix_family(), name="private")
+    fams = [shared, private, other]
+    want = [slope_table(f, golden, 4, mode="exact-orbit") for f in fams]
+    calls = _count_walks_and_couplings(fams, monkeypatch)
+    got = asymptotics._slope_tables(fams, golden, 4, "exact-orbit")
+    assert got == want
+    assert calls == {"flm": 4, "private": 4, "flm-sin-mix": 4,
+                     **{(name, n): 1 for name in ("flm", "private")
+                        for n in range(1, 5)}}
+
+
+def _failing_at(level, flm):
+    """A coupling on flm's record whose v_0 raises at the polished
+    parameter of the given exact-orbit level."""
+    bad_alpha = flm._cache["sigma1"][level]
+
+    def dv_deps(alpha):
+        if alpha == bad_alpha:
+            raise DegenerateScalingError(f"no coupling at level {level}")
+        return flm.dv_deps(alpha)
+
+    fam = dataclasses.replace(flm, name=f"bad{level}", dv_deps=dv_deps)
+    fam._cache = flm._cache
+    return fam
+
+
+def test_a_failing_chain_raises_what_its_one_family_table_raises(golden):
+    flm = flm_family()
+    slope_table(flm, golden, 6, mode="exact-orbit")    # polish levels 1..6
+    bad3 = _failing_at(3, flm)
+    with pytest.raises(DegenerateScalingError) as alone:
+        slope_table(bad3, golden, 6, mode="exact-orbit")
+    # observation 1 meets it in its overlap window
+    with pytest.raises(DegenerateScalingError) as shared:
+        observation1(flm, bad3, golden, n_max=6)
+    assert str(shared.value) == str(alone.value) == "no coupling at level 3"
+    # of several failing chains, the first failing level's error wins
+    with pytest.raises(DegenerateScalingError, match="at level 2$"):
+        asymptotics._slope_tables([bad3, _failing_at(2, flm)], golden, 6,
+                                  "exact-orbit")
 
 
 # ------------------------------------------------------------------ checkers

@@ -768,6 +768,89 @@ def test_extrema_refinement_matches_dense_grid():
     assert m.value >= np.min(f(dense)) - 1e-9
 
 
+# ---------------------------------------- the slope read-out on the spectrum
+
+def _assert_read_out_matches_samples(ch):
+    """Oracle: the slopes of extremum_m and extremum_M on DG1's samples,
+    which refine on the rfft of the samples, agree with the read-out on
+    DG1's half spectrum within 1e-14 max |DG1| / |den|."""
+    den = DG1_hat(ch.psi_end, ch.u_end)
+    vals = DG1(ch.psi_end, ch.omega_end, ch.vs[-1])
+    want = (-extremum_m(vals).value / den, -extremum_M(vals).value / den)
+    got = curvedyn._chain_slopes([ch])[0]
+    tol = 1e-14 * float(np.max(np.abs(vals))) / abs(den)
+    assert np.max(np.abs(np.subtract(got, want))) <= tol
+    return got
+
+
+def _with_end_direction(ch, v):
+    return dataclasses.replace(ch, vs=ch.vs[:-1] + [v])
+
+
+@settings(max_examples=12, deadline=None)
+@given(terms=_FORCING, n=st.integers(1, 6),
+       mode=st.sampled_from(["exact-orbit", "fixed-point"]),
+       w=st.floats(0.0, 1.0, exclude_max=True))
+def test_slope_read_out_matches_the_sampled_extrema(golden, terms, n, mode,
+                                                    w):
+    # a chain end of a coupling of the forcing grammar, read at its own
+    # rotation number and at a random one
+    expr = " + ".join(f"[{','.join(map(repr, poly))}]*{trig}({k}w)"
+                      for poly, trig, k in terms)
+    g, _ = parse_forcing(expr)
+    ch = slope_chain(flm_family(g=g), golden, n, mode=mode)
+    _assert_read_out_matches_samples(ch)
+    moved = ch.omegas[:-1] + [RotationNumber.from_float(w)]
+    _assert_read_out_matches_samples(dataclasses.replace(ch, omegas=moved))
+
+
+def test_slope_read_out_of_a_flat_dg1(flm, golden):
+    # a theta-independent direction has a flat DG1 v: both read-outs
+    # return the grid value, so the two slopes agree
+    ch = slope_chain(flm, golden, 3, mode="fixed-point")
+    v = QPFn.from_callable(ch.vs[-1].domain,
+                           DG1_DIRECTIONS["theta-independent"])
+    alpha, beta = _assert_read_out_matches_samples(_with_end_direction(ch, v))
+    assert alpha == pytest.approx(beta, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3141, 0.77])
+def test_slope_read_out_takes_the_global_extremum_of_near_tied_basins(
+        flm, golden, c):
+    # DG1 v = -cos(6 pi t) + 1e-11 cos(2 pi t - 0.4), t = theta - c, up to
+    # rounding: v vanishes at x = 0 and 1 and its x-derivative at 0 is
+    # that sum over psi'(1). The least minimum is at t = 2/3, the greatest
+    # maximum at t = 1/6, each 1e-11-close to two other basins and at
+    # least 6.7e-12 from both
+    ch = slope_chain(flm, golden, 3, mode="fixed-point")
+    c1, _ = curvedyn._sigma1_constants(ch.psi_end)
+
+    def v(th, x):
+        t = np.asarray(th) - c
+        return (x * (1.0 - x * x) / c1
+                * (-np.cos(3 * TWO_PI * t) + 1e-11 * np.cos(TWO_PI * t - 0.4)))
+
+    end = _with_end_direction(ch, QPFn.from_callable(ch.vs[-1].domain, v))
+    alpha, beta = _assert_read_out_matches_samples(end)
+    den = DG1_hat(ch.psi_end, ch.u_end)
+    low = -1.0 + 1e-11 * math.cos(TWO_PI * 2 / 3 - 0.4)
+    high = 1.0 + 1e-11 * math.cos(TWO_PI / 6 - 0.4)
+    assert abs(-alpha * den - low) <= 1e-13
+    assert abs(-beta * den - high) <= 1e-13
+
+
+def test_slope_read_out_scales_with_the_coupling(flm, golden):
+    # a coupling scaled by 1e-90 gets the slopes scaled by 1e-90: the flat
+    # floor and the basin bound are relative to the values
+    for mode in ("exact-orbit", "fixed-point"):
+        ch = slope_chain(flm, golden, 4, mode=mode)
+        unit = curvedyn._chain_slopes([ch])[0]
+        tiny = curvedyn._chain_slopes(
+            [_with_end_direction(ch, ch.vs[-1] * 1e-90)])[0]
+        assert tiny == pytest.approx((1e-90 * unit[0], 1e-90 * unit[1]),
+                                     rel=1e-14, abs=0.0)
+
+
 # ------------------------------------------------------------ slope chains
 
 def test_slope_identity_for_quadratic_family(flm, golden):
