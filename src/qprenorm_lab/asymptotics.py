@@ -34,18 +34,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ConsistencyError, DegeneratePointError,
-                     DegenerateScalingError, NoSectionError)
+from .errors import ConsistencyError, DegenerateScalingError
 from .funcspace import (AnalyticFn, DomainConfig, pair_sup_norm, project_pik,
                         sup_norm)
-from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_T,
-                       build_L_omega, gamma_normalize, l_prime_rows,
-                       require_diophantine, row_norms, section_gammas,
-                       shift_pairs)
+from .qprenorm import (RotationNumber, SectionConfig, _fill_L_omega,
+                       apply_DT, apply_T, build_L_omega, gamma_normalize,
+                       l_prime_rows, require_diophantine, row_norms,
+                       section_gammas, shift_pairs)
 from .renorm1d import (FamilySpec, dr_matrix, feigenbaum_fixed_point,
                        stable_manifold_param, superstable_params)
-from .curvedyn import (DG1_hat, _slope_pass, flm_family, functional_K,
-                       slope_chain, slope_formula)
+from .curvedyn import (DG1_hat, _slope_chains, _slope_pass, flm_family,
+                       functional_K, slope_formula)
 
 
 # ------------------------------------------------------ quotient sequences
@@ -613,9 +612,12 @@ def check_H3(c, omega0, n_max=8, section=SectionConfig()):
     if n_max < 4:
         raise ValueError(f"H3 needs n_max >= 4, got {n_max}")
     gaps, norms, m_floors = {}, [], []
+    # one v_0 dict per mode: alpha* stays, so v_0 is built once for the
+    # fixed-point chains, while alpha_n of the exact orbit moves per level
+    v0s_e, v0s_f = {}, {}
     for n in range(2, n_max + 1):
-        ch_e = slope_chain(c, omega0, n, mode="exact-orbit")
-        ch_f = slope_chain(c, omega0, n, mode="fixed-point")
+        ch_e, = _slope_chains([c], (omega0,), n, "exact-orbit", v0s_e)
+        ch_f, = _slope_chains([c], (omega0,), n, "fixed-point", v0s_f)
         ve = _on_section(ch_e.vs[-1], section)
         vf = _on_section(ch_f.vs[-1], section)
         ve_hat = _unit_direction(ve, n)
@@ -636,14 +638,14 @@ def check_H3(c, omega0, n_max=8, section=SectionConfig()):
 
 # ------------------------------------------------------------- H4 checker
 
-def _unit_on_section(x, domain, section):
-    """Row x on the section, scaled to unit l2 norm; raises its error."""
-    X = np.array([x])
+def _units_on_section(X, domain, section):
+    """Rows of X on the section, each scaled to unit l2 norm, with the
+    per-row errors of section_gammas (a failing row is left unscaled)."""
     gamma0, errors = section_gammas(X, domain, section)
-    if errors[0] is not None:
-        raise errors[0]
-    p = shift_pairs(X, gamma0, domain.n_cheb)[0]
-    return p * (1.0 / np.linalg.norm(p))
+    P = shift_pairs(X, gamma0, domain.n_cheb)
+    ok = np.array([e is None for e in errors], dtype=bool)
+    P[ok] *= (1.0 / row_norms(P[ok]))[:, None]
+    return P, errors
 
 
 def _dominant_direction(psi, omega, section=SectionConfig()):
@@ -654,7 +656,10 @@ def _dominant_direction(psi, omega, section=SectionConfig()):
     vec = np.real(w)
     if np.linalg.norm(vec) < 1e-8 * np.linalg.norm(w):
         vec = np.imag(w)
-    return _unit_on_section(vec, psi.domain, section)
+    P, errors = _units_on_section(np.array([vec]), psi.domain, section)
+    if errors[0] is not None:
+        raise errors[0]
+    return P[0]
 
 
 @dataclass
@@ -673,6 +678,34 @@ H4_RADIUS = 0.5
 H4_OMEGAS = tuple(RotationNumber.from_fraction(2 * k + 1, 128)
                   for k in range(64))
 H4_MULTI_N = 8        # steps of the multi-step fit
+H4_BLOCK = 8          # grid omegas stepped as one stacked product
+
+
+def _h4_samples(e0_vec, n_pairs, rng, domain, section):
+    """Up to 2 n_pairs unit rows on the section within H4_RADIUS of e0_vec.
+
+    Candidates are drawn one at a time (a normal vector, then a uniform
+    radius) and accepted in draw order, at most 20 n_pairs of them; the
+    section of a batch of candidates is decided by one call, and a batch
+    holds as many candidates as rows are still missing, so the accepted
+    rows are those of a one-candidate-at-a-time loop."""
+    radius, dim = H4_RADIUS, e0_vec.size
+    samples, attempts = [], 0
+    while len(samples) < 2 * n_pairs and attempts < 20 * n_pairs:
+        C = np.empty((min(2 * n_pairs - len(samples),
+                          20 * n_pairs - attempts), dim))
+        attempts += len(C)
+        for cand in C:
+            w = rng.standard_normal(dim)
+            w *= (radius * 0.98 * rng.random() ** (1.0 / dim)
+                  / np.linalg.norm(w))
+            cand[:] = e0_vec + w
+            cand /= np.linalg.norm(cand)
+        P, errors = _units_on_section(C, domain, section)
+        near = row_norms(P - e0_vec) <= radius
+        samples.extend(p for p, e, ok in zip(P, errors, near)
+                       if e is None and ok)
+    return np.array(samples).reshape(-1, dim)
 
 
 def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
@@ -690,10 +723,14 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
     instead (the relaxed criterion K rho^n). The clauses: some pair was
     compared, then the one-step or the multi-step criterion that decided.
 
-    For each omega, L_omega is built once and all samples are stepped as
-    one block of coefficient rows (l_prime_rows); a pair with an image
-    off the section counts once in n_skipped. n_pairs < 1 raises
-    ValueError, and a run that compares no pair at any omega fails.
+    The grid is stepped H4_BLOCK omegas at a time: their L_omega matrices
+    fill one buffer, and all samples under all of them are one stacked
+    block of coefficient rows (l_prime_rows), one matrix-vector product
+    per (omega, sample) and one section call per block; the skips,
+    violations and ratios of the block are masks over (omega, pair). A
+    pair with an image off the section counts once in n_skipped.
+    n_pairs < 1 raises ValueError, and a run that compares no pair at any
+    omega fails.
     """
     if n_pairs < 1:
         raise ValueError(f"check_H4 needs n_pairs >= 1, got {n_pairs}")
@@ -706,31 +743,19 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
     dim = e0_vec.size
 
     radius = H4_RADIUS
-    rng = np.random.default_rng(seed)
-    samples = []
-    attempts = 0
-    while len(samples) < 2 * n_pairs and attempts < 20 * n_pairs:
-        attempts += 1
-        w = rng.standard_normal(dim)
-        w *= radius * 0.98 * rng.random() ** (1.0 / dim) / np.linalg.norm(w)
-        cand = e0_vec + w
-        cand /= np.linalg.norm(cand)
-        try:
-            p = _unit_on_section(cand, dom, section)
-        except (NoSectionError, DegeneratePointError):
-            continue
-        if np.linalg.norm(p - e0_vec) <= radius:
-            samples.append(p)
-    n_used = 2 * (len(samples) // 2)
-    X = np.array(samples[:n_used]).reshape(n_used, dim)
+    X = _h4_samples(e0_vec, n_pairs, np.random.default_rng(seed), dom,
+                    section)
+    n_sampled = len(X)
+    n_used = 2 * (n_sampled // 2)
+    X = X[:n_used]
 
-    def step(Y, om):
-        """Rows v -> t_gamma(L_omega v) / || ||, with per-row errors."""
-        F, errors = l_prime_rows(build_L_omega(psi, om, 1).matrix, Y, dom,
-                                 section)
-        ok = [e is None for e in errors]
-        F[ok] = F[ok] * (1.0 / row_norms(F[ok]))[:, None]
-        return F, errors
+    def step(Y, matrix):
+        """Rows v -> t_gamma(L v) / || || for each L of matrix in turn,
+        with per-row errors."""
+        F, errors = l_prime_rows(matrix, Y, dom, section)
+        ok = np.array([e is None for e in errors], dtype=bool)
+        F[ok] *= (1.0 / row_norms(F[ok]))[:, None]
+        return F, ok, errors
 
     # pair i is (X[2i], X[2i + 1]); its distances do not depend on omega
     n = dom.n_cheb
@@ -739,23 +764,30 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
     den_sup = np.maximum(pair_sup_norm(dom, D[:, :n], D[:, n:]), 1e-300)
     per_omega, skipped, v_violations, compared = {}, 0, 0, 0
     max_l2 = max_sup = 0.0
-    for om in H4_OMEGAS:
-        F, errors = step(X, om)
-        ok = np.array([e is None for e in errors], dtype=bool)
-        pair_ok = ok[0::2] & ok[1::2]
+    Ms = np.empty((H4_BLOCK, dim, dim))
+    for b in range(0, len(H4_OMEGAS), H4_BLOCK):
+        block = H4_OMEGAS[b:b + H4_BLOCK]
+        for M, om in zip(Ms, block):
+            _fill_L_omega(M, psi, om)
+        F, ok, _ = step(X, Ms[:len(block)])
+        F = F.reshape(len(block), n_used, dim)
+        ok = ok.reshape(len(block), n_used)
+        pair_ok = ok[:, 0::2] & ok[:, 1::2]           # (omega, pair)
         skipped += int(np.sum(~pair_ok))
         v_violations += int(np.sum(
-            row_norms(F[np.repeat(pair_ok, 2)] - e0_vec) > radius))
+            row_norms(F[np.repeat(pair_ok, 2, axis=1)] - e0_vec) > radius))
         use = pair_ok & ~(den_l2 < 1e-14)
-        num = (F[0::2] - F[1::2])[use]
-        ratios_l2 = row_norms(num) / den_l2[use]
-        ratios_sup = pair_sup_norm(dom, num[:, :n], num[:, n:]) / den_sup[use]
-        # Python max keeps the float 0.0 when no ratio exceeds it, and the
-        # first of equal maxima, as a one-pair-at-a-time loop does
-        worst_l2 = max((0.0, *ratios_l2))
-        max_sup = max((max_sup, *ratios_sup))
-        per_omega[float(om)] = worst_l2
-        max_l2 = max(max_l2, float(worst_l2))
+        num = (F[:, 0::2] - F[:, 1::2])[use]
+        ratios = np.zeros(use.shape)
+        ratios[use] = row_norms(num) / np.broadcast_to(den_l2, use.shape)[use]
+        ratios_sup = (pair_sup_norm(dom, num[:, :n], num[:, n:])
+                      / np.broadcast_to(den_sup, use.shape)[use])
+        max_sup = max(max_sup, float(np.max(ratios_sup, initial=0.0)))
+        # a ratio is >= 0: an omega whose largest is not above 0 reports
+        # the float 0.0, as a one-pair-at-a-time loop from 0.0 does
+        for om, worst_l2 in zip(block, np.max(ratios, axis=1, initial=0.0)):
+            per_omega[float(om)] = worst_l2 if worst_l2 > 0.0 else 0.0
+            max_l2 = max(max_l2, float(worst_l2))
         compared += int(np.sum(use))
 
     multi_fit = None
@@ -764,7 +796,7 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
         om = H4_OMEGAS[0]
         dists = []
         for _ in range(H4_MULTI_N):
-            Y, errors = step(Y, om)
+            Y, _, errors = step(Y, build_L_omega(psi, om, 1).matrix)
             for e in errors:
                 if e is not None:
                     raise e
@@ -775,7 +807,7 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
     decided = (multi_fit.clauses if multi_fit is not None else
                [Clause("max_ratio_l2", max_l2, 1.0, max_l2 < 1.0)])
     return H4Report(max_ratio_l2=float(max_l2), max_ratio_sup=float(max_sup),
-                    per_omega_max=per_omega, n_sampled=len(samples),
+                    per_omega_max=per_omega, n_sampled=n_sampled,
                     n_skipped=skipped, v_violations=v_violations,
                     multi_step_fit=multi_fit,
                     clauses=[Clause("pairs_compared", compared, 1,
@@ -868,8 +900,9 @@ def quotient_factorization(family, omega0, n):
     """
     if n < 2:
         raise ValueError("the decomposition needs n >= 2")
-    ch_n = slope_chain(family, omega0, n, mode="fixed-point")
-    ch_m = slope_chain(family, omega0, n - 1, mode="fixed-point")
+    v0s = {}       # alpha* is one, so both chains start from one v_0
+    ch_n, = _slope_chains([family], (omega0,), n, "fixed-point", v0s)
+    ch_m, = _slope_chains([family], (omega0,), n - 1, "fixed-point", v0s)
 
     L_n = DG1_hat(ch_n.psi_end, ch_n.u_end)
     L_m = DG1_hat(ch_m.psi_end, ch_m.u_end)

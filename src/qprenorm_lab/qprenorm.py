@@ -19,7 +19,7 @@ The section machinery quotients the rotational symmetry t_gamma by
 shifting a mode-1 vector onto the section {f(theta0, x0) = 0, positive
 theta-derivative}. One routine, section_gammas, decides the shift for a
 block of pairs; gamma_normalize, apply_L_prime and l_prime_rows (a
-block of pairs under one L_omega) all go through it.
+block of pairs under one L_omega or a stack of them) all go through it.
 """
 
 from __future__ import annotations
@@ -237,13 +237,24 @@ class LOmegaOperator:
 def build_L_omega(psi, omega, k=1):
     """Assemble L_{k omega} acting on pair coefficients; omega is a
     RotationNumber, so k omega mod 1 is exact."""
-    phi = 2.0 * np.pi * float(omega.times_mod1(k))
+    n = psi.domain.n_cheb
+    M = np.empty((2 * n, 2 * n))
+    _fill_L_omega(M, psi, omega.times_mod1(k))
+    return LOmegaOperator(base_psi=psi, matrix=M)
+
+
+def _fill_L_omega(out, psi, omega):
+    """Write the matrix of L_omega into the 2n x 2n array out, block by
+    block: L1 + cos L2 on the diagonal, sin L2 and -sin L2 off it."""
+    phi = 2.0 * np.pi * float(omega)
     L1 = l1_matrix(psi)
     L2 = l2_matrix(psi)
+    n = L1.shape[0]
     c, s = np.cos(phi), np.sin(phi)
-    M = np.block([[L1 + c * L2, s * L2],
-                  [-s * L2, L1 + c * L2]])
-    return LOmegaOperator(base_psi=psi, matrix=M)
+    np.add(L1, c * L2, out=out[:n, :n])
+    out[n:, n:] = out[:n, :n]
+    np.multiply(s, L2, out=out[:n, n:])
+    np.multiply(-s, L2, out=out[n:, :n])
 
 
 def rotation_matrix(n_cheb, gamma):
@@ -302,9 +313,11 @@ def spectrum_L_omega(op):
 # row gets the bits it would get alone.
 
 def row_norms(X):
-    """np.linalg.norm of each row of X, bit for bit: sqrt of the row's dot
-    product (a norm over an axis sums in another order)."""
-    return np.sqrt(np.array([x.dot(x) for x in X]))
+    """np.linalg.norm of each row of X (rows along the last axis), bit for
+    bit: sqrt of the row's dot product. The stacked matmul takes one BLAS
+    dot per row, as x.dot(x) does; a norm over an axis sums in another
+    order."""
+    return np.sqrt((X[..., None, :] @ X[..., :, None])[..., 0, 0])
 
 
 def section_gammas(X, domain, section=SectionConfig()):
@@ -359,17 +372,19 @@ def shift_pairs(X, gamma0, n_cheb):
 def l_prime_rows(matrix, X, domain, section=SectionConfig()):
     """Rows t_gamma(L x) for the rows x of X, L = matrix; returns (Y, errors).
 
-    errors[j] is None, or the DegenerateScalingError (image numerically
-    zero, whatever the section says), NoSectionError or
-    DegeneratePointError of row j, whose Y row is then 0. Each row gets its
-    own matvec: one matrix product of the whole block would round
+    matrix is one L or a stack of them (B, d, d); for a stack, Y holds the
+    images of X under each L in turn, B * S rows in (L, x) order, decided
+    by one section call. errors[j] is None, or the DegenerateScalingError
+    (image numerically zero, whatever the section says), NoSectionError or
+    DegeneratePointError of row j, whose Y row is then 0. The stacked
+    matmul takes one matrix-vector product per (L, x), so a row gets the
+    bits of matrix @ x; one matrix product of the whole block would round
     differently.
     """
-    W = np.empty_like(X)
-    for j, x in enumerate(X):
-        W[j] = matrix @ x
+    W = (matrix[..., None, :, :] @ X[:, :, None])[..., 0]
+    tiny = (row_norms(W) <= 1e-14 * np.fmax(1.0, row_norms(X))).ravel()
+    W = W.reshape(-1, X.shape[1])
     gamma0, errors = section_gammas(W, domain, section)
-    tiny = row_norms(W) <= 1e-14 * np.fmax(1.0, row_norms(X))
     errors = [DegenerateScalingError("L_omega image is numerically zero")
               if z else e for z, e in zip(tiny, errors)]
     Y = shift_pairs(W, gamma0, domain.n_cheb)

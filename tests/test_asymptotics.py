@@ -456,6 +456,43 @@ def test_h3_directions_converge(flm, golden):
     assert gaps[-1] < gaps[0]
 
 
+def _reference_h3(c, omega0, n_max):
+    """check_H3 with one slope_chain per level and mode."""
+    section = asymptotics.SectionConfig()
+    gaps, norms, m_floors = {}, [], []
+    for n in range(2, n_max + 1):
+        ch_e = slope_chain(c, omega0, n, mode="exact-orbit")
+        ch_f = slope_chain(c, omega0, n, mode="fixed-point")
+        ve = asymptotics._on_section(ch_e.vs[-1], section)
+        vf = asymptotics._on_section(ch_f.vs[-1], section)
+        vf_hat = asymptotics._unit_direction(vf, n)
+        gaps[n] = sup_norm(asymptotics._unit_direction(ve, n) - vf_hat)
+        norms.append(sup_norm(vf))
+        m_floors.append(abs(curvedyn.functional_K(ch_f.omega_end,
+                                                  ch_f.psi_end, vf_hat)))
+    fit = fit_geometric_decay(sorted(gaps), [gaps[n] for n in sorted(gaps)])
+    c_floor, c0_floor = float(np.min(norms)), float(np.min(m_floors))
+    return asymptotics.H3Report(
+        fit=fit, direction_gaps=gaps, c_floor=c_floor, c0_floor=c0_floor,
+        clauses=[*fit.clauses,
+                 asymptotics.Clause("c_floor", c_floor, 0.0, c_floor > 0),
+                 asymptotics.Clause("c0_floor", c0_floor, 0.0,
+                                    c0_floor > 0)])
+
+
+def test_h3_builds_the_fixed_point_v0_once(flm, golden, monkeypatch):
+    want = _reference_h3(flm, golden, 8)
+    calls = _count_walks_and_couplings([flm], monkeypatch)
+    got = check_H3(flm, golden, n_max=8)
+    # v_0 once at alpha* and once per exact-orbit level 2..8
+    assert calls["flm"] == 8
+    for name in asymptotics.H3Report.__dataclass_fields__:
+        assert getattr(got, name) == getattr(want, name), name
+    calls.clear()
+    quotient_factorization(flm, golden, 5)
+    assert calls["flm"] == 1
+
+
 def test_h4_contraction_after_multiple_steps(golden):
     rep = check_H4(n_pairs=10, seed=7)
     assert rep.passed
@@ -548,10 +585,14 @@ def _reference_h4(psi, n_pairs, seed, radius=0.5, multi_n=8):
                                                 compared > 0), *decided])
 
 
-@pytest.mark.parametrize("seed", [7, 123, 99999])
-def test_h4_block_step_equals_the_one_sample_loop(fp, seed):
-    got = check_H4(n_pairs=10, seed=seed)
-    want = _reference_h4(fp.phi, 10, seed)
+@pytest.mark.parametrize("n_pairs, seed", [
+    pytest.param(10, 7, id="7"), pytest.param(10, 123, id="123"),
+    pytest.param(10, 99999, id="99999"),
+    # odd pair counts: blocks of 2 and 50 sample rows per omega
+    pytest.param(1, 7, id="1-pair"), pytest.param(25, 7, id="25-pairs")])
+def test_h4_block_step_equals_the_one_sample_loop(fp, n_pairs, seed):
+    got = check_H4(n_pairs=n_pairs, seed=seed)
+    want = _reference_h4(fp.phi, n_pairs, seed)
     for name in H4Report.__dataclass_fields__:
         assert getattr(got, name) == getattr(want, name), name
     # types too: repr() of a float and of an np.float64 differ
@@ -564,13 +605,14 @@ def test_h4_counts_a_pair_with_a_failing_image_once(fp, monkeypatch):
     section_gammas = qprenorm.section_gammas
 
     def failing(X, domain, section):
-        # in the block of all six images, one image of pair 1 and both
-        # images of pair 2 miss the section
+        # in a block of images of the six samples, omega by omega, one
+        # image of pair 1 and both images of pair 2 miss the section
         gamma0, errors = section_gammas(X, domain, section)
-        if X.shape[0] == 6:
-            for j in (3, 4, 5):
-                errors[j] = DegeneratePointError("injected")
-                gamma0[j] = 0.0
+        if X.shape[0] % 6 == 0:
+            for j in range(X.shape[0]):
+                if j % 6 in (3, 4, 5):
+                    errors[j] = DegeneratePointError("injected")
+                    gamma0[j] = 0.0
         return gamma0, errors
 
     monkeypatch.setattr(qprenorm, "section_gammas", failing)
@@ -580,6 +622,42 @@ def test_h4_counts_a_pair_with_a_failing_image_once(fp, monkeypatch):
     assert rep.n_sampled == clean.n_sampled == 6
     for w, r in rep.per_omega_max.items():
         assert r <= clean.per_omega_max[w]
+
+
+def test_h4_steps_its_grid_in_blocks(fp, monkeypatch):
+    check_H4(n_pairs=10, seed=7)
+    rows = {"lib": [], "own": []}
+    built = []
+
+    def counted(route, section_gammas):
+        def wrapped(X, domain, section):
+            rows[route].append(X.shape[0])
+            return section_gammas(X, domain, section)
+        return wrapped
+
+    def build(psi, omega, k=1, build_L_omega=asymptotics.build_L_omega):
+        built.append(omega)
+        return build_L_omega(psi, omega, k)
+
+    # l_prime_rows calls qprenorm's section_gammas; the dominant direction
+    # and the sampler call asymptotics' name of it
+    monkeypatch.setattr(qprenorm, "section_gammas",
+                        counted("lib", qprenorm.section_gammas))
+    monkeypatch.setattr(asymptotics, "section_gammas",
+                        counted("own", asymptotics.section_gammas))
+    monkeypatch.setattr(asymptotics, "build_L_omega", build)
+    rep = check_H4(n_pairs=10, seed=7)
+    assert rep.multi_step_fit is not None
+    blocks = -(-len(asymptotics.H4_OMEGAS) // asymptotics.H4_BLOCK)
+    # one call per block of the grid, one per multi-step
+    assert rows["lib"] == ([20 * asymptotics.H4_BLOCK] * blocks
+                           + [2] * asymptotics.H4_MULTI_N)
+    # the dominant direction, then batches of the missing samples
+    own = rows["own"]
+    assert own[:2] == [1, 20] and sum(own[1:]) <= 20 * 10
+    assert len(own) <= 6
+    # L_omega operators for the dominant direction and the multi-step fit
+    assert len(built) == 1 + asymptotics.H4_MULTI_N
 
 
 @pytest.mark.parametrize("n_pairs", [0, -3])
@@ -592,10 +670,10 @@ def test_h4_fails_when_it_compares_no_pair(fp, monkeypatch):
     section_gammas = qprenorm.section_gammas
 
     def failing(X, domain, section):
-        # every image of the sample block misses the section
+        # every image of a block of the four samples misses the section
         gamma0, errors = section_gammas(X, domain, section)
-        if X.shape[0] == 4:
-            errors = [DegeneratePointError("injected")] * 4
+        if X.shape[0] % 4 == 0:
+            errors = [DegeneratePointError("injected")] * X.shape[0]
             gamma0[:] = 0.0
         return gamma0, errors
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 from qprenorm_lab import (
+    DomainConfig,
     PairFn,
     QPFn,
     RotationNumber,
@@ -46,7 +47,8 @@ from qprenorm_lab.errors import (
     PrecisionExhaustedError,
 )
 from qprenorm_lab.funcspace import _clenshaw_scalar
-from qprenorm_lab.qprenorm import l_prime_rows, section_gammas
+from qprenorm_lab.qprenorm import (l_prime_rows, row_norms, section_gammas,
+                                  shift_pairs)
 
 TWO_PI = 2.0 * np.pi
 
@@ -288,6 +290,55 @@ def test_quarter_rotation_block_structure(fp):
     assert np.max(np.abs(M[n:, n:] - L1)) <= 1e-12
     assert np.max(np.abs(M[:n, n:] - L2)) <= 1e-12
     assert np.max(np.abs(M[n:, :n] + L2)) <= 1e-12
+
+
+@pytest.mark.parametrize("omega", [
+    RotationNumber.golden(), RotationNumber.from_fraction(1, 3),
+    RotationNumber.from_fraction(5, 128)], ids=["golden", "third", "grid"])
+@pytest.mark.parametrize("k", [1, 2, 16])
+def test_block_matrix_is_the_block_formula_bit_for_bit(fp, omega, k):
+    phi = 2.0 * np.pi * float(omega.times_mod1(k))
+    L1, L2 = l1_matrix(fp.phi), l2_matrix(fp.phi)
+    c, s = np.cos(phi), np.sin(phi)
+    want = np.block([[L1 + c * L2, s * L2],
+                     [-s * L2, L1 + c * L2]])
+    assert build_L_omega(fp.phi, omega, k).matrix.tobytes() == want.tobytes()
+
+
+def _row_blocks(rng, width, count=8):
+    """Random blocks of 1-50 rows of the given width, each row scaled by
+    1e-8..1e8: contiguous, every other row, and a column slice."""
+    for _ in range(count):
+        rows = int(rng.integers(1, 51))
+        B = (rng.standard_normal((2 * rows, width + 3))
+             * 10.0 ** rng.uniform(-8.0, 8.0, size=(2 * rows, 1)))
+        yield np.ascontiguousarray(B[:rows, :width])
+        yield B[0::2, :width]
+        yield B[:rows, 2:width + 2]
+
+
+@pytest.mark.parametrize("width", [2, 40, 80, 81])
+def test_row_norms_are_the_per_row_dot_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    for X in _row_blocks(rng, width):
+        want = np.sqrt(np.array([x.dot(x) for x in X]))
+        assert row_norms(X).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_cheb", [20, 40])
+def test_l_prime_rows_take_the_per_row_matvec_bit_for_bit(n_cheb):
+    dom = DomainConfig(n_cheb=n_cheb)
+    rng = np.random.default_rng(n_cheb)
+    Ms = rng.standard_normal((3, 2 * n_cheb, 2 * n_cheb))
+    for X in _row_blocks(rng, 2 * n_cheb, count=4):
+        for matrix in (Ms[1], Ms):
+            Y, errors = l_prime_rows(matrix, X, dom)
+            # (L, x) order: the images of X under each L in turn
+            W = np.array([L @ x for L in matrix.reshape(-1, *Ms.shape[1:])
+                          for x in X])
+            gamma0, _ = section_gammas(W, dom)
+            assert errors == [None] * len(W)
+            assert Y.tobytes() == shift_pairs(W, gamma0, n_cheb).tobytes()
 
 
 @pytest.mark.parametrize("op", [
