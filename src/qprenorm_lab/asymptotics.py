@@ -35,8 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateScalingError
-from .funcspace import (AnalyticFn, DomainConfig, pair_sup_norm, project_pik,
-                        sup_norm)
+from .funcspace import (AnalyticFn, DomainConfig, pair_sup_norm, project_p0,
+                        project_pik, sup_norm)
 from .qprenorm import (RotationNumber, SectionConfig, _fill_L_omega,
                        apply_DT, apply_T, build_L_omega, gamma_normalize,
                        l_prime_rows, require_diophantine, row_norms,
@@ -315,9 +315,12 @@ def _aitken(seq):
 def renormalized_family(family, omega, n):
     """The family (alpha, eps) -> T_omega(c(alpha, eps)), with s_0..s_(n-1).
 
-    Its parameter derivatives are the chain rule of T_omega at the
-    theta-independent slice psi0(alpha) of the parent: DR(psi0) du for
-    alpha and DT(psi0) dv for eps.
+    Its slice is T_omega of the parent's slice psi0(alpha), taken on the
+    cylinder (apply_T), which has no closed form; its parameter
+    derivatives are the chain rule of T_omega at psi0(alpha): DR(psi0) du
+    for alpha and DT(psi0) dv for eps. All three read the parent's one
+    slice, so the identity alpha'_i(c) = alpha'_(i-1)(T c) compares R on
+    the line with T on the cylinder at the same map.
 
     (R psi)^(2^k)(0) = psi^(2^(k+1))(0) / psi(1), so the superstable
     parameters of the new family are the parent's shifted one level down,
@@ -326,7 +329,8 @@ def renormalized_family(family, omega, n):
     has: a grid scan would step on parameters where T_omega c is not
     defined.
     """
-    # du_dalpha and dv_deps read the same slice, with its operator data
+    # the slice, du_dalpha and dv_deps read one parent slice and its
+    # operator data
     psi0 = lru_cache(maxsize=1)(family.psi0)
 
     def du_dalpha(alpha):
@@ -337,6 +341,7 @@ def renormalized_family(family, omega, n):
     fam = FamilySpec(
         name=family.name + "_T",
         evaluator=lambda a, e: apply_T(family.evaluator(a, e), omega),
+        slice0=lambda a: project_p0(apply_T(psi0(a).embed(), omega)),
         du_dalpha=du_dalpha,
         dv_deps=lambda a: apply_DT(psi0(a), omega, family.dv_deps(a)),
         alpha_box=family.alpha_box)

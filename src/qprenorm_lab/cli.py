@@ -95,10 +95,11 @@ def parse_forcing(expr, k_max=16):
         raise ForcingParseError("empty forcing expression", pos=0)
 
     def g(theta, x):
+        # each factor on its own points (a theta column, an x row); only
+        # the products broadcast
         th = 2.0 * np.pi * np.asarray(theta, dtype=float)
         xv = np.asarray(x, dtype=float)
-        th, xv = np.broadcast_arrays(th, xv)
-        out = np.zeros_like(xv)
+        out = np.zeros(np.broadcast_shapes(th.shape, xv.shape))
         for c, trig, k in terms:
             poly = np.polynomial.polynomial.polyval(xv, c)
             ang = np.cos(k * th) if trig == "cos" else np.sin(k * th)

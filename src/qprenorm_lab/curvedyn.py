@@ -30,8 +30,8 @@ from .errors import (BasinError, ConsistencyError, DegeneratePointError,
                      DegenerateScalingError, DomainError, EscapeError,
                      ExistenceError, NoConvergenceError, SearchError)
 from .funcspace import (INTERVAL_SLACK, AnalyticFn, DomainConfig, QPFn,
-                        _eval_folded, _fold, _grid_phases, _phases, _tables,
-                        project_p0)
+                        _clenshaw_scalar, _eval_folded, _fold, _grid_phases,
+                        _phases, _tables, project_p0)
 from .qprenorm import RotationNumber
 from .renorm1d import (FamilySpec, UnimodalMap, _brentq, dr_matrix,
                        feigenbaum_fixed_point, l1_matrix, l2_matrix,
@@ -243,11 +243,13 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
     s = float(s_exact)
 
     if guess is None:
-        psi = project_p0(f)
+        # the orbit of 0 under the theta-averaged map, stepped as its
+        # scalar calls would step it
+        c = project_p0(f).coeffs.tolist()
         x = 0.0
         L = f.domain.half_width
         for _ in range(400):
-            x = float(psi(x))
+            x = float(_clenshaw_scalar(c, x / L))
             if abs(x) > L:
                 raise BasinError("default guess escaped; supply one")
         guess = np.full(M, x)
@@ -852,6 +854,14 @@ def flm_family(g=None, domain=DomainConfig(), name="flm"):
             domain, lambda th, y: 1.0 - mu * y * y
             + eps * g(th, 0.5 + lam * y) / lam)
 
+    def slice0(alpha):
+        # 1 - mu y^2 exactly: y = L t and t^2 = (T_0(t) + T_2(t)) / 2
+        mu = alpha * (alpha - 2.0) / 4.0
+        h = mu * domain.half_width ** 2 / 2.0
+        c = np.zeros(domain.n_cheb)
+        c[0], c[2] = 1.0 - h, -h
+        return AnalyticFn(c, domain)
+
     def du_dalpha(alpha):
         return AnalyticFn.from_callable(
             domain, lambda y: -0.5 * (alpha - 1.0) * y * y)
@@ -867,6 +877,7 @@ def flm_family(g=None, domain=DomainConfig(), name="flm"):
     fam = FamilySpec(
         name=name,
         evaluator=evaluator,
+        slice0=slice0,
         du_dalpha=du_dalpha,
         dv_deps=dv_deps,
         alpha_box=FLM_ALPHA_BOX,

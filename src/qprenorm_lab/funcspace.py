@@ -271,40 +271,46 @@ class QPFn:
 
         fn is called once, with theta as the (2K+1, 1) column j / (2K+1)
         and x as the node vector; its result must broadcast to
-        (2K+1, n_cheb), so a theta column, an x row or a constant will do.
-        h_k adds frequency -k (FFT row 2K+1-k) to frequency k.
+        (2K+1, n_cheb), so a theta column, an x row or a constant will do;
+        a complex result raises ValueError. h_k adds frequency -k (FFT row
+        2K+1-k) to frequency k.
         """
         K = domain.n_fourier
         M = 2 * K + 1
         vals = fn((np.arange(M) / M)[:, None], cheb_nodes(domain))
+        # checked before the float conversion, which would drop Im silently
+        if np.iscomplexobj(vals):
+            raise ValueError("QPFn.from_callable needs a real-valued fn")
         vals = np.broadcast_to(np.asarray(vals, dtype=float),
                                (M, domain.n_cheb))
-        # cast once, not in each product below
-        A = _tables(domain).A.astype(complex)
         ft = np.fft.fft(vals, axis=0) / M      # index j -> frequency k mod M
-        # one product per row: a single matmul over all rows rounds the
-        # sums differently
-        rows = [A @ f for f in ft]
+        # the rows as a stack of matrix-vector products, one gemv each: a
+        # single matrix-matrix product rounds the sums differently; the real
+        # table is promoted to complex exactly
+        rows = np.matmul(_tables(domain).A, ft[:, :, None])[:, :, 0]
         modes = np.empty((K + 1, domain.n_cheb), dtype=complex)
         modes[0] = rows[0].real
-        for k in range(1, K + 1):
-            modes[k] = rows[k] + np.conj(rows[M - k])
+        modes[1:] = rows[1:K + 1] + np.conj(rows[M - 1:K:-1])
         return cls(modes, domain)
 
     # ---------------------------------------------------------- evaluation
 
     def eval(self, theta, x):
         """Pointwise value, broadcasting theta and x together: one Chebyshev
-        Vandermonde V of the points, one real product of V against the
-        interleaved (re, im) columns of the h_k, and one contraction with
-        the phase table exp(2 pi i k theta), k = 0..K."""
-        theta, x = np.broadcast_arrays(np.asarray(theta, dtype=float),
-                                       np.asarray(x, dtype=float))
+        Vandermonde V of the broadcast x points, one real product of V
+        against the interleaved (re, im) columns of the h_k, and one
+        contraction with the phase table exp(2 pi i k theta), k = 0..K,
+        built on theta as given, so a theta column against x rows takes
+        one phase row per theta."""
+        theta = np.asarray(theta, dtype=float)
+        x = np.asarray(x, dtype=float)
+        shape = np.broadcast_shapes(theta.shape, x.shape)
+        x = np.broadcast_to(x, shape)
         V = _vander_rows(x / self.domain.half_width, self.domain.n_cheb).T
         H = np.ascontiguousarray(self.modes.T).view(float)
-        A = (V @ H).view(complex)                          # (P, K+1)
-        out = np.einsum("pk,pk->p", A, _phases(theta, self.K)).real
-        out = out.reshape(x.shape)
+        A = (V @ H).view(complex).reshape(shape + (self.K + 1,))
+        E = _phases(theta, self.K).reshape(theta.shape + (self.K + 1,))
+        out = np.einsum("...k,...k->...", A, E).real
         return float(out) if out.ndim == 0 else out
 
     def dx(self):

@@ -26,7 +26,7 @@ from .errors import (DegenerateScalingError, DomainError, InconsistencyError,
                      SearchError)
 from .funcspace import (INTERVAL_SLACK, W_CENTER, W_RADIUS, AnalyticFn,
                         DomainConfig, QPFn, _cheb_vander, _clenshaw_scalar,
-                        _read_only, _tables, project_p0, sup_norm)
+                        _read_only, _tables, sup_norm)
 
 TOL_A = 1e-8
 N_FIT = 12            # cascade levels behind the alpha* extrapolation
@@ -153,9 +153,10 @@ class FixedPointData:
 class FamilySpec:
     """Two-parameter family c(alpha, eps) in normalized coordinates.
 
-    evaluator returns the cylinder map; du_dalpha(alpha) and dv_deps(alpha)
-    are its exact parameter derivatives at eps = 0 (the first on the
-    uncoupled slice, the second on the cylinder). alpha_box = (lo, hi) is
+    evaluator returns the cylinder map and slice0(alpha) the uncoupled
+    slice c(alpha, 0) as a function of x; du_dalpha(alpha) and
+    dv_deps(alpha) are the exact parameter derivatives at eps = 0 (the
+    first on the slice, the second on the cylinder). alpha_box = (lo, hi) is
     the parameter range the superstable search scans. raw_step(alpha, x)
     returns (f, f_x, f_alpha) at x for an un-normalized one-dimensional
     representative with critical point x_crit, used for that search, where
@@ -164,6 +165,7 @@ class FamilySpec:
 
     name: str
     evaluator: Callable[[float, float], QPFn]
+    slice0: Callable[[float], AnalyticFn]
     du_dalpha: Callable[[float], AnalyticFn]
     dv_deps: Callable[[float], QPFn]
     alpha_box: tuple
@@ -178,7 +180,7 @@ class FamilySpec:
 
     def psi0(self, alpha):
         """The uncoupled slice c(alpha, 0) as a 1-D map."""
-        return UnimodalMap(project_p0(self.evaluator(alpha, 0.0)))
+        return UnimodalMap(self.slice0(alpha))
 
 
 # ----------------------------------------------------- operator and matrices

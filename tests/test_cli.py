@@ -59,6 +59,41 @@ def test_forcing_tolerates_whitespace():
     assert g(0.0, 1.0) == pytest.approx(1.5, abs=1e-15)
 
 
+def _broadcast_forcing(terms, theta, x):
+    """Reference: every factor of the forcing on the broadcast (theta, x)
+    points."""
+    th = 2.0 * np.pi * np.asarray(theta, dtype=float)
+    xv = np.asarray(x, dtype=float)
+    th, xv = np.broadcast_arrays(th, xv)
+    out = np.zeros_like(xv)
+    for c, trig, k in terms:
+        poly = np.polynomial.polynomial.polyval(xv, np.array(c))
+        ang = np.cos(k * th) if trig == "cos" else np.sin(k * th)
+        out = out + poly * ang
+    return out
+
+
+@pytest.mark.parametrize("expr, terms", [
+    ("[1]*cos(1w)", [([1.0], "cos", 1)]),
+    ("[0.5,0,0.5]*sin(1w)", [([0.5, 0.0, 0.5], "sin", 1)]),
+    ("[0.3,-0.2,0.6]*sin(1w) + [-1e-3,2]*cos(3w) + [0,0,0,7]*sin(16w)",
+     [([0.3, -0.2, 0.6], "sin", 1), ([-1e-3, 2.0], "cos", 3),
+      ([0.0, 0.0, 0.0, 7.0], "sin", 16)]),
+])
+def test_forcing_is_the_broadcast_formula_bit_for_bit(expr, terms):
+    g, _ = parse_forcing(expr)
+    rng = np.random.default_rng(3)
+    th, x = rng.uniform(-1.0, 2.0, 40), rng.uniform(-1.1, 1.1, 40)
+    for theta, xx in (((np.arange(33) / 33)[:, None], x),
+                      (0.15, 0.4), (np.array(0.7), x), (th[:5, None], 0.2),
+                      (th, x), (th[:3, None, None], x.reshape(4, 10)),
+                      (th[:0, None], x)):
+        got, want = g(theta, xx), _broadcast_forcing(terms, theta, xx)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 @pytest.mark.parametrize("bad", [
     "cos(1w)",             # coefficients missing
     "[1]*tan(1w)",         # unknown waveform

@@ -1180,10 +1180,58 @@ def test_flm_families_on_a_domain_share_one_slice_record(golden,
 
 
 def test_slice_does_not_read_the_forcing():
-    # 0 * g / lambda is a signed zero for a finite g, so c(alpha, 0) is the
-    # same map bit for bit whatever the forcing
+    # the slice is built without the forcing, so c(alpha, 0) is the same
+    # map bit for bit whatever the forcing
     families = (flm_family(), flm_family(g=SIN_MIX),
                 flm_eta_family(0.5))
     for alpha in (2.5, 3.1, 3.3, 3.5, 3.5699):
         coeffs = {f.psi0(alpha).psi.coeffs.tobytes() for f in families}
         assert len(coeffs) == 1
+
+
+@pytest.mark.parametrize("dom", [DomainConfig(), SLICE_DOMAIN,
+                                 DomainConfig(delta_dom=0.3)],
+                         ids=["default", "44x10", "delta 0.3"])
+def test_flm_slice_is_the_exact_expansion(dom):
+    # 1 - mu y^2 with y = L t and t^2 = (T_0 + T_2) / 2
+    L = dom.half_width
+    fam = flm_family(domain=dom)
+    for alpha in (2.5, 3.1, 3.3, 3.5, 3.5699):
+        mu = alpha * (alpha - 2.0) / 4.0
+        c = fam.slice0(alpha).coeffs
+        assert c[0] == 1.0 - mu * L ** 2 / 2.0
+        assert c[2] == -mu * L ** 2 / 2.0
+        assert not np.any(np.delete(c, [0, 2]))
+        # psi(0) = c_0 - c_2 = 1 to one rounding
+        assert abs(fam.psi0(alpha).psi(0.0) - 1.0) <= np.spacing(1.0)
+
+
+def test_flm_slice_is_the_cylinder_projection_to_rounding():
+    # the oracle samples c(alpha, 0) on the cylinder and keeps its mode 0;
+    # its odd and high coefficients are rounding, up to 7.8 eps ||c||_1
+    fam = flm_family()
+    for alpha in np.linspace(2.5, 3.63, 12):
+        want = project_p0(fam.evaluator(alpha, 0.0)).coeffs
+        got = fam.slice0(alpha).coeffs
+        tol = 16 * np.finfo(float).eps * np.sum(np.abs(got))
+        assert np.max(np.abs(got - want)) <= tol
+
+
+def test_default_guess_is_the_scalar_orbit_of_the_averaged_map(
+        flm, golden, monkeypatch):
+    # the guess steps the theta-averaged map as 400 scalar calls would
+    s = superstable_params(flm, 4)
+    f = flm.evaluator(float(s[3]) + 0.1 * (s[4] - s[3]), 2e-4)
+    psi, x = project_p0(f), 0.0
+    for _ in range(400):
+        x = float(psi(x))
+    starts = []
+    grid = curvedyn._orbit_grid
+
+    def recording(dom, tables, X):
+        starts.append(X.copy())
+        return grid(dom, tables, X)
+
+    monkeypatch.setattr(curvedyn, "_orbit_grid", recording)
+    solve_invariant_curve(f, golden, 3)
+    assert starts[0].tobytes() == np.full(curvedyn.M_GRID, x).tobytes()

@@ -29,8 +29,8 @@ from qprenorm_lab import (
 )
 from qprenorm_lab.funcspace import (INTERVAL_SLACK, _cheb_vander,
                                     _eval_folded, _fold, _grid_phases,
-                                    _phases, _tables, cheb_nodes,
-                                    pair_sup_norm)
+                                    _phases, _tables, _vander_rows,
+                                    cheb_nodes, pair_sup_norm)
 from qprenorm_lab.errors import (
     CompositionDomainError,
     ConsistencyError,
@@ -193,6 +193,46 @@ def test_eval_matches_reference_in_every_shape(case):
     assert grid.shape == (5, 17)
     assert np.max(np.abs(
         grid - _reference_eval(f, th[:5, None], x[None, :]))) <= tol
+
+
+def _broadcast_phase_eval(f, theta, x):
+    """Reference kernel: theta and x broadcast together, one phase row per
+    point."""
+    theta, x = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                   np.asarray(x, dtype=float))
+    V = _vander_rows(x / f.domain.half_width, f.domain.n_cheb).T
+    H = np.ascontiguousarray(f.modes.T).view(float)
+    A = (V @ H).view(complex)
+    out = np.einsum("pk,pk->p", A, _phases(theta, f.K)).real
+    out = out.reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mode_stacks())
+def test_eval_takes_phases_per_theta_bit_for_bit(case):
+    f, rng = case
+    L = f.domain.half_width
+    M = 2 * f.K + 1
+    th, x = rng.uniform(-2.0, 3.0, 12), rng.uniform(-L, L, 12)
+    cases = {
+        "scalars": (float(th[0]), float(x[0])),
+        "0-d theta": (np.array(th[0]), x),
+        "theta column, x row": ((np.arange(M) / M)[:, None], x),
+        "theta column, x grid": (th[:4, None], x.reshape(4, 3)),
+        "theta row, x grid": (th[:3], x.reshape(4, 3)),
+        "theta grid, x scalar": (th.reshape(2, 6), float(x[0])),
+        "rank 3 against rank 2": (th[:2, None, None], x.reshape(3, 4)),
+        "equal shapes": (th, x),
+        "empty x": (th[:3], np.zeros((0, 3))),
+        "empty theta": (np.zeros((0, 1)), x),
+    }
+    for name, (theta, xx) in cases.items():
+        got = f.eval(theta, xx)
+        want = _broadcast_phase_eval(f, theta, xx)
+        assert type(got) is type(want), name
+        assert np.shape(got) == np.shape(want), name
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -413,9 +453,17 @@ def _from_callable_per_row(domain, fn):
     vals = np.empty((M, x.size))
     for j, th in enumerate(np.arange(M) / M):
         vals[j] = fn(th, x)
+    return _per_row_modes(domain, vals)
+
+
+def _per_row_modes(domain, vals):
+    """The half spectrum of the (2K+1, n_cheb) samples vals, one product
+    per row."""
+    K = domain.n_fourier
+    M = 2 * K + 1
     A = _tables(domain).A
     ft = np.fft.fft(vals, axis=0) / M
-    modes = np.empty((K + 1, x.size), dtype=complex)
+    modes = np.empty((K + 1, domain.n_cheb), dtype=complex)
     modes[0] = np.real(A @ ft[0])
     for k in range(1, K + 1):
         modes[k] = A @ ft[k] + np.conj(A @ ft[M - k])
@@ -439,6 +487,30 @@ def test_from_callable_matches_the_per_row_loop(n_cheb, K, k, c):
         got = QPFn.from_callable(dom, fn)
         want = _from_callable_per_row(dom, fn)
         assert got.modes.tobytes() == want.modes.tobytes(), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(8, 48), st.integers(1, 20), st.integers(0, 2 ** 32 - 1))
+def test_from_callable_on_random_grids_is_the_per_row_loop_bit_for_bit(
+        n_cheb, K, seed):
+    # unstructured samples, rows scaled over 16 decades: the stacked
+    # product must round each row as its own matrix-vector product does
+    dom = DomainConfig(n_cheb=n_cheb, n_fourier=K)
+    rng = np.random.default_rng(seed)
+    vals = (rng.standard_normal((2 * K + 1, n_cheb))
+            * 10.0 ** rng.uniform(-8, 8, (2 * K + 1, 1)))
+    got = QPFn.from_callable(dom, lambda th, x: vals)
+    assert got.modes.tobytes() == _per_row_modes(dom, vals).modes.tobytes()
+
+
+def test_from_callable_rejects_complex_values():
+    # a cast to float would keep cos 2 pi theta of exp(2 pi i theta)
+    dom = DomainConfig(n_cheb=8, n_fourier=2)
+    for fn in (lambda th, x: np.exp(TWO_PI * 1j * th) + 0 * x,
+               lambda th, x: x + 0j,
+               lambda th, x: 1j):
+        with pytest.raises(ValueError, match="real-valued"):
+            QPFn.from_callable(dom, fn)
 
 
 def test_full_spectrum_rows_are_rejected_with_the_expected_shape():

@@ -347,6 +347,7 @@ def _shifted_flm(flm):
         flm,
         name="flm-shifted",
         evaluator=lambda b, e: flm.evaluator(b + 1.0, e),
+        slice0=lambda b: flm.slice0(b + 1.0),
         alpha_box=(lo - 1.0, hi - 1.0),
         raw_step=lambda b, x: flm.raw_step(b + 1.0, x),
     )
