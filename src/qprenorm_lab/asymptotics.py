@@ -43,7 +43,7 @@ from .qprenorm import (RotationNumber, SectionConfig, _fill_L_omega,
                        section_gammas, shift_pairs)
 from .renorm1d import (FamilySpec, dr_matrix, feigenbaum_fixed_point,
                        stable_manifold_param, superstable_params)
-from .curvedyn import (DG1_hat, _slope_chains, _slope_pass, flm_family,
+from .curvedyn import (DG1_hat, _chain_slopes, _slope_pass, flm_family,
                        functional_K, slope_formula)
 
 
@@ -177,17 +177,17 @@ def fit_geometric_decay(ns, diffs):
 
 def slope_table(family, omega0, n_max, mode="fixed-point"):
     """alpha'_n and beta'_n for n = 1..n_max, one chain per level."""
-    return _slope_tables([family], omega0, n_max, mode)[0]
+    return _slope_tables([family], omega0, range(1, n_max + 1), mode)[0]
 
 
-def _slope_tables(families, omega0, n_max, mode):
-    """The slope_table of each family, from one pass over the levels
-    (curvedyn._slope_pass): families that share a slice record walk each
-    level once, and each table has the bits it has alone."""
+def _slope_tables(families, omega0, levels, mode):
+    """The slopes of each family at the levels n in levels, from one pass
+    over them (curvedyn._slope_pass): families that share a slice record
+    walk each level once, and each table has the bits it has alone."""
     tables = [{} for _ in families]
-    levels = [(n, (omega0,)) for n in range(1, n_max + 1)]
-    for n, slopes in _slope_pass(families, levels, mode):
-        for table, pair in zip(tables, slopes):
+    for n, chains in _slope_pass(families, [(n, (omega0,)) for n in levels],
+                                 mode):
+        for table, pair in zip(tables, _chain_slopes(chains)):
             table[n] = pair
     return tables
 
@@ -230,7 +230,8 @@ def mixed_quotient_sequence(family, omega0, n_max, mode="fixed-point"):
     levels = [(n, (omega0, omega2) if n < n_max else (omega0,))
               for n in range(1, n_max + 1)]
     tab1, tab2 = {}, {}
-    for n, slopes in _slope_pass([family], levels, mode):
+    for n, chains in _slope_pass([family], levels, mode):
+        slopes = _chain_slopes(chains)
         tab1[n] = slopes[0]
         if n < n_max:
             tab2[n] = slopes[1]
@@ -243,16 +244,18 @@ def _overlap_gaps(families, omega0, window, fixed_tables):
     """Relative gap of q_n between exact-orbit and fixed-point modes.
 
     The observation drivers run whole sequences in fixed-point mode; on the
-    overlap window both modes are computed and the quotients must agree.
-    The exact-orbit tables of all families come from one pass.
+    overlap window lo..hi (lo >= 2) both modes are computed and the
+    quotients must agree. The exact-orbit tables of all families come from
+    one pass over the levels the window reads, lo - 1..hi.
     """
     lo, hi = window
     gaps = {}
-    exact_tables = _slope_tables(families, omega0, hi, "exact-orbit")
+    exact_tables = _slope_tables(families, omega0, range(lo - 1, hi + 1),
+                                 "exact-orbit")
     for tab_exact, tab_fixed in zip(exact_tables, fixed_tables):
-        for n in range(max(2, lo), hi + 1):
-            qe = tab_exact[n][0] / tab_exact[n - 1][0]
-            qf = tab_fixed[n][0] / tab_fixed[n - 1][0]
+        for n in range(lo, hi + 1):
+            qe = _slope_quotient(tab_exact[n][0], tab_exact[n - 1][0], n)
+            qf = _slope_quotient(tab_fixed[n][0], tab_fixed[n - 1][0], n)
             g = abs(qe - qf) / abs(qe)
             gaps[n] = max(g, gaps.get(n, 0.0))
     return gaps
@@ -287,7 +290,8 @@ def observation1(c1, c2, omega0, n_max=10):
     require_diophantine(omega0)
     if n_max < 4:
         raise ValueError(f"observation 1 needs n_max >= 4, got {n_max}")
-    tab1, tab2 = _slope_tables([c1, c2], omega0, n_max, "fixed-point")
+    tab1, tab2 = _slope_tables([c1, c2], omega0, range(1, n_max + 1),
+                               "fixed-point")
     seq1 = quotient_sequence(tab1)
     seq2 = quotient_sequence(tab2)
     diffs = seq1.values() - seq2.values()
@@ -520,7 +524,8 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     all_etas = (0.0,) + tuple(etas)
     fams = [flm_eta_family(eta, domain) for eta in all_etas]
     tables = {eta: quotient_sequence(table) for eta, table in zip(
-        all_etas, _slope_tables(fams, omega0, n_max, "fixed-point"))}
+        all_etas, _slope_tables(fams, omega0, range(1, n_max + 1),
+                                "fixed-point"))}
     base = dict(zip(tables[0.0].ns(), tables[0.0].values()))
 
     deviations, sup_dev = {}, {}
@@ -617,12 +622,12 @@ def check_H3(c, omega0, n_max=8, section=SectionConfig()):
     if n_max < 4:
         raise ValueError(f"H3 needs n_max >= 4, got {n_max}")
     gaps, norms, m_floors = {}, [], []
-    # one v_0 dict per mode: alpha* stays, so v_0 is built once for the
+    # one pass per mode: alpha* stays, so v_0 is built once for the
     # fixed-point chains, while alpha_n of the exact orbit moves per level
-    v0s_e, v0s_f = {}, {}
-    for n in range(2, n_max + 1):
-        ch_e, = _slope_chains([c], (omega0,), n, "exact-orbit", v0s_e)
-        ch_f, = _slope_chains([c], (omega0,), n, "fixed-point", v0s_f)
+    levels = [(n, (omega0,)) for n in range(2, n_max + 1)]
+    for (n, (ch_e,)), (_, (ch_f,)) in zip(
+            _slope_pass([c], levels, "exact-orbit"),
+            _slope_pass([c], levels, "fixed-point")):
         ve = _on_section(ch_e.vs[-1], section)
         vf = _on_section(ch_f.vs[-1], section)
         ve_hat = _unit_direction(ve, n)
@@ -905,9 +910,9 @@ def quotient_factorization(family, omega0, n):
     """
     if n < 2:
         raise ValueError("the decomposition needs n >= 2")
-    v0s = {}       # alpha* is one, so both chains start from one v_0
-    ch_n, = _slope_chains([family], (omega0,), n, "fixed-point", v0s)
-    ch_m, = _slope_chains([family], (omega0,), n - 1, "fixed-point", v0s)
+    # one pass: alpha* is one, so both chains start from one v_0
+    (_, (ch_n,)), (_, (ch_m,)) = _slope_pass(
+        [family], [(n, (omega0,)), (n - 1, (omega0,))], "fixed-point")
 
     L_n = DG1_hat(ch_n.psi_end, ch_n.u_end)
     L_m = DG1_hat(ch_m.psi_end, ch_m.u_end)

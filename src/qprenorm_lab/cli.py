@@ -261,8 +261,10 @@ def load_config(path=None, overrides=None):
                          f"got {cfg.mode!r}")
     if not cfg.dio_tau >= 0:
         raise ValueError(f"[run] dio_tau must be >= 0, got {cfg.dio_tau}")
-    if cfg.seed < 0:
-        raise ValueError(f"[run] seed must be >= 0, got {cfg.seed}")
+    for key in ("seed", "dio_qmax", "direct_nmax"):
+        if getattr(cfg, key) < 0:
+            raise ValueError(f"[run] {key} must be >= 0, "
+                             f"got {getattr(cfg, key)}")
     try:
         cfg.rotation()
     except (ValueError, DiophantineError) as e:

@@ -615,7 +615,8 @@ def slope_chain(family, omega0, n, mode="exact-orbit"):
     so the slope does not depend on it. Callers that compare directions
     (check_H3) shift the vectors they compare.
     """
-    return _slope_chains([family], (omega0,), n, mode, {})[0]
+    (_, (chain,)), = _slope_pass([family], [(n, (omega0,))], mode)
+    return chain
 
 
 def _dt_step(base, omega, v):
@@ -638,37 +639,14 @@ def _dt_step(base, omega, v):
     return QPFn(modes, v.domain)
 
 
-def _slope_chains(families, omegas0, n, mode, v0s):
-    """The chains of slope_chain at level n for every family in families
-    and start omega in omegas0, family-major: families[i] at omegas0[j] is
-    entry i * len(omegas0) + j.
-
-    The bases with their operator data, the u-chain and the end map depend
-    on n and on the family's slice record (its _cache), not on the coupling
-    or omega: families that share a record share one walk (_record_chains),
-    and the records are walked in the order each first appears. v0s maps a
-    family's index to its latest (alpha, v_0); a caller that runs several
-    levels passes one dict, so v_0 is built once per family and alpha.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    records = {}
-    for i, family in enumerate(families):
-        records.setdefault(id(family._cache), []).append(i)
-    rows = {}
-    for members in records.values():
-        rows.update(_record_chains(families, members, omegas0, n, mode, v0s))
-    return [ch for i in range(len(families)) for ch in rows[i]]
-
-
-def _record_chains(families, members, omegas0, n, mode, v0s):
+def _record_chains(families, members, omegas0, n, mode, v0):
     """{i: chains of families[i] at omegas0} at level n for the families
     in members, which share one record, from one walk over the bases.
 
     Every (family, omega) gets its own v-chain through _dt_step, one step
     per base, so its chain does not depend on which others share the walk;
-    the chains share u_end and psi_end. The walk ends with this call, so
-    one walk is alive at a time.
+    the chains share u_end and psi_end; v0(i, alpha) gives their v_0. The
+    walk ends with this call, so one walk is alive at a time.
     """
     family = families[members[0]]
     if mode == "exact-orbit":
@@ -689,9 +667,7 @@ def _record_chains(families, members, omegas0, n, mode, v0s):
 
     rows = {}
     for i in members:
-        if i not in v0s or v0s[i][0] != alpha:
-            v0s[i] = alpha, families[i].dv_deps(alpha)
-        rows[i] = [([v0s[i][1]], [om]) for om in omegas0]   # (vs, omegas)
+        rows[i] = [([v0(i, alpha)], [om]) for om in omegas0]   # (vs, omegas)
     chains = [c for row in rows.values() for c in row]
     for k, base in enumerate(bases, start=1):
         try:
@@ -728,24 +704,39 @@ def _chain_slopes(chains):
 
 
 def _slope_pass(families, levels, mode):
-    """The slopes of several families, one level at a time.
+    """The chains of slope_chain for several families, one level at a time.
 
-    levels is a sequence of (n, omegas0). For each, the pass yields n and
-    the (alpha'_n, beta'_n) of every family at every omega in omegas0, in
-    _slope_chains' order, read out before the next level is walked. v_0
-    is built once per family and alpha (once per family in fixed-point
-    mode, where alpha* does not move). A family's slopes do not depend on
-    which others share the pass.
-
-    When several chains would fail, the first failing level raises. Within
-    it the chains are built record by record, in the order each record
-    first appears (the walk, then v_0 in family order, then the lowest
-    chain stage k), and read out after all of them, in family order. A
-    one-family table thus raises what its level raises alone.
+    levels is a sequence of (n, omegas0), n >= 1. For each, the pass yields
+    n and the chains of every family at every omega in omegas0,
+    family-major (families[i] at omegas0[j] is entry i * len(omegas0) + j),
+    whose slopes _chain_slopes reads. The walk over the bases depends on n
+    and on the family's slice record (its _cache), not on the coupling or
+    omega: families that share a record share one walk (_record_chains),
+    in the order each record first appears, and the chains keep none of
+    it. v_0 is built once per family and alpha (once per family in
+    fixed-point mode, where alpha* does not move). A family's chains do not
+    depend on which others share the pass; of several failing chains, the
+    first failing level raises, and within it the first record's (its
+    walk, then v_0 in family order, then the lowest chain stage k).
     """
+    records = {}
+    for i, family in enumerate(families):
+        records.setdefault(id(family._cache), []).append(i)
     v0s = {}
+
+    def v0(i, alpha):
+        if i not in v0s or v0s[i][0] != alpha:
+            v0s[i] = alpha, families[i].dv_deps(alpha)
+        return v0s[i][1]
+
     for n, omegas0 in levels:
-        yield n, _chain_slopes(_slope_chains(families, omegas0, n, mode, v0s))
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        rows = {}
+        for members in records.values():
+            rows.update(_record_chains(families, members, omegas0, n, mode,
+                                       v0))
+        yield n, [ch for i in range(len(families)) for ch in rows[i]]
 
 
 def slope_formula(family, omega0, n, mode="exact-orbit"):

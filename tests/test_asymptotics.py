@@ -345,7 +345,7 @@ def test_shared_pass_gives_each_family_its_one_family_table(flm, golden,
                                                             mode):
     # three couplings on the default domain's record walk each level once
     fams = [flm, _sin_mix_family(), flm_eta_family(1e-2)]
-    got = asymptotics._slope_tables(fams, golden, 6, mode)
+    got = asymptotics._slope_tables(fams, golden, range(1, 7), mode)
     assert got == [slope_table(f, golden, 6, mode=mode) for f in fams]
 
 
@@ -397,14 +397,15 @@ def _count_walks_and_couplings(fams, monkeypatch):
 def test_observation1_walks_each_level_once_for_both_families(golden,
                                                               monkeypatch):
     # the families share the default domain's record: the overlap window
-    # walks levels 1..6 once, and each family builds v_0 once for its
-    # fixed-point table (alpha* does not move) and once per exact level
+    # 4..6 walks the levels it reads, 3..6, once, and each family builds v_0
+    # once for its fixed-point table (alpha* does not move) and once per
+    # exact level
     fams = [flm_family(), _sin_mix_family()]
-    observation1(*fams, golden, n_max=8)       # polish levels 1..6 first
+    observation1(*fams, golden, n_max=8)       # polish levels 3..6 first
     calls = _count_walks_and_couplings(fams, monkeypatch)
     observation1(*fams, golden, n_max=8)
-    assert calls == {"flm": 7, "flm-sin-mix": 7,
-                     **{("flm", n): 1 for n in range(1, 7)}}
+    assert calls == {"flm": 5, "flm-sin-mix": 5,
+                     **{("flm", n): 1 for n in range(3, 7)}}
 
 
 def test_a_family_on_a_private_record_walks_alone(golden, monkeypatch):
@@ -413,7 +414,8 @@ def test_a_family_on_a_private_record_walks_alone(golden, monkeypatch):
     fams = [shared, private, other]
     want = [slope_table(f, golden, 4, mode="exact-orbit") for f in fams]
     calls = _count_walks_and_couplings(fams, monkeypatch)
-    got = asymptotics._slope_tables(fams, golden, 4, "exact-orbit")
+    got = asymptotics._slope_tables(fams, golden, range(1, 5),
+                                    "exact-orbit")
     assert got == want
     assert calls == {"flm": 4, "private": 4, "flm-sin-mix": 4,
                      **{(name, n): 1 for name in ("flm", "private")
@@ -447,8 +449,8 @@ def test_a_failing_chain_raises_what_its_one_family_table_raises(golden):
     assert str(shared.value) == str(alone.value) == "no coupling at level 3"
     # of several failing chains, the first failing level's error wins
     with pytest.raises(DegenerateScalingError, match="at level 2$"):
-        asymptotics._slope_tables([bad3, _failing_at(2, flm)], golden, 6,
-                                  "exact-orbit")
+        asymptotics._slope_tables([bad3, _failing_at(2, flm)], golden,
+                                  range(1, 7), "exact-orbit")
 
 
 # ------------------------------------------------------------------ checkers
@@ -490,8 +492,9 @@ def test_h3_builds_the_fixed_point_v0_once(flm, golden, monkeypatch):
     want = _reference_h3(flm, golden, 8)
     calls = _count_walks_and_couplings([flm], monkeypatch)
     got = check_H3(flm, golden, n_max=8)
-    # v_0 once at alpha* and once per exact-orbit level 2..8
-    assert calls["flm"] == 8
+    # v_0 once at alpha* and once per exact-orbit level 2..8, and one
+    # exact-orbit walk per level
+    assert calls == {"flm": 8, **{("flm", n): 1 for n in range(2, 9)}}
     for name in asymptotics.H3Report.__dataclass_fields__:
         assert getattr(got, name) == getattr(want, name), name
     calls.clear()

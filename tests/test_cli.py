@@ -591,9 +591,13 @@ def test_exit_one_rational_rotation(tmp_path):
     ("[run]\neps = 0\ndirect_nmax = 1\n", ["--nmax", "1", "slopes"], "eps"),
     ("[run]\ndio_tau = -1\n", ["observe", "--which", "2"],
      "[run] dio_tau must be >= 0"),
+    ("[run]\ndio_qmax = -1\n", ["--nmax", "2", "superstable"],
+     "[run] dio_qmax must be >= 0"),
+    ("[run]\ndirect_nmax = -1\n", ["--nmax", "2", "superstable"],
+     "[run] direct_nmax must be >= 0"),
 ], ids=["observe-2", "observe-3-no-etas", "h3", "h5", "observe-1",
         "observe-3", "spectrum-mode-k", "slopes-direct-eps-0",
-        "dio-tau-negative"])
+        "dio-tau-negative", "dio-qmax-negative", "direct-nmax-negative"])
 def test_exit_one_on_a_run_too_shallow_or_empty(tmp_path, capsys, ini, argv,
                                                 fragment):
     p = tmp_path / "run.ini"

@@ -884,6 +884,12 @@ def test_direct_slope_rejects_zero_coupling(flm, golden):
         direct_slope(flm, golden, 1, eps=0.0)
 
 
+@pytest.mark.parametrize("mode", ["exact-orbit", "fixed-point"])
+def test_slope_chain_rejects_a_level_below_one(flm, golden, mode):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        slope_chain(flm, golden, 0, mode=mode)
+
+
 def test_chain_modes_agree_at_quotient_level(flm, golden):
     exact = dict(quotient_sequence(
         slope_table(flm, golden, 8, mode="exact-orbit")).entries)

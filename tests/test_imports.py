@@ -1,7 +1,8 @@
 """Import hygiene: no module in src/ or tests/ imports a name it never reads,
 only funcspace.py in src/ uses numpy's Chebyshev module, only curvedyn.py
-in src/ names the "sigma1" record key, and every module-level constant,
-function, class and method of src/ is named somewhere in src/ or tests/.
+in src/ names the "sigma1" record key, every module-level constant,
+function, class and method of src/ is named somewhere in src/ or tests/,
+and every private one somewhere in src/.
 
 The package __init__ re-exports names it does not read, and `from
 __future__` imports are directives, so both are exempt.
@@ -190,3 +191,28 @@ def test_every_definition_is_named():
     dead = [(p.name, name) for p in SRC
             for name in _definitions(p.read_text()) if name not in read]
     assert dead == []
+
+
+def _unread_private(sources):
+    """(index, name) of the private functions, classes and methods that the
+    sources define and none of them reads; private means a leading
+    underscore, and dunders are exempt."""
+    read = set().union(*map(_reads, sources))
+    return [(i, name) for i, source in enumerate(sources)
+            for name in _definitions(source)
+            if name.startswith("_") and name not in read]
+
+
+def test_the_scan_sees_an_unread_private_definition():
+    lib = ("def _helper(): pass\ndef _used(): pass\n"
+           "class _C:\n    def _m(self): pass\n    def __len__(self): 0\n"
+           "def public(): return _used(), _C\n")
+    assert _unread_private([lib]) == [(0, "_helper"), (0, "_m")]
+    assert _unread_private([lib, "from lib import _helper\n"]) == [(0, "_m")]
+
+
+def test_every_private_definition_is_read_in_src():
+    # a private helper serves the package: a test alone cannot keep one
+    # alive, so a deleted producer does not survive as a test-only helper
+    sources = [p.read_text() for p in SRC]
+    assert [(SRC[i].name, name) for i, name in _unread_private(sources)] == []
