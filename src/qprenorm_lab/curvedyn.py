@@ -30,8 +30,8 @@ from .errors import (BasinError, ConsistencyError, DegeneratePointError,
                      DegenerateScalingError, DomainError, EscapeError,
                      ExistenceError, NoConvergenceError, SearchError)
 from .funcspace import (INTERVAL_SLACK, AnalyticFn, DomainConfig, QPFn,
-                        _clenshaw_scalar, _eval_folded, _fold, _grid_phases,
-                        _phases, _tables, project_p0)
+                        _clenshaw_scalar, _eval_folded, _fold, _fold_degree,
+                        _grid_phases, _phases, _tables, project_p0)
 from .qprenorm import RotationNumber
 from .renorm1d import (FamilySpec, UnimodalMap, _brentq, dr_matrix,
                        feigenbaum_fixed_point, l1_matrix, l2_matrix,
@@ -78,37 +78,37 @@ def _step_phases(M, w, steps, K):
 
 def _step_tables(f, omega, steps, M):
     """The folded step tables of one solve: block j is f folded with the
-    phase table of step j (_fold against _step_phases), the Chebyshev
-    coefficients of f(theta + j omega, .) at each of the M grid thetas, a
-    (steps, n_cheb, M) array. They depend on f, omega and the grid only,
-    not on the samples, so every grid pass of the solve reads them."""
-    C = np.empty((steps, f.domain.n_cheb, M))
+    phase table of step j (_fold against _step_phases), the leading m
+    Chebyshev coefficients of f(theta + j omega, .) at each of the M grid
+    thetas, a (steps, m, M) array of 8 m M steps bytes. m = _fold_degree(f)
+    is read once off the half spectrum: 3 for a quadratic slice plus an
+    x-free coupling, n_cheb for a sampled map. The tables depend on f,
+    omega and the grid only, not on the samples, so every grid pass of the
+    solve reads them."""
+    m = _fold_degree(f)
+    C = np.empty((steps, m, M))
     for j, E in enumerate(_step_phases(M, float(omega), steps, f.K)):
-        C[j] = _fold(f, E)
+        C[j] = _fold(f, E, m)
     return C
 
 
 def _orbit_grid(domain, tables, X):
     """Vectorized f^steps over the uniform grid theta = arange(M) / M of the
     M = X.size samples X, with the step tables of f (_step_tables); returns
-    final X and the derivative product and per-step log-derivative sum
-    (with the superstable floor). Each step is one Chebyshev recurrence
-    and one contraction against its table (_eval_folded), which reads f_x
-    through the derivative rows."""
-    L = domain.half_width
-    V = np.empty((2, domain.n_cheb, X.size))
+    the final X and the x-derivative of f at each step, a (steps, M) array
+    whose product over steps is the fiber derivative product. Each step is
+    one Chebyshev recurrence and one contraction against its table
+    (_eval_folded), which reads f_x through the derivative rows."""
+    bound = domain.half_width * INTERVAL_SLACK
+    V = np.empty((2, tables.shape[1], X.size))
     X = np.array(X, dtype=float)
-    logs = np.zeros_like(X)
-    prod = np.ones_like(X)
+    D = np.empty((len(tables), X.size))
     for j, C in enumerate(tables):
-        X, d = _eval_folded(domain, C, X, V)
-        prod = prod * d
-        with np.errstate(divide="ignore"):
-            logs = logs + np.maximum(np.log(np.abs(d)), LOG_FLOOR)
-        if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > L * INTERVAL_SLACK:
+        X, D[j] = _eval_folded(domain, C, X, V)
+        if not np.abs(X).max() <= bound:      # also NaN
             raise EscapeError(f"grid orbit left the interval at step {j + 1}",
                               j + 1)
-    return X, prod, logs
+    return X, D
 
 
 # --------------------------------------------------------- invariant curves
@@ -243,15 +243,23 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
     s = float(s_exact)
 
     if guess is None:
-        # the orbit of 0 under the theta-averaged map, stepped as its
-        # scalar calls would step it
+        # iterate 400 of the orbit of 0 under the theta-averaged map,
+        # stepped as its scalar calls would step it. A float orbit that
+        # repeats a value is periodic from there on, so the walk stops at
+        # the first repeat and reads iterate 400 off the cycle
         c = project_p0(f).coeffs.tolist()
-        x = 0.0
         L = f.domain.half_width
-        for _ in range(400):
-            x = float(_clenshaw_scalar(c, x / L))
+        orbit, seen = [0.0], {0.0: 0}
+        for k in range(1, 401):
+            x = float(_clenshaw_scalar(c, orbit[-1] / L))
             if abs(x) > L:
                 raise BasinError("default guess escaped; supply one")
+            if x in seen:
+                i = seen[x]
+                x = orbit[i + (400 - i) % (k - i)]
+                break
+            seen[x] = k
+            orbit.append(x)
         guess = np.full(M, x)
     X = np.array(guess, dtype=float)
     if X.shape != (M,):     # the grid passes take M from the samples
@@ -259,10 +267,11 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
 
     dom = f.domain
     tables = _step_tables(f, omega, steps, M)
-    # one grid pass per iterate: FX, prod and logs always belong to X
+    # one grid pass per iterate: FX and the step derivatives D always
+    # belong to X
     best, stale = np.inf, 0
     try:
-        FX, prod, logs = _orbit_grid(dom, tables, X)
+        FX, D = _orbit_grid(dom, tables, X)
         for it in range(300):
             target = _shift_samples(FX, -s)
             res = float(np.max(np.abs(target - X)))
@@ -277,7 +286,7 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
                                      f"{best:.3e}, now {res:.3e}")
             lam = 0.6 if it < 50 else 1.0
             X = X + lam * (target - X)
-            FX, prod, logs = _orbit_grid(dom, tables, X)
+            FX, D = _orbit_grid(dom, tables, X)
     except EscapeError as e:
         raise BasinError(f"fixed-point stage escaped: {e}")
 
@@ -287,13 +296,18 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
             residual = float(np.max(np.abs(G)))
             if residual <= 1e-13 or it == 20:
                 break
-            X = X + _newton_step(prod, G, s)
-            FX, prod, logs = _orbit_grid(dom, tables, X)
+            X = X + _newton_step(np.prod(D, axis=0), G, s)
+            FX, D = _orbit_grid(dom, tables, X)
     except EscapeError as e:
         raise BasinError(f"Newton stage escaped: {e}")
 
     if residual > TOL_CURVE:
         raise BasinError(f"curve residual {residual:.3e} above tolerance")
+    # both reductions run over the steps in step order, as a per-step
+    # loop would accumulate them
+    prod = np.prod(D, axis=0)
+    with np.errstate(divide="ignore"):
+        logs = np.maximum(np.log(np.abs(D)), LOG_FLOOR).sum(axis=0)
     lyap = float(np.mean(logs)) / steps
     return InvariantCurve(period_log2=n, samples=X, omega=omega, f=f,
                           lyapunov=lyap, residual=residual, product=prod)
@@ -835,16 +849,6 @@ def flm_family(g=None, domain=DomainConfig(), name="flm"):
         def g(theta, x):
             return np.cos(2 * np.pi * np.asarray(theta)) * np.ones_like(x)
 
-    def evaluator(alpha, eps):
-        mu = alpha * (alpha - 2.0) / 4.0
-        lam = (alpha - 2.0) / 4.0
-        if abs(lam) < 1e-6:
-            raise DegenerateScalingError(
-                "normalizing conjugacy degenerates at alpha = 2")
-        return QPFn.from_callable(
-            domain, lambda th, y: 1.0 - mu * y * y
-            + eps * g(th, 0.5 + lam * y) / lam)
-
     def slice0(alpha):
         # 1 - mu y^2 exactly: y = L t and t^2 = (T_0(t) + T_2(t)) / 2
         mu = alpha * (alpha - 2.0) / 4.0
@@ -864,6 +868,12 @@ def flm_family(g=None, domain=DomainConfig(), name="flm"):
                 "normalizing conjugacy degenerates at alpha = 2")
         return QPFn.from_callable(domain,
                                   lambda th, y: g(th, 0.5 + lam * y) / lam)
+
+    def evaluator(alpha, eps):
+        # the one exact slice plus eps times the sampled coupling: rows 3..
+        # of the half spectrum carry only eps times the coupling's rows, not
+        # the rounding of a sampled 1 - mu y^2 (_fold_degree can drop them)
+        return QPFn.from_analytic(slice0(alpha)) + eps * dv_deps(alpha)
 
     fam = FamilySpec(
         name=name,

@@ -451,23 +451,48 @@ def _phases(theta, K):
     return ph
 
 
-def _fold(f, E):
-    """f folded with the phase table E[p, k] = exp(2 pi i k theta_p) of P
-    points: C[i, p] = Re sum_k h_k[i] E[p, k], the Chebyshev coefficients
-    of f(theta_p, .) as one column per point, an (n_cheb, P) array. One
-    real product of the (re, -im) columns of the h_k with E's (re, im)."""
-    H = np.ascontiguousarray(f.modes.T.conj()).view(float)
+def _fold_degree(f):
+    """The rows m a folded step of f keeps: the least m >= 2 with
+
+        sum_(i >= m) i^2 sum_k |h_k[i]|
+            <= n_cheb^2 eps min(sum |h|, L sum |h'|) / 2,
+
+    h' = D h / L the rows of f_x. As |T_i| <= 1 and |T_i'| <= i^2 on
+    [-1, 1], dropping rows m.. moves a value by at most half the bound
+    n_cheb^2 eps sum |h| of _eval_folded and an x-derivative by at most
+    half of n_cheb^2 eps sum |h'|; the rounding of the kept rows has the
+    other half. Rows go from the top down only, so a sampled map, whose
+    rows all carry rounding, keeps all n_cheb."""
+    n = f.domain.n_cheb
+    a = np.abs(f.modes).sum(axis=0)
+    tail = np.cumsum((np.arange(n) ** 2 * a)[::-1])[::-1]
+    scale = min(a.sum(), f.domain.half_width * np.abs(f.dx().modes).sum())
+    return 2 + int(np.count_nonzero(
+        tail[2:] > 0.5 * n * n * np.finfo(float).eps * scale))
+
+
+def _fold(f, E, m):
+    """Rows 0..m-1 of f folded with the phase table E[p, k] = exp(2 pi i k
+    theta_p) of P points: C[i, p] = Re sum_k h_k[i] E[p, k], the leading
+    Chebyshev coefficients of f(theta_p, .) as one column per point, an
+    (m, P) array. One real product of the (re, -im) columns of the h_k
+    with E's (re, im)."""
+    H = np.ascontiguousarray(f.modes[:, :m].T.conj()).view(float)
     return H @ E.view(float).T
 
 
 def _eval_folded(domain, C, x, V):
     """Value and x-derivative, a (2, P) array, at the P points x (1-D) of
-    the folded columns C = _fold(f, E): one Chebyshev recurrence of x / L
-    into V[0] of the (2, n_cheb, P) buffer V, the derivative rows D^T V[0]
-    into V[1], and one contraction of both against C."""
+    the m folded rows C = _fold(f, E, m): one Chebyshev recurrence of
+    x / L into V[0] of the (2, m, P) buffer V, the derivative rows
+    D[:m, :m]^T V[0] into V[1] (T_j' is a sum of T_i with i < j), and one
+    contraction of both against C. With m = _fold_degree(f), on |x| <= L
+    the value is within n_cheb^2 eps sum |h| of the full series and the
+    derivative within n_cheb^2 eps sum |h'|, h' the rows of f_x."""
     L = domain.half_width
-    _vander_rows(x / L, domain.n_cheb, out=V[0])
-    np.matmul(_tables(domain).D.T, V[0], out=V[1])
+    m = C.shape[0]
+    _vander_rows(x / L, m, out=V[0])
+    np.matmul(_tables(domain).D[:m, :m].T, V[0], out=V[1])
     out = np.einsum("fip,ip->fp", V, C)
     out[1] /= L
     return out

@@ -219,8 +219,9 @@ def test_guess_of_the_wrong_size_is_refused_before_any_pass(
 def _passes_and_check(f, omega, n, monkeypatch):
     """Solve a period-2^n curve while recording the samples each
     _orbit_grid pass starts from; check that residual, Lyapunov exponent
-    and fiber product are those of the returned samples, the product bit
-    for bit. Returns (curve, pass inputs)."""
+    and fiber product are those of the returned samples, all three bit for
+    bit, with the product and the log sum accumulated step by step over
+    the pass's step derivatives. Returns (curve, pass inputs)."""
     inputs = []
     orbit = curvedyn._orbit_grid
 
@@ -235,7 +236,13 @@ def _passes_and_check(f, omega, n, monkeypatch):
     for _ in range(n):
         s = s.double()
     tables = curvedyn._step_tables(f, omega, 2 ** n, curve.M)
-    FX, prod, logs = orbit(f.domain, tables, curve.samples)
+    FX, D = orbit(f.domain, tables, curve.samples)
+    assert D.shape == (2 ** n, curve.M)
+    prod, logs = np.ones(curve.M), np.zeros(curve.M)
+    for d in D:
+        prod = prod * d
+        with np.errstate(divide="ignore"):
+            logs = logs + np.maximum(np.log(np.abs(d)), curvedyn.LOG_FLOOR)
     G = FX - curvedyn._shift_samples(curve.samples, float(s))
     assert curve.residual == float(np.max(np.abs(G)))
     assert curve.lyapunov == float(np.mean(logs)) / 2 ** n
@@ -252,6 +259,18 @@ def test_curve_solve_spends_one_grid_pass_per_iterate(flm, golden,
     # no pass repeats the one before it, and the last is at the samples
     assert not any(np.array_equal(a, b) for a, b in zip(inputs, inputs[1:]))
     assert np.array_equal(inputs[-1], curve.samples)
+
+
+@pytest.mark.parametrize("n, eps", [(1, 1e-3), (2, 5e-4), (4, 1e-4),
+                                    (5, 1e-5)])
+def test_product_and_logs_are_the_per_step_loop(flm, golden, monkeypatch,
+                                                n, eps):
+    # the solve reduces the step derivatives of its last pass in one
+    # product and one log sum; _passes_and_check holds both to the loop
+    # over the steps byte for byte, from period 2 to period 32
+    s = superstable_params(flm, n + 1)
+    f = flm.evaluator(float(s[n]) + 0.1 * (s[n + 1] - s[n]), eps)
+    _passes_and_check(f, golden, n, monkeypatch)
 
 
 def test_curve_residual_is_that_of_the_samples_when_newton_runs_out(
@@ -515,7 +534,7 @@ def test_benchmark_like_curve_solve_forms_no_matrix(flm, golden,
                                                     monkeypatch):
     # the period-8 curve of the curves benchmark: no Newton step reaches
     # the dense solve, and the solve's peak allocation stays below one
-    # 512 x 512 float64 matrix (0.7 MiB against 2 MiB; 8.3 MiB dense)
+    # 512 x 512 float64 matrix (0.50 MiB against 2 MiB; 8.3 MiB dense)
     s = superstable_params(flm, 4)
     f = flm.evaluator(float(s[3]) + 0.1 * (s[4] - s[3]), 2e-4)
     monkeypatch.setattr(np.linalg, "solve", _no_dense_solve)
@@ -1212,15 +1231,105 @@ def test_flm_slice_is_the_exact_expansion(dom):
         assert abs(fam.psi0(alpha).psi(0.0) - 1.0) <= np.spacing(1.0)
 
 
+def _sampled_flm(alpha, eps, g=None, domain=DomainConfig()):
+    """The flm cylinder map sampled whole, 1 - mu y^2 + eps g(theta, 1/2 +
+    lam y) / lam on the spectral grid: every row of its half spectrum
+    carries the rounding of 1 - mu y^2."""
+    if g is None:
+        def g(theta, x):
+            return np.cos(2 * np.pi * np.asarray(theta)) * np.ones_like(x)
+    mu, lam = alpha * (alpha - 2.0) / 4.0, (alpha - 2.0) / 4.0
+    return QPFn.from_callable(
+        domain, lambda th, y: 1.0 - mu * y * y + eps * g(th, 0.5 + lam * y)
+        / lam)
+
+
 def test_flm_slice_is_the_cylinder_projection_to_rounding():
     # the oracle samples c(alpha, 0) on the cylinder and keeps its mode 0;
     # its odd and high coefficients are rounding, up to 7.8 eps ||c||_1
     fam = flm_family()
     for alpha in np.linspace(2.5, 3.63, 12):
-        want = project_p0(fam.evaluator(alpha, 0.0)).coeffs
+        want = project_p0(_sampled_flm(alpha, 0.0)).coeffs
         got = fam.slice0(alpha).coeffs
         tol = 16 * np.finfo(float).eps * np.sum(np.abs(got))
         assert np.max(np.abs(got - want)) <= tol
+
+
+@pytest.mark.parametrize("g", [None, parse_forcing(
+    "[0.5,-1,0.25]*cos(1w)+[0,0,0,2]*sin(3w)")[0]],
+    ids=["default", "polynomial"])
+def test_flm_evaluator_is_the_slice_plus_eps_times_the_coupling(g):
+    # at eps = 0 the map is the embedded exact slice bit for bit; the
+    # coupling adds eps * dv_deps, up to one rounding of the sum and one
+    # of the difference in each real and imaginary part
+    fam = flm_family(g=g)
+    for alpha in (2.5, 3.1, 3.5, 3.5699):
+        base = fam.evaluator(alpha, 0.0).modes
+        assert base.tobytes() == QPFn.from_analytic(
+            fam.slice0(alpha)).modes.tobytes()
+        for eps in (1e-5, 2e-4, 1e-3, -3e-3):
+            v = eps * fam.dv_deps(alpha).modes
+            diff = fam.evaluator(alpha, eps).modes - base
+            for part in (np.real, np.imag):
+                tol = 2 * np.finfo(float).eps * (np.abs(part(base))
+                                                 + np.abs(part(v)))
+                assert np.all(np.abs(part(diff) - part(v)) <= tol)
+
+
+@pytest.mark.parametrize("forcing, m", [
+    (None, 3), ("[0.5,0,0.5]*sin(1w)", 3), ("[1,0,0,1]*cos(1w)", 4)],
+    ids=["default", "quadratic", "cubic"])
+def test_benchmark_like_solve_folds_the_rows_the_map_carries(
+        flm, golden, monkeypatch, forcing, m):
+    # a quadratic slice plus a coupling of degree d in x: the tables of
+    # the period-8 solve keep max(3, d + 1) of the 40 rows
+    fam = flm if forcing is None else flm_family(g=parse_forcing(forcing)[0])
+    s = superstable_params(fam, 4)
+    f = fam.evaluator(float(s[3]) + 0.1 * (s[4] - s[3]), 2e-4)
+    built = []
+    build = curvedyn._step_tables
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(curvedyn, "_step_tables", recording)
+    solve_invariant_curve(f, golden, 3)
+    assert [t.shape for t in built] == [(8, m, curvedyn.M_GRID)]
+
+
+def test_sampled_maps_keep_every_row(flm, golden):
+    # rounding in every row, 1e-16 to 1e-15 in the sampled 1 - mu y^2, is
+    # more than the degree rule may drop: the sampled map and the
+    # renormalized family's apply_T map fold all 40 rows
+    s = superstable_params(flm, 4)
+    alpha = float(s[3]) + 0.1 * (s[4] - s[3])
+    fam_T = asymptotics.renormalized_family(flm, golden, 3)
+    for f in (_sampled_flm(alpha, 0.0), _sampled_flm(alpha, 2e-4),
+              fam_T.evaluator(float(s[2]), 1e-4)):
+        assert curvedyn._step_tables(f, golden, 2, 16).shape == (2, 40, 16)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.2, 3.5, 3.56, 3.5699, 3.62])
+def test_default_guess_reads_iterate_400_off_the_cycle(monkeypatch, alpha):
+    # the guess stops at the first repeat of its float orbit; iterate 400
+    # is the one 400 scalar calls reach, on short cycles, long transients
+    # and orbits that do not repeat within 400 steps
+    f = flm_family().evaluator(alpha, 2e-4)
+    psi, x = project_p0(f), 0.0
+    for _ in range(400):
+        x = float(psi(x))
+
+    class FirstPass(Exception):
+        pass
+
+    def first_pass(dom, tables, X):
+        raise FirstPass(X.copy())
+
+    monkeypatch.setattr(curvedyn, "_orbit_grid", first_pass)
+    with pytest.raises(FirstPass) as start:
+        solve_invariant_curve(f, RotationNumber.golden(), 1, M=8)
+    assert start.value.args[0].tobytes() == np.full(8, x).tobytes()
 
 
 def test_default_guess_is_the_scalar_orbit_of_the_averaged_map(

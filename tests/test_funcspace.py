@@ -28,9 +28,9 @@ from qprenorm_lab import (
     sup_norm,
 )
 from qprenorm_lab.funcspace import (INTERVAL_SLACK, _cheb_vander,
-                                    _eval_folded, _fold, _grid_phases,
-                                    _phases, _tables, _vander_rows,
-                                    cheb_nodes, pair_sup_norm)
+                                    _eval_folded, _fold, _fold_degree,
+                                    _grid_phases, _phases, _tables,
+                                    _vander_rows, cheb_nodes, pair_sup_norm)
 from qprenorm_lab.errors import (
     CompositionDomainError,
     ConsistencyError,
@@ -270,18 +270,23 @@ def _longdouble_step(f, E, x):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_mode_stacks())
-def test_folded_step_matches_a_longdouble_sum(case):
+@given(_mode_stacks(), st.one_of(st.none(), st.floats(-20.0, -14.0)))
+def test_folded_step_matches_a_longdouble_sum(case, tail):
     # value and x-derivative of one grid step, at points up to the slack
     # of the interval check; the derivative's bound takes the coefficients
-    # of f_x, D h_k / L, whose rows grow like j^2
+    # of f_x, D h_k / L, whose rows grow like j^2. A tail of 10^tail times
+    # the stack's scale past a random head: the step folds only the rows
+    # _fold_degree keeps and is held to the sum over the full stack
     f, rng = case
     dom = f.domain
     n, L = dom.n_cheb, dom.half_width
+    if tail is not None:
+        f.modes[:, rng.integers(2, n + 1):] *= 10.0 ** tail
     edge = L * INTERVAL_SLACK
     x = np.concatenate(([-edge, edge], rng.uniform(-edge, edge, 15)))
     E = _phases(rng.uniform(-2.0, 3.0, x.size), f.K)
-    got = _eval_folded(dom, _fold(f, E), x, np.empty((2, n, x.size)))
+    m = _fold_degree(f)
+    got = _eval_folded(dom, _fold(f, E, m), x, np.empty((2, m, x.size)))
     value, deriv = _longdouble_step(f, E, x)
     tol = n * n * np.finfo(float).eps
     assert np.max(np.abs(got[0] - value)) <= tol * np.sum(np.abs(f.modes))
