@@ -141,52 +141,63 @@ def parse_omega(spec, dio_gamma=0.0, dio_tau=1.0, q_max=0):
 
 # ------------------------------------------------------------- configuration
 
-def _ini(default, section, key):
-    """A RunConfig field read from `key` in the INI section [section]."""
-    return field(default=default, metadata={"ini": (section, key)})
+def _ini(default, section, key, rule):
+    """A RunConfig field read from `key` in [section], in the config hash.
+
+    `rule` is its range: '>= lo', '> lo', 'a or b ...' or None for none."""
+    return field(default=default, metadata={"ini": (section, key),
+                                            "range": rule, "hashed": True})
+
+
+def _in_range(value, rule):
+    op, _, lo = rule.partition(" ")
+    if op in (">=", ">"):
+        return value >= float(lo) if op == ">=" else value > float(lo)
+    return value in rule.split(" or ")
 
 
 @dataclass
 class RunConfig:
     """Resolved experiment configuration (file defaults + CLI overrides).
 
-    Each field read from the INI file names its (section, key) once, in its
-    metadata; the parser converts the raw string with the field's type.
+    Each INI field declares its key once, in its metadata (see _ini); the
+    parser converts the raw string with the field's type, and DomainConfig
+    checks the ranges of [domain] itself.
     """
 
-    omega: str = _ini("golden", "run", "omega")
-    n_max: int = _ini(6, "run", "nmax")
-    mode: str = _ini("exact-orbit", "run", "mode")
-    mode_k: int = _ini(1, "run", "mode_k")
-    seed: int = _ini(7, "run", "seed")
-    eps: float = _ini(1e-6, "run", "eps")
-    alpha: float = _ini(None, "run", "alpha")
-    etas: tuple = _ini((1e-3, 1e-2), "run", "etas")
-    dio_gamma: float = _ini(0.0, "run", "dio_gamma")
-    dio_tau: float = _ini(1.0, "run", "dio_tau")
-    dio_qmax: int = _ini(0, "run", "dio_qmax")
-    direct_nmax: int = _ini(0, "run", "direct_nmax")
-    family: str = _ini("flm", "family", "name")
-    forcing: str = _ini("[1]*cos(1w)", "family", "forcing")
-    family2: str = _ini("flm2", "family2", "name")
-    forcing2: str = _ini("[0.5,0,0.5]*sin(1w)", "family2", "forcing")
-    n_cheb: int = _ini(40, "domain", "n_cheb")
-    n_fourier: int = _ini(16, "domain", "n_fourier")
-    delta_dom: float = _ini(0.1, "domain", "delta_dom")
-    theta0: float = _ini(0.0, "section", "theta0")
-    x0: float = _ini(0.0, "section", "x0")
-    fp_tol: float = _ini(1e-10, "tolerances", "fp_tol")
-    dt_tol: float = _ini(1e-10, "tolerances", "dt_tol")
-    # output plumbing (not part of the config hash)
-    out_dir: str = _ini("qprenorm-out", "run", "out")
+    omega: str = _ini("golden", "run", "omega", None)
+    n_max: int = _ini(6, "run", "nmax", ">= 1")
+    mode: str = _ini("exact-orbit", "run", "mode",
+                     "exact-orbit or fixed-point")
+    mode_k: int = _ini(1, "run", "mode_k", None)
+    seed: int = _ini(7, "run", "seed", ">= 0")
+    eps: float = _ini(1e-6, "run", "eps", None)
+    alpha: float = _ini(None, "run", "alpha", None)
+    etas: tuple = _ini((1e-3, 1e-2), "run", "etas", None)
+    dio_gamma: float = _ini(0.0, "run", "dio_gamma", ">= 0")
+    dio_tau: float = _ini(1.0, "run", "dio_tau", ">= 0")
+    dio_qmax: int = _ini(0, "run", "dio_qmax", ">= 0")
+    direct_nmax: int = _ini(0, "run", "direct_nmax", ">= 0")
+    family: str = _ini("flm", "family", "name", None)
+    forcing: str = _ini("[1]*cos(1w)", "family", "forcing", None)
+    family2: str = _ini("flm2", "family2", "name", None)
+    forcing2: str = _ini("[0.5,0,0.5]*sin(1w)", "family2", "forcing", None)
+    n_cheb: int = _ini(40, "domain", "n_cheb", None)
+    n_fourier: int = _ini(16, "domain", "n_fourier", None)
+    delta_dom: float = _ini(0.1, "domain", "delta_dom", None)
+    theta0: float = _ini(0.0, "section", "theta0", None)
+    x0: float = _ini(0.0, "section", "x0", None)
+    fp_tol: float = _ini(1e-10, "tolerances", "fp_tol", "> 0")
+    dt_tol: float = _ini(1e-10, "tolerances", "dt_tol", "> 0")
+    # output plumbing: no range, not in the config hash
+    out_dir: str = field(default="qprenorm-out",
+                         metadata={"ini": ("run", "out")})
     plot_data: bool = False
-
-    _UNHASHED = ("out_dir", "plot_data")
 
     def hash_lines(self):
         lines = []
         for f in dataclass_fields(self):
-            if f.name.startswith("_") or f.name in self._UNHASHED:
+            if not f.metadata.get("hashed"):
                 continue
             v = getattr(self, f.name)
             if isinstance(v, float):
@@ -222,7 +233,7 @@ _INI_FIELDS = {f.metadata["ini"]: f for f in dataclass_fields(RunConfig)
 
 
 def load_config(path=None, overrides=None):
-    """RunConfig from an INI file plus override pairs; strict key checking."""
+    """RunConfig from an INI file plus overrides; checks keys and ranges."""
     cfg = RunConfig()
     if path is not None:
         parser = configparser.ConfigParser()
@@ -254,17 +265,12 @@ def load_config(path=None, overrides=None):
     for name, val in (overrides or {}).items():
         if val is not None:
             setattr(cfg, name, val)
-    if cfg.n_max < 1:
-        raise ValueError(f"nmax must be >= 1, got {cfg.n_max}")
-    if cfg.mode not in ("exact-orbit", "fixed-point"):
-        raise ValueError(f"mode must be exact-orbit or fixed-point, "
-                         f"got {cfg.mode!r}")
-    if not cfg.dio_tau >= 0:
-        raise ValueError(f"[run] dio_tau must be >= 0, got {cfg.dio_tau}")
-    for key in ("seed", "dio_qmax", "direct_nmax"):
-        if getattr(cfg, key) < 0:
-            raise ValueError(f"[run] {key} must be >= 0, "
-                             f"got {getattr(cfg, key)}")
+    for f in dataclass_fields(cfg):
+        rule, val = f.metadata.get("range"), getattr(cfg, f.name)
+        if rule and not _in_range(val, rule):
+            raise ValueError("[{}] {} must be {}, got {!r}".format(
+                *f.metadata["ini"], rule, val))
+    # rules over two keys; both forcings parse whichever subcommand runs
     try:
         cfg.rotation()
     except (ValueError, DiophantineError) as e:
@@ -279,8 +285,6 @@ def load_config(path=None, overrides=None):
     if not 1 <= cfg.mode_k <= cfg.n_fourier:
         raise ValueError(f"[run] mode_k must be in 1..{cfg.n_fourier} "
                          f"(n_fourier), got {cfg.mode_k}")
-    # config invariant: both forcing expressions parse and stay below the
-    # mode cutoff, regardless of which subcommand will run
     parse_forcing(cfg.forcing, k_max=cfg.n_fourier)
     parse_forcing(cfg.forcing2, k_max=cfg.n_fourier)
     return cfg
@@ -674,15 +678,15 @@ def _build_parser():
         description="Quasi-periodic doubling renormalization laboratory.")
     p.add_argument("--config", metavar="PATH",
                    help="INI config file (flat key=value sections)")
-    p.add_argument("--out", metavar="DIR",
+    p.add_argument("--out", dest="out_dir", metavar="DIR",
                    help="artifact directory (default qprenorm-out)")
     p.add_argument("--omega", metavar="SPEC",
                    help="rotation number: golden, p/q, float, or [a1,a2,...]")
-    p.add_argument("--nmax", type=int, metavar="N",
+    p.add_argument("--nmax", dest="n_max", type=int, metavar="N",
                    help="depth of the run (levels, period log2, ...)")
     p.add_argument("--seed", type=int, metavar="S",
                    help="seed for all random sampling")
-    p.add_argument("--plot-data", action="store_true",
+    p.add_argument("--plot-data", action="store_true", default=None,
                    help="also emit two-column .dat files")
     sub = p.add_subparsers(dest="command", required=True)
     for name in dict.fromkeys(c for c, _ in COMMANDS):
@@ -702,13 +706,9 @@ def main(argv=None):
         # violations here, so fold usage problems into the error code
         return 0 if e.code == 0 else 1
     try:
-        cfg = load_config(args.config, overrides={
-            "omega": args.omega,
-            "n_max": args.nmax,
-            "seed": args.seed,
-            "out_dir": args.out,
-            "plot_data": args.plot_data or None,
-        })
+        # each flag's dest is its RunConfig field; an absent flag is None
+        cfg = load_config(args.config, {f.name: getattr(args, f.name, None)
+                                        for f in dataclass_fields(RunConfig)})
         return run(cfg, args.command, getattr(args, "which", None))
     except (QPRenormError, ValueError, OSError,
             configparser.Error) as e:

@@ -5,9 +5,12 @@ Exit convention under test: 0 success, 1 usage/config/runtime errors,
 artifacts, with manifest.json (timestamps) the single allowed exception.
 """
 
+import configparser
 import dataclasses
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +297,56 @@ def test_config_key_list_covers_every_declared_key():
                 if "ini" in f.metadata}
     assert declared == {(s, k) for s, k, *_ in INI_KEYS}
 
+
+# (section, key, out-of-range raw value, subcommand that reads the key);
+# at least one case per declared range
+OUT_OF_RANGE = [
+    ("run", "nmax", "0", ["superstable"]),
+    ("run", "mode", "sideways", ["slopes"]),
+    ("run", "seed", "-1", ["dt-check"]),
+    ("run", "dio_gamma", "-1", ["observe", "--which", "2"]),
+    ("run", "dio_tau", "-0.5", ["observe", "--which", "2"]),
+    ("run", "dio_qmax", "-1", ["observe", "--which", "2"]),
+    ("run", "direct_nmax", "-1", ["slopes"]),
+    ("tolerances", "fp_tol", "-1", ["fixed-point"]),
+    ("tolerances", "fp_tol", "0", ["fixed-point"]),
+    ("tolerances", "dt_tol", "0", ["dt-check"]),
+    ("tolerances", "dt_tol", "-1e-10", ["dt-check"]),
+]
+
+
+def test_every_declared_range_has_an_out_of_range_case():
+    ranged = {f.metadata["ini"] for f in dataclasses.fields(RunConfig)
+              if f.metadata.get("range")}
+    assert ranged == {(s, k) for s, k, *_ in OUT_OF_RANGE}
+
+
+@pytest.mark.parametrize("section,key,raw,argv", OUT_OF_RANGE,
+                         ids=[f"{s}.{k}={raw}" for s, k, raw, _ in
+                              OUT_OF_RANGE])
+def test_out_of_range_value_exits_1_naming_the_key(tmp_path, capsys, section,
+                                                   key, raw, argv):
+    # a config error exits 1; it never reads as a failed clause (exit 2)
+    # or as a gate that checks nothing
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[{section}]\n{key} = {raw}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out)] + argv) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: [{section}] {key} must be ")
+    assert not out.exists()
+
+
+def test_readme_config_example_loads_and_names_every_key(tmp_path):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    p = tmp_path / "readme.ini"
+    p.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    load_config(str(p))
+    parser = configparser.ConfigParser()
+    parser.read(p)
+    named = {(sec, key) for sec in parser.sections() for key in parser[sec]}
+    assert named == {f.metadata["ini"] for f in dataclasses.fields(RunConfig)
+                     if "ini" in f.metadata}
 
 @pytest.mark.parametrize("text,fragment", [
     ("[run]\nbogus = 1\n", "unknown key"),

@@ -883,6 +883,45 @@ def test_slope_formula_cross_validated_by_bisection(flm, golden):
     assert a_slope == pytest.approx(direct, rel=0.02)
 
 
+def _logistic_slope_oracle(c0, c1, alpha, n):
+    """ds_n/deps of x -> alpha x (1 - x) + eps (c0 + c1 x) at eps = 0.
+
+    A coupling without theta keeps the map one-dimensional, so both
+    reducibility-loss curves are its superstable curve s_n(eps), the zero
+    of F = f^(2^n)(x_c) - x_c: the slope is -F_eps / F_alpha at alpha =
+    s_n. One scalar orbit loop carries both derivatives. The critical
+    point moves with eps, dx_c/deps = a'(1/2) / (2 alpha) = c1 / (2 alpha),
+    and enters F only through -x_c, because f_x(x_c) = 0."""
+    x, F_alpha, F_eps = 0.5, 0.0, 0.0
+    for _ in range(2 ** n):
+        f_x = alpha * (1.0 - 2.0 * x)
+        F_alpha, F_eps = (f_x * F_alpha + x * (1.0 - x),
+                          f_x * F_eps + c0 + c1 * x)
+        x = alpha * x * (1.0 - x)
+    return -(F_eps - c1 / (2.0 * alpha)) / F_alpha
+
+
+# relative error of the exact-orbit slope against the oracle, measured at
+# n = 1..7: 2.6e-14, 7.0e-14, 1.9e-13, 7.0e-13, 9.2e-12, 8.7e-11, 4.3e-10
+# for a = 1 and 3.5e-14, 1.0e-13, 1.7e-13, 7.6e-13, 9.6e-12, 9.0e-11,
+# 4.5e-10 for a = 1 + 0.3 x; each bound is 10 times the larger, rounded up
+ORACLE_BOUNDS = {1: 4e-13, 2: 1e-12, 3: 2e-12, 4: 8e-12, 5: 1e-10, 6: 1e-9,
+                 7: 5e-9}
+
+
+@pytest.mark.parametrize("c0, c1", [(1.0, 0.0), (1.0, 0.3)],
+                         ids=["a=1", "a=1+0.3x"])
+def test_exact_orbit_slopes_match_the_one_dimensional_oracle(golden, c0, c1):
+    fam = flm_family(g=lambda th, x: c0 + c1 * np.asarray(x)
+                     + 0.0 * np.asarray(th))
+    s = superstable_params(fam, max(ORACLE_BOUNDS))
+    for n, bound in ORACLE_BOUNDS.items():
+        want = _logistic_slope_oracle(c0, c1, float(s[n]), n)
+        a_slope, b_slope = slope_formula(fam, golden, n)
+        assert abs(a_slope - want) <= bound * abs(want), n
+        assert abs(a_slope - b_slope) <= 1e-12 * abs(a_slope), n
+
+
 def test_loss_branches_open_in_opposite_directions(flm, golden):
     dmin = direct_slope(flm, golden, 1, branch="min")
     dmax = direct_slope(flm, golden, 1, branch="max")
