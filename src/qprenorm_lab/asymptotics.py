@@ -57,7 +57,8 @@ Clause = namedtuple("Clause", "name value bound ok")
 
 
 class _Verdict:
-    """Base of the checker reports: PASS means every clause holds."""
+    """Base of the checker reports and of the decay fit: PASS means every
+    clause holds."""
 
     @property
     def passed(self):
@@ -92,7 +93,7 @@ class QuotientSequence:
 
 
 @dataclass
-class EquivalenceFit:
+class EquivalenceFit(_Verdict):
     """Least-squares fit of log|r_n - s_n| = log k0 + n log rho."""
 
     rho_hat: float
@@ -120,9 +121,6 @@ class EquivalenceFit:
                        self.trivial or 0.0 < self.rho_hat_hi < 1.0),
                 Clause("spread_decades", self.spread_decades, MAX_SPREAD,
                        self.trivial or self.spread_decades < MAX_SPREAD)]
-
-    def passes(self):
-        return all(c.ok for c in self.clauses)
 
 
 def fit_geometric_decay(ns, diffs):
@@ -502,25 +500,27 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     """eta-perturbation study: a second harmonic breaks universality.
 
     For each eta the full quotient sequence of the two-harmonic family is
-    compared against eta = 0. The deviations should scale linearly in eta
-    (the two-eta ratio matches the eta ratio within a factor 3) while NOT
-    decaying geometrically in n for fixed eta > 0. The two-component
-    recurrences provide the direction-deviation bound 2 C |eta| / (1 - C |eta|)
-    with C estimated from the norm-ratio band. Non-equivalence is the arm
-    that decided: the largest eta's deviations fail the geometric fit, or
-    else keep 5% of their supremum at the last three levels. An eta is a
-    size by |eta|: the scale test and the fit use the nonzero etas ordered
-    by |eta|, and the deviations stay keyed by the signed eta. The two
-    directions compared at each level are put on the section first; they
-    share their mode-1 part, and with it the shift. Every family lives on
-    `domain`. An empty etas or n_max < 3 (a tail of one q_n) raises
-    ValueError.
+    compared against eta = 0. The deviations should scale linearly in |eta|
+    (the deviation ratio of the smallest and largest sizes matches their
+    ratio within a factor 3) while NOT decaying geometrically in n. The
+    two-component recurrences bound the direction deviation by
+    2 C |eta| / (1 - C |eta|), C from the norm-ratio band. Non-equivalence
+    is the arm that decided: the largest |eta|'s deviations fail the
+    geometric fit, or else keep 5% of their supremum at the last three
+    levels. Deviations stay keyed by the signed eta. The two directions
+    compared at each level are put on the section first; they share their
+    mode-1 part, and with it the shift. Every family lives on `domain`.
+    Without two different nonzero sizes |eta| (a zero eta deviates by
+    nothing, one size scales by 1), or with n_max < 3, it raises ValueError.
     """
     require_diophantine(omega0)
     if n_max < 3:
         raise ValueError(f"observation 3 needs n_max >= 3, got {n_max}")
-    if not etas:
-        raise ValueError("observation 3 needs at least one eta")
+    by_size = sorted(etas, key=abs)
+    if not by_size or abs(by_size[0]) in (0.0, abs(by_size[-1])):
+        raise ValueError("observation 3 needs nonzero etas of at least two "
+                         f"different sizes |eta|, got {tuple(etas)}")
+    e1, e2 = by_size[0], by_size[-1]
     all_etas = (0.0,) + tuple(etas)
     fams = [flm_eta_family(eta, domain) for eta in all_etas]
     tables = {eta: quotient_sequence(table) for eta, table in zip(
@@ -533,25 +533,21 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
         cur = dict(zip(tables[eta].ns(), tables[eta].values()))
         deviations[eta] = {n: abs(cur[n] - base[n]) for n in base}
         sup_dev[eta] = max(deviations[eta].values())
-
-    pos = sorted((e for e in etas if e != 0.0), key=abs)
-    if len(pos) >= 2:
-        e1, e2 = pos[0], pos[-1]
-        scale = (sup_dev[e2] / sup_dev[e1]) / abs(e2 / e1)
-    else:
-        e2 = pos[0] if pos else None
-        scale = 1.0
+    scale = (sup_dev[e2] / sup_dev[e1]) / abs(e2 / e1)
 
     # component bookkeeping at unit eta; everything is linear in v02
     fam1 = flm_eta_family(1.0, domain)
-    alpha_star = stable_manifold_param(fam1)
-    v0 = fam1.dv_deps(alpha_star)
+    v0 = fam1.dv_deps(stable_manifold_param(fam1))
     v01, v02 = project_pik(v0, 1), project_pik(v0, 2)
     chain1, chain2 = component_chains(omega0, v01, v02, n_max - 1)
-    ratios = [c2.sup_norm() / c1.sup_norm()
-              for c1, c2 in zip(chain1, chain2)]
-    C = max(ratios)           # ||v_{n,2}||/||v_{n,1}|| <= C eta by linearity
+    # ||v_{n,2}||/||v_{n,1}|| <= C eta by linearity
+    C = max(c2.sup_norm() / c1.sup_norm() for c1, c2 in zip(chain1, chain2))
 
+    def unit(v):
+        return v * (1.0 / sup_norm(v))
+
+    # each level's mode-1 direction on the section serves every eta
+    v1_hats = [unit(_on_section(c1.embed(1), section)) for c1 in chain1]
     bound_margins = {}
     bound_ok, fold = True, 0.0
     for eta in etas:
@@ -559,32 +555,20 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
             bound_ok, fold = False, np.inf
             continue
         allowed = 2.0 * C * abs(eta) / (1.0 - C * abs(eta))
-        worst = 0.0
-        for c1, c2 in zip(chain1, chain2):
-            vn = _on_section(c1.embed(1) + (c2 * eta).embed(2), section)
-            v1n = _on_section(c1.embed(1), section)
-            gap = sup_norm(vn * (1.0 / sup_norm(vn))
-                           - v1n * (1.0 / sup_norm(v1n)))
-            worst = max(worst, gap)
+        worst = max(sup_norm(unit(_on_section(
+            c1.embed(1) + (c2 * eta).embed(2), section)) - v1_hat)
+            for c1, c2, v1_hat in zip(chain1, chain2, v1_hats))
         bound_margins[eta] = (worst, allowed)
         bound_ok = bound_ok and worst <= allowed
-        fold = max(fold, worst / allowed if worst else 0.0)
+        fold = max(fold, worst / allowed)
 
-    if e2 is not None:
-        dev_big = deviations[e2]
-        fit = fit_geometric_decay(sorted(dev_big),
-                                  [dev_big[n] for n in sorted(dev_big)])
-        tail = min(dev_big[n] for n in sorted(dev_big)[-3:])
-        floor = 0.05 * sup_dev[e2]
-        failed = [c._replace(name="deviation_" + c.name, ok=True)
-                  for c in fit.clauses if not c.ok]
-        nonequiv = (failed + [Clause("deviation_tail", tail, floor,
-                                     bool(tail >= floor))])[0]
-    else:
-        # degenerate eta = 0 run: PASS means the deviations vanish exactly
-        fit = fit_geometric_decay([], [])
-        nonequiv = Clause("sup_deviation", max(sup_dev.values()), 0.0,
-                          all(d == 0.0 for d in sup_dev.values()))
+    dev_big = list(deviations[e2].values())     # levels in increasing order
+    fit = fit_geometric_decay(list(deviations[e2]), dev_big)
+    tail, floor = min(dev_big[-3:]), 0.05 * sup_dev[e2]
+    failed = [c._replace(name="deviation_" + c.name, ok=True)
+              for c in fit.clauses if not c.ok]
+    nonequiv = (failed + [Clause("deviation_tail", tail, floor,
+                                 bool(tail >= floor))])[0]
 
     return Obs3Report(etas=tuple(etas), deviations=deviations,
                       sup_deviations=sup_dev, scale_factor=float(scale),

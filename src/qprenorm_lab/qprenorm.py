@@ -354,8 +354,10 @@ def section_gammas(X, domain, section=SectionConfig()):
                   "mode-1 pair vanishes at every section candidate x0")
               if miss else None for z, miss in zip(vanished, todo)]
 
-    # the theta-slope at (theta0, x0) is then 2 pi hypot(A, B) > 0 by `hit`
-    gamma0 = (np.arctan2(B, A) / (2 * np.pi) - 0.25 - section.theta0) % 1.0
+    # the theta-slope at (theta0, x0) is then 2 pi hypot(A, B) > 0 by `hit`;
+    # the section is periodic in theta0, so a large theta0 is reduced first
+    gamma0 = (np.arctan2(B, A) / (2 * np.pi) - 0.25
+              - section.theta0 % 1.0) % 1.0
     gamma0[(gamma0 > 1.0 - 1e-12) | (gamma0 < 1e-12) | vanished | todo] = 0.0
     return gamma0, errors
 

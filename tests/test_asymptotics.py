@@ -7,6 +7,7 @@ belongs to the acceptance suite) with one negative control each.
 
 import collections
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -64,13 +65,13 @@ def test_fit_recovers_planted_decay():
     assert fit.rho_hat == pytest.approx(rho, rel=0.01)
     assert fit.k0_hat == pytest.approx(k0, rel=0.1)
     assert fit.n_dropped == 0
-    assert fit.passes()
+    assert fit.passed
 
 
 def test_fit_flags_zero_sequence_trivial():
     fit = fit_geometric_decay(range(2, 9), [0.0] * 7)
     assert fit.trivial
-    assert fit.passes()
+    assert fit.passed
 
 
 def test_fit_rejects_flat_noise():
@@ -78,7 +79,7 @@ def test_fit_rejects_flat_noise():
     ns = list(range(2, 11))
     diffs = list(np.abs(rng.normal(1.0, 0.05, size=len(ns))))
     fit = fit_geometric_decay(ns, diffs)
-    assert not fit.passes()
+    assert not fit.passed
     assert fit.rho_hat_hi >= 1.0
 
 
@@ -100,17 +101,17 @@ def test_fit_survives_bounded_multiplicative_factors():
     K = rng.uniform(0.5, 2.0, size=len(ns))
     r = [q + k0 * Kn * rho ** n for Kn, n in zip(K, ns)]
     fit = fit_geometric_decay(ns, [abs(x - q) for x in r])
-    assert fit.passes()
+    assert fit.passed
     assert fit.rho_hat == pytest.approx(rho, rel=0.2)
 
 
 def test_pass_criterion_uses_upper_confidence_bound():
     base = dict(rho_hat=0.9, k0_hat=1.0, ns=[2, 3, 4], log10_residuals=[],
                 trivial=False, n_dropped=0)
-    assert not EquivalenceFit(rho_hat_hi=1.05, **base).passes()
-    assert EquivalenceFit(rho_hat_hi=0.95, **base).passes()
+    assert not EquivalenceFit(rho_hat_hi=1.05, **base).passed
+    assert EquivalenceFit(rho_hat_hi=0.95, **base).passed
     spread = dict(base, log10_residuals=[0.0, asymptotics.MAX_SPREAD])
-    assert not EquivalenceFit(rho_hat_hi=0.95, **spread).passes()
+    assert not EquivalenceFit(rho_hat_hi=0.95, **spread).passed
 
 
 # --------------------------------------------------------- quotient algebra
@@ -299,10 +300,23 @@ def test_zero_coupling_has_no_quotient_factorization(golden):
         quotient_factorization(flm_family(g=g), golden, 3)
 
 
+OBS3_ETAS_RULE = "nonzero etas of at least two different sizes |eta|"
+
+
 def test_observation3_zero_coupling_degenerates_cleanly(golden):
-    rep = observation3(golden, etas=(0.0,), n_max=4)
-    assert rep.passed
-    assert rep.sup_deviations[0.0] == 0.0
+    # a zero eta deviates by nothing, so no clause could fail on it: the
+    # run is refused before any table is built, alone or beside others
+    for etas in ((0.0,), (0.0, 1e-3, 1e-2)):
+        with pytest.raises(ValueError, match=re.escape(OBS3_ETAS_RULE)):
+            observation3(golden, etas=etas, n_max=4)
+
+
+@pytest.mark.parametrize("etas", [(), (1e-3,), (1e-3, -1e-3)],
+                         ids=["empty", "one-eta", "one-size"])
+def test_observation3_needs_two_different_sizes(golden, etas):
+    # with one size |eta| the scale test reads 1 by construction
+    with pytest.raises(ValueError, match=re.escape(OBS3_ETAS_RULE)):
+        observation3(golden, etas=etas, n_max=4)
 
 
 def test_observation3_names_the_nonequivalence_arm_that_decided(
@@ -312,7 +326,7 @@ def test_observation3_names_the_nonequivalence_arm_that_decided(
     rep = observation3(golden, etas=(1e-3, 1e-2), n_max=5)
     tail = rep.clauses[-1]
     assert tail.name == "deviation_tail" and tail.ok
-    assert rep.nonequiv_fit.passes()
+    assert rep.nonequiv_fit.passed
     assert tail.bound == 0.05 * rep.sup_deviations[1e-2]
 
     def flat(ns, diffs):

@@ -633,9 +633,16 @@ def test_exit_one_rational_rotation(tmp_path):
                  "observe", "--which", "2"]) == 1
 
 
+OBS3_ETAS_RULE = "nonzero etas of at least two different sizes |eta|"
+
+
 @pytest.mark.parametrize("ini,argv,fragment", [
     ("", ["--nmax", "4", "observe", "--which", "2"], "n_max >= 5"),
-    ("[run]\netas =\n", ["observe", "--which", "3"], "at least one eta"),
+    ("[run]\netas =\n", ["observe", "--which", "3"], OBS3_ETAS_RULE),
+    ("[run]\netas = 0,1e-2\n", ["observe", "--which", "3"], OBS3_ETAS_RULE),
+    ("[run]\netas = 1e-3\n", ["observe", "--which", "3"], OBS3_ETAS_RULE),
+    ("[run]\netas = 1e-3,-1e-3\n", ["observe", "--which", "3"],
+     OBS3_ETAS_RULE),
     ("", ["--nmax", "3", "conjecture", "--which", "h3"], "n_max >= 4"),
     ("", ["--nmax", "0", "conjecture", "--which", "h5"], "nmax must be >= 1"),
     ("", ["--nmax", "3", "observe", "--which", "1"], "n_max >= 4"),
@@ -648,7 +655,8 @@ def test_exit_one_rational_rotation(tmp_path):
      "[run] dio_qmax must be >= 0"),
     ("[run]\ndirect_nmax = -1\n", ["--nmax", "2", "superstable"],
      "[run] direct_nmax must be >= 0"),
-], ids=["observe-2", "observe-3-no-etas", "h3", "h5", "observe-1",
+], ids=["observe-2", "observe-3-no-etas", "observe-3-zero-eta",
+        "observe-3-one-eta", "observe-3-one-size", "h3", "h5", "observe-1",
         "observe-3", "spectrum-mode-k", "slopes-direct-eps-0",
         "dio-tau-negative", "dio-qmax-negative", "direct-nmax-negative"])
 def test_exit_one_on_a_run_too_shallow_or_empty(tmp_path, capsys, ini, argv,
@@ -660,6 +668,7 @@ def test_exit_one_on_a_run_too_shallow_or_empty(tmp_path, capsys, ini, argv,
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv,status", [

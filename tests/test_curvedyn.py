@@ -922,6 +922,27 @@ def test_exact_orbit_slopes_match_the_one_dimensional_oracle(golden, c0, c1):
         assert abs(a_slope - b_slope) <= 1e-12 * abs(a_slope), n
 
 
+@pytest.mark.parametrize("c0, c1", [(1.0, 0.0), (1.0, 0.3)],
+                         ids=["a=1", "a=1+0.3x"])
+def test_fixed_point_quotients_approach_the_one_dimensional_oracle(golden,
+                                                                    c0, c1):
+    # fixed-point mode approximates the quotients q_n, not the slopes. Its
+    # gap to the oracle's q_n, measured for a = 1 at n = 2..12: 2.3e-1,
+    # 3.7e-2, 1.6e-3, 6.5e-3, 5.1e-4, 1.8e-3, 1.6e-4, 5.0e-4, 4.6e-5,
+    # 1.4e-4, 1.3e-5 (a = 1 + 0.3 x within 10%). It falls in pairs of
+    # levels, by at least 2.6 over each two levels
+    fam = flm_family(g=lambda th, x: c0 + c1 * np.asarray(x)
+                     + 0.0 * np.asarray(th))
+    s = superstable_params(fam, 12)
+    want = [_logistic_slope_oracle(c0, c1, float(s[n]), n)
+            for n in range(1, 13)]
+    got = slope_table(fam, golden, 12, mode="fixed-point")
+    gap = {n: abs(got[n][0] / got[n - 1][0] - want[n - 1] / want[n - 2])
+           for n in range(2, 13)}
+    for n in range(2, 11):
+        assert gap[n + 2] <= gap[n] / 2.0, n
+
+
 def test_loss_branches_open_in_opposite_directions(flm, golden):
     dmin = direct_slope(flm, golden, 1, branch="min")
     dmax = direct_slope(flm, golden, 1, branch="max")

@@ -643,3 +643,13 @@ def test_section_gammas_of_a_block_is_the_per_row_result_bit_for_bit(domain):
             assert g[0] == gamma0[j]
             assert type(e[0]) is type(errors[j])
     assert isinstance(errors[4], NoSectionError)
+
+
+def test_section_gammas_read_theta0_modulo_one(domain):
+    # the section is periodic in theta0; unreduced, 1e300 would swallow the
+    # arctan term and 7.25 would round it differently from 0.25
+    X = np.random.default_rng(5).standard_normal((6, 2 * domain.n_cheb))
+    for theta0, reduced in ((7.25, 0.25), (1e300, 0.0)):
+        want, _ = section_gammas(X, domain, SectionConfig(theta0=reduced))
+        got, _ = section_gammas(X, domain, SectionConfig(theta0=theta0))
+        assert got.tobytes() == want.tobytes()
