@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DegenerateScalingError
 from .funcspace import (AnalyticFn, DomainConfig, pair_sup_norm, project_p0,
-                        project_pik, sup_norm)
+                        project_pik, shift_tgamma, sup_norm)
 from .qprenorm import (RotationNumber, SectionConfig, _fill_L_omega,
                        apply_DT, apply_T, build_L_omega, gamma_normalize,
                        l_prime_rows, require_diophantine, row_norms,
@@ -137,12 +137,13 @@ def fit_geometric_decay(ns, diffs):
     d = np.abs(np.asarray(diffs, dtype=float))
     scale = float(np.max(d)) if d.size else 0.0
     if scale <= 1e-14:
-        return EquivalenceFit(rho_hat=0.0, k0_hat=0.0, ns=list(ns),
+        return EquivalenceFit(rho_hat=0.0, k0_hat=0.0, ns=[int(n) for n in ns],
                               log10_residuals=[], trivial=True)
     keep = d > 1e-15 * scale
     ns_k, d_k = ns[keep], d[keep]
     if ns_k.size < 2:
-        return EquivalenceFit(rho_hat=0.0, k0_hat=scale, ns=list(ns_k),
+        return EquivalenceFit(rho_hat=0.0, k0_hat=scale,
+                              ns=[int(n) for n in ns_k],
                               log10_residuals=[0.0], trivial=True)
 
     def line(ns_f, d_f):
@@ -376,7 +377,7 @@ class Obs2Report(_Verdict):
     limit_prev: float
     bounded_ratio_min: float
     bounded_ratio_max: float
-    h5_band: tuple
+    h5_band: Optional[tuple]    # None when the coupling has no mode 1
     identity_gaps: dict
     clauses: list
     cauchy_decreasing = property(lambda self: self._ok("cauchy_ratio"))
@@ -392,7 +393,8 @@ def observation2(c, omega0, n_max=10, mode="exact-orbit"):
     Reports the Cauchy differences |r_n - r_{n-1}| (required decreasing
     from n = 4 on), an Aitken limit estimate with a 3-significant-digit
     stability comparison against the one-shorter window, the boundedness
-    diagnostic alpha'_n(w)/alpha'_n(2w), the two-chain norm-ratio band, and
+    diagnostic alpha'_n(w)/alpha'_n(2w), the two-chain norm-ratio band
+    (None for a coupling with no mode-1 part; no clause reads it), and
     the one-step renormalization identity at the levels IDENTITY_LEVELS
     (relative gap at most 1e-10).
 
@@ -408,7 +410,7 @@ def observation2(c, omega0, n_max=10, mode="exact-orbit"):
     if n_max < 5:
         raise ValueError(f"observation 2 needs n_max >= 5, got {n_max}")
     seq, tab1, tab2 = mixed_quotient_sequence(c, omega0, n_max, mode=mode)
-    r = dict(zip(seq.ns(), seq.values()))
+    r = dict(seq.entries)
 
     cauchy = {n: abs(r[n] - r[n - 1]) for n in range(3, n_max + 1)}
     dec_ns = [n for n in sorted(cauchy) if n >= 4]
@@ -425,7 +427,11 @@ def observation2(c, omega0, n_max=10, mode="exact-orbit"):
     b = [tab1[n][0] / tab2[n][0] for n in range(1, n_max)]
     b_abs = np.abs(b)
 
-    h5 = _family_H5(c, omega0, n_max)
+    try:    # no clause reads the band; a coupling without mode 1 has none
+        h5 = _family_H5(c, omega0, n_max)
+        h5_band = (h5.c1, h5.c2)
+    except DegenerateScalingError:
+        h5_band = None
 
     if mode == "exact-orbit":    # tab1 holds the left-hand sides
         gaps = {i: _identity_gap(c, omega0, i, tab1[i][0])
@@ -440,7 +446,7 @@ def observation2(c, omega0, n_max=10, mode="exact-orbit"):
                       limit_prev=float(limit_prev),
                       bounded_ratio_min=float(np.min(b_abs)),
                       bounded_ratio_max=float(np.max(b_abs)),
-                      h5_band=(h5.c1, h5.c2),
+                      h5_band=h5_band,
                       identity_gaps=gaps,
                       clauses=[decreasing, stable, identity])
 
@@ -474,17 +480,10 @@ def component_chains(omega0, v01, v02, n_max):
     return chain1, chain2
 
 
-def _on_section(v, section):
-    """t_gamma v on the section; v itself when its mode-1 part is zero to
-    rounding (the shift is then undefined and v has no direction to fix)."""
-    if project_pik(v, 1).coeff_norm() <= 1e-12 * max(1.0, v.coeff_norm()):
-        return v
-    return gamma_normalize(v, section)[1]
-
-
 @dataclass
 class Obs3Report(_Verdict):
     etas: tuple
+    judged_eta: float   # largest |eta|; non-equivalence reads it
     deviations: dict
     sup_deviations: dict
     scale_factor: float
@@ -507,9 +506,10 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     2 C |eta| / (1 - C |eta|), C from the norm-ratio band. Non-equivalence
     is the arm that decided: the largest |eta|'s deviations fail the
     geometric fit, or else keep 5% of their supremum at the last three
-    levels. Deviations stay keyed by the signed eta. The two directions
-    compared at each level are put on the section first; they share their
-    mode-1 part, and with it the shift. Every family lives on `domain`.
+    levels (of a tie in size, the eta given last: `judged_eta`). Deviations
+    stay keyed by the signed eta. Each level's one shift to the section
+    serves every direction compared there, as they share their mode-1 part.
+    Every family lives on `domain`.
     Without two different nonzero sizes |eta| (a zero eta deviates by
     nothing, one size scales by 1), or with n_max < 3, it raises ValueError.
     """
@@ -526,11 +526,11 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     tables = {eta: quotient_sequence(table) for eta, table in zip(
         all_etas, _slope_tables(fams, omega0, range(1, n_max + 1),
                                 "fixed-point"))}
-    base = dict(zip(tables[0.0].ns(), tables[0.0].values()))
+    base = dict(tables[0.0].entries)
 
     deviations, sup_dev = {}, {}
     for eta in etas:
-        cur = dict(zip(tables[eta].ns(), tables[eta].values()))
+        cur = dict(tables[eta].entries)
         deviations[eta] = {n: abs(cur[n] - base[n]) for n in base}
         sup_dev[eta] = max(deviations[eta].values())
     scale = (sup_dev[e2] / sup_dev[e1]) / abs(e2 / e1)
@@ -543,23 +543,19 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     # ||v_{n,2}||/||v_{n,1}|| <= C eta by linearity
     C = max(c2.sup_norm() / c1.sup_norm() for c1, c2 in zip(chain1, chain2))
 
-    def unit(v):
-        return v * (1.0 / sup_norm(v))
-
-    # each level's mode-1 direction on the section serves every eta
-    v1_hats = [unit(_on_section(c1.embed(1), section)) for c1 in chain1]
-    bound_margins = {}
-    bound_ok, fold = True, 0.0
+    # the shift reads the mode-1 row, which every eta's vector shares
+    shifts = [gamma_normalize(c1.embed(1), section) for c1 in chain1]
+    v1_hats = [_unit_direction(v1, n) for n, (_, v1) in enumerate(shifts)]
+    bound_margins, fold = {}, 0.0
     for eta in etas:
         if C * abs(eta) >= 1.0:
-            bound_ok, fold = False, np.inf
+            fold = np.inf
             continue
         allowed = 2.0 * C * abs(eta) / (1.0 - C * abs(eta))
-        worst = max(sup_norm(unit(_on_section(
-            c1.embed(1) + (c2 * eta).embed(2), section)) - v1_hat)
-            for c1, c2, v1_hat in zip(chain1, chain2, v1_hats))
+        worst = max(sup_norm(_unit_direction(shift_tgamma(
+            c1.embed(1) + (c2 * eta).embed(2), g), n) - v1_hats[n])
+            for n, (c1, c2, (g, _)) in enumerate(zip(chain1, chain2, shifts)))
         bound_margins[eta] = (worst, allowed)
-        bound_ok = bound_ok and worst <= allowed
         fold = max(fold, worst / allowed)
 
     dev_big = list(deviations[e2].values())     # levels in increasing order
@@ -570,14 +566,14 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     nonequiv = (failed + [Clause("deviation_tail", tail, floor,
                                  bool(tail >= floor))])[0]
 
-    return Obs3Report(etas=tuple(etas), deviations=deviations,
+    return Obs3Report(etas=tuple(etas), judged_eta=e2, deviations=deviations,
                       sup_deviations=sup_dev, scale_factor=float(scale),
                       bound_C=float(C), bound_margins=bound_margins,
                       nonequiv_fit=fit,
                       clauses=[Clause("scale_fold", max(scale, 1.0 / scale),
                                       3.0, 1.0 / 3.0 <= scale <= 3.0),
-                               Clause("direction_bound", fold, 1.0, bound_ok),
-                               nonequiv])
+                               Clause("direction_bound", fold, 1.0,
+                                      fold <= 1.0), nonequiv])
 
 
 # ------------------------------------------------------------- H3 checker
@@ -589,6 +585,14 @@ class H3Report(_Verdict):
     c_floor: float
     c0_floor: float
     clauses: list
+
+
+def _on_section(v, section):
+    """t_gamma v on the section; v itself when its mode-1 part is zero to
+    rounding (the shift is then undefined and v has no direction to fix)."""
+    if project_pik(v, 1).coeff_norm() <= 1e-12 * max(1.0, v.coeff_norm()):
+        return v
+    return gamma_normalize(v, section)[1]
 
 
 def check_H3(c, omega0, n_max=8, section=SectionConfig()):
@@ -826,9 +830,9 @@ def check_H5(omega0, v01, v02, n_max=12):
     the section (norms are shift-invariant). Reports empirical band
     constants C1 = min, C2 = max of
     (||v_{n,2}||/||v_{n,1}||) / (||v_{0,2}||/||v_{0,1}||) for n = 1..n_max,
-    so n_max < 1 raises ValueError. A zero start vector (from a family,
-    a zero mode-1 coupling) raises DegenerateScalingError, and start
-    vectors on two domains raise ConsistencyError.
+    so n_max < 1 raises ValueError. A zero start vector raises
+    DegenerateScalingError, and start vectors on two domains raise
+    ConsistencyError.
     """
     require_diophantine(omega0)
     if n_max < 1:
@@ -860,8 +864,16 @@ H5_MAX_N = 12     # H5 depth cap: the acceptance criterion runs H5 at 12
 def _family_H5(c, omega0, n_max):
     """check_H5 for the family c, as observation 2 and the CLI run it: both
     start vectors are the mode-1 part of dv/deps at the stable-manifold
-    parameter, and the depth is capped at H5_MAX_N."""
-    p0 = project_pik(c.dv_deps(stable_manifold_param(c)), 1)
+    parameter, and the depth is capped at H5_MAX_N. A mode-1 part of at
+    most 1e-12 of dv/deps (coefficient norms) is rounding noise, not a
+    start, and raises DegenerateScalingError."""
+    v0 = c.dv_deps(stable_manifold_param(c))
+    p0 = project_pik(v0, 1)
+    if p0.coeff_norm() <= 1e-12 * v0.coeff_norm():
+        raise DegenerateScalingError(
+            f"H5 starts from the mode-1 part of dv/deps, {p0.coeff_norm():.3g}"
+            f" against {v0.coeff_norm():.3g} for all of it: the family's "
+            "coupling has no mode-1 part")
     return check_H5(omega0, p0, p0, n_max=min(n_max, H5_MAX_N))
 
 

@@ -592,9 +592,8 @@ def _observe_3(cfg, store):
     header = ["n [level]"] + [f"abs_dev_eta_{e:g} [1]" for e in rep.etas]
     rows = [[n] + [rep.deviations[e][n] for e in rep.etas] for n in ns]
     store.write_csv("deviations.csv", header, rows)
-    e_big = max(rep.etas, key=abs)
     store.write_plot("deviations.dat", ns,
-                     [rep.deviations[e_big][n] for n in ns])
+                     [rep.deviations[rep.judged_eta][n] for n in ns])
     scale, bound, nonequiv = rep.clauses
     return rep.clauses, {"scale_ok": scale.ok, "bound_ok": bound.ok,
                          "nonequivalent": nonequiv.ok,

@@ -74,6 +74,15 @@ def test_fit_flags_zero_sequence_trivial():
     assert fit.passed
 
 
+@pytest.mark.parametrize("diffs", [[0.0] * 5, [0.0, 0.0, 1e-3, 0.0, 0.0]],
+                         ids=["all-zero", "one-point"])
+def test_trivial_fits_record_integer_levels(diffs):
+    # both trivial returns list the levels as every other fit does
+    fit = fit_geometric_decay(np.arange(2, 7), diffs)
+    assert fit.trivial
+    assert all(type(n) is int for n in fit.ns)
+
+
 def test_fit_rejects_flat_noise():
     rng = np.random.default_rng(21)
     ns = list(range(2, 11))
@@ -292,6 +301,63 @@ def test_observation3_deviations_are_those_of_the_superposed_dg1_values(
         for n in want:
             assert rep.deviations[eta][n] == pytest.approx(want[n], rel=1e-10,
                                                           abs=0.0)
+
+
+def _obs3_bound_reference(omega0, etas, n_max):
+    """bound_C and bound_margins with every superposed vector, and each
+    mode-1 direction, put on the section by gamma_normalize of its own."""
+    fam1 = flm_eta_family(1.0)
+    v0 = fam1.dv_deps(stable_manifold_param(fam1))
+    chain1, chain2 = asymptotics.component_chains(
+        omega0, project_pik(v0, 1), project_pik(v0, 2), n_max - 1)
+    C = max(c2.sup_norm() / c1.sup_norm() for c1, c2 in zip(chain1, chain2))
+
+    def unit_on_section(v):
+        w = gamma_normalize(v)[1]
+        return w * (1.0 / sup_norm(w))
+
+    margins = {}
+    for eta in etas:
+        allowed = 2.0 * C * abs(eta) / (1.0 - C * abs(eta))
+        margins[eta] = (max(sup_norm(
+            unit_on_section(c1.embed(1) + (c2 * eta).embed(2))
+            - unit_on_section(c1.embed(1)))
+            for c1, c2 in zip(chain1, chain2)), allowed)
+    return C, margins
+
+
+@pytest.mark.parametrize("etas", [(1e-3, 1e-2), (1e-2, -1e-2, 1e-3)],
+                         ids=["two", "tie"])
+def test_observation3_shifts_each_level_once_for_every_eta(golden,
+                                                           monkeypatch,
+                                                           etas):
+    # a superposed vector's mode-1 row is its level's mode-1 row, so the
+    # level's one shift gives the bits of shifting each vector on its own
+    calls = collections.Counter()
+    normalize = asymptotics.gamma_normalize
+
+    def counted(v, section):
+        calls["gamma_normalize"] += 1
+        return normalize(v, section)
+    monkeypatch.setattr(asymptotics, "gamma_normalize", counted)
+    rep = observation3(golden, etas=etas, n_max=6)
+    assert calls["gamma_normalize"] == 6
+    C, margins = _obs3_bound_reference(golden, etas, 6)
+    assert rep.bound_C == C
+    assert rep.bound_margins == margins
+
+
+def test_observation3_names_the_eta_it_judges(golden):
+    # of two etas of the largest size the non-equivalence arm reads the
+    # one given last
+    rep = observation3(golden, etas=(1e-2, -1e-2, 1e-3), n_max=4)
+    assert rep.judged_eta == -1e-2
+    dev = rep.deviations[-1e-2]
+    assert all(type(n) is int for n in dev)
+    assert rep.nonequiv_fit == fit_geometric_decay(list(dev),
+                                                   list(dev.values()))
+    assert rep.nonequiv_fit != fit_geometric_decay(
+        list(dev), list(rep.deviations[1e-2].values()))
 
 
 def test_zero_coupling_has_no_quotient_factorization(golden):

@@ -6,6 +6,7 @@ artifacts, with manifest.json (timestamps) the single allowed exception.
 """
 
 import configparser
+import csv
 import dataclasses
 import json
 import math
@@ -581,6 +582,21 @@ def test_domain_config_reaches_the_run(tmp_path, argv, name):
     assert (default / name).read_bytes() != (custom / name).read_bytes()
 
 
+def test_observe_3_plots_the_eta_it_judges(tmp_path):
+    # etas -0.01 and 0.01 tie in size; the non-equivalence arm reads the
+    # one given last, and so does the plot
+    p = tmp_path / "tie.ini"
+    p.write_text("[run]\netas = 1e-2,-1e-2,1e-3\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(p), "--out", str(out), "--nmax", "5",
+                 "--plot-data", "observe", "--which", "3"]) in (0, 2)
+    with open(out / "deviations.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    col = "abs_dev_eta_-0.01 [1]"
+    want = [f"{row['n [level]']} {row[col]}" for row in rows]
+    assert (out / "deviations.dat").read_text().splitlines() == want
+
+
 def test_plot_data_flag_emits_dat(tmp_path):
     out = tmp_path / "out"
     assert main(["--out", str(out), "--nmax", "4", "--plot-data",
@@ -702,13 +718,45 @@ def test_a_run_that_raises_leaves_no_out_directory(tmp_path, capsys):
 
 
 def test_h5_names_a_zero_coupling(tmp_path, capsys):
-    p = tmp_path / "zero.ini"
-    p.write_text("[family]\nforcing = [0]*cos(1w)\n")
-    assert main(["--config", str(p), "--out", str(tmp_path / "o"),
-                 "conjecture", "--which", "h5"]) == 1
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "Traceback" not in err
-    assert "coupling" in err
+    # a mode-2 coupling leaves rounding noise (3e-16) in mode 1, which is
+    # no start either
+    for forcing in ("[0]*cos(1w)", "[1]*cos(2w)"):
+        p = tmp_path / "zero.ini"
+        p.write_text(f"[family]\nforcing = {forcing}\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(p), "--out", str(out),
+                     "conjecture", "--which", "h5"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "coupling" in err
+        assert not out.exists()
+
+
+def test_observe_2_runs_without_an_h5_band(tmp_path, capsys):
+    # no clause of observation 2 reads the band, so a coupling with no
+    # mode-1 part keeps its verdict and writes the band as null
+    p = tmp_path / "mode2.ini"
+    p.write_text("[family]\nforcing = [1]*cos(2w)\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(p), "--out", str(out),
+                 "observe", "--which", "2"]) == 0
+    assert capsys.readouterr().out.endswith("-> PASS\n")
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["h5_band"] is None and rep["passed"] is True
+    assert (out / "quotients.csv").exists()
+
+
+def test_trivial_fit_records_integer_levels(tmp_path):
+    # family2 is family1: the quotient differences are all zero
+    p = tmp_path / "same.ini"
+    p.write_text("[family2]\nforcing = [1]*cos(1w)\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(p), "--out", str(out), "--nmax", "6",
+                 "observe", "--which", "1"]) == 0
+    fit = json.loads((out / "report.json").read_text())["fit"]
+    assert fit["trivial"] is True
+    assert fit["ns"] == [2, 3, 4, 5, 6]
+    assert all(type(n) is int for n in fit["ns"])
 
 
 def test_omega_without_a_certificate_runs_where_none_is_needed(tmp_path):
