@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateScalingError
+from .errors import ConsistencyError, DegenerateScalingError, TruncationError
 from .funcspace import (AnalyticFn, DomainConfig, pair_sup_norm, project_p0,
                         project_pik, shift_tgamma, sup_norm)
 from .qprenorm import (RotationNumber, SectionConfig, _fill_L_omega,
@@ -43,8 +43,8 @@ from .qprenorm import (RotationNumber, SectionConfig, _fill_L_omega,
                        section_gammas, shift_pairs)
 from .renorm1d import (FamilySpec, dr_matrix, feigenbaum_fixed_point,
                        stable_manifold_param, superstable_params)
-from .curvedyn import (DG1_hat, _chain_slopes, _slope_pass, flm_family,
-                       functional_K, slope_formula)
+from .curvedyn import (DG1_hat, _chain_slopes, _dt_step, _slope_pass,
+                       flm_family, functional_K, slope_formula)
 
 
 # ------------------------------------------------------ quotient sequences
@@ -377,7 +377,7 @@ class Obs2Report(_Verdict):
     limit_prev: float
     bounded_ratio_min: float
     bounded_ratio_max: float
-    h5_band: Optional[tuple]    # None when the coupling has no mode 1
+    h5_band: Optional[tuple]    # None without mode 1 or without mode 2
     identity_gaps: dict
     clauses: list
     cauchy_decreasing = property(lambda self: self._ok("cauchy_ratio"))
@@ -394,7 +394,8 @@ def observation2(c, omega0, n_max=10, mode="exact-orbit"):
     from n = 4 on), an Aitken limit estimate with a 3-significant-digit
     stability comparison against the one-shorter window, the boundedness
     diagnostic alpha'_n(w)/alpha'_n(2w), the two-chain norm-ratio band
-    (None for a coupling with no mode-1 part; no clause reads it), and
+    (None for a coupling with no mode-1 part or a domain with no mode 2;
+    no clause reads it), and
     the one-step renormalization identity at the levels IDENTITY_LEVELS
     (relative gap at most 1e-10).
 
@@ -427,10 +428,10 @@ def observation2(c, omega0, n_max=10, mode="exact-orbit"):
     b = [tab1[n][0] / tab2[n][0] for n in range(1, n_max)]
     b_abs = np.abs(b)
 
-    try:    # no clause reads the band; a coupling without mode 1 has none
+    try:    # no clause reads the band; a run without mode 1 or 2 has none
         h5 = _family_H5(c, omega0, n_max)
         h5_band = (h5.c1, h5.c2)
-    except DegenerateScalingError:
+    except (DegenerateScalingError, TruncationError):
         h5_band = None
 
     if mode == "exact-orbit":    # tab1 holds the left-hand sides
@@ -464,18 +465,21 @@ def flm_eta_family(eta, domain=DomainConfig()):
 def component_chains(omega0, v01, v02, n_max):
     """The two-mode chain (v_{k,1}, v_{k,2}) for k = 0..n_max.
 
-    v_{k,1} advances under the mode-1 operator at the fixed point and
-    v_{k,2} under the mode-2 one, along the omega-doubling sequence.
-    Returns the two lists. The chain stays off the section: the shift
-    commutes with each mode operator, so callers that compare directions
-    shift the vectors they compare.
+    DT at the fixed point is block-diagonal in the Fourier mode, so one
+    curvedyn._dt_step walk of v01.embed(1) + v02.embed(2) along the
+    omega-doubling sequence carries both components, read back with
+    project_pik. Returns the two lists. The chain stays off the section:
+    the shift commutes with each mode block, so callers that compare
+    directions shift the vectors they compare.
     """
     fp = feigenbaum_fixed_point(v01.u.domain)
+    v = v01.embed(1) + v02.embed(2)
     chain1, chain2 = [v01], [v02]
     om = omega0
     for _ in range(n_max):
-        chain1.append(build_L_omega(fp.phi, om, 1).apply(chain1[-1]))
-        chain2.append(build_L_omega(fp.phi, om, 2).apply(chain2[-1]))
+        v = _dt_step(fp.phi, om, v)
+        chain1.append(project_pik(v, 1))
+        chain2.append(project_pik(v, 2))
         om = om.double()
     return chain1, chain2
 
@@ -831,8 +835,9 @@ def check_H5(omega0, v01, v02, n_max=12):
     constants C1 = min, C2 = max of
     (||v_{n,2}||/||v_{n,1}||) / (||v_{0,2}||/||v_{0,1}||) for n = 1..n_max,
     so n_max < 1 raises ValueError. A zero start vector raises
-    DegenerateScalingError, and start vectors on two domains raise
-    ConsistencyError.
+    DegenerateScalingError, start vectors on two domains raise
+    ConsistencyError, and a domain with n_fourier < 2, which holds no
+    mode 2, raises TruncationError.
     """
     require_diophantine(omega0)
     if n_max < 1:
@@ -845,6 +850,9 @@ def check_H5(omega0, v01, v02, n_max=12):
             raise DegenerateScalingError(
                 f"H5 start vector v_(0,{j}) is 0, as from a zero mode-1 "
                 "coupling")
+    if v01.domain.n_fourier < 2:
+        raise TruncationError(f"H5 walks mode 2, which n_fourier = "
+                              f"{v01.domain.n_fourier} does not hold")
     chain1, chain2 = component_chains(omega0, v01, v02, n_max)
     r0 = v02.sup_norm() / v01.sup_norm()
     ratios = [(c2.sup_norm() / c1.sup_norm()) / r0

@@ -523,6 +523,10 @@ def _curve(cfg, store):
 
 
 def _slopes(cfg, store):
+    # below eps = 0 the min branch follows beta', which rel_gap does not read
+    if cfg.direct_nmax >= 1 and cfg.eps <= 0:
+        raise ValueError(f"[run] eps must be > 0 for direct slopes "
+                         f"(direct_nmax = {cfg.direct_nmax}), got {cfg.eps:g}")
     fam = cfg.build_family()
     omega = cfg.rotation()
     table = slope_table(fam, omega, cfg.n_max, mode=cfg.mode)
@@ -627,7 +631,7 @@ def _conjecture_h4(cfg, store):
 def _conjecture_h5(cfg, store):
     rep = _family_H5(cfg.build_family(), cfg.rotation(), cfg.n_max)
     store.write_csv("ratio_band.csv", ["n [level]", "normalized_ratio [1]"],
-                    list(enumerate(rep.ratios)))
+                    list(enumerate(rep.ratios, start=1)))
     return rep.clauses, _fields(rep, "c1", "c2", "ratios")
 
 

@@ -52,7 +52,7 @@ from qprenorm_lab.cli import parse_forcing
 from qprenorm_lab import asymptotics, curvedyn, qprenorm
 from qprenorm_lab.errors import (ConsistencyError, DegeneratePointError,
                                  DegenerateScalingError, DiophantineError,
-                                 NoSectionError, SearchError)
+                                 NoSectionError, SearchError, TruncationError)
 
 
 # ------------------------------------------------------------------ fitter
@@ -819,6 +819,60 @@ def test_h5_rejects_start_vectors_on_two_domains(flm, golden):
     with pytest.raises(ConsistencyError, match="two domains") as err:
         check_H5(golden, p0, p1, n_max=2)
     assert "n_cheb=40" in str(err.value) and "n_cheb=48" in str(err.value)
+
+
+def test_h5_refuses_a_domain_without_mode_2(golden):
+    # the two-mode walk needs room for mode 2 in the truncated space
+    dom = DomainConfig(n_fourier=1)
+    p0 = PairFn.from_coeff_vector(dom, np.ones(2 * dom.n_cheb))
+    with pytest.raises(TruncationError, match="n_fourier = 1"):
+        check_H5(golden, p0, p0, n_max=2)
+
+
+def _per_mode_chains(omega0, v01, v02, n_max):
+    """The two chains by the assembled blocks: v_{k,j} advances under
+    build_L_omega(phi, omega_k, j).apply, one block per step and mode."""
+    phi = asymptotics.feigenbaum_fixed_point(v01.domain).phi
+    chains, om = ([v01], [v02]), omega0
+    for _ in range(n_max):
+        for k, chain in enumerate(chains, start=1):
+            chain.append(build_L_omega(phi, om, k).apply(chain[-1]))
+        om = om.double()
+    return chains
+
+
+@pytest.mark.parametrize("omega", [
+    RotationNumber.golden(), RotationNumber.from_float(2 ** 0.5 - 1),
+    RotationNumber.from_fraction(1, 3)], ids=["golden", "silver", "third"])
+def test_component_chains_match_the_per_mode_blocks(omega):
+    # DT at the fixed point is block-diagonal in the Fourier mode, so one
+    # walk of the two-mode vector carries both chains to rounding
+    fam = flm_eta_family(1.0)
+    v0 = fam.dv_deps(stable_manifold_param(fam))
+    v01, v02 = project_pik(v0, 1), project_pik(v0, 2)
+    got = asymptotics.component_chains(omega, v01, v02, 12)
+    want = _per_mode_chains(omega, v01, v02, 12)
+    for g, w in zip(got, want):
+        assert len(g) == len(w) == 13
+        for a, b in zip(g[1:], w[1:]):
+            assert (a - b).sup_norm() <= 1e-14 * b.sup_norm()
+
+
+def test_two_mode_walks_build_no_L_omega(flm, golden, monkeypatch):
+    # H5 and observation 3 step with curvedyn._dt_step; build_L_omega
+    # stays for the spectrum, H4 and the dt-check
+    calls = collections.Counter()
+
+    def counted(psi, omega, k=1, build_L_omega=asymptotics.build_L_omega):
+        calls[run] += 1
+        return build_L_omega(psi, omega, k)
+
+    monkeypatch.setattr(asymptotics, "build_L_omega", counted)
+    run = "H5"
+    asymptotics._family_H5(flm, golden, 12)
+    run = "observation 3"
+    observation3(golden, n_max=6)
+    assert calls == {}
 
 
 # ------------------------------------------------------- pinned chain values

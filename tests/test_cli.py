@@ -664,7 +664,12 @@ OBS3_ETAS_RULE = "nonzero etas of at least two different sizes |eta|"
     ("", ["--nmax", "3", "observe", "--which", "1"], "n_max >= 4"),
     ("", ["--nmax", "2", "observe", "--which", "3"], "n_max >= 3"),
     ("[run]\nmode_k = 40\n", ["spectrum"], "[run] mode_k must be in 1..16"),
-    ("[run]\neps = 0\ndirect_nmax = 1\n", ["--nmax", "1", "slopes"], "eps"),
+    ("[run]\neps = 0\ndirect_nmax = 1\n", ["--nmax", "1", "slopes"],
+     "[run] eps"),
+    ("[run]\neps = -1e-6\ndirect_nmax = 2\n", ["--nmax", "2", "slopes"],
+     "[run] eps"),
+    ("[domain]\nn_fourier = 1\n", ["conjecture", "--which", "h5"],
+     "n_fourier = 1"),
     ("[run]\ndio_tau = -1\n", ["observe", "--which", "2"],
      "[run] dio_tau must be >= 0"),
     ("[run]\ndio_qmax = -1\n", ["--nmax", "2", "superstable"],
@@ -674,6 +679,7 @@ OBS3_ETAS_RULE = "nonzero etas of at least two different sizes |eta|"
 ], ids=["observe-2", "observe-3-no-etas", "observe-3-zero-eta",
         "observe-3-one-eta", "observe-3-one-size", "h3", "h5", "observe-1",
         "observe-3", "spectrum-mode-k", "slopes-direct-eps-0",
+        "slopes-direct-eps-negative", "h5-one-fourier-mode",
         "dio-tau-negative", "dio-qmax-negative", "direct-nmax-negative"])
 def test_exit_one_on_a_run_too_shallow_or_empty(tmp_path, capsys, ini, argv,
                                                 fragment):
@@ -744,6 +750,34 @@ def test_observe_2_runs_without_an_h5_band(tmp_path, capsys):
     rep = json.loads((out / "report.json").read_text())
     assert rep["h5_band"] is None and rep["passed"] is True
     assert (out / "quotients.csv").exists()
+
+
+def test_observe_2_runs_without_mode_2(tmp_path, capsys):
+    # one Fourier mode holds no H5 walk; the band is null and the clauses
+    # are those of 16 modes (the identity gap moves with the truncation)
+    lines = {}
+    for n_fourier in (1, 16):
+        p = tmp_path / "run.ini"
+        p.write_text(f"[domain]\nn_fourier = {n_fourier}\n")
+        out = tmp_path / str(n_fourier)
+        assert main(["--config", str(p), "--out", str(out), "--nmax", "5",
+                     "observe", "--which", "2"]) == 0
+        lines[n_fourier] = re.sub(r"identity_gap \S+", "identity_gap",
+                                  capsys.readouterr().out)
+        band = json.loads((out / "report.json").read_text())["h5_band"]
+        assert (band is None) == (n_fourier == 1)
+    assert lines[1] == lines[16] and lines[1].endswith("-> PASS\n")
+
+
+@pytest.mark.parametrize("nmax", [3, 14])
+def test_ratio_band_labels_the_levels_it_reads(tmp_path, nmax):
+    # check_H5's ratios are those of n = 1..min(nmax, H5_MAX_N)
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "--nmax", str(nmax),
+                 "conjecture", "--which", "h5"]) == 0
+    with open(out / "ratio_band.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [int(r[0]) for r in rows] == list(range(1, min(nmax, 12) + 1))
 
 
 def test_trivial_fit_records_integer_levels(tmp_path):

@@ -1,8 +1,9 @@
 """Import hygiene: no module in src/ or tests/ imports a name it never reads,
 only funcspace.py in src/ uses numpy's Chebyshev module, only curvedyn.py
-in src/ names the "sigma1" record key, every module-level constant,
-function, class and method of src/ is named somewhere in src/ or tests/,
-and every private one somewhere in src/.
+in src/ names the "sigma1" record key, only cli's dt-check in src/ calls
+an assembled block's apply, every module-level constant, function, class
+and method of src/ is named somewhere in src/ or tests/, and every
+private one somewhere in src/.
 
 The package __init__ re-exports names it does not read, and `from
 __future__` imports are directives, so both are exempt.
@@ -216,3 +217,41 @@ def test_every_private_definition_is_read_in_src():
     # alive, so a deleted producer does not survive as a test-only helper
     sources = [p.read_text() for p in SRC]
     assert [(SRC[i].name, name) for i, name in _unread_private(sources)] == []
+
+
+def _apply_calls(source):
+    """(line, enclosing function) of each call of an attribute named
+    apply; a call at module level has the function None."""
+    calls = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "apply"):
+            calls.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return calls
+
+
+def test_the_scan_sees_an_apply_call():
+    source = ("def _dt_check(op, v):\n    return op.apply(v)\n"
+              "def walk(op, v):\n    def step(w):\n        return op.apply(w)\n"
+              "    return step(v), apply(v), op.applied(v)\n"
+              "build(1).apply(2)\n")
+    assert _apply_calls(source) == [(2, "_dt_check"), (5, "step"), (7, None)]
+
+
+@pytest.mark.parametrize("path", SRC,
+                         ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_only_the_dt_check_applies_an_assembled_block(path):
+    # every chain steps with curvedyn._dt_step; the assembled L_omega block
+    # is the reference that the dt-check compares DT with
+    calls = _apply_calls(path.read_text())
+    if path.name == "cli.py":
+        assert [f for _, f in calls] == ["_dt_check"]
+    else:
+        assert calls == []
