@@ -150,7 +150,7 @@ def _shift_samples(vals, s):
     return np.fft.irfft(spec * ph, M, axis=0)
 
 
-def _newton_step(prod, G, s):
+def _newton_step(prod, G, s, tol):
     """The Newton step x of (diag(prod) - S) x = -G, S the shift by s
     (_shift_samples), without forming a matrix.
 
@@ -167,10 +167,12 @@ def _newton_step(prod, G, s):
     divide it back.
 
     Below max |prod| = NEUMANN_RHO the series runs until each row's term is
-    at most 1e-15 of that row's sum in max-norm. Since ||T||_2 = 1, each
-    term is at most NEUMANN_RHO times the one before it in the 2-norm, so
-    the loop ends and cannot overflow. 0.9 is where the longest series
-    measured (332 terms, 11 ms at M = 512) meets the cost of one LU (13 ms).
+    at most tol of that row's sum in max-norm. Since ||T||_2 = 1, each term
+    is at most NEUMANN_RHO times the one before it in the 2-norm, so the
+    loop ends and cannot overflow. 0.9 is where the slowest series measured
+    (a constant product just below 0.9 at half a grid step, M = 512) meets
+    the cost of one LU (7.4-7.8 ms): 264 terms, 7.5 ms at tol 1e-13, the
+    least tol a solve passes, and 45 terms, 1.4 ms at tol 1e-3.
     From NEUMANN_RHO on the series may diverge, and one LU solves its system
     A [y, w + n] = [T G, n], A = I - T diag(prod) from T's circulant column,
     for the same finish. Singular: BasinError.
@@ -187,8 +189,7 @@ def _newton_step(prod, G, s):
     if np.max(np.abs(prod)) < NEUMANN_RHO:
         term = np.stack((TG, nyq))
         Y = np.stack((TG, np.zeros(M)))    # the n row sums w, past n itself
-        while np.any(np.max(np.abs(term), axis=1)
-                     > 1e-15 * np.max(np.abs(Y), axis=1)):
+        while (abs(term).max(1) > tol * abs(Y).max(1)).any():
             term = np.fft.irfft(np.fft.rfft(prod * term) * ph, M)
             Y = Y + term
     else:
@@ -227,7 +228,11 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
       shift by 2^n omega, stop at residual 1e-13 or after 20 steps; the
       residual must then be within TOL_CURVE. Each step is solved without
       a matrix (_newton_step); only a step with max |prod| >= NEUMANN_RHO
-      builds the M x M matrix of the series' system for one LU.
+      builds the M x M matrix of the series' system for one LU. The
+      series stops at min(residual, NEWTON_SWITCH) of its sum (inexact
+      Newton): the step's own error is then about residual times |J^-1|
+      residual, the order of Newton's quadratic term, so the step count
+      does not grow.
 
     From 1e-3 Newton needs about three steps where the damped stage needs
     about 14 more to reach 1e-8, and it converges on period-16 curves
@@ -296,7 +301,8 @@ def solve_invariant_curve(f, omega, n, guess=None, M=M_GRID):
             residual = float(np.max(np.abs(G)))
             if residual <= 1e-13 or it == 20:
                 break
-            X = X + _newton_step(np.prod(D, axis=0), G, s)
+            X = X + _newton_step(np.prod(D, axis=0), G, s,
+                                 min(residual, NEWTON_SWITCH))
             FX, D = _orbit_grid(dom, tables, X)
     except EscapeError as e:
         raise BasinError(f"Newton stage escaped: {e}")

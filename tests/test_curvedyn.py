@@ -8,6 +8,7 @@ exactness of the quadratic-family slope identity beta' = -alpha'.
 import ast
 import collections
 import dataclasses
+import importlib.util
 import math
 import subprocess
 import sys
@@ -167,7 +168,7 @@ def test_singular_sherman_morrison_denominator_is_a_basin_error(
     monkeypatch.setattr(curvedyn, "_shift_phases", exact)
     G = np.cos(TWO_PI * np.arange(16) / 16)
     with pytest.raises(BasinError, match="singular Jacobian"):
-        curvedyn._newton_step(np.zeros(16), G, 1 / 32)
+        curvedyn._newton_step(np.zeros(16), G, 1 / 32, 1e-15)
 
 
 def test_singular_dense_fallback_is_a_basin_error(domain, golden,
@@ -197,7 +198,7 @@ def test_lu_matrix_is_the_index_gathered_circulant(M, monkeypatch):
         return solve(A, b)
 
     monkeypatch.setattr(np.linalg, "solve", recorded)
-    curvedyn._newton_step(prod, G, s)
+    curvedyn._newton_step(prod, G, s, 1e-15)
     ph = curvedyn._shift_phases(M, -s)
     if M % 2 == 0:
         ph[-1] = np.copysign(1.0, ph[-1].real)
@@ -280,7 +281,7 @@ def test_curve_residual_is_that_of_the_samples_when_newton_runs_out(
     # within TOL_CURVE (7.6e-13 here)
     step = curvedyn._newton_step
     monkeypatch.setattr(curvedyn, "_newton_step",
-                        lambda prod, G, s: 0.65 * step(prod, G, s))
+                        lambda *a: 0.65 * step(*a))
     s = superstable_params(flm, 4)
     f = flm.evaluator(float(s[3]) + 0.1 * (s[4] - s[3]), 1e-4)
     curve, inputs = _passes_and_check(f, golden, 3, monkeypatch)
@@ -318,6 +319,45 @@ def test_benchmark_like_curve_solve_takes_few_passes(flm, golden,
     curve, inputs = _passes_and_check(f, golden, 3, monkeypatch)
     assert curve.residual <= curvedyn.TOL_CURVE
     assert len(inputs) <= 12
+
+
+def _newton_rffts(f, omega, n, pin=None):
+    """Solve the period-2^n curve; return the curve and the rfft count of
+    each Newton step, with every step's tol pinned to pin if one is
+    given."""
+    step, rfft = curvedyn._newton_step, np.fft.rfft
+    counts = []
+
+    def counted(prod, G, s, tol):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.fft, "rfft", _counted(rfft, calls))
+            x = step(prod, G, s, tol if pin is None else pin)
+        counts.append(len(calls))
+        return x
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curvedyn, "_newton_step", counted)
+        curve = solve_invariant_curve(f, omega, n)
+    return curve, counts
+
+
+@pytest.mark.parametrize("n, eps", [(3, 2e-4), (2, 5e-4)])
+def test_newton_sums_each_series_only_as_far_as_its_residual_needs(
+        flm, golden, n, eps):
+    # inexact Newton: a step stops its series at min(residual,
+    # NEWTON_SWITCH) of each row's sum, so its own error is of the order of
+    # the quadratic term and Newton takes as many steps as with every
+    # series pinned to 1e-15, on at most 60% of the rffts (39 against 96 at
+    # period 8, 27 against 51 at period 4, where each of the 3 steps also
+    # spends one rfft on T G outside its series)
+    s = superstable_params(flm, n + 1)
+    f = flm.evaluator(float(s[n]) + 0.1 * (s[n + 1] - s[n]), eps)
+    curve, forced = _newton_rffts(f, golden, n)
+    pinned_curve, pinned = _newton_rffts(f, golden, n, pin=1e-15)
+    assert curve.residual <= 1e-13 and pinned_curve.residual <= 1e-13
+    assert len(forced) == len(pinned)
+    assert 5 * sum(forced) <= 3 * sum(pinned)
 
 
 @pytest.mark.parametrize("n, eps", [(1, 2e-4), (3, 2e-4), (3, 1e-4)])
@@ -463,9 +503,63 @@ def test_newton_step_solves_the_dense_system(M, j, off, amp, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "solve", _counted(np.linalg.solve, solves))
         mp.setattr(np.fft, "rfft", _counted(np.fft.rfft, rffts))
-        got = curvedyn._newton_step(prod, G, s)
+        got = curvedyn._newton_step(prod, G, s, 1e-15)
     assert solves == [] and len(rffts) >= 2
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(M=st.sampled_from([16, 17, 511, 512]), j=st.integers(0, 511),
+       off=st.floats(-0.03, 0.03), amp=st.floats(0.0, 0.89),
+       seed=st.integers(0, 2 ** 32 - 1), e=st.floats(-12.0, -3.0))
+def test_newton_step_stops_its_series_at_tol(M, j, off, amp, seed, e):
+    # the systems above with each row's series stopped at tol = 10^e of
+    # the row's sum. Each term is at most rho = max |prod| times the one
+    # before it in the 2-norm, so a row stopped at a term of max-norm at
+    # most tol |Y|_inf drops a tail of 2-norm at most rho / (1 - rho)
+    # sqrt(M) tol |Y|_inf. With A = I - T diag(prod), the Sherman-Morrison
+    # finish of the truncated rows y, w solves the system whose right side
+    # is off by A (e_y + beta e_w), e the rows' tails, so the step is off by
+    # at most |J^-1|_2 (1 + rho) (|e_y|_2 + |beta| |e_w|_2). The bound reads
+    # y, w and beta off the exact solve (first order in tol) and adds the
+    # rounding allowance of the test above. A larger tol never adds a term
+    tol = 10.0 ** e
+    s = (j % M + 0.5 + off) / M
+    rng = np.random.default_rng(seed)
+    prod = amp * rng.uniform(-1.0, 1.0, M)
+    G = rng.standard_normal(M)
+    J = np.diag(prod) - curvedyn._shift_samples(np.eye(M), s)
+    sv = np.linalg.svd(J, compute_uv=False)
+    assume(sv[0] <= 1e3 * sv[-1])
+    want = np.linalg.solve(J, -G)
+    ph = curvedyn._shift_phases(M, -s)
+    c = 1.0
+    if M % 2 == 0:
+        c = abs(ph[-1].real)
+        ph[-1] = np.copysign(1.0, ph[-1].real)
+    i = np.arange(M)
+    T = np.fft.irfft(ph, M)[(i[:, None] - i) % M]
+    nyq = np.where(i % 2, -1.0, 1.0) / np.sqrt(M)
+    y, v = np.linalg.solve(np.eye(M) - T * prod,
+                           np.stack((T @ G, nyq), axis=1)).T
+    w = v - nyq
+    beta = (1.0 - c) * (nyq @ y) / (c - (1.0 - c) * (nyq @ w))
+    rho = np.max(np.abs(prod))
+    tail = rho / (1.0 - rho) * np.sqrt(M) * tol
+    bound = ((1.0 + rho) / sv[-1] * tail
+             * (np.max(np.abs(y)) + abs(beta) * np.max(np.abs(w)))
+             + 1e-12 * np.max(np.abs(want)))
+    rffts = {}
+    for t in (1e-15, tol, 10.0 * tol):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "solve", _no_dense_solve)
+            mp.setattr(np.fft, "rfft", _counted(np.fft.rfft, calls))
+            got = curvedyn._newton_step(prod, G, s, t)
+        rffts[t] = len(calls)
+        if t == tol:
+            assert np.max(np.abs(got - want)) <= bound
+    assert rffts[1e-15] >= rffts[tol] >= rffts[10.0 * tol]
 
 
 @settings(max_examples=30, deadline=None)
@@ -491,7 +585,7 @@ def test_newton_fallback_solves_the_dense_system(M, j, off, amp, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "solve", _counted(np.linalg.solve, solves))
         mp.setattr(np.fft, "rfft", _counted(np.fft.rfft, rffts))
-        got = curvedyn._newton_step(prod, G, s)
+        got = curvedyn._newton_step(prod, G, s, 1e-15)
     assert solves == [(M, M)] and len(rffts) == 1
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -513,12 +607,12 @@ def test_newton_step_forms_a_matrix_only_from_the_threshold(p):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "solve", _counted(np.linalg.solve, solves))
         mp.setattr(np.fft, "rfft", _counted(np.fft.rfft, rffts))
-        curvedyn._newton_step(prod, G, s)         # warm the FFT plans
+        curvedyn._newton_step(prod, G, s, 1e-15)  # warm the FFT plans
         solves.clear()
         rffts.clear()
         tracemalloc.start()
         try:
-            got = curvedyn._newton_step(prod, G, s)
+            got = curvedyn._newton_step(prod, G, s, 1e-15)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -565,6 +659,35 @@ def test_dense_fallback_agrees_with_the_matrix_free_step(flm, golden,
     assert abs(free.lyapunov - dense.lyapunov) <= 1e-10
     assert abs(extremum_m(free.product).value
                - extremum_m(dense.product).value) <= 1e-11
+
+
+def test_forced_newton_keeps_the_curves_of_a_benchmark_run():
+    # the 14 curves (periods 4 and 8) that a 20 s run of the curves
+    # benchmark solves at seed 11, with the forcing and with every series
+    # pinned to 1e-15: README's drift tolerances hold, and each solve takes
+    # as many Newton steps
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench"
+        / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    ops = wl.make_ops("curves", 11, wl.op_count("curves", 20))
+    solved = 0
+    for op in ops:
+        omega = wl._rotation(op)
+        for c in op["curves"]:
+            f = flm_family().evaluator(c["alpha"], c["eps"])
+            n = c["period_log2"]
+            forced, steps = _newton_rffts(f, omega, n)
+            pinned, pinned_steps = _newton_rffts(f, omega, n, pin=1e-15)
+            assert forced.residual <= curvedyn.TOL_CURVE
+            assert len(steps) == len(pinned_steps)
+            assert np.max(np.abs(forced.samples - pinned.samples)) <= 1e-12
+            assert abs(forced.lyapunov - pinned.lyapunov) <= 1e-10
+            assert abs(extremum_m(forced.product).value
+                       - extremum_m(pinned.product).value) <= 1e-11
+            solved += 1
+    assert solved == 14
 
 
 @pytest.mark.parametrize("M", [16, 17])
