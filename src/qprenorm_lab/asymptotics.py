@@ -35,16 +35,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateScalingError, TruncationError
-from .funcspace import (AnalyticFn, DomainConfig, pair_sup_norm, project_p0,
-                        project_pik, shift_tgamma, sup_norm)
+from .funcspace import (DomainConfig, pair_sup_norm, project_p0, project_pik,
+                        shift_tgamma, sup_norm)
 from .qprenorm import (RotationNumber, SectionConfig, _fill_L_omega,
                        apply_DT, apply_T, build_L_omega, gamma_normalize,
                        l_prime_rows, require_diophantine, row_norms,
                        section_gammas, shift_pairs)
-from .renorm1d import (FamilySpec, dr_matrix, feigenbaum_fixed_point,
+from .renorm1d import (FamilySpec, feigenbaum_fixed_point,
                        stable_manifold_param, superstable_params)
-from .curvedyn import (DG1_hat, _chain_slopes, _dt_step, _slope_pass,
-                       flm_family, functional_K, slope_formula)
+from .curvedyn import (DG1_hat, _chain_slopes, _dr_walk, _dt_walk,
+                       _slope_pass, flm_family, functional_K, slope_formula)
 
 
 # ------------------------------------------------------ quotient sequences
@@ -336,16 +336,11 @@ def renormalized_family(family, omega, n):
     # operator data
     psi0 = lru_cache(maxsize=1)(family.psi0)
 
-    def du_dalpha(alpha):
-        psi = psi0(alpha)
-        u = family.du_dalpha(alpha).coeffs
-        return AnalyticFn(dr_matrix(psi) @ u, psi.domain)
-
     fam = FamilySpec(
         name=family.name + "_T",
         evaluator=lambda a, e: apply_T(family.evaluator(a, e), omega),
         slice0=lambda a: project_p0(apply_T(psi0(a).embed(), omega)),
-        du_dalpha=du_dalpha,
+        du_dalpha=lambda a: _dr_walk([psi0(a)], family.du_dalpha(a)),
         dv_deps=lambda a: apply_DT(psi0(a), omega, family.dv_deps(a)),
         alpha_box=family.alpha_box)
     fam._cache["superstable"] = [
@@ -466,22 +461,16 @@ def component_chains(omega0, v01, v02, n_max):
     """The two-mode chain (v_{k,1}, v_{k,2}) for k = 0..n_max.
 
     DT at the fixed point is block-diagonal in the Fourier mode, so one
-    curvedyn._dt_step walk of v01.embed(1) + v02.embed(2) along the
+    curvedyn._dt_walk of v01.embed(1) + v02.embed(2) at Phi along the
     omega-doubling sequence carries both components, read back with
     project_pik. Returns the two lists. The chain stays off the section:
     the shift commutes with each mode block, so callers that compare
     directions shift the vectors they compare.
     """
     fp = feigenbaum_fixed_point(v01.u.domain)
-    v = v01.embed(1) + v02.embed(2)
-    chain1, chain2 = [v01], [v02]
-    om = omega0
-    for _ in range(n_max):
-        v = _dt_step(fp.phi, om, v)
-        chain1.append(project_pik(v, 1))
-        chain2.append(project_pik(v, 2))
-        om = om.double()
-    return chain1, chain2
+    vs, _ = _dt_walk([fp.phi] * n_max, omega0, v01.embed(1) + v02.embed(2))
+    return ([v01] + [project_pik(v, 1) for v in vs[1:]],
+            [v02] + [project_pik(v, 2) for v in vs[1:]])
 
 
 @dataclass

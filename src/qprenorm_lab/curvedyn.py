@@ -550,12 +550,19 @@ class ChainResult:
         return self.omegas[-1]
 
 
+def _dr_walk(bases, u):
+    """u pushed by DR at each base in turn: u_(k+1) = DR(bases[k]) u_k."""
+    for base in bases:
+        u = AnalyticFn(dr_matrix(base) @ u.coeffs, u.domain)
+    return u
+
+
 def _exact_orbit_start(family, n):
     """The start of the level-n exact-orbit chain: (alpha_n, maps, u).
 
     maps are c(alpha_n, 0) .. R^(n-1) c, the last on Sigma_1, and u is the
-    chain's u_(n-1), with u_0 = du_dalpha(alpha_n) and u_(k+1) = DR(R^k c)
-    u_k. The superstable parameter s_n puts R^(n-1) c on Sigma_1 in exact
+    chain's u_(n-1): du_dalpha(alpha_n) pushed along maps[:-1] by _dr_walk.
+    The superstable parameter s_n puts R^(n-1) c on Sigma_1 in exact
     arithmetic, but the n-1 renormalizations amplify its rounding by
     delta^(n-1). Newton on g(alpha) = psi(1) of R^(n-1)(c(alpha, 0)) from
     s_n removes that, with g' = u_(n-1)(1) read off the walk itself. It
@@ -573,11 +580,9 @@ def _exact_orbit_start(family, n):
     """
     def walk(alpha):
         maps = [family.psi0(alpha)]
-        u = family.du_dalpha(alpha)
         for _ in range(n - 1):
-            u = AnalyticFn(dr_matrix(maps[-1]) @ u.coeffs, u.domain)
             maps.append(renormalize_1d(maps[-1], check_domain=False))
-        return alpha, maps, u
+        return alpha, maps, _dr_walk(maps[:-1], family.du_dalpha(alpha))
 
     polished = family._cache.setdefault("sigma1", {})
     if n in polished:
@@ -619,16 +624,34 @@ def _project_sigma1(m):
     return UnimodalMap(AnalyticFn(c, m.domain))
 
 
-def slope_chain(family, omega0, n, mode="exact-orbit"):
-    """Propagate (u_k, v_k, omega_k) for k = 0..n-1 over a list of bases.
+def _chain_bases(family, n, mode):
+    """(alpha, bases, end, u_end) of the level-n chain in mode.
 
     exact-orbit: the bases are R^k(c(alpha_n, 0)) for k = 0..n-2, and the
     chain ends at R^(n-1)(c(alpha_n, 0)) on Sigma_1, where alpha_n is the
-    polished Sigma_1 parameter (_exact_orbit_start). fixed-point: the bases are Phi for
-    k <= floor(n/2)-1 and the unstable-manifold points f*_{n-k+1} for the
-    tail, so the last step is taken at f*_2 and the chain ends at f*_1.
-    Each step pushes u by DR and v by DT_omega at its base, then doubles
-    omega.
+    polished Sigma_1 parameter (_exact_orbit_start). fixed-point: alpha*,
+    the bases Phi for k <= floor(n/2)-1 and the unstable-manifold points
+    f*_{n-k+1} for the tail, so the last step is taken at f*_2 and the
+    chain ends at f*_1. end is snapped onto Sigma_1 (_project_sigma1).
+    """
+    if mode == "exact-orbit":
+        alpha, maps, u = _exact_orbit_start(family, n)
+        return alpha, maps[:-1], _project_sigma1(maps[-1]), u
+    if mode == "fixed-point":
+        alpha = stable_manifold_param(family)
+        u = family.du_dalpha(alpha)
+        fpd = feigenbaum_fixed_point(u.domain)
+        stars = unstable_manifold_points(fpd, max(2, n - max(n // 2, 1) + 1))
+        bases = [fpd.phi if k <= n // 2 - 1 else stars[n - k]
+                 for k in range(1, n)]
+        return alpha, bases, _project_sigma1(stars[0]), _dr_walk(bases, u)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def slope_chain(family, omega0, n, mode="exact-orbit"):
+    """Propagate (u_k, v_k, omega_k) for k = 0..n-1 over the level-n bases
+    of mode (_chain_bases). Each step pushes u by DR and v by DT_omega at
+    its base, then doubles omega.
 
     The v_k are not put on the section: a shift t_gamma commutes with DT at
     a theta-independent base and leaves every norm and m(DG1 v) unchanged,
@@ -659,46 +682,30 @@ def _dt_step(base, omega, v):
     return QPFn(modes, v.domain)
 
 
+def _dt_walk(bases, omega, v):
+    """(vs, omegas) from (v, omega): at each base, v stepped by DT_omega
+    (_dt_step), then omega doubled. A slope chain's u-walk (_dr_walk) has
+    built its bases' L1, L2 and DR behind the _e_in guard, so its steps
+    only read cached arrays and cannot raise."""
+    vs, omegas = [v], [omega]
+    for base in bases:
+        vs.append(_dt_step(base, omegas[-1], vs[-1]))
+        omegas.append(omegas[-1].double())
+    return vs, omegas
+
+
 def _record_chains(families, members, omegas0, n, mode, v0):
     """{i: chains of families[i] at omegas0} at level n for the families
     in members, which share one record, from one walk over the bases.
 
-    Every (family, omega) gets its own v-chain through _dt_step, one step
-    per base, so its chain does not depend on which others share the walk;
-    the chains share u_end and psi_end; v0(i, alpha) gives their v_0. The
-    walk ends with this call, so one walk is alive at a time.
+    Every (family, omega) gets its own v-chain (_dt_walk), so its chain
+    does not depend on which others share the walk; the chains share u_end
+    and psi_end; v0(i, alpha) gives their v_0. The walk ends with this
+    call, so one walk is alive at a time.
     """
-    family = families[members[0]]
-    if mode == "exact-orbit":
-        alpha, bases, u = _exact_orbit_start(family, n)
-        end = bases.pop()
-    elif mode == "fixed-point":
-        alpha = stable_manifold_param(family)
-        u = family.du_dalpha(alpha)
-        fpd = feigenbaum_fixed_point(u.domain)
-        stars = unstable_manifold_points(fpd, max(2, n - max(n // 2, 1) + 1))
-        bases = [fpd.phi if k <= n // 2 - 1 else stars[n - k]
-                 for k in range(1, n)]
-        end = stars[0]
-        for base in bases:
-            u = AnalyticFn(dr_matrix(base) @ u.coeffs, u.domain)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    rows = {}
-    for i in members:
-        rows[i] = [([v0(i, alpha)], [om]) for om in omegas0]   # (vs, omegas)
-    chains = [c for row in rows.values() for c in row]
-    for k, base in enumerate(bases, start=1):
-        try:
-            for vs, omegas in chains:
-                vs.append(_dt_step(base, omegas[-1], vs[-1]))
-                omegas.append(omegas[-1].double())
-        except (DegenerateScalingError, DomainError) as e:
-            raise type(e)(f"chain stage k={k}: {e}")
-    psi_end = _project_sigma1(end)
-    return {i: [ChainResult(u_end=u, vs=vs, omegas=omegas, psi_end=psi_end)
-                for vs, omegas in row] for i, row in rows.items()}
+    alpha, bases, psi_end, u = _chain_bases(families[members[0]], n, mode)
+    return {i: [ChainResult(u, *_dt_walk(bases, om, v0(i, alpha)), psi_end)
+                for om in omegas0] for i in members}
 
 
 def _chain_slopes(chains):
@@ -737,7 +744,7 @@ def _slope_pass(families, levels, mode):
     fixed-point mode, where alpha* does not move). A family's chains do not
     depend on which others share the pass; of several failing chains, the
     first failing level raises, and within it the first record's (its
-    walk, then v_0 in family order, then the lowest chain stage k).
+    walk, then v_0 in family order).
     """
     records = {}
     for i, family in enumerate(families):

@@ -13,6 +13,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -560,6 +561,48 @@ def test_newton_step_stops_its_series_at_tol(M, j, off, amp, seed, e):
         if t == tol:
             assert np.max(np.abs(got - want)) <= bound
     assert rffts[1e-15] >= rffts[tol] >= rffts[10.0 * tol]
+
+
+def _series_terms(prod, ph, term, total, tol):
+    """The terms one row's Neumann series adds until its term is at most
+    tol of its sum in max-norm."""
+    count = 0
+    while abs(term).max() > tol * abs(total).max():
+        term = np.fft.irfft(np.fft.rfft(prod * term) * ph, prod.size)
+        total = total + term
+        count += 1
+    return count
+
+
+@settings(max_examples=30, deadline=None)
+@given(M=st.sampled_from([16, 17, 511, 512]), j=st.integers(0, 511),
+       off=st.floats(-0.03, 0.03), amp=st.floats(0.0, 0.89),
+       seed=st.integers(0, 2 ** 32 - 1), e=st.floats(-12.0, -3.0))
+@example(M=512, j=0, off=0.0, amp=0.5, seed=1, e=-8.0)
+def test_newton_step_runs_each_row_to_its_own_tol(M, j, off, amp, seed, e):
+    # the T G row and the Nyquist row w stop at tol of their own sums, so
+    # the step runs as many terms as the slower row needs, one rfft each,
+    # after the rfft of T G. The w row is the slower one in most draws: 22
+    # terms against 19 in the pinned example, so a stop test that reads
+    # one row alone runs short
+    s = (j % M + 0.5 + off) / M
+    rng = np.random.default_rng(seed)
+    prod = amp * rng.uniform(-1.0, 1.0, M)
+    G = rng.standard_normal(M)
+    ph = curvedyn._shift_phases(M, -s)
+    if M % 2 == 0:
+        ph[-1] = np.copysign(1.0, ph[-1].real)
+    TG = np.fft.irfft(np.fft.rfft(G) * ph, M)
+    nyq = np.where(np.arange(M) % 2, -1.0, 1.0) / np.sqrt(M)
+    tol = 10.0 ** e
+    rows = (_series_terms(prod, ph, TG, TG, tol),
+            _series_terms(prod, ph, nyq, np.zeros(M), tol))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", _no_dense_solve)
+        mp.setattr(np.fft, "rfft", _counted(np.fft.rfft, calls))
+        curvedyn._newton_step(prod, G, s, tol)
+    assert len(calls) == 1 + max(rows), rows
 
 
 @settings(max_examples=30, deadline=None)
@@ -1305,6 +1348,31 @@ def test_mixed_quotient_walks_each_level_once(golden, monkeypatch):
         monkeypatch.setattr(curvedyn, name, counting(name))
     mixed_quotient_sequence(fam, golden, 6, mode="exact-orbit")
     assert calls == {"renormalize_1d": 15, "_dt_step": 25}
+
+
+def test_one_chain_walk_is_alive_at_a_time(flm, golden, monkeypatch):
+    # each level's exact-orbit walk ends with _record_chains: at a yield of
+    # _slope_pass the level's bases are gone, its end lives on only as the
+    # chains' psi_end, and nothing of an earlier level is left. Fixed-point
+    # bases are the process-wide Phi and f*_j, so only the exact orbit can
+    # show a walk kept too long
+    walks = []
+    chain_bases = curvedyn._chain_bases
+
+    def recorded(family, n, mode):
+        alpha, bases, end, u = chain_bases(family, n, mode)
+        walks.append(([weakref.ref(b) for b in bases], weakref.ref(end)))
+        return alpha, bases, end, u
+
+    monkeypatch.setattr(curvedyn, "_chain_bases", recorded)
+    levels = [(n, (golden, golden.double())) for n in range(2, 7)]
+    for n, chains in curvedyn._slope_pass([flm], levels, "exact-orbit"):
+        assert len(walks) == n - 1
+        *earlier, (bases, end) = walks
+        assert len(bases) == n - 1
+        assert all(b() is None for b in bases), n
+        assert {id(ch.psi_end) for ch in chains} == {id(end())}
+        assert all(r() is None for refs, e in earlier for r in (*refs, e)), n
 
 
 def test_renormalized_family_builds_the_parent_slice_once(flm, golden,

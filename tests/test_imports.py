@@ -5,6 +5,10 @@ an assembled block's apply, every module-level constant, function, class
 and method of src/ is named somewhere in src/ or tests/, and every
 private one somewhere in src/.
 
+One chain engine: in src/ only curvedyn._dt_walk calls _dt_step, only
+_dr_walk and _dt_step call dr_matrix outside renorm1d and the reference
+qprenorm.apply_DT, and only curvedyn._chain_bases compares a chain mode.
+
 The package __init__ re-exports names it does not read, and `from
 __future__` imports are directives, so both are exempt.
 """
@@ -219,22 +223,29 @@ def test_every_private_definition_is_read_in_src():
     assert [(SRC[i].name, name) for i, name in _unread_private(sources)] == []
 
 
-def _apply_calls(source):
-    """(line, enclosing function) of each call of an attribute named
-    apply; a call at module level has the function None."""
-    calls = []
+def _enclosed(source, hit):
+    """(line, enclosing function) of each node that hit accepts; a node at
+    module level has the function None."""
+    found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "apply"):
-            calls.append((node.lineno, func))
+        if hit(node):
+            found.append((node.lineno, func))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
     visit(ast.parse(source), None)
-    return calls
+    return found
+
+
+def _apply_calls(source):
+    """(line, enclosing function) of each call of an attribute named
+    apply."""
+    return _enclosed(source, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "apply"))
 
 
 def test_the_scan_sees_an_apply_call():
@@ -255,3 +266,76 @@ def test_only_the_dt_check_applies_an_assembled_block(path):
         assert [f for _, f in calls] == ["_dt_check"]
     else:
         assert calls == []
+
+
+def _name_calls(source, name):
+    """(line, enclosing function) of each call of name, bare or as an
+    attribute."""
+    return _enclosed(source, lambda node: (
+        isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None),
+                     getattr(node.func, "attr", None))))
+
+
+def test_the_scan_sees_a_call_of_a_name():
+    source = ("def _dt_walk(bases, v):\n"
+              "    return [_dt_step(b, v) for b in bases]\n"
+              "def other(m, v):\n"
+              "    return curvedyn._dt_step(m, v), _dt_steps(v), f(_dt_step)\n"
+              "_dt_step(1, 2)\n")
+    assert _name_calls(source, "_dt_step") == [(2, "_dt_walk"), (4, "other"),
+                                               (5, None)]
+
+
+@pytest.mark.parametrize("path", SRC,
+                         ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_only_the_dt_walk_steps_a_chain(path):
+    # one loop over _dt_step serves every chain in the package
+    calls = _name_calls(path.read_text(), "_dt_step")
+    if path.name == "curvedyn.py":
+        assert [f for _, f in calls] == ["_dt_walk"]
+    else:
+        assert calls == []
+
+
+@pytest.mark.parametrize("path", SRC,
+                         ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_only_the_walks_push_by_dr(path):
+    # _dr_walk pushes u and _dt_step steps mode 0 of v; renorm1d owns DR
+    # and its solvers, and qprenorm.apply_DT is the reference DT step
+    funcs = sorted(f for _, f in _name_calls(path.read_text(), "dr_matrix"))
+    if path.name == "curvedyn.py":
+        assert funcs == ["_dr_walk", "_dt_step"]
+    elif path.name == "qprenorm.py":
+        assert funcs == ["apply_DT"]
+    elif path.name != "renorm1d.py":
+        assert funcs == []
+
+
+MODES = ("exact-orbit", "fixed-point")
+
+
+def _mode_tests(source):
+    """(line, enclosing function) of each comparison with a chain mode."""
+    return _enclosed(source, lambda node: (
+        isinstance(node, ast.Compare)
+        and any(isinstance(x, ast.Constant) and x.value in MODES
+                for side in (node.left, *node.comparators)
+                for x in ast.walk(side))))
+
+
+def test_the_scan_sees_a_mode_test():
+    source = ('def _chain_bases(mode="exact-orbit"):\n'
+              '    if mode == "exact-orbit":\n        return 1\n'
+              '    return "fixed-point" != mode\n'
+              'def other(mode):\n'
+              '    return mode in ("fixed-point",), mode == "exact"\n'
+              'ok = MODE == "fixed-point"\n')
+    assert _mode_tests(source) == [(2, "_chain_bases"), (4, "_chain_bases"),
+                                   (6, "other"), (7, None)]
+
+
+def test_only_the_chain_bases_know_the_modes():
+    # one function returns a level's bases in either mode
+    source = (ROOT / "src" / "qprenorm_lab" / "curvedyn.py").read_text()
+    assert {f for _, f in _mode_tests(source)} == {"_chain_bases"}
