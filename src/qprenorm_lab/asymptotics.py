@@ -37,10 +37,10 @@ import numpy as np
 from .errors import ConsistencyError, DegenerateScalingError, TruncationError
 from .funcspace import (DomainConfig, pair_sup_norm, project_p0, project_pik,
                         shift_tgamma, sup_norm)
-from .qprenorm import (RotationNumber, SectionConfig, _fill_L_omega,
-                       apply_DT, apply_T, build_L_omega, gamma_normalize,
-                       l_prime_rows, require_diophantine, row_norms,
-                       section_gammas, shift_pairs)
+from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_T,
+                       gamma_normalize, l_prime_rows, mode1_images,
+                       require_diophantine, row_norms, section_gammas,
+                       shift_pairs)
 from .renorm1d import (FamilySpec, feigenbaum_fixed_point,
                        stable_manifold_param, superstable_params)
 from .curvedyn import (DG1_hat, _chain_slopes, _dr_walk, _dt_walk,
@@ -640,14 +640,18 @@ def _units_on_section(X, domain, section):
 
 
 def _dominant_direction(psi, omega, section=SectionConfig()):
-    """Unit row on the section spanning the leading invariant plane."""
-    op = build_L_omega(psi, omega, 1)
-    lam, vecs = np.linalg.eig(op.matrix)
+    """Unit row on the section spanning the leading invariant plane.
+
+    The 2n x 2n L_omega is the realification of the complex n x n block
+    C = L1 + e^(2 pi i omega) L2 on h = u - i v, so the leading eigenvector
+    w of C is the pair (Re w, -Im w). Column j of C is the image of the
+    unit pair (e_j, 0), read as u - i v."""
+    n = psi.domain.n_cheb
+    Y = mode1_images(psi, [omega], np.eye(n, 2 * n))
+    lam, vecs = np.linalg.eig((Y[:, :n] - 1j * Y[:, n:]).T)
     w = vecs[:, np.argmax(np.abs(lam))]
-    vec = np.real(w)
-    if np.linalg.norm(vec) < 1e-8 * np.linalg.norm(w):
-        vec = np.imag(w)
-    P, errors = _units_on_section(np.array([vec]), psi.domain, section)
+    P, errors = _units_on_section(np.concatenate([w.real, -w.imag])[None],
+                                  psi.domain, section)
     if errors[0] is not None:
         raise errors[0]
     return P[0]
@@ -669,7 +673,7 @@ H4_RADIUS = 0.5
 H4_OMEGAS = tuple(RotationNumber.from_fraction(2 * k + 1, 128)
                   for k in range(64))
 H4_MULTI_N = 8        # steps of the multi-step fit
-H4_BLOCK = 8          # grid omegas stepped as one stacked product
+H4_BLOCK = 8          # grid omegas stepped as one block
 
 
 def _h4_samples(e0_vec, n_pairs, rng, domain, section):
@@ -714,12 +718,12 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
     instead (the relaxed criterion K rho^n). The clauses: some pair was
     compared, then the one-step or the multi-step criterion that decided.
 
-    The grid is stepped H4_BLOCK omegas at a time: their L_omega matrices
-    fill one buffer, and all samples under all of them are one stacked
-    block of coefficient rows (l_prime_rows), one matrix-vector product
-    per (omega, sample) and one section call per block; the skips,
-    violations and ratios of the block are masks over (omega, pair). A
-    pair with an image off the section counts once in n_skipped.
+    The grid is stepped H4_BLOCK omegas at a time in the mode-1 form of
+    DT (l_prime_rows): one L1 and one L2 product per sample, an
+    elementwise phase combination per (omega, sample) and one section
+    call per block; the skips, violations and ratios of the block are
+    masks over (omega, pair). A pair with an image off the section counts
+    once in n_skipped.
     n_pairs < 1 raises ValueError, and a run that compares no pair at any
     omega fails.
     """
@@ -740,10 +744,10 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
     n_used = 2 * (n_sampled // 2)
     X = X[:n_used]
 
-    def step(Y, matrix):
-        """Rows v -> t_gamma(L v) / || || for each L of matrix in turn,
-        with per-row errors."""
-        F, errors = l_prime_rows(matrix, Y, dom, section)
+    def step(Y, omegas):
+        """Rows v -> t_gamma(L_omega v) / || || for each omega of omegas
+        in turn, with per-row errors."""
+        F, errors = l_prime_rows(psi, omegas, Y, section)
         ok = np.array([e is None for e in errors], dtype=bool)
         F[ok] *= (1.0 / row_norms(F[ok]))[:, None]
         return F, ok, errors
@@ -755,12 +759,9 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
     den_sup = np.maximum(pair_sup_norm(dom, D[:, :n], D[:, n:]), 1e-300)
     per_omega, skipped, v_violations, compared = {}, 0, 0, 0
     max_l2 = max_sup = 0.0
-    Ms = np.empty((H4_BLOCK, dim, dim))
     for b in range(0, len(H4_OMEGAS), H4_BLOCK):
         block = H4_OMEGAS[b:b + H4_BLOCK]
-        for M, om in zip(Ms, block):
-            _fill_L_omega(M, psi, om)
-        F, ok, _ = step(X, Ms[:len(block)])
+        F, ok, _ = step(X, block)
         F = F.reshape(len(block), n_used, dim)
         ok = ok.reshape(len(block), n_used)
         pair_ok = ok[:, 0::2] & ok[:, 1::2]           # (omega, pair)
@@ -787,7 +788,7 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
         om = H4_OMEGAS[0]
         dists = []
         for _ in range(H4_MULTI_N):
-            Y, _, errors = step(Y, build_L_omega(psi, om, 1).matrix)
+            Y, _, errors = step(Y, [om])
             for e in errors:
                 if e is not None:
                     raise e

@@ -15,11 +15,18 @@ funcspace). Rotation numbers are kept as 128-bit fixed-point fractions
 so that the doubling omega -> 2 omega mod 1 stays exact; floats appear
 only inside trig evaluations.
 
+One kernel, mode1_images, steps a block of mode-1 pairs under a block of
+omegas in this form: one L1 and one L2 product per pair, then an
+elementwise phase combination per omega, with no 2n x 2n matrix. The
+assembled block (build_L_omega) stays for the spectrum, the dt-check
+and the tests that hold the kernel to it.
+
 The section machinery quotients the rotational symmetry t_gamma by
 shifting a mode-1 vector onto the section {f(theta0, x0) = 0, positive
 theta-derivative}. One routine, section_gammas, decides the shift for a
-block of pairs; gamma_normalize, apply_L_prime and l_prime_rows (a
-block of pairs under one L_omega or a stack of them) all go through it.
+block of pairs; land_rows puts a block of images on the section with it,
+and gamma_normalize, apply_L_prime and l_prime_rows (a block of pairs
+under a block of omegas) all go through it.
 """
 
 from __future__ import annotations
@@ -236,25 +243,19 @@ class LOmegaOperator:
 
 def build_L_omega(psi, omega, k=1):
     """Assemble L_{k omega} acting on pair coefficients; omega is a
-    RotationNumber, so k omega mod 1 is exact."""
-    n = psi.domain.n_cheb
-    M = np.empty((2 * n, 2 * n))
-    _fill_L_omega(M, psi, omega.times_mod1(k))
-    return LOmegaOperator(base_psi=psi, matrix=M)
-
-
-def _fill_L_omega(out, psi, omega):
-    """Write the matrix of L_omega into the 2n x 2n array out, block by
-    block: L1 + cos L2 on the diagonal, sin L2 and -sin L2 off it."""
-    phi = 2.0 * np.pi * float(omega)
+    RotationNumber, so k omega mod 1 is exact. The blocks are L1 + cos L2
+    on the diagonal, sin L2 and -sin L2 off it."""
+    phi = 2.0 * np.pi * float(omega.times_mod1(k))
     L1 = l1_matrix(psi)
     L2 = l2_matrix(psi)
     n = L1.shape[0]
     c, s = np.cos(phi), np.sin(phi)
-    np.add(L1, c * L2, out=out[:n, :n])
-    out[n:, n:] = out[:n, :n]
-    np.multiply(s, L2, out=out[:n, n:])
-    np.multiply(-s, L2, out=out[n:, :n])
+    M = np.empty((2 * n, 2 * n))
+    np.add(L1, c * L2, out=M[:n, :n])
+    M[n:, n:] = M[:n, :n]
+    np.multiply(s, L2, out=M[:n, n:])
+    np.multiply(-s, L2, out=M[n:, :n])
+    return LOmegaOperator(base_psi=psi, matrix=M)
 
 
 def rotation_matrix(n_cheb, gamma):
@@ -371,27 +372,54 @@ def shift_pairs(X, gamma0, n_cheb):
     return np.concatenate([np.real(h1), -np.imag(h1)], axis=1)
 
 
-def l_prime_rows(matrix, X, domain, section=SectionConfig()):
-    """Rows t_gamma(L x) for the rows x of X, L = matrix; returns (Y, errors).
+def mode1_images(psi, omegas, X):
+    """Rows L_omega x for each omega of omegas and each row x of X, in
+    (omega, x) order: len(omegas) * len(X) rows.
 
-    matrix is one L or a stack of them (B, d, d); for a stack, Y holds the
-    images of X under each L in turn, B * S rows in (L, x) order, decided
-    by one section call. errors[j] is None, or the DegenerateScalingError
-    (image numerically zero, whatever the section says), NoSectionError or
-    DegeneratePointError of row j, whose Y row is then 0. The stacked
-    matmul takes one matrix-vector product per (L, x), so a row gets the
-    bits of matrix @ x; one matrix product of the whole block would round
-    differently.
+    On mode 1, DT at psi is h -> L1 h + e^(2 pi i omega) L2 h with
+    h = u - i v. Each row (u, v) takes one L1 and one L2 product, a
+    stacked matmul with one (2, n) x (n, n) product per row, so a row gets
+    the same bits in any block. Each omega then combines the two
+    elementwise, the phase (c, s) = e^(2 pi i omega) written out on (u, v)
+    in real arithmetic: (u', v') = (L1 u, L1 v) + (c (L2 u, L2 v)
+    + s (L2 v, -L2 u)).
     """
-    W = (matrix[..., None, :, :] @ X[:, :, None])[..., 0]
-    tiny = (row_norms(W) <= 1e-14 * np.fmax(1.0, row_norms(X))).ravel()
-    W = W.reshape(-1, X.shape[1])
+    n = psi.domain.n_cheb
+    R = X.reshape(-1, 2, n)
+    P1 = (R @ l1_matrix(psi).T).reshape(-1, 2 * n)     # (L1 u, L1 v)
+    P2 = (R @ l2_matrix(psi).T).reshape(-1, 2 * n)     # (L2 u, L2 v)
+    Q2 = np.concatenate([P2[:, n:], -P2[:, :n]], axis=1)
+    ph = np.exp(2j * np.pi * np.array([float(w) for w in omegas]))
+    Y = ph.real[:, None, None] * P2
+    Y += ph.imag[:, None, None] * Q2
+    Y += P1
+    return Y.reshape(-1, 2 * n)
+
+
+def land_rows(W, scale, domain, section=SectionConfig()):
+    """Rows t_gamma(w) on the section for the image rows w of W; returns
+    (Y, errors).
+
+    scale[j] is the l2 norm of the row whose image W[j] is. errors[j] is
+    None, or the DegenerateScalingError (image numerically zero against
+    it, whatever the section says), NoSectionError or DegeneratePointError
+    of row j, whose Y row is then 0. One section call decides the block.
+    """
+    tiny = row_norms(W) <= 1e-14 * np.fmax(1.0, scale)
     gamma0, errors = section_gammas(W, domain, section)
     errors = [DegenerateScalingError("L_omega image is numerically zero")
               if z else e for z, e in zip(tiny, errors)]
     Y = shift_pairs(W, gamma0, domain.n_cheb)
     Y[[e is not None for e in errors]] = 0.0
     return Y, errors
+
+
+def l_prime_rows(psi, omegas, X, section=SectionConfig()):
+    """Rows t_gamma(L_omega x) for each omega of omegas and each row x of
+    X, in (omega, x) order: mode1_images landed by land_rows, whose
+    (Y, errors) it returns."""
+    return land_rows(mode1_images(psi, omegas, X),
+                     np.tile(row_norms(X), len(omegas)), psi.domain, section)
 
 
 def gamma_normalize(v, section=SectionConfig()):
@@ -409,8 +437,7 @@ def gamma_normalize(v, section=SectionConfig()):
 
 def apply_L_prime(psi, omega, v, section=SectionConfig()):
     """L'_omega(v) = t_gamma(L_omega v): apply, then land on the section."""
-    op = build_L_omega(psi, omega, 1)
-    Y, errors = l_prime_rows(op.matrix, v.coeff_vector()[None, :], v.domain,
+    Y, errors = l_prime_rows(psi, [omega], v.coeff_vector()[None, :],
                              section)
     if errors[0] is not None:
         raise errors[0]

@@ -33,6 +33,8 @@ from qprenorm_lab import (
     flm_eta_family,
     flm_family,
     gamma_normalize,
+    l1_matrix,
+    l2_matrix,
     observation1,
     observation2,
     observation3,
@@ -592,17 +594,29 @@ def test_h4_contraction_after_multiple_steps(golden):
     assert rep.v_violations > 0
 
 
-def _reference_h4(psi, n_pairs, seed, radius=0.5, multi_n=8):
+def _reference_h4(psi, n_pairs, seed, assembled=False, radius=0.5,
+                  multi_n=8):
     """check_H4 one sample and one omega at a time, through the public
-    QPFn section and apply_L_prime."""
+    QPFn section and apply_L_prime, with the dominant direction from the
+    n x n complex block L1 + e^(2 pi i golden) L2.
+
+    assembled=True takes every step with the assembled 2n x 2n block
+    (build_L_omega(...).apply, then gamma_normalize) and the direction
+    from its real eig instead: an independent route to the same report."""
     dom = psi.domain
     grid = [RotationNumber.from_fraction(2 * k + 1, 128) for k in range(64)]
-    lam, vecs = np.linalg.eig(
-        build_L_omega(psi, RotationNumber.golden(), 1).matrix)
-    w = vecs[:, np.argmax(np.abs(lam))]
-    vec = np.real(w)
-    if np.linalg.norm(vec) < 1e-8 * np.linalg.norm(w):
-        vec = np.imag(w)
+    golden = RotationNumber.golden()
+    if assembled:
+        lam, vecs = np.linalg.eig(build_L_omega(psi, golden, 1).matrix)
+        w = vecs[:, np.argmax(np.abs(lam))]
+        vec = np.real(w)
+        if np.linalg.norm(vec) < 1e-8 * np.linalg.norm(w):
+            vec = np.imag(w)
+    else:
+        lam, vecs = np.linalg.eig(l1_matrix(psi) + np.exp(
+            2j * np.pi * float(golden)) * l2_matrix(psi))
+        w = vecs[:, np.argmax(np.abs(lam))]
+        vec = np.concatenate([w.real, -w.imag])
     e0 = project_pik(gamma_normalize(
         PairFn.from_coeff_vector(dom, vec).embed(1))[1], 1)
     e0_vec = (e0 * (1.0 / e0.coeff_norm())).coeff_vector()
@@ -627,7 +641,11 @@ def _reference_h4(psi, n_pairs, seed, radius=0.5, multi_n=8):
              for i in range(len(samples) // 2)]
 
     def step(v, om):
-        out = apply_L_prime(psi, om, v)
+        if assembled:
+            out = project_pik(gamma_normalize(
+                build_L_omega(psi, om, 1).apply(v).embed(1))[1], 1)
+        else:
+            out = apply_L_prime(psi, om, v)
         return out * (1.0 / out.coeff_norm())
 
     per_omega, skipped, violations, compared = {}, 0, 0, 0
@@ -689,6 +707,45 @@ def test_h4_block_step_equals_the_one_sample_loop(fp, n_pairs, seed):
             == [type(r) for r in want.per_omega_max.values()])
 
 
+@pytest.mark.parametrize("seed", [7, 123, 99999])
+def test_h4_matches_the_assembled_block_loop(fp, seed):
+    # the assembled 2n x 2n block and its real eig are the independent
+    # check of the mode-1 kernel and the complex-block direction
+    got = check_H4(n_pairs=10, seed=seed)
+    want = _reference_h4(fp.phi, 10, seed, assembled=True)
+    for name in ("n_sampled", "n_skipped", "v_violations"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.passed == want.passed
+    assert ([(c.name, c.ok) for c in got.clauses]
+            == [(c.name, c.ok) for c in want.clauses])
+    assert list(got.per_omega_max) == list(want.per_omega_max)
+    for a, b in [(got.max_ratio_l2, want.max_ratio_l2),
+                 (got.max_ratio_sup, want.max_ratio_sup),
+                 *zip(got.per_omega_max.values(),
+                      want.per_omega_max.values())]:
+        assert abs(a - b) <= 1e-14 * abs(b)
+
+
+def test_dominant_direction_is_the_real_eig_direction(fp, golden):
+    # the complex n x n block is the realification's half: its leading
+    # eigenvector lands where the 2n x 2n real eig's does, and its leading
+    # modulus is the assembled block's spectral radius
+    phi = fp.phi
+    got = PairFn.from_coeff_vector(
+        phi.domain, asymptotics._dominant_direction(phi, golden))
+    lam, vecs = np.linalg.eig(build_L_omega(phi, golden, 1).matrix)
+    want = gamma_normalize(PairFn.from_coeff_vector(
+        phi.domain, np.real(vecs[:, np.argmax(np.abs(lam))])).embed(1))[1]
+    want = project_pik(want, 1)
+    want = want * (1.0 / want.coeff_norm())
+    assert (got - want).sup_norm() <= 1e-13
+    C = l1_matrix(phi) + np.exp(2j * np.pi * float(golden)) * l2_matrix(phi)
+    radius = np.max(np.abs(np.linalg.eigvals(C)))
+    want_radius = qprenorm.spectrum_L_omega(
+        build_L_omega(phi, golden, 1)).spectral_radius
+    assert abs(radius - want_radius) <= 1e-12 * want_radius
+
+
 def test_h4_counts_a_pair_with_a_failing_image_once(fp, monkeypatch):
     clean = check_H4(n_pairs=3, seed=2)
     section_gammas = qprenorm.section_gammas
@@ -724,7 +781,7 @@ def test_h4_steps_its_grid_in_blocks(fp, monkeypatch):
             return section_gammas(X, domain, section)
         return wrapped
 
-    def build(psi, omega, k=1, build_L_omega=asymptotics.build_L_omega):
+    def build(psi, omega, k=1, build_L_omega=qprenorm.build_L_omega):
         built.append(omega)
         return build_L_omega(psi, omega, k)
 
@@ -734,7 +791,7 @@ def test_h4_steps_its_grid_in_blocks(fp, monkeypatch):
                         counted("lib", qprenorm.section_gammas))
     monkeypatch.setattr(asymptotics, "section_gammas",
                         counted("own", asymptotics.section_gammas))
-    monkeypatch.setattr(asymptotics, "build_L_omega", build)
+    monkeypatch.setattr(qprenorm, "build_L_omega", build)
     rep = check_H4(n_pairs=10, seed=7)
     assert rep.multi_step_fit is not None
     blocks = -(-len(asymptotics.H4_OMEGAS) // asymptotics.H4_BLOCK)
@@ -745,8 +802,8 @@ def test_h4_steps_its_grid_in_blocks(fp, monkeypatch):
     own = rows["own"]
     assert own[:2] == [1, 20] and sum(own[1:]) <= 20 * 10
     assert len(own) <= 6
-    # L_omega operators for the dominant direction and the multi-step fit
-    assert len(built) == 1 + asymptotics.H4_MULTI_N
+    # every step and the dominant direction go through the mode-1 kernel
+    assert built == []
 
 
 @pytest.mark.parametrize("n_pairs", [0, -3])
@@ -860,14 +917,15 @@ def test_component_chains_match_the_per_mode_blocks(omega):
 
 def test_two_mode_walks_build_no_L_omega(flm, golden, monkeypatch):
     # H5 and observation 3 step with curvedyn._dt_step; build_L_omega
-    # stays for the spectrum, H4 and the dt-check
+    # stays for the spectrum and the dt-check, and asymptotics does not
+    # name it (tests/test_imports.py), so its calls are counted in qprenorm
     calls = collections.Counter()
 
-    def counted(psi, omega, k=1, build_L_omega=asymptotics.build_L_omega):
+    def counted(psi, omega, k=1, build_L_omega=qprenorm.build_L_omega):
         calls[run] += 1
         return build_L_omega(psi, omega, k)
 
-    monkeypatch.setattr(asymptotics, "build_L_omega", counted)
+    monkeypatch.setattr(qprenorm, "build_L_omega", counted)
     run = "H5"
     asymptotics._family_H5(flm, golden, 12)
     run = "observation 3"

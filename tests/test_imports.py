@@ -8,6 +8,8 @@ private one somewhere in src/.
 One chain engine: in src/ only curvedyn._dt_walk calls _dt_step, only
 _dr_walk and _dt_step call dr_matrix outside renorm1d and the reference
 qprenorm.apply_DT, and only curvedyn._chain_bases compares a chain mode.
+Only qprenorm and curvedyn._dt_step take the mode-1 factors l1_matrix and
+l2_matrix outside renorm1d, and asymptotics calls no build_L_omega.
 
 The package __init__ re-exports names it does not read, and `from
 __future__` imports are directives, so both are exempt.
@@ -310,6 +312,38 @@ def test_only_the_walks_push_by_dr(path):
         assert funcs == ["apply_DT"]
     elif path.name != "renorm1d.py":
         assert funcs == []
+
+
+def _factor_calls(source):
+    """{name: sorted enclosing functions of its calls} for the mode-1
+    factors l1_matrix, l2_matrix and the assembled build_L_omega."""
+    return {name: sorted(f for _, f in _name_calls(source, name))
+            for name in ("l1_matrix", "l2_matrix", "build_L_omega")}
+
+
+def test_the_scan_sees_an_operator_factor_call():
+    source = ("def kernel(psi, X):\n"
+              "    return X @ l1_matrix(psi).T, renorm1d.l2_matrix(psi)\n"
+              "def check(psi, w):\n"
+              "    return q.build_L_omega(psi, w).matrix, l1_matrix\n")
+    assert _factor_calls(source) == {"l1_matrix": ["kernel"],
+                                     "l2_matrix": ["kernel"],
+                                     "build_L_omega": ["check"]}
+
+
+@pytest.mark.parametrize("path", SRC,
+                         ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_only_the_operator_layer_takes_l1_and_l2(path):
+    # H4 steps through qprenorm's mode-1 kernel and chains through
+    # curvedyn._dt_step; renorm1d builds the factors, and the assembled
+    # block is left to the spectrum, the dt-check and criterion 4
+    calls = _factor_calls(path.read_text())
+    if path.name == "curvedyn.py":
+        assert calls["l1_matrix"] == calls["l2_matrix"] == ["_dt_step"]
+    elif path.name not in ("qprenorm.py", "renorm1d.py"):
+        assert calls["l1_matrix"] == calls["l2_matrix"] == []
+    if path.name == "asymptotics.py":
+        assert calls["build_L_omega"] == []
 
 
 MODES = ("exact-orbit", "fixed-point")

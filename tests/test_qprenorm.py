@@ -47,8 +47,9 @@ from qprenorm_lab.errors import (
     PrecisionExhaustedError,
 )
 from qprenorm_lab.funcspace import _clenshaw_scalar
-from qprenorm_lab.qprenorm import (l_prime_rows, row_norms, section_gammas,
-                                  shift_pairs)
+from qprenorm_lab.asymptotics import H4_OMEGAS
+from qprenorm_lab.qprenorm import (l_prime_rows, land_rows, mode1_images,
+                                  row_norms, section_gammas)
 
 TWO_PI = 2.0 * np.pi
 
@@ -328,17 +329,35 @@ def test_row_norms_are_the_per_row_dot_bit_for_bit(width):
 @pytest.mark.parametrize("n_cheb", [20, 40])
 def test_l_prime_rows_take_the_per_row_matvec_bit_for_bit(n_cheb):
     dom = DomainConfig(n_cheb=n_cheb)
+    psi = UnimodalMap.from_callable(dom, lambda x: 1.0 - 1.5 * x ** 2)
     rng = np.random.default_rng(n_cheb)
-    Ms = rng.standard_normal((3, 2 * n_cheb, 2 * n_cheb))
+    grid = [RotationNumber.from_float(w) for w in rng.random(3)]
     for X in _row_blocks(rng, 2 * n_cheb, count=4):
-        for matrix in (Ms[1], Ms):
-            Y, errors = l_prime_rows(matrix, X, dom)
-            # (L, x) order: the images of X under each L in turn
-            W = np.array([L @ x for L in matrix.reshape(-1, *Ms.shape[1:])
-                          for x in X])
-            gamma0, _ = section_gammas(W, dom)
-            assert errors == [None] * len(W)
-            assert Y.tobytes() == shift_pairs(W, gamma0, n_cheb).tobytes()
+        for omegas in (grid[1:2], grid):
+            Y, errors = l_prime_rows(psi, omegas, X)
+            assert errors == [None] * len(Y)
+            # (omega, x) order: each row has the bits of x alone under omega
+            want = [l_prime_rows(psi, [om], x[None, :])[0][0]
+                    for om in omegas for x in X]
+            assert Y.tobytes() == np.array(want).tobytes()
+
+
+def test_mode1_images_are_the_assembled_block_to_rounding(fp):
+    # the kernel sums L1 x + (c L2 x + s L2 x') where the assembled block
+    # takes one dot per entry, so the two agree to rounding
+    n = fp.phi.domain.n_cheb
+    omegas = [RotationNumber.zero(), RotationNumber.from_fraction(1, 4),
+              RotationNumber.from_fraction(1, 3), RotationNumber.golden(),
+              *H4_OMEGAS]
+    rng = np.random.default_rng(17)
+    X = (rng.standard_normal((30, 2 * n))
+         * 10.0 ** rng.uniform(-3.0, 3.0, size=(30, 1)))
+    Y = mode1_images(fp.phi, omegas, X).reshape(-1, *X.shape)
+    for om, images in zip(omegas, Y):
+        M = build_L_omega(fp.phi, om, 1).matrix
+        for x, y in zip(X, images):
+            want = M @ x
+            assert np.linalg.norm(y - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("op", [
@@ -571,12 +590,13 @@ def test_l_prime_matches_the_qpfn_round_trip_bit_for_bit(fp, seed, w, vanish):
     n = dom.n_cheb
     rng = np.random.default_rng(seed)
     omega = RotationNumber.from_float(w)
-    op = build_L_omega(fp.phi, omega, 1)
     x = rng.standard_normal(2 * n) * 10.0 ** rng.uniform(-3, 3)
     if vanish:
-        x = _image_vanishing_at_zero(op.matrix, n, x)
+        x = _image_vanishing_at_zero(build_L_omega(fp.phi, omega, 1).matrix,
+                                     n, x)
     v = PairFn.from_coeff_vector(dom, x)
-    img = op.apply(v)
+    img = PairFn.from_coeff_vector(dom, mode1_images(fp.phi, [omega],
+                                                     x[None, :])[0])
     if vanish:
         at0 = np.hypot(img.u(0.0), img.v(0.0))
         assert at0 <= 1e-9 * img.coeff_norm()     # the scan moves on
@@ -606,7 +626,8 @@ def test_l_prime_rows_flags_failing_rows_and_keeps_the_others(domain):
     c = cheb.chebfromroots([x0 / domain.half_width for x0 in scan])
     X[3, :c.size] = X[3, n:n + c.size] = c
     X[3, c.size:n] = X[3, n + c.size:] = 0.0
-    Y, errors = l_prime_rows(np.eye(2 * n), X, domain)
+    # identity images: each row lands as gamma_normalize puts it
+    Y, errors = land_rows(X, row_norms(X), domain)
     assert isinstance(errors[1], DegenerateScalingError)
     assert isinstance(errors[3], DegeneratePointError)
     for j in (1, 3):
@@ -619,11 +640,11 @@ def test_l_prime_rows_flags_failing_rows_and_keeps_the_others(domain):
         _normalized(PairFn.from_coeff_vector(domain, X[3]))
     # images numerically zero under a scaled matrix, though large enough
     # for the section scan to place them: the scaling error wins
-    M = 1e-15 * np.eye(2 * n)
     Z = 1e4 * X[[0, 2]]
-    _, sec_errors = section_gammas(np.stack([M @ z for z in Z]), domain)
+    W = 1e-15 * Z
+    _, sec_errors = section_gammas(W, domain)
     assert sec_errors == [None, None]
-    Y, errors = l_prime_rows(M, Z, domain)
+    Y, errors = land_rows(W, row_norms(Z), domain)
     assert all(isinstance(e, DegenerateScalingError) for e in errors)
     assert not np.any(Y)
 
