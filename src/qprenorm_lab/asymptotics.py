@@ -38,9 +38,8 @@ from .errors import ConsistencyError, DegenerateScalingError, TruncationError
 from .funcspace import (DomainConfig, pair_sup_norm, project_p0, project_pik,
                         shift_tgamma, sup_norm)
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_T,
-                       gamma_normalize, l_prime_rows, mode1_images,
-                       require_diophantine, row_norms, section_gammas,
-                       shift_pairs)
+                       dt_columns, gamma_normalize, l_prime_rows,
+                       require_diophantine, row_norms, section_gammas)
 from .renorm1d import (FamilySpec, feigenbaum_fixed_point,
                        stable_manifold_param, superstable_params)
 from .curvedyn import (DG1_hat, _chain_slopes, _dr_walk, _dt_walk,
@@ -629,32 +628,39 @@ def check_H3(c, omega0, n_max=8, section=SectionConfig()):
 
 # ------------------------------------------------------------- H4 checker
 
-def _units_on_section(X, domain, section):
-    """Rows of X on the section, each scaled to unit l2 norm, with the
-    per-row errors of section_gammas (a failing row is left unscaled)."""
-    gamma0, errors = section_gammas(X, domain, section)
-    P = shift_pairs(X, gamma0, domain.n_cheb)
+def _units_on_section(H, domain, section):
+    """Rows h = u - i v of H on the section, each scaled to unit l2 norm,
+    with the per-row errors of section_gammas (a failing row is left
+    unscaled)."""
+    gamma0, errors = section_gammas(H, domain, section)
+    P = H * np.exp(2j * np.pi * gamma0)[:, None]
     ok = np.array([e is None for e in errors], dtype=bool)
     P[ok] *= (1.0 / row_norms(P[ok]))[:, None]
     return P, errors
 
 
+def _mode_rows(X):
+    """The (u, v) rows of X as the stored rows h = u - i v."""
+    n = X.shape[-1] // 2
+    return X[..., :n] - 1j * X[..., n:]
+
+
 def _dominant_direction(psi, omega, section=SectionConfig()):
-    """Unit row on the section spanning the leading invariant plane.
+    """Unit row (u, v) on the section spanning the leading invariant plane.
 
     The 2n x 2n L_omega is the realification of the complex n x n block
     C = L1 + e^(2 pi i omega) L2 on h = u - i v, so the leading eigenvector
-    w of C is the pair (Re w, -Im w). Column j of C is the image of the
-    unit pair (e_j, 0), read as u - i v."""
+    w of C is the row h = w, the pair (Re w, -Im w). C is dt_columns of
+    the identity block."""
     n = psi.domain.n_cheb
-    Y = mode1_images(psi, [omega], np.eye(n, 2 * n))
-    lam, vecs = np.linalg.eig((Y[:, :n] - 1j * Y[:, n:]).T)
-    w = vecs[:, np.argmax(np.abs(lam))]
-    P, errors = _units_on_section(np.concatenate([w.real, -w.imag])[None],
+    C = dt_columns(psi, np.eye(n, dtype=complex),
+                   np.exp(2j * np.pi * float(omega)))
+    lam, vecs = np.linalg.eig(C)
+    P, errors = _units_on_section(vecs[:, np.argmax(np.abs(lam))][None],
                                   psi.domain, section)
     if errors[0] is not None:
         raise errors[0]
-    return P[0]
+    return np.concatenate([P[0].real, -P[0].imag])
 
 
 @dataclass
@@ -677,14 +683,15 @@ H4_BLOCK = 8          # grid omegas stepped as one block
 
 
 def _h4_samples(e0_vec, n_pairs, rng, domain, section):
-    """Up to 2 n_pairs unit rows on the section within H4_RADIUS of e0_vec.
+    """Up to 2 n_pairs unit rows h on the section within H4_RADIUS of e0_vec.
 
-    Candidates are drawn one at a time (a normal vector, then a uniform
-    radius) and accepted in draw order, at most 20 n_pairs of them; the
-    section of a batch of candidates is decided by one call, and a batch
-    holds as many candidates as rows are still missing, so the accepted
-    rows are those of a one-candidate-at-a-time loop."""
+    Candidates are drawn one at a time as (u, v) rows (a normal vector,
+    then a uniform radius) and accepted in draw order, at most 20 n_pairs
+    of them; the section of a batch of candidates is decided by one call,
+    and a batch holds as many candidates as rows are still missing, so the
+    accepted rows are those of a one-candidate-at-a-time loop."""
     radius, dim = H4_RADIUS, e0_vec.size
+    e0 = _mode_rows(e0_vec)
     samples, attempts = [], 0
     while len(samples) < 2 * n_pairs and attempts < 20 * n_pairs:
         C = np.empty((min(2 * n_pairs - len(samples),
@@ -696,11 +703,11 @@ def _h4_samples(e0_vec, n_pairs, rng, domain, section):
                   / np.linalg.norm(w))
             cand[:] = e0_vec + w
             cand /= np.linalg.norm(cand)
-        P, errors = _units_on_section(C, domain, section)
-        near = row_norms(P - e0_vec) <= radius
+        P, errors = _units_on_section(_mode_rows(C), domain, section)
+        near = row_norms(P - e0) <= radius
         samples.extend(p for p, e, ok in zip(P, errors, near)
                        if e is None and ok)
-    return np.array(samples).reshape(-1, dim)
+    return np.array(samples, dtype=complex).reshape(-1, dim // 2)
 
 
 def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
@@ -718,12 +725,12 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
     instead (the relaxed criterion K rho^n). The clauses: some pair was
     compared, then the one-step or the multi-step criterion that decided.
 
-    The grid is stepped H4_BLOCK omegas at a time in the mode-1 form of
-    DT (l_prime_rows): one L1 and one L2 product per sample, an
-    elementwise phase combination per (omega, sample) and one section
-    call per block; the skips, violations and ratios of the block are
-    masks over (omega, pair). A pair with an image off the section counts
-    once in n_skipped.
+    The grid is stepped H4_BLOCK omegas at a time on the rows h = u - i v
+    (l_prime_rows): one L1 and one L2 product per sample, one phase
+    product per (omega, sample) and one section call per block; the
+    skips, violations and ratios of the block are masks over
+    (omega, pair). A pair with an image off the section counts once in
+    n_skipped.
     n_pairs < 1 raises ValueError, and a run that compares no pair at any
     omega fails.
     """
@@ -735,7 +742,7 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
     # the dominant direction needs the value of golden, not its certificate
     e0_vec = _dominant_direction(psi, RotationNumber.golden(q_max=0),
                                  section)
-    dim = e0_vec.size
+    e0 = _mode_rows(e0_vec)
 
     radius = H4_RADIUS
     X = _h4_samples(e0_vec, n_pairs, np.random.default_rng(seed), dom,
@@ -756,23 +763,23 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
     n = dom.n_cheb
     D = X[0::2] - X[1::2]
     den_l2 = row_norms(D)
-    den_sup = np.maximum(pair_sup_norm(dom, D[:, :n], D[:, n:]), 1e-300)
+    den_sup = np.maximum(pair_sup_norm(dom, D), 1e-300)
     per_omega, skipped, v_violations, compared = {}, 0, 0, 0
     max_l2 = max_sup = 0.0
     for b in range(0, len(H4_OMEGAS), H4_BLOCK):
         block = H4_OMEGAS[b:b + H4_BLOCK]
         F, ok, _ = step(X, block)
-        F = F.reshape(len(block), n_used, dim)
+        F = F.reshape(len(block), n_used, n)
         ok = ok.reshape(len(block), n_used)
         pair_ok = ok[:, 0::2] & ok[:, 1::2]           # (omega, pair)
         skipped += int(np.sum(~pair_ok))
         v_violations += int(np.sum(
-            row_norms(F[np.repeat(pair_ok, 2, axis=1)] - e0_vec) > radius))
+            (row_norms(F - e0) > radius)[np.repeat(pair_ok, 2, axis=1)]))
         use = pair_ok & ~(den_l2 < 1e-14)
         num = (F[:, 0::2] - F[:, 1::2])[use]
         ratios = np.zeros(use.shape)
         ratios[use] = row_norms(num) / np.broadcast_to(den_l2, use.shape)[use]
-        ratios_sup = (pair_sup_norm(dom, num[:, :n], num[:, n:])
+        ratios_sup = (pair_sup_norm(dom, num)
                       / np.broadcast_to(den_sup, use.shape)[use])
         max_sup = max(max_sup, float(np.max(ratios_sup, initial=0.0)))
         # a ratio is >= 0: an omega whose largest is not above 0 reports
@@ -792,7 +799,7 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
             for e in errors:
                 if e is not None:
                     raise e
-            dists.append(np.linalg.norm(Y[0] - Y[1]))
+            dists.append(row_norms(Y[0] - Y[1]))
             om = om.double()
         multi_fit = fit_geometric_decay(np.arange(1, H4_MULTI_N + 1), dists)
 

@@ -32,11 +32,11 @@ from .errors import (BasinError, ConsistencyError, DegeneratePointError,
 from .funcspace import (INTERVAL_SLACK, AnalyticFn, DomainConfig, QPFn,
                         _clenshaw_scalar, _eval_folded, _fold, _fold_degree,
                         _grid_phases, _phases, _tables, project_p0)
-from .qprenorm import RotationNumber
+from .qprenorm import RotationNumber, dt_columns
 from .renorm1d import (FamilySpec, UnimodalMap, _brentq, dr_matrix,
-                       feigenbaum_fixed_point, l1_matrix, l2_matrix,
-                       renormalize_1d, stable_manifold_param,
-                       superstable_params, unstable_manifold_points)
+                       feigenbaum_fixed_point, renormalize_1d,
+                       stable_manifold_param, superstable_params,
+                       unstable_manifold_points)
 
 TOL_CURVE = 1e-11
 TOL_SIGMA1 = 1e-9     # |psi(1)| up to which a map counts as on Sigma_1
@@ -663,22 +663,18 @@ def slope_chain(family, omega0, n, mode="exact-orbit"):
 
 
 def _dt_step(base, omega, v):
-    """qprenorm.apply_DT(base, omega, v) in two real matrix products.
+    """qprenorm.apply_DT(base, omega, v) through the one DT kernel.
 
-    Mode 0 gets DR h_0 as there. Modes 1..K go through L1 and L2 at once:
-    one real product each against the interleaved (re, im) columns of the
-    stored rows h_1..h_K, as QPFn.eval reads them, and the phases
-    exp(2 pi i k omega) are one vector. The sums run in another order than
-    apply_DT's complex matvecs, so the two agree to rounding, not bit for
-    bit; apply_DT stays the reference.
+    Mode 0 gets DR h_0 as there. Modes 1..K are one column block of
+    qprenorm.dt_columns, the stored rows h_1..h_K as its columns, under
+    the phase vector exp(2 pi i k omega). The kernel's real products sum
+    in another order than apply_DT's complex matvecs, so the two agree to
+    rounding, not bit for bit; apply_DT stays the reference.
     """
-    X = np.ascontiguousarray(v.modes[1:].T).view(float)    # (n, 2K)
-    A1 = (l1_matrix(base) @ X).view(complex)               # (n, K)
-    A2 = (l2_matrix(base) @ X).view(complex)
     ph = np.exp(2j * np.pi * np.arange(1, v.K + 1) * float(omega))
     modes = np.empty_like(v.modes)
     modes[0] = dr_matrix(base) @ v.modes[0]
-    modes[1:] = (A1 + ph * A2).T
+    modes[1:] = dt_columns(base, v.modes[1:].T, ph).T
     return QPFn(modes, v.domain)
 
 

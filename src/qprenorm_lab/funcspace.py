@@ -375,7 +375,8 @@ class PairFn:
 
     def sup_norm(self):
         """max over (theta, x) of the represented function, exact in theta."""
-        return float(pair_sup_norm(self.domain, self.u.coeffs, self.v.coeffs))
+        return float(pair_sup_norm(self.domain,
+                                   self.u.coeffs - 1j * self.v.coeffs))
 
     def coeff_norm(self):
         return float(np.linalg.norm(self.coeff_vector()))
@@ -508,13 +509,18 @@ def sup_norm(f):
     return float(np.max(np.abs(np.real(E @ A.T))))
 
 
-def pair_sup_norm(domain, u, v):
-    """PairFn(u, v).sup_norm() from bare coefficient arrays, one norm per
-    row of (S, n_cheb) blocks: the amplitude hypot(u(x), v(x)) maximized
-    over the sup grid. The stacked matmul takes one product per row, so a
-    row gets the bits it would get alone."""
-    uv = _tables(domain).sup_V @ np.stack([u, v], axis=-1)
-    return np.max(np.hypot(uv[..., 0], uv[..., 1]), axis=-1)
+def pair_sup_norm(domain, H):
+    """PairFn(u, v).sup_norm() of the rows h = u - i v of (S, n_cheb)
+    blocks: |h(x)| = hypot(u(x), v(x)) maximized over the sup grid, as the
+    root of the largest re^2 + im^2. Each row is scaled first by the exact
+    power of two that puts its largest |coefficient| in [1/2, 1), so no
+    square overflows or underflows. The stacked matmul takes one product
+    per row, so a row gets the bits it would get alone."""
+    G = np.ascontiguousarray(H)[..., None].view(float)     # (Re h, Im h)
+    e = np.frexp(np.max(np.abs(G), axis=(-2, -1)))[1]
+    A = _tables(domain).sup_V @ np.ldexp(G, -e[..., None, None])
+    np.square(A, out=A)
+    return np.ldexp(np.sqrt(np.max(A[..., 0] + A[..., 1], axis=-1)), e)
 
 
 def eval_qpfn(f, theta, x):

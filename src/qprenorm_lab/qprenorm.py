@@ -15,18 +15,18 @@ funcspace). Rotation numbers are kept as 128-bit fixed-point fractions
 so that the doubling omega -> 2 omega mod 1 stays exact; floats appear
 only inside trig evaluations.
 
-One kernel, mode1_images, steps a block of mode-1 pairs under a block of
-omegas in this form: one L1 and one L2 product per pair, then an
-elementwise phase combination per omega, with no 2n x 2n matrix. The
-assembled block (build_L_omega) stays for the spectrum, the dt-check
+One kernel, dt_columns, steps stored rows in this form as complex
+columns: one L1 and one L2 product per column block, then a phase
+product, with no 2n x 2n matrix; the slope chains and H4 both call it.
+The assembled block (build_L_omega) stays for the spectrum, the dt-check
 and the tests that hold the kernel to it.
 
 The section machinery quotients the rotational symmetry t_gamma by
-shifting a mode-1 vector onto the section {f(theta0, x0) = 0, positive
-theta-derivative}. One routine, section_gammas, decides the shift for a
-block of pairs; land_rows puts a block of images on the section with it,
-and gamma_normalize, apply_L_prime and l_prime_rows (a block of pairs
-under a block of omegas) all go through it.
+shifting a mode-1 row h = u - i v onto the section {f(theta0, x0) = 0,
+positive theta-derivative}. One routine, section_gammas, decides the
+shift for a block of rows; land_rows puts a block of images on the
+section with it, and gamma_normalize, apply_L_prime and l_prime_rows
+all go through it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import (DegeneratePointError, DegenerateScalingError,
                      DiophantineError, DomainError, NoSectionError,
                      PrecisionExhaustedError)
 from .funcspace import (PairFn, QPFn, _cheb_vander, compose_fiber,
-                        project_p0, project_pik, shift_tgamma)
+                        project_p0, shift_tgamma)
 from .renorm1d import TOL_A, UnimodalMap, dr_matrix, l1_matrix, l2_matrix
 
 SCALE_BITS = 128
@@ -225,6 +225,21 @@ def apply_DT(base, omega, v):
     return out
 
 
+def dt_columns(psi, H, ph):
+    """DT at psi on the complex columns of H: L1 H + ph L2 H.
+
+    H is a column block (n, m) or a stack (S, n, m) of them, each column a
+    stored row h = u - i v, and ph broadcasts against the result: the
+    phases e^(2 pi i k omega) of a block's mode columns, or one phase per
+    omega on a leading axis. The real factors act on the interleaved
+    (re, im) columns, one BLAS product per block, so a block's bits do
+    not depend on the stack it sits in.
+    """
+    G = np.ascontiguousarray(H).view(float)
+    return ((l1_matrix(psi) @ G).view(complex)
+            + ph * (l2_matrix(psi) @ G).view(complex))
+
+
 @dataclass
 class LOmegaOperator:
     """Restriction of DT to a single Fourier pair, as a real matrix.
@@ -308,21 +323,24 @@ def spectrum_L_omega(op):
 
 # -------------------------------------------------- rotation-symmetry section
 #
-# A block X of mode-1 pairs holds one PairFn.coeff_vector() = (u, v) per
-# row. Norms, matrix products and point values (a per-row sum against one
+# A block H of mode-1 pairs holds one stored row h = u - i v per row.
+# Norms, matrix products and point values (a per-row sum against one
 # Chebyshev row) are taken row by row and the rest elementwise, so every
 # row gets the bits it would get alone.
 
 def row_norms(X):
-    """np.linalg.norm of each row of X (rows along the last axis), bit for
-    bit: sqrt of the row's dot product. The stacked matmul takes one BLAS
-    dot per row, as x.dot(x) does; a norm over an axis sums in another
-    order."""
+    """np.linalg.norm of each row's PairFn.coeff_vector(), bit for bit:
+    sqrt of the dot product of the real row (u, v), or of (Re h, Im h)
+    for a complex row h = u - i v (the sign of v moves no square). The
+    stacked matmul takes one BLAS dot per row, as x.dot(x) does; a norm
+    over an axis sums in another order."""
+    if np.iscomplexobj(X):
+        X = np.concatenate([X.real, X.imag], axis=-1)
     return np.sqrt((X[..., None, :] @ X[..., :, None])[..., 0, 0])
 
 
-def section_gammas(X, domain, section=SectionConfig()):
-    """Shift gamma0 per row of X that puts the pair on the section.
+def section_gammas(H, domain, section=SectionConfig()):
+    """Shift gamma0 per row h = u - i v of H that puts it on the section.
 
     The section is f(theta0, x0) = 0 with positive theta-derivative, where
     x0 is the first of section.x0 and DEGENERATE_SCAN at which the pair is
@@ -333,22 +351,21 @@ def section_gammas(X, domain, section=SectionConfig()):
     scan candidate outside the interval raises DomainError.
     """
     n, L = domain.n_cheb, domain.half_width
-    U, V = X[:, :n], X[:, n:]
-    scale = row_norms(X)
+    scale = row_norms(H)
     todo = scale > TOL_PI1
     vanished = ~todo
-    A, B = np.zeros(X.shape[0]), np.zeros(X.shape[0])
+    A, B = np.zeros(H.shape[0]), np.zeros(H.shape[0])
     for cand in (section.x0,) + DEGENERATE_SCAN:
         rows = np.flatnonzero(todo)
         if rows.size == 0:
             break
         if not abs(cand) <= L:      # NaN fails too
             raise DomainError(f"section point x0 = {cand} outside the interval")
-        t = _cheb_vander([cand / L], n)[0]
-        a, b = (U[rows] * t).sum(axis=1), (V[rows] * t).sum(axis=1)
-        hit = np.hypot(a, b) > 1e-9 * scale[rows]
+        # the point value h(x0) = u(x0) - i v(x0), and |h(x0)| = hypot
+        h = (H * _cheb_vander([cand / L], n)[0]).sum(axis=1)[rows]
+        hit = np.abs(h) > 1e-9 * scale[rows]
         found = rows[hit]
-        A[found], B[found] = a[hit], b[hit]
+        A[found], B[found] = h.real[hit], -h.imag[hit]
         todo[found] = False
     errors = [NoSectionError("mode-1 component vanishes") if z
               else DegeneratePointError(
@@ -361,39 +378,6 @@ def section_gammas(X, domain, section=SectionConfig()):
               - section.theta0 % 1.0) % 1.0
     gamma0[(gamma0 > 1.0 - 1e-12) | (gamma0 < 1e-12) | vanished | todo] = 0.0
     return gamma0, errors
-
-
-def shift_pairs(X, gamma0, n_cheb):
-    """t_gamma0 row by row: h_1 = u - i v times exp(2 pi i gamma0), read
-    back as (Re h_1, -Im h_1), as QPFn.from_pair, shift_tgamma and
-    project_pik do on mode 1."""
-    h1 = X[:, :n_cheb] - 1j * X[:, n_cheb:]
-    h1 = h1 * np.exp(2j * np.pi * gamma0)[:, None]
-    return np.concatenate([np.real(h1), -np.imag(h1)], axis=1)
-
-
-def mode1_images(psi, omegas, X):
-    """Rows L_omega x for each omega of omegas and each row x of X, in
-    (omega, x) order: len(omegas) * len(X) rows.
-
-    On mode 1, DT at psi is h -> L1 h + e^(2 pi i omega) L2 h with
-    h = u - i v. Each row (u, v) takes one L1 and one L2 product, a
-    stacked matmul with one (2, n) x (n, n) product per row, so a row gets
-    the same bits in any block. Each omega then combines the two
-    elementwise, the phase (c, s) = e^(2 pi i omega) written out on (u, v)
-    in real arithmetic: (u', v') = (L1 u, L1 v) + (c (L2 u, L2 v)
-    + s (L2 v, -L2 u)).
-    """
-    n = psi.domain.n_cheb
-    R = X.reshape(-1, 2, n)
-    P1 = (R @ l1_matrix(psi).T).reshape(-1, 2 * n)     # (L1 u, L1 v)
-    P2 = (R @ l2_matrix(psi).T).reshape(-1, 2 * n)     # (L2 u, L2 v)
-    Q2 = np.concatenate([P2[:, n:], -P2[:, :n]], axis=1)
-    ph = np.exp(2j * np.pi * np.array([float(w) for w in omegas]))
-    Y = ph.real[:, None, None] * P2
-    Y += ph.imag[:, None, None] * Q2
-    Y += P1
-    return Y.reshape(-1, 2 * n)
 
 
 def land_rows(W, scale, domain, section=SectionConfig()):
@@ -409,27 +393,28 @@ def land_rows(W, scale, domain, section=SectionConfig()):
     gamma0, errors = section_gammas(W, domain, section)
     errors = [DegenerateScalingError("L_omega image is numerically zero")
               if z else e for z, e in zip(tiny, errors)]
-    Y = shift_pairs(W, gamma0, domain.n_cheb)
+    Y = W * np.exp(2j * np.pi * gamma0)[:, None]
     Y[[e is not None for e in errors]] = 0.0
     return Y, errors
 
 
-def l_prime_rows(psi, omegas, X, section=SectionConfig()):
-    """Rows t_gamma(L_omega x) for each omega of omegas and each row x of
-    X, in (omega, x) order: mode1_images landed by land_rows, whose
-    (Y, errors) it returns."""
-    return land_rows(mode1_images(psi, omegas, X),
-                     np.tile(row_norms(X), len(omegas)), psi.domain, section)
+def l_prime_rows(psi, omegas, H, section=SectionConfig()):
+    """Rows t_gamma(L_omega h) for each omega of omegas and each row h of
+    H, in (omega, h) order: dt_columns on one-column blocks, landed by
+    land_rows, whose (Y, errors) it returns."""
+    ph = np.exp(2j * np.pi * np.array([float(w) for w in omegas]))
+    W = dt_columns(psi, H[:, :, None], ph[:, None, None, None])
+    return land_rows(W.reshape(-1, H.shape[1]),
+                     np.tile(row_norms(H), len(omegas)), psi.domain, section)
 
 
 def gamma_normalize(v, section=SectionConfig()):
     """Unique shift gamma0 putting the mode-1 part of v on the section.
 
-    The shift is decided by section_gammas on project_pik(v, 1) and
-    applied to every mode. Returns (gamma0, t_gamma0 v).
+    The shift is decided by section_gammas on the stored row v.modes[1]
+    and applied to every mode. Returns (gamma0, t_gamma0 v).
     """
-    X = project_pik(v, 1).coeff_vector()[None, :]
-    gamma0, errors = section_gammas(X, v.domain, section)
+    gamma0, errors = section_gammas(v.modes[1][None, :], v.domain, section)
     if errors[0] is not None:
         raise errors[0]
     return gamma0[0], shift_tgamma(v, gamma0[0])
@@ -437,8 +422,9 @@ def gamma_normalize(v, section=SectionConfig()):
 
 def apply_L_prime(psi, omega, v, section=SectionConfig()):
     """L'_omega(v) = t_gamma(L_omega v): apply, then land on the section."""
-    Y, errors = l_prime_rows(psi, [omega], v.coeff_vector()[None, :],
-                             section)
+    h = v.u.coeffs - 1j * v.v.coeffs          # mode 1 of v.embed(1)
+    Y, errors = l_prime_rows(psi, [omega], h[None, :], section)
     if errors[0] is not None:
         raise errors[0]
-    return PairFn.from_coeff_vector(v.domain, Y[0])
+    return PairFn.from_coeff_vector(v.domain,
+                                    np.concatenate([Y[0].real, -Y[0].imag]))

@@ -946,3 +946,25 @@ def test_thread_cap_env():
     assert child(QPRENORM_THREADS="2") == ["2", "2"]
     # an explicit per-library setting wins over the blanket knob
     assert child(QPRENORM_THREADS="2", OMP_NUM_THREADS="3") == ["3", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjecture", "--which", "h4"],
+    ["--nmax", "6", "observe", "--which", "2"]], ids=["h4", "observe-2"])
+def test_artifacts_do_not_depend_on_the_thread_count(tmp_path, argv):
+    import os, subprocess, sys
+    # a run's artifacts do not depend on the size of the BLAS thread pool;
+    # the children import the package from where this process found it
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    base["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "qprenorm_lab.cli",
+                        "--out", str(out)] + argv,
+                       env=dict(base, QPRENORM_THREADS=threads),
+                       capture_output=True, check=True, timeout=120)
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                     if p.name != "manifest.json"})
+    assert len(runs[0]) >= 2
+    assert runs[0] == runs[1]

@@ -708,12 +708,45 @@ def test_pair_sup_norm_of_a_block_is_the_per_row_norm_bit_for_bit(domain):
     rng = np.random.default_rng(5)
     U = rng.standard_normal((7, domain.n_cheb))
     V = rng.standard_normal((7, domain.n_cheb))
-    got = pair_sup_norm(domain, U, V)
+    got = pair_sup_norm(domain, U - 1j * V)
     assert got.shape == (7,)
     for j in range(7):
         pair = PairFn(AnalyticFn(U[j], domain), AnalyticFn(V[j], domain))
         assert got[j] == pair.sup_norm()
         assert type(pair.sup_norm()) is float
+
+
+def _sup_grid_oracle(domain, u, v):
+    """max of hypot(u(x), v(x)) over the sup grid, point by point through
+    AnalyticFn calls."""
+    n_x = 4 * domain.n_cheb
+    xs = domain.half_width * np.cos(np.pi * np.arange(n_x) / (n_x - 1))
+    fu, fv = AnalyticFn(u, domain), AnalyticFn(v, domain)
+    return max(math.hypot(fu(float(x)), fv(float(x))) for x in xs)
+
+
+def test_pair_sup_norm_keeps_its_range(domain):
+    # squares of 1e160 overflow and squares of 1e-160 underflow unless each
+    # row is scaled first; the oracle's Clenshaw sums and the Vandermonde
+    # product round differently, by up to 1e-15 relative on these rows at
+    # any scale, which the bound covers
+    rng = np.random.default_rng(23)
+    n = domain.n_cheb
+    decay = 0.7 ** np.arange(n)
+    U = rng.standard_normal((12, n)) * decay
+    V = rng.standard_normal((12, n)) * decay
+    for scale in (1e-160, 1.0, 1e160):
+        got = pair_sup_norm(domain, scale * U - 1j * (scale * V))
+        for g, u, v in zip(got, scale * U, scale * V):
+            want = _sup_grid_oracle(domain, u, v)
+            assert abs(g - want) <= 2e-15 * want
+    # a power-of-two scale is exact: the norm moves by that power, bit for
+    # bit, while the entries stay normal floats
+    H = U - 1j * V
+    for k in (-900, -531, 531, 1000):
+        got = pair_sup_norm(domain, H * 2.0 ** k)
+        assert got.tobytes() == np.ldexp(pair_sup_norm(domain, H),
+                                         k).tobytes()
 
 
 def test_domain_replace_changes_fields_and_validates(domain):

@@ -8,8 +8,11 @@ private one somewhere in src/.
 One chain engine: in src/ only curvedyn._dt_walk calls _dt_step, only
 _dr_walk and _dt_step call dr_matrix outside renorm1d and the reference
 qprenorm.apply_DT, and only curvedyn._chain_bases compares a chain mode.
-Only qprenorm and curvedyn._dt_step take the mode-1 factors l1_matrix and
-l2_matrix outside renorm1d, and asymptotics calls no build_L_omega.
+One DT kernel: outside renorm1d only qprenorm.dt_columns, the reference
+apply_DT and the assembled build_L_omega take the mode factors l1_matrix
+and l2_matrix, asymptotics calls no build_L_omega, and dt_columns is
+called by curvedyn._dt_step, qprenorm.l_prime_rows and
+asymptotics._dominant_direction, and nowhere else.
 
 The package __init__ re-exports names it does not read, and `from
 __future__` imports are directives, so both are exempt.
@@ -322,8 +325,8 @@ def _factor_calls(source):
 
 
 def test_the_scan_sees_an_operator_factor_call():
-    source = ("def kernel(psi, X):\n"
-              "    return X @ l1_matrix(psi).T, renorm1d.l2_matrix(psi)\n"
+    source = ("def kernel(psi, H):\n"
+              "    return l1_matrix(psi) @ H, renorm1d.l2_matrix(psi)\n"
               "def check(psi, w):\n"
               "    return q.build_L_omega(psi, w).matrix, l1_matrix\n")
     assert _factor_calls(source) == {"l1_matrix": ["kernel"],
@@ -334,16 +337,31 @@ def test_the_scan_sees_an_operator_factor_call():
 @pytest.mark.parametrize("path", SRC,
                          ids=[str(p.relative_to(ROOT)) for p in SRC])
 def test_only_the_operator_layer_takes_l1_and_l2(path):
-    # H4 steps through qprenorm's mode-1 kernel and chains through
-    # curvedyn._dt_step; renorm1d builds the factors, and the assembled
+    # every mode-k step goes through qprenorm.dt_columns; apply_DT is the
+    # reference DT step, renorm1d builds the factors, and the assembled
     # block is left to the spectrum, the dt-check and criterion 4
     calls = _factor_calls(path.read_text())
-    if path.name == "curvedyn.py":
-        assert calls["l1_matrix"] == calls["l2_matrix"] == ["_dt_step"]
-    elif path.name not in ("qprenorm.py", "renorm1d.py"):
+    if path.name == "qprenorm.py":
+        want = ["apply_DT", "build_L_omega", "dt_columns"]
+        assert calls["l1_matrix"] == calls["l2_matrix"] == want
+    elif path.name != "renorm1d.py":
         assert calls["l1_matrix"] == calls["l2_matrix"] == []
     if path.name == "asymptotics.py":
         assert calls["build_L_omega"] == []
+
+
+KERNEL_CALLERS = {"curvedyn.py": ["_dt_step"],
+                  "qprenorm.py": ["l_prime_rows"],
+                  "asymptotics.py": ["_dominant_direction"]}
+
+
+@pytest.mark.parametrize("path", SRC,
+                         ids=[str(p.relative_to(ROOT)) for p in SRC])
+def test_one_dt_kernel_serves_the_chains_and_the_section(path):
+    # the slope chains, H4's steps, apply_L_prime (via l_prime_rows) and the
+    # dominant direction all take DT from the same kernel
+    calls = sorted(f for _, f in _name_calls(path.read_text(), "dt_columns"))
+    assert calls == KERNEL_CALLERS.get(path.name, [])
 
 
 MODES = ("exact-orbit", "fixed-point")

@@ -48,7 +48,7 @@ from qprenorm_lab.errors import (
 )
 from qprenorm_lab.funcspace import _clenshaw_scalar
 from qprenorm_lab.asymptotics import H4_OMEGAS
-from qprenorm_lab.qprenorm import (l_prime_rows, land_rows, mode1_images,
+from qprenorm_lab.qprenorm import (dt_columns, l_prime_rows, land_rows,
                                   row_norms, section_gammas)
 
 TWO_PI = 2.0 * np.pi
@@ -318,12 +318,22 @@ def _row_blocks(rng, width, count=8):
         yield B[:rows, 2:width + 2]
 
 
+def _mode_rows(X):
+    """The (u, v) rows of X as stored rows h = u - i v."""
+    n = X.shape[-1] // 2
+    return X[..., :n] - 1j * X[..., n:]
+
+
 @pytest.mark.parametrize("width", [2, 40, 80, 81])
 def test_row_norms_are_the_per_row_dot_bit_for_bit(width):
     rng = np.random.default_rng(width)
     for X in _row_blocks(rng, width):
         want = np.sqrt(np.array([x.dot(x) for x in X]))
         assert row_norms(X).tobytes() == want.tobytes()
+        # a complex row h = u - i v has the norm of its (u, v) row
+        H = _mode_rows(X[:, :width - width % 2])
+        want = [np.linalg.norm(np.concatenate([h.real, -h.imag])) for h in H]
+        assert row_norms(H).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("n_cheb", [20, 40])
@@ -333,31 +343,46 @@ def test_l_prime_rows_take_the_per_row_matvec_bit_for_bit(n_cheb):
     rng = np.random.default_rng(n_cheb)
     grid = [RotationNumber.from_float(w) for w in rng.random(3)]
     for X in _row_blocks(rng, 2 * n_cheb, count=4):
+        H = X.view(complex)      # contiguous, strided and offset blocks
         for omegas in (grid[1:2], grid):
-            Y, errors = l_prime_rows(psi, omegas, X)
+            Y, errors = l_prime_rows(psi, omegas, H)
             assert errors == [None] * len(Y)
-            # (omega, x) order: each row has the bits of x alone under omega
-            want = [l_prime_rows(psi, [om], x[None, :])[0][0]
-                    for om in omegas for x in X]
+            # (omega, h) order: each row has the bits of h alone under omega
+            want = [l_prime_rows(psi, [om], h[None, :])[0][0]
+                    for om in omegas for h in H]
             assert Y.tobytes() == np.array(want).tobytes()
 
 
-def test_mode1_images_are_the_assembled_block_to_rounding(fp):
-    # the kernel sums L1 x + (c L2 x + s L2 x') where the assembled block
-    # takes one dot per entry, so the two agree to rounding
-    n = fp.phi.domain.n_cheb
+def test_dt_columns_are_the_assembled_block_to_rounding(fp):
+    # the kernel sums L1 h + ph L2 h on complex columns where the assembled
+    # block takes one real dot per entry, so the two agree to rounding; a
+    # conjugated phase e^(-2 pi i k omega) misses by O(1) off omega = 0
+    psi, n = fp.phi, fp.phi.domain.n_cheb
     omegas = [RotationNumber.zero(), RotationNumber.from_fraction(1, 4),
               RotationNumber.from_fraction(1, 3), RotationNumber.golden(),
               *H4_OMEGAS]
+    w = np.array([float(om) for om in omegas])
     rng = np.random.default_rng(17)
     X = (rng.standard_normal((30, 2 * n))
          * 10.0 ** rng.uniform(-3.0, 3.0, size=(30, 1)))
-    Y = mode1_images(fp.phi, omegas, X).reshape(-1, *X.shape)
-    for om, images in zip(omegas, Y):
-        M = build_L_omega(fp.phi, om, 1).matrix
-        for x, y in zip(X, images):
-            want = M @ x
-            assert np.linalg.norm(y - want) <= 1e-14 * np.linalg.norm(want)
+    H = _mode_rows(X)
+    # the _dt_step shape: per omega, one block whose K = 3 columns are
+    # modes 1..3, under the phase row e^(2 pi i k omega)
+    ks = np.arange(1, 4)
+    modes = np.array([[dt_columns(psi, np.repeat(h[:, None], 3, axis=1),
+                                  np.exp(2j * np.pi * ks * wj)).T
+                       for h in H] for wj in w])     # (omega, row, k, n)
+    for k in ks:
+        # the check_H4 shape: one-column blocks, one phase per omega
+        stacked = dt_columns(psi, H[:, :, None], np.exp(
+            2j * np.pi * k * w)[:, None, None, None])[..., 0]
+        for om, a, b in zip(omegas, stacked, modes[:, :, k - 1]):
+            want = X @ build_L_omega(psi, om, k).matrix.T
+            for got in (a, b):
+                err = np.linalg.norm(
+                    np.concatenate([got.real, -got.imag], axis=1) - want,
+                    axis=1)
+                assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=1))
 
 
 @pytest.mark.parametrize("op", [
@@ -595,13 +620,14 @@ def test_l_prime_matches_the_qpfn_round_trip_bit_for_bit(fp, seed, w, vanish):
         x = _image_vanishing_at_zero(build_L_omega(fp.phi, omega, 1).matrix,
                                      n, x)
     v = PairFn.from_coeff_vector(dom, x)
-    img = PairFn.from_coeff_vector(dom, mode1_images(fp.phi, [omega],
-                                                     x[None, :])[0])
+    img = QPFn.zero(dom)
+    img.modes[1] = dt_columns(fp.phi, _mode_rows(x)[:, None],
+                              np.exp(2j * np.pi * float(omega)))[:, 0]
     if vanish:
-        at0 = np.hypot(img.u(0.0), img.v(0.0))
-        assert at0 <= 1e-9 * img.coeff_norm()     # the scan moves on
-    want = project_pik(gamma_normalize(
-        QPFn.from_pair(dom, 1, img.u, img.v))[1], 1)
+        p = project_pik(img, 1)
+        at0 = np.hypot(p.u(0.0), p.v(0.0))
+        assert at0 <= 1e-9 * p.coeff_norm()     # the scan moves on
+    want = project_pik(gamma_normalize(img)[1], 1)
     assert _bits(apply_L_prime(fp.phi, omega, v)) == _bits(want)
 
 
@@ -626,21 +652,23 @@ def test_l_prime_rows_flags_failing_rows_and_keeps_the_others(domain):
     c = cheb.chebfromroots([x0 / domain.half_width for x0 in scan])
     X[3, :c.size] = X[3, n:n + c.size] = c
     X[3, c.size:n] = X[3, n + c.size:] = 0.0
-    # identity images: each row lands as gamma_normalize puts it
-    Y, errors = land_rows(X, row_norms(X), domain)
+    H = _mode_rows(X)
+    # identity images: each row lands as gamma_normalize puts mode 1
+    Y, errors = land_rows(H, row_norms(H), domain)
     assert isinstance(errors[1], DegenerateScalingError)
     assert isinstance(errors[3], DegeneratePointError)
     for j in (1, 3):
         assert not np.any(Y[j])
     for j in (0, 2, 4):
         assert errors[j] is None
-        _, want = _normalized(PairFn.from_coeff_vector(domain, X[j]))
-        assert Y[j].tobytes() == want.coeff_vector().tobytes()
+        _, want = gamma_normalize(PairFn.from_coeff_vector(domain,
+                                                           X[j]).embed(1))
+        assert Y[j].tobytes() == want.modes[1].tobytes()
     with pytest.raises(DegeneratePointError):
         _normalized(PairFn.from_coeff_vector(domain, X[3]))
     # images numerically zero under a scaled matrix, though large enough
     # for the section scan to place them: the scaling error wins
-    Z = 1e4 * X[[0, 2]]
+    Z = 1e4 * H[[0, 2]]
     W = 1e-15 * Z
     _, sec_errors = section_gammas(W, domain)
     assert sec_errors == [None, None]
@@ -657,6 +685,7 @@ def test_section_gammas_of_a_block_is_the_per_row_result_bit_for_bit(domain):
     # u = v = T_1(x / L) vanishes at x0 = 0: the scan moves on for row 6
     X[6] = 0.0
     X[6, 1] = X[6, n + 1] = 1.0
+    X = _mode_rows(X)
     for section in (SectionConfig(), SectionConfig(theta0=0.25, x0=0.3)):
         gamma0, errors = section_gammas(X, domain, section)
         for j in range(X.shape[0]):
@@ -669,7 +698,8 @@ def test_section_gammas_of_a_block_is_the_per_row_result_bit_for_bit(domain):
 def test_section_gammas_read_theta0_modulo_one(domain):
     # the section is periodic in theta0; unreduced, 1e300 would swallow the
     # arctan term and 7.25 would round it differently from 0.25
-    X = np.random.default_rng(5).standard_normal((6, 2 * domain.n_cheb))
+    X = _mode_rows(np.random.default_rng(5).standard_normal(
+        (6, 2 * domain.n_cheb)))
     for theta0, reduced in ((7.25, 0.25), (1e300, 0.0)):
         want, _ = section_gammas(X, domain, SectionConfig(theta0=reduced))
         got, _ = section_gammas(X, domain, SectionConfig(theta0=theta0))
