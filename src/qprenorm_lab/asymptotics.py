@@ -35,8 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateScalingError, TruncationError
-from .funcspace import (DomainConfig, pair_sup_norm, project_p0, project_pik,
-                        shift_tgamma, sup_norm)
+from .funcspace import (DomainConfig, QPFn, pair_sup_norm, project_p0,
+                        project_pik, shift_tgamma, sup_norm)
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_T,
                        dt_columns, gamma_normalize, l_prime_rows,
                        require_diophantine, row_norms, section_gammas)
@@ -456,20 +456,19 @@ def flm_eta_family(eta, domain=DomainConfig()):
     return flm_family(g=g, domain=domain, name=f"flm_eta{eta:g}")
 
 
-def component_chains(omega0, v01, v02, n_max):
-    """The two-mode chain (v_{k,1}, v_{k,2}) for k = 0..n_max.
+def component_chains(omega0, v0, n_max):
+    """The (n_max + 1, 2, n_cheb) stack of the mode-1 and mode-2 rows
+    h = u - i v of the chain v_0..v_n_max from v0, a QPFn with no other mode.
 
     DT at the fixed point is block-diagonal in the Fourier mode, so one
-    curvedyn._dt_walk of v01.embed(1) + v02.embed(2) at Phi along the
-    omega-doubling sequence carries both components, read back with
-    project_pik. Returns the two lists. The chain stays off the section:
-    the shift commutes with each mode block, so callers that compare
-    directions shift the vectors they compare.
+    curvedyn._dt_walk of v0 at Phi along the omega-doubling sequence
+    carries both components. The chain stays off the section: the shift
+    commutes with each mode block, so callers that compare directions
+    shift the vectors they compare.
     """
-    fp = feigenbaum_fixed_point(v01.u.domain)
-    vs, _ = _dt_walk([fp.phi] * n_max, omega0, v01.embed(1) + v02.embed(2))
-    return ([v01] + [project_pik(v, 1) for v in vs[1:]],
-            [v02] + [project_pik(v, 2) for v in vs[1:]])
+    phi = feigenbaum_fixed_point(v0.domain).phi
+    vs, _ = _dt_walk([phi] * n_max, omega0, v0)
+    return np.array([v.modes[1:3] for v in vs])
 
 
 @dataclass
@@ -501,7 +500,7 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     levels (of a tie in size, the eta given last: `judged_eta`). Deviations
     stay keyed by the signed eta. Each level's one shift to the section
     serves every direction compared there, as they share their mode-1 part.
-    Every family lives on `domain`.
+    Every family lives on `domain`; n_fourier < 2 raises TruncationError.
     Without two different nonzero sizes |eta| (a zero eta deviates by
     nothing, one size scales by 1), or with n_max < 3, it raises ValueError.
     """
@@ -512,6 +511,9 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
     if not by_size or abs(by_size[0]) in (0.0, abs(by_size[-1])):
         raise ValueError("observation 3 needs nonzero etas of at least two "
                          f"different sizes |eta|, got {tuple(etas)}")
+    if domain.n_fourier < 2:
+        raise TruncationError(f"observation 3 compares mode 2, which "
+                              f"n_fourier = {domain.n_fourier} does not hold")
     e1, e2 = by_size[0], by_size[-1]
     all_etas = (0.0,) + tuple(etas)
     fams = [flm_eta_family(eta, domain) for eta in all_etas]
@@ -520,33 +522,38 @@ def observation3(omega0, etas=(1e-3, 1e-2), n_max=10,
                                 "fixed-point"))}
     base = dict(tables[0.0].entries)
 
-    deviations, sup_dev = {}, {}
-    for eta in etas:
-        cur = dict(tables[eta].entries)
-        deviations[eta] = {n: abs(cur[n] - base[n]) for n in base}
-        sup_dev[eta] = max(deviations[eta].values())
+    deviations = {eta: {n: abs(q - base[n]) for n, q in tables[eta].entries}
+                  for eta in etas}
+    sup_dev = {eta: max(dev.values()) for eta, dev in deviations.items()}
     scale = (sup_dev[e2] / sup_dev[e1]) / abs(e2 / e1)
 
-    # component bookkeeping at unit eta; everything is linear in v02
+    # component bookkeeping at unit eta; everything is linear in mode 2
     fam1 = flm_eta_family(1.0, domain)
-    v0 = fam1.dv_deps(stable_manifold_param(fam1))
-    v01, v02 = project_pik(v0, 1), project_pik(v0, 2)
-    chain1, chain2 = component_chains(omega0, v01, v02, n_max - 1)
-    # ||v_{n,2}||/||v_{n,1}|| <= C eta by linearity
-    C = max(c2.sup_norm() / c1.sup_norm() for c1, c2 in zip(chain1, chain2))
+    v0 = QPFn.zero(domain)
+    v0.modes[1:3] = fam1.dv_deps(stable_manifold_param(fam1)).modes[1:3]
+    H = component_chains(omega0, v0, n_max - 1)
+    n1, n2 = pair_sup_norm(domain, H).T
+    C = float(np.max(n2 / n1))      # ||v_{n,2}|| <= C eta ||v_{n,1}||
 
     # the shift reads the mode-1 row, which every eta's vector shares
-    shifts = [gamma_normalize(c1.embed(1), section) for c1 in chain1]
-    v1_hats = [_unit_direction(v1, n) for n, (_, v1) in enumerate(shifts)]
+    gammas, errors = section_gammas(H[:, 0], domain, section)
+    if any(errors):
+        raise next(e for e in errors if e is not None)
+
+    def unit_on_section(n, eta):    # mode 2 scaled by eta, then shifted
+        v = QPFn.zero(domain)
+        v.modes[1], v.modes[2] = H[n, 0], H[n, 1] * eta
+        return _unit_direction(shift_tgamma(v, gammas[n]), n)
+
+    v1_hats = [unit_on_section(n, 0.0) for n in range(len(H))]
     bound_margins, fold = {}, 0.0
     for eta in etas:
         if C * abs(eta) >= 1.0:
             fold = np.inf
             continue
         allowed = 2.0 * C * abs(eta) / (1.0 - C * abs(eta))
-        worst = max(sup_norm(_unit_direction(shift_tgamma(
-            c1.embed(1) + (c2 * eta).embed(2), g), n) - v1_hats[n])
-            for n, (c1, c2, (g, _)) in enumerate(zip(chain1, chain2, shifts)))
+        worst = max(sup_norm(unit_on_section(n, eta) - v1_hats[n])
+                    for n in range(len(H)))
         bound_margins[eta] = (worst, allowed)
         fold = max(fold, worst / allowed)
 
@@ -582,7 +589,7 @@ class H3Report(_Verdict):
 def _on_section(v, section):
     """t_gamma v on the section; v itself when its mode-1 part is zero to
     rounding (the shift is then undefined and v has no direction to fix)."""
-    if project_pik(v, 1).coeff_norm() <= 1e-12 * max(1.0, v.coeff_norm()):
+    if row_norms(v.modes[1]) <= 1e-12 * max(1.0, v.coeff_norm()):
         return v
     return gamma_normalize(v, section)[1]
 
@@ -646,12 +653,11 @@ def _mode_rows(X):
 
 
 def _dominant_direction(psi, omega, section=SectionConfig()):
-    """Unit row (u, v) on the section spanning the leading invariant plane.
+    """Unit row h on the section spanning the leading invariant plane.
 
     The 2n x 2n L_omega is the realification of the complex n x n block
     C = L1 + e^(2 pi i omega) L2 on h = u - i v, so the leading eigenvector
-    w of C is the row h = w, the pair (Re w, -Im w). C is dt_columns of
-    the identity block."""
+    of C is the row h. C is dt_columns of the identity block."""
     n = psi.domain.n_cheb
     C = dt_columns(psi, np.eye(n, dtype=complex),
                    np.exp(2j * np.pi * float(omega)))
@@ -660,7 +666,7 @@ def _dominant_direction(psi, omega, section=SectionConfig()):
                                   psi.domain, section)
     if errors[0] is not None:
         raise errors[0]
-    return np.concatenate([P[0].real, -P[0].imag])
+    return P[0]
 
 
 @dataclass
@@ -682,16 +688,16 @@ H4_MULTI_N = 8        # steps of the multi-step fit
 H4_BLOCK = 8          # grid omegas stepped as one block
 
 
-def _h4_samples(e0_vec, n_pairs, rng, domain, section):
-    """Up to 2 n_pairs unit rows h on the section within H4_RADIUS of e0_vec.
+def _h4_samples(e0, n_pairs, rng, domain, section):
+    """Up to 2 n_pairs unit rows h on the section within H4_RADIUS of e0.
 
     Candidates are drawn one at a time as (u, v) rows (a normal vector,
     then a uniform radius) and accepted in draw order, at most 20 n_pairs
     of them; the section of a batch of candidates is decided by one call,
     and a batch holds as many candidates as rows are still missing, so the
     accepted rows are those of a one-candidate-at-a-time loop."""
+    e0_vec = np.concatenate([e0.real, -e0.imag])
     radius, dim = H4_RADIUS, e0_vec.size
-    e0 = _mode_rows(e0_vec)
     samples, attempts = [], 0
     while len(samples) < 2 * n_pairs and attempts < 20 * n_pairs:
         C = np.empty((min(2 * n_pairs - len(samples),
@@ -740,13 +746,8 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
         psi = feigenbaum_fixed_point(DomainConfig()).phi
     dom = psi.domain
     # the dominant direction needs the value of golden, not its certificate
-    e0_vec = _dominant_direction(psi, RotationNumber.golden(q_max=0),
-                                 section)
-    e0 = _mode_rows(e0_vec)
-
-    radius = H4_RADIUS
-    X = _h4_samples(e0_vec, n_pairs, np.random.default_rng(seed), dom,
-                    section)
+    e0 = _dominant_direction(psi, RotationNumber.golden(q_max=0), section)
+    X = _h4_samples(e0, n_pairs, np.random.default_rng(seed), dom, section)
     n_sampled = len(X)
     n_used = 2 * (n_sampled // 2)
     X = X[:n_used]
@@ -774,7 +775,7 @@ def check_H4(psi=None, n_pairs=100, seed=7, section=SectionConfig()):
         pair_ok = ok[:, 0::2] & ok[:, 1::2]           # (omega, pair)
         skipped += int(np.sum(~pair_ok))
         v_violations += int(np.sum(
-            (row_norms(F - e0) > radius)[np.repeat(pair_ok, 2, axis=1)]))
+            (row_norms(F - e0) > H4_RADIUS)[np.repeat(pair_ok, 2, axis=1)]))
         use = pair_ok & ~(den_l2 < 1e-14)
         num = (F[:, 0::2] - F[:, 1::2])[use]
         ratios = np.zeros(use.shape)
@@ -827,7 +828,7 @@ class H5Report(_Verdict):
 def check_H5(omega0, v01, v02, n_max=12):
     """Band stability of the two-mode norm ratio.
 
-    The ratios are read off component_chains, which leaves the chain off
+    The ratios are one pair_sup_norm of the rows of component_chains, off
     the section (norms are shift-invariant). Reports empirical band
     constants C1 = min, C2 = max of
     (||v_{n,2}||/||v_{n,1}||) / (||v_{0,2}||/||v_{0,1}||) for n = 1..n_max,
@@ -850,14 +851,13 @@ def check_H5(omega0, v01, v02, n_max=12):
     if v01.domain.n_fourier < 2:
         raise TruncationError(f"H5 walks mode 2, which n_fourier = "
                               f"{v01.domain.n_fourier} does not hold")
-    chain1, chain2 = component_chains(omega0, v01, v02, n_max)
-    r0 = v02.sup_norm() / v01.sup_norm()
-    ratios = [(c2.sup_norm() / c1.sup_norm()) / r0
-              for c1, c2 in zip(chain1[1:], chain2[1:])]
+    norms = pair_sup_norm(v01.domain, component_chains(
+        omega0, v01.embed(1) + v02.embed(2), n_max))
+    r0 = norms[0, 1] / norms[0, 0]
+    ratios = norms[1:, 1] / norms[1:, 0] / r0
     c1, c2 = float(np.min(ratios)), float(np.max(ratios))
     # c2 is bounded by the largest float: report.json cannot hold inf
-    return H5Report(c1=c1, c2=c2, ratios=[float(r) for r in ratios],
-                    r0=float(r0),
+    return H5Report(c1=c1, c2=c2, ratios=ratios.tolist(), r0=float(r0),
                     clauses=[Clause("c1", c1, 0.0, c1 > 0),
                              Clause("c2", c2, float(np.finfo(float).max),
                                     bool(np.isfinite(c2)))])
@@ -873,10 +873,10 @@ def _family_H5(c, omega0, n_max):
     most 1e-12 of dv/deps (coefficient norms) is rounding noise, not a
     start, and raises DegenerateScalingError."""
     v0 = c.dv_deps(stable_manifold_param(c))
-    p0 = project_pik(v0, 1)
-    if p0.coeff_norm() <= 1e-12 * v0.coeff_norm():
+    p0, norm1 = project_pik(v0, 1), row_norms(v0.modes[1])
+    if norm1 <= 1e-12 * v0.coeff_norm():
         raise DegenerateScalingError(
-            f"H5 starts from the mode-1 part of dv/deps, {p0.coeff_norm():.3g}"
+            f"H5 starts from the mode-1 part of dv/deps, {norm1:.3g}"
             f" against {v0.coeff_norm():.3g} for all of it: the family's "
             "coupling has no mode-1 part")
     return check_H5(omega0, p0, p0, n_max=min(n_max, H5_MAX_N))

@@ -21,6 +21,7 @@ from qprenorm_lab import (
     EquivalenceFit,
     H4Report,
     PairFn,
+    QPFn,
     RotationNumber,
     apply_DT,
     apply_L_prime,
@@ -52,6 +53,7 @@ from qprenorm_lab import (
 )
 from qprenorm_lab.cli import parse_forcing
 from qprenorm_lab import asymptotics, curvedyn, qprenorm
+from qprenorm_lab.funcspace import pair_sup_norm
 from qprenorm_lab.errors import (ConsistencyError, DegeneratePointError,
                                  DegenerateScalingError, DiophantineError,
                                  NoSectionError, SearchError, TruncationError)
@@ -306,25 +308,29 @@ def test_observation3_deviations_are_those_of_the_superposed_dg1_values(
 
 
 def _obs3_bound_reference(omega0, etas, n_max):
-    """bound_C and bound_margins with every superposed vector, and each
-    mode-1 direction, put on the section by gamma_normalize of its own."""
+    """bound_C and bound_margins from the stacked rows of component_chains,
+    with every superposed vector, and each mode-1 direction, put on the
+    section by gamma_normalize of its own."""
     fam1 = flm_eta_family(1.0)
     v0 = fam1.dv_deps(stable_manifold_param(fam1))
-    chain1, chain2 = asymptotics.component_chains(
-        omega0, project_pik(v0, 1), project_pik(v0, 2), n_max - 1)
-    C = max(c2.sup_norm() / c1.sup_norm() for c1, c2 in zip(chain1, chain2))
+    H = asymptotics.component_chains(
+        omega0, project_pik(v0, 1).embed(1) + project_pik(v0, 2).embed(2),
+        n_max - 1)
+    norms = pair_sup_norm(v0.domain, H)
+    C = max(n2 / n1 for n1, n2 in norms)
 
-    def unit_on_section(v):
+    def unit_on_section(h1, h2):
+        v = QPFn.zero(v0.domain)
+        v.modes[1], v.modes[2] = h1, h2
         w = gamma_normalize(v)[1]
         return w * (1.0 / sup_norm(w))
 
     margins = {}
     for eta in etas:
         allowed = 2.0 * C * abs(eta) / (1.0 - C * abs(eta))
-        margins[eta] = (max(sup_norm(
-            unit_on_section(c1.embed(1) + (c2 * eta).embed(2))
-            - unit_on_section(c1.embed(1)))
-            for c1, c2 in zip(chain1, chain2)), allowed)
+        margins[eta] = (max(sup_norm(unit_on_section(h1, h2 * eta)
+                                     - unit_on_section(h1, 0.0))
+                            for h1, h2 in H), allowed)
     return C, margins
 
 
@@ -333,17 +339,18 @@ def _obs3_bound_reference(omega0, etas, n_max):
 def test_observation3_shifts_each_level_once_for_every_eta(golden,
                                                            monkeypatch,
                                                            etas):
-    # a superposed vector's mode-1 row is its level's mode-1 row, so the
-    # level's one shift gives the bits of shifting each vector on its own
+    # a superposed vector's mode-1 row is its level's mode-1 row, so one
+    # section call on the mode-1 rows gives the bits of shifting each
+    # vector on its own
     calls = collections.Counter()
-    normalize = asymptotics.gamma_normalize
+    section_gammas = asymptotics.section_gammas
 
-    def counted(v, section):
-        calls["gamma_normalize"] += 1
-        return normalize(v, section)
-    monkeypatch.setattr(asymptotics, "gamma_normalize", counted)
+    def counted(H, domain, section):
+        calls[H.shape] += 1
+        return section_gammas(H, domain, section)
+    monkeypatch.setattr(asymptotics, "section_gammas", counted)
     rep = observation3(golden, etas=etas, n_max=6)
-    assert calls["gamma_normalize"] == 6
+    assert calls == {(6, DomainConfig().n_cheb): 1}
     C, margins = _obs3_bound_reference(golden, etas, 6)
     assert rep.bound_C == C
     assert rep.bound_margins == margins
@@ -385,6 +392,21 @@ def test_observation3_needs_two_different_sizes(golden, etas):
     # with one size |eta| the scale test reads 1 by construction
     with pytest.raises(ValueError, match=re.escape(OBS3_ETAS_RULE)):
         observation3(golden, etas=etas, n_max=4)
+
+
+def test_observation3_refuses_a_domain_without_mode_2(golden, monkeypatch):
+    # the bound compares mode 2 with mode 1; on one Fourier mode the run
+    # is refused before any slope table is built
+    calls = collections.Counter()
+    slope_tables = asymptotics._slope_tables
+
+    def counted(*args):
+        calls["_slope_tables"] += 1
+        return slope_tables(*args)
+    monkeypatch.setattr(asymptotics, "_slope_tables", counted)
+    with pytest.raises(TruncationError, match="n_fourier = 1"):
+        observation3(golden, n_max=4, domain=DomainConfig(n_fourier=1))
+    assert calls["_slope_tables"] == 0
 
 
 def test_observation3_names_the_nonequivalence_arm_that_decided(
@@ -731,8 +753,9 @@ def test_dominant_direction_is_the_real_eig_direction(fp, golden):
     # eigenvector lands where the 2n x 2n real eig's does, and its leading
     # modulus is the assembled block's spectral radius
     phi = fp.phi
-    got = PairFn.from_coeff_vector(
-        phi.domain, asymptotics._dominant_direction(phi, golden))
+    h = asymptotics._dominant_direction(phi, golden)
+    got = PairFn.from_coeff_vector(phi.domain,
+                                   np.concatenate([h.real, -h.imag]))
     lam, vecs = np.linalg.eig(build_L_omega(phi, golden, 1).matrix)
     want = gamma_normalize(PairFn.from_coeff_vector(
         phi.domain, np.real(vecs[:, np.argmax(np.abs(lam))])).embed(1))[1]
@@ -878,6 +901,32 @@ def test_h5_rejects_start_vectors_on_two_domains(flm, golden):
     assert "n_cheb=40" in str(err.value) and "n_cheb=48" in str(err.value)
 
 
+@pytest.mark.parametrize("omega", [RotationNumber.golden(), NOBLE],
+                         ids=["golden", "noble"])
+@pytest.mark.parametrize("start", ["p0-p0", "p0-2p0", "eta-modes"])
+def test_h5_has_the_bits_of_the_per_level_pair_reads(flm, omega, start):
+    # one pair_sup_norm of the stacked rows against a PairFn.sup_norm of
+    # each level's project_pik, on one walk of the two-mode start
+    p0 = project_pik(flm.dv_deps(stable_manifold_param(flm)), 1)
+    fam = flm_eta_family(1.0)
+    v = fam.dv_deps(stable_manifold_param(fam))
+    v01, v02 = {"p0-p0": (p0, p0), "p0-2p0": (p0, p0 * 2.0),
+                "eta-modes": (project_pik(v, 1), project_pik(v, 2))}[start]
+    n_max = 10
+    fp = asymptotics.feigenbaum_fixed_point(v01.domain)
+    vs, _ = curvedyn._dt_walk([fp.phi] * n_max, omega,
+                              v01.embed(1) + v02.embed(2))
+    norms = [(project_pik(w, 1).sup_norm(), project_pik(w, 2).sup_norm())
+             for w in vs]
+    r0 = norms[0][1] / norms[0][0]
+    ratios = [(n2 / n1) / r0 for n1, n2 in norms[1:]]
+    rep = check_H5(omega, v01, v02, n_max=n_max)
+    assert np.array([rep.r0]).tobytes() == np.array([r0]).tobytes()
+    assert np.array(rep.ratios).tobytes() == np.array(ratios).tobytes()
+    assert (np.array([rep.c1, rep.c2]).tobytes()
+            == np.array([min(ratios), max(ratios)]).tobytes())
+
+
 def test_h5_refuses_a_domain_without_mode_2(golden):
     # the two-mode walk needs room for mode 2 in the truncated space
     dom = DomainConfig(n_fourier=1)
@@ -907,12 +956,16 @@ def test_component_chains_match_the_per_mode_blocks(omega):
     fam = flm_eta_family(1.0)
     v0 = fam.dv_deps(stable_manifold_param(fam))
     v01, v02 = project_pik(v0, 1), project_pik(v0, 2)
-    got = asymptotics.component_chains(omega, v01, v02, 12)
+    got = asymptotics.component_chains(omega, v01.embed(1) + v02.embed(2),
+                                       12)
     want = _per_mode_chains(omega, v01, v02, 12)
-    for g, w in zip(got, want):
-        assert len(g) == len(w) == 13
-        for a, b in zip(g[1:], w[1:]):
-            assert (a - b).sup_norm() <= 1e-14 * b.sup_norm()
+    assert got.shape == (13, 2, v0.domain.n_cheb)
+    for j, chain in enumerate(want):
+        assert len(chain) == 13
+        b = np.array([w.u.coeffs - 1j * w.v.coeffs for w in chain])
+        assert np.array_equal(got[0, j], b[0])
+        assert np.all(pair_sup_norm(v0.domain, got[1:, j] - b[1:])
+                      <= 1e-14 * pair_sup_norm(v0.domain, b[1:]))
 
 
 def test_two_mode_walks_build_no_L_omega(flm, golden, monkeypatch):

@@ -670,6 +670,8 @@ OBS3_ETAS_RULE = "nonzero etas of at least two different sizes |eta|"
      "[run] eps"),
     ("[domain]\nn_fourier = 1\n", ["conjecture", "--which", "h5"],
      "n_fourier = 1"),
+    ("[domain]\nn_fourier = 1\n", ["observe", "--which", "3"],
+     "n_fourier = 1"),
     ("[run]\ndio_tau = -1\n", ["observe", "--which", "2"],
      "[run] dio_tau must be >= 0"),
     ("[run]\ndio_qmax = -1\n", ["--nmax", "2", "superstable"],
@@ -680,7 +682,8 @@ OBS3_ETAS_RULE = "nonzero etas of at least two different sizes |eta|"
         "observe-3-one-eta", "observe-3-one-size", "h3", "h5", "observe-1",
         "observe-3", "spectrum-mode-k", "slopes-direct-eps-0",
         "slopes-direct-eps-negative", "h5-one-fourier-mode",
-        "dio-tau-negative", "dio-qmax-negative", "direct-nmax-negative"])
+        "observe-3-one-fourier-mode", "dio-tau-negative", "dio-qmax-negative",
+        "direct-nmax-negative"])
 def test_exit_one_on_a_run_too_shallow_or_empty(tmp_path, capsys, ini, argv,
                                                 fragment):
     p = tmp_path / "run.ini"
@@ -950,7 +953,10 @@ def test_thread_cap_env():
 
 @pytest.mark.parametrize("argv", [
     ["conjecture", "--which", "h4"],
-    ["--nmax", "6", "observe", "--which", "2"]], ids=["h4", "observe-2"])
+    ["--nmax", "6", "observe", "--which", "2"],
+    ["observe", "--which", "3"],
+    ["conjecture", "--which", "h5"]], ids=["h4", "observe-2", "observe-3",
+                                          "h5"])
 def test_artifacts_do_not_depend_on_the_thread_count(tmp_path, argv):
     import os, subprocess, sys
     # a run's artifacts do not depend on the size of the BLAS thread pool;

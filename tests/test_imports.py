@@ -13,6 +13,9 @@ apply_DT and the assembled build_L_omega take the mode factors l1_matrix
 and l2_matrix, asymptotics calls no build_L_omega, and dt_columns is
 called by curvedyn._dt_step, qprenorm.l_prime_rows and
 asymptotics._dominant_direction, and nowhere else.
+Mode rows: in asymptotics only _family_H5 names project_pik, only
+_h4_samples calls _mode_rows, and no function takes an attribute
+.sup_norm(), a PairFn read; the chains are read as stored rows.
 
 The package __init__ re-exports names it does not read, and `from
 __future__` imports are directives, so both are exempt.
@@ -245,12 +248,12 @@ def _enclosed(source, hit):
     return found
 
 
-def _apply_calls(source):
+def _attribute_calls(source, attr):
     """(line, enclosing function) of each call of an attribute named
-    apply."""
+    attr."""
     return _enclosed(source, lambda node: (
         isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "apply"))
+        and node.func.attr == attr))
 
 
 def test_the_scan_sees_an_apply_call():
@@ -258,7 +261,8 @@ def test_the_scan_sees_an_apply_call():
               "def walk(op, v):\n    def step(w):\n        return op.apply(w)\n"
               "    return step(v), apply(v), op.applied(v)\n"
               "build(1).apply(2)\n")
-    assert _apply_calls(source) == [(2, "_dt_check"), (5, "step"), (7, None)]
+    assert _attribute_calls(source, "apply") == [(2, "_dt_check"),
+                                                 (5, "step"), (7, None)]
 
 
 @pytest.mark.parametrize("path", SRC,
@@ -266,7 +270,7 @@ def test_the_scan_sees_an_apply_call():
 def test_only_the_dt_check_applies_an_assembled_block(path):
     # every chain steps with curvedyn._dt_step; the assembled L_omega block
     # is the reference that the dt-check compares DT with
-    calls = _apply_calls(path.read_text())
+    calls = _attribute_calls(path.read_text(), "apply")
     if path.name == "cli.py":
         assert [f for _, f in calls] == ["_dt_check"]
     else:
@@ -391,3 +395,39 @@ def test_only_the_chain_bases_know_the_modes():
     # one function returns a level's bases in either mode
     source = (ROOT / "src" / "qprenorm_lab" / "curvedyn.py").read_text()
     assert {f for _, f in _mode_tests(source)} == {"_chain_bases"}
+
+
+def _name_uses(source, name):
+    """(line, enclosing function) of each use of name, bare or as an
+    attribute, called or not."""
+    return _enclosed(source, lambda node: (
+        getattr(node, "id", None) == name
+        or isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def test_the_scan_sees_a_use_of_a_name():
+    source = ("from .funcspace import project_pik\n"
+              "def _family_H5(v):\n    return project_pik(v, 1)\n"
+              "def other(v):\n"
+              "    return map(project_pik, v), funcspace.project_pik\n"
+              "def clean(v):\n    return project_pik_all(v), 'project_pik'\n")
+    assert _name_uses(source, "project_pik") == [(3, "_family_H5"),
+                                                 (5, "other"), (5, "other")]
+
+
+def test_the_scan_sees_a_pair_read():
+    source = ("def old(c1, c2):\n    return c2.sup_norm() / c1.sup_norm()\n"
+              "def new(dom, H, v):\n"
+              "    return pair_sup_norm(dom, H), sup_norm(v), f.sup_norm\n")
+    assert _attribute_calls(source, "sup_norm") == [(2, "old"), (2, "old")]
+
+
+def test_asymptotics_reads_mode_data_as_stored_rows():
+    # the (u, v) layout is left at check_H5's public arguments, which
+    # _family_H5 projects, and at H4's draw; every norm of a chain is a
+    # pair_sup_norm of its stored rows h = u - i v, not a PairFn read
+    source = (ROOT / "src" / "qprenorm_lab" / "asymptotics.py").read_text()
+    assert {f for _, f in _name_uses(source, "project_pik")} == {"_family_H5"}
+    assert [f for _, f in _name_calls(source, "_mode_rows")] == [
+        "_h4_samples"]
+    assert _attribute_calls(source, "sup_norm") == []
