@@ -35,14 +35,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateScalingError, TruncationError
-from .funcspace import (DomainConfig, QPFn, pair_sup_norm, project_p0,
-                        project_pik, shift_tgamma, sup_norm)
+from .funcspace import (AnalyticFn, DomainConfig, QPFn, pair_sup_norm,
+                        project_p0, project_pik, shift_tgamma, sup_norm)
 from .qprenorm import (RotationNumber, SectionConfig, apply_DT, apply_T,
                        dt_columns, gamma_normalize, l_prime_rows,
                        require_diophantine, row_norms, section_gammas)
 from .renorm1d import (FamilySpec, feigenbaum_fixed_point,
                        stable_manifold_param, superstable_params)
-from .curvedyn import (DG1_hat, _chain_slopes, _dr_walk, _dt_walk,
+from .curvedyn import (DG1_hat, _dr_walk, _dt_walk, _pass_slopes,
                        _slope_pass, flm_family, functional_K, slope_formula)
 
 
@@ -180,12 +180,13 @@ def slope_table(family, omega0, n_max, mode="fixed-point"):
 
 def _slope_tables(families, omega0, levels, mode):
     """The slopes of each family at the levels n in levels, from one pass
-    over them (curvedyn._slope_pass): families that share a slice record
-    walk each level once, and each table has the bits it has alone."""
+    over them read in one batch (curvedyn._pass_slopes): families that
+    share a slice record walk each level once, and each table has the bits
+    it has alone."""
     tables = [{} for _ in families]
-    for n, chains in _slope_pass(families, [(n, (omega0,)) for n in levels],
-                                 mode):
-        for table, pair in zip(tables, _chain_slopes(chains)):
+    for n, slopes in _pass_slopes(families, [(n, (omega0,)) for n in levels],
+                                  mode):
+        for table, pair in zip(tables, slopes):
             table[n] = pair
     return tables
 
@@ -222,14 +223,13 @@ def mixed_quotient_sequence(family, omega0, n_max, mode="fixed-point"):
     Returns the sequence with the slope tables of omega0 (levels 1..n_max)
     and of 2 omega0 (levels 1..n_max-1). A level's bases do not depend on
     the rotation number, so each level below n_max walks them once for
-    both (curvedyn._slope_pass).
+    both, and all slopes are read in one batch (curvedyn._pass_slopes).
     """
     omega2 = omega0.double()
     levels = [(n, (omega0, omega2) if n < n_max else (omega0,))
               for n in range(1, n_max + 1)]
     tab1, tab2 = {}, {}
-    for n, chains in _slope_pass([family], levels, mode):
-        slopes = _chain_slopes(chains)
+    for n, slopes in _pass_slopes([family], levels, mode):
         tab1[n] = slopes[0]
         if n < n_max:
             tab2[n] = slopes[1]
@@ -335,11 +335,15 @@ def renormalized_family(family, omega, n):
     # operator data
     psi0 = lru_cache(maxsize=1)(family.psi0)
 
+    def du_dalpha(a):
+        du = family.du_dalpha(a)
+        return AnalyticFn(_dr_walk([psi0(a)], du.coeffs), du.domain)
+
     fam = FamilySpec(
         name=family.name + "_T",
         evaluator=lambda a, e: apply_T(family.evaluator(a, e), omega),
         slice0=lambda a: project_p0(apply_T(psi0(a).embed(), omega)),
-        du_dalpha=lambda a: _dr_walk([psi0(a)], family.du_dalpha(a)),
+        du_dalpha=du_dalpha,
         dv_deps=lambda a: apply_DT(psi0(a), omega, family.dv_deps(a)),
         alpha_box=family.alpha_box)
     fam._cache["superstable"] = [
@@ -467,8 +471,8 @@ def component_chains(omega0, v0, n_max):
     shift the vectors they compare.
     """
     phi = feigenbaum_fixed_point(v0.domain).phi
-    vs, _ = _dt_walk([phi] * n_max, omega0, v0)
-    return np.array([v.modes[1:3] for v in vs])
+    Vs, _ = _dt_walk([phi] * n_max, [omega0], v0.modes[None])
+    return np.array([V[0, 1:3] for V in Vs])
 
 
 @dataclass
@@ -912,8 +916,8 @@ def quotient_factorization(family, omega0, n):
     if n < 2:
         raise ValueError("the decomposition needs n >= 2")
     # one pass: alpha* is one, so both chains start from one v_0
-    (_, (ch_n,)), (_, (ch_m,)) = _slope_pass(
-        [family], [(n, (omega0,)), (n - 1, (omega0,))], "fixed-point")
+    (_, (ch_m,)), (_, (ch_n,)) = _slope_pass(
+        [family], [(n - 1, (omega0,)), (n, (omega0,))], "fixed-point")
 
     L_n = DG1_hat(ch_n.psi_end, ch_n.u_end)
     L_m = DG1_hat(ch_m.psi_end, ch_m.u_end)

@@ -29,6 +29,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields as dataclass_fields
+from functools import lru_cache
 
 import re
 
@@ -675,7 +676,10 @@ def run(cfg, command, which=None):
     return 0 if passed else 2
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
+    """The argument parser, built once per process: parsing does not
+    change it."""
     p = argparse.ArgumentParser(
         prog="qprenorm-lab",
         description="Quasi-periodic doubling renormalization laboratory.")

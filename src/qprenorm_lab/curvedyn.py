@@ -28,13 +28,15 @@ import numpy as np
 
 from .errors import (BasinError, ConsistencyError, DegeneratePointError,
                      DegenerateScalingError, DomainError, EscapeError,
-                     ExistenceError, NoConvergenceError, SearchError)
+                     ExistenceError, NoConvergenceError, QPRenormError,
+                     SearchError)
 from .funcspace import (INTERVAL_SLACK, AnalyticFn, DomainConfig, QPFn,
                         _clenshaw_scalar, _eval_folded, _fold, _fold_degree,
-                        _grid_phases, _phases, _tables, project_p0)
+                        _grid_phases, _mat_rows, _phases, _tables,
+                        project_p0)
 from .qprenorm import RotationNumber, dt_columns
-from .renorm1d import (FamilySpec, UnimodalMap, _brentq, dr_matrix,
-                       feigenbaum_fixed_point, renormalize_1d,
+from .renorm1d import (FamilySpec, MapStack, UnimodalMap, _brentq,
+                       _scaling_error, dr_matrix, feigenbaum_fixed_point,
                        stable_manifold_param, superstable_params,
                        unstable_manifold_points)
 
@@ -414,30 +416,40 @@ def DG1(psi, omega, v):
         DG1 v(theta) = psi'(1) [d_x v(theta, 0) + psi''(0) dx(theta)].
     Both are trigonometric polynomials of degree K (_dg1_samples).
     """
-    return _dg1_samples(_sigma1_constants(psi), omega, v)[0]
+    return _dg1_one(_sigma1_constants(psi), omega, v)[0][0]
 
 
-def _dg1_samples(consts, omega, v):
-    """DG1 v on the M_GRID-point grid and its half spectrum s_0..s_K, at a
-    map with the Sigma_1 constants consts = (psi'(1), psi''(0)).
+def _dg1_one(consts, omega, v):
+    """_dg1_samples of the one direction v at omega."""
+    return _dg1_samples(np.array([consts]), np.array([float(omega)]),
+                        v.modes[None], v.domain)
+
+
+def _dg1_samples(consts, w, modes, domain):
+    """DG1 v on the M_GRID-point grid and its half spectrum s_0..s_K, an
+    (S, M_GRID) and an (S, K+1) array, for S directions v: modes holds
+    their stored rows (S, K+1, n_cheb), w their omegas as floats and
+    consts (S, 2) the Sigma_1 constants (psi'(1), psi''(0)) of their maps.
 
     DG1 v(theta) = Re sum_k s_k exp(2 pi i k theta). Three Chebyshev rows
     read each mode at x = 0 and 1 and its x-derivative at 0, the shifts by
     omega and 2 omega are the phase factors exp(-2 pi i k omega) and
     exp(-4 pi i k omega), and one product with the grid's phase table
-    samples the sum.
+    samples the sum. Each direction takes its own products, so it gets the
+    bits it gets alone.
     """
-    c1, c2 = consts
-    at0, at1, dx0 = (v.modes @ _tables(v.domain).at).T
-    w = float(omega)
-    dx = c1 * at0 * _phases(-2 * w, v.K)[0] + at1 * _phases(-w, v.K)[0]
+    c1, c2 = consts.T[:, :, None]
+    at0, at1, dx0 = np.moveaxis(modes @ _tables(domain).at, -1, 0)
+    K = modes.shape[-2] - 1
+    dx = c1 * at0 * _phases(-2 * w, K) + at1 * _phases(-w, K)
     spec = c1 * (dx0 + c2 * dx)
-    return (_grid_phases(M_GRID, v.K) @ spec).real, spec
+    return _mat_rows(_grid_phases(M_GRID, K), spec).real, spec
 
 
 def functional_K(omega, psi, v):
     """K(omega, f, v) = m(DG1(omega, f) v), refined on DG1's half spectrum."""
-    return _spectral_min(*_dg1_samples(_sigma1_constants(psi), omega, v)).value
+    return float(_spectral_min(
+        *_dg1_one(_sigma1_constants(psi), omega, v))[0][0])
 
 
 # ------------------------------------------------------------------ extrema
@@ -457,73 +469,93 @@ def extremum_m(vals):
     spec = np.fft.rfft(vals)
     spec[1:(M + 1) // 2] *= 2.0
     spec /= M
-    return _spectral_min(vals, spec)
+    value, theta, flat = _spectral_min(vals[None], spec[None])
+    return ExtremumResult(value=float(value[0]), theta=float(theta[0]),
+                          degenerate=bool(flat[0]))
 
 
 def _spectral_min(vals, spec):
     """min over the circle of g(theta) = Re sum_k spec_k exp(2 pi i k theta)
-    from its samples vals on the uniform M-point grid: grid local minima,
-    three-point quadratic step, then Newton on the half spectrum. A minimum
-    is flat when its second difference is at most 1e-10 max |vals| (all-zero
-    values are flat); flat minima are flagged and returned at grid accuracy.
+    for each row of spec (R, J), from its samples, the row of vals (R, M)
+    on the uniform M-point grid: grid local minima, three-point quadratic
+    step, then Newton on the half spectrum. Returns the arrays (value,
+    theta, degenerate) of the R minima. A minimum is flat when its second
+    difference is at most 1e-10 max |vals| (all-zero values are flat);
+    flat minima are flagged and returned at grid accuracy.
 
     A true minimum lies within half a grid step of a grid point, so the
     grid misses it by at most max |g''| / (8 M^2), and max |g''| is at most
     sum 4 pi^2 k^2 |spec_k|. Every grid local minimum within that bound of
     the grid minimum is refined and the least refined value is returned;
     with one such basin, the grid argmin is the only one refined. One
-    exponential per Newton step gives g1 and g2, over the spec.size terms:
-    K + 1 for DG1's spectrum, M / 2 + 1 for extremum_m's."""
-    M = vals.size
-    i = int(np.argmin(vals))
-    ik = 2j * np.pi * np.arange(spec.size)
+    exponential per Newton step gives g1 and g2, over the J terms: K + 1
+    for DG1's spectrum, M / 2 + 1 for extremum_m's.
+
+    The basins of all rows are refined as one stack (_refine_min), so a
+    row gets the bits it gets alone.
+    """
+    R, M = vals.shape
+    ik = 2j * np.pi * np.arange(spec.shape[-1])
     spec2 = ik * ik * spec
-    bound = float(np.sum(np.abs(spec2))) / (8 * M * M)
-    near = np.flatnonzero(vals <= vals[i] + bound).tolist()
-    basins = [i] + [j for j in near
-                    if j != i and vals[j - 1] > vals[j] <= vals[(j + 1) % M]]
-    refined = [_refine_min(vals, j, spec, ik, spec2) for j in basins]
-    return min(refined, key=lambda r: r.value)
+    bound = np.sum(np.abs(spec2), axis=-1) / (8 * M * M)
+    rows = np.arange(R)
+    i = np.argmin(vals, axis=-1)
+    near = ((vals <= (vals[rows, i] + bound)[:, None])
+            & (np.roll(vals, 1, axis=-1) > vals)
+            & (vals <= np.roll(vals, -1, axis=-1)))
+    near[rows, i] = False
+    # each row's grid argmin, then its other near local minima in grid order
+    more, at = np.nonzero(near)
+    basins = np.concatenate([rows, more])
+    value, theta, flat = _refine_min(vals[basins], np.concatenate([i, at]),
+                                     spec[basins], ik, spec2[basins])
+    best = rows.tolist()
+    for b, r in enumerate(more.tolist(), start=R):
+        if value[b] < value[best[r]]:
+            best[r] = b
+    return value[best], theta[best], flat[best]
 
 
 def _refine_min(vals, i, spec, ik, spec2):
-    """The minimum of the basin of grid point i, as _spectral_min states
-    it."""
-    M = vals.size
-    gm = vals[i]
-    gl, gr = vals[(i - 1) % M], vals[(i + 1) % M]
-    scale = float(np.abs(vals).max())
+    """The minima of the basins of grid points i[b] of the rows vals[b], as
+    _spectral_min states them: (value, theta, degenerate) arrays. The
+    arithmetic is elementwise and each Newton sum runs along the last axis
+    over the basins still stepping, so a basin's bits do not depend on the
+    others."""
+    B, M = vals.shape
+    b = np.arange(B)
+    gm, gl, gr = vals[b, i], vals[b, (i - 1) % M], vals[b, (i + 1) % M]
     d1 = 0.5 * (gr - gl)
     d2 = gr - 2 * gm + gl
-    if abs(d2) <= 1e-10 * scale:
-        return ExtremumResult(value=float(gm), theta=i / M, degenerate=True)
-    # min/max and array methods, not np.clip and np.sum: on DG1's K + 1
-    # terms the wrappers cost as much as the arithmetic
-    off = min(max(float(-d1 / d2), -1.0), 1.0)
-    theta = (i + off) / M
-    value = float(gm - d1 * d1 / (2 * d2))
+    flat = np.abs(d2) <= 1e-10 * np.abs(vals).max(axis=-1)
+    spec12 = np.stack([ik * spec, spec2])
+    # flat basins keep their grid value, and a Newton step with g2 <= 0
+    # is discarded, so their divisions may warn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = (i + np.minimum(np.maximum(-d1 / d2, -1.0), 1.0)) / M
+        value = gm - d1 * d1 / (2 * d2)
 
-    # The quadratic step can overshoot below the true minimum; Newton on the
-    # trigonometric interpolant is the authoritative refinement and the
-    # quadratic value is only a fallback when that iteration goes bad.
-    spec1 = ik * spec
-    th = theta
-    ok = True
-    for _ in range(10):
-        e = np.exp(ik * th)
-        g1 = float((spec1 * e).sum().real)
-        g2 = float((spec2 * e).sum().real)
-        if g2 <= 0 or not np.isfinite(g2):
-            ok = False
-            break
-        step = min(max(-g1 / g2, -1.0 / M), 1.0 / M)
-        th += step
-        if abs(step) < 1e-16:
-            break
-    if ok and abs(th - theta) <= 2.0 / M:
-        refined = float((spec * np.exp(ik * th)).sum().real)
-        return ExtremumResult(value=refined, theta=th % 1.0, degenerate=False)
-    return ExtremumResult(value=value, theta=theta % 1.0, degenerate=False)
+        # The quadratic step can overshoot below the true minimum; Newton
+        # on the trigonometric interpolant is the authoritative refinement
+        # and the quadratic value is only a fallback when that iteration
+        # goes bad.
+        th, ok = theta.copy(), ~flat
+        rows = np.flatnonzero(ok)
+        for _ in range(10):
+            if not rows.size:
+                break
+            g1, g2 = (spec12[:, rows] * np.exp(ik * th[rows, None])).sum(
+                axis=-1).real
+            good = (g2 > 0) & np.isfinite(g2)
+            step = np.minimum(np.maximum(-g1 / g2, -1.0 / M), 1.0 / M)
+            ok[rows[~good]] = False
+            th[rows[good]] += step[good]
+            rows = rows[good & ~(np.abs(step) < 1e-16)]
+    done = ok & (np.abs(th - theta) <= 2.0 / M)
+    value[done] = (spec[done] * np.exp(ik * th[done, None])).sum(axis=-1).real
+    theta = np.where(done, th, theta) % 1.0
+    value[flat], theta[flat] = gm[flat], i[flat] / M
+    return value, theta, flat
 
 
 def extremum_M(vals):
@@ -551,63 +583,108 @@ class ChainResult:
 
 
 def _dr_walk(bases, u):
-    """u pushed by DR at each base in turn: u_(k+1) = DR(bases[k]) u_k."""
+    """u pushed by DR at each base in turn, u_(k+1) = DR(bases[k]) u_k, on
+    coefficients: one row u at maps, or the (S, n_cheb) rows of the S maps
+    of MapStack bases, each pushed by its own DR."""
     for base in bases:
-        u = AnalyticFn(dr_matrix(base) @ u.coeffs, u.domain)
+        u = _mat_rows(dr_matrix(base), u)
     return u
 
 
-def _exact_orbit_start(family, n):
-    """The start of the level-n exact-orbit chain: (alpha_n, maps, u).
+def _sigma1_walks(family, newton):
+    """{n: (c, R^(n-1) c, g') or the level's error} for the levels n of
+    newton, each at its alpha (newton[n][0]): the slice c = c(alpha, 0),
+    the end of the level-n exact orbit and g' = u_(n-1)(1), where u_0 =
+    du_dalpha(alpha) and u_(k+1) = DR(R^k c) u_k, from one depth-major
+    walk of the levels (_Walk)."""
+    walked, levels = {}, []
+    for n, (alpha, _) in newton.items():
+        try:
+            walked[n] = family.psi0(alpha)
+            levels.append(_Level(n, (alpha, family.du_dalpha(alpha),
+                                     [walked[n]])))
+        except QPRenormError as e:
+            walked[n] = e
+    if levels:
+        domain = levels[0].u.domain
+        _Walk(levels, domain, False).advance(max(lv.n for lv in levels) - 1)
+        at1 = _tables(domain).at[:, 1]
+        for lv in levels:
+            walked[lv.n] = lv.error or (walked[lv.n], lv.end,
+                                        float(lv.u_end.coeffs @ at1))
+    return walked
 
-    maps are c(alpha_n, 0) .. R^(n-1) c, the last on Sigma_1, and u is the
-    chain's u_(n-1): du_dalpha(alpha_n) pushed along maps[:-1] by _dr_walk.
+
+def _exact_orbit_starts(family, ns):
+    """{n: (alpha_n, c) or the level's error} for the exact-orbit levels
+    ns: the parameter alpha_n, whose maps c = c(alpha_n, 0) .. R^(n-1) c
+    end on Sigma_1, and the slice c.
+
     The superstable parameter s_n puts R^(n-1) c on Sigma_1 in exact
     arithmetic, but the n-1 renormalizations amplify its rounding by
     delta^(n-1). Newton on g(alpha) = psi(1) of R^(n-1)(c(alpha, 0)) from
     s_n removes that, with g' = u_(n-1)(1) read off the walk itself. It
     stops at |g| <= 1e-13, at the first step that does not lower |g|, or
-    after 24 walks; a zero or non-finite g' raises NoConvergenceError. g
+    after 24 walks; a zero or non-finite g' is a NoConvergenceError. g
     carries the same delta^(n-1) amplification of double rounding, so the
     acceptance threshold below corresponds to a fixed ~1e-13 accuracy in
-    alpha. The accepted walk is returned, so the chain builds no map and
-    no DR matrix again.
+    alpha. The levels not yet polished step together: each Newton step is
+    one depth-major walk of them all, each at its own alpha
+    (_sigma1_walks), with each level's bits, and a level leaves when its
+    Newton stops. The accepted walk's slice is handed to the chain, which
+    walks its level again with the other levels of its pass: a slice can
+    cost as much as a walk (the renormalized family's is one apply_T).
 
     alpha_n is kept on the family's record, once per (family, n): tables,
     checkers and the identity gap rerun the same levels. Only the
     parameter is kept; a kept map would keep its operator data alive. A
-    kept level walks once, at alpha_n.
+    kept level builds its slice and does not walk here.
     """
-    def walk(alpha):
-        maps = [family.psi0(alpha)]
-        for _ in range(n - 1):
-            maps.append(renormalize_1d(maps[-1], check_domain=False))
-        return alpha, maps, _dr_walk(maps[:-1], family.du_dalpha(alpha))
-
     polished = family._cache.setdefault("sigma1", {})
-    if n in polished:
-        return walk(polished[n])
-    alpha, best = float(superstable_params(family, n)[n]), None
+    starts, newton = {}, {}
+    for n in ns:
+        try:
+            if n in polished:
+                starts[n] = polished[n], family.psi0(polished[n])
+            else:
+                newton[n] = float(superstable_params(family, n)[n]), None
+        except QPRenormError as e:
+            starts[n] = e
+
+    def accept(n, best):
+        best_g, alpha, c = best
+        delta = feigenbaum_fixed_point(c.domain).delta_feig
+        if not best_g <= max(1e-12, 1e-13 * delta ** (n - 1)):
+            return NoConvergenceError(f"Sigma_1 polish at n = {n} stalled",
+                                      best_g)
+        polished[n] = alpha
+        return alpha, c
+
     for _ in range(24):
-        start = walk(alpha)
-        _, maps, u = start
-        g = maps[-1].a
-        if best is not None and not abs(g) < best[0]:
+        if not newton:
             break
-        best = (abs(g), start)
-        if abs(g) <= 1e-13:
-            break
-        dg = float(u.coeffs @ _tables(maps[-1].domain).at[:, 1])
-        if dg == 0 or not np.isfinite(dg):
-            raise NoConvergenceError(
-                f"Sigma_1 polish at n = {n}: g' = {dg!r} at alpha = {alpha!r}")
-        alpha -= g / dg
-    best_g, start = best
-    delta = feigenbaum_fixed_point(maps[0].domain).delta_feig
-    if not best_g <= max(1e-12, 1e-13 * delta ** (n - 1)):
-        raise NoConvergenceError(f"Sigma_1 polish at n = {n} stalled", best_g)
-    polished[n] = start[0]
-    return start
+        for n, walked in _sigma1_walks(family, newton).items():
+            alpha, best = newton.pop(n)
+            if isinstance(walked, QPRenormError):
+                starts[n] = walked
+                continue
+            c, end, dg = walked
+            g = end.a
+            if best is not None and not abs(g) < best[0]:
+                starts[n] = accept(n, best)
+                continue
+            best = (abs(g), alpha, c)
+            if abs(g) <= 1e-13:
+                starts[n] = accept(n, best)
+            elif dg == 0 or not np.isfinite(dg):
+                starts[n] = NoConvergenceError(
+                    f"Sigma_1 polish at n = {n}: g' = {dg!r} at alpha = "
+                    f"{alpha!r}")
+            else:
+                newton[n] = alpha - g / dg, best
+    for n, (_, best) in newton.items():
+        starts[n] = accept(n, best)
+    return starts
 
 
 def _project_sigma1(m):
@@ -624,28 +701,44 @@ def _project_sigma1(m):
     return UnimodalMap(AnalyticFn(c, m.domain))
 
 
-def _chain_bases(family, n, mode):
-    """(alpha, bases, end, u_end) of the level-n chain in mode.
+def _chain_bases(family, ns, mode):
+    """{n: (alpha, u_0, maps)} for the levels ns of family's chains in
+    mode, or for a level whose start fails, its error: u_0 =
+    du_dalpha(alpha), and maps the chain's maps known before its walk,
+    base k at depth k for k = 0..n-2, then the end at depth n-1.
 
-    exact-orbit: the bases are R^k(c(alpha_n, 0)) for k = 0..n-2, and the
-    chain ends at R^(n-1)(c(alpha_n, 0)) on Sigma_1, where alpha_n is the
-    polished Sigma_1 parameter (_exact_orbit_start). fixed-point: alpha*,
-    the bases Phi for k <= floor(n/2)-1 and the unstable-manifold points
-    f*_{n-k+1} for the tail, so the last step is taken at f*_2 and the
-    chain ends at f*_1. end is snapped onto Sigma_1 (_project_sigma1).
+    exact-orbit: alpha is alpha_n, the polished Sigma_1 parameter
+    (_exact_orbit_starts), and maps holds c(alpha_n, 0) alone: the pass
+    renormalizes it depth by depth, so base k is R^k c and the chain ends
+    at R^(n-1) c. fixed-point: alpha*, the bases Phi for k <= floor(n/2)-1
+    and the unstable-manifold points f*_{n-k+1} for the tail, so the last
+    step is taken at f*_2, and the end f*_1. The pass snaps the end onto
+    Sigma_1 (_project_sigma1).
     """
     if mode == "exact-orbit":
-        alpha, maps, u = _exact_orbit_start(family, n)
-        return alpha, maps[:-1], _project_sigma1(maps[-1]), u
-    if mode == "fixed-point":
-        alpha = stable_manifold_param(family)
-        u = family.du_dalpha(alpha)
-        fpd = feigenbaum_fixed_point(u.domain)
-        stars = unstable_manifold_points(fpd, max(2, n - max(n // 2, 1) + 1))
-        bases = [fpd.phi if k <= n // 2 - 1 else stars[n - k]
-                 for k in range(1, n)]
-        return alpha, bases, _project_sigma1(stars[0]), _dr_walk(bases, u)
-    raise ValueError(f"unknown mode {mode!r}")
+        polished = _exact_orbit_starts(family, ns)
+    elif mode != "fixed-point":
+        raise ValueError(f"unknown mode {mode!r}")
+    starts = {}
+    for n in ns:
+        try:
+            if mode == "fixed-point":
+                alpha = stable_manifold_param(family)
+                u = family.du_dalpha(alpha)
+                fpd = feigenbaum_fixed_point(u.domain)
+                stars = unstable_manifold_points(
+                    fpd, max(2, n - max(n // 2, 1) + 1))
+                starts[n] = alpha, u, [fpd.phi if k <= n // 2 - 1
+                                       else stars[n - k]
+                                       for k in range(1, n)] + [stars[0]]
+            elif isinstance(polished[n], QPRenormError):
+                starts[n] = polished[n]
+            else:
+                alpha, c = polished[n]
+                starts[n] = alpha, family.du_dalpha(alpha), [c]
+        except QPRenormError as e:  # raised when the pass reaches level n
+            starts[n] = e
+    return starts
 
 
 def slope_chain(family, omega0, n, mode="exact-orbit"):
@@ -662,86 +755,235 @@ def slope_chain(family, omega0, n, mode="exact-orbit"):
     return chain
 
 
-def _dt_step(base, omega, v):
-    """qprenorm.apply_DT(base, omega, v) through the one DT kernel.
+def _dt_step(base, omegas, V):
+    """qprenorm.apply_DT(base, omega, v) for a stack of vectors, through
+    the one DT kernel: V (S, K+1, n_cheb) holds the stored rows h_0..h_K
+    of S vectors, vector s at omegas[s]. base is one map for every vector,
+    or a MapStack whose item s is vector s's base.
 
     Mode 0 gets DR h_0 as there. Modes 1..K are one column block of
-    qprenorm.dt_columns, the stored rows h_1..h_K as its columns, under
-    the phase vector exp(2 pi i k omega). The kernel's real products sum
-    in another order than apply_DT's complex matvecs, so the two agree to
-    rounding, not bit for bit; apply_DT stays the reference.
+    qprenorm.dt_columns per vector, its stored rows h_1..h_K as the
+    columns, under the phase vector exp(2 pi i k omega). Each vector takes
+    its own products, so its bits do not depend on the stack. The
+    kernel's real products sum in another order than apply_DT's complex
+    matvecs, so the two agree to rounding, not bit for bit; apply_DT stays
+    the reference.
     """
-    ph = np.exp(2j * np.pi * np.arange(1, v.K + 1) * float(omega))
-    modes = np.empty_like(v.modes)
-    modes[0] = dr_matrix(base) @ v.modes[0]
-    modes[1:] = dt_columns(base, v.modes[1:].T, ph).T
-    return QPFn(modes, v.domain)
+    w = np.array([float(om) for om in omegas])
+    ph = np.exp(2j * np.pi * np.arange(1, V.shape[1]) * w[:, None])
+    out = np.empty_like(V)
+    out[:, 0] = _mat_rows(dr_matrix(base), V[:, 0])
+    out[:, 1:] = dt_columns(base, V[:, 1:].transpose(0, 2, 1),
+                            ph[:, None]).transpose(0, 2, 1)
+    return out
 
 
-def _dt_walk(bases, omega, v):
-    """(vs, omegas) from (v, omega): at each base, v stepped by DT_omega
-    (_dt_step), then omega doubled. A slope chain's u-walk (_dr_walk) has
-    built its bases' L1, L2 and DR behind the _e_in guard, so its steps
-    only read cached arrays and cannot raise."""
-    vs, omegas = [v], [omega]
+def _dt_walk(bases, omegas, V):
+    """(Vs, Ws): the stack V of vectors at omegas, stepped by DT_omega at
+    each base in turn (_dt_step) with each omega doubled after its step,
+    as the stacks V_0 = V, V_1, ... and their omega lists. The one loop
+    over DT steps: a pass walks its chains one base (one depth) at a
+    time, component_chains its one vector along n_max bases."""
+    Vs, Ws = [V], [list(omegas)]
     for base in bases:
-        vs.append(_dt_step(base, omegas[-1], vs[-1]))
-        omegas.append(omegas[-1].double())
-    return vs, omegas
-
-
-def _record_chains(families, members, omegas0, n, mode, v0):
-    """{i: chains of families[i] at omegas0} at level n for the families
-    in members, which share one record, from one walk over the bases.
-
-    Every (family, omega) gets its own v-chain (_dt_walk), so its chain
-    does not depend on which others share the walk; the chains share u_end
-    and psi_end; v0(i, alpha) gives their v_0. The walk ends with this
-    call, so one walk is alive at a time.
-    """
-    alpha, bases, psi_end, u = _chain_bases(families[members[0]], n, mode)
-    return {i: [ChainResult(u, *_dt_walk(bases, om, v0(i, alpha)), psi_end)
-                for om in omegas0] for i in members}
+        Vs.append(_dt_step(base, Ws[-1], Vs[-1]))
+        Ws.append([om.double() for om in Ws[-1]])
+    return Vs, Ws
 
 
 def _chain_slopes(chains):
     """(alpha'_n, beta'_n) read off the end of each chain: the extrema of
     DG1 v_(n-1) over theta, refined on its half spectrum (_dg1_samples,
     _spectral_min), each divided by -DG1_hat u_(n-1). The chains of one
-    walk share their end, whose Sigma_1 constants and denominator are
-    computed once."""
-    ends, slopes = {}, []
-    for ch in chains:
+    level and record share their end, whose Sigma_1 constants and
+    denominator are computed once. The samples and extrema of all chains
+    on one domain are one stacked computation, in which each chain gets the
+    bits it gets alone."""
+    ends, consts, dens, domains = {}, [], [], {}
+    for s, ch in enumerate(chains):
         end = ends.get(id(ch.psi_end))
         if end is None:
-            consts = _sigma1_constants(ch.psi_end)
-            den = _dg1_hat(consts, ch.u_end)
+            c = _sigma1_constants(ch.psi_end)
+            den = _dg1_hat(c, ch.u_end)
             if abs(den) < 1e-300:
                 raise DegenerateScalingError("DG1_hat denominator vanished")
-            end = ends[id(ch.psi_end)] = consts, den
-        consts, den = end
-        vals, spec = _dg1_samples(consts, ch.omega_end, ch.vs[-1])
-        slopes.append((-_spectral_min(vals, spec).value / den,
-                       _spectral_min(-vals, -spec).value / den))
+            end = ends[id(ch.psi_end)] = c, den
+        consts.append(end[0])
+        dens.append(end[1])
+        domains.setdefault(ch.vs[-1].domain, []).append(s)
+    slopes = [None] * len(chains)
+    for dom, group in domains.items():
+        vals, spec = _dg1_samples(
+            np.array([consts[s] for s in group]),
+            np.array([float(chains[s].omega_end) for s in group]),
+            np.array([chains[s].vs[-1].modes for s in group]), dom)
+        low = _spectral_min(np.concatenate([vals, -vals]),
+                            np.concatenate([spec, -spec]))[0]
+        for j, s in enumerate(group):
+            slopes[s] = (float(-low[j] / dens[s]),
+                         float(low[len(group) + j] / dens[s]))
     return slopes
 
 
-def _slope_pass(families, levels, mode):
-    """The chains of slope_chain for several families, one level at a time.
-
-    levels is a sequence of (n, omegas0), n >= 1. For each, the pass yields
-    n and the chains of every family at every omega in omegas0,
-    family-major (families[i] at omegas0[j] is entry i * len(omegas0) + j),
-    whose slopes _chain_slopes reads. The walk over the bases depends on n
-    and on the family's slice record (its _cache), not on the coupling or
-    omega: families that share a record share one walk (_record_chains),
-    in the order each record first appears, and the chains keep none of
-    it. v_0 is built once per family and alpha (once per family in
-    fixed-point mode, where alpha* does not move). A family's chains do not
-    depend on which others share the pass; of several failing chains, the
-    first failing level raises, and within it the first record's (its
-    walk, then v_0 in family order).
+class _Level:
+    """Level n of one slice record in a pass, from its start (alpha, u_0,
+    maps) or the start's error, with the chains of each member family i at
+    omegas0, holding v_0 and omega_0 (chains[i]; flat lists all of them).
+    A walk leaves the level's end map and u_end on it. error is what the
+    start or the walk raised, v0_error what the first failing v_0 raised;
+    the level raises them in that order when the pass reaches it.
     """
+
+    def __init__(self, n, start, members=(), omegas0=(), v0=None):
+        self.n, self.chains, self.v0_error = n, {}, None
+        failed = isinstance(start, QPRenormError)
+        self.error = start if failed else None
+        self.alpha, self.u, self.maps = (None, None, []) if failed else start
+        try:
+            for i in members if self.error is None else ():
+                self.chains[i] = [ChainResult(None, [v0(i, self.alpha)],
+                                              [om], None) for om in omegas0]
+        except QPRenormError as e:  # the level still walks, and an error of
+            self.v0_error, self.chains = e, {}      # its walk comes first
+        self.flat = [ch for group in self.chains.values() for ch in group]
+
+
+class _Walk:
+    """The started levels of a pass on one domain, walked depth by depth.
+
+    At depth k the levels that have a base there (n >= k + 2) step as one
+    stack: their bases are one MapStack, u is pushed by DR (_dr_walk), and
+    every chain takes its DT step and doubles its omega (_dt_walk). Levels
+    whose maps end before their end walk their own orbit: the stack's
+    renormalization is their next depth, and a level whose a = psi(1)
+    fails renormalize_1d's check leaves the walk with that error. Level n
+    ends at depth n - 1: its end is snapped onto Sigma_1 and its chains
+    get u_end and psi_end. The arrays of a depth live until the next step,
+    and a chain keeps copies of its vectors, not views of a depth's stack:
+    all of them, or without history its last vector and omega only.
+
+    Levels with more chains come first, so slot j, the j-th chains of the
+    levels that have one, belongs to a prefix of the live levels, and its
+    DT step reads a slice of the depth's stack, not a copy.
+    """
+
+    def __init__(self, levels, domain, history):
+        self.live = sorted(levels, key=lambda level: -len(level.flat))
+        self.depth, self.domain, self.history = 0, domain, history
+        self.U = np.array([level.u.coeffs for level in self.live])
+        width = len(self.live[0].flat) if self.live else 0
+        self.slots = [[level.flat[j] for level in self.live
+                       if len(level.flat) > j] for j in range(width)]
+        self.V = [np.array([ch.vs[0].modes for ch in slot])
+                  for slot in self.slots]
+        self.orbit = None
+        self._end()
+        if self.live and len(self.live[0].maps) < self.live[0].n:
+            # one mode to a pass: every level past level 1 walks its orbit
+            self.orbit = MapStack(
+                np.array([level.maps[0].psi.coeffs for level in self.live]),
+                [level.maps[0].a for level in self.live], domain)
+            for level in self.live:
+                level.maps = []
+
+    def advance(self, depth):
+        while self.depth < depth:
+            self._step()
+
+    def _step(self):
+        if self.orbit is not None:
+            errors = [_scaling_error(a) for a in self.orbit.a]
+            for level, error in zip(self.live, errors):
+                if error is not None:
+                    level.error = error
+            self._keep([s for s, e in enumerate(errors) if e is None])
+        if self.live:
+            bases = self.orbit if self.orbit is not None else MapStack.of(
+                [level.maps[self.depth] for level in self.live])
+            self.U = _dr_walk([bases], self.U)
+            for j, slot in enumerate(self.slots):
+                if not slot:
+                    continue
+                (_, self.V[j]), (_, omegas) = _dt_walk(
+                    [bases.head(len(slot))], [ch.omegas[-1] for ch in slot],
+                    self.V[j])
+                for ch, v, om in zip(slot, self.V[j], omegas):
+                    ch.vs.append(QPFn(v.copy(), self.domain))
+                    ch.omegas.append(om)
+                    if not self.history:
+                        del ch.vs[:-1], ch.omegas[:-1]
+            if self.orbit is not None:
+                self.orbit = bases.renormalized()
+        self.depth += 1
+        self._end()
+
+    def _end(self):
+        """End the levels whose end is at this depth."""
+        k, keep = self.depth, []
+        for s, level in enumerate(self.live):
+            if level.n > k + 1:
+                keep.append(s)
+                continue
+            level.end = (level.maps[k] if level.maps else UnimodalMap(
+                AnalyticFn(self.orbit.psi.coeffs[s].copy(), self.domain)))
+            level.u_end = AnalyticFn(self.U[s].copy(), self.domain)
+            psi_end = _project_sigma1(level.end)
+            for ch in level.flat:
+                ch.u_end, ch.psi_end = level.u_end, psi_end
+        self._keep(keep)
+
+    def _keep(self, keep):
+        """Keep the live levels at the positions keep, in order, with their
+        rows and chains."""
+        if len(keep) == len(self.live):
+            return
+        self.live = [self.live[s] for s in keep]
+        self.U = self.U[keep]
+        if self.orbit is not None:
+            self.orbit = MapStack(self.orbit.psi.coeffs[keep],
+                                  self.orbit.a[keep], self.domain)
+        for j, slot in enumerate(self.slots):
+            rows = [s for s in keep if s < len(slot)]
+            self.slots[j] = [slot[s] for s in rows]
+            self.V[j] = self.V[j][rows]
+
+
+def _slope_pass(families, levels, mode, history=True):
+    """The chains of slope_chain for several families at several levels,
+    from one depth-major walk.
+
+    levels is a sequence of (n, omegas0), n >= 1 and strictly ascending, or
+    ValueError names the first level that is not, before any walk. The
+    pass yields each n and the chains of every family at every omega in
+    omegas0, family-major (families[i] at omegas0[j] is entry i *
+    len(omegas0) + j), whose slopes _chain_slopes reads.
+
+    Every level starts first: _chain_bases for the levels of each slice
+    record, in the order the records first appear, then v_0 per level and
+    family (_Level), built once per family and alpha (once per family in
+    fixed-point mode, where alpha* does not move). The bases and the u-chain
+    depend on n and on the family's slice record (its _cache), not on the
+    coupling or omega, so families that share a record share one level,
+    and each (family, omega) gets its own chain. Then the started levels
+    walk depth by depth, one _Walk per domain, and level n is yielded when
+    the walk reaches its end, at depth n - 1; the chains keep no base, and
+    the pass keeps no chain it has yielded. Without history a chain's vs
+    and omegas hold their last entry only, which is all a read-out needs.
+
+    Every chain has the bits it gets alone, whichever families and levels
+    share the pass. A level that failed raises when the pass reaches it,
+    so of several failing chains the first failing level raises, and within
+    it the first record's: its start or walk, then v_0 in family order.
+    """
+    levels = [(n, tuple(omegas0)) for n, omegas0 in levels]
+    last = 0
+    for n, _ in levels:
+        if n < 1:
+            raise ValueError(f"level n = {n}: n must be >= 1")
+        if n <= last:
+            raise ValueError(f"level n = {n} after level {last}: the levels "
+                             "must be strictly ascending")
+        last = n
     records = {}
     for i, family in enumerate(families):
         records.setdefault(id(family._cache), []).append(i)
@@ -752,14 +994,44 @@ def _slope_pass(families, levels, mode):
             v0s[i] = alpha, families[i].dv_deps(alpha)
         return v0s[i][1]
 
-    for n, omegas0 in levels:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        rows = {}
-        for members in records.values():
-            rows.update(_record_chains(families, members, omegas0, n, mode,
-                                       v0))
-        yield n, [ch for i in range(len(families)) for ch in rows[i]]
+    starts = [_chain_bases(families[members[0]], [n for n, _ in levels],
+                           mode) for members in records.values()]
+    started = [[_Level(n, start[n], members, omegas0, v0)
+                for members, start in zip(records.values(), starts)]
+               for n, omegas0 in levels]
+    walks = {}
+    for level in (level for row in started for level in row):
+        if level.error is None:
+            walks.setdefault(level.u.domain, []).append(level)
+    walks = [_Walk(group, dom, history) for dom, group in walks.items()]
+    for (n, _), row in zip(levels, started):
+        for walk in walks:
+            walk.advance(n - 1)
+        for level in row:
+            if level.error is not None:
+                raise level.error
+            if level.v0_error is not None:
+                raise level.v0_error
+        yield n, [ch for i in range(len(families)) for level in row
+                  for ch in level.chains.get(i, ())]
+        row.clear()
+
+
+def _pass_slopes(families, levels, mode):
+    """[(n, slopes)] of one _slope_pass, read by one _chain_slopes call over
+    the chains of all its levels. A failing level raises after the levels
+    before it are read, so of a failing read-out and a later failing level
+    the earlier one raises, as a read-out level by level would."""
+    read, chains = [], []
+    try:
+        for n, level in _slope_pass(families, levels, mode, history=False):
+            read.append((n, len(level)))
+            chains += level
+    except QPRenormError:
+        _chain_slopes(chains)
+        raise
+    slopes = iter(_chain_slopes(chains))
+    return [(n, [next(slopes) for _ in range(k)]) for n, k in read]
 
 
 def slope_formula(family, omega0, n, mode="exact-orbit"):

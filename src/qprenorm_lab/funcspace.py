@@ -120,16 +120,25 @@ def _grid_phases(M, K):
 
 
 def _cheb_vander(y, n):
-    """Chebyshev Vandermonde V[i, j] = T_j(y_i) for j < n.
+    """Chebyshev Vandermonde V[..., i, j] = T_j(y[..., i]) for j < n, one
+    (P, n) block per row of P points of y.
 
     On [-1, 1] it is cos(j arccos y_i), one vectorized pass whose entries
-    are within n^2 eps of chebvander's recurrence; points outside the
-    interval, and NaN, go through that recurrence (_vander_rows).
+    are within n^2 eps of chebvander's recurrence; a row with a point
+    outside the interval, or a NaN, goes through that recurrence
+    (_vander_rows). Each row gets the bits it gets alone.
     """
     y = np.asarray(y, dtype=float)
-    if np.all(np.abs(y) <= 1.0):      # False for any NaN
-        return np.cos(np.outer(np.arccos(y), np.arange(n)))
-    return _vander_rows(y, n).T
+    inside = np.all(np.abs(y) <= 1.0, axis=-1)      # False for any NaN
+    if inside.all():
+        return np.cos(np.arccos(y)[..., None] * np.arange(n))
+    if y.ndim == 1:
+        return _vander_rows(y, n).T
+    with np.errstate(invalid="ignore"):     # rows off [-1, 1] are redone
+        V = np.cos(np.arccos(y)[..., None] * np.arange(n))
+    for row in map(tuple, np.argwhere(~inside)):
+        V[row] = _vander_rows(y[row], n).T
+    return V
 
 
 def _vander_rows(y, n, out=None):
@@ -148,6 +157,13 @@ def _vander_rows(y, n, out=None):
         np.multiply(b, y2, out=c)
         np.subtract(c, a, out=c)
     return V
+
+
+def _mat_rows(M, X):
+    """M @ x for each row x of X (..., n): M one (m, n) matrix or one per
+    row. One matrix-vector product per row, so each has the bits of M @ x
+    alone."""
+    return np.matmul(M, X[..., None])[..., 0]
 
 
 def _clenshaw_scalar(c, t):

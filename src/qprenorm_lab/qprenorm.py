@@ -231,13 +231,15 @@ def dt_columns(psi, H, ph):
     H is a column block (n, m) or a stack (S, n, m) of them, each column a
     stored row h = u - i v, and ph broadcasts against the result: the
     phases e^(2 pi i k omega) of a block's mode columns, or one phase per
-    omega on a leading axis. The real factors act on the interleaved
-    (re, im) columns, one BLAS product per block, so a block's bits do
-    not depend on the stack it sits in.
+    omega on a leading axis. psi is one map for every block, or a MapStack
+    whose item s is block s's base. The real factors act on the
+    interleaved (re, im) columns, one BLAS product per block, so a block's
+    bits do not depend on the stack it sits in.
     """
     G = np.ascontiguousarray(H).view(float)
-    return ((l1_matrix(psi) @ G).view(complex)
-            + ph * (l2_matrix(psi) @ G).view(complex))
+    out = ph * (l2_matrix(psi) @ G).view(complex)
+    out += (l1_matrix(psi) @ G).view(complex)       # L1 H + ph L2 H
+    return out
 
 
 @dataclass

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (DegenerateScalingError, DomainError, InconsistencyError,
                      SearchError)
 from .funcspace import (INTERVAL_SLACK, W_CENTER, W_RADIUS, AnalyticFn,
                         DomainConfig, QPFn, _cheb_vander, _clenshaw_scalar,
-                        _read_only, _tables, sup_norm)
+                        _mat_rows, _read_only, _tables, sup_norm)
 
 TOL_A = 1e-8
 N_FIT = 12            # cascade levels behind the alpha* extrapolation
@@ -40,8 +40,9 @@ class UnimodalMap:
     """Even analytic map with psi(0) = 1; a = psi(1) is cached.
 
     The operator data at the map (two Chebyshev Vandermondes, then L1, L2,
-    DR and R(psi) as products with them) is built on first use and kept on
-    the object as read-only arrays, so it lives exactly as long as the map
+    DR and R(psi) as products with them) comes from the stacked kernel of
+    MapStack on a stack of one. It is built on first use and kept on the
+    object as read-only arrays, so it lives exactly as long as the map
     does; l1_matrix, l2_matrix, dr_matrix and renormalize_1d read it. A map
     is therefore not to be changed in place.
     """
@@ -85,53 +86,124 @@ class UnimodalMap:
 
     # ------------------------------------------ operator data, built once
     #
-    # All of it comes from two Chebyshev Vandermondes at the collocation
-    # nodes x_i = L t_i: E_in at a x_i and E_out at psi(a x_i).
+    # The map is a MapStack of one: its data is item 0 of that stack's, so
+    # every datum has the bits of the stacked kernel.
 
     @cached_property
-    def _e_in(self):
-        """E_in[i, j] = T_j(a t_i), the guard of all data divided by a."""
-        if abs(self.a) < TOL_A:
-            raise DegenerateScalingError(f"degenerate scaling: a = {self.a}")
-        t = _tables(self.domain).t
-        return _read_only(_cheb_vander(self.a * t, self.domain.n_cheb))
-
-    @cached_property
-    def _e_out(self):
-        """E_out[i, j] = T_j(psi(a x_i) / L)."""
-        dom = self.domain
-        inner = self._e_in @ self.psi.coeffs                # psi(a x_i)
-        return _read_only(_cheb_vander(inner / dom.half_width, dom.n_cheb))
+    def _one(self):
+        """This map as a MapStack of one."""
+        return MapStack(self.psi.coeffs[None], [self.a], self.domain)
 
     @cached_property
     def _renormalized(self):
-        vals = self._e_out @ self.psi.coeffs / self.a
-        rpsi = AnalyticFn.from_values(self.domain, vals)
-        _read_only(rpsi.coeffs)
-        return UnimodalMap(rpsi)
+        return UnimodalMap(AnalyticFn(self._one._renormalization[0],
+                                      self.domain))
 
     @cached_property
-    def _l1(self):
-        dom = self.domain
+    def _derivative(self):
+        """(L1, L2, DR) at the map."""
+        return tuple(X[0] for X in self._one._derivative)
+
+
+class _Rows(NamedTuple):
+    """The Chebyshev rows (S, n_cheb) of a stack's maps, as a map's psi
+    holds its one row."""
+
+    coeffs: np.ndarray
+    domain: DomainConfig
+
+
+class MapStack:
+    """S maps of the class as one stack: psi.coeffs holds their Chebyshev
+    rows (S, n_cheb) and a their scalings psi(1). Every |a| is at least
+    TOL_A.
+
+    The operator data of UnimodalMap comes from this one kernel, in two
+    stages, each built on first use and kept read-only: _renormalization
+    (the rows of R(psi), from the Vandermondes E_in and E_out) and
+    _derivative (L1, L2, DR, (S, n, n) stacks). Search maps that are only
+    renormalized never build the second stage. Every product is one
+    stacked matmul with one BLAS call per item, so each map's data has the
+    bits it gets alone. l1_matrix, l2_matrix, dr_matrix and
+    qprenorm.dt_columns take a stack as they take a map.
+    """
+
+    def __init__(self, coeffs, a, domain):
+        self.psi = _Rows(coeffs, domain)
+        self.a = np.asarray(a, dtype=float)
+
+    @property
+    def domain(self):
+        return self.psi.domain
+
+    @classmethod
+    def of(cls, maps):
+        """maps as one stack; its L1, L2 and DR are copies of the data the
+        maps keep, which they build first if need be."""
+        stack = cls(np.array([m.psi.coeffs for m in maps]),
+                    [m.a for m in maps], maps[0].domain)
+        stack._derivative = tuple(
+            _read_only(np.array(X)) for X in zip(*(m._derivative
+                                                   for m in maps)))
+        return stack
+
+    def head(self, count):
+        """The first count maps as a stack whose L1, L2 and DR are views of
+        this stack's."""
+        part = MapStack(self.psi.coeffs[:count], self.a[:count], self.domain)
+        part._derivative = tuple(X[:count] for X in self._derivative)
+        return part
+
+    def renormalized(self):
+        """R(psi) of every map as the next stack; its a = psi(1) are
+        evaluated as UnimodalMap evaluates them."""
+        rows = self._renormalization
+        x = 1.0 / self.domain.half_width
+        return MapStack(rows, [float(_clenshaw_scalar(r, x))
+                               for r in rows.tolist()], self.domain)
+
+    @cached_property
+    def _vandermondes(self):
+        """(E_in, E_out): E_in[s, i, j] = T_j(a_s t_i) and E_out[s, i, j] =
+        T_j(psi_s(a_s x_i) / L) at the nodes x_i = L t_i, the guard of all
+        data divided by a. Only the two stages read them, and the second
+        drops them once it is built."""
+        small = np.abs(self.a) < TOL_A
+        if small.any():
+            raise DegenerateScalingError(
+                f"degenerate scaling: a = {self.a[small][0]}")
+        dom, a = self.domain, self.a[:, None]
+        E_in = _cheb_vander(a * _tables(dom).t, dom.n_cheb)
+        inner = _mat_rows(E_in, self.psi.coeffs)               # psi(a x_i)
+        E_out = _cheb_vander(inner / dom.half_width, dom.n_cheb)
+        return _read_only(E_in), _read_only(E_out)
+
+    @cached_property
+    def _renormalization(self):
+        """The rows of R(psi_s): psi_s(psi_s(a_s x_i)) / a_s re-expanded."""
+        E_out = self._vandermondes[1]
+        return _read_only(_mat_rows(_tables(self.domain).A, _mat_rows(
+            E_out, self.psi.coeffs) / self.a[:, None]))
+
+    @cached_property
+    def _derivative(self):
+        """L1 = A (w E_in) with w = psi'(psi(a x)) / a at the nodes, L2 = A
+        E_out / a, and DR = L1 + L2 plus the rescaling term of u(1)."""
+        dom, C, a = self.domain, self.psi.coeffs, self.a[:, None]
         tab = _tables(dom)
-        dc = tab.D @ self.psi.coeffs
-        w = self._e_out @ dc / (dom.half_width * self.a)   # psi'(psi(a x))/a
-        return _read_only(tab.A @ (w[:, None] * self._e_in))
-
-    @cached_property
-    def _l2(self):
-        A = _tables(self.domain).A
-        return _read_only(A @ (self._e_out / self.a))
-
-    @cached_property
-    def _dr(self):
-        tab = _tables(self.domain)
-        rc = self._renormalized.psi.coeffs
+        E_in, E_out = self._vandermondes
+        rc = self._renormalization
+        w = _mat_rows(E_out, _mat_rows(tab.D, C)) / (dom.half_width * a)
+        L1 = tab.A @ (w[..., None] * E_in)
+        L2 = tab.A @ (E_out / a[..., None])
+        del self._vandermondes, E_in, E_out     # no stage reads them again
         # x (R psi)'(x) at x = L t is t times the [-1, 1] derivative, and
         # the column at[:, 1] = T_j(1 / L) reads u(1) off coefficients
-        w_vals = (tab.t * (tab.V @ (tab.D @ rc)) - tab.V @ rc) / self.a
-        return _read_only(self._l1 + self._l2
-                          + np.outer(tab.A @ w_vals, tab.at[:, 1]))
+        w_vals = (tab.t * _mat_rows(tab.V, _mat_rows(tab.D, rc))
+                  - _mat_rows(tab.V, rc)) / a
+        DR = L1 + L2
+        DR += _mat_rows(tab.A, w_vals)[..., None] * tab.at[:, 1]
+        return tuple(map(_read_only, (L1, L2, DR)))
 
 
 @dataclass
@@ -225,9 +297,9 @@ def renormalize_1d(psi, check_domain=True):
     The scaling and domain checks run on every call; the expansion is built
     once per map and returned as the same read-only map afterwards.
     """
-    a = psi.a
-    if abs(a) < TOL_A:
-        raise DegenerateScalingError(f"a = psi(1) = {a:.3e} too small")
+    error = _scaling_error(psi.a)
+    if error is not None:
+        raise error
     if check_domain:
         chk = in_domain_R(psi)
         if not chk:
@@ -235,14 +307,24 @@ def renormalize_1d(psi, check_domain=True):
     return psi._renormalized
 
 
+def _scaling_error(a):
+    """The DegenerateScalingError renormalize_1d raises at a = psi(1), or
+    None."""
+    if abs(a) < TOL_A:
+        return DegenerateScalingError(f"a = psi(1) = {a:.3e} too small")
+    return None
+
+
 def l1_matrix(psi):
-    """Matrix of g -> psi'(psi(a x)) g(a x) / a on Chebyshev coefficients."""
-    return psi._l1
+    """Matrix of g -> psi'(psi(a x)) g(a x) / a on Chebyshev coefficients;
+    the (S, n, n) stack of them at a MapStack."""
+    return psi._derivative[0]
 
 
 def l2_matrix(psi):
-    """Matrix of g -> g(psi(a x)) / a on Chebyshev coefficients."""
-    return psi._l2
+    """Matrix of g -> g(psi(a x)) / a on Chebyshev coefficients; the stack
+    of them at a MapStack."""
+    return psi._derivative[1]
 
 
 def dr_matrix(psi):
@@ -250,9 +332,10 @@ def dr_matrix(psi):
 
     DR(psi) u = L1 u + L2 u + u(1) w with
     w(x) = (x (R psi)'(x) - (R psi)(x)) / a; the last term tracks the
-    variation of the rescaling constant a = psi(1).
+    variation of the rescaling constant a = psi(1). The stack of them at a
+    MapStack.
     """
-    return psi._dr
+    return psi._derivative[2]
 
 
 # ------------------------------------------------------------- fixed point

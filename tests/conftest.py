@@ -5,6 +5,8 @@ family, and the unstable-manifold points f*_j are reused across modules;
 everything else is cheap enough to build inside the tests.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qprenorm_lab import (
     flm_family,
     unstable_manifold_points,
 )
+from qprenorm_lab.renorm1d import MapStack
 
 
 def pytest_configure(config):
@@ -50,3 +53,21 @@ def flm():
 def stars(fp):
     # f*_1 .. f*_4 on the unstable manifold, f*_j superstable of period 2^j
     return unstable_manifold_points(fp, 4)
+
+
+@pytest.fixture
+def stacked_rows(monkeypatch):
+    """The row count of each MapStack whose renormalization stage is built
+    while the test runs: the maps the stacked kernel renormalizes, a map
+    of its own counting as a stack of one."""
+    rows = []
+    stage = MapStack.__dict__["_renormalization"]
+
+    def counted(stack):
+        rows.append(len(stack.a))
+        return stage.func(stack)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(MapStack, "_renormalization")
+    monkeypatch.setattr(MapStack, "_renormalization", prop)
+    return rows

@@ -489,27 +489,31 @@ def _count_walks_and_couplings(fams, monkeypatch):
             calls[name] += 1
             return dv_deps(alpha)
         monkeypatch.setattr(fam, "dv_deps", counted)
-    start = curvedyn._exact_orbit_start
+    starts = curvedyn._exact_orbit_starts
 
-    def walked(family, n):
-        calls[family.name, n] += 1
-        return start(family, n)
-    monkeypatch.setattr(curvedyn, "_exact_orbit_start", walked)
+    def walked(family, ns):
+        calls.update((family.name, n) for n in ns)
+        return starts(family, ns)
+    monkeypatch.setattr(curvedyn, "_exact_orbit_starts", walked)
     return calls
 
 
 def test_observation1_walks_each_level_once_for_both_families(golden,
-                                                              monkeypatch):
+                                                              monkeypatch,
+                                                              stacked_rows):
     # the families share the default domain's record: the overlap window
-    # 4..6 walks the levels it reads, 3..6, once, and each family builds v_0
-    # once for its fixed-point table (alpha* does not move) and once per
-    # exact level
+    # 4..6 starts the levels it reads, 3..6, once, and walks them once, as
+    # the stacks of depths 0..4, 2 + 3 + 4 + 5 = 14 renormalized maps; the
+    # fixed-point tables renormalize none. Each family builds v_0 once for
+    # its fixed-point table (alpha* does not move) and once per exact level
     fams = [flm_family(), _sin_mix_family()]
     observation1(*fams, golden, n_max=8)       # polish levels 3..6 first
     calls = _count_walks_and_couplings(fams, monkeypatch)
+    stacked_rows.clear()
     observation1(*fams, golden, n_max=8)
     assert calls == {"flm": 5, "flm-sin-mix": 5,
                      **{("flm", n): 1 for n in range(3, 7)}}
+    assert stacked_rows == [4, 4, 3, 2, 1]
 
 
 def test_a_family_on_a_private_record_walks_alone(golden, monkeypatch):
@@ -592,13 +596,17 @@ def _reference_h3(c, omega0, n_max):
                                     c0_floor > 0)])
 
 
-def test_h3_builds_the_fixed_point_v0_once(flm, golden, monkeypatch):
+def test_h3_builds_the_fixed_point_v0_once(flm, golden, monkeypatch,
+                                           stacked_rows):
     want = _reference_h3(flm, golden, 8)
     calls = _count_walks_and_couplings([flm], monkeypatch)
+    stacked_rows.clear()
     got = check_H3(flm, golden, n_max=8)
-    # v_0 once at alpha* and once per exact-orbit level 2..8, and one
-    # exact-orbit walk per level
+    # v_0 once at alpha* and once per exact-orbit level 2..8, one start per
+    # exact-orbit level, and one walk of levels 2..8 as the stacks of depths
+    # 0..6: 1 + 2 + ... + 7 = 28 renormalized maps
     assert calls == {"flm": 8, **{("flm", n): 1 for n in range(2, 9)}}
+    assert stacked_rows == [7, 6, 5, 4, 3, 2, 1]
     for name in asymptotics.H3Report.__dataclass_fields__:
         assert getattr(got, name) == getattr(want, name), name
     calls.clear()
@@ -914,8 +922,9 @@ def test_h5_has_the_bits_of_the_per_level_pair_reads(flm, omega, start):
                 "eta-modes": (project_pik(v, 1), project_pik(v, 2))}[start]
     n_max = 10
     fp = asymptotics.feigenbaum_fixed_point(v01.domain)
-    vs, _ = curvedyn._dt_walk([fp.phi] * n_max, omega,
-                              v01.embed(1) + v02.embed(2))
+    Vs, _ = curvedyn._dt_walk([fp.phi] * n_max, [omega],
+                              (v01.embed(1) + v02.embed(2)).modes[None])
+    vs = [QPFn(V[0], v01.domain) for V in Vs]
     norms = [(project_pik(w, 1).sup_norm(), project_pik(w, 2).sup_norm())
              for w in vs]
     r0 = norms[0][1] / norms[0][0]

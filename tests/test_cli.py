@@ -637,6 +637,31 @@ def test_exit_one_usage_errors():
     assert main(["no-such-command"]) == 1
 
 
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    # the parser is built on the first call of a process and reused: two
+    # runs give the same status and artifacts, and a usage error after them
+    # still exits 1
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kw):
+        if kw.get("prog") == "qprenorm-lab":     # not a subcommand's parser
+            built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    argv = ["--nmax", "5", "observe", "--which", "2"]
+    outs = [tmp_path / "a", tmp_path / "b"]
+    assert [main(["--out", str(out)] + argv) for out in outs] == [0, 0]
+    assert main([]) == main(["observe", "--which", "5"]) == 1
+    assert len(built) == 1
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in set(names) - {"manifest.json"}:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_exit_one_bad_forcing_config(tmp_path):
     p = tmp_path / "bad.ini"
     p.write_text("[family]\nforcing = [1]*tan(1w)\n")

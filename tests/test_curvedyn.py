@@ -10,6 +10,7 @@ import collections
 import dataclasses
 import importlib.util
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -55,7 +56,7 @@ from qprenorm_lab import (
     stable_manifold_param,
     superstable_params,
 )
-from qprenorm_lab import asymptotics, curvedyn, renorm1d
+from qprenorm_lab import asymptotics, curvedyn, qprenorm, renorm1d
 from qprenorm_lab.cli import parse_forcing
 from qprenorm_lab.errors import (BasinError, ConsistencyError,
                                  DegenerateScalingError, EscapeError,
@@ -1184,7 +1185,7 @@ def test_sigma1_polish_runs_once_per_family_and_level(golden, monkeypatch):
 def test_sigma1_polish_builds_each_slice_map_once(golden, monkeypatch):
     # every slice map of the renormalized family costs one apply_T. Its
     # own polish from s_n stops after one walk at these levels and hands
-    # that walk to the chain, so each level builds one slice
+    # that walk's slice to the chain, so each level builds one slice
     calls = collections.Counter()
     apply_T = asymptotics.apply_T
 
@@ -1221,10 +1222,9 @@ def _counting_walks(fam, monkeypatch):
 
 
 def _walk_at(fam, alpha, n):
-    """(g, g') at alpha: a kept level walks once, at its parameter."""
-    fam._cache["sigma1"] = {n: alpha}
-    _, maps, u = curvedyn._exact_orbit_start(fam, n)
-    return maps[-1].a, u(1.0)
+    """(g, g') at alpha, from one walk of the polish."""
+    _, end, dg = curvedyn._sigma1_walks(fam, {n: (alpha, None)})[n]
+    return end.a, dg
 
 
 def _perturbed_start(fam, n, shift):
@@ -1254,39 +1254,48 @@ def test_sigma1_newton_derivative_matches_a_central_difference(dom):
         assert abs(fd - dg) <= 1e-6 * abs(dg), (n, fd, dg)
 
 
-def test_sigma1_newton_converges_from_s_n_at_every_level(monkeypatch):
+def test_sigma1_newton_converges_from_s_n_at_every_level(golden,
+                                                         monkeypatch):
     # 1-5 walks per level on the default domain; the secant took 3-9
     fam = dataclasses.replace(flm_family())
     walks = _counting_walks(fam, monkeypatch)
     s = superstable_params(fam, renorm1d.MAX_LEVEL)
     per_level = {}
+    at1 = curvedyn._tables(fam.slice0(s[1]).domain).at[:, 1]
     for n in range(1, renorm1d.MAX_LEVEL + 1):
         walks.clear()
-        alpha, maps, u = curvedyn._exact_orbit_start(fam, n)
+        alpha, c = curvedyn._exact_orbit_starts(fam, [n])[n]
         per_level[n] = len(walks)
-        assert walks[0] == s[n] and len(maps) == n
-        # the accepted walk is what a walk at the kept parameter gives
+        assert walks[0] == s[n]
+        # the start hands the accepted walk's slice, without its data
+        assert c.psi.coeffs.tobytes() == fam.slice0(alpha).coeffs.tobytes()
+        assert "_one" not in vars(c)
+        # a kept level builds its slice and does not walk
         walks.clear()
-        again, maps2, u2 = curvedyn._exact_orbit_start(fam, n)
+        again, c2 = curvedyn._exact_orbit_starts(fam, [n])[n]
         assert walks == [alpha] == [again]
-        assert u2.coeffs.tobytes() == u.coeffs.tobytes()
-        for m, m2 in zip(maps, maps2):
-            assert m2.psi.coeffs.tobytes() == m.psi.coeffs.tobytes()
+        assert c2.psi.coeffs.tobytes() == c.psi.coeffs.tobytes()
+        # the chain's depth-major walk is the polish's walk at alpha_n
+        _, end, dg = curvedyn._sigma1_walks(fam, {n: (alpha, None)})[n]
+        ch = slope_chain(fam, golden, n)
+        assert float(ch.u_end.coeffs @ at1) == dg
+        assert (ch.psi_end.psi.coeffs.tobytes()
+                == curvedyn._project_sigma1(end).psi.coeffs.tobytes())
     assert max(per_level.values()) <= 6, per_level
 
 
 @pytest.mark.parametrize("value", [0.0, math.nan], ids=["zero", "nan"])
-def test_sigma1_newton_rejects_a_zero_or_nan_derivative(value):
+def test_sigma1_newton_rejects_a_zero_or_nan_derivative(golden, value):
     dom = DomainConfig()
     fam = _perturbed_start(dataclasses.replace(
         flm_family(), du_dalpha=lambda a: AnalyticFn(
             np.full(dom.n_cheb, value), dom)), 2, 1e-6)
     with pytest.raises(NoConvergenceError, match="n = 2: g' = "):
-        curvedyn._exact_orbit_start(fam, 2)
+        slope_chain(fam, golden, 2)
     assert fam._cache["sigma1"] == {}
 
 
-def test_sigma1_newton_stops_at_the_walk_cap(monkeypatch):
+def test_sigma1_newton_stops_at_the_walk_cap(golden, monkeypatch):
     # a derivative ten times too large makes each step a tenth of Newton's:
     # |g| falls by 0.9 a walk and is still 2e-4 after the 24-walk cap
     flm = flm_family()
@@ -1295,7 +1304,7 @@ def test_sigma1_newton_stops_at_the_walk_cap(monkeypatch):
             10.0 * flm.du_dalpha(a).coeffs, DomainConfig())), 3, 1e-4)
     walks = _counting_walks(fam, monkeypatch)
     with pytest.raises(NoConvergenceError, match="stalled"):
-        curvedyn._exact_orbit_start(fam, 3)
+        slope_chain(fam, golden, 3)
     assert len(walks) == 24
 
 
@@ -1327,52 +1336,148 @@ def test_observation2_identity_gaps_are_the_public_gaps(flm, golden):
                                  for i in asymptotics.IDENTITY_LEVELS}
 
 
-def test_mixed_quotient_walks_each_level_once(golden, monkeypatch):
+def test_mixed_quotient_walks_each_level_once(golden, monkeypatch,
+                                              stacked_rows):
     # levels 1..5 walk their bases once for omega and 2 omega and level 6
-    # for omega alone: 0 + 1 + ... + 5 = 15 renormalizations, where one
+    # for omega alone: 0 + 1 + ... + 5 = 15 renormalized maps, where one
     # walk per rotation number takes 25. The v-chain step runs once per
-    # base and rotation number either way
+    # base and rotation number either way: 25 vectors. Depth k renormalizes
+    # the levels n >= k + 2 as one stack, and no map alone (a map is a stack
+    # of one), and steps their chains in one call per chain slot, 2 slots
+    # while level 5 walks
     fam = flm_family()
     slope_table(fam, golden, 6, mode="exact-orbit")   # polish every level
-    calls = collections.Counter()
+    vectors = []
+    step = curvedyn._dt_step
 
-    def counting(name):
-        fn = getattr(curvedyn, name)
+    def counted(base, omegas, V):
+        vectors.append(len(V))
+        return step(base, omegas, V)
 
-        def counted(*args, **kw):
-            calls[name] += 1
-            return fn(*args, **kw)
-        return counted
-
-    for name in ("renormalize_1d", "_dt_step"):
-        monkeypatch.setattr(curvedyn, name, counting(name))
+    monkeypatch.setattr(curvedyn, "_dt_step", counted)
+    stacked_rows.clear()
     mixed_quotient_sequence(fam, golden, 6, mode="exact-orbit")
-    assert calls == {"renormalize_1d": 15, "_dt_step": 25}
+    assert stacked_rows == [5, 4, 3, 2, 1] and sum(stacked_rows) == 15
+    assert vectors == [5, 4, 4, 3, 3, 2, 2, 1, 1] and sum(vectors) == 25
 
 
-def test_one_chain_walk_is_alive_at_a_time(flm, golden, monkeypatch):
-    # each level's exact-orbit walk ends with _record_chains: at a yield of
-    # _slope_pass the level's bases are gone, its end lives on only as the
-    # chains' psi_end, and nothing of an earlier level is left. Fixed-point
+def test_one_depth_is_alive_at_a_time(flm, golden, monkeypatch):
+    # the pass steps depth by depth: at the yield of level n, at depth
+    # n - 1, the stacks of depths 0..n-2 and their operator data are gone,
+    # and the level's end lives on only as its chains' psi_end. Fixed-point
     # bases are the process-wide Phi and f*_j, so only the exact orbit can
-    # show a walk kept too long
-    walks = []
-    chain_bases = curvedyn._chain_bases
+    # show a depth kept too long
+    slope_table(flm, golden, 6, mode="exact-orbit")   # polish every level
+    depths = []
+    dr_walk = curvedyn._dr_walk
 
-    def recorded(family, n, mode):
-        alpha, bases, end, u = chain_bases(family, n, mode)
-        walks.append(([weakref.ref(b) for b in bases], weakref.ref(end)))
-        return alpha, bases, end, u
+    def recorded(bases, u):
+        out = dr_walk(bases, u)
+        stack, = bases
+        assert "_vandermondes" not in vars(stack)     # dropped once used
+        depths.append([weakref.ref(x) for x in (stack, *stack._derivative)])
+        return out
 
-    monkeypatch.setattr(curvedyn, "_chain_bases", recorded)
+    monkeypatch.setattr(curvedyn, "_dr_walk", recorded)
     levels = [(n, (golden, golden.double())) for n in range(2, 7)]
     for n, chains in curvedyn._slope_pass([flm], levels, "exact-orbit"):
-        assert len(walks) == n - 1
-        *earlier, (bases, end) = walks
-        assert len(bases) == n - 1
-        assert all(b() is None for b in bases), n
-        assert {id(ch.psi_end) for ch in chains} == {id(end())}
-        assert all(r() is None for refs, e in earlier for r in (*refs, e)), n
+        assert len(depths) == n - 1
+        assert all(r() is None for refs in depths for r in refs), n
+        assert len(chains) == 2
+        assert len({id(ch.psi_end) for ch in chains}) == 1
+
+
+@pytest.mark.parametrize("levels,fragment", [
+    ([0], "level n = 0: n must be >= 1"),
+    ([2, -1], "level n = -1: n must be >= 1"),
+    ([1, 3, 2], "level n = 2 after level 3"),
+    ([2, 2], "level n = 2 after level 2")],
+    ids=["zero", "negative", "descending", "repeated"])
+def test_slope_pass_checks_its_levels_before_any_walk(golden, levels,
+                                                      fragment, monkeypatch):
+    starts = []
+    monkeypatch.setattr(curvedyn, "_chain_bases",
+                        lambda *args: starts.append(args))
+    for mode in ("exact-orbit", "fixed-point"):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            next(curvedyn._slope_pass([flm_family()],
+                                      [(n, (golden,)) for n in levels], mode))
+    assert starts == []
+
+
+def _per_level_chains(family, n, omegas0, mode):
+    """The level-n chains of family at omegas0 by the per-level path: the
+    level's maps one at a time (renormalize_1d), then u pushed by
+    dr_matrix at each base and each chain stepped by the one-base DT step
+    (DR on mode 0, one dt_columns block on modes 1..K), chain after
+    chain."""
+    if mode == "exact-orbit":
+        alpha = curvedyn._exact_orbit_starts(family, [n])[n][0]
+        maps = [family.psi0(alpha)]
+        for _ in range(n - 1):
+            maps.append(renorm1d.renormalize_1d(maps[-1], check_domain=False))
+        bases, end = maps[:-1], maps[-1]
+    else:
+        alpha = stable_manifold_param(family)
+        fpd = renorm1d.feigenbaum_fixed_point(DomainConfig())
+        stars = renorm1d.unstable_manifold_points(
+            fpd, max(2, n - max(n // 2, 1) + 1))
+        bases = [fpd.phi if k <= n // 2 - 1 else stars[n - k]
+                 for k in range(1, n)]
+        end = stars[0]
+    u = family.du_dalpha(alpha)
+    for base in bases:
+        u = AnalyticFn(renorm1d.dr_matrix(base) @ u.coeffs, u.domain)
+    psi_end = curvedyn._project_sigma1(end)
+    chains = []
+    for omega in omegas0:
+        vs, omegas = [family.dv_deps(alpha)], [omega]
+        for base in bases:
+            v = vs[-1]
+            modes = np.empty_like(v.modes)
+            modes[0] = renorm1d.dr_matrix(base) @ v.modes[0]
+            ph = np.exp(2j * np.pi * np.arange(1, v.K + 1) * float(omegas[-1]))
+            modes[1:] = qprenorm.dt_columns(base, v.modes[1:].T, ph).T
+            vs.append(QPFn(modes, v.domain))
+            omegas.append(omegas[-1].double())
+        chains.append(curvedyn.ChainResult(u, vs, omegas, psi_end))
+    return chains
+
+
+def _assert_same_chain(got, want):
+    assert [v.modes.tobytes() for v in got.vs] == [v.modes.tobytes()
+                                                   for v in want.vs]
+    assert [w.num for w in got.omegas] == [w.num for w in want.omegas]
+    assert got.u_end.coeffs.tobytes() == want.u_end.coeffs.tobytes()
+    assert (got.psi_end.psi.coeffs.tobytes()
+            == want.psi_end.psi.coeffs.tobytes())
+    assert got.psi_end.a == want.psi_end.a
+
+
+@pytest.mark.parametrize("mode", ["exact-orbit", "fixed-point"])
+@pytest.mark.parametrize("omega", [RotationNumber.golden(), NOBLE],
+                         ids=["golden", "noble"])
+@pytest.mark.parametrize("share", ["one-two-omegas", "two-two-omegas",
+                                   "three-one-omega"])
+def test_pass_has_the_bits_of_the_per_level_path(mode, omega, share):
+    # levels 1..10 of one depth-major pass, every chain and every slope read
+    # in one batch, against each level and chain on its own; the families
+    # share the default domain's slice record
+    fams = [flm_family(), flm_family(g=SIN_MIX, name="sin"),
+            flm_eta_family(0.5)][:{"one": 1, "two": 2, "three": 3}[
+                share.split("-")[0]]]
+    omegas0 = (omega, omega.double()) if "two-omegas" in share else (omega,)
+    levels = [(n, omegas0) for n in range(1, 11)]
+    passed = list(curvedyn._slope_pass(fams, levels, mode))
+    slopes = curvedyn._pass_slopes(fams, levels, mode)
+    assert [n for n, _ in passed] == [n for n, _ in slopes] == [*range(1, 11)]
+    for (n, chains), (_, read) in zip(passed, slopes):
+        want = [ch for fam in fams
+                for ch in _per_level_chains(fam, n, omegas0, mode)]
+        assert len(chains) == len(want) == len(read)
+        for got, ref in zip(chains, want):
+            _assert_same_chain(got, ref)
+        assert read == [curvedyn._chain_slopes([ref])[0] for ref in want]
 
 
 def test_renormalized_family_builds_the_parent_slice_once(flm, golden,
@@ -1410,7 +1515,7 @@ def test_dt_step_is_apply_dt_to_rounding(fp, stars, flm, which, seed, w):
                   * 10.0 ** rng.uniform(-3, 3))
     omega = RotationNumber.from_float(w)
     want = apply_DT(base, omega, v).modes
-    got = curvedyn._dt_step(base, omega, v).modes
+    got = curvedyn._dt_step(base, [omega], v.modes[None])[0]
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -1418,7 +1523,7 @@ def test_dt_step_rejects_a_degenerate_base(domain, golden):
     base = renorm1d.UnimodalMap.from_callable(domain, lambda x: 1.0 - x * x)
     assert abs(base.a) < renorm1d.TOL_A
     with pytest.raises(DegenerateScalingError, match="degenerate scaling"):
-        curvedyn._dt_step(base, golden, QPFn.zero(domain))
+        curvedyn._dt_step(base, [golden], QPFn.zero(domain).modes[None])
 
 
 # --------------------------------------------------- the shared slice record

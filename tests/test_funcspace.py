@@ -449,6 +449,29 @@ def test_vandermonde_off_the_interval_is_chebvander(ys, y_off, at, n):
     assert got.strides == want.strides
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 64), st.integers(1, 8), st.integers(1, 40),
+       st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_eval_of_a_row_against_a_column_is_the_broadcast_eval(n, K, n_theta,
+                                                              n_x, seed):
+    # compose_fiber's call shape: the product of the Vandermonde with the
+    # mode columns is taken on the broadcast points. A BLAS product's rows
+    # can change bits with its row count (n_cheb = 24 does here), so taking
+    # it on the n_x distinct x alone would not give these bits
+    dom = DomainConfig(n_cheb=n, n_fourier=K)
+    rng = np.random.default_rng(seed)
+    f = QPFn.zero(dom)
+    f.modes[:] = (rng.standard_normal(f.modes.shape)
+                  + 1j * rng.standard_normal(f.modes.shape))
+    f.modes[0] = f.modes[0].real
+    theta = rng.uniform(-1.0, 2.0, (n_theta, 1))
+    x = rng.uniform(-dom.half_width, dom.half_width, n_x)
+    got = f.eval(theta, x)
+    want = f.eval(np.broadcast_to(theta, got.shape).copy(),
+                  np.broadcast_to(x, got.shape).copy())
+    assert got.tobytes() == want.tobytes()
+
+
 def _from_callable_per_row(domain, fn):
     """Reference: sample fn, then h_0 = Re(A ft[0]) and h_k = A ft[k] +
     conj(A ft[M-k]) one row at a time."""

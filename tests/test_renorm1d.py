@@ -92,7 +92,7 @@ def test_operator_data_matches_a_fresh_copy(fp, domain):
 
 def test_operator_data_is_read_only(fp):
     m = _copy(fp.phi)
-    for arr in _operator_data(m) + [m._e_in, m._e_out]:
+    for arr in _operator_data(m) + list(m._one._vandermondes):
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
 
