@@ -497,17 +497,19 @@ def _spectral_min(vals, spec):
     R, M = vals.shape
     ik = 2j * np.pi * np.arange(spec.shape[-1])
     spec2 = ik * ik * spec
-    bound = np.sum(np.abs(spec2), axis=-1) / (8 * M * M)
+    bound = np.abs(spec2).sum(axis=-1) / (8 * M * M)
     rows = np.arange(R)
-    i = np.argmin(vals, axis=-1)
+    i = vals.argmin(axis=-1)
+    # each row between copies of its last and first sample: sample j's
+    # neighbours on the circle are ring[:, j] and ring[:, j + 2]
+    ring = np.concatenate((vals[:, -1:], vals, vals[:, :1]), axis=-1)
     near = ((vals <= (vals[rows, i] + bound)[:, None])
-            & (np.roll(vals, 1, axis=-1) > vals)
-            & (vals <= np.roll(vals, -1, axis=-1)))
+            & (ring[:, :-2] > vals) & (vals <= ring[:, 2:]))
     near[rows, i] = False
     # each row's grid argmin, then its other near local minima in grid order
     more, at = np.nonzero(near)
     basins = np.concatenate([rows, more])
-    value, theta, flat = _refine_min(vals[basins], np.concatenate([i, at]),
+    value, theta, flat = _refine_min(ring[basins], np.concatenate([i, at]),
                                      spec[basins], ik, spec2[basins])
     best = rows.tolist()
     for b, r in enumerate(more.tolist(), start=R):
@@ -516,19 +518,21 @@ def _spectral_min(vals, spec):
     return value[best], theta[best], flat[best]
 
 
-def _refine_min(vals, i, spec, ik, spec2):
-    """The minima of the basins of grid points i[b] of the rows vals[b], as
-    _spectral_min states them: (value, theta, degenerate) arrays. The
-    arithmetic is elementwise and each Newton sum runs along the last axis
-    over the basins still stepping, so a basin's bits do not depend on the
-    others."""
-    B, M = vals.shape
+def _refine_min(ring, i, spec, ik, spec2):
+    """The minima of the basins of grid points i[b] of the rows of ring, the
+    (B, M + 2) samples of _spectral_min with a copy of each row's last
+    sample before it and of its first after it, as _spectral_min states
+    them: (value, theta, degenerate) arrays. The arithmetic is elementwise
+    and each Newton sum runs along the last axis over the basins still
+    stepping, so a basin's bits do not depend on the others. The basins
+    still stepping are one working set (their thetas and weighted spectra),
+    cut down only at a step at which one of them stops."""
+    B, M = ring.shape[0], ring.shape[1] - 2
     b = np.arange(B)
-    gm, gl, gr = vals[b, i], vals[b, (i - 1) % M], vals[b, (i + 1) % M]
+    gl, gm, gr = ring[b, i], ring[b, i + 1], ring[b, i + 2]
     d1 = 0.5 * (gr - gl)
     d2 = gr - 2 * gm + gl
-    flat = np.abs(d2) <= 1e-10 * np.abs(vals).max(axis=-1)
-    spec12 = np.stack([ik * spec, spec2])
+    flat = np.abs(d2) <= 1e-10 * np.abs(ring).max(axis=-1)
     # flat basins keep their grid value, and a Newton step with g2 <= 0
     # is discarded, so their divisions may warn
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -541,21 +545,25 @@ def _refine_min(vals, i, spec, ik, spec2):
         # goes bad.
         th, ok = theta.copy(), ~flat
         rows = np.flatnonzero(ok)
+        t, spec12 = th[rows], np.empty((2, rows.size, ik.size), complex)
+        np.multiply(ik, spec[rows], out=spec12[0])
+        spec12[1] = spec2[rows]
         for _ in range(10):
             if not rows.size:
                 break
-            g1, g2 = (spec12[:, rows] * np.exp(ik * th[rows, None])).sum(
-                axis=-1).real
+            g1, g2 = (spec12 * np.exp(ik * t[:, None])).sum(axis=-1).real
             good = (g2 > 0) & np.isfinite(g2)
             step = np.minimum(np.maximum(-g1 / g2, -1.0 / M), 1.0 / M)
-            ok[rows[~good]] = False
-            th[rows[good]] += step[good]
-            rows = rows[good & ~(np.abs(step) < 1e-16)]
+            np.add(t, step, out=t, where=good)
+            going = good & ~(np.abs(step) < 1e-16)
+            if not going.all():
+                th[rows], ok[rows[~good]] = t, False
+                rows, t, spec12 = rows[going], t[going], spec12[:, going]
+        th[rows] = t
     done = ok & (np.abs(th - theta) <= 2.0 / M)
     value[done] = (spec[done] * np.exp(ik * th[done, None])).sum(axis=-1).real
-    theta = np.where(done, th, theta) % 1.0
-    value[flat], theta[flat] = gm[flat], i[flat] / M
-    return value, theta, flat
+    theta = np.where(flat, i / M, np.where(done, th, theta) % 1.0)
+    return np.where(flat, gm, value), theta, flat
 
 
 def extremum_M(vals):
@@ -592,11 +600,12 @@ def _dr_walk(bases, u):
 
 
 def _sigma1_walks(family, newton):
-    """{n: (c, R^(n-1) c, g') or the level's error} for the levels n of
-    newton, each at its alpha (newton[n][0]): the slice c = c(alpha, 0),
-    the end of the level-n exact orbit and g' = u_(n-1)(1), where u_0 =
-    du_dalpha(alpha) and u_(k+1) = DR(R^k c) u_k, from one depth-major
-    walk of the levels (_Walk)."""
+    """{n: (walked, end, g') or the level's error} for the levels n of
+    newton, each at its alpha (newton[n][0]), from one depth-major walk of
+    the levels (_Walk) from their slices c = c(alpha, 0): walked holds the
+    (stack, row) of each base R^k c, k = 0..n-2, with its L1, L2 and DR,
+    end is the end R^(n-1) c of the level-n exact orbit, and g' =
+    u_(n-1)(1), where u_0 = du_dalpha(alpha) and u_(k+1) = DR(R^k c) u_k."""
     walked, levels = {}, []
     for n, (alpha, _) in newton.items():
         try:
@@ -610,15 +619,17 @@ def _sigma1_walks(family, newton):
         _Walk(levels, domain, False).advance(max(lv.n for lv in levels) - 1)
         at1 = _tables(domain).at[:, 1]
         for lv in levels:
-            walked[lv.n] = lv.error or (walked[lv.n], lv.end,
+            walked[lv.n] = lv.error or (lv.walked, lv.end,
                                         float(lv.u_end.coeffs @ at1))
     return walked
 
 
 def _exact_orbit_starts(family, ns):
-    """{n: (alpha_n, c) or the level's error} for the exact-orbit levels
+    """{n: (alpha_n, maps) or the level's error} for the exact-orbit levels
     ns: the parameter alpha_n, whose maps c = c(alpha_n, 0) .. R^(n-1) c
-    end on Sigma_1, and the slice c.
+    end on Sigma_1, and that orbit as the tuple maps of n maps, the bases
+    c .. R^(n-2) c with their L1, L2 and DR, then the end R^(n-1) c, which
+    has no operator data.
 
     The superstable parameter s_n puts R^(n-1) c on Sigma_1 in exact
     arithmetic, but the n-1 renormalizations amplify its rounding by
@@ -631,49 +642,56 @@ def _exact_orbit_starts(family, ns):
     alpha. The levels not yet polished step together: each Newton step is
     one depth-major walk of them all, each at its own alpha
     (_sigma1_walks), with each level's bits, and a level leaves when its
-    Newton stops. The accepted walk's slice is handed to the chain, which
-    walks its level again with the other levels of its pass: a slice can
-    cost as much as a walk (the renormalized family's is one apply_T).
+    Newton stops. A level's best walk so far keeps the depth stacks of its
+    bases alive until the level is decided; the accepted walk is the
+    orbit, each base a map of its own with copies of its row and operator
+    data (MapStack.item), so a cold level is renormalized by its polish
+    alone.
 
-    alpha_n is kept on the family's record, once per (family, n): tables,
-    checkers and the identity gap rerun the same levels. Only the
-    parameter is kept; a kept map would keep its operator data alive. A
-    kept level builds its slice and does not walk here.
+    The orbit depends on the family's slice and n, not on the coupling or
+    omega, so (alpha_n, maps) is kept on the family's record as one entry
+    per level n, once per record: tables, checkers and the identity gap
+    rerun the same levels, and a kept level neither walks nor builds a map
+    here. Only an accepted level is kept, never an error. The levels are
+    n <= MAX_LEVEL (superstable_params), so a record keeps at most the sum
+    of n - 1 over them, 91 bases, each 3 n_cheb^2 floats (38.4 KB at
+    n_cheb 40), for as long as the record lives: per domain for flm_family,
+    and as long as the family for a private record.
     """
-    polished = family._cache.setdefault("sigma1", {})
+    kept = family._cache.setdefault("sigma1", {})
     starts, newton = {}, {}
     for n in ns:
         try:
-            if n in polished:
-                starts[n] = polished[n], family.psi0(polished[n])
+            if n in kept:
+                starts[n] = kept[n]
             else:
                 newton[n] = float(superstable_params(family, n)[n]), None
         except QPRenormError as e:
             starts[n] = e
 
     def accept(n, best):
-        best_g, alpha, c = best
-        delta = feigenbaum_fixed_point(c.domain).delta_feig
+        best_g, alpha, walked, end = best
+        delta = feigenbaum_fixed_point(end.domain).delta_feig
         if not best_g <= max(1e-12, 1e-13 * delta ** (n - 1)):
             return NoConvergenceError(f"Sigma_1 polish at n = {n} stalled",
                                       best_g)
-        polished[n] = alpha
-        return alpha, c
+        kept[n] = alpha, tuple(stack.item(s) for stack, s in walked) + (end,)
+        return kept[n]
 
     for _ in range(24):
         if not newton:
             break
-        for n, walked in _sigma1_walks(family, newton).items():
+        for n, walk in _sigma1_walks(family, newton).items():
             alpha, best = newton.pop(n)
-            if isinstance(walked, QPRenormError):
-                starts[n] = walked
+            if isinstance(walk, QPRenormError):
+                starts[n] = walk
                 continue
-            c, end, dg = walked
+            walked, end, dg = walk
             g = end.a
             if best is not None and not abs(g) < best[0]:
                 starts[n] = accept(n, best)
                 continue
-            best = (abs(g), alpha, c)
+            best = (abs(g), alpha, walked, end)
             if abs(g) <= 1e-13:
                 starts[n] = accept(n, best)
             elif dg == 0 or not np.isfinite(dg):
@@ -707,13 +725,15 @@ def _chain_bases(family, ns, mode):
     du_dalpha(alpha), and maps the chain's maps known before its walk,
     base k at depth k for k = 0..n-2, then the end at depth n-1.
 
-    exact-orbit: alpha is alpha_n, the polished Sigma_1 parameter
-    (_exact_orbit_starts), and maps holds c(alpha_n, 0) alone: the pass
-    renormalizes it depth by depth, so base k is R^k c and the chain ends
-    at R^(n-1) c. fixed-point: alpha*, the bases Phi for k <= floor(n/2)-1
-    and the unstable-manifold points f*_{n-k+1} for the tail, so the last
-    step is taken at f*_2, and the end f*_1. The pass snaps the end onto
-    Sigma_1 (_project_sigma1).
+    exact-orbit: alpha is alpha_n, the polished Sigma_1 parameter, and
+    maps its orbit, base k = R^k c for c = c(alpha_n, 0) and the end
+    R^(n-1) c, from the family's record or from the polish that puts it
+    there (_exact_orbit_starts). fixed-point: alpha*, the bases Phi for k
+    <= floor(n/2)-1 and the unstable-manifold points f*_{n-k+1} for the
+    tail, so the last step is taken at f*_2, and the end f*_1. In both
+    modes every base carries the operator data the walk reads, kept as
+    long as the record (exact-orbit) or the process's fixed point
+    (fixed-point); the pass snaps the end onto Sigma_1 (_project_sigma1).
     """
     if mode == "exact-orbit":
         polished = _exact_orbit_starts(family, ns)
@@ -734,8 +754,8 @@ def _chain_bases(family, ns, mode):
             elif isinstance(polished[n], QPRenormError):
                 starts[n] = polished[n]
             else:
-                alpha, c = polished[n]
-                starts[n] = alpha, family.du_dalpha(alpha), [c]
+                alpha, maps = polished[n]
+                starts[n] = alpha, family.du_dalpha(alpha), maps
         except QPRenormError as e:  # raised when the pass reaches level n
             starts[n] = e
     return starts
@@ -829,13 +849,15 @@ class _Level:
     """Level n of one slice record in a pass, from its start (alpha, u_0,
     maps) or the start's error, with the chains of each member family i at
     omegas0, holding v_0 and omega_0 (chains[i]; flat lists all of them).
-    A walk leaves the level's end map and u_end on it. error is what the
-    start or the walk raised, v0_error what the first failing v_0 raised;
-    the level raises them in that order when the pass reaches it.
+    A walk leaves the level's end map and u_end on it, and a walk that
+    renormalizes the level's orbit the (stack, row) of each of its bases
+    in walked. error is what the start or the walk raised, v0_error what
+    the first failing v_0 raised; the level raises them in that order when
+    the pass reaches it.
     """
 
     def __init__(self, n, start, members=(), omegas0=(), v0=None):
-        self.n, self.chains, self.v0_error = n, {}, None
+        self.n, self.chains, self.v0_error, self.walked = n, {}, None, []
         failed = isinstance(start, QPRenormError)
         self.error = start if failed else None
         self.alpha, self.u, self.maps = (None, None, []) if failed else start
@@ -853,14 +875,18 @@ class _Walk:
 
     At depth k the levels that have a base there (n >= k + 2) step as one
     stack: their bases are one MapStack, u is pushed by DR (_dr_walk), and
-    every chain takes its DT step and doubles its omega (_dt_walk). Levels
-    whose maps end before their end walk their own orbit: the stack's
-    renormalization is their next depth, and a level whose a = psi(1)
-    fails renormalize_1d's check leaves the walk with that error. Level n
-    ends at depth n - 1: its end is snapped onto Sigma_1 and its chains
-    get u_end and psi_end. The arrays of a depth live until the next step,
-    and a chain keeps copies of its vectors, not views of a depth's stack:
-    all of them, or without history its last vector and omega only.
+    every chain takes its DT step and doubles its omega (_dt_walk). The
+    levels of a slope pass know every base with its operator data
+    (_chain_bases), so the depth's stack holds copies of that data
+    (MapStack.of). The levels of the Sigma_1 polish start from their slice
+    alone and walk their own orbit: the stack's renormalization is their
+    next depth, each level records the (stack, row) of its bases in
+    walked, and a level whose a = psi(1) fails renormalize_1d's check
+    leaves the walk with that error. Level n ends at depth n - 1: its end
+    is snapped onto Sigma_1 and its chains get u_end and psi_end. The
+    arrays of a depth live until the next step, and a chain keeps copies
+    of its vectors, not views of a depth's stack: all of them, or without
+    history its last vector and omega only.
 
     Levels with more chains come first, so slot j, the j-th chains of the
     levels that have one, belongs to a prefix of the live levels, and its
@@ -879,12 +905,10 @@ class _Walk:
         self.orbit = None
         self._end()
         if self.live and len(self.live[0].maps) < self.live[0].n:
-            # one mode to a pass: every level past level 1 walks its orbit
+            # the polish: every level past level 1 walks its orbit
             self.orbit = MapStack(
                 np.array([level.maps[0].psi.coeffs for level in self.live]),
                 [level.maps[0].a for level in self.live], domain)
-            for level in self.live:
-                level.maps = []
 
     def advance(self, depth):
         while self.depth < depth:
@@ -913,6 +937,8 @@ class _Walk:
                     if not self.history:
                         del ch.vs[:-1], ch.omegas[:-1]
             if self.orbit is not None:
+                for s, level in enumerate(self.live):
+                    level.walked.append((bases, s))
                 self.orbit = bases.renormalized()
         self.depth += 1
         self._end()
@@ -924,8 +950,8 @@ class _Walk:
             if level.n > k + 1:
                 keep.append(s)
                 continue
-            level.end = (level.maps[k] if level.maps else UnimodalMap(
-                AnalyticFn(self.orbit.psi.coeffs[s].copy(), self.domain)))
+            level.end = (level.maps[k] if self.orbit is None
+                         else self.orbit.item(s))
             level.u_end = AnalyticFn(self.U[s].copy(), self.domain)
             psi_end = _project_sigma1(level.end)
             for ch in level.flat:
@@ -964,11 +990,14 @@ def _slope_pass(families, levels, mode, history=True):
     fixed-point mode, where alpha* does not move). The bases and the u-chain
     depend on n and on the family's slice record (its _cache), not on the
     coupling or omega, so families that share a record share one level,
-    and each (family, omega) gets its own chain. Then the started levels
-    walk depth by depth, one _Walk per domain, and level n is yielded when
-    the walk reaches its end, at depth n - 1; the chains keep no base, and
-    the pass keeps no chain it has yielded. Without history a chain's vs
-    and omegas hold their last entry only, which is all a read-out needs.
+    and each (family, omega) gets its own chain. Every base is known with
+    its operator data, the exact orbit's from the record, so the pass
+    renormalizes no map and builds no operator data for a kept level. Then
+    the started levels walk depth by depth, one _Walk per domain, and level
+    n is yielded when the walk reaches its end, at depth n - 1; the chains
+    keep no base, and the pass keeps no chain it has yielded. Without
+    history a chain's vs and omegas hold their last entry only, which is
+    all a read-out needs.
 
     Every chain has the bits it gets alone, whichever families and levels
     share the pass. A level that failed raises when the pass reaches it,

@@ -317,12 +317,20 @@ class QPFn:
         against the interleaved (re, im) columns of the h_k, and one
         contraction with the phase table exp(2 pi i k theta), k = 0..K,
         built on theta as given, so a theta column against x rows takes
-        one phase row per theta."""
+        one phase row per theta.
+
+        The recurrence runs on x as given, and its columns are copied out
+        to the broadcast points in the (n_cheb, P) layout of a recurrence on
+        them, so the product gets the same matrix in the same memory order:
+        a BLAS product can change bits with its operand's row count or
+        order, and a recurrence's entries are elementwise."""
         theta = np.asarray(theta, dtype=float)
         x = np.asarray(x, dtype=float)
         shape = np.broadcast_shapes(theta.shape, x.shape)
-        x = np.broadcast_to(x, shape)
-        V = _vander_rows(x / self.domain.half_width, self.domain.n_cheb).T
+        n = self.domain.n_cheb
+        W = _vander_rows(x / self.domain.half_width, n).reshape(
+            (n,) + (1,) * (len(shape) - x.ndim) + x.shape)
+        V = np.broadcast_to(W, (n,) + shape).reshape(n, -1).T
         H = np.ascontiguousarray(self.modes.T).view(float)
         A = (V @ H).view(complex).reshape(shape + (self.K + 1,))
         E = _phases(theta, self.K).reshape(theta.shape + (self.K + 1,))

@@ -41,8 +41,9 @@ class UnimodalMap:
 
     The operator data at the map (two Chebyshev Vandermondes, then L1, L2,
     DR and R(psi) as products with them) comes from the stacked kernel of
-    MapStack on a stack of one. It is built on first use and kept on the
-    object as read-only arrays, so it lives exactly as long as the map
+    MapStack on a stack of one, or is handed over as copies by the stack
+    that built it (MapStack.item). It is built on first use and kept on
+    the object as read-only arrays, so it lives exactly as long as the map
     does; l1_matrix, l2_matrix, dr_matrix and renormalize_1d read it. A map
     is therefore not to be changed in place.
     """
@@ -147,6 +148,17 @@ class MapStack:
                                                    for m in maps)))
         return stack
 
+    def item(self, s):
+        """Map s as a UnimodalMap of its own. Its row, and the L1, L2 and DR
+        of the stack if built, are copies, not views, so the map keeps no
+        part of the stack alive; the map evaluates a = psi(1) as the stack
+        did."""
+        m = UnimodalMap(AnalyticFn(self.psi.coeffs[s].copy(), self.domain))
+        if "_derivative" in vars(self):
+            m._derivative = tuple(_read_only(X[s].copy())
+                                  for X in self._derivative)
+        return m
+
     def head(self, count):
         """The first count maps as a stack whose L1, L2 and DR are views of
         this stack's."""
@@ -244,8 +256,9 @@ class FamilySpec:
     raw_step: Optional[Callable[[float, float], tuple]] = None
     x_crit: Optional[float] = None
     # s_n and alpha*, filled by superstable_params and stable_manifold_param,
-    # and the Sigma_1-polished parameters by n ("sigma1"), which only
-    # curvedyn writes (the exact-orbit chain start)
+    # and the Sigma_1-polished levels by n ("sigma1"): alpha_n with its
+    # exact orbit and the orbit's operator data, which only curvedyn writes
+    # (the exact-orbit chain start)
     # (shared per domain by flm_family; private after dataclasses.replace)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)

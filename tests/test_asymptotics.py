@@ -502,10 +502,10 @@ def test_observation1_walks_each_level_once_for_both_families(golden,
                                                               monkeypatch,
                                                               stacked_rows):
     # the families share the default domain's record: the overlap window
-    # 4..6 starts the levels it reads, 3..6, once, and walks them once, as
-    # the stacks of depths 0..4, 2 + 3 + 4 + 5 = 14 renormalized maps; the
-    # fixed-point tables renormalize none. Each family builds v_0 once for
-    # its fixed-point table (alpha* does not move) and once per exact level
+    # 4..6 starts the levels it reads, 3..6, once, and walks their kept
+    # orbits once, renormalizing no map; the fixed-point tables renormalize
+    # none either. Each family builds v_0 once for its fixed-point table
+    # (alpha* does not move) and once per exact level
     fams = [flm_family(), _sin_mix_family()]
     observation1(*fams, golden, n_max=8)       # polish levels 3..6 first
     calls = _count_walks_and_couplings(fams, monkeypatch)
@@ -513,7 +513,7 @@ def test_observation1_walks_each_level_once_for_both_families(golden,
     observation1(*fams, golden, n_max=8)
     assert calls == {"flm": 5, "flm-sin-mix": 5,
                      **{("flm", n): 1 for n in range(3, 7)}}
-    assert stacked_rows == [4, 4, 3, 2, 1]
+    assert stacked_rows == []
 
 
 def test_a_family_on_a_private_record_walks_alone(golden, monkeypatch):
@@ -533,7 +533,7 @@ def test_a_family_on_a_private_record_walks_alone(golden, monkeypatch):
 def _failing_at(level, flm):
     """A coupling on flm's record whose v_0 raises at the polished
     parameter of the given exact-orbit level."""
-    bad_alpha = flm._cache["sigma1"][level]
+    bad_alpha, _ = flm._cache["sigma1"][level]
 
     def dv_deps(alpha):
         if alpha == bad_alpha:
@@ -603,10 +603,10 @@ def test_h3_builds_the_fixed_point_v0_once(flm, golden, monkeypatch,
     stacked_rows.clear()
     got = check_H3(flm, golden, n_max=8)
     # v_0 once at alpha* and once per exact-orbit level 2..8, one start per
-    # exact-orbit level, and one walk of levels 2..8 as the stacks of depths
-    # 0..6: 1 + 2 + ... + 7 = 28 renormalized maps
+    # exact-orbit level, and one walk of the kept orbits of levels 2..8
+    # (the reference polished them), which renormalizes no map
     assert calls == {"flm": 8, **{("flm", n): 1 for n in range(2, 9)}}
-    assert stacked_rows == [7, 6, 5, 4, 3, 2, 1]
+    assert stacked_rows == []
     for name in asymptotics.H3Report.__dataclass_fields__:
         assert getattr(got, name) == getattr(want, name), name
     calls.clear()

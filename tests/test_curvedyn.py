@@ -8,6 +8,7 @@ exactness of the quadratic-family slope identity beta' = -alpha'.
 import ast
 import collections
 import dataclasses
+import functools
 import importlib.util
 import math
 import re
@@ -1198,8 +1199,13 @@ def test_sigma1_polish_builds_each_slice_map_once(golden, monkeypatch):
     for i in (2, 3):
         renorm_identity_gap(fam, golden, i)
     assert calls["apply_T"] == 2
-    # the memo keeps parameters, not maps
-    assert all(type(a) is float for a in fam._cache["sigma1"].values())
+    # the memo keeps each level's parameter with its orbit: n maps, the
+    # n - 1 bases with their L1, L2 and DR and the end without operator
+    # data
+    for n, (alpha, maps) in fam._cache["sigma1"].items():
+        assert type(alpha) is float and len(maps) == n
+        assert all("_derivative" in vars(m) for m in maps[:-1])
+        assert not {"_derivative", "_one"} & set(vars(maps[-1]))
 
 
 # ---------------------------------------------- the Sigma_1 Newton polish
@@ -1264,19 +1270,30 @@ def test_sigma1_newton_converges_from_s_n_at_every_level(golden,
     at1 = curvedyn._tables(fam.slice0(s[1]).domain).at[:, 1]
     for n in range(1, renorm1d.MAX_LEVEL + 1):
         walks.clear()
-        alpha, c = curvedyn._exact_orbit_starts(fam, [n])[n]
+        start = curvedyn._exact_orbit_starts(fam, [n])[n]
+        alpha, maps = start
         per_level[n] = len(walks)
         assert walks[0] == s[n]
-        # the start hands the accepted walk's slice, without its data
-        assert c.psi.coeffs.tobytes() == fam.slice0(alpha).coeffs.tobytes()
-        assert "_one" not in vars(c)
-        # a kept level builds its slice and does not walk
+        # the start hands the accepted orbit: the slice at alpha_n, then
+        # its images, each base with its data and the end without
+        assert len(maps) == n
+        assert (maps[0].psi.coeffs.tobytes()
+                == fam.slice0(alpha).coeffs.tobytes())
+        assert all("_derivative" in vars(m) for m in maps[:-1])
+        assert not {"_derivative", "_one"} & set(vars(maps[-1]))
+        # a kept level builds no slice and does not walk
         walks.clear()
-        again, c2 = curvedyn._exact_orbit_starts(fam, [n])[n]
-        assert walks == [alpha] == [again]
-        assert c2.psi.coeffs.tobytes() == c.psi.coeffs.tobytes()
-        # the chain's depth-major walk is the polish's walk at alpha_n
-        _, end, dg = curvedyn._sigma1_walks(fam, {n: (alpha, None)})[n]
+        assert curvedyn._exact_orbit_starts(fam, [n])[n] is start
+        assert walks == []
+        # the kept orbit is the polish's walk at alpha_n, and the chain
+        # walks it
+        walked, end, dg = curvedyn._sigma1_walks(fam, {n: (alpha, None)})[n]
+        assert [m.psi.coeffs.tobytes() for m in maps] == [
+            stack.psi.coeffs[row].tobytes() for stack, row in walked] + [
+            end.psi.coeffs.tobytes()]
+        for m, (stack, row) in zip(maps, walked):
+            assert [X.tobytes() for X in m._derivative] == [
+                X[row].tobytes() for X in stack._derivative]
         ch = slope_chain(fam, golden, n)
         assert float(ch.u_end.coeffs @ at1) == dg
         assert (ch.psi_end.psi.coeffs.tobytes()
@@ -1338,13 +1355,12 @@ def test_observation2_identity_gaps_are_the_public_gaps(flm, golden):
 
 def test_mixed_quotient_walks_each_level_once(golden, monkeypatch,
                                               stacked_rows):
-    # levels 1..5 walk their bases once for omega and 2 omega and level 6
-    # for omega alone: 0 + 1 + ... + 5 = 15 renormalized maps, where one
-    # walk per rotation number takes 25. The v-chain step runs once per
-    # base and rotation number either way: 25 vectors. Depth k renormalizes
-    # the levels n >= k + 2 as one stack, and no map alone (a map is a stack
-    # of one), and steps their chains in one call per chain slot, 2 slots
-    # while level 5 walks
+    # levels 1..5 walk their kept bases once for omega and 2 omega and
+    # level 6 for omega alone, and renormalize no map: the polish left
+    # each level's orbit on the record. The v-chain step runs once per
+    # base and rotation number: 25 vectors. Depth k steps the chains of
+    # the levels n >= k + 2 in one call per chain slot, 2 slots while
+    # level 5 walks
     fam = flm_family()
     slope_table(fam, golden, 6, mode="exact-orbit")   # polish every level
     vectors = []
@@ -1357,7 +1373,7 @@ def test_mixed_quotient_walks_each_level_once(golden, monkeypatch,
     monkeypatch.setattr(curvedyn, "_dt_step", counted)
     stacked_rows.clear()
     mixed_quotient_sequence(fam, golden, 6, mode="exact-orbit")
-    assert stacked_rows == [5, 4, 3, 2, 1] and sum(stacked_rows) == 15
+    assert stacked_rows == []
     assert vectors == [5, 4, 4, 3, 3, 2, 2, 1, 1] and sum(vectors) == 25
 
 
@@ -1478,6 +1494,139 @@ def test_pass_has_the_bits_of_the_per_level_path(mode, omega, share):
         for got, ref in zip(chains, want):
             _assert_same_chain(got, ref)
         assert read == [curvedyn._chain_slopes([ref])[0] for ref in want]
+
+
+# ------------------------------------------------- the kept exact orbits
+
+@pytest.mark.parametrize("omega", [RotationNumber.golden(), NOBLE],
+                         ids=["golden", "noble"])
+def test_a_warm_pass_has_the_bits_of_a_cold_pass(omega):
+    # levels 1..10 at omega and 2 omega: the first pass on a private record
+    # polishes every level and walks the orbits the polish keeps, the
+    # second and a pass on flm's shared record walk kept orbits; all three
+    # have the bits of the per-level path
+    fam = dataclasses.replace(flm_family())
+    omegas0 = (omega, omega.double())
+    levels = [(n, omegas0) for n in range(1, 11)]
+    cold = list(curvedyn._slope_pass([fam], levels, "exact-orbit"))
+    assert sorted(fam._cache["sigma1"]) == [*range(1, 11)]
+    warm = list(curvedyn._slope_pass([fam], levels, "exact-orbit"))
+    shared = list(curvedyn._slope_pass([flm_family()], levels, "exact-orbit"))
+    for n, (_, first), *again in zip(range(1, 11), cold, warm, shared):
+        want = _per_level_chains(fam, n, omegas0, "exact-orbit")
+        for got, ref in zip(first, want, strict=True):
+            _assert_same_chain(got, ref)
+        for got_n, chains in again:
+            assert got_n == n
+            for got, ref in zip(chains, first, strict=True):
+                _assert_same_chain(got, ref)
+
+
+def test_observation2_reports_the_same_warm_and_cold(golden):
+    cold = observation2(dataclasses.replace(flm_family()), golden, n_max=10)
+    shared = flm_family()
+    observation2(shared, golden, n_max=10)       # polish the shared levels
+    assert repr(observation2(shared, golden, n_max=10)) == repr(cold)
+
+
+def _count_operator_data(monkeypatch):
+    """A counter of the operator data built while the test runs, by stage:
+    MapStack's Vandermondes, renormalization and derivative stages, and a
+    map's stack of one."""
+    built = collections.Counter()
+    for owner, name in ((renorm1d.MapStack, "_vandermondes"),
+                        (renorm1d.MapStack, "_renormalization"),
+                        (renorm1d.MapStack, "_derivative"),
+                        (renorm1d.UnimodalMap, "_one")):
+        stage = owner.__dict__[name]
+
+        def counted(obj, name=name, stage=stage):
+            built[name] += 1
+            return stage.func(obj)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(owner, name)
+        monkeypatch.setattr(owner, name, prop)
+    return built
+
+
+def test_a_warm_mixed_quotient_builds_no_operator_data(golden, monkeypatch,
+                                                       stacked_rows):
+    fam = flm_family()
+    mixed_quotient_sequence(fam, golden, 10, mode="exact-orbit")
+    built = _count_operator_data(monkeypatch)
+    stacked_rows.clear()
+    for omega in (golden.double(), NOBLE):
+        mixed_quotient_sequence(fam, omega, 10, mode="exact-orbit")
+    assert stacked_rows == [] and built == {}
+
+
+def test_a_cold_pass_renormalizes_in_its_polish_alone(golden, monkeypatch,
+                                                      stacked_rows):
+    # the first Newton step renormalizes the orbits of levels 2..10 as the
+    # stacks of depths 0..8; the accepted orbits go to the chain, whose walk
+    # renormalizes nothing
+    fam = dataclasses.replace(flm_family())
+    polished = []
+    starts = curvedyn._exact_orbit_starts
+
+    def recorded(family, ns):
+        out = starts(family, ns)
+        polished.append(len(stacked_rows))
+        return out
+
+    monkeypatch.setattr(curvedyn, "_exact_orbit_starts", recorded)
+    stacked_rows.clear()
+    mixed_quotient_sequence(fam, golden, 10, mode="exact-orbit")
+    assert polished == [len(stacked_rows)]
+    assert stacked_rows[:9] == [9, 8, 7, 6, 5, 4, 3, 2, 1]
+
+
+def test_the_record_keeps_each_accepted_level_with_its_orbit(golden):
+    fam = dataclasses.replace(flm_family())
+    s = superstable_params(fam, 6)
+    slope_table(fam, golden, 6, mode="exact-orbit")
+    kept = fam._cache["sigma1"]
+    assert sorted(kept) == [*range(1, 7)]
+    bases = [m for _, maps in kept.values() for m in maps[:-1]]
+    assert len(bases) == sum(n - 1 for n in range(1, 7)) == 15
+    for n, (alpha, maps) in kept.items():
+        # level n's own orbit: n maps from c(alpha_n, 0), each base with
+        # its data and with the next map as its image, the end on Sigma_1
+        assert len(maps) == n and abs(alpha - s[n]) <= 1e-9
+        assert (maps[0].psi.coeffs.tobytes()
+                == fam.slice0(alpha).coeffs.tobytes())
+        for m, image in zip(maps, maps[1:]):
+            assert "_derivative" in vars(m)
+            fresh = renorm1d.UnimodalMap(m.psi)
+            assert (renorm1d.renormalize_1d(fresh, check_domain=False)
+                    .psi.coeffs.tobytes() == image.psi.coeffs.tobytes())
+        assert abs(maps[-1].a) <= curvedyn.TOL_SIGMA1
+        assert not {"_derivative", "_one"} & set(vars(maps[-1]))
+    # a failing level keeps nothing: with no parameter derivative the
+    # Newton of level 2, started off s_2, has g' = 0, while levels 1 and 3
+    # are on Sigma_1 at s_n and are accepted without a step
+    dom = DomainConfig()
+    bad = _perturbed_start(dataclasses.replace(
+        flm_family(), du_dalpha=lambda a: AnalyticFn(np.zeros(dom.n_cheb),
+                                                     dom)), 2, 1e-6)
+    starts = curvedyn._exact_orbit_starts(bad, [1, 2, 3])
+    assert isinstance(starts[2], NoConvergenceError)
+    assert sorted(bad._cache["sigma1"]) == [1, 3]
+    assert [len(maps) for _, maps in bad._cache["sigma1"].values()] == [1, 3]
+
+
+def test_kept_orbits_belong_to_their_domain(golden):
+    # every domain has its record; a record shared across domains would
+    # hand a level the orbit of another domain
+    for dom in (DomainConfig(), DomainConfig(n_cheb=56, n_fourier=24)):
+        fam = flm_family(domain=dom)
+        for n in range(1, 6):
+            got = slope_chain(fam, golden, n)
+            _, maps = fam._cache["sigma1"][n]
+            assert {m.domain for m in maps} == {dom}
+            want, = _per_level_chains(fam, n, (golden,), "exact-orbit")
+            _assert_same_chain(got, want)
 
 
 def test_renormalized_family_builds_the_parent_slice_once(flm, golden,

@@ -472,6 +472,52 @@ def test_eval_of_a_row_against_a_column_is_the_broadcast_eval(n, K, n_theta,
     assert got.tobytes() == want.tobytes()
 
 
+def _eval_on_the_broadcast_points(f, theta, x):
+    """QPFn.eval with its Chebyshev recurrence run on the broadcast x points
+    themselves, as the eval ran before it took x as given: the reference."""
+    theta = np.asarray(theta, dtype=float)
+    x = np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(theta.shape, x.shape)
+    x = np.broadcast_to(x, shape)
+    V = _vander_rows(x / f.domain.half_width, f.domain.n_cheb).T
+    H = np.ascontiguousarray(f.modes.T).view(float)
+    A = (V @ H).view(complex).reshape(shape + (f.K + 1,))
+    E = _phases(theta, f.K).reshape(theta.shape + (f.K + 1,))
+    out = np.einsum("...k,...k->...", A, E).real
+    return float(out) if out.ndim == 0 else out
+
+
+EVAL_SHAPES = {"column-row": ((-1, 1), (-1,)), "row-column": ((-1,), (-1, 1)),
+               "scalar-x": ((-1,), ()), "scalar-theta": ((), (2, -1)),
+               "grid": ((3, -1), (3, -1)), "scalars": ((), ())}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(8, 64), st.sampled_from([1, 4, 16]),
+       st.sampled_from(sorted(EVAL_SHAPES)), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1))
+def test_eval_runs_the_recurrence_on_x_as_given_bit_for_bit(n, K, shapes,
+                                                            size, seed):
+    # the recurrence on x's own points, copied out to the broadcast points
+    # in their (n_cheb, P) layout, gives the product the same matrix in the
+    # same memory order, so every shape keeps the bits of the recurrence on
+    # the broadcast points; a C-ordered Vandermonde would not
+    dom = DomainConfig(n_cheb=n, n_fourier=K)
+    rng = np.random.default_rng(seed)
+    f = QPFn.zero(dom)
+    f.modes[:] = (rng.standard_normal(f.modes.shape)
+                  + 1j * rng.standard_normal(f.modes.shape))
+    f.modes[0] = f.modes[0].real
+    th_shape, x_shape = (tuple(size if d == -1 else d for d in s)
+                         for s in EVAL_SHAPES[shapes])
+    theta = rng.uniform(-1.0, 2.0, th_shape)
+    x = rng.uniform(-dom.half_width, dom.half_width, x_shape)
+    got = f.eval(theta, x)
+    want = _eval_on_the_broadcast_points(f, theta, x)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def _from_callable_per_row(domain, fn):
     """Reference: sample fn, then h_0 = Re(A ft[0]) and h_k = A ft[k] +
     conj(A ft[M-k]) one row at a time."""

@@ -1,6 +1,8 @@
 """Import hygiene: no module in src/ or tests/ imports a name it never reads,
 only funcspace.py in src/ uses numpy's Chebyshev module, only curvedyn.py
-in src/ names the "sigma1" record key, only cli's dt-check in src/ calls
+in src/ names the "sigma1" record key of the kept exact orbits, and in it
+only _exact_orbit_starts, which only _chain_bases calls, only cli's
+dt-check in src/ calls
 an assembled block's apply, every module-level constant, function, class
 and method of src/ is named somewhere in src/ or tests/, and every
 private one somewhere in src/.
@@ -122,8 +124,8 @@ def test_the_scan_sees_a_record_key():
 @pytest.mark.parametrize("path", SRC,
                          ids=[str(p.relative_to(ROOT)) for p in SRC])
 def test_only_curvedyn_names_the_sigma1_record(path):
-    # the exact-orbit start owns the polished Sigma_1 parameters; no other
-    # module reads or seeds them
+    # the exact-orbit start owns the polished levels, alpha_n with its
+    # orbit; no other module reads or seeds them
     uses = _key_uses(path.read_text(), "sigma1")
     if path.name == "curvedyn.py":
         assert uses             # the owner, so the scan must see it
@@ -389,6 +391,33 @@ def test_the_scan_sees_a_mode_test():
               'ok = MODE == "fixed-point"\n')
     assert _mode_tests(source) == [(2, "_chain_bases"), (4, "_chain_bases"),
                                    (6, "other"), (7, None)]
+
+
+def _key_names(source, key):
+    """(line, enclosing function) of each string literal equal to key."""
+    return _enclosed(source, lambda node: (
+        isinstance(node, ast.Constant) and node.value == key))
+
+
+def test_the_scan_sees_the_function_that_names_a_key():
+    source = ('def _exact_orbit_starts(family):\n'
+              '    return family._cache.setdefault("sigma1", {})\n'
+              'def other(cache):\n'
+              '    # "sigma1"\n'
+              '    return cache["sigma1s"], cache.get("sigma1")\n'
+              'KEY = "sigma1"\n')
+    assert _key_names(source, "sigma1") == [(2, "_exact_orbit_starts"),
+                                            (5, "other"), (6, None)]
+
+
+def test_only_the_exact_orbit_start_keeps_the_orbits():
+    # in curvedyn the start alone reads and writes the kept levels, and
+    # the chain bases alone take a level's orbit from it
+    source = (ROOT / "src" / "qprenorm_lab" / "curvedyn.py").read_text()
+    assert {f for _, f in _key_names(source, "sigma1")} == {
+        "_exact_orbit_starts"}
+    assert [f for _, f in _name_calls(source, "_exact_orbit_starts")] == [
+        "_chain_bases"]
 
 
 def test_only_the_chain_bases_know_the_modes():
